@@ -8,7 +8,7 @@ probabilities.  The package computes exact conditional moments, classifies
 growth regimes near criticality, and checks the distributional limits
 (gamma, normal, L1, Feller diffusion) against Monte Carlo ensembles.
 """
-from .algebra import SpectralData, criticality, hadamard, is_primitive, odot, perron
+from .algebra import SpectralData, criticality, is_primitive, odot, perron
 from .laws import (
     BernoulliOffspring,
     Clamp,
@@ -38,6 +38,7 @@ from .model import (
     SpecFormatError,
     TableInitial,
     Trajectory,
+    advance,
     load_spec,
     sample_migration,
     sample_step_batch,
@@ -68,7 +69,6 @@ from .classify import (
     check_hypothesis_C,
     classify_growth,
     estimate_exponents,
-    estimate_xi,
     growth_ratio,
     is_absorbing_zero,
     probe_states,

@@ -18,15 +18,6 @@ _POWER_TOL = 1e-12
 _POWER_MAXIT = 100_000
 
 
-def hadamard(x, y):
-    """Componentwise product of two equal-length vectors."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("hadamard expects two vectors of equal length")
-    return x * y
-
-
 def odot(z, mats):
     """Weighted sum ``sum_i z[i] * mats[i]`` of per-type matrices.
 

@@ -237,20 +237,6 @@ def growth_ratio(spec: ModelSpec, u, z) -> float:
     return 2.0 * float(u @ z) * float(u @ h) / s2
 
 
-def estimate_xi(spec: ModelSpec, u, z, delta: float, N: int, rng) -> float:
-    """Monte Carlo (2+delta)-absolute central moment of one u-weighted step."""
-    from .model import sample_step_batch
-    from .moments import cond_mean
-
-    if N < 10_000:
-        raise ValueError("estimate_xi needs at least 1e4 samples")
-    u = np.asarray(u, dtype=float)
-    batch = sample_step_batch(spec, z, N, rng)
-    center = float(u @ cond_mean(spec, z))
-    vals = np.abs(batch @ u - center) ** (2.0 + delta)
-    return float(vals.mean())
-
-
 def check_growth_support(spec: ModelSpec, z) -> bool:
     """Can every occupied type both receive immigrants and reproduce at z?"""
     z = np.asarray(z, dtype=np.int64)

@@ -99,7 +99,7 @@ def _write_tsv(path: Path, columns, rows):
 def _cdf_pairs(sample, reference_cdf):
     xs = np.sort(np.asarray(sample, dtype=float))
     emp = np.arange(1, xs.size + 1) / xs.size
-    ref = np.array([float(reference_cdf(x)) for x in xs])
+    ref = np.asarray(reference_cdf(xs), dtype=float)
     return [(float(x), float(e), float(r)) for x, e, r in zip(xs, emp, ref)]
 
 
@@ -203,7 +203,7 @@ def _suite_gamma(spec: ModelSpec, doc: dict, config: ExperimentConfig):
             "kept": int(keep.sum()),
             "total": config.reps,
         },
-        "ensemble": _strip_timing(ens.summary()),
+        "ensemble": ens.summary(),
     }
     files = {
         "cdf_pairs.tsv": (
@@ -237,7 +237,7 @@ def _suite_normal(spec: ModelSpec, doc: dict, config: ExperimentConfig):
             "kept": int(keep.sum()),
             "total": config.reps,
         },
-        "ensemble": _strip_timing(ens.summary()),
+        "ensemble": ens.summary(),
     }
     files = {
         "cdf_pairs.tsv": (("x", "empirical", "reference"), _cdf_pairs(w, normal_cdf)),
@@ -273,7 +273,7 @@ def _suite_l1(spec: ModelSpec, doc: dict, config: ExperimentConfig):
             "kept": int(keep.sum()),
             "total": config.reps,
         },
-        "ensemble": _strip_timing(ens.summary()),
+        "ensemble": ens.summary(),
     }
     rows = [(f"q{int(100 * q)}", float(v)) for q, v in zip(_FAN_QUANTILES, qs)]
     rows.append(("mean", mean))
@@ -326,7 +326,7 @@ def _suite_feller(spec: ModelSpec, doc: dict, config: ExperimentConfig):
         "diffusion": diffusion,
         "dt": config.dt,
         "gof": gof.to_dict(),
-        "ensemble": _strip_timing(ens.summary()),
+        "ensemble": ens.summary(),
     }
     files = {
         "cdf_pairs.tsv": (("x", "empirical", "reference"), _cdf_pairs(w_emp, ecdf(w_ref))),
@@ -350,16 +350,10 @@ def _suite_explosion(spec: ModelSpec, doc: dict, config: ExperimentConfig):
     payload = {
         "explosion": est.to_dict(),
         "bounds": bounds,
-        "ensemble": _strip_timing(ens.summary()),
+        "ensemble": ens.summary(),
     }
     files = {"terminal_norms.tsv": (("statistic", "value"), rows)}
     return passed, payload, files
-
-
-def _strip_timing(summary: dict) -> dict:
-    summary = dict(summary)
-    summary.pop("build_seconds", None)
-    return summary
 
 
 _SUITE_RUNNERS = {

@@ -35,24 +35,23 @@ _ZETA2 = math.pi**2 / 6.0
 _ZETA3 = 1.2020569031595942854
 
 
-def size_of(z, u=None) -> float:
-    """Scalar size u . z seen by state functions.
+def size_of(z, u=None):
+    """Size u . z seen by state functions.
 
-    For single-type models the weight vector defaults to (1,); with more
-    types it must be supplied (it comes from the mean matrix spectrum).
+    ``z`` is one state (p,), giving a float, or a stack of states (R, p),
+    giving one size per row.  For single-type models the weight vector
+    defaults to (1,); with more types it must be supplied (it comes from
+    the mean matrix spectrum), except at the null state.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if u is None:
-        if z.shape[0] == 1:
-            return float(z[0])
-        if not z.any():
-            return 0.0
-        raise ValueError(
-            "size-dependent state function needs the left Perron weights u "
-            "for a multitype state"
-        )
-    u = np.asarray(u, dtype=float)
-    return float(u @ z)
+        if z.shape[-1] != 1 and z.any():
+            raise ValueError(
+                "size-dependent state function needs the left Perron weights u "
+                "for a multitype state"
+            )
+        u = np.ones(z.shape[-1])
+    return z @ np.asarray(u, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +63,7 @@ def size_of(z, u=None) -> float:
 class Constant:
     value: float
 
-    def __call__(self, z, u=None) -> float:
+    def __call__(self, z, u=None):
         return self.value
 
     def growth_exponent(self) -> float:
@@ -84,15 +83,12 @@ class Power:
     coeff: float
     exponent: float
 
-    def __call__(self, z, u=None) -> float:
-        s = size_of(z, u)
-        if s == 0.0:
-            if self.exponent > 0 or self.coeff == 0.0:
-                return 0.0
-            if self.exponent == 0:
-                return self.coeff
-            return math.copysign(math.inf, self.coeff)
-        return self.coeff * s**self.exponent
+    def __call__(self, z, u=None):
+        if self.coeff == 0.0:
+            return 0.0
+        # 0**0 = 1 and 0**(-e) = inf give the limits at s = 0
+        with np.errstate(divide="ignore"):
+            return self.coeff * np.power(size_of(z, u), self.exponent)
 
     def growth_exponent(self) -> float:
         if self.coeff == 0.0:
@@ -129,10 +125,9 @@ class Table:
         if any(b2 <= b1 for b1, b2 in zip(self.breaks, self.breaks[1:])):
             raise ValueError("table breaks must be strictly increasing")
 
-    def __call__(self, z, u=None) -> float:
-        s = size_of(z, u)
-        idx = int(np.searchsorted(self.breaks, s, side="right")) - 1
-        return float(self.values[max(idx, 0)])
+    def __call__(self, z, u=None):
+        idx = np.searchsorted(self.breaks, size_of(z, u), side="right") - 1
+        return np.asarray(self.values)[np.maximum(idx, 0)]
 
     def growth_exponent(self) -> float:
         return 0.0
@@ -156,13 +151,8 @@ class Clamp:
         if self.lo is not None and self.hi is not None and self.lo > self.hi:
             raise ValueError("clamp bounds are inverted")
 
-    def __call__(self, z, u=None) -> float:
-        x = self.inner(z, u)
-        if self.lo is not None:
-            x = max(x, self.lo)
-        if self.hi is not None:
-            x = min(x, self.hi)
-        return x
+    def __call__(self, z, u=None):
+        return np.clip(self.inner(z, u), self.lo, self.hi)
 
     def growth_exponent(self) -> float:
         if self.hi is not None:
@@ -269,9 +259,6 @@ class PoissonOffspring:
     def prob_zero(self) -> float:
         return math.exp(-self.mean)
 
-    def sample_sum(self, rng, n: int) -> int:
-        return int(rng.poisson(n * self.mean)) if n > 0 else 0
-
     def sample_sum_batch(self, rng, counts):
         return rng.poisson(np.asarray(counts, dtype=np.int64) * self.mean)
 
@@ -296,9 +283,6 @@ class BernoulliOffspring:
 
     def prob_zero(self) -> float:
         return 1.0 - self.prob
-
-    def sample_sum(self, rng, n: int) -> int:
-        return int(rng.binomial(n, self.prob)) if n > 0 else 0
 
     def sample_sum_batch(self, rng, counts):
         return rng.binomial(np.asarray(counts, dtype=np.int64), self.prob)
@@ -327,11 +311,6 @@ class GeometricOffspring:
 
     def prob_zero(self) -> float:
         return 1.0 / (1.0 + self.mean)
-
-    def sample_sum(self, rng, n: int) -> int:
-        if n <= 0 or self.mean == 0.0:
-            return 0
-        return int(rng.negative_binomial(n, 1.0 - self._ratio))
 
     def sample_sum_batch(self, rng, counts):
         counts = np.asarray(counts, dtype=np.int64)
@@ -381,12 +360,6 @@ class TableOffspring:
     def prob_zero(self) -> float:
         v = np.asarray(self.values)
         return float(np.asarray(self.probs, dtype=float)[v == 0].sum())
-
-    def sample_sum(self, rng, n: int) -> int:
-        if n <= 0:
-            return 0
-        counts = rng.multinomial(n, self.probs)
-        return int(np.dot(counts, self.values))
 
     def sample_sum_batch(self, rng, counts):
         counts = np.asarray(counts, dtype=np.int64)
@@ -448,14 +421,10 @@ class IndependentOffspring:
             out *= c.prob_zero()
         return out
 
-    def sample_sum(self, rng, n: int):
-        return np.array([c.sample_sum(rng, n) for c in self.components], dtype=np.int64)
-
-    def sample_sum_batch(self, rng, counts):
-        counts = np.asarray(counts, dtype=np.int64)
-        return np.stack(
-            [c.sample_sum_batch(rng, counts) for c in self.components], axis=-1
-        ).astype(np.int64)
+    def sample_sum_batch(self, rng, counts, out):
+        """Add the summed children of counts[r] parents into row r of out (R, p)."""
+        for j, c in enumerate(self.components):
+            out[:, j] += c.sample_sum_batch(rng, counts)
 
     def atoms(self, tail: float = DEFAULT_ATOM_TAIL):
         per = [c.atoms(tail / max(len(self.components), 1)) for c in self.components]
@@ -507,17 +476,10 @@ class FiniteOffspring:
         mask = (v == 0).all(axis=1)
         return float(np.asarray(self.probs, dtype=float)[mask].sum())
 
-    def sample_sum(self, rng, n: int):
-        p = np.asarray(self.vectors).shape[1]
-        if n <= 0:
-            return np.zeros(p, dtype=np.int64)
-        counts = rng.multinomial(n, self.probs)
-        return (counts @ np.asarray(self.vectors, dtype=np.int64)).astype(np.int64)
-
-    def sample_sum_batch(self, rng, counts):
-        counts = np.asarray(counts, dtype=np.int64)
-        draws = rng.multinomial(counts, self.probs)
-        return draws @ np.asarray(self.vectors, dtype=np.int64)
+    def sample_sum_batch(self, rng, counts, out):
+        """Add the summed children of counts[r] parents into row r of out (R, p)."""
+        draws = rng.multinomial(np.asarray(counts, dtype=np.int64), self.probs)
+        out += draws @ np.asarray(self.vectors, dtype=np.int64)
 
     def atoms(self, tail: float = DEFAULT_ATOM_TAIL):
         return np.asarray(self.vectors, dtype=np.int64), np.asarray(self.probs, dtype=float)
@@ -551,13 +513,13 @@ class ShiftedPoissonImmigration:
 
     mean_fn: StateFunction
 
-    def _rate(self, z, u) -> float:
-        a = self.mean_fn(z, u)
-        if a < 1.0 - 1e-12:
+    def _rate(self, z, u):
+        a = np.asarray(self.mean_fn(z, u))
+        if a.min() < 1.0 - 1e-12:
             raise ValueError(
-                f"immigration mean {a} fell below 1; clamp the mean state function"
+                f"immigration mean {a.min()} fell below 1; clamp the mean state function"
             )
-        return max(a - 1.0, 0.0)
+        return np.maximum(a - 1.0, 0.0)
 
     def mean(self, z, u=None) -> float:
         return 1.0 + self._rate(z, u)
@@ -566,11 +528,9 @@ class ShiftedPoissonImmigration:
         lam = self._rate(z, u)
         return sum(math.comb(k, j) * _poisson_raw(j, lam) for j in range(k + 1))
 
-    def sample(self, rng, z, u=None) -> int:
-        return 1 + int(rng.poisson(self._rate(z, u)))
-
-    def sample_batch(self, rng, size: int, z, u=None):
-        return 1 + rng.poisson(self._rate(z, u), size=size)
+    def sample_batch(self, rng, z, u=None):
+        """One draw per row of the state stack z (k, p), at that row's mean."""
+        return 1 + rng.poisson(self._rate(z, u), size=len(z))
 
     def atoms(self, z, u=None, tail: float = DEFAULT_ATOM_TAIL):
         vals, probs = _poisson_atoms(self._rate(z, u), tail)
@@ -594,11 +554,8 @@ class DeterministicImmigration:
     def raw_moment(self, k: int, z=None, u=None) -> float:
         return float(self.value) ** k
 
-    def sample(self, rng, z=None, u=None) -> int:
-        return int(self.value)
-
-    def sample_batch(self, rng, size: int, z=None, u=None):
-        return np.full(size, int(self.value), dtype=np.int64)
+    def sample_batch(self, rng, z, u=None):
+        return np.full(len(z), int(self.value), dtype=np.int64)
 
     def atoms(self, z=None, u=None, tail: float = DEFAULT_ATOM_TAIL):
         return np.array([int(self.value)]), np.array([1.0])
@@ -628,12 +585,8 @@ class TableImmigration:
     def raw_moment(self, k: int, z=None, u=None) -> float:
         return float(np.dot(np.asarray(self.values, dtype=float) ** k, self.probs))
 
-    def sample(self, rng, z=None, u=None) -> int:
-        idx = rng.choice(len(self.values), p=self.probs)
-        return int(self.values[idx])
-
-    def sample_batch(self, rng, size: int, z=None, u=None):
-        idx = rng.choice(len(self.values), p=self.probs, size=size)
+    def sample_batch(self, rng, z, u=None):
+        idx = rng.choice(len(self.values), p=self.probs, size=len(z))
         return np.asarray(self.values, dtype=np.int64)[idx]
 
     def atoms(self, z=None, u=None, tail: float = DEFAULT_ATOM_TAIL):
@@ -660,15 +613,10 @@ class UniformEmigration:
             return 0.0
         return _faulhaber(k, zi) / zi
 
-    def sample(self, rng, zi: int) -> int:
-        if zi <= 0:
-            return 0
-        return int(rng.integers(1, zi + 1))
-
-    def sample_batch(self, rng, size: int, zi: int):
-        if zi <= 0:
-            return np.zeros(size, dtype=np.int64)
-        return rng.integers(1, zi + 1, size=size)
+    def sample_batch(self, rng, zi):
+        """One draw per entry of the counts zi (k,); 0 where a count is 0."""
+        zi = np.asarray(zi, dtype=np.int64)
+        return rng.integers(1, np.maximum(zi, 1), endpoint=True) * (zi > 0)
 
     def atoms(self, zi: int):
         if zi <= 0:
@@ -713,22 +661,17 @@ class TruncatedGeometricEmigration:
             j0 = j1 + 1
         return total / self._mass(zi)
 
-    def sample(self, rng, zi: int) -> int:
-        if zi <= 0:
-            return 0
-        return int(self._invert(rng.random(), zi))
+    def sample_batch(self, rng, zi):
+        """One draw per entry of the counts zi (k,); 0 where a count is 0."""
+        zi = np.asarray(zi, dtype=np.int64)
+        return self._invert(rng.random(zi.shape), np.maximum(zi, 1)) * (zi > 0)
 
-    def sample_batch(self, rng, size: int, zi: int):
-        if zi <= 0:
-            return np.zeros(size, dtype=np.int64)
-        return self._invert(rng.random(size), zi).astype(np.int64)
-
-    def _invert(self, unif, zi: int):
+    def _invert(self, unif, zi):
         # CDF(j) = (1 - s^j) / (1 - s^zi): solve for the smallest j with CDF >= U
-        s = self.ratio
-        target = np.asarray(unif) * -math.expm1(zi * math.log(s))
-        j = np.ceil(np.log1p(-target) / math.log(s))
-        return np.clip(j, 1, zi)
+        log_s = math.log(self.ratio)
+        target = unif * -np.expm1(zi * log_s)
+        j = np.ceil(np.log1p(-target) / log_s)
+        return np.clip(j, 1, zi).astype(np.int64)
 
     def atoms(self, zi: int):
         if zi <= 0:
@@ -791,18 +734,13 @@ class InverseCubeEmigration:
             return _faulhaber(1, zi) / norm
         raise ValueError(f"inverse-cube moments implemented for k <= 4, got {k}")
 
-    def sample(self, rng, zi: int) -> int:
-        if zi <= 0:
-            return 0
-        cum = _INVERSE_CUBE_PREFIX.cum(zi)
-        return int(np.searchsorted(cum, rng.random() * cum[-1], side="right")) + 1
-
-    def sample_batch(self, rng, size: int, zi: int):
-        if zi <= 0:
-            return np.zeros(size, dtype=np.int64)
-        cum = _INVERSE_CUBE_PREFIX.cum(zi)
-        idx = np.searchsorted(cum, rng.random(size) * cum[-1], side="right")
-        return (idx + 1).astype(np.int64)
+    def sample_batch(self, rng, zi):
+        """One draw per entry of the counts zi (k,); 0 where a count is 0."""
+        zi = np.asarray(zi, dtype=np.int64)
+        m = np.clip(zi, 1, _TABLE_CAP)
+        cum = _INVERSE_CUBE_PREFIX.cum(int(m.max(initial=1)))
+        idx = np.searchsorted(cum, rng.random(zi.shape) * cum[m - 1], side="right")
+        return (idx + 1) * (zi > 0)
 
     def atoms(self, zi: int):
         if zi <= 0:
@@ -836,11 +774,9 @@ class DeterministicEmigration:
             return 0.0
         return float(min(self.value, zi)) ** k
 
-    def sample(self, rng, zi: int) -> int:
-        return min(int(self.value), zi) if zi > 0 else 0
-
-    def sample_batch(self, rng, size: int, zi: int):
-        return np.full(size, min(int(self.value), max(zi, 0)), dtype=np.int64)
+    def sample_batch(self, rng, zi):
+        """One draw per entry of the counts zi (k,); 0 where a count is 0."""
+        return np.clip(np.asarray(zi, dtype=np.int64), 0, int(self.value))
 
     def atoms(self, zi: int):
         if zi <= 0:

@@ -12,6 +12,12 @@ Emigration is only possible from types with a positive count (the branch
 is folded into "no migration" at z_i = 0, where removing is a no-op), so
 states never leave the nonnegative orthant.
 
+One kernel, ``advance``, draws every transition: it steps an (R, p) array
+of states with a fixed sequence of numpy calls per type.  ``step`` and
+``simulate_path`` run it on a single row, ``sample_step_batch`` on one
+state broadcast to many rows, and the ensembles in ``montecarlo`` on
+blocks of replicates.
+
 The mean matrix convention is column-per-parent: mean_matrix()[i, j] is
 the expected number of type-i children of one type-j parent, and the
 conditional mean acts as a left matrix product.
@@ -102,21 +108,27 @@ class MigrationComponent:
     immigration: Optional[ImmigrationLaw] = None
     emigration: Optional[EmigrationLaw] = None
 
-    def branch_probs(self, z, u, zi: int):
+    def branch_probs(self, z, u, zi):
         """Effective (none, immigration, emigration) probabilities at z.
 
-        Emigration is folded into "none" when the type's count is zero:
-        there is nothing to remove, so the branch is a no-op there.
+        ``z`` is one state with this type's count ``zi``, or a stack of
+        states (R, p) with the counts (R,); each probability is then a
+        scalar or one value per row.  Emigration is folded into "none"
+        where the type's count is zero: there is nothing to remove, so the
+        branch is a no-op there.  Only then do constant probabilities
+        become per-row arrays.
         """
         pn = self.prob_none(z, u)
         pi = self.prob_imm(z, u)
         pe = self.prob_em(z, u)
-        if zi <= 0 or self.emigration is None:
-            pn += pe
-            pe = 0.0
+        empty = np.asarray(zi) <= 0
+        if self.emigration is None:
+            pn, pe = pn + pe, 0.0
+        elif empty.any():
+            moved = pe * empty
+            pn, pe = pn + moved, pe - moved
         if self.immigration is None:
-            pn += pi
-            pi = 0.0
+            pn, pi = pn + pi, 0.0
         return pn, pi, pe
 
 
@@ -161,8 +173,9 @@ class DeterministicInitial:
     def dim(self) -> int:
         return len(self.state)
 
-    def sample(self, rng):
-        return np.asarray(self.state, dtype=np.int64).copy()
+    def sample(self, rng, size: int):
+        """``size`` initial states, one per row."""
+        return np.tile(np.asarray(self.state, dtype=np.int64), (size, 1))
 
     def mean_norm(self) -> float:
         return float(np.sum(self.state))
@@ -187,9 +200,10 @@ class TableInitial:
     def dim(self) -> int:
         return len(self.states[0])
 
-    def sample(self, rng):
-        idx = rng.choice(len(self.states), p=self.probs)
-        return np.asarray(self.states[idx], dtype=np.int64).copy()
+    def sample(self, rng, size: int):
+        """``size`` initial states, one per row."""
+        idx = rng.choice(len(self.states), p=self.probs, size=size)
+        return np.asarray(self.states, dtype=np.int64)[idx]
 
     def mean_norm(self) -> float:
         return float(np.asarray(self.states).sum(axis=1) @ np.asarray(self.probs))
@@ -298,99 +312,75 @@ class ModelSpec:
 @dataclass(frozen=True)
 class Trajectory:
     states: np.ndarray  # (n+1, p) int64
-    stream: Optional[tuple] = None  # (master_seed, replicate) provenance
 
     def __len__(self) -> int:
         return self.states.shape[0]
 
 
 # ---------------------------------------------------------------------------
-# Sampling
+# Sampling: one transition kernel on arrays of states
 # ---------------------------------------------------------------------------
 
 
-def sample_migration(spec: MigrationSpec, z, rng, u=None):
-    """Draw the migration adjustment vector M at state z."""
-    z = np.asarray(z, dtype=np.int64)
-    out = np.zeros(spec.dim, dtype=np.int64)
+def sample_migration(spec: MigrationSpec, Z, rng, u=None):
+    """Migration adjustments M (R, p) for the states Z (R, p).
+
+    Per type, vector uniforms choose each row's branch; immigration and
+    emigration then draw only for the rows in their branch, at those
+    rows' states and counts.
+    """
+    out = np.zeros(Z.shape, dtype=np.int64)
     for i, comp in enumerate(spec.components):
-        zi = int(z[i])
-        pn, pi, pe = comp.branch_probs(z, u, zi)
-        x = rng.random()
-        if x < pn:
-            continue
-        if x < pn + pi:
-            out[i] = comp.immigration.sample(rng, z, u)
-        elif pe > 0.0:
-            out[i] = -comp.emigration.sample(rng, zi)
+        zi = Z[:, i]
+        pn, pi, pe = comp.branch_probs(Z, u, zi)
+        x = rng.random(len(Z))
+        imm = (x >= pn) & (x < pn + pi)
+        em = (x >= pn + pi) & (pe > 0.0)
+        if imm.any():
+            out[imm, i] = comp.immigration.sample_batch(rng, Z[imm], u)
+        if em.any():
+            out[em, i] = -comp.emigration.sample_batch(rng, zi[em])
+    return out
+
+
+def advance(spec: ModelSpec, Z, rng):
+    """The next generation of every row of the int64 states Z (R, p).
+
+    Migration first, then every parent present sums its offspring.  The
+    draws are a fixed sequence of numpy calls per type, so the same rows
+    from the same stream give the same result.  ``Z`` may be a read-only
+    view, such as one state broadcast to R rows.
+    """
+    counts = sample_migration(spec.migration, Z, rng, u=spec.size_weights())
+    counts += Z
+    out = np.zeros_like(counts)
+    for i, law in enumerate(spec.offspring.laws):
+        law.sample_sum_batch(rng, counts[:, i], out)
     return out
 
 
 def step(spec: ModelSpec, z, rng):
-    """One transition: migration adjustment, then offspring of the survivors."""
-    z = np.asarray(z, dtype=np.int64)
-    mig = sample_migration(spec.migration, z, rng, u=spec.size_weights())
-    counts = z + mig
-    out = np.zeros(spec.dim, dtype=np.int64)
-    for i, law in enumerate(spec.offspring.laws):
-        c = int(counts[i])
-        if c > 0:
-            out += law.sample_sum(rng, c)
-    return out
+    """One transition from the state z: ``advance`` on a single row."""
+    return advance(spec, np.asarray(z, dtype=np.int64)[None, :], rng)[0]
 
 
-def simulate_path(spec: ModelSpec, n: int, rng, stream: Optional[tuple] = None) -> Trajectory:
+def simulate_path(spec: ModelSpec, n: int, rng) -> Trajectory:
+    """A trajectory of n steps from the initial law: ``advance`` on a single row."""
     if n < 0:
         raise ValueError("horizon must be nonnegative")
     states = np.empty((n + 1, spec.dim), dtype=np.int64)
-    states[0] = spec.initial.sample(rng)
-    u = spec.size_weights()
-    mig = spec.migration
-    laws = spec.offspring.laws
-    z = states[0]
+    Z = spec.initial.sample(rng, 1)
+    states[0] = Z[0]
     for k in range(n):
-        m = sample_migration(mig, z, rng, u=u)
-        counts = z + m
-        nxt = np.zeros(spec.dim, dtype=np.int64)
-        for i, law in enumerate(laws):
-            c = int(counts[i])
-            if c > 0:
-                nxt += law.sample_sum(rng, c)
-        states[k + 1] = nxt
-        z = nxt
-    return Trajectory(states=states, stream=stream)
+        Z = advance(spec, Z, rng)
+        states[k + 1] = Z[0]
+    return Trajectory(states=states)
 
 
 def sample_step_batch(spec: ModelSpec, z, size: int, rng):
-    """``size`` independent one-step transitions from the same state z.
-
-    Vectorized per type: a batch of migration branch draws, then the
-    closed-form offspring sums.  Equal in law to ``size`` calls of
-    ``step``; the draw order differs, so it is not stream-identical.
-    """
+    """``size`` independent one-step transitions from the same state z."""
     z = np.asarray(z, dtype=np.int64)
-    u = spec.size_weights()
-    counts = np.empty((size, spec.dim), dtype=np.int64)
-    for i, comp in enumerate(spec.migration.components):
-        zi = int(z[i])
-        pn, pi, pe = comp.branch_probs(z, u, zi)
-        x = rng.random(size)
-        mi = np.zeros(size, dtype=np.int64)
-        if pi > 0.0:
-            mask = (x >= pn) & (x < pn + pi)
-            k = int(mask.sum())
-            if k:
-                mi[mask] = comp.immigration.sample_batch(rng, k, z, u)
-        if pe > 0.0:
-            mask = x >= pn + pi
-            k = int(mask.sum())
-            if k:
-                mi[mask] = -comp.emigration.sample_batch(rng, k, zi)
-        counts[:, i] = zi + mi
-    out = np.zeros((size, spec.dim), dtype=np.int64)
-    for i, law in enumerate(spec.offspring.laws):
-        out += law.sample_sum_batch(rng, counts[:, i])
-    return out
+    return advance(spec, np.broadcast_to(z, (size, spec.dim)), rng)
 
 
 # ---------------------------------------------------------------------------

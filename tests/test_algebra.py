@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from mbpm import SpectralData, criticality, hadamard, is_primitive, odot, perron
+from mbpm import SpectralData, criticality, is_primitive, odot, perron
 
 
 def brute_primitive(m):
@@ -18,11 +18,6 @@ def brute_primitive(m):
             return True
         acc = np.minimum(acc @ b, 1)
     return bool(acc.all())
-
-
-def test_hadamard():
-    out = hadamard([1.0, 2.0], [3.0, 4.0])
-    assert np.allclose(out, [3.0, 8.0])
 
 
 def test_odot_weighted_matrix_sum():

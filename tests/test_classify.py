@@ -19,11 +19,9 @@ from mbpm import (
     check_hypothesis_C,
     classify_growth,
     estimate_exponents,
-    estimate_xi,
     growth_ratio,
     is_absorbing_zero,
     probe_states,
-    stream_for,
 )
 
 
@@ -160,12 +158,3 @@ def test_estimate_exponents_sqrt(sqrt_spec):
     assert abs(out["c_dot_u"] - 1.0) < 0.05
     # sigma2 = s + 2 sqrt(s) - 1, so the finite-ray slope sits just under 1
     assert abs(out["beta"] - 1.0) < 0.02
-
-
-def test_estimate_xi_deterministic(gamma_spec):
-    a = estimate_xi(gamma_spec, [1.0], np.array([100]), delta=1.0, N=20_000,
-                    rng=stream_for(99, 0))
-    b = estimate_xi(gamma_spec, [1.0], np.array([100]), delta=1.0, N=20_000,
-                    rng=stream_for(99, 0))
-    assert a == b
-    assert a > 0.0

@@ -2,10 +2,12 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from conftest import spec_path
-from mbpm.cli import main
+from mbpm import ecdf, gamma_cdf, normal_cdf
+from mbpm.cli import _cdf_pairs, main
 
 
 def read_report(out_dir):
@@ -63,6 +65,15 @@ def test_gamma_suite_small_scale(tmp_path):
     assert report["results"]["limit_params"]["gamma_shape"] == pytest.approx(4.0)
     assert report["results"]["conditioning"]["kept"] <= 150
     assert os.path.exists(os.path.join(out, "cdf_pairs.tsv"))
+
+
+def test_cdf_pairs_reference_equals_per_point_values():
+    sample = np.random.default_rng(3).gamma(4.0, 0.5, size=500)
+    xs = sorted(sample.tolist())
+    for cdf in (lambda x: gamma_cdf(x, 4.0, 0.5), normal_cdf, ecdf(sample[:100])):
+        pairs = _cdf_pairs(sample, cdf)
+        assert [x for x, _, _ in pairs] == xs
+        assert [ref for _, _, ref in pairs] == [float(cdf(x)) for x in xs]
 
 
 def test_gamma_suite_forced_failure(tmp_path, capsys):

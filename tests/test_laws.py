@@ -44,6 +44,11 @@ def test_size_of():
     assert size_of([2.0, 3.0], [0.5, 0.5]) == 2.5
     with pytest.raises(ValueError):
         size_of([1.0, 2.0])
+    stack = np.array([[2, 3], [0, 0], [4, 0]])
+    assert size_of(stack, [0.5, 0.5]).tolist() == [2.5, 0.0, 2.0]
+    assert size_of(np.zeros((3, 2))).tolist() == [0.0, 0.0, 0.0]
+    with pytest.raises(ValueError):
+        size_of(stack)
 
 
 def test_constant_function():
@@ -94,6 +99,26 @@ def test_clamp_function():
         Clamp(Constant(1.0))
     with pytest.raises(ValueError):
         Clamp(Constant(1.0), lo=2.0, hi=1.0)
+
+
+@pytest.mark.parametrize("f", [
+    Constant(0.3),
+    Power(1.0, 0.5),
+    Power(3.0, -1.0),
+    Power(-2.0, -0.5),
+    Power(0.0, -1.0),
+    Power(2.0, 0.0),
+    Table(breaks=(10.0, 100.0), values=(1.0, 5.0)),
+    Clamp(Power(1.0, 0.5), lo=1.0),
+    Clamp(Power(3.0, -1.0), hi=0.25),
+    Clamp(Power(1.0, 1.0), lo=0.0, hi=4.0),
+], ids=repr)
+def test_state_functions_on_arrays_match_scalars(f):
+    # sizes at 0, at and around the table breaks, and far out
+    sizes = np.array([0.0, 1.0, 9.0, 10.0, 99.0, 100.0, 1e6])
+    scalar = [f([s]) for s in sizes]
+    stacked = np.broadcast_to(f(sizes[:, None]), sizes.shape)
+    assert np.array_equal(stacked, scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +250,11 @@ def test_finite_offspring_vector_moments():
     assert np.allclose(law.cov(), cov)
     assert abs(law.prob_zero() - 0.5) < 1e-15
     rng = np.random.default_rng(9)
-    total = law.sample_sum(rng, 10)
-    assert total.shape == (2,)
-    assert (total >= 0).all()
+    counts = np.array([10, 0, 3])
+    total = np.ones((3, 2), dtype=np.int64)
+    law.sample_sum_batch(rng, counts, total)  # adds in place
+    assert (total >= 1).all()
+    assert (total[1] == 1).all()
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +271,7 @@ def test_shifted_poisson_immigration_moments():
         direct = oracles.pmf_moment(oracle, k)
         assert abs(law.raw_moment(k, z) - direct) < 1e-10 * max(1.0, direct)
     rng = np.random.default_rng(10)
-    draws = law.sample_batch(rng, 50_000, z)
+    draws = law.sample_batch(rng, np.broadcast_to(z, (50_000, 1)))
     assert draws.min() >= 1
     assert oracles.total_variation(empirical_pmf(draws), oracle) < 0.02
 
@@ -253,12 +280,21 @@ def test_shifted_poisson_immigration_state_dependence():
     law = ShiftedPoissonImmigration(mean_fn=Clamp(Power(1.0, 0.5), lo=1.0))
     assert law.mean(np.array([100.0])) == 10.0
     assert law.mean(np.array([0.0])) == 1.0
+    # one draw per row, each at its own row's mean
+    sizes = np.tile([0, 100], 50_000)
+    draws = law.sample_batch(np.random.default_rng(15), sizes[:, None])
+    assert (draws[sizes == 0] == 1).all()
+    assert abs(draws[sizes == 100].mean() - 10.0) < 5 * 3.0 / np.sqrt(50_000)
 
 
 def test_shifted_poisson_immigration_rejects_mean_below_one():
     law = ShiftedPoissonImmigration(mean_fn=Constant(0.5))
     with pytest.raises(ValueError):
         law.mean(np.array([4.0]))
+    # a stack of states raises if any row's mean is below 1
+    law = ShiftedPoissonImmigration(mean_fn=Power(1.0, 1.0))
+    with pytest.raises(ValueError, match="below 1"):
+        law.sample_batch(np.random.default_rng(16), np.array([[4], [0], [9]]))
 
 
 def test_deterministic_immigration():
@@ -285,6 +321,18 @@ def test_table_immigration():
 # ---------------------------------------------------------------------------
 
 
+def draws_at_count(law, zi, seed):
+    """Draw at a shuffled vector of counts 0, 1 and zi; check every row's
+    support and return the draws of the rows at count zi."""
+    rng = np.random.default_rng(seed)
+    counts = rng.permutation(np.repeat([0, 1, zi], [1000, 1000, 100_000]))
+    draws = law.sample_batch(rng, counts)
+    assert draws.shape == counts.shape
+    assert (draws[counts == 0] == 0).all()
+    assert ((draws >= 1) & (draws <= counts))[counts > 0].all()
+    return draws[counts == zi]
+
+
 def test_uniform_emigration_moments():
     law = UniformEmigration()
     zi = 50
@@ -294,9 +342,7 @@ def test_uniform_emigration_moments():
         assert abs(law.raw_moment(k, zi) - direct) < 1e-9 * max(1.0, direct)
     assert law.mean_limit() is None
     assert law.growth_exponent() == 1.0
-    rng = np.random.default_rng(11)
-    draws = law.sample_batch(rng, 100_000, zi)
-    assert draws.min() >= 1 and draws.max() <= zi
+    draws = draws_at_count(law, zi, 11)
     assert oracles.total_variation(empirical_pmf(draws), oracle) < 0.02
 
 
@@ -308,9 +354,7 @@ def test_truncated_geometric_emigration_moments():
         direct = oracles.pmf_moment(oracle, k)
         assert abs(law.raw_moment(k, zi) - direct) < 1e-12 * max(1.0, direct)
     assert abs(law.mean_limit() - 2.0) < 1e-12
-    rng = np.random.default_rng(12)
-    draws = law.sample_batch(rng, 100_000, zi)
-    assert draws.min() >= 1 and draws.max() <= zi
+    draws = draws_at_count(law, zi, 12)
     assert oracles.total_variation(empirical_pmf(draws), oracle) < 0.02
 
 
@@ -324,9 +368,7 @@ def test_inverse_cube_emigration_moments():
     # limit of the mean: zeta(2) / zeta(3)
     big = oracles.pmf_moment(oracles.inverse_cube_pmf(200_000), 1)
     assert abs(law.mean_limit() - big) < 1e-4
-    rng = np.random.default_rng(13)
-    draws = law.sample_batch(rng, 100_000, zi)
-    assert draws.min() >= 1 and draws.max() <= zi
+    draws = draws_at_count(law, zi, 13)
     assert oracles.total_variation(empirical_pmf(draws), oracle) < 0.02
 
 
@@ -336,7 +378,6 @@ def test_deterministic_emigration_cap():
     assert law.raw_moment(3, 5) == 8.0
     assert law.raw_moment(1, 1) == 1.0  # capped at the available count
     rng = np.random.default_rng(14)
-    assert law.sample(rng, 1) == 1
-    assert law.sample(rng, 7) == 2
+    assert law.sample_batch(rng, np.array([0, 1, 7, 2])).tolist() == [0, 1, 2, 2]
     with pytest.raises(ValueError):
         DeterministicEmigration(value=0)

@@ -66,6 +66,13 @@ def test_branch_probs_fold_at_zero_count(emigration_spec):
     assert pe == 0.0 and abs(pn - 1.0) < 1e-12
     pn1, pi1, pe1 = comp.branch_probs(np.array([4, 0]), u, 4)
     assert abs(pe1 - 0.5) < 1e-12
+    # a stack of states gives per-row probabilities equal to the scalar ones
+    Z = np.array([[0, 4], [4, 0], [1, 1]])
+    rows = np.broadcast_arrays(*comp.branch_probs(Z, u, Z[:, 0]))
+    for r, z in enumerate(Z):
+        assert [b[r] for b in rows] == list(comp.branch_probs(z, u, z[0]))
+    # constant probabilities stay scalars while no row is empty
+    assert all(np.ndim(b) == 0 for b in comp.branch_probs(Z[1:], u, Z[1:, 0]))
 
 
 def test_validate_passes_shipped_documents():
@@ -90,11 +97,10 @@ def test_validate_rejects_missing_immigration_law():
 def test_sample_migration_bounds(two_type_spec):
     rng = np.random.default_rng(0)
     u = two_type_spec.spectral().u
-    z = np.array([50, 30])
-    for _ in range(200):
-        m = sample_migration(two_type_spec.migration, z, rng, u)
-        assert m.shape == (2,)
-        assert (z + m >= 0).all()
+    Z = np.tile([[50, 30], [0, 2], [1, 0]], (200, 1))
+    m = sample_migration(two_type_spec.migration, Z, rng, u)
+    assert m.shape == Z.shape
+    assert (Z + m >= 0).all()
 
 
 def test_step_stays_nonnegative(two_type_spec):
@@ -107,12 +113,14 @@ def test_step_stays_nonnegative(two_type_spec):
 
 
 def test_simulate_path_shape_and_stream(two_type_spec):
-    traj = simulate_path(two_type_spec, 100, stream_for(555, 3), stream=(555, 3))
+    traj = simulate_path(two_type_spec, 100, stream_for(555, 3))
     assert traj.states.shape == (101, 2)
     assert len(traj) == 101
-    assert traj.stream == (555, 3)
     assert (traj.states[0] == [50, 30]).all()
     assert (traj.states >= 0).all()
+    # the path is a function of its stream
+    again = simulate_path(two_type_spec, 100, stream_for(555, 3))
+    assert np.array_equal(traj.states, again.states)
 
 
 def test_pure_death_absorbs(pure_death_spec):

@@ -141,8 +141,11 @@ def test_moment_report_bundles_everything(two_type_spec):
     assert set(d) == {"z", "h", "cond_mean", "cond_cov", "varM", "sigma2", "kappa"}
 
 
-def test_moments_match_simulation(two_type_spec):
+def test_moments_match_simulation(two_type_spec, sqrt_spec):
     report = moment_check(two_type_spec, np.array([50, 30]), N=200_000, seed=4)
+    assert report.passed, report.to_dict()
+    # state-dependent Clamp(Power) immigration through the batch kernel
+    report = moment_check(sqrt_spec, np.array([100]), N=200_000, seed=4)
     assert report.passed, report.to_dict()
 
 

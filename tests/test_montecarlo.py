@@ -28,6 +28,7 @@ from mbpm import (
     stream_for,
     wilson_interval,
 )
+from mbpm.montecarlo import BLOCK
 
 
 def deterministic_spec():
@@ -67,19 +68,24 @@ def test_stream_for_validation():
 
 
 def test_ensemble_matches_direct_simulation(gamma_spec):
-    ens = run_ensemble(gamma_spec, n=40, R=3, master_seed=99)
-    direct = simulate_path(gamma_spec, 40, stream_for(99, 1))
-    assert np.array_equal(ens.terminal[1], direct.states[-1])
+    # a one-replicate ensemble is block 0 with a single row
+    ens = run_ensemble(gamma_spec, n=40, R=1, master_seed=99, store_paths=True)
+    direct = simulate_path(gamma_spec, 40, stream_for(99, 0))
+    assert np.array_equal(ens.paths[0], direct.states)
+    assert np.array_equal(ens.terminal[0], direct.states[-1])
 
 
 def test_ensemble_identical_across_worker_counts(gamma_spec):
-    kw = dict(n=30, R=10, master_seed=17, store_paths=True)
-    one = run_ensemble(gamma_spec, workers=1, **kw)
-    two = run_ensemble(gamma_spec, workers=2, **kw)
-    five = run_ensemble(gamma_spec, workers=5, **kw)
-    assert np.array_equal(one.terminal, two.terminal)
-    assert np.array_equal(one.terminal, five.terminal)
-    assert np.array_equal(one.paths, five.paths)
+    # three full blocks and a partial one, split across up to three workers
+    kw = dict(n=20, R=3 * BLOCK + 1, master_seed=17)
+    one = run_ensemble(gamma_spec, workers=1, store_paths=True, **kw)
+    assert len(np.unique(one.terminal[:, 0])) > 10  # rows are not copies
+    for workers in (2, 3):
+        bare = run_ensemble(gamma_spec, workers=workers, **kw)
+        assert np.array_equal(one.terminal, bare.terminal)
+        full = run_ensemble(gamma_spec, workers=workers, store_paths=True, **kw)
+        assert np.array_equal(one.terminal, full.terminal)
+        assert np.array_equal(one.paths, full.paths)
 
 
 def test_ensemble_paths_consistent(gamma_spec):
@@ -101,6 +107,7 @@ def test_ensemble_summary_and_weighting(gamma_spec):
     assert s["replicates"] == 8
     assert s["n"] == 20
     assert "terminal_mean" in s and "fraction_null" in s
+    assert "build_seconds" not in s  # reports stay free of timings
     w = ens.terminal_weighted(np.array([1.0]))
     assert w.shape == (8,)
     assert np.array_equal(w, ens.terminal[:, 0].astype(float))
