@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -42,6 +43,24 @@ SUITES = ("moments", "classify", "gamma-limit", "normal-limit", "l1-limit", "fel
 
 _SURVIVAL_EPS = 0.01  # conditioning event: u.Z_n > eps * a_n
 _FAN_QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
+
+
+class InfeasibleSuiteError(ValueError):
+    """The suite does not apply to this model (exit status 2)."""
+
+
+@contextmanager
+def _applicable(suite: str):
+    """Report a refusal of the model by the analysis a suite needs as infeasibility.
+
+    Wraps only the calls that derive the suite's parameters from the
+    model, whose ValueErrors name a property the model lacks (a primitive
+    or critical mean matrix, growth, convergent migration).
+    """
+    try:
+        yield
+    except ValueError as exc:
+        raise InfeasibleSuiteError(f"{suite} is infeasible for this model: {exc}") from exc
 
 
 @dataclass
@@ -89,18 +108,31 @@ def _jsonable(obj):
 
 
 def _write_tsv(path: Path, columns, rows):
+    """Header plus one line per row: float cells as %.10g, other cells as str().
+
+    One %-format string is built per pattern of cell types (one per file
+    in practice) and the file is written with a single join.
+    """
+    formats = {}
+    lines = ["\t".join(columns)]
+    for row in rows:
+        row = tuple(row)
+        kinds = tuple(map(type, row))
+        fmt = formats.get(kinds)
+        if fmt is None:
+            fmt = formats[kinds] = "\t".join(
+                "%.10g" if issubclass(k, float) else "%s" for k in kinds
+            )
+        lines.append(fmt % row)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(columns) + "\n")
-        for row in rows:
-            fh.write("\t".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in row))
-            fh.write("\n")
+        fh.write("\n".join(lines) + "\n")
 
 
-def _cdf_pairs(sample, reference_cdf):
-    xs = np.sort(np.asarray(sample, dtype=float))
+def _cdf_pairs(gof):
+    """(x, empirical, reference) rows at the sorted sample of a GoFReport."""
+    xs = gof.sorted_sample
     emp = np.arange(1, xs.size + 1) / xs.size
-    ref = np.asarray(reference_cdf(xs), dtype=float)
-    return [(float(x), float(e), float(r)) for x, e, r in zip(xs, emp, ref)]
+    return list(zip(xs.tolist(), emp.tolist(), gof.reference_values.tolist()))
 
 
 def _load_document(path: str) -> dict:
@@ -153,8 +185,9 @@ def _suite_moments(spec: ModelSpec, doc: dict, config: ExperimentConfig):
 
 def _suite_classify(spec: ModelSpec, doc: dict, config: ExperimentConfig):
     cc = CriteriaConfig(ray_points=config.probe_magnitudes)
-    verdict = classify_growth(spec, cc)
-    exponents = estimate_exponents(spec, cc)
+    with _applicable("classify"):
+        verdict = classify_growth(spec, cc)
+        exponents = estimate_exponents(spec, cc)
     expected = doc.get("expected_verdict")
     passed = True if expected is None else (verdict.verdict == expected)
     rows = [
@@ -171,9 +204,10 @@ def _suite_classify(spec: ModelSpec, doc: dict, config: ExperimentConfig):
 
 
 def _suite_gamma(spec: ModelSpec, doc: dict, config: ExperimentConfig):
-    params = params_from_spec(spec, doc.get("limit"))
+    with _applicable("gamma-limit"):
+        params = params_from_spec(spec, doc.get("limit"))
     if params.gamma_shape is None:
-        raise ValueError(
+        raise InfeasibleSuiteError(
             "gamma-limit is infeasible for this model: it needs variance "
             "exponent beta = 1 + alpha and nu < 2 u.c (otherwise unbounded "
             "growth has probability zero and no gamma limit exists)"
@@ -205,17 +239,13 @@ def _suite_gamma(spec: ModelSpec, doc: dict, config: ExperimentConfig):
         },
         "ensemble": ens.summary(),
     }
-    files = {
-        "cdf_pairs.tsv": (
-            ("x", "empirical", "reference"),
-            _cdf_pairs(w, lambda x: gamma_cdf(x, params.gamma_shape, params.gamma_scale)),
-        )
-    }
+    files = {"cdf_pairs.tsv": (("x", "empirical", "reference"), _cdf_pairs(gof))}
     return gof.passed, payload, files
 
 
 def _suite_normal(spec: ModelSpec, doc: dict, config: ExperimentConfig):
-    params = params_from_spec(spec, doc.get("limit"))
+    with _applicable("normal-limit"):
+        params = params_from_spec(spec, doc.get("limit"))
     u = spec.spectral().u
     uu = float(u @ u)
     ens = run_ensemble(spec, config.n, config.reps, config.seed, workers=config.workers)
@@ -240,16 +270,19 @@ def _suite_normal(spec: ModelSpec, doc: dict, config: ExperimentConfig):
         "ensemble": ens.summary(),
     }
     files = {
-        "cdf_pairs.tsv": (("x", "empirical", "reference"), _cdf_pairs(w, normal_cdf)),
+        "cdf_pairs.tsv": (("x", "empirical", "reference"), _cdf_pairs(gof)),
     }
     return gof.passed, payload, files
 
 
 def _suite_l1(spec: ModelSpec, doc: dict, config: ExperimentConfig):
-    params = params_from_spec(spec, doc.get("limit"))
+    with _applicable("l1-limit"):
+        params = params_from_spec(spec, doc.get("limit"))
     target = params.l1_constant
     if target is None:
-        raise ValueError("l1-limit needs alpha < 1 and u.c > 0")
+        raise InfeasibleSuiteError(
+            "l1-limit is infeasible for this model: it needs alpha < 1 and u.c > 0"
+        )
     u = spec.spectral().u
     uu = float(u @ u)
     ens = run_ensemble(spec, config.n, config.reps, config.seed, workers=config.workers)
@@ -283,7 +316,8 @@ def _suite_l1(spec: ModelSpec, doc: dict, config: ExperimentConfig):
 
 
 def _suite_feller(spec: ModelSpec, doc: dict, config: ExperimentConfig):
-    drift, diffusion = feller_params(spec)
+    with _applicable("feller"):
+        drift, diffusion = feller_params(spec)
     u = spec.spectral().u
     ens = run_ensemble(
         spec, config.n, config.reps, config.seed, store_paths=True, workers=config.workers
@@ -329,7 +363,7 @@ def _suite_feller(spec: ModelSpec, doc: dict, config: ExperimentConfig):
         "ensemble": ens.summary(),
     }
     files = {
-        "cdf_pairs.tsv": (("x", "empirical", "reference"), _cdf_pairs(w_emp, ecdf(w_ref))),
+        "cdf_pairs.tsv": (("x", "empirical", "reference"), _cdf_pairs(gof)),
         "quantile_fan.tsv": (tuple(cols), fan_rows),
     }
     return gof.passed, payload, files
@@ -479,10 +513,7 @@ def main(argv=None) -> int:
     )
     try:
         return run(config)
-    except SpecFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (SpecFormatError, InfeasibleSuiteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

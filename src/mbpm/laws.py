@@ -374,18 +374,35 @@ ScalarOffspring = PoissonOffspring | BernoulliOffspring | GeometricOffspring | T
 
 
 def _poisson_atoms(lam: float, tail: float):
+    """Poisson(lam) atoms on a window around the mode m = floor(lam).
+
+    Weights relative to the mode come from the ratios p(k+1)/p(k) =
+    lam/(k+1), so nothing underflows at any rate (exp(-lam) is 0.0 from
+    lam = 746 on).  Beyond the window the ratios fall geometrically, which
+    bounds the dropped mass on each side; the window doubles until that
+    bound is below tail.  The probabilities are normalized to the window
+    plus the bound, so they sum to at least 1 - tail.
+    """
     if lam == 0.0:
         return np.array([0]), np.array([1.0])
-    probs = [math.exp(-lam)]
-    cum = probs[0]
-    k = 0
-    while cum < 1.0 - tail or k < lam:
-        k += 1
-        probs.append(probs[-1] * lam / k)
-        cum += probs[-1]
-        if k > 10_000_000:
-            raise RuntimeError("poisson enumeration ran away")
-    return np.arange(k + 1), np.asarray(probs)
+    m = math.floor(lam)
+    width = 16 + int(8.0 * math.sqrt(lam))
+    while True:
+        if 2 * width + 1 > _ENUM_LIMIT:
+            raise ValueError(f"poisson rate {lam:g} is too large to enumerate")
+        lo, hi = max(0, m - width), m + width
+        up = np.cumprod(lam / np.arange(m + 1, hi + 1))  # p(k)/p(m), k = m+1..hi
+        down = np.cumprod(np.arange(m, lo, -1) / lam)  # p(k)/p(m), k = m-1..lo
+        r = lam / (hi + 1)
+        beyond = up[-1] * r / (1.0 - r)
+        if lo > 0:
+            q = lo / lam
+            beyond += down[-1] * q / (1.0 - q)
+        w = np.concatenate((down[::-1], [1.0], up))
+        total = w.sum()
+        if beyond < tail * total:
+            return np.arange(lo, hi + 1), w / (total + beyond)
+        width *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -645,20 +662,24 @@ class TruncatedGeometricEmigration:
         return (1.0 - self.ratio**m) / (1.0 - self.ratio)
 
     def raw_moment(self, k: int, zi: int) -> float:
+        # Sum j^k s^(j-1) over j <= min(zi, cut).  From j = cut on each term
+        # is at most rho = (1 + 1/cut)^k s times the one before, so the
+        # dropped tail is below t_cut rho / (1 - rho); cut doubles until that
+        # is below 1e-16 of the sum.
         if zi <= 0:
             return 0.0
         s = self.ratio
-        total = 0.0
-        block = 4096
-        j0 = 1
-        while j0 <= zi:
-            j1 = min(zi, j0 + block - 1)
-            j = np.arange(j0, j1 + 1, dtype=float)
-            inc = float(np.sum(j**k * s ** (j - 1.0)))
-            total += inc
-            if inc < 1e-16 * total:
+        cut = 64
+        while True:
+            j = np.arange(1, min(zi, cut) + 1, dtype=float)
+            terms = j**k * s ** (j - 1.0)
+            total = float(terms.sum())
+            if cut >= zi:
                 break
-            j0 = j1 + 1
+            rho = (1.0 + 1.0 / cut) ** k * s
+            if rho < 1.0 and terms[-1] * rho / (1.0 - rho) < 1e-16 * total:
+                break
+            cut *= 2
         return total / self._mass(zi)
 
     def sample_batch(self, rng, zi):

@@ -21,7 +21,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -211,24 +211,32 @@ def ecdf(sample) -> Callable:
     return F
 
 
+def _sorted_with_cdf(sample, cdf: Callable):
+    """The sorted sample and the reference CDF at it, from one call of cdf."""
+    xs = np.sort(np.asarray(sample, dtype=float))
+    if xs.size == 0:
+        raise ValueError("empty sample")
+    F = np.asarray(cdf(xs), dtype=float)
+    if F.shape != xs.shape:
+        raise ValueError("the reference CDF must map an array to an array of its shape")
+    return xs, F
+
+
+def _ks_sorted(F) -> float:
+    """max(i/n - F_i, F_i - (i-1)/n) over the CDF at the order statistics."""
+    n = F.size
+    i = np.arange(1, n + 1)
+    return float(max(np.max(i / n - F), np.max(F - (i - 1) / n)))
+
+
 def ks_statistic(sample, cdf: Callable) -> float:
     """Sup-distance between the sample's empirical CDF and a reference CDF.
 
     Both one-sided gaps are evaluated at the order statistics:
-    max(i/n - F(x_i), F(x_i) - (i-1)/n).
+    max(i/n - F(x_i), F(x_i) - (i-1)/n).  cdf is called once, on the
+    sorted sample as an array.
     """
-    xs = np.sort(np.asarray(sample, dtype=float))
-    n = xs.size
-    if n == 0:
-        raise ValueError("empty sample")
-    try:
-        F = np.asarray(cdf(xs), dtype=float)
-        if F.shape != xs.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        F = np.array([float(cdf(x)) for x in xs])
-    i = np.arange(1, n + 1)
-    return float(max(np.max(i / n - F), np.max(F - (i - 1) / n)))
+    return _ks_sorted(_sorted_with_cdf(sample, cdf)[1])
 
 
 def normal_cdf(x) -> float:
@@ -238,68 +246,93 @@ def normal_cdf(x) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def _lower_gamma_series(a: float, x: float) -> float:
-    # P(a, x) by the ascending series, valid and fast for x < a + 1
-    term = 1.0 / a
-    total = term
+def _gamma_series(a: float, x):
+    """sum_n x^n / (a (a+1) ... (a+n)) for each x < a + 1 (Numerical Recipes 6.2).
+
+    Every element stops on its own test: its last term below 1e-16 of its
+    sum, or 10 000 terms.  Finished elements leave the working arrays.
+    """
+    out = np.empty(x.shape)
+    live = np.arange(x.size)
+    term = np.full(x.shape, 1.0 / a)
+    total = term.copy()
     n = 0
-    while True:
+    while live.size:
         n += 1
         term *= x / (a + n)
         total += term
-        if abs(term) < abs(total) * 1e-16 or n > 10_000:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+        done = (np.abs(term) < np.abs(total) * 1e-16) | (n > 10_000)
+        out[live[done]] = total[done]
+        keep = ~done
+        live, x, term, total = live[keep], x[keep], term[keep], total[keep]
+    return out
 
 
-def _upper_gamma_cf(a: float, x: float) -> float:
-    # Q(a, x) by the continued fraction (modified Lentz), for x >= a + 1
+def _gamma_fraction(a: float, x):
+    """Continued fraction of Q(a, x) e^x x^-a Gamma(a) for each x >= a + 1.
+
+    Modified Lentz (Numerical Recipes 6.2); every element stops on its own
+    test, |delta - 1| < 1e-16, or after 9 999 terms.
+    """
     tiny = 1e-300
+    out = np.empty(x.shape)
+    live = np.arange(x.size)
     b = x + 1.0 - a
-    c = 1.0 / tiny
+    c = np.full(x.shape, 1.0 / tiny)
     d = 1.0 / b
-    h = d
+    h = d.copy()
     for i in range(1, 10_000):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
+        d[np.abs(d) < tiny] = tiny
         c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
+        c[np.abs(c) < tiny] = tiny
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < 1e-16:
+        done = np.abs(delta - 1.0) < 1e-16
+        out[live[done]] = h[done]
+        keep = ~done
+        live, b, c, d, h = live[keep], b[keep], c[keep], d[keep], h[keep]
+        if not live.size:
             break
-    return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
-
-
-def _reg_lower_gamma(a: float, x: float) -> float:
-    if x < 0.0:
-        raise ValueError("gamma CDF argument must be nonnegative")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return min(1.0, _lower_gamma_series(a, x))
-    return min(1.0, max(0.0, 1.0 - _upper_gamma_cf(a, x)))
+    out[live] = h
+    return out
 
 
 def gamma_cdf(x, shape: float, scale: float):
-    """Gamma distribution function: regularized lower incomplete gamma of x/scale."""
+    """Gamma distribution function: regularized lower incomplete gamma of x/scale.
+
+    Points below shape + 1 (in units of scale) take the ascending series,
+    the others the continued fraction; both run on whole arrays.  The
+    factor exp(-t) t^shape / Gamma(shape) is taken from libm point by
+    point: numpy's SIMD exp and log can differ from it in the last bit,
+    depending on the CPU, and reports must not.
+    """
     if shape <= 0.0 or scale <= 0.0:
         raise ValueError("shape and scale must be positive")
     x = np.asarray(x, dtype=float)
-    flat = np.clip(x, 0.0, None) / scale
-    out = np.vectorize(lambda t: _reg_lower_gamma(shape, t))(flat)
-    out = np.where(x < 0.0, 0.0, out)
+    t = np.clip(x, 0.0, None) / scale
+    out = np.where(np.isnan(x), np.nan, np.where(t == np.inf, 1.0, 0.0))
+    pos = np.flatnonzero((t > 0.0) & (t < np.inf))
+    tp = t.ravel()[pos]
+    log_t = np.array(list(map(math.log, tp.tolist())))
+    prefactor = np.array(list(map(math.exp, (-tp + shape * log_t - math.lgamma(shape)).tolist())))
+    low = tp < shape + 1.0
+    flat = out.reshape(-1)
+    flat[pos[low]] = np.minimum(1.0, _gamma_series(shape, tp[low]) * prefactor[low])
+    flat[pos[~low]] = np.clip(1.0 - prefactor[~low] * _gamma_fraction(shape, tp[~low]), 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
 class GoFReport:
-    """One goodness-of-fit comparison against a reference law."""
+    """One goodness-of-fit comparison against a reference law.
+
+    sorted_sample and reference_values (the reference CDF at the sorted
+    sample) are kept for plot files; they are not part of to_dict().
+    """
 
     statistic: str
     value: float
@@ -308,6 +341,8 @@ class GoFReport:
     params: dict
     threshold: float
     passed: bool
+    sorted_sample: np.ndarray = field(default=None, repr=False, compare=False)
+    reference_values: np.ndarray = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -322,7 +357,9 @@ class GoFReport:
 
 
 def gof_report(sample, cdf: Callable, reference: str, params: dict, threshold: float) -> GoFReport:
-    d = ks_statistic(sample, cdf)
+    """KS comparison of the sample with the reference law; cdf is called once."""
+    xs, F = _sorted_with_cdf(sample, cdf)
+    d = _ks_sorted(F)
     return GoFReport(
         statistic="ks",
         value=d,
@@ -331,6 +368,8 @@ def gof_report(sample, cdf: Callable, reference: str, params: dict, threshold: f
         params=dict(params),
         threshold=threshold,
         passed=bool(d <= threshold),
+        sorted_sample=xs,
+        reference_values=F,
     )
 
 

@@ -1,13 +1,15 @@
 """End-to-end command line runs at reduced scale."""
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import spec_path
-from mbpm import ecdf, gamma_cdf, normal_cdf
-from mbpm.cli import _cdf_pairs, main
+from mbpm import cli, ecdf, gamma_cdf, gof_report, normal_cdf
+from mbpm.cli import _cdf_pairs, _write_tsv, main
 
 
 def read_report(out_dir):
@@ -48,6 +50,16 @@ def test_classify_suite_checks_expectation(tmp_path):
     assert os.path.exists(os.path.join(out, "ratio_curve.tsv"))
 
 
+def test_classify_suite_large_poisson_rates(tmp_path):
+    # at the 1e6 probe the sqrt-drift immigration draws 1 + Poisson(999), and
+    # exp(-999) underflows to 0.0
+    out = str(tmp_path / "rep")
+    code = main(["--spec", spec_path("sqrt_drift_single_type"), "--suite", "classify",
+                 "--out", out, "--probe-magnitudes", "1e3,1e4,1e5,1e6"])
+    assert code == 0
+    assert read_report(out)["results"]["classification"]["verdict"] == "growth-possible"
+
+
 def test_classify_suite_probe_magnitudes(tmp_path):
     out = str(tmp_path / "rep")
     code = main(["--spec", spec_path("gamma_single_type"), "--suite", "classify",
@@ -71,9 +83,49 @@ def test_cdf_pairs_reference_equals_per_point_values():
     sample = np.random.default_rng(3).gamma(4.0, 0.5, size=500)
     xs = sorted(sample.tolist())
     for cdf in (lambda x: gamma_cdf(x, 4.0, 0.5), normal_cdf, ecdf(sample[:100])):
-        pairs = _cdf_pairs(sample, cdf)
+        pairs = _cdf_pairs(gof_report(sample, cdf, "reference", {}, 1.0))
         assert [x for x, _, _ in pairs] == xs
+        assert [e for _, e, _ in pairs] == [(i + 1) / len(xs) for i in range(len(xs))]
         assert [ref for _, _, ref in pairs] == [float(cdf(x)) for x in xs]
+
+
+def test_write_tsv_matches_per_cell_formatting(tmp_path):
+    rows = [
+        ("mean[0]", 3, 0.1 + 0.2, np.float64(1.0 / 3.0), float("nan"), float("inf"),
+         -float("inf")),
+        ("x", np.int64(7), 1e-300, np.float64(-0.0), 2.5, 12345678901, True),
+        (1.5, 2, 3.0, np.float32(0.1), "label", np.nan, -np.inf),
+        [4, 1.25, "tail", np.float64(6.02214076e23), 0, -7.5e-8, 1e22],
+    ]
+    cols = ("a", "b", "c", "d", "e", "f", "g")
+    expected = "\t".join(cols) + "\n" + "".join(
+        "\t".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in row) + "\n"
+        for row in rows
+    )
+    path = tmp_path / "mixed.tsv"
+    _write_tsv(path, cols, rows)
+    assert path.read_bytes() == expected.encode("utf-8")
+    _write_tsv(path, cols, [])
+    assert path.read_bytes() == b"a\tb\tc\td\te\tf\tg\n"
+
+
+def test_limit_suites_call_reference_cdf_once(tmp_path, monkeypatch):
+    calls = []
+    for name in ("gamma_cdf", "normal_cdf"):
+        def counted(*args, _f=getattr(cli, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    assert main(["--spec", spec_path("gamma_single_type"), "--suite", "gamma-limit",
+                 "--n", "20", "--reps", "300", "--seed", "5", "--out", str(tmp_path / "g"),
+                 "--threshold-ks", "0.9"]) == 0
+    assert calls == ["gamma_cdf"]
+    calls.clear()
+    assert main(["--spec", spec_path("sqrt_drift_single_type"), "--suite", "normal-limit",
+                 "--n", "20", "--reps", "300", "--seed", "5", "--out", str(tmp_path / "n"),
+                 "--threshold-ks", "0.9"]) == 0
+    assert calls == ["normal_cdf"]
 
 
 def test_gamma_suite_forced_failure(tmp_path, capsys):
@@ -95,6 +147,41 @@ def test_gamma_suite_infeasible_regime(tmp_path, capsys):
                  "--n", "60", "--reps", "100", "--out", str(tmp_path / "rep")])
     assert code == 2
     assert "infeasible" in capsys.readouterr().err
+
+
+def test_l1_suite_infeasible_regime(tmp_path, capsys):
+    doc = json.load(open(spec_path("sqrt_drift_single_type")))
+    doc["limit"]["alpha"] = 1.0  # no first-order growth constant exists
+    bad = tmp_path / "alpha_one.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["--spec", str(bad), "--suite", "l1-limit",
+                 "--n", "20", "--reps", "50", "--out", str(tmp_path / "rep")])
+    assert code == 2
+    assert "l1-limit is infeasible for this model: alpha must be < 1" in capsys.readouterr().err
+
+
+def test_feller_suite_rejects_divergent_migration(tmp_path, capsys):
+    code = main(["--spec", spec_path("two_type_mixed"), "--suite", "feller",
+                 "--n", "20", "--reps", "50", "--out", str(tmp_path / "rep")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "feller is infeasible for this model: migration parameters do not converge" in err
+
+
+def test_other_errors_are_not_reported_as_bad_input(tmp_path):
+    # a malformed worker count is not a malformed document: it surfaces as itself
+    env = dict(os.environ, MBPM_WORKERS="abc")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), os.pardir, "src"), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "mbpm.cli", "--spec", spec_path("pure_emigration"),
+         "--suite", "explosion", "--n", "5", "--reps", "10", "--out", str(tmp_path / "rep")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" in proc.stderr
+    assert "ValueError: invalid literal for int() with base 10: 'abc'" in proc.stderr
 
 
 def test_normal_suite_small_scale(tmp_path):

@@ -172,6 +172,23 @@ def test_poisson_offspring_moments_and_atoms():
         assert abs(p - oracle.get(int(v), 0.0)) < 1e-12
 
 
+@pytest.mark.parametrize("lam", [0.5, 25.0, 745.0, 746.0, 1e4])
+def test_poisson_atoms_at_large_rates(lam):
+    # exp(-lam) underflows to 0.0 from lam = 746 on; atoms must not start there
+    vals, probs = PoissonOffspring(mean=lam).atoms()
+    got = dict(zip(vals.tolist(), probs.tolist()))
+    oracle = oracles.poisson_pmf(lam, tail=1e-12)
+    assert max(abs(got.get(k, 0.0) - oracle.get(k, 0.0)) for k in set(got) | set(oracle)) < 1e-12
+    assert probs.sum() >= 1.0 - 1e-12
+
+
+def test_poisson_atoms_at_rate_one_million():
+    vals, probs = PoissonOffspring(mean=1e6).atoms()
+    assert probs.sum() >= 1.0 - 1e-12
+    assert abs(float(vals @ probs) - 1e6) < 1e-9 * 1e6
+    assert len(vals) < 20_000  # a window around the mode, not the whole range from 0
+
+
 def test_poisson_offspring_aggregate_law():
     # The sum over n parents is again Poisson with n times the mean.
     law = PoissonOffspring(mean=0.5)
@@ -344,6 +361,16 @@ def test_uniform_emigration_moments():
     assert law.growth_exponent() == 1.0
     draws = draws_at_count(law, zi, 11)
     assert oracles.total_variation(empirical_pmf(draws), oracle) < 0.02
+
+
+@pytest.mark.parametrize("ratio", [0.1, 0.5, 0.9, 0.99])
+@pytest.mark.parametrize("zi", [1, 4, 1000, 100_000])
+def test_truncated_geometric_emigration_raw_moments(ratio, zi):
+    law = TruncatedGeometricEmigration(ratio=ratio)
+    oracle = oracles.truncated_geometric_pmf(ratio, zi)
+    for k in range(1, 5):
+        direct = oracles.pmf_moment(oracle, k)
+        assert abs(law.raw_moment(k, zi) - direct) < 1e-12 * direct
 
 
 def test_truncated_geometric_emigration_moments():

@@ -238,6 +238,97 @@ def test_gamma_cdf_against_scipy():
             assert np.abs(ours - theirs).max() < 1e-10, (a, s)
 
 
+def reference_gamma_cdf(t: float, a: float) -> float:
+    """P(a, t) point by point in plain floats (Numerical Recipes 6.2): the
+    ascending series below a + 1, the modified-Lentz fraction above."""
+    if t <= 0.0:
+        return 0.0
+    prefactor = math.exp(-t + a * math.log(t) - math.lgamma(a))
+    if t < a + 1.0:
+        term = total = 1.0 / a
+        n = 0
+        while True:
+            n += 1
+            term *= t / (a + n)
+            total += term
+            if abs(term) < abs(total) * 1e-16 or n > 10_000:
+                return min(1.0, total * prefactor)
+    tiny = 1e-300
+    b = t + 1.0 - a
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for i in range(1, 10_000):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < tiny:
+            d = tiny
+        c = b + an / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-16:
+            break
+    return min(1.0, max(0.0, 1.0 - prefactor * h))
+
+
+@pytest.mark.parametrize("shape", [0.3, 1.0, 4.0, 50.0, 500.0])
+def test_gamma_cdf_array_equals_scalar_calls(shape):
+    scale = 0.7
+    # t = x / scale below, at and above the series/fraction switch t = shape + 1,
+    # out to t >= 1e3, plus x <= 0
+    t = np.concatenate([
+        np.linspace(0.0, 3.0 * (shape + 1.0), 301),
+        (shape + 1.0) * (1.0 + np.array([-1e-12, 0.0, 1e-12])),
+        np.geomspace(1e-8, 1e-2, 7),
+        np.geomspace(1e3, 1e4, 5) * max(1.0, shape / 100.0),
+    ])
+    x = np.concatenate([t * scale, [-0.0, -1e-300, -2.0, -1e6]])
+    arr = gamma_cdf(x, shape, scale)
+    assert arr.shape == x.shape
+    scalars = [gamma_cdf(float(v), shape, scale) for v in x]
+    assert all(isinstance(v, float) for v in scalars)
+    assert arr.tolist() == scalars  # bit for bit
+    assert arr.tolist() == [reference_gamma_cdf(max(v, 0.0) / scale, shape) for v in x.tolist()]
+    assert gamma_cdf(x.reshape(2, -1), shape, scale).tolist() == arr.reshape(2, -1).tolist()
+    assert (arr[x <= 0.0] == 0.0).all()
+    theirs = scipy.special.gammainc(shape, np.clip(x, 0.0, None) / scale)
+    assert np.abs(arr - theirs).max() < 1e-10
+
+
+def test_gamma_cdf_non_finite_points():
+    out = gamma_cdf(np.array([np.inf, -np.inf, np.nan, 1.0]), 2.0, 1.0)
+    assert out[0] == 1.0 and out[1] == 0.0 and math.isnan(out[2])
+    assert out[3] == pytest.approx(scipy.special.gammainc(2.0, 1.0), abs=1e-15)
+
+
+def test_ks_statistic_calls_cdf_once_on_the_sorted_sample():
+    seen = []
+
+    def cdf(x):
+        seen.append(np.array(x))
+        return np.clip(x, 0.0, 1.0)
+
+    sample = np.array([0.9, 0.1, 0.5])
+    ks_statistic(sample, cdf)
+    assert len(seen) == 1 and seen[0].tolist() == [0.1, 0.5, 0.9]
+    with pytest.raises(ValueError, match="array"):
+        ks_statistic(sample, lambda x: 0.5)  # not vectorised
+
+
+def test_gof_report_keeps_the_evaluated_reference():
+    sample = np.random.default_rng(24).normal(size=300)
+    rep = gof_report(sample, normal_cdf, "standard normal", {}, threshold=0.1)
+    assert rep.sorted_sample.tolist() == sorted(sample.tolist())
+    assert rep.reference_values.tolist() == normal_cdf(np.sort(sample)).tolist()
+    assert rep.value == ks_statistic(sample, normal_cdf)
+    assert set(rep.to_dict()) == {
+        "statistic", "value", "sample_size", "reference", "params", "threshold", "passed"}
+
+
 def test_gof_report_fields(gamma_spec):
     rng = np.random.default_rng(23)
     sample = rng.gamma(shape=4.0, scale=0.5, size=2000)
