@@ -253,10 +253,11 @@ def check_growth_support(spec: ModelSpec, z) -> bool:
     return True
 
 
-def _exact_abs_moment(spec: ModelSpec, i: int, z, u, power: float, shift: float) -> float:
-    """E[|shift + M_i(z)|^power] by enumeration of the migration atoms."""
+def _exact_abs_moments(spec: ModelSpec, i: int, z, u, pairs) -> list:
+    """E[|shift + M_i(z)|^power] for each (power, shift) in ``pairs``, by
+    one enumeration of the migration atoms."""
     vals, probs = migration_atoms(spec.migration, i, z, u)
-    return float(np.sum(probs * np.abs(shift + vals) ** power))
+    return [float(np.sum(probs * np.abs(shift + vals) ** power)) for power, shift in pairs]
 
 
 def _slope(xs, ys) -> float:
@@ -332,12 +333,11 @@ def classify_growth(spec: ModelSpec, config: CriteriaConfig = CriteriaConfig()) 
     lhs_centered = [[] for _ in range(p)]  # E|M_i - h_i|^(2+delta)
     for z, h in zip(probes, h_list):
         for i in range(p):
-            lhs_shifted[i].append(
-                _exact_abs_moment(spec, i, z, u, 1.0 + delta / 2.0, float(z[i]))
+            shifted, centered = _exact_abs_moments(
+                spec, i, z, u, ((1.0 + delta / 2.0, float(z[i])), (2.0 + delta, -float(h[i])))
             )
-            lhs_centered[i].append(
-                _exact_abs_moment(spec, i, z, u, 2.0 + delta, -float(h[i]))
-            )
+            lhs_shifted[i].append(shifted)
+            lhs_centered[i].append(centered)
 
     rhs_sigma = sizes ** (1.0 + delta) * s2_list
     checks = {
@@ -447,7 +447,7 @@ def estimate_exponents(spec: ModelSpec, config: CriteriaConfig = CriteriaConfig(
         vals = []
         for i in range(spec.dim):
             vals.append(float(z[i]) + float(h[i]))
-            vals.append(_exact_abs_moment(spec, i, z, u, at, -float(h[i])))
+            vals.extend(_exact_abs_moments(spec, i, z, u, ((at, -float(h[i])),)))
         surrogate.append(max(vals))
     d2 = _slope(sizes, surrogate)
     out["delta2"] = None if math.isinf(d2) else d2 / at

@@ -244,6 +244,30 @@ def _h_sum(power: int, n: int) -> float:
 # Offspring marginals (counts of one child type from one parent)
 # ---------------------------------------------------------------------------
 
+# numpy's Poisson sampler rejects rates above this (numpy/random/_common.pyx).
+_POISSON_RATE_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
+
+
+def poisson_draws(rng, rates):
+    """One Poisson draw per entry of ``rates`` (R,) or (R, p).
+
+    A rate past numpy's limit raises a ValueError naming its row (and
+    child type), instead of numpy's bare "lam value too large".  numpy
+    checks every rate before it draws, so the search for the offending
+    one runs only after its refusal.
+    """
+    try:
+        return rng.poisson(rates)
+    except ValueError:
+        if not np.max(rates, initial=0.0) > _POISSON_RATE_MAX:
+            raise
+    where = np.unravel_index(np.argmax(rates), np.shape(rates))
+    at = f"row {where[0]}" + (f", child type {where[1]}" if len(where) > 1 else "")
+    raise ValueError(
+        f"Poisson offspring rate {rates[where]:.10g} at {at} is past numpy's "
+        f"Poisson limit {_POISSON_RATE_MAX:.10g}"
+    )
+
 
 @dataclass(frozen=True)
 class PoissonOffspring:
@@ -260,7 +284,7 @@ class PoissonOffspring:
         return math.exp(-self.mean)
 
     def sample_sum_batch(self, rng, counts):
-        return rng.poisson(np.asarray(counts, dtype=np.int64) * self.mean)
+        return poisson_draws(rng, np.asarray(counts, dtype=np.int64) * self.mean)
 
     def atoms(self, tail: float = DEFAULT_ATOM_TAIL):
         return _poisson_atoms(self.mean, tail)

@@ -13,10 +13,13 @@ is folded into "no migration" at z_i = 0, where removing is a no-op), so
 states never leave the nonnegative orthant.
 
 One kernel, ``advance``, draws every transition: it steps an (R, p) array
-of states with a fixed sequence of numpy calls per type.  ``step`` and
-``simulate_path`` run it on a single row, ``sample_step_batch`` on one
-state broadcast to many rows, and the ensembles in ``montecarlo`` on
-blocks of replicates.
+of states with a fixed sequence of numpy calls, per type for migration and
+per parent type for offspring.  When every offspring count is Poisson the
+offspring take one call: the children of type j from all parents are a
+sum of independent Poissons, hence Poisson with the summed rate.
+``step`` and ``simulate_path`` run the kernel on a single row,
+``sample_step_batch`` on one state broadcast to many rows, and the
+ensembles in ``montecarlo`` on blocks of replicates.
 
 The mean matrix convention is column-per-parent: mean_matrix()[i, j] is
 the expected number of type-i children of one type-j parent, and the
@@ -27,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -54,6 +58,7 @@ from .laws import (
     TableOffspring,
     TruncatedGeometricEmigration,
     UniformEmigration,
+    poisson_draws,
 )
 
 
@@ -96,6 +101,37 @@ class OffspringSpec:
     def cov_tensor(self):
         # cov_tensor()[i] = covariance of the children vector of a type-i parent
         return np.stack([law.cov() for law in self.laws], axis=0)
+
+    @cached_property
+    def poisson_means(self):
+        """The mean matrix if every child count of every parent is Poisson, else None."""
+        if all(
+            isinstance(law, IndependentOffspring)
+            and all(isinstance(c, PoissonOffspring) for c in law.components)
+            for law in self.laws
+        ):
+            return self.mean_matrix()
+        return None
+
+    def sample_sum_batch(self, rng, counts):
+        """Children (R, p) of the parent counts (R, p), summed over all parents.
+
+        All-Poisson laws draw once per row and child type, at the rate
+        (counts @ m.T)[r, j].  The rates are summed parent by parent rather
+        than by a BLAS product, whose fused multiply-adds vary by CPU: the
+        draws must not.  With one type the rate is counts * mean, as in
+        ``PoissonOffspring``.  Other laws draw parent type by parent type.
+        """
+        m = self.poisson_means
+        if m is not None:
+            rates = counts[:, :1] * m[:, 0]
+            for i in range(1, self.dim):
+                rates += counts[:, i, None] * m[:, i]
+            return poisson_draws(rng, rates)
+        out = np.zeros_like(counts)
+        for i, law in enumerate(self.laws):
+            law.sample_sum_batch(rng, counts[:, i], out)
+        return out
 
 
 @dataclass(frozen=True)
@@ -346,17 +382,15 @@ def sample_migration(spec: MigrationSpec, Z, rng, u=None):
 def advance(spec: ModelSpec, Z, rng):
     """The next generation of every row of the int64 states Z (R, p).
 
-    Migration first, then every parent present sums its offspring.  The
-    draws are a fixed sequence of numpy calls per type, so the same rows
-    from the same stream give the same result.  ``Z`` may be a read-only
-    view, such as one state broadcast to R rows.
+    Migration first, then every parent present sums its offspring
+    (``OffspringSpec.sample_sum_batch``).  The draws are a fixed sequence
+    of numpy calls, so the same rows from the same stream give the same
+    result.  ``Z`` may be a read-only view, such as one state broadcast to
+    R rows.
     """
     counts = sample_migration(spec.migration, Z, rng, u=spec.size_weights())
     counts += Z
-    out = np.zeros_like(counts)
-    for i, law in enumerate(spec.offspring.laws):
-        law.sample_sum_batch(rng, counts[:, i], out)
-    return out
+    return spec.offspring.sample_sum_batch(rng, counts)
 
 
 def step(spec: ModelSpec, z, rng):

@@ -32,16 +32,22 @@ def offspring_moments(spec: OffspringSpec):
     return spec.mean_matrix(), spec.cov_tensor()
 
 
-def _component_raw(comp, k: int, z, u, zi: int) -> float:
-    """Raw moment E[M_i^k] of one component's migration adjustment."""
+def _component_raws(comp, k: int, z, u, zi: int) -> list:
+    """Raw moments E[M_i^1], ..., E[M_i^k] of one component's adjustment.
+
+    The branch probabilities are evaluated once for all orders.
+    """
     _, pi, pe = comp.branch_probs(z, u, zi)
-    out = 0.0
-    if pi > 0.0:
-        out += pi * comp.immigration.raw_moment(k, z, u)
-    if pe > 0.0:
-        sign = -1.0 if k % 2 else 1.0
-        out += sign * pe * comp.emigration.raw_moment(k, zi)
-    return out
+    raws = []
+    for order in range(1, k + 1):
+        out = 0.0
+        if pi > 0.0:
+            out += pi * comp.immigration.raw_moment(order, z, u)
+        if pe > 0.0:
+            sign = -1.0 if order % 2 else 1.0
+            out += sign * pe * comp.emigration.raw_moment(order, zi)
+        raws.append(out)
+    return raws
 
 
 def migration_mean(spec: MigrationSpec, z, u=None):
@@ -49,7 +55,7 @@ def migration_mean(spec: MigrationSpec, z, u=None):
     z = np.asarray(z, dtype=np.int64)
     return np.array(
         [
-            _component_raw(comp, 1, z, u, int(z[i]))
+            _component_raws(comp, 1, z, u, int(z[i]))[0]
             for i, comp in enumerate(spec.components)
         ]
     )
@@ -60,9 +66,7 @@ def migration_var(spec: MigrationSpec, z, u=None):
     z = np.asarray(z, dtype=np.int64)
     diag = []
     for i, comp in enumerate(spec.components):
-        zi = int(z[i])
-        m1 = _component_raw(comp, 1, z, u, zi)
-        m2 = _component_raw(comp, 2, z, u, zi)
+        m1, m2 = _component_raws(comp, 2, z, u, int(z[i]))
         diag.append(m2 - m1 * m1)
     return np.diag(diag)
 
@@ -72,11 +76,7 @@ def migration_kappa(spec: MigrationSpec, z, u=None):
     z = np.asarray(z, dtype=np.int64)
     out = []
     for i, comp in enumerate(spec.components):
-        zi = int(z[i])
-        m1 = _component_raw(comp, 1, z, u, zi)
-        m2 = _component_raw(comp, 2, z, u, zi)
-        m3 = _component_raw(comp, 3, z, u, zi)
-        m4 = _component_raw(comp, 4, z, u, zi)
+        m1, m2, m3, m4 = _component_raws(comp, 4, z, u, int(z[i]))
         out.append(m4 - 4 * m1 * m3 + 6 * m1 * m1 * m2 - 3 * m1**4)
     return np.array(out)
 

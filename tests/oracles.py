@@ -11,20 +11,25 @@ from itertools import product
 
 
 def poisson_pmf(lam, tail=1e-15):
-    """Dict pmf of a Poisson law, truncated when the tail is below `tail`."""
+    """Dict pmf of a Poisson law, truncated when the tail is below `tail`.
+
+    From the first k with r = lam / (k + 1) < 1 on, every ratio
+    p(j + 1) / p(j) = lam / (j + 1) with j >= k is at most r, so the mass
+    beyond k is at most p(k) r / (1 - r).  Stopping on that bound needs no
+    running sum, whose rounding can stall above 1 - tail.
+    """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     if lam == 0:
         return {0: 1.0}
     pmf = {}
     k = 0
-    cum = 0.0
     while True:
         p = math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1))
         pmf[k] = p
-        cum += p
+        r = lam / (k + 1)
         k += 1
-        if 1.0 - cum < tail and k > lam:
+        if r < 1.0 and p * r / (1.0 - r) < tail:
             break
     return pmf
 

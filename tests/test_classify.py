@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import mbpm.classify
 from mbpm import (
     Constant,
     CriteriaConfig,
@@ -158,3 +159,21 @@ def test_estimate_exponents_sqrt(sqrt_spec):
     assert abs(out["c_dot_u"] - 1.0) < 0.05
     # sigma2 = s + 2 sqrt(s) - 1, so the finite-ray slope sits just under 1
     assert abs(out["beta"] - 1.0) < 0.02
+
+
+def test_fractional_moments_enumerate_atoms_once(two_type_spec, monkeypatch):
+    # both order checks of classify_growth, and the surrogate of
+    # estimate_exponents, share one atom enumeration per (probe, type)
+    calls = []
+    atoms = mbpm.classify.migration_atoms
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return atoms(*args, **kwargs)
+
+    monkeypatch.setattr(mbpm.classify, "migration_atoms", counted)
+    per_ray = len(CriteriaConfig().ray_points) * two_type_spec.dim
+    classify_growth(two_type_spec)
+    assert len(calls) == per_ray
+    estimate_exponents(two_type_spec)
+    assert len(calls) == 2 * per_ray

@@ -182,6 +182,21 @@ def test_poisson_atoms_at_large_rates(lam):
     assert probs.sum() >= 1.0 - 1e-12
 
 
+@pytest.mark.parametrize("lam", [25.0, 100.0])
+def test_oracle_poisson_pmf_at_default_tail(lam):
+    # the oracle's stop test bounds the dropped tail analytically; a stop
+    # test on a running float sum never fired from lam ~ 25 on
+    pmf = oracles.poisson_pmf(lam)
+    assert math.fsum(pmf.values()) >= 1.0 - 1e-12
+    assert abs(math.fsum(k * q for k, q in pmf.items()) - lam) < 1e-12 * lam
+
+
+def test_poisson_offspring_rate_past_numpy_limit_is_named():
+    law = PoissonOffspring(mean=4.0)
+    with pytest.raises(ValueError, match=r"rate 1\.844674407e\+19 at row 1 is past numpy's Poisson limit"):
+        law.sample_sum_batch(np.random.default_rng(0), np.array([1, 2**62, 3]))
+
+
 def test_poisson_atoms_at_rate_one_million():
     vals, probs = PoissonOffspring(mean=1e6).atoms()
     assert probs.sum() >= 1.0 - 1e-12

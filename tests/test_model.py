@@ -18,6 +18,7 @@ from mbpm import (
     PoissonOffspring,
     IndependentOffspring,
     SpecFormatError,
+    advance,
     load_spec,
     sample_migration,
     sample_step_batch,
@@ -138,17 +139,116 @@ def test_batch_and_step_agree_in_law(two_type_spec):
     assert (np.abs(bm - lm) < 5 * se + 1e-9).all()
 
 
-def test_one_step_pmf_matches_enumeration(small_support_spec):
-    doc = load_doc("small_support")
-    z = (2, 1)
+def assert_step_law_matches_enumeration(doc, spec, z):
+    """200k one-step draws from z are within TV 0.01 of the exact law."""
     exact = oracles.one_step_pmf(doc, z)
     assert abs(sum(exact.values()) - 1.0) < 1e-12
-    batch = sample_step_batch(small_support_spec, np.array(z), 200_000,
-                              stream_for(42, 0))
+    batch = sample_step_batch(spec, np.array(z), 200_000, stream_for(42, 0))
     states, counts = np.unique(batch, axis=0, return_counts=True)
     emp = {tuple(int(x) for x in s): c / len(batch)
            for s, c in zip(states, counts)}
     assert oracles.total_variation(exact, emp) < 0.01
+
+
+def test_one_step_pmf_matches_enumeration(small_support_spec):
+    assert_step_law_matches_enumeration(load_doc("small_support"), small_support_spec, (2, 1))
+
+
+# ---------------------------------------------------------------------------
+# offspring: one pooled Poisson draw, or parent by parent
+# ---------------------------------------------------------------------------
+
+def pooled_small_support_doc():
+    """small_support's migration with Poisson children of both types.
+
+    The means differ by parent and child type, so a transposed mean matrix
+    gives a different law.
+    """
+    doc = copy.deepcopy(load_doc("small_support"))
+    doc["offspring"] = [
+        {"kind": "independent",
+         "components": [{"family": "poisson", "mean": a}, {"family": "poisson", "mean": b}]}
+        for a, b in [(0.5, 0.2), (0.3, 0.6)]
+    ]
+    return doc
+
+
+def mixed_family_spec():
+    """A Poisson parent and a Table parent: not poolable."""
+    doc = copy.deepcopy(load_doc("small_support"))
+    doc["offspring"][0] = {"kind": "independent",
+                           "components": [{"family": "poisson", "mean": 0.5}] * 2}
+    return spec_from_dict(doc)
+
+
+def reference_advance(spec, Z, rng):
+    """The kernel with every parent type drawing its own children."""
+    counts = sample_migration(spec.migration, Z, rng, u=spec.size_weights()) + Z
+    out = np.zeros_like(counts)
+    for i, law in enumerate(spec.offspring.laws):
+        law.sample_sum_batch(rng, counts[:, i], out)
+    return out
+
+
+def test_poisson_documents_pool_their_offspring():
+    for name in ["gamma_single_type", "sqrt_drift_single_type", "two_type_mixed",
+                 "pure_emigration"]:
+        offspring = load_spec(spec_path(name)).offspring
+        assert np.array_equal(offspring.poisson_means, offspring.mean_matrix())
+    for name in ["small_support", "pure_death"]:
+        assert load_spec(spec_path(name)).offspring.poisson_means is None
+    assert mixed_family_spec().offspring.poisson_means is None
+
+
+def test_pooled_one_step_pmf_matches_enumeration():
+    doc = pooled_small_support_doc()
+    spec = spec_from_dict(doc)
+    assert spec.offspring.poisson_means is not None
+    assert_step_law_matches_enumeration(doc, spec, (1, 1))
+
+
+@pytest.mark.parametrize("name", ["gamma_single_type", "sqrt_drift_single_type"])
+def test_single_type_pooled_draws_equal_per_parent_draws(name):
+    # one type: the pooled rate is counts * mean, drawn in the same order
+    spec = load_spec(spec_path(name))
+    rng_a, rng_b = stream_for(7, 0), stream_for(7, 0)
+    Z = np.arange(256, dtype=np.int64)[:, None] % 40
+    for _ in range(30):
+        nxt = advance(spec, Z, rng_a)
+        assert np.array_equal(nxt, reference_advance(spec, Z, rng_b))
+        Z = nxt
+
+
+def test_mixed_family_draws_parent_by_parent():
+    spec = mixed_family_spec()
+    rng_a, rng_b = stream_for(8, 0), stream_for(8, 0)
+    Z = np.stack([np.arange(256) % 7, np.arange(256) % 5], axis=1).astype(np.int64)
+    for _ in range(30):
+        nxt = advance(spec, Z, rng_a)
+        assert np.array_equal(nxt, reference_advance(spec, Z, rng_b))
+        Z = nxt
+
+
+@pytest.mark.parametrize("name", ["two_type_mixed", "small_support"])
+def test_zero_count_rows_have_no_children(name):
+    offspring = load_spec(spec_path(name)).offspring
+    counts = np.array([[0, 0], [40, 0], [0, 0], [0, 40], [0, 0]], dtype=np.int64)
+    kids = offspring.sample_sum_batch(np.random.default_rng(9), counts)
+    assert kids.shape == counts.shape and kids.dtype == np.int64
+    assert (kids[[0, 2, 4]] == 0).all()
+    assert kids[[1, 3]].sum() > 0
+    empty = offspring.sample_sum_batch(np.random.default_rng(9), counts[:0])
+    assert empty.shape == (0, 2)
+
+
+def test_pooled_rate_past_numpy_limit_is_named():
+    # each parent's rate 2^62 is fine, their pooled sum 2^63 is not
+    unit = IndependentOffspring(components=(PoissonOffspring(1.0), PoissonOffspring(1.0)))
+    offspring = OffspringSpec(laws=(unit, unit))
+    counts = np.array([[1, 1], [2**62, 2**62]], dtype=np.int64)
+    with pytest.raises(ValueError, match=r"rate 9\.223372037e\+18 at row 1, child type 0 is "
+                                         r"past numpy's Poisson limit 9\.223372006e\+18"):
+        offspring.sample_sum_batch(np.random.default_rng(0), counts)
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,23 @@ def test_migration_atoms_reproduce_moments(two_type_spec):
         assert abs(second - var[i, i]) < 1e-6
 
 
+def test_raw_migration_moments_evaluate_branches_once(two_type_spec, monkeypatch):
+    u = two_type_spec.spectral().u
+    z = np.array([50, 30])
+    calls = []
+    branch_probs = MigrationComponent.branch_probs
+
+    def counted(self, *args):
+        calls.append(self)
+        return branch_probs(self, *args)
+
+    monkeypatch.setattr(MigrationComponent, "branch_probs", counted)
+    for fn in (migration_mean, migration_var, migration_kappa):
+        calls.clear()
+        fn(two_type_spec.migration, z, u)
+        assert len(calls) == two_type_spec.dim  # once per component, for all orders
+
+
 def test_migration_folds_at_zero_state(two_type_spec):
     z = np.zeros(2, dtype=np.int64)
     u = two_type_spec.spectral().u
