@@ -42,7 +42,6 @@ from .model import (
     load_spec,
     sample_migration,
     sample_step_batch,
-    save_spec,
     simulate_path,
     spec_digest,
     spec_from_dict,

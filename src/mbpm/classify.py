@@ -121,10 +121,6 @@ def is_absorbing_zero(spec: ModelSpec) -> bool:
     return True
 
 
-def _statefn_exponent(f) -> float:
-    return f.growth_exponent()
-
-
 def _immigration_mean_exponent(law) -> float:
     if law is None:
         return 0.0
@@ -141,27 +137,22 @@ def check_hypothesis_B(spec: ModelSpec, config: CriteriaConfig = CriteriaConfig(
     exponent of its factors (uniform emigration removes a linear fraction
     of the count, hence exponent 1), and the hypothesis holds when every
     exponent is strictly below 1.  Probe ratios max_i |h_i(z)| / ||z|| are
-    recorded as numeric evidence, and decide the outcome alone (decreasing
-    and below 1e-3 at the largest probe) if a form without a structural
-    exponent ever appears.
+    recorded as numeric evidence only.
     """
     exponents = []
-    structural = True
     for comp in spec.migration.components:
-        imm_e = _statefn_exponent(comp.prob_imm) + _immigration_mean_exponent(comp.immigration)
+        imm_e = comp.prob_imm.growth_exponent() + _immigration_mean_exponent(comp.immigration)
         if comp.immigration is None or (
             isinstance(comp.prob_imm, Constant) and comp.prob_imm.value == 0.0
         ):
             imm_e = -math.inf
-        emi_e = _statefn_exponent(comp.prob_em) + (
+        emi_e = comp.prob_em.growth_exponent() + (
             comp.emigration.growth_exponent() if comp.emigration is not None else 0.0
         )
         if comp.emigration is None or (
             isinstance(comp.prob_em, Constant) and comp.prob_em.value == 0.0
         ):
             emi_e = -math.inf
-        if imm_e is None or emi_e is None:
-            structural = False
         exponents.append((imm_e, emi_e))
 
     try:
@@ -176,18 +167,15 @@ def check_hypothesis_B(spec: ModelSpec, config: CriteriaConfig = CriteriaConfig(
     except ValueError:
         ratios = []
 
+    worst = max(max(pair) for pair in exponents)
     evidence = {
         "term_exponents": [
             [None if math.isinf(a) and a < 0 else a for a in pair] for pair in exponents
         ],
         "probe_ratios": ratios,
+        "worst_exponent": None if math.isinf(worst) else worst,
     }
-    if structural:
-        worst = max(max(pair) for pair in exponents)
-        evidence["worst_exponent"] = None if math.isinf(worst) else worst
-        return worst < 1.0, evidence
-    decreasing = all(b < a for a, b in zip(ratios, ratios[1:]))
-    return bool(ratios and decreasing and ratios[-1] < 1e-3), evidence
+    return worst < 1.0, evidence
 
 
 def check_hypothesis_C(spec: ModelSpec) -> Optional[dict]:

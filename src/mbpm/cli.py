@@ -6,6 +6,14 @@ directory, prints a one-line verdict, and exits 0 when the suite's
 assertions pass, 1 when they fail, and 2 on a malformed document or an
 infeasible suite/model combination.
 
+The three limit suites (gamma-limit, normal-limit, l1-limit) share one
+runner, ``_suite_limit``: it derives the limit parameters and the
+normalizing sequence a_n, asks the suite's entry in ``_LIMIT_LAWS`` for
+its sample transform and gate (refusing the model before any ensemble is
+drawn when the law does not exist), then keeps the replicates with
+u.Z_n > eps * a_n and gates their transformed sizes.  Option defaults are
+the field defaults of ``ExperimentConfig``.
+
 Reports are deterministic for a fixed document and seed: the wall-clock
 timestamp is isolated in a single header field and no timings are
 embedded, so reruns are byte-identical apart from that one line.
@@ -18,8 +26,9 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -55,7 +64,7 @@ def _applicable(suite: str):
 
     Wraps only the calls that derive the suite's parameters from the
     model, whose ValueErrors name a property the model lacks (a primitive
-    or critical mean matrix, growth, convergent migration).
+    or critical mean matrix, growth, convergent migration, a limit law).
     """
     try:
         yield
@@ -135,6 +144,19 @@ def _cdf_pairs(gof):
     return list(zip(xs.tolist(), emp.tolist(), gof.reference_values.tolist()))
 
 
+def _ks_check(sample, config, cdf, law: str, law_params: dict):
+    """KS gate of a sample against a reference CDF: (passed, payload, files)."""
+    gof = gof_report(sample, cdf, law, law_params, config.ks_threshold())
+    files = {"cdf_pairs.tsv": (("x", "empirical", "reference"), _cdf_pairs(gof))}
+    return gof.passed, {"gof": gof.to_dict()}, files
+
+
+def _quantile_rows(x):
+    """("q5", ...) .. ("q95", ...) rows of a sample; nan when it is empty."""
+    qs = np.quantile(x, _FAN_QUANTILES) if x.size else np.full(len(_FAN_QUANTILES), np.nan)
+    return [(f"q{int(100 * q)}", float(v)) for q, v in zip(_FAN_QUANTILES, qs)]
+
+
 def _load_document(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -143,13 +165,6 @@ def _load_document(path: str) -> dict:
         raise SpecFormatError("document", f"no such file: {path}")
     except json.JSONDecodeError as exc:
         raise SpecFormatError("document", f"not valid JSON: {exc}")
-
-
-def _survivors(weighted, c_dot_u, alpha, n):
-    """Indices passing the growth-conditioning event u.Z_n > eps * a_n."""
-    a_n = float(a_seq(power_drift(c_dot_u, alpha), n)[-1])
-    keep = weighted > _SURVIVAL_EPS * a_n
-    return keep, a_n
 
 
 # ---------------------------------------------------------------------------
@@ -203,115 +218,81 @@ def _suite_classify(spec: ModelSpec, doc: dict, config: ExperimentConfig):
     return passed, payload, files
 
 
-def _suite_gamma(spec: ModelSpec, doc: dict, config: ExperimentConfig):
-    with _applicable("gamma-limit"):
-        params = params_from_spec(spec, doc.get("limit"))
+def _gamma_law(params, n, uu, a_n):
     if params.gamma_shape is None:
-        raise InfeasibleSuiteError(
-            "gamma-limit is infeasible for this model: it needs variance "
-            "exponent beta = 1 + alpha and nu < 2 u.c (otherwise unbounded "
-            "growth has probability zero and no gamma limit exists)"
+        raise ValueError(
+            "it needs variance exponent beta = 1 + alpha and nu < 2 u.c (otherwise "
+            "unbounded growth has probability zero and no gamma limit exists)"
         )
-    u = spec.spectral().u
-    uu = float(u @ u)
-    ens = run_ensemble(spec, config.n, config.reps, config.seed, workers=config.workers)
-    weighted = ens.terminal_weighted(u)
-    keep, a_n = _survivors(weighted, params.c_dot_u, params.alpha, config.n)
-    scale_n = config.n ** (1.0 / (1.0 - params.alpha))
-    w = (weighted[keep] / (scale_n * uu)) ** (1.0 - params.alpha)
-    threshold = config.ks_threshold()
-    gof = gof_report(
-        w,
-        lambda x: gamma_cdf(x, params.gamma_shape, params.gamma_scale),
-        "gamma",
-        {"shape": params.gamma_shape, "scale": params.gamma_scale},
-        threshold,
+    scale_n = n ** (1.0 / (1.0 - params.alpha))
+    shape, scale = params.gamma_shape, params.gamma_scale
+    gate = partial(
+        _ks_check,
+        cdf=lambda x: gamma_cdf(x, shape, scale),
+        law="gamma",
+        law_params={"shape": shape, "scale": scale},
     )
-    payload = {
-        "limit_params": params.to_dict(),
-        "gof": gof.to_dict(),
-        "conditioning": {
-            "event": "u.Z_n > eps * a_n",
-            "epsilon": _SURVIVAL_EPS,
-            "a_n": a_n,
-            "kept": int(keep.sum()),
-            "total": config.reps,
-        },
-        "ensemble": ens.summary(),
-    }
-    files = {"cdf_pairs.tsv": (("x", "empirical", "reference"), _cdf_pairs(gof))}
-    return gof.passed, payload, files
+    return lambda w: (w / (scale_n * uu)) ** (1.0 - params.alpha), gate, {}
 
 
-def _suite_normal(spec: ModelSpec, doc: dict, config: ExperimentConfig):
-    with _applicable("normal-limit"):
-        params = params_from_spec(spec, doc.get("limit"))
-    u = spec.spectral().u
-    uu = float(u @ u)
-    ens = run_ensemble(spec, config.n, config.reps, config.seed, workers=config.workers)
-    weighted = ens.terminal_weighted(u)
-    keep, a_n = _survivors(weighted, params.c_dot_u, params.alpha, config.n)
-    lam = lambda_n(params, config.n)
-    w = (weighted[keep] - uu * a_n) / (uu * lam)
-    threshold = config.ks_threshold()
-    gof = gof_report(w, normal_cdf, "standard normal", {}, threshold)
-    payload = {
-        "limit_params": params.to_dict(),
-        "a_n": a_n,
-        "lambda_n": lam,
-        "gof": gof.to_dict(),
-        "conditioning": {
-            "event": "u.Z_n > eps * a_n",
-            "epsilon": _SURVIVAL_EPS,
-            "a_n": a_n,
-            "kept": int(keep.sum()),
-            "total": config.reps,
-        },
-        "ensemble": ens.summary(),
-    }
-    files = {
-        "cdf_pairs.tsv": (("x", "empirical", "reference"), _cdf_pairs(gof)),
-    }
-    return gof.passed, payload, files
+def _normal_law(params, n, uu, a_n):
+    lam = lambda_n(params, n)
+    gate = partial(_ks_check, cdf=normal_cdf, law="standard normal", law_params={})
+    return lambda w: (w - uu * a_n) / (uu * lam), gate, {"a_n": a_n, "lambda_n": lam}
 
 
-def _suite_l1(spec: ModelSpec, doc: dict, config: ExperimentConfig):
-    with _applicable("l1-limit"):
-        params = params_from_spec(spec, doc.get("limit"))
+def _l1_law(params, n, uu, a_n):
     target = params.l1_constant
     if target is None:
-        raise InfeasibleSuiteError(
-            "l1-limit is infeasible for this model: it needs alpha < 1 and u.c > 0"
-        )
-    u = spec.spectral().u
-    uu = float(u @ u)
+        raise ValueError("it needs alpha < 1 and u.c > 0")
+
+    def gate(w, config):
+        mean = float(w.mean())
+        rel_err = abs(mean - target) / target
+        payload = {
+            "target": target,
+            "sample_mean": mean,
+            "relative_error": rel_err,
+            "threshold_rel": config.threshold_rel,
+        }
+        rows = _quantile_rows(w) + [("mean", mean), ("target", float(target))]
+        files = {"sample_summary.tsv": (("statistic", "value"), rows)}
+        return rel_err <= config.threshold_rel, payload, files
+
+    return lambda w: w / (n ** (1.0 / (1.0 - params.alpha)) * uu), gate, {}
+
+
+# Each limit law maps (params, n, u.u, a_n) to (transform of the surviving
+# weighted sizes u.Z_n, gate(sample, config) -> (passed, payload, files),
+# extra payload keys), or raises ValueError when the law does not exist
+# for the model.
+_LIMIT_LAWS = {"gamma-limit": _gamma_law, "normal-limit": _normal_law, "l1-limit": _l1_law}
+
+
+def _suite_limit(spec: ModelSpec, doc: dict, config: ExperimentConfig):
+    """A limit law on the ensemble conditioned on survival, u.Z_n > eps * a_n."""
+    with _applicable(config.suite):
+        params = params_from_spec(spec, doc.get("limit"))
+        u = spec.spectral().u
+        uu = float(u @ u)
+        a_n = float(a_seq(power_drift(params.c_dot_u, params.alpha), config.n)[-1])
+        transform, gate, extra = _LIMIT_LAWS[config.suite](params, config.n, uu, a_n)
     ens = run_ensemble(spec, config.n, config.reps, config.seed, workers=config.workers)
     weighted = ens.terminal_weighted(u)
-    keep, a_n = _survivors(weighted, params.c_dot_u, params.alpha, config.n)
-    w = weighted[keep] / (config.n ** (1.0 / (1.0 - params.alpha)) * uu)
-    mean = float(w.mean())
-    rel_err = abs(mean - target) / target
-    passed = rel_err <= config.threshold_rel
-    qs = np.quantile(w, _FAN_QUANTILES) if w.size else np.full(len(_FAN_QUANTILES), np.nan)
-    payload = {
-        "limit_params": params.to_dict(),
-        "target": target,
-        "sample_mean": mean,
-        "relative_error": rel_err,
-        "threshold_rel": config.threshold_rel,
-        "conditioning": {
+    keep = weighted > _SURVIVAL_EPS * a_n
+    passed, payload, files = gate(transform(weighted[keep]), config)
+    payload.update(
+        extra,
+        limit_params=params.to_dict(),
+        conditioning={
             "event": "u.Z_n > eps * a_n",
             "epsilon": _SURVIVAL_EPS,
             "a_n": a_n,
             "kept": int(keep.sum()),
             "total": config.reps,
         },
-        "ensemble": ens.summary(),
-    }
-    rows = [(f"q{int(100 * q)}", float(v)) for q, v in zip(_FAN_QUANTILES, qs)]
-    rows.append(("mean", mean))
-    rows.append(("target", float(target)))
-    files = {"sample_summary.tsv": (("statistic", "value"), rows)}
+        ensemble=ens.summary(),
+    )
     return passed, payload, files
 
 
@@ -331,14 +312,12 @@ def _suite_feller(spec: ModelSpec, doc: dict, config: ExperimentConfig):
         rng=stream_for(config.seed, config.reps),
         n_paths=config.reps,
     )
-    w_ref = paths[:, -1]
-    threshold = config.ks_threshold()
-    gof = gof_report(
+    passed, payload, files = _ks_check(
         w_emp,
-        ecdf(w_ref),
+        config,
+        ecdf(paths[:, -1]),
         "diffusion endpoint (reference integrator)",
         {"drift": drift, "diffusion": diffusion, "dt": config.dt},
-        threshold,
     )
     # quantile fan of the rescaled trajectories against the integrator's
     grid = np.linspace(0.0, 1.0, 101)
@@ -355,18 +334,9 @@ def _suite_feller(spec: ModelSpec, doc: dict, config: ExperimentConfig):
         + [f"emp_q{int(100 * q)}" for q in _FAN_QUANTILES]
         + [f"ref_q{int(100 * q)}" for q in _FAN_QUANTILES]
     )
-    payload = {
-        "drift": drift,
-        "diffusion": diffusion,
-        "dt": config.dt,
-        "gof": gof.to_dict(),
-        "ensemble": ens.summary(),
-    }
-    files = {
-        "cdf_pairs.tsv": (("x", "empirical", "reference"), _cdf_pairs(gof)),
-        "quantile_fan.tsv": (tuple(cols), fan_rows),
-    }
-    return gof.passed, payload, files
+    payload.update(drift=drift, diffusion=diffusion, dt=config.dt, ensemble=ens.summary())
+    files["quantile_fan.tsv"] = (tuple(cols), fan_rows)
+    return passed, payload, files
 
 
 def _suite_explosion(spec: ModelSpec, doc: dict, config: ExperimentConfig):
@@ -379,23 +349,19 @@ def _suite_explosion(spec: ModelSpec, doc: dict, config: ExperimentConfig):
     else:
         passed = True
     norms = np.abs(ens.terminal).sum(axis=1).astype(float)
-    qs = np.quantile(norms, _FAN_QUANTILES)
-    rows = [(f"q{int(100 * q)}", float(v)) for q, v in zip(_FAN_QUANTILES, qs)]
     payload = {
         "explosion": est.to_dict(),
         "bounds": bounds,
         "ensemble": ens.summary(),
     }
-    files = {"terminal_norms.tsv": (("statistic", "value"), rows)}
+    files = {"terminal_norms.tsv": (("statistic", "value"), _quantile_rows(norms))}
     return passed, payload, files
 
 
 _SUITE_RUNNERS = {
     "moments": _suite_moments,
     "classify": _suite_classify,
-    "gamma-limit": _suite_gamma,
-    "normal-limit": _suite_normal,
-    "l1-limit": _suite_l1,
+    **dict.fromkeys(_LIMIT_LAWS, _suite_limit),
     "feller": _suite_feller,
     "explosion": _suite_explosion,
 }
@@ -447,6 +413,8 @@ def _parse_ints(text: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command line; option defaults are those of ExperimentConfig."""
+    defaults = {f.name: f.default for f in fields(ExperimentConfig) if f.default is not MISSING}
     parser = argparse.ArgumentParser(
         prog="mbpm",
         description=(
@@ -455,62 +423,50 @@ def build_parser() -> argparse.ArgumentParser:
             "comparisons, diffusion scaling, and explosion probabilities."
         ),
     )
-    parser.add_argument("--spec", required=True, help="path to a model document (JSON)")
-    parser.add_argument("--suite", required=True, choices=SUITES, help="experiment suite to run")
-    parser.add_argument("--n", type=int, default=500, help="trajectory horizon (default 500)")
     parser.add_argument(
-        "--reps", type=int, default=1000,
-        help="replicates, or sample count for the moments suite (default 1000)",
+        "--spec", dest="spec_path", required=True, metavar="SPEC",
+        help="path to a model document (JSON)",
     )
-    parser.add_argument("--seed", type=int, default=12345, help="master seed (default 12345)")
-    parser.add_argument("--out", default="reports", help="output directory (default ./reports)")
+    parser.add_argument("--suite", required=True, choices=SUITES, help="experiment suite to run")
+    parser.add_argument("--n", type=int, help="trajectory horizon (default %(default)s)")
     parser.add_argument(
-        "--threshold-ks", type=float, default=None,
+        "--reps", type=int,
+        help="replicates, or sample count for the moments suite (default %(default)s)",
+    )
+    parser.add_argument("--seed", type=int, help="master seed (default %(default)s)")
+    parser.add_argument("--out", help="output directory (default ./%(default)s)")
+    parser.add_argument(
+        "--threshold-ks", type=float,
         help="KS pass threshold (default 0.05; 0.07 for normal-limit)",
     )
     parser.add_argument(
-        "--threshold-rel", type=float, default=0.10,
-        help="relative-error threshold for l1-limit (default 0.10)",
+        "--threshold-rel", type=float,
+        help="relative-error threshold for l1-limit (default %(default)g)",
     )
     parser.add_argument(
-        "--probe-magnitudes", type=_parse_floats, default=(1e3, 1e4, 1e5),
-        metavar="M1,M2,...", help="classify probe sizes (default 1e3,1e4,1e5)",
+        "--probe-magnitudes", type=_parse_floats, metavar="M1,M2,...",
+        help="classify probe sizes (default "
+        + ",".join(f"{m:g}" for m in defaults["probe_magnitudes"]) + ")",
+    )
+    parser.add_argument("--dt", type=float, help="integrator step for feller (default %(default)g)")
+    parser.add_argument(
+        "--explosion-k", type=float,
+        help="norm threshold for the explosion suite (default %(default)g)",
     )
     parser.add_argument(
-        "--dt", type=float, default=1e-3, help="integrator step for feller (default 1e-3)"
-    )
-    parser.add_argument(
-        "--explosion-k", type=float, default=1e3,
-        help="norm threshold for the explosion suite (default 1e3)",
-    )
-    parser.add_argument(
-        "--state", type=_parse_ints, default=None, metavar="Z1,Z2,...",
+        "--state", type=_parse_ints, metavar="Z1,Z2,...",
         help="probe state for the moments suite (default: document reference_state)",
     )
     parser.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=int,
         help="worker processes (default: MBPM_WORKERS environment variable, else 1)",
     )
+    parser.set_defaults(**defaults)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    config = ExperimentConfig(
-        spec_path=args.spec,
-        suite=args.suite,
-        n=args.n,
-        reps=args.reps,
-        seed=args.seed,
-        out=args.out,
-        threshold_ks=args.threshold_ks,
-        threshold_rel=args.threshold_rel,
-        probe_magnitudes=args.probe_magnitudes,
-        dt=args.dt,
-        explosion_k=args.explosion_k,
-        state=args.state,
-        workers=args.workers,
-    )
+    config = ExperimentConfig(**vars(build_parser().parse_args(argv)))
     try:
         return run(config)
     except (SpecFormatError, InfeasibleSuiteError) as exc:

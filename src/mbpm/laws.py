@@ -569,9 +569,13 @@ class ShiftedPoissonImmigration:
         lam = self._rate(z, u)
         return sum(math.comb(k, j) * _poisson_raw(j, lam) for j in range(k + 1))
 
-    def sample_batch(self, rng, z, u=None):
-        """One draw per row of the state stack z (k, p), at that row's mean."""
-        return 1 + rng.poisson(self._rate(z, u), size=len(z))
+    def sample_batch(self, rng, Z, rows, u=None):
+        """One draw per row of the states Z (R, p) selected by the mask rows, at its mean.
+
+        A constant mean does not read the states, so they are not gathered.
+        """
+        z = Z if isinstance(self.mean_fn, Constant) else Z[rows]
+        return 1 + rng.poisson(self._rate(z, u), size=np.count_nonzero(rows))
 
     def atoms(self, z, u=None, tail: float = DEFAULT_ATOM_TAIL):
         vals, probs = _poisson_atoms(self._rate(z, u), tail)
@@ -595,8 +599,8 @@ class DeterministicImmigration:
     def raw_moment(self, k: int, z=None, u=None) -> float:
         return float(self.value) ** k
 
-    def sample_batch(self, rng, z, u=None):
-        return np.full(len(z), int(self.value), dtype=np.int64)
+    def sample_batch(self, rng, Z, rows, u=None):
+        return np.full(np.count_nonzero(rows), int(self.value), dtype=np.int64)
 
     def atoms(self, z=None, u=None, tail: float = DEFAULT_ATOM_TAIL):
         return np.array([int(self.value)]), np.array([1.0])
@@ -626,8 +630,8 @@ class TableImmigration:
     def raw_moment(self, k: int, z=None, u=None) -> float:
         return float(np.dot(np.asarray(self.values, dtype=float) ** k, self.probs))
 
-    def sample_batch(self, rng, z, u=None):
-        idx = rng.choice(len(self.values), p=self.probs, size=len(z))
+    def sample_batch(self, rng, Z, rows, u=None):
+        idx = rng.choice(len(self.values), p=self.probs, size=np.count_nonzero(rows))
         return np.asarray(self.values, dtype=np.int64)[idx]
 
     def atoms(self, z=None, u=None, tail: float = DEFAULT_ATOM_TAIL):

@@ -373,7 +373,7 @@ def sample_migration(spec: MigrationSpec, Z, rng, u=None):
         imm = (x >= pn) & (x < pn + pi)
         em = (x >= pn + pi) & (pe > 0.0)
         if imm.any():
-            out[imm, i] = comp.immigration.sample_batch(rng, Z[imm], u)
+            out[imm, i] = comp.immigration.sample_batch(rng, Z, imm, u)
         if em.any():
             out[em, i] = -comp.emigration.sample_batch(rng, zi[em])
     return out
@@ -709,12 +709,6 @@ def load_spec(path) -> ModelSpec:
         except json.JSONDecodeError as exc:
             raise SpecFormatError("document", f"not valid JSON: {exc}") from exc
     return spec_from_dict(doc)
-
-
-def save_spec(spec: ModelSpec, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec_to_dict(spec), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def spec_digest(spec: ModelSpec) -> str:

@@ -1,4 +1,5 @@
 """End-to-end command line runs at reduced scale."""
+import dataclasses
 import json
 import os
 import subprocess
@@ -138,26 +139,73 @@ def test_gamma_suite_forced_failure(tmp_path, capsys):
     assert read_report(out)["passed"] is False
 
 
-def test_gamma_suite_infeasible_regime(tmp_path, capsys):
-    doc = json.load(open(spec_path("gamma_single_type")))
-    doc["limit"]["c"] = [0.25]  # nu >= 2 u.c: unbounded growth is a null event
-    bad = tmp_path / "starved.json"
-    bad.write_text(json.dumps(doc))
-    code = main(["--spec", str(bad), "--suite", "gamma-limit",
-                 "--n", "60", "--reps", "100", "--out", str(tmp_path / "rep")])
-    assert code == 2
-    assert "infeasible" in capsys.readouterr().err
+def _no_ensemble(*args, **kwargs):
+    raise AssertionError("an ensemble was drawn for a suite that refuses the model")
 
 
-def test_l1_suite_infeasible_regime(tmp_path, capsys):
-    doc = json.load(open(spec_path("sqrt_drift_single_type")))
-    doc["limit"]["alpha"] = 1.0  # no first-order growth constant exists
-    bad = tmp_path / "alpha_one.json"
+@pytest.mark.parametrize("suite, doc_name, limit, message", [
+    # nu >= 2 u.c: unbounded growth is a null event
+    ("gamma-limit", "gamma_single_type", {"c": [0.25]},
+     "gamma-limit is infeasible for this model: it needs variance exponent beta = 1 + alpha"),
+    # no first-order growth constant exists
+    ("l1-limit", "sqrt_drift_single_type", {"alpha": 1.0},
+     "l1-limit is infeasible for this model: alpha must be < 1"),
+    # beta < 3 alpha - 1: no fluctuation scale Lambda_n
+    ("normal-limit", "sqrt_drift_single_type", {"alpha": 0.75, "beta": 1.0},
+     "normal-limit is infeasible for this model: beta must lie in [3 alpha - 1, alpha + 1]"),
+], ids=["gamma-limit", "l1-limit", "normal-limit"])
+def test_limit_suite_infeasible_regime(tmp_path, capsys, monkeypatch, suite, doc_name, limit,
+                                       message):
+    doc = json.load(open(spec_path(doc_name)))
+    doc["limit"].update(limit)
+    bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    code = main(["--spec", str(bad), "--suite", "l1-limit",
+    monkeypatch.setattr(cli, "run_ensemble", _no_ensemble)
+    code = main(["--spec", str(bad), "--suite", suite,
                  "--n", "20", "--reps", "50", "--out", str(tmp_path / "rep")])
     assert code == 2
-    assert "l1-limit is infeasible for this model: alpha must be < 1" in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
+# the (suite, document) pairs of the shipped documents that exit 2
+_INFEASIBLE_LIMITS = {
+    ("gamma-limit", doc) for doc in ("pure_death", "pure_emigration", "small_support",
+                                     "sqrt_drift_single_type", "two_type_mixed")
+} | {
+    (suite, doc) for suite in ("normal-limit", "l1-limit")
+    for doc in ("pure_death", "pure_emigration", "two_type_mixed")
+}
+
+
+@pytest.mark.parametrize("doc_name", ["gamma_single_type", "sqrt_drift_single_type",
+                                      "two_type_mixed", "pure_emigration", "small_support",
+                                      "pure_death"])
+@pytest.mark.parametrize("suite", ["gamma-limit", "normal-limit", "l1-limit"])
+def test_limit_suites_refuse_exactly_the_infeasible_documents(tmp_path, capsys, suite,
+                                                              doc_name):
+    out = tmp_path / "rep"
+    code = main(["--spec", spec_path(doc_name), "--suite", suite,
+                 "--n", "20", "--reps", "300", "--out", str(out)])
+    err = capsys.readouterr().err
+    if (suite, doc_name) in _INFEASIBLE_LIMITS:
+        assert code == 2
+        assert err.startswith(f"error: {suite} is infeasible for this model: ")
+    else:
+        assert code in (0, 1)
+        assert read_report(out)["results"]["conditioning"]["total"] == 300
+
+
+def test_parser_defaults_are_the_config_defaults():
+    parser = cli.build_parser()
+    defaults = {a.dest: a.default for a in parser._actions if a.dest != "help"}
+    fields = {f.name: f.default for f in dataclasses.fields(cli.ExperimentConfig)}
+    assert defaults.keys() == fields.keys()
+    for name in ("spec_path", "suite"):
+        assert defaults.pop(name) is None and fields.pop(name) is dataclasses.MISSING
+    assert defaults == fields
+    args = parser.parse_args(["--spec", "doc.json", "--suite", "moments"])
+    assert cli.ExperimentConfig(**vars(args)) == cli.ExperimentConfig("doc.json", "moments")
 
 
 def test_feller_suite_rejects_divergent_migration(tmp_path, capsys):

@@ -303,7 +303,7 @@ def test_shifted_poisson_immigration_moments():
         direct = oracles.pmf_moment(oracle, k)
         assert abs(law.raw_moment(k, z) - direct) < 1e-10 * max(1.0, direct)
     rng = np.random.default_rng(10)
-    draws = law.sample_batch(rng, np.broadcast_to(z, (50_000, 1)))
+    draws = law.sample_batch(rng, np.broadcast_to(z, (50_000, 1)), np.ones(50_000, bool))
     assert draws.min() >= 1
     assert oracles.total_variation(empirical_pmf(draws), oracle) < 0.02
 
@@ -312,21 +312,27 @@ def test_shifted_poisson_immigration_state_dependence():
     law = ShiftedPoissonImmigration(mean_fn=Clamp(Power(1.0, 0.5), lo=1.0))
     assert law.mean(np.array([100.0])) == 10.0
     assert law.mean(np.array([0.0])) == 1.0
-    # one draw per row, each at its own row's mean
-    sizes = np.tile([0, 100], 50_000)
-    draws = law.sample_batch(np.random.default_rng(15), sizes[:, None])
-    assert (draws[sizes == 0] == 1).all()
-    assert abs(draws[sizes == 100].mean() - 10.0) < 5 * 3.0 / np.sqrt(50_000)
+    # one draw per selected row, each at its own row's mean
+    sizes = np.tile([0, 100, 400], 50_000)
+    rows = sizes < 400
+    draws = law.sample_batch(np.random.default_rng(15), sizes[:, None], rows)
+    assert draws.shape == (100_000,)
+    assert (draws[sizes[rows] == 0] == 1).all()
+    assert abs(draws[sizes[rows] == 100].mean() - 10.0) < 5 * 3.0 / np.sqrt(50_000)
 
 
 def test_shifted_poisson_immigration_rejects_mean_below_one():
     law = ShiftedPoissonImmigration(mean_fn=Constant(0.5))
     with pytest.raises(ValueError):
         law.mean(np.array([4.0]))
-    # a stack of states raises if any row's mean is below 1
+    # a stack of states raises if any selected row's mean is below 1
     law = ShiftedPoissonImmigration(mean_fn=Power(1.0, 1.0))
+    Z = np.array([[4], [0], [9]])
     with pytest.raises(ValueError, match="below 1"):
-        law.sample_batch(np.random.default_rng(16), np.array([[4], [0], [9]]))
+        law.sample_batch(np.random.default_rng(16), Z, np.ones(3, bool))
+    # ... and only the selected rows are read
+    draws = law.sample_batch(np.random.default_rng(16), Z, np.array([True, False, True]))
+    assert draws.shape == (2,) and draws.min() >= 1
 
 
 def test_deterministic_immigration():
@@ -346,6 +352,35 @@ def test_table_immigration():
     assert law.mean_limit() == 1.75
     with pytest.raises(ValueError):
         TableImmigration(values=(0, 2), probs=(0.5, 0.5))
+
+
+class _NoGather(np.ndarray):
+    """A state stack that fails when rows are gathered from it."""
+
+    def __getitem__(self, key):
+        raise AssertionError("the immigrating states were gathered")
+
+
+@pytest.mark.parametrize("law, reads_states", [
+    (ShiftedPoissonImmigration(mean_fn=Constant(2.0)), False),
+    (DeterministicImmigration(value=3), False),
+    (TableImmigration(values=(1, 4), probs=(0.75, 0.25)), False),
+    (ShiftedPoissonImmigration(mean_fn=Clamp(Power(1.0, 0.5), lo=1.0)), True),
+], ids=["shifted-poisson-constant", "deterministic", "table", "shifted-poisson-power"])
+def test_immigration_draws_only_at_the_selected_rows(law, reads_states):
+    Z = np.arange(0, 600, 3, dtype=np.int64)[:, None]
+    rows = np.random.default_rng(17).random(len(Z)) < 0.4
+    # the draws equal those of the selected rows alone, from the same stream
+    masked = law.sample_batch(np.random.default_rng(18), Z, rows)
+    alone = law.sample_batch(np.random.default_rng(18), Z[rows], np.ones(rows.sum(), bool))
+    assert masked.shape == (rows.sum(),)
+    assert masked.tolist() == alone.tolist()
+    if reads_states:
+        with pytest.raises(AssertionError, match="gathered"):
+            law.sample_batch(np.random.default_rng(18), Z.view(_NoGather), rows)
+    else:
+        draws = law.sample_batch(np.random.default_rng(18), Z.view(_NoGather), rows)
+        assert np.asarray(draws).tolist() == masked.tolist()
 
 
 # ---------------------------------------------------------------------------
