@@ -324,11 +324,12 @@ def _suite_feller(spec: ModelSpec, doc: dict, config: ExperimentConfig):
     idx = np.minimum((grid * config.n).astype(int), config.n)
     scaled = (ens.paths @ u)[:, idx] / config.n
     em_idx = np.minimum((grid / config.dt).astype(int), paths.shape[1] - 1)
-    fan_rows = []
-    for k, t in enumerate(grid):
-        emp_q = np.quantile(scaled[:, k], _FAN_QUANTILES)
-        ref_q = np.quantile(paths[:, em_idx[k]], _FAN_QUANTILES)
-        fan_rows.append((float(t), *map(float, emp_q), *map(float, ref_q)))
+    emp_q = np.quantile(scaled, _FAN_QUANTILES, axis=0)
+    ref_q = np.quantile(paths[:, em_idx], _FAN_QUANTILES, axis=0)
+    fan_rows = [
+        (float(t), *map(float, emp_q[:, k]), *map(float, ref_q[:, k]))
+        for k, t in enumerate(grid)
+    ]
     cols = (
         ["t"]
         + [f"emp_q{int(100 * q)}" for q in _FAN_QUANTILES]

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -248,23 +249,26 @@ def _h_sum(power: int, n: int) -> float:
 _POISSON_RATE_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 
 
-def poisson_draws(rng, rates):
-    """One Poisson draw per entry of ``rates`` (R,) or (R, p).
+def poisson_draws(rng, rates, size=None, law="offspring"):
+    """One Poisson draw per entry of ``rates`` (R,) or (R, p), or ``size``
+    draws at one scalar rate.
 
-    A rate past numpy's limit raises a ValueError naming its row (and
-    child type), instead of numpy's bare "lam value too large".  numpy
-    checks every rate before it draws, so the search for the offending
-    one runs only after its refusal.
+    A rate past numpy's limit raises a ValueError naming the ``law`` and,
+    for an array of rates, its row (and child type), instead of numpy's
+    bare "lam value too large".  numpy checks every rate before it draws,
+    so the search for the offending one runs only after its refusal.
     """
     try:
-        return rng.poisson(rates)
+        return rng.poisson(rates, size)
     except ValueError:
         if not np.max(rates, initial=0.0) > _POISSON_RATE_MAX:
             raise
     where = np.unravel_index(np.argmax(rates), np.shape(rates))
-    at = f"row {where[0]}" + (f", child type {where[1]}" if len(where) > 1 else "")
+    at = ""
+    if where:
+        at = f" at row {where[0]}" + (f", child type {where[1]}" if len(where) > 1 else "")
     raise ValueError(
-        f"Poisson offspring rate {rates[where]:.10g} at {at} is past numpy's "
+        f"Poisson {law} rate {np.max(rates):.10g}{at} is past numpy's "
         f"Poisson limit {_POISSON_RATE_MAX:.10g}"
     )
 
@@ -548,6 +552,11 @@ def _poisson_raw(k: int, lam: float) -> float:
     raise ValueError(f"poisson raw moments implemented for k <= 4, got {k}")
 
 
+def _count(Z, rows) -> int:
+    """The number of rows of Z that the mask rows (None: every row) selects."""
+    return len(Z) if rows is None else np.count_nonzero(rows)
+
+
 @dataclass(frozen=True)
 class ShiftedPoissonImmigration:
     """1 + Poisson(a(z) - 1) arrivals with state-dependent mean a(z) >= 1."""
@@ -569,13 +578,21 @@ class ShiftedPoissonImmigration:
         lam = self._rate(z, u)
         return sum(math.comb(k, j) * _poisson_raw(j, lam) for j in range(k + 1))
 
+    @cached_property
+    def _constant_rate(self):
+        """The Poisson rate of a constant mean, checked once; None if the mean reads the state."""
+        return self._rate(None, None) if isinstance(self.mean_fn, Constant) else None
+
     def sample_batch(self, rng, Z, rows, u=None):
-        """One draw per row of the states Z (R, p) selected by the mask rows, at its mean.
+        """One draw per row of the states Z (R, p) selected by the mask rows
+        (every row if None), at its mean.
 
         A constant mean does not read the states, so they are not gathered.
         """
-        z = Z if isinstance(self.mean_fn, Constant) else Z[rows]
-        return 1 + rng.poisson(self._rate(z, u), size=np.count_nonzero(rows))
+        rate = self._constant_rate
+        if rate is None:
+            rate = self._rate(Z if rows is None else Z[rows], u)
+        return 1 + poisson_draws(rng, rate, _count(Z, rows), law="immigration")
 
     def atoms(self, z, u=None, tail: float = DEFAULT_ATOM_TAIL):
         vals, probs = _poisson_atoms(self._rate(z, u), tail)
@@ -600,7 +617,7 @@ class DeterministicImmigration:
         return float(self.value) ** k
 
     def sample_batch(self, rng, Z, rows, u=None):
-        return np.full(np.count_nonzero(rows), int(self.value), dtype=np.int64)
+        return np.full(_count(Z, rows), int(self.value), dtype=np.int64)
 
     def atoms(self, z=None, u=None, tail: float = DEFAULT_ATOM_TAIL):
         return np.array([int(self.value)]), np.array([1.0])
@@ -631,7 +648,7 @@ class TableImmigration:
         return float(np.dot(np.asarray(self.values, dtype=float) ** k, self.probs))
 
     def sample_batch(self, rng, Z, rows, u=None):
-        idx = rng.choice(len(self.values), p=self.probs, size=np.count_nonzero(rows))
+        idx = rng.choice(len(self.values), p=self.probs, size=_count(Z, rows))
         return np.asarray(self.values, dtype=np.int64)[idx]
 
     def atoms(self, z=None, u=None, tail: float = DEFAULT_ATOM_TAIL):
@@ -720,7 +737,7 @@ class TruncatedGeometricEmigration:
         log_s = math.log(self.ratio)
         target = unif * -np.expm1(zi * log_s)
         j = np.ceil(np.log1p(-target) / log_s)
-        return np.clip(j, 1, zi).astype(np.int64)
+        return np.minimum(np.maximum(j, 1), zi).astype(np.int64)
 
     def atoms(self, zi: int):
         if zi <= 0:

@@ -77,9 +77,13 @@ class Ensemble:
 
 
 def _simulate_blocks(args):
-    """Replicates [lo, hi), whole blocks, each advanced n steps in lockstep."""
-    doc, n, master_seed, lo, hi, store_paths = args
-    spec = spec_from_dict(doc)
+    """Replicates [lo, hi), whole blocks, each advanced n steps in lockstep.
+
+    ``spec`` is the ModelSpec in-process, or its document in a worker process.
+    """
+    spec, n, master_seed, lo, hi, store_paths = args
+    if isinstance(spec, dict):
+        spec = spec_from_dict(spec)
     term = np.empty((hi - lo, spec.dim), dtype=np.int64)
     paths = np.empty((hi - lo, n + 1, spec.dim), dtype=np.int64) if store_paths else None
     for start in range(lo, hi, BLOCK):
@@ -117,19 +121,15 @@ def run_ensemble(
     blocks = -(-R // BLOCK)
     workers = max(1, min(workers, blocks))
     t0 = time.perf_counter()
-    doc = spec_to_dict(spec)
-
     bounds = np.minimum(np.linspace(0, blocks, workers + 1).astype(int) * BLOCK, R)
-    jobs = [
-        (doc, n, master_seed, int(lo), int(hi), store_paths)
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
-    ]
+    spans = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     terminal = np.empty((R, spec.dim), dtype=np.int64)
     paths = np.empty((R, n + 1, spec.dim), dtype=np.int64) if store_paths else None
-    if len(jobs) == 1:
-        results = [_simulate_blocks(jobs[0])]
+    if len(spans) == 1:
+        results = [_simulate_blocks((spec, n, master_seed, *spans[0], store_paths))]
     else:
+        doc = spec_to_dict(spec)
+        jobs = [(doc, n, master_seed, lo, hi, store_paths) for lo, hi in spans]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_simulate_blocks, jobs))
     for lo, term_block, path_block in results:

@@ -252,6 +252,111 @@ def test_pooled_rate_past_numpy_limit_is_named():
 
 
 # ---------------------------------------------------------------------------
+# migration: branch intervals compiled once per component
+# ---------------------------------------------------------------------------
+
+SHIPPED = ["gamma_single_type", "sqrt_drift_single_type", "two_type_mixed",
+           "pure_emigration", "small_support", "pure_death"]
+
+
+def reference_migration(spec, Z, rng, u=None):
+    """Migration with the branch probabilities evaluated and folded at every step."""
+    out = np.zeros(Z.shape, dtype=np.int64)
+    for i, comp in enumerate(spec.components):
+        zi = Z[:, i]
+        pn, pi, pe = comp.branch_probs(Z, u, zi)
+        x = rng.random(len(Z))
+        imm = (x >= pn) & (x < pn + pi)
+        em = (x >= pn + pi) & (pe > 0.0)
+        if imm.any():
+            out[imm, i] = comp.immigration.sample_batch(rng, Z, imm, u)
+        if em.any():
+            out[em, i] = -comp.emigration.sample_batch(rng, zi[em])
+    return out
+
+
+def reference_kernel(spec, Z, rng):
+    """``advance`` without compiled branches."""
+    u = spec.size_weights()
+    counts = reference_migration(spec.migration, Z, rng, u) + Z
+    return spec.offspring.sample_sum_batch(rng, counts)
+
+
+def table_branches_doc():
+    """small_support with size-dependent branch probabilities: no component compiles.
+
+    Type 0 has table prob_none and prob_imm with a table immigration law;
+    type 1 has table prob_imm and prob_em, so its emigration mask is per row.
+    """
+    def table(values):
+        return {"kind": "table", "breaks": [0.0, 3.0], "values": values}
+
+    doc = copy.deepcopy(load_doc("small_support"))
+    m0, m1 = doc["migration"]
+    m0["prob_none"], m0["prob_imm"] = table([0.5, 0.2]), table([0.3, 0.6])
+    m1["prob_imm"], m1["prob_em"] = table([0.2, 0.1]), table([0.2, 0.3])
+    return doc
+
+
+@pytest.mark.parametrize("R", [1, 7, 300])
+@pytest.mark.parametrize("name", SHIPPED + ["table_branches"])
+def test_compiled_kernel_equals_reference_kernel(name, R):
+    if name == "table_branches":
+        spec = spec_from_dict(table_branches_doc())
+        assert all(c.branches is None for c in spec.migration.components)
+    else:
+        spec = load_spec(spec_path(name))
+    rng_a, rng_b = stream_for(61, R), stream_for(61, R)
+    Z = spec.initial.sample(rng_a, R)
+    assert np.array_equal(Z, spec.initial.sample(rng_b, R))
+    empty_rows = 0
+    for _ in range(50):
+        nxt = advance(spec, Z, rng_a)
+        assert np.array_equal(nxt, reference_kernel(spec, Z, rng_b))
+        Z = nxt
+        empty_rows += int((Z == 0).any(axis=1).sum())
+    assert rng_a.random() == rng_b.random()
+    if R > 1 and name in ("pure_emigration", "pure_death", "two_type_mixed"):
+        assert empty_rows > 0  # rows reach zero, where emigration folds
+
+
+def test_branches_compile_the_folds():
+    def branches(name):
+        return [c.branches for c in load_spec(spec_path(name)).migration.components]
+
+    (gamma,) = branches("gamma_single_type")
+    assert gamma.everyone_immigrates and not gamma.emigrates and gamma.empty is None
+    (death,) = branches("pure_death")
+    assert (death.lo, death.hi, death.emigrates, death.everyone_immigrates) == (1.0, 1.0, False, False)
+    for em in branches("pure_emigration"):
+        # no immigration law: prob_imm folds into none; an empty row cannot emigrate
+        assert (em.lo, em.hi, em.emigrates, em.empty) == (0.5, 0.5, True, (1.0, 1.0))
+    imm_em, _ = branches("two_type_mixed")
+    assert (imm_em.lo, imm_em.hi, imm_em.empty) == (0.5, 0.8, (0.7, 1.0))
+    assert not imm_em.everyone_immigrates
+
+
+def test_compiled_spec_copies_and_pickles():
+    import pickle
+
+    spec = load_spec(spec_path("two_type_mixed"))
+    Z = np.array([[0, 3], [5, 0], [2, 2]], dtype=np.int64)
+    first = advance(spec, Z, stream_for(4, 0))
+    for clone in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+        assert spec_digest(clone) == spec_digest(spec)
+        assert np.array_equal(advance(clone, Z, stream_for(4, 0)), first)
+
+
+def test_immigration_rate_past_numpy_limit_is_named():
+    doc = load_doc("gamma_single_type")
+    doc["migration"][0]["immigration"]["mean"]["value"] = 1e19
+    spec = spec_from_dict(doc)  # the mean is >= 1, so the document is valid
+    with pytest.raises(ValueError, match=r"^Poisson immigration rate 1e\+19 is past numpy's "
+                                         r"Poisson limit 9\.223372006e\+18$"):
+        advance(spec, np.ones((3, 1), dtype=np.int64), stream_for(0, 0))
+
+
+# ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
