@@ -254,8 +254,8 @@ def poisson_draws(rng, rates, size=None, law="offspring"):
     draws at one scalar rate.
 
     A rate past numpy's limit raises a ValueError naming the ``law`` and,
-    for an array of rates, its row (and child type), instead of numpy's
-    bare "lam value too large".  numpy checks every rate before it draws,
+    for an array of rates, the offending entry's row (and child type) in
+    ``rates``, instead of numpy's bare "lam value too large".  numpy checks every rate before it draws,
     so the search for the offending one runs only after its refusal.
     """
     try:

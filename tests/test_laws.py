@@ -375,6 +375,10 @@ def test_immigration_draws_only_at_the_selected_rows(law, reads_states):
     alone = law.sample_batch(np.random.default_rng(18), Z[rows], np.ones(rows.sum(), bool))
     assert masked.shape == (rows.sum(),)
     assert masked.tolist() == alone.tolist()
+    # rows=None selects every row
+    every = law.sample_batch(np.random.default_rng(18), Z, None)
+    assert every.tolist() == law.sample_batch(
+        np.random.default_rng(18), Z, np.ones(len(Z), bool)).tolist()
     if reads_states:
         with pytest.raises(AssertionError, match="gathered"):
             law.sample_batch(np.random.default_rng(18), Z.view(_NoGather), rows)
