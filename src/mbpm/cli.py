@@ -14,6 +14,10 @@ drawn when the law does not exist), then keeps the replicates with
 u.Z_n > eps * a_n and gates their transformed sizes.  Option defaults are
 the field defaults of ``ExperimentConfig``.
 
+Each suite returns its plot data as named tables, a header plus one
+sequence per column, and ``_write_tsv`` writes each one from its columns:
+float64 columns as %.10g, label columns as str().
+
 Reports are deterministic for a fixed document and seed: the wall-clock
 timestamp is isolated in a single header field and no timings are
 embedded, so reruns are byte-identical apart from that one line.
@@ -116,45 +120,33 @@ def _jsonable(obj):
     return obj
 
 
-def _write_tsv(path: Path, columns, rows):
-    """Header plus one line per row: float cells as %.10g, other cells as str().
+def _write_tsv(path: Path, header, columns):
+    """Header plus one line per row, from one sequence per column.
 
-    One %-format string is built per pattern of cell types (one per file
-    in practice) and the file is written with a single join.
+    A float64 column is written as %.10g, any other column as str() of its
+    cells: one %-format string serves the file and the body is one join.
     """
-    formats = {}
-    lines = ["\t".join(columns)]
-    for row in rows:
-        row = tuple(row)
-        kinds = tuple(map(type, row))
-        fmt = formats.get(kinds)
-        if fmt is None:
-            fmt = formats[kinds] = "\t".join(
-                "%.10g" if issubclass(k, float) else "%s" for k in kinds
-            )
-        lines.append(fmt % row)
+    arrays = [np.asarray(col) for col in columns]
+    floats = [a.dtype == np.float64 for a in arrays]
+    fmt = "\t".join("%.10g" if f else "%s" for f in floats) + "\n"
+    cells = [a.tolist() if f else col for a, f, col in zip(arrays, floats, columns)]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _cdf_pairs(gof):
-    """(x, empirical, reference) rows at the sorted sample of a GoFReport."""
-    xs = gof.sorted_sample
-    emp = np.arange(1, xs.size + 1) / xs.size
-    return list(zip(xs.tolist(), emp.tolist(), gof.reference_values.tolist()))
+        fh.write("\t".join(header) + "\n" + "".join(map(fmt.__mod__, zip(*cells))))
 
 
 def _ks_check(sample, config, cdf, law: str, law_params: dict):
     """KS gate of a sample against a reference CDF: (passed, payload, files)."""
     gof = gof_report(sample, cdf, law, law_params, config.ks_threshold())
-    files = {"cdf_pairs.tsv": (("x", "empirical", "reference"), _cdf_pairs(gof))}
+    n = gof.sorted_sample.size
+    columns = (gof.sorted_sample, np.arange(1, n + 1) / n, gof.reference_values)
+    files = {"cdf_pairs.tsv": (("x", "empirical", "reference"), columns)}
     return gof.passed, {"gof": gof.to_dict()}, files
 
 
-def _quantile_rows(x):
-    """("q5", ...) .. ("q95", ...) rows of a sample; nan when it is empty."""
+def _quantile_columns(x):
+    """Labels q5 .. q95 and the sample's quantiles at them; nan when it is empty."""
     qs = np.quantile(x, _FAN_QUANTILES) if x.size else np.full(len(_FAN_QUANTILES), np.nan)
-    return [(f"q{int(100 * q)}", float(v)) for q, v in zip(_FAN_QUANTILES, qs)]
+    return [f"q{int(100 * q)}" for q in _FAN_QUANTILES], qs
 
 
 def _load_document(path: str) -> dict:
@@ -182,19 +174,15 @@ def _suite_moments(spec: ModelSpec, doc: dict, config: ExperimentConfig):
     if z.shape != (spec.dim,):
         raise SpecFormatError("reference_state", f"expected {spec.dim} components")
     report = moment_check(spec, z, N=max(config.reps, 10_000), seed=config.seed)
-    rows = []
-    for i in range(spec.dim):
-        rows.append(
-            (f"mean[{i}]", float(report.mean_exact[i]), float(report.mean_empirical[i]),
-             float(report.mean_se[i]))
-        )
-    for i in range(spec.dim):
-        for j in range(spec.dim):
-            rows.append(
-                (f"cov[{i},{j}]", float(report.cov_exact[i, j]),
-                 float(report.cov_empirical[i, j]), float(report.cov_se[i, j]))
-            )
-    files = {"moment_bands.tsv": (("entry", "exact", "empirical", "se"), rows)}
+    p = range(spec.dim)
+    labels = [f"mean[{i}]" for i in p] + [f"cov[{i},{j}]" for i in p for j in p]
+    columns = [labels] + [
+        np.concatenate((mean, cov.ravel())).astype(float)
+        for mean, cov in ((report.mean_exact, report.cov_exact),
+                          (report.mean_empirical, report.cov_empirical),
+                          (report.mean_se, report.cov_se))
+    ]
+    files = {"moment_bands.tsv": (("entry", "exact", "empirical", "se"), columns)}
     return report.passed, {"moment_check": report.to_dict()}, files
 
 
@@ -205,11 +193,9 @@ def _suite_classify(spec: ModelSpec, doc: dict, config: ExperimentConfig):
         exponents = estimate_exponents(spec, cc)
     expected = doc.get("expected_verdict")
     passed = True if expected is None else (verdict.verdict == expected)
-    rows = [
-        (float(s), float(r))
-        for s, r in zip(verdict.probe_sizes, verdict.ratio_values)
-    ]
-    files = {"ratio_curve.tsv": (("size", "ratio"), rows)}
+    columns = [np.asarray(verdict.probe_sizes, dtype=float),
+               np.asarray(verdict.ratio_values, dtype=float)]
+    files = {"ratio_curve.tsv": (("size", "ratio"), columns)}
     payload = {
         "classification": verdict.to_dict(),
         "fitted_exponents": exponents,
@@ -218,13 +204,20 @@ def _suite_classify(spec: ModelSpec, doc: dict, config: ExperimentConfig):
     return passed, payload, files
 
 
+def _size_scale(params, n):
+    """The scale n^{1/(1-alpha)} of the gamma and l1 limits, refused where it is 0."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return n ** (1.0 / (1.0 - params.alpha))
+
+
 def _gamma_law(params, n, uu, a_n):
     if params.gamma_shape is None:
         raise ValueError(
             "it needs variance exponent beta = 1 + alpha and nu < 2 u.c (otherwise "
             "unbounded growth has probability zero and no gamma limit exists)"
         )
-    scale_n = n ** (1.0 / (1.0 - params.alpha))
+    scale_n = _size_scale(params, n)
     shape, scale = params.gamma_shape, params.gamma_scale
     gate = partial(
         _ks_check,
@@ -245,6 +238,7 @@ def _l1_law(params, n, uu, a_n):
     target = params.l1_constant
     if target is None:
         raise ValueError("it needs alpha < 1 and u.c > 0")
+    scale_n = _size_scale(params, n)
 
     def gate(w, config):
         mean = float(w.mean())
@@ -255,11 +249,12 @@ def _l1_law(params, n, uu, a_n):
             "relative_error": rel_err,
             "threshold_rel": config.threshold_rel,
         }
-        rows = _quantile_rows(w) + [("mean", mean), ("target", float(target))]
-        files = {"sample_summary.tsv": (("statistic", "value"), rows)}
+        labels, values = _quantile_columns(w)
+        columns = (labels + ["mean", "target"], np.append(values, (mean, target)))
+        files = {"sample_summary.tsv": (("statistic", "value"), columns)}
         return rel_err <= config.threshold_rel, payload, files
 
-    return lambda w: w / (n ** (1.0 / (1.0 - params.alpha)) * uu), gate, {}
+    return lambda w: w / (scale_n * uu), gate, {}
 
 
 # Each limit law maps (params, n, u.u, a_n) to (transform of the surviving
@@ -326,17 +321,13 @@ def _suite_feller(spec: ModelSpec, doc: dict, config: ExperimentConfig):
     em_idx = np.minimum((grid / config.dt).astype(int), paths.shape[1] - 1)
     emp_q = np.quantile(scaled, _FAN_QUANTILES, axis=0)
     ref_q = np.quantile(paths[:, em_idx], _FAN_QUANTILES, axis=0)
-    fan_rows = [
-        (float(t), *map(float, emp_q[:, k]), *map(float, ref_q[:, k]))
-        for k, t in enumerate(grid)
-    ]
-    cols = (
+    header = (
         ["t"]
         + [f"emp_q{int(100 * q)}" for q in _FAN_QUANTILES]
         + [f"ref_q{int(100 * q)}" for q in _FAN_QUANTILES]
     )
     payload.update(drift=drift, diffusion=diffusion, dt=config.dt, ensemble=ens.summary())
-    files["quantile_fan.tsv"] = (tuple(cols), fan_rows)
+    files["quantile_fan.tsv"] = (header, [grid, *emp_q, *ref_q])
     return passed, payload, files
 
 
@@ -355,7 +346,7 @@ def _suite_explosion(spec: ModelSpec, doc: dict, config: ExperimentConfig):
         "bounds": bounds,
         "ensemble": ens.summary(),
     }
-    files = {"terminal_norms.tsv": (("statistic", "value"), _quantile_rows(norms))}
+    files = {"terminal_norms.tsv": (("statistic", "value"), _quantile_columns(norms))}
     return passed, payload, files
 
 
@@ -398,8 +389,8 @@ def run(config: ExperimentConfig) -> int:
     with open(report_path, "w", encoding="utf-8") as fh:
         json.dump(_jsonable(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    for name, (cols, rows) in files.items():
-        _write_tsv(out_dir / name, cols, rows)
+    for name, (header, columns) in files.items():
+        _write_tsv(out_dir / name, header, columns)
 
     print(f"{config.suite}: {'PASS' if passed else 'FAIL'} (report: {report_path})")
     return 0 if passed else 1

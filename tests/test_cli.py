@@ -10,7 +10,10 @@ import pytest
 
 from conftest import spec_path
 from mbpm import cli, ecdf, gamma_cdf, gof_report, normal_cdf
-from mbpm.cli import _cdf_pairs, _write_tsv, main
+from mbpm.cli import _ks_check, _write_tsv, main
+
+SHIPPED = ["gamma_single_type", "sqrt_drift_single_type", "two_type_mixed",
+           "pure_emigration", "small_support", "pure_death"]
 
 
 def read_report(out_dir):
@@ -83,31 +86,77 @@ def test_gamma_suite_small_scale(tmp_path):
 def test_cdf_pairs_reference_equals_per_point_values():
     sample = np.random.default_rng(3).gamma(4.0, 0.5, size=500)
     xs = sorted(sample.tolist())
+    config = cli.ExperimentConfig("doc.json", "gamma-limit", threshold_ks=1.0)
     for cdf in (lambda x: gamma_cdf(x, 4.0, 0.5), normal_cdf, ecdf(sample[:100])):
-        pairs = _cdf_pairs(gof_report(sample, cdf, "reference", {}, 1.0))
-        assert [x for x, _, _ in pairs] == xs
-        assert [e for _, e, _ in pairs] == [(i + 1) / len(xs) for i in range(len(xs))]
-        assert [ref for _, _, ref in pairs] == [float(cdf(x)) for x in xs]
+        _, _, files = _ks_check(sample, config, cdf, "reference", {})
+        header, (x, emp, ref) = files["cdf_pairs.tsv"]
+        assert header == ("x", "empirical", "reference")
+        assert x.tolist() == xs
+        assert emp.tolist() == [(i + 1) / len(xs) for i in range(len(xs))]
+        assert ref.tolist() == [float(cdf(x)) for x in xs]
+
+
+def _per_cell_tsv(header, columns):
+    """Row-wise reference rendering: float cells as %.10g, other cells as str()."""
+    rows = ["\t".join(header)] + [
+        "\t".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in row)
+        for row in zip(*columns, strict=True)
+    ]
+    return "".join(line + "\n" for line in rows)
 
 
 def test_write_tsv_matches_per_cell_formatting(tmp_path):
-    rows = [
-        ("mean[0]", 3, 0.1 + 0.2, np.float64(1.0 / 3.0), float("nan"), float("inf"),
-         -float("inf")),
-        ("x", np.int64(7), 1e-300, np.float64(-0.0), 2.5, 12345678901, True),
-        (1.5, 2, 3.0, np.float32(0.1), "label", np.nan, -np.inf),
-        [4, 1.25, "tail", np.float64(6.02214076e23), 0, -7.5e-8, 1e22],
+    # one kind of cell per column: floats (Python or float64), everything else labels
+    py_floats = [0.1 + 0.2, float("nan"), float("inf"), -float("inf"), 1e-300, 2.5, -7.5e-8,
+                 1e22, -0.0, 1e-5, 1e-4, 9999999999.5, 1e10, 9999999999.0]
+    k = len(py_floats)
+    columns = [
+        [f"mean[{i}]" for i in range(k)],
+        py_floats,
+        np.array([np.float64(6.02214076e23), np.float64(-0.0), np.nan, np.inf, -np.inf,
+                  np.float64(1.0 / 3.0), 1e-5, 1e-4, 9999999999.5, 1e10, 0.0, 1.0, -1.0, 1e22]),
+        [3, np.int64(7), 12345678901, 0, -4] * 2 + [np.int64(-1), 1, 2, 5],
+        [True, False] * (k // 2),
+        [np.float32(0.1), np.float32(2.5), np.float32(-0.0), np.float32(1e22)] * 3
+        + [np.float32(np.nan), np.float32(np.inf)],
     ]
-    cols = ("a", "b", "c", "d", "e", "f", "g")
-    expected = "\t".join(cols) + "\n" + "".join(
-        "\t".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in row) + "\n"
-        for row in rows
-    )
+    header = ("label", "float", "float64", "int", "bool", "float32")
     path = tmp_path / "mixed.tsv"
-    _write_tsv(path, cols, rows)
-    assert path.read_bytes() == expected.encode("utf-8")
-    _write_tsv(path, cols, [])
-    assert path.read_bytes() == b"a\tb\tc\td\te\tf\tg\n"
+    _write_tsv(path, header, columns)
+    assert path.read_bytes() == _per_cell_tsv(header, columns).encode("utf-8")
+    # a zero-row table is its header alone
+    empty = [[], np.array([]), np.array([], dtype=np.int64), []]
+    _write_tsv(path, ("a", "b", "c", "d"), empty)
+    assert path.read_bytes() == b"a\tb\tc\td\n"
+
+
+_SUITE_TABLES = {
+    "moments": {"moment_bands.tsv"},
+    "classify": {"ratio_curve.tsv"},
+    "gamma-limit": {"cdf_pairs.tsv"},
+    "normal-limit": {"cdf_pairs.tsv"},
+    "l1-limit": {"sample_summary.tsv"},
+    "feller": {"cdf_pairs.tsv", "quantile_fan.tsv"},
+    "explosion": {"terminal_norms.tsv"},
+}
+
+
+@pytest.mark.parametrize("suite", cli.SUITES)
+def test_suite_tables_match_the_row_wise_reference(tmp_path, monkeypatch, suite):
+    written = set()
+
+    def checked(path, header, columns):
+        _write_tsv(path, header, columns)
+        assert path.read_bytes() == _per_cell_tsv(header, columns).encode("utf-8")
+        written.add(path.name)
+
+    monkeypatch.setattr(cli, "_write_tsv", checked)
+    for doc_name in SHIPPED:
+        code = main(["--spec", spec_path(doc_name), "--suite", suite, "--n", "20",
+                     "--reps", "200", "--seed", "3", "--threshold-ks", "0.5",
+                     "--dt", "0.01", "--out", str(tmp_path / doc_name)])
+        assert code in (0, 1, 2)
+    assert written == _SUITE_TABLES[suite]
 
 
 def test_limit_suites_call_reference_cdf_once(tmp_path, monkeypatch):
@@ -166,6 +215,19 @@ def test_limit_suite_infeasible_regime(tmp_path, capsys, monkeypatch, suite, doc
     assert code == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("suite, doc_name", [("gamma-limit", "gamma_single_type"),
+                                             ("l1-limit", "sqrt_drift_single_type")])
+def test_size_scaled_limits_refuse_horizon_zero(tmp_path, capsys, suite, doc_name):
+    # the scale n^{1/(1-alpha)} of both laws is 0 at n = 0
+    out = tmp_path / "rep"
+    code = main(["--spec", spec_path(doc_name), "--suite", suite,
+                 "--n", "0", "--reps", "3", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {suite} is infeasible for this model: n must be >= 1\n"
+    assert not out.exists()
 
 
 # the (suite, document) pairs of the shipped documents that exit 2

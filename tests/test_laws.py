@@ -1,5 +1,6 @@
 """Distribution building blocks against direct-summation oracles."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,15 @@ def test_power_function():
     assert g.growth_exponent() == 0.0
     assert g.limit() == 0.0
     assert math.isinf(g([0.0]))
+
+
+def test_power_limits_at_zero_size_raise_no_warning():
+    # 0**(-e) = inf and 0**e = 0 are the limits at s = 0, not numerical accidents
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Power(3.0, -1.0)([0.0]) == math.inf
+        assert Power(3.0, -1.0)(np.array([[0.0], [6.0]])).tolist() == [math.inf, 0.5]
+        assert Power(1.0, 0.5)(np.zeros((2, 1))).tolist() == [0.0, 0.0]
 
 
 def test_table_function_right_continuous():
@@ -352,6 +362,18 @@ def test_table_immigration():
     assert law.mean_limit() == 1.75
     with pytest.raises(ValueError):
         TableImmigration(values=(0, 2), probs=(0.5, 0.5))
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 30, 1000])
+def test_table_immigration_draws_are_those_of_choice(k):
+    values, probs = (1, 4, 9), (0.6, 0.3, 0.1)
+    law = TableImmigration(values=values, probs=probs)
+    rng_a, rng_b = np.random.default_rng(21), np.random.default_rng(21)
+    for _ in range(2):  # the second call reads the cached CDF
+        draws = law.sample_batch(rng_a, np.ones((k, 1), dtype=np.int64), None)
+        expected = np.asarray(values)[rng_b.choice(len(values), p=probs, size=k)]
+        assert draws.dtype == np.int64 and draws.tolist() == expected.tolist()
+    assert rng_a.random() == rng_b.random()
 
 
 class _NoGather(np.ndarray):
