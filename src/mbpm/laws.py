@@ -44,9 +44,7 @@ def size_of(z, u=None):
     defaults to (1,); with more types it must be supplied (it comes from
     the mean matrix spectrum), except at the null state.
     """
-    z = np.asarray(z, dtype=float)
-    if z.ndim == 0:
-        z = z.reshape(1)
+    z = np.atleast_1d(np.asarray(z, dtype=float))
     if u is None:
         if z.shape[-1] != 1 and z.any():
             raise ValueError(
@@ -89,12 +87,9 @@ class Power:
     def __call__(self, z, u=None):
         if self.coeff == 0.0:
             return 0.0
-        s = size_of(z, u)
-        if self.exponent >= 0:
-            return self.coeff * np.power(s, self.exponent)
-        # 0**(-e) = inf gives the limit at s = 0
+        # 0**0 = 1 and 0**(-e) = inf give the limits at s = 0
         with np.errstate(divide="ignore"):
-            return self.coeff * np.power(s, self.exponent)
+            return self.coeff * np.power(size_of(z, u), self.exponent)
 
     def growth_exponent(self) -> float:
         if self.coeff == 0.0:
@@ -158,12 +153,7 @@ class Clamp:
             raise ValueError("clamp bounds are inverted")
 
     def __call__(self, z, u=None):
-        v = self.inner(z, u)
-        if self.lo is not None:
-            v = np.maximum(v, self.lo)
-        if self.hi is not None:
-            v = np.minimum(v, self.hi)
-        return v
+        return np.clip(self.inner(z, u), self.lo, self.hi)
 
     def growth_exponent(self) -> float:
         if self.hi is not None:
@@ -657,16 +647,8 @@ class TableImmigration:
     def raw_moment(self, k: int, z=None, u=None) -> float:
         return float(np.dot(np.asarray(self.values, dtype=float) ** k, self.probs))
 
-    @cached_property
-    def _cdf(self):
-        """The normalized cumulative probabilities that Generator.choice builds per call."""
-        cdf = np.cumsum(np.asarray(self.probs, dtype=float))
-        cdf /= cdf[-1]
-        return cdf
-
     def sample_batch(self, rng, Z, rows, u=None):
-        """One draw per selected row, the same draws as rng.choice(len(values), p=probs)."""
-        idx = self._cdf.searchsorted(rng.random(_count(Z, rows)), side="right")
+        idx = rng.choice(len(self.values), p=self.probs, size=_count(Z, rows))
         return np.asarray(self.values, dtype=np.int64)[idx]
 
     def atoms(self, z=None, u=None, tail: float = DEFAULT_ATOM_TAIL):
@@ -860,7 +842,7 @@ class DeterministicEmigration:
 
     def sample_batch(self, rng, zi):
         """One draw per entry of the counts zi (k,); 0 where a count is 0."""
-        return np.minimum(np.maximum(np.asarray(zi, dtype=np.int64), 0), int(self.value))
+        return np.clip(np.asarray(zi, dtype=np.int64), 0, int(self.value))
 
     def atoms(self, zi: int):
         if zi <= 0:

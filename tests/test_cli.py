@@ -192,18 +192,28 @@ def _no_ensemble(*args, **kwargs):
     raise AssertionError("an ensemble was drawn for a suite that refuses the model")
 
 
-@pytest.mark.parametrize("suite, doc_name, limit, message", [
+_WARNINGS_ARE_ERRORS = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+@pytest.mark.parametrize("suite, doc_name, n, limit, message", [
     # nu >= 2 u.c: unbounded growth is a null event
-    ("gamma-limit", "gamma_single_type", {"c": [0.25]},
+    ("gamma-limit", "gamma_single_type", 20, {"c": [0.25]},
      "gamma-limit is infeasible for this model: it needs variance exponent beta = 1 + alpha"),
     # no first-order growth constant exists
-    ("l1-limit", "sqrt_drift_single_type", {"alpha": 1.0},
+    ("l1-limit", "sqrt_drift_single_type", 20, {"alpha": 1.0},
      "l1-limit is infeasible for this model: alpha must be < 1"),
     # beta < 3 alpha - 1: no fluctuation scale Lambda_n
-    ("normal-limit", "sqrt_drift_single_type", {"alpha": 0.75, "beta": 1.0},
+    ("normal-limit", "sqrt_drift_single_type", 20, {"alpha": 0.75, "beta": 1.0},
      "normal-limit is infeasible for this model: beta must lie in [3 alpha - 1, alpha + 1]"),
-], ids=["gamma-limit", "l1-limit", "normal-limit"])
-def test_limit_suite_infeasible_regime(tmp_path, capsys, monkeypatch, suite, doc_name, limit,
+    # the scale n^{1/(1-alpha)} of both size-scaled laws is 0 at n = 0
+    pytest.param("gamma-limit", "gamma_single_type", 0, {},
+                 "gamma-limit is infeasible for this model: n must be >= 1\n",
+                 marks=_WARNINGS_ARE_ERRORS),
+    pytest.param("l1-limit", "sqrt_drift_single_type", 0, {},
+                 "l1-limit is infeasible for this model: n must be >= 1\n",
+                 marks=_WARNINGS_ARE_ERRORS),
+], ids=["gamma-limit", "l1-limit", "normal-limit", "gamma-limit-n0", "l1-limit-n0"])
+def test_limit_suite_infeasible_regime(tmp_path, capsys, monkeypatch, suite, doc_name, n, limit,
                                        message):
     doc = json.load(open(spec_path(doc_name)))
     doc["limit"].update(limit)
@@ -211,23 +221,10 @@ def test_limit_suite_infeasible_regime(tmp_path, capsys, monkeypatch, suite, doc
     bad.write_text(json.dumps(doc))
     monkeypatch.setattr(cli, "run_ensemble", _no_ensemble)
     code = main(["--spec", str(bad), "--suite", suite,
-                 "--n", "20", "--reps", "50", "--out", str(tmp_path / "rep")])
+                 "--n", str(n), "--reps", "50", "--out", str(tmp_path / "rep")])
     assert code == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "rep").exists()
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("suite, doc_name", [("gamma-limit", "gamma_single_type"),
-                                             ("l1-limit", "sqrt_drift_single_type")])
-def test_size_scaled_limits_refuse_horizon_zero(tmp_path, capsys, suite, doc_name):
-    # the scale n^{1/(1-alpha)} of both laws is 0 at n = 0
-    out = tmp_path / "rep"
-    code = main(["--spec", spec_path(doc_name), "--suite", suite,
-                 "--n", "0", "--reps", "3", "--out", str(out)])
-    assert code == 2
-    assert capsys.readouterr().err == f"error: {suite} is infeasible for this model: n must be >= 1\n"
-    assert not out.exists()
 
 
 # the (suite, document) pairs of the shipped documents that exit 2

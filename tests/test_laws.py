@@ -364,18 +364,6 @@ def test_table_immigration():
         TableImmigration(values=(0, 2), probs=(0.5, 0.5))
 
 
-@pytest.mark.parametrize("k", [0, 1, 7, 30, 1000])
-def test_table_immigration_draws_are_those_of_choice(k):
-    values, probs = (1, 4, 9), (0.6, 0.3, 0.1)
-    law = TableImmigration(values=values, probs=probs)
-    rng_a, rng_b = np.random.default_rng(21), np.random.default_rng(21)
-    for _ in range(2):  # the second call reads the cached CDF
-        draws = law.sample_batch(rng_a, np.ones((k, 1), dtype=np.int64), None)
-        expected = np.asarray(values)[rng_b.choice(len(values), p=probs, size=k)]
-        assert draws.dtype == np.int64 and draws.tolist() == expected.tolist()
-    assert rng_a.random() == rng_b.random()
-
-
 class _NoGather(np.ndarray):
     """A state stack that fails when rows are gathered from it."""
 
