@@ -294,6 +294,8 @@ def _suite_limit(spec: ModelSpec, doc: dict, config: ExperimentConfig):
 def _suite_feller(spec: ModelSpec, doc: dict, config: ExperimentConfig):
     with _applicable("feller"):
         drift, diffusion = feller_params(spec)
+        if config.n < 1:  # the endpoint u.Z_n / n is rescaled by n
+            raise ValueError("n must be >= 1")
     u = spec.spectral().u
     ens = run_ensemble(
         spec, config.n, config.reps, config.seed, store_paths=True, workers=config.workers

@@ -35,34 +35,21 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional
+from functools import cached_property, partial
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import algebra
+from . import algebra, laws
 from .laws import (
-    BernoulliOffspring,
     Clamp,
     Constant,
-    DeterministicEmigration,
-    DeterministicImmigration,
     EmigrationLaw,
-    FiniteOffspring,
-    GeometricOffspring,
     ImmigrationLaw,
     IndependentOffspring,
-    InverseCubeEmigration,
-    OffspringLaw,
     PoissonOffspring,
-    Power,
     ShiftedPoissonImmigration,
     StateFunction,
-    Table,
-    TableImmigration,
-    TableOffspring,
-    TruncatedGeometricEmigration,
-    UniformEmigration,
     poisson_draws,
 )
 
@@ -485,237 +472,147 @@ def sample_step_batch(spec: ModelSpec, z, size: int, rng):
 # ---------------------------------------------------------------------------
 
 
-def _require(d: dict, key: str, path: str):
+def _mapping(d, path: str) -> dict:
     if not isinstance(d, dict):
         raise SpecFormatError(path, f"expected a mapping, got {type(d).__name__}")
-    if key not in d:
+    return d
+
+
+def _require(d, key: str, path: str):
+    if key not in _mapping(d, path):
         raise SpecFormatError(f"{path}.{key}" if path else key, "missing required field")
     return d[key]
 
 
-def _statefn_from_dict(d, path: str) -> StateFunction:
-    kind = _require(d, "kind", path)
+def _integer(x) -> int:
+    """An integer field's value: an int, or an integral float such as 1.0."""
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+        return int(x)
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    raise ValueError(f"expected an integer, got {x!r}")
+
+
+class _Conv(NamedTuple):
+    """A field's conversion from its document value and back."""
+
+    read: Callable  # (document value, field path) -> constructor argument
+    write: Callable  # attribute -> document value
+
+
+class _Field(NamedTuple):
+    key: str
+    conv: _Conv
+    attr: Optional[str] = None  # the attribute's name, where it is not the key
+    optional: bool = False  # absent or null reads as None, and None is not written
+
+
+class _Block(NamedTuple):
+    """The registry of one kind of document block: ``forms`` maps each value
+    of the ``tag`` field (``kind``/``family``; None for a block with one form)
+    to a constructor and its fields in document order, each a ``_Field`` or a
+    (key, conv) pair.  A constructor that is not a class is read, never written.
+    """
+
+    tag: Optional[str]
+    noun: str
+    forms: dict
+
+
+def _read(block: _Block, d, path: str):
+    """The object the document block d at path describes; errors name their field."""
+    _mapping(d, path)
+    tag = _require(d, block.tag, path) if block.tag else None
+    form = block.forms.get(tag) if tag is None or isinstance(tag, str) else None
+    if form is None:
+        raise SpecFormatError(f"{path}.{block.tag}", f"unknown {block.noun} {block.tag} {tag!r}")
+    make, fields = form
+    args = {}
     try:
-        if kind == "constant":
-            return Constant(float(_require(d, "value", path)))
-        if kind == "power":
-            return Power(float(_require(d, "coeff", path)), float(_require(d, "exponent", path)))
-        if kind == "table":
-            return Table(
-                tuple(float(x) for x in _require(d, "breaks", path)),
-                tuple(float(x) for x in _require(d, "values", path)),
-            )
-        if kind == "clamp":
-            inner = _statefn_from_dict(_require(d, "inner", path), f"{path}.inner")
-            lo = d.get("lo")
-            hi = d.get("hi")
-            return Clamp(inner, None if lo is None else float(lo), None if hi is None else float(hi))
+        for key, conv, attr, optional in (_Field(*f) for f in fields):
+            if optional and d.get(key) is None:
+                args[attr or key] = None
+            else:
+                args[attr or key] = conv.read(_require(d, key, path), f"{path}.{key}")
+        return make(**args)
     except SpecFormatError:
         raise
     except (TypeError, ValueError) as exc:
         raise SpecFormatError(path, str(exc)) from exc
-    raise SpecFormatError(f"{path}.kind", f"unknown state function kind {kind!r}")
 
 
-def _statefn_to_dict(f: StateFunction) -> dict:
-    if isinstance(f, Constant):
-        return {"kind": "constant", "value": f.value}
-    if isinstance(f, Power):
-        return {"kind": "power", "coeff": f.coeff, "exponent": f.exponent}
-    if isinstance(f, Table):
-        return {"kind": "table", "breaks": list(f.breaks), "values": list(f.values)}
-    if isinstance(f, Clamp):
-        d = {"kind": "clamp", "inner": _statefn_to_dict(f.inner)}
-        if f.lo is not None:
-            d["lo"] = f.lo
-        if f.hi is not None:
-            d["hi"] = f.hi
-        return d
-    raise TypeError(f"not a state function: {f!r}")
+def _write(block: _Block, obj) -> dict:
+    """The document block of obj, which ``_read`` reads back as obj."""
+    for tag, (make, fields) in block.forms.items():
+        if isinstance(make, type) and isinstance(obj, make):
+            d = {block.tag: tag} if block.tag else {}
+            for key, conv, attr, optional in (_Field(*f) for f in fields):
+                value = getattr(obj, attr or key)
+                if not (optional and value is None):
+                    d[key] = conv.write(value)
+            return d
+    raise TypeError(f"no {block.noun} form writes {obj!r}")
 
 
-def _marginal_from_dict(d, path: str):
-    fam = _require(d, "family", path)
-    try:
-        if fam == "poisson":
-            return PoissonOffspring(float(_require(d, "mean", path)))
-        if fam == "bernoulli":
-            return BernoulliOffspring(float(_require(d, "prob", path)))
-        if fam == "geometric":
-            return GeometricOffspring(float(_require(d, "mean", path)))
-        if fam == "deterministic":
-            return TableOffspring((int(_require(d, "value", path)),), (1.0,))
-        if fam == "table":
-            return TableOffspring(
-                tuple(int(v) for v in _require(d, "values", path)),
-                tuple(float(x) for x in _require(d, "probs", path)),
-            )
-    except SpecFormatError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise SpecFormatError(path, str(exc)) from exc
-    raise SpecFormatError(f"{path}.family", f"unknown offspring family {fam!r}")
+def _one(block: _Block) -> _Conv:
+    return _Conv(partial(_read, block), partial(_write, block))
 
 
-def _marginal_to_dict(law) -> dict:
-    if isinstance(law, PoissonOffspring):
-        return {"family": "poisson", "mean": law.mean}
-    if isinstance(law, BernoulliOffspring):
-        return {"family": "bernoulli", "prob": law.prob}
-    if isinstance(law, GeometricOffspring):
-        return {"family": "geometric", "mean": law.mean}
-    if isinstance(law, TableOffspring):
-        return {"family": "table", "values": list(law.values), "probs": list(law.probs)}
-    raise TypeError(f"not a scalar offspring law: {law!r}")
-
-
-def _offspring_law_from_dict(d, path: str) -> OffspringLaw:
-    kind = _require(d, "kind", path)
-    try:
-        if kind == "independent":
-            comps = _require(d, "components", path)
-            return IndependentOffspring(
-                tuple(
-                    _marginal_from_dict(c, f"{path}.components[{j}]")
-                    for j, c in enumerate(comps)
-                )
-            )
-        if kind == "table":
-            return FiniteOffspring(
-                tuple(tuple(int(x) for x in v) for v in _require(d, "vectors", path)),
-                tuple(float(x) for x in _require(d, "probs", path)),
-            )
-    except SpecFormatError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise SpecFormatError(path, str(exc)) from exc
-    raise SpecFormatError(f"{path}.kind", f"unknown offspring law kind {kind!r}")
-
-
-def _offspring_law_to_dict(law) -> dict:
-    if isinstance(law, IndependentOffspring):
-        return {
-            "kind": "independent",
-            "components": [_marginal_to_dict(c) for c in law.components],
-        }
-    if isinstance(law, FiniteOffspring):
-        return {
-            "kind": "table",
-            "vectors": [list(v) for v in law.vectors],
-            "probs": list(law.probs),
-        }
-    raise TypeError(f"not an offspring law: {law!r}")
-
-
-def _immigration_from_dict(d, path: str) -> ImmigrationLaw:
-    fam = _require(d, "family", path)
-    try:
-        if fam == "shifted_poisson":
-            return ShiftedPoissonImmigration(
-                _statefn_from_dict(_require(d, "mean", path), f"{path}.mean")
-            )
-        if fam == "deterministic":
-            return DeterministicImmigration(int(_require(d, "value", path)))
-        if fam == "table":
-            return TableImmigration(
-                tuple(int(v) for v in _require(d, "values", path)),
-                tuple(float(x) for x in _require(d, "probs", path)),
-            )
-    except SpecFormatError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise SpecFormatError(path, str(exc)) from exc
-    raise SpecFormatError(f"{path}.family", f"unknown immigration family {fam!r}")
-
-
-def _immigration_to_dict(law) -> dict:
-    if isinstance(law, ShiftedPoissonImmigration):
-        return {"family": "shifted_poisson", "mean": _statefn_to_dict(law.mean_fn)}
-    if isinstance(law, DeterministicImmigration):
-        return {"family": "deterministic", "value": int(law.value)}
-    if isinstance(law, TableImmigration):
-        return {"family": "table", "values": list(law.values), "probs": list(law.probs)}
-    raise TypeError(f"not an immigration law: {law!r}")
-
-
-def _emigration_from_dict(d, path: str) -> EmigrationLaw:
-    fam = _require(d, "family", path)
-    try:
-        if fam == "uniform":
-            return UniformEmigration()
-        if fam == "truncated_geometric":
-            return TruncatedGeometricEmigration(float(_require(d, "ratio", path)))
-        if fam == "inverse_cube":
-            return InverseCubeEmigration()
-        if fam == "deterministic":
-            return DeterministicEmigration(int(_require(d, "value", path)))
-    except SpecFormatError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise SpecFormatError(path, str(exc)) from exc
-    raise SpecFormatError(f"{path}.family", f"unknown emigration family {fam!r}")
-
-
-def _emigration_to_dict(law) -> dict:
-    if isinstance(law, UniformEmigration):
-        return {"family": "uniform"}
-    if isinstance(law, TruncatedGeometricEmigration):
-        return {"family": "truncated_geometric", "ratio": law.ratio}
-    if isinstance(law, InverseCubeEmigration):
-        return {"family": "inverse_cube"}
-    if isinstance(law, DeterministicEmigration):
-        return {"family": "deterministic", "value": int(law.value)}
-    raise TypeError(f"not an emigration law: {law!r}")
-
-
-def _component_from_dict(d, path: str) -> MigrationComponent:
-    imm = d.get("immigration") if isinstance(d, dict) else None
-    emi = d.get("emigration") if isinstance(d, dict) else None
-    return MigrationComponent(
-        prob_none=_statefn_from_dict(_require(d, "prob_none", path), f"{path}.prob_none"),
-        prob_imm=_statefn_from_dict(_require(d, "prob_imm", path), f"{path}.prob_imm"),
-        prob_em=_statefn_from_dict(_require(d, "prob_em", path), f"{path}.prob_em"),
-        immigration=None if imm is None else _immigration_from_dict(imm, f"{path}.immigration"),
-        emigration=None if emi is None else _emigration_from_dict(emi, f"{path}.emigration"),
+def _each(block: _Block) -> _Conv:
+    return _Conv(
+        lambda ds, path: tuple(_read(block, d, f"{path}[{j}]") for j, d in enumerate(ds)),
+        lambda objs: [_write(block, obj) for obj in objs],
     )
 
 
-def _component_to_dict(c: MigrationComponent) -> dict:
-    d = {
-        "prob_none": _statefn_to_dict(c.prob_none),
-        "prob_imm": _statefn_to_dict(c.prob_imm),
-        "prob_em": _statefn_to_dict(c.prob_em),
-    }
-    if c.immigration is not None:
-        d["immigration"] = _immigration_to_dict(c.immigration)
-    if c.emigration is not None:
-        d["emigration"] = _emigration_to_dict(c.emigration)
-    return d
+_FLOAT = _Conv(lambda x, path: float(x), lambda x: x)
+_INT = _Conv(lambda x, path: _integer(x), int)
+_FLOATS = _Conv(lambda xs, path: tuple(float(x) for x in xs), list)
+_INTS = _Conv(lambda xs, path: tuple(_integer(x) for x in xs), list)
+_INT_ROWS = _Conv(lambda rows, path: tuple(_INTS.read(row, path) for row in rows),
+                  lambda rows: [list(row) for row in rows])
 
-
-def _initial_from_dict(d, path: str) -> InitialLaw:
-    kind = _require(d, "kind", path)
-    try:
-        if kind == "deterministic":
-            return DeterministicInitial(tuple(int(x) for x in _require(d, "state", path)))
-        if kind == "table":
-            return TableInitial(
-                tuple(tuple(int(x) for x in s) for s in _require(d, "states", path)),
-                tuple(float(x) for x in _require(d, "probs", path)),
-            )
-    except SpecFormatError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise SpecFormatError(path, str(exc)) from exc
-    raise SpecFormatError(f"{path}.kind", f"unknown initial law kind {kind!r}")
-
-
-def _initial_to_dict(law) -> dict:
-    if isinstance(law, DeterministicInitial):
-        return {"kind": "deterministic", "state": list(law.state)}
-    if isinstance(law, TableInitial):
-        return {"kind": "table", "states": [list(s) for s in law.states], "probs": list(law.probs)}
-    raise TypeError(f"not an initial law: {law!r}")
+# a state function field; bound late, as a clamp nests one in the registry below
+_STATE = _Conv(lambda d, path: _read(_STATE_FN, d, path), lambda f: _write(_STATE_FN, f))
+_STATE_FN = _Block("kind", "state function", {
+    "constant": (laws.Constant, [("value", _FLOAT)]),
+    "power": (laws.Power, [("coeff", _FLOAT), ("exponent", _FLOAT)]),
+    "table": (laws.Table, [("breaks", _FLOATS), ("values", _FLOATS)]),
+    "clamp": (laws.Clamp, [
+        ("inner", _STATE), _Field("lo", _FLOAT, optional=True), _Field("hi", _FLOAT, optional=True),
+    ]),
+})
+_MARGINAL = _Block("family", "offspring", {
+    "poisson": (laws.PoissonOffspring, [("mean", _FLOAT)]),
+    "bernoulli": (laws.BernoulliOffspring, [("prob", _FLOAT)]),
+    "geometric": (laws.GeometricOffspring, [("mean", _FLOAT)]),
+    "deterministic": (lambda value: laws.TableOffspring((value,), (1.0,)), [("value", _INT)]),
+    "table": (laws.TableOffspring, [("values", _INTS), ("probs", _FLOATS)]),
+})
+_OFFSPRING = _Block("kind", "offspring law", {
+    "independent": (laws.IndependentOffspring, [("components", _each(_MARGINAL))]),
+    "table": (laws.FiniteOffspring, [("vectors", _INT_ROWS), ("probs", _FLOATS)]),
+})
+_IMMIGRATION = _Block("family", "immigration", {
+    "shifted_poisson": (laws.ShiftedPoissonImmigration, [_Field("mean", _STATE, "mean_fn")]),
+    "deterministic": (laws.DeterministicImmigration, [("value", _INT)]),
+    "table": (laws.TableImmigration, [("values", _INTS), ("probs", _FLOATS)]),
+})
+_EMIGRATION = _Block("family", "emigration", {
+    "uniform": (laws.UniformEmigration, []),
+    "truncated_geometric": (laws.TruncatedGeometricEmigration, [("ratio", _FLOAT)]),
+    "inverse_cube": (laws.InverseCubeEmigration, []),
+    "deterministic": (laws.DeterministicEmigration, [("value", _INT)]),
+})
+_COMPONENT = _Block(None, "migration component", {None: (MigrationComponent, [
+    ("prob_none", _STATE), ("prob_imm", _STATE), ("prob_em", _STATE),
+    _Field("immigration", _one(_IMMIGRATION), optional=True),
+    _Field("emigration", _one(_EMIGRATION), optional=True),
+])})
+_INITIAL = _Block("kind", "initial law", {
+    "deterministic": (DeterministicInitial, [("state", _INTS)]),
+    "table": (TableInitial, [("states", _INT_ROWS), ("probs", _FLOATS)]),
+})
 
 
 def spec_from_dict(doc: dict) -> ModelSpec:
@@ -728,11 +625,7 @@ def spec_from_dict(doc: dict) -> ModelSpec:
     offspring_doc = _require(doc, "offspring", "")
     if not isinstance(offspring_doc, (list, tuple)):
         raise SpecFormatError("offspring", "expected a list of per-type offspring laws")
-    offspring = OffspringSpec(
-        tuple(
-            _offspring_law_from_dict(d, f"offspring[{i}]") for i, d in enumerate(offspring_doc)
-        )
-    )
+    offspring = OffspringSpec(_each(_OFFSPRING).read(offspring_doc, "offspring"))
     migration_doc = _require(doc, "migration", "")
     if not isinstance(migration_doc, (list, tuple)):
         raise SpecFormatError("migration", "expected a list of per-type components")
@@ -740,12 +633,8 @@ def spec_from_dict(doc: dict) -> ModelSpec:
         raise SpecFormatError(
             "migration", f"{len(migration_doc)} components for {offspring.dim} types"
         )
-    migration = MigrationSpec(
-        tuple(
-            _component_from_dict(d, f"migration[{i}]") for i, d in enumerate(migration_doc)
-        )
-    )
-    initial = _initial_from_dict(_require(doc, "initial", ""), "initial")
+    migration = MigrationSpec(_each(_COMPONENT).read(migration_doc, "migration"))
+    initial = _read(_INITIAL, _require(doc, "initial", ""), "initial")
     try:
         spec = ModelSpec(offspring, migration, initial)
         spec.validate()
@@ -759,9 +648,9 @@ def spec_from_dict(doc: dict) -> ModelSpec:
 def spec_to_dict(spec: ModelSpec) -> dict:
     return {
         "dim": spec.dim,
-        "offspring": [_offspring_law_to_dict(law) for law in spec.offspring.laws],
-        "migration": [_component_to_dict(c) for c in spec.migration.components],
-        "initial": _initial_to_dict(spec.initial),
+        "offspring": _each(_OFFSPRING).write(spec.offspring.laws),
+        "migration": _each(_COMPONENT).write(spec.migration.components),
+        "initial": _write(_INITIAL, spec.initial),
     }
 
 

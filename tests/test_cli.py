@@ -212,7 +212,12 @@ _WARNINGS_ARE_ERRORS = pytest.mark.filterwarnings("error::RuntimeWarning")
     pytest.param("l1-limit", "sqrt_drift_single_type", 0, {},
                  "l1-limit is infeasible for this model: n must be >= 1\n",
                  marks=_WARNINGS_ARE_ERRORS),
-], ids=["gamma-limit", "l1-limit", "normal-limit", "gamma-limit-n0", "l1-limit-n0"])
+    # feller rescales the endpoint by n
+    pytest.param("feller", "gamma_single_type", 0, {},
+                 "feller is infeasible for this model: n must be >= 1\n",
+                 marks=_WARNINGS_ARE_ERRORS),
+], ids=["gamma-limit", "l1-limit", "normal-limit", "gamma-limit-n0", "l1-limit-n0",
+        "feller-n0"])
 def test_limit_suite_infeasible_regime(tmp_path, capsys, monkeypatch, suite, doc_name, n, limit,
                                        message):
     doc = json.load(open(spec_path(doc_name)))

@@ -415,6 +415,212 @@ def test_bad_offspring_family_is_named():
     assert "offspring[1]" in str(err.value)
 
 
+# The digest of each shipped document.  Reports carry it, so any change in
+# what spec_to_dict writes shows here.
+SHIPPED_DIGESTS = {
+    "gamma_single_type": "f871bb125ea2cf331fb6fc2c1a737e5f76d5de64fdf86ffa391cb405be673a7f",
+    "sqrt_drift_single_type": "b030aba7b15f54fa519f5a2a0830f103ab68e8c47d117a6e717a30c21518b2c2",
+    "two_type_mixed": "1e436b4d9b7ee5dbcc8f3080e9ebaed5f805a0bcf1553d2623ea4582e7a873de",
+    "pure_emigration": "0eb16a9088f385a513273ee19dd44fa678e8b12ef770bdff8d8690ffae84350d",
+    "small_support": "0da01724cb0f95f1e15373e299300def25ff2afd911b4a2de1d849403413754e",
+    "pure_death": "7c5923fa65a63b127701885ce2960a157d9bf30cb82c9528216b31d75047fe16",
+}
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_digests_are_pinned(name):
+    assert spec_digest(load_spec(spec_path(name))) == SHIPPED_DIGESTS[name]
+
+
+def _const(v):
+    return {"kind": "constant", "value": v}
+
+
+# Every kind and family the schema has: the four state functions (a power
+# outside a clamp, a clamp with only lo, one with only hi), the five
+# marginals (with the read-only `deterministic` alias of a one-atom table),
+# both offspring kinds, three immigration and four emigration families, and
+# a table initial law (ALL_FAMILIES_DETERMINISTIC has the other kind).
+ALL_FAMILIES = {
+    "dim": 4,
+    "offspring": [
+        {"kind": "independent", "components": [
+            {"family": "poisson", "mean": 0.3}, {"family": "bernoulli", "prob": 0.2},
+            {"family": "geometric", "mean": 0.25}, {"family": "deterministic", "value": 1}]},
+        {"kind": "table", "vectors": [[1, 0, 1, 0], [0, 1, 0, 1]], "probs": [0.5, 0.5]},
+        {"kind": "independent", "components": [
+            {"family": "table", "values": [0, 1], "probs": [0.6, 0.4]},
+            {"family": "poisson", "mean": 0.2}, {"family": "poisson", "mean": 0.2},
+            {"family": "bernoulli", "prob": 0.3}]},
+        {"kind": "independent", "components": [
+            {"family": "geometric", "mean": 0.1},
+            {"family": "table", "values": [0, 2], "probs": [0.9, 0.1]},
+            {"family": "poisson", "mean": 0.1}, {"family": "poisson", "mean": 0.5}]},
+    ],
+    "migration": [
+        {"prob_none": {"kind": "power", "coeff": 0.5, "exponent": 0.0},
+         "prob_imm": {"kind": "table", "breaks": [0.0, 10.0], "values": [0.3, 0.2]},
+         "prob_em": {"kind": "table", "breaks": [0.0, 10.0], "values": [0.2, 0.3]},
+         "immigration": {"family": "shifted_poisson", "mean": {
+             "kind": "clamp", "inner": {"kind": "power", "coeff": 1.0, "exponent": 0.5},
+             "lo": 1.0}},
+         "emigration": {"family": "uniform"}},
+        {"prob_none": _const(0.6),
+         "prob_imm": {"kind": "clamp", "inner": _const(0.3), "hi": 0.2},
+         "prob_em": _const(0.2),
+         "immigration": {"family": "deterministic", "value": 2},
+         "emigration": {"family": "truncated_geometric", "ratio": 0.5}},
+        {"prob_none": _const(0.5), "prob_imm": _const(0.3), "prob_em": _const(0.2),
+         "immigration": {"family": "table", "values": [1, 3], "probs": [0.5, 0.5]},
+         "emigration": {"family": "inverse_cube"}},
+        {"prob_none": _const(0.7), "prob_imm": _const(0.0), "prob_em": _const(0.3),
+         "emigration": {"family": "deterministic", "value": 1}},
+    ],
+    "initial": {"kind": "table", "states": [[1, 0, 0, 0], [0, 1, 1, 1]], "probs": [0.5, 0.5]},
+}
+ALL_FAMILIES_DETERMINISTIC = dict(ALL_FAMILIES,
+                                  initial={"kind": "deterministic", "state": [1, 2, 0, 3]})
+
+
+@pytest.mark.parametrize("doc, digest", [
+    (ALL_FAMILIES, "726431708d7c70c3a6fa61a5fb9ddd394bc36b0aa701a56e3a2083ef4902fae0"),
+    (ALL_FAMILIES_DETERMINISTIC,
+     "a0b7c92f4aa406b43fc0f3d11366d0b638b8eae1b5127ac6d8df317daa9eb915"),
+], ids=["table-initial", "deterministic-initial"])
+def test_every_kind_and_family_round_trips(doc, digest):
+    spec = spec_from_dict(copy.deepcopy(doc))
+    written = spec_to_dict(spec)
+    again = spec_from_dict(written)
+    assert spec_to_dict(again) == written
+    assert spec_digest(spec) == spec_digest(again) == digest
+    # the deterministic marginal is read as a one-atom table and written as one
+    assert written["offspring"][0]["components"][3] == {
+        "family": "table", "values": [1], "probs": [1.0]}
+
+
+_DELETE = object()
+
+
+def _edited(doc, keys, value):
+    doc = copy.deepcopy(doc)
+    *parents, last = keys
+    target = doc
+    for k in parents:
+        target = target[k]
+    if value is _DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("keys, value, message", [
+    # an unknown kind or family in every block
+    (("migration", 0, "prob_none", "kind"), "x",
+     "migration[0].prob_none.kind: unknown state function kind 'x'"),
+    (("migration", 0, "immigration", "mean", "inner", "kind"), "x",
+     "migration[0].immigration.mean.inner.kind: unknown state function kind 'x'"),
+    (("offspring", 0, "components", 2, "family"), "x",
+     "offspring[0].components[2].family: unknown offspring family 'x'"),
+    (("offspring", 1, "kind"), "x", "offspring[1].kind: unknown offspring law kind 'x'"),
+    (("migration", 2, "immigration", "family"), "x",
+     "migration[2].immigration.family: unknown immigration family 'x'"),
+    (("migration", 1, "emigration", "family"), "x",
+     "migration[1].emigration.family: unknown emigration family 'x'"),
+    (("initial", "kind"), "x", "initial.kind: unknown initial law kind 'x'"),
+    (("initial", "kind"), ["table"], "initial.kind: unknown initial law kind ['table']"),
+    (("offspring", 0, "kind"), None, "offspring[0].kind: unknown offspring law kind None"),
+    # a missing required field in every kind and family that has one
+    (("migration", 1, "prob_em", "value"), _DELETE,
+     "migration[1].prob_em.value: missing required field"),
+    (("migration", 0, "prob_none", "exponent"), _DELETE,
+     "migration[0].prob_none.exponent: missing required field"),
+    (("migration", 0, "prob_imm", "breaks"), _DELETE,
+     "migration[0].prob_imm.breaks: missing required field"),
+    (("migration", 1, "prob_imm", "inner"), _DELETE,
+     "migration[1].prob_imm.inner: missing required field"),
+    (("offspring", 0, "components", 0, "mean"), _DELETE,
+     "offspring[0].components[0].mean: missing required field"),
+    (("offspring", 0, "components", 1, "prob"), _DELETE,
+     "offspring[0].components[1].prob: missing required field"),
+    (("offspring", 0, "components", 2, "mean"), _DELETE,
+     "offspring[0].components[2].mean: missing required field"),
+    (("offspring", 0, "components", 3, "value"), _DELETE,
+     "offspring[0].components[3].value: missing required field"),
+    (("offspring", 2, "components", 0, "probs"), _DELETE,
+     "offspring[2].components[0].probs: missing required field"),
+    (("offspring", 0, "components"), _DELETE, "offspring[0].components: missing required field"),
+    (("offspring", 1, "vectors"), _DELETE, "offspring[1].vectors: missing required field"),
+    (("offspring", 0, "kind"), _DELETE, "offspring[0].kind: missing required field"),
+    (("migration", 0, "immigration", "mean"), _DELETE,
+     "migration[0].immigration.mean: missing required field"),
+    (("migration", 1, "immigration", "value"), _DELETE,
+     "migration[1].immigration.value: missing required field"),
+    (("migration", 2, "immigration", "values"), _DELETE,
+     "migration[2].immigration.values: missing required field"),
+    (("migration", 0, "immigration", "family"), _DELETE,
+     "migration[0].immigration.family: missing required field"),
+    (("migration", 1, "emigration", "ratio"), _DELETE,
+     "migration[1].emigration.ratio: missing required field"),
+    (("migration", 3, "emigration", "value"), _DELETE,
+     "migration[3].emigration.value: missing required field"),
+    (("migration", 2, "prob_em"), _DELETE, "migration[2].prob_em: missing required field"),
+    (("initial", "states"), _DELETE, "initial.states: missing required field"),
+    (("initial", "kind"), _DELETE, "initial.kind: missing required field"),
+    (("initial",), _DELETE, "initial: missing required field"),
+    # a block that is not a mapping
+    (("migration", 0, "prob_none"), 0.5, "migration[0].prob_none: expected a mapping, got float"),
+    (("migration", 0, "immigration", "mean"), 2.0,
+     "migration[0].immigration.mean: expected a mapping, got float"),
+    (("offspring", 0, "components", 0), "poisson",
+     "offspring[0].components[0]: expected a mapping, got str"),
+    (("offspring", 1), [], "offspring[1]: expected a mapping, got list"),
+    (("migration", 0, "immigration"), 2, "migration[0].immigration: expected a mapping, got int"),
+    (("migration", 1, "emigration"), "uniform",
+     "migration[1].emigration: expected a mapping, got str"),
+    (("migration", 3), None, "migration[3]: expected a mapping, got NoneType"),
+    (("initial",), [1, 2, 0, 3], "initial: expected a mapping, got list"),
+    # a constructor's refusal is reported at its block
+    (("migration", 1, "prob_imm", "lo"), 0.5, "migration[1].prob_imm: clamp bounds are inverted"),
+    (("offspring", 0, "components", 0, "mean"), "abc",
+     "offspring[0].components[0]: could not convert string to float: 'abc'"),
+    (("offspring", 0, "components"), 3, "offspring[0]: 'int' object is not iterable"),
+])
+def test_format_errors_name_their_field(keys, value, message):
+    with pytest.raises(SpecFormatError) as err:
+        spec_from_dict(_edited(ALL_FAMILIES, keys, value))
+    assert str(err.value) == message
+
+
+_INTEGER_FIELDS = [
+    (("initial", "state", 0), "initial"),
+    (("migration", 1, "immigration", "value"), "migration[1].immigration"),
+    (("migration", 3, "emigration", "value"), "migration[3].emigration"),
+    (("offspring", 0, "components", 3, "value"), "offspring[0].components[3]"),
+    (("offspring", 2, "components", 0, "values", 1), "offspring[2].components[0]"),
+    (("offspring", 1, "vectors", 0, 0), "offspring[1]"),
+]
+_INTEGER_IDS = [".".join(map(str, keys)) for keys, _ in _INTEGER_FIELDS]
+
+
+@pytest.mark.parametrize("value", [1.7, True, "1"], ids=["fraction", "bool", "string"])
+@pytest.mark.parametrize("keys, path", _INTEGER_FIELDS, ids=_INTEGER_IDS)
+def test_integer_fields_refuse_non_integers(keys, path, value):
+    with pytest.raises(SpecFormatError) as err:
+        spec_from_dict(_edited(ALL_FAMILIES_DETERMINISTIC, keys, value))
+    assert str(err.value) == f"{path}: expected an integer, got {value!r}"
+
+
+@pytest.mark.parametrize("keys, path", _INTEGER_FIELDS, ids=_INTEGER_IDS)
+def test_integer_fields_accept_integral_floats(keys, path):
+    doc = ALL_FAMILIES_DETERMINISTIC
+    target = doc
+    for k in keys:
+        target = target[k]
+    spec = spec_from_dict(_edited(doc, keys, float(target)))
+    assert spec_digest(spec) == spec_digest(spec_from_dict(copy.deepcopy(doc)))
+
+
 def test_load_spec_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_spec(str(tmp_path / "nope.json"))
