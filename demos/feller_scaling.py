@@ -9,16 +9,18 @@ Feller branching diffusion with immigration:
 
 where the drift b is the weighted migration surplus and the diffusion
 coefficient a is the reproduction variance seen through the Perron
-weights.  This script extracts (b, a) from the model, simulates the
-rescaled step functions t -> Z_{floor(n t)} / n, integrates the SDE
-with an Euler scheme, and compares the two endpoint distributions.
+weights.  This Y is a scaled squared Bessel process, so Y_1 follows the
+Gamma law of shape 2b/a and scale a/2 exactly (Feller 1951).  This
+script extracts (b, a) from the model, simulates the rescaled step
+functions t -> Z_{floor(n t)} / n, and compares their endpoints with
+that Gamma law by a one-sample KS distance.
 """
 import numpy as np
 
 from mbpm import (
-    ecdf,
-    euler_maruyama,
     feller_params,
+    gamma_cdf,
+    gamma_quantile,
     ks_statistic,
     load_spec,
     run_ensemble,
@@ -43,30 +45,27 @@ print("t:", np.array2string(path.times, precision=1))
 print("Y:", np.array2string(path.values[:, 0], precision=3))
 
 # ---------------------------------------------------------------------------
-# endpoint law: rescaled ensemble versus Euler integration of the SDE
+# endpoint law: rescaled ensemble versus the exact law of Y_1
 # ---------------------------------------------------------------------------
 
 R = 800
 print(f"\nsimulating {R} trajectories of length {n} ...")
 ens = run_ensemble(spec, n=n, R=R, master_seed=16021, store_paths=True)
 w_model = ens.paths[:, n, 0] / float(n)
-
-print(f"integrating {R} Euler paths with dt = 1e-3 ...")
-_, y = euler_maruyama(drift, diffusion, T=1.0, dt=1e-3, rng=stream_for(16021, R), n_paths=R)
-w_sde = y[:, -1]
+shape, scale = 2.0 * drift / diffusion, diffusion / 2.0
 
 print(f"\nmodel endpoint:     mean {w_model.mean():.4f}, std {w_model.std(ddof=1):.4f}")
-print(f"diffusion endpoint: mean {w_sde.mean():.4f}, std {w_sde.std(ddof=1):.4f}")
+print(f"diffusion endpoint: mean {shape * scale:.4f}, std {np.sqrt(shape) * scale:.4f}"
+      f" (Gamma({shape:g}, {scale:g}))")
 
-ks = ks_statistic(w_model, ecdf(w_sde))
-print(f"two-sample KS distance: {ks:.4f}")
+ks = ks_statistic(w_model, lambda x: gamma_cdf(x, shape, scale))
+print(f"one-sample KS distance: {ks:.4f}")
 
-# quantile fan of the two endpoint samples
+# quantiles of the model endpoints against the Gamma law's
+qs = (0.1, 0.25, 0.5, 0.75, 0.9)
 print(f"\n{'quantile':>9} {'model':>8} {'diffusion':>10}")
-for q in (0.1, 0.25, 0.5, 0.75, 0.9):
-    print(
-        f"{q:9.2f} {np.quantile(w_model, q):8.3f} {np.quantile(w_sde, q):10.3f}"
-    )
+for q, ref in zip(qs, gamma_quantile(qs, shape, scale)):
+    print(f"{q:9.2f} {np.quantile(w_model, q):8.3f} {ref:10.3f}")
 
 assert ks < 0.10, "rescaled endpoints strayed from the diffusion law"
 print("\nPASS: rescaled paths match the Feller diffusion")

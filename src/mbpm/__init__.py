@@ -95,6 +95,7 @@ from .montecarlo import (
     ecdf,
     estimate_explosion,
     gamma_cdf,
+    gamma_quantile,
     gof_report,
     ks_statistic,
     moment_check,

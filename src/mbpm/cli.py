@@ -11,8 +11,10 @@ runner, ``_suite_limit``: it derives the limit parameters and the
 normalizing sequence a_n, asks the suite's entry in ``_LIMIT_LAWS`` for
 its sample transform and gate (refusing the model before any ensemble is
 drawn when the law does not exist), then keeps the replicates with
-u.Z_n > eps * a_n and gates their transformed sizes.  Option defaults are
-the field defaults of ``ExperimentConfig``.
+u.Z_n > eps * a_n and gates their transformed sizes.  The feller suite
+gates the endpoints u.Z_n / n through the same gamma KS gate: its
+diffusion limit has an exact Gamma law at every time, so no reference is
+simulated.  Option defaults are the field defaults of ``ExperimentConfig``.
 
 Each suite returns its plot data as named tables, a header plus one
 sequence per column, and ``_write_tsv`` writes each one from its columns:
@@ -39,17 +41,16 @@ from typing import Optional
 import numpy as np
 
 from .classify import CriteriaConfig, classify_growth, estimate_exponents
-from .limits import a_seq, euler_maruyama, feller_params, lambda_n, params_from_spec, power_drift
+from .limits import a_seq, feller_params, lambda_n, params_from_spec, power_drift
 from .model import ModelSpec, SpecFormatError, spec_digest, spec_from_dict
 from .montecarlo import (
-    ecdf,
     estimate_explosion,
     gamma_cdf,
+    gamma_quantile,
     gof_report,
     moment_check,
     normal_cdf,
     run_ensemble,
-    stream_for,
 )
 
 SUITES = ("moments", "classify", "gamma-limit", "normal-limit", "l1-limit", "feller", "explosion")
@@ -87,7 +88,6 @@ class ExperimentConfig:
     threshold_ks: Optional[float] = None
     threshold_rel: float = 0.10
     probe_magnitudes: tuple = (1e3, 1e4, 1e5)
-    dt: float = 1e-3
     explosion_k: float = 1e3
     state: Optional[tuple] = None
     workers: Optional[int] = None
@@ -141,6 +141,12 @@ def _ks_check(sample, config, cdf, law: str, law_params: dict):
     columns = (gof.sorted_sample, np.arange(1, n + 1) / n, gof.reference_values)
     files = {"cdf_pairs.tsv": (("x", "empirical", "reference"), columns)}
     return gof.passed, {"gof": gof.to_dict()}, files
+
+
+def _gamma_gate(shape: float, scale: float):
+    """The KS gate, gate(sample, config), of a sample against Gamma(shape, scale)."""
+    return partial(_ks_check, cdf=lambda x: gamma_cdf(x, shape, scale), law="gamma",
+                   law_params={"shape": shape, "scale": scale})
 
 
 def _quantile_columns(x):
@@ -218,13 +224,7 @@ def _gamma_law(params, n, uu, a_n):
             "unbounded growth has probability zero and no gamma limit exists)"
         )
     scale_n = _size_scale(params, n)
-    shape, scale = params.gamma_shape, params.gamma_scale
-    gate = partial(
-        _ks_check,
-        cdf=lambda x: gamma_cdf(x, shape, scale),
-        law="gamma",
-        law_params={"shape": shape, "scale": scale},
-    )
+    gate = _gamma_gate(params.gamma_shape, params.gamma_scale)
     return lambda w: (w / (scale_n * uu)) ** (1.0 - params.alpha), gate, {}
 
 
@@ -292,43 +292,37 @@ def _suite_limit(spec: ModelSpec, doc: dict, config: ExperimentConfig):
 
 
 def _suite_feller(spec: ModelSpec, doc: dict, config: ExperimentConfig):
+    """Rescaled paths u.Z_[nt]/n against their Feller diffusion limit Y, Y_0 = 0.
+
+    Y is a scaled squared Bessel process (Feller 1951), so Y_t is exactly
+    Gamma(2 drift / diffusion, diffusion t / 2): the endpoints take the
+    one-sample gamma KS gate, and the fan's reference quantiles at time t
+    are t times those at t = 1.
+    """
     with _applicable("feller"):
         drift, diffusion = feller_params(spec)
+        if drift <= 0.0:
+            raise ValueError("it needs drift > 0 (a limit started at 0 without drift stays at 0)")
+        if diffusion <= 0.0:
+            raise ValueError("it needs diffusion > 0 (otherwise the limit is degenerate)")
         if config.n < 1:  # the endpoint u.Z_n / n is rescaled by n
             raise ValueError("n must be >= 1")
+    shape, scale = 2.0 * drift / diffusion, diffusion / 2.0
     u = spec.spectral().u
     ens = run_ensemble(
         spec, config.n, config.reps, config.seed, store_paths=True, workers=config.workers
     )
-    w_emp = ens.terminal_weighted(u) / config.n
-    times, paths = euler_maruyama(
-        drift,
-        diffusion,
-        T=1.0,
-        dt=config.dt,
-        rng=stream_for(config.seed, config.reps),
-        n_paths=config.reps,
-    )
-    passed, payload, files = _ks_check(
-        w_emp,
-        config,
-        ecdf(paths[:, -1]),
-        "diffusion endpoint (reference integrator)",
-        {"drift": drift, "diffusion": diffusion, "dt": config.dt},
-    )
-    # quantile fan of the rescaled trajectories against the integrator's
+    passed, payload, files = _gamma_gate(shape, scale)(ens.terminal_weighted(u) / config.n, config)
     grid = np.linspace(0.0, 1.0, 101)
     idx = np.minimum((grid * config.n).astype(int), config.n)
-    scaled = (ens.paths @ u)[:, idx] / config.n
-    em_idx = np.minimum((grid / config.dt).astype(int), paths.shape[1] - 1)
-    emp_q = np.quantile(scaled, _FAN_QUANTILES, axis=0)
-    ref_q = np.quantile(paths[:, em_idx], _FAN_QUANTILES, axis=0)
+    emp_q = np.quantile((ens.paths @ u)[:, idx] / config.n, _FAN_QUANTILES, axis=0)
+    ref_q = np.outer(gamma_quantile(_FAN_QUANTILES, shape, scale), grid)
     header = (
         ["t"]
         + [f"emp_q{int(100 * q)}" for q in _FAN_QUANTILES]
         + [f"ref_q{int(100 * q)}" for q in _FAN_QUANTILES]
     )
-    payload.update(drift=drift, diffusion=diffusion, dt=config.dt, ensemble=ens.summary())
+    payload.update(drift=drift, diffusion=diffusion, ensemble=ens.summary())
     files["quantile_fan.tsv"] = (header, [grid, *emp_q, *ref_q])
     return passed, payload, files
 
@@ -442,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="classify probe sizes (default "
         + ",".join(f"{m:g}" for m in defaults["probe_magnitudes"]) + ")",
     )
-    parser.add_argument("--dt", type=float, help="integrator step for feller (default %(default)g)")
     parser.add_argument(
         "--explosion-k", type=float,
         help="norm threshold for the explosion suite (default %(default)g)",

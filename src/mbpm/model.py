@@ -620,12 +620,26 @@ def spec_from_dict(doc: dict) -> ModelSpec:
 
     Unknown top-level keys are allowed (experiment layers attach e.g. a
     ``limit`` block); unknown or missing fields inside the model blocks
-    raise SpecFormatError naming the field.
+    raise SpecFormatError naming the field.  ``dim`` may be left out; where
+    present it must be the number of types.
     """
     offspring_doc = _require(doc, "offspring", "")
     if not isinstance(offspring_doc, (list, tuple)):
         raise SpecFormatError("offspring", "expected a list of per-type offspring laws")
-    offspring = OffspringSpec(_each(_OFFSPRING).read(offspring_doc, "offspring"))
+    laws = _each(_OFFSPRING).read(offspring_doc, "offspring")
+    try:
+        offspring = OffspringSpec(laws)
+    except ValueError as exc:
+        raise SpecFormatError("offspring", str(exc)) from exc
+    if "dim" in doc:
+        try:
+            dim = _integer(doc["dim"])
+        except ValueError as exc:
+            raise SpecFormatError("dim", str(exc)) from exc
+        if dim != offspring.dim:
+            raise SpecFormatError(
+                "dim", f"{dim} does not match the {offspring.dim} per-type offspring laws"
+            )
     migration_doc = _require(doc, "migration", "")
     if not isinstance(migration_doc, (list, tuple)):
         raise SpecFormatError("migration", "expected a list of per-type components")

@@ -326,6 +326,39 @@ def gamma_cdf(x, shape: float, scale: float):
     return float(out) if out.ndim == 0 else out
 
 
+def gamma_quantile(q, shape: float, scale: float):
+    """Inverse of gamma_cdf at each probability in q, all in (0, 1).
+
+    Newton steps on P(shape, e^s) = q in s = log(t), from the mean
+    t = shape in units of scale: a step multiplies t by at most e, so t
+    stays positive.  Every evaluation narrows a bracket [lo, hi] of each
+    root, and a step that leaves it is replaced by the bracket's midpoint,
+    or by doubling t while no upper end is known.  Plain bisection would
+    need about 60 evaluations of the incomplete gamma; Newton needs a few.
+    """
+    q = np.asarray(q, dtype=float)
+    if not np.all((q > 0.0) & (q < 1.0)):
+        raise ValueError("probabilities must lie in (0, 1)")
+    if shape <= 0.0 or scale <= 0.0:
+        raise ValueError("shape and scale must be positive")
+    t = np.full(q.shape, float(shape))
+    lo, hi = np.zeros(q.shape), np.full(q.shape, np.inf)
+    for _ in range(200):
+        cdf = gamma_cdf(t, shape, 1.0)
+        below = cdf < q
+        lo, hi = np.where(below, t, lo), np.where(below, hi, t)
+        slope = np.exp(shape * np.log(t) - t - math.lgamma(shape))  # dP / d log(t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = t * np.exp(np.minimum((q - cdf) / slope, 1.0))
+        # a Newton step below 1e-12 of t leaves an error at the CDF's own noise
+        done = np.abs(step - t) <= 1e-12 * t
+        if done.all():
+            return scale * step
+        fallback = np.where(hi == np.inf, 2.0 * t, 0.5 * (lo + hi))
+        t = np.where(done | ((lo < step) & (step <= hi)), step, fallback)  # nan falls back
+    raise ArithmeticError(f"gamma quantiles at {q} did not converge")
+
+
 @dataclass(frozen=True)
 class GoFReport:
     """One goodness-of-fit comparison against a reference law.

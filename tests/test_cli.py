@@ -7,9 +7,10 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from conftest import spec_path
-from mbpm import cli, ecdf, gamma_cdf, gof_report, normal_cdf
+from mbpm import cli, ecdf, gamma_cdf, gof_report, ks_statistic, normal_cdf
 from mbpm.cli import _ks_check, _write_tsv, main
 
 SHIPPED = ["gamma_single_type", "sqrt_drift_single_type", "two_type_mixed",
@@ -154,7 +155,7 @@ def test_suite_tables_match_the_row_wise_reference(tmp_path, monkeypatch, suite)
     for doc_name in SHIPPED:
         code = main(["--spec", spec_path(doc_name), "--suite", suite, "--n", "20",
                      "--reps", "200", "--seed", "3", "--threshold-ks", "0.5",
-                     "--dt", "0.01", "--out", str(tmp_path / doc_name)])
+                     "--out", str(tmp_path / doc_name)])
         assert code in (0, 1, 2)
     assert written == _SUITE_TABLES[suite]
 
@@ -195,33 +196,54 @@ def _no_ensemble(*args, **kwargs):
 _WARNINGS_ARE_ERRORS = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
-@pytest.mark.parametrize("suite, doc_name, n, limit, message", [
+def _limit(**values):
+    return lambda doc: doc["limit"].update(values)
+
+
+def _no_immigration(doc):
+    doc["migration"][0]["prob_imm"]["value"] = 0.0
+    doc["migration"][0]["prob_none"]["value"] = 1.0
+
+
+def _one_child_each(doc):
+    doc["offspring"][0]["components"][0] = {"family": "deterministic", "value": 1}
+
+
+@pytest.mark.parametrize("suite, doc_name, n, edit, message", [
     # nu >= 2 u.c: unbounded growth is a null event
-    ("gamma-limit", "gamma_single_type", 20, {"c": [0.25]},
+    ("gamma-limit", "gamma_single_type", 20, _limit(c=[0.25]),
      "gamma-limit is infeasible for this model: it needs variance exponent beta = 1 + alpha"),
     # no first-order growth constant exists
-    ("l1-limit", "sqrt_drift_single_type", 20, {"alpha": 1.0},
+    ("l1-limit", "sqrt_drift_single_type", 20, _limit(alpha=1.0),
      "l1-limit is infeasible for this model: alpha must be < 1"),
     # beta < 3 alpha - 1: no fluctuation scale Lambda_n
-    ("normal-limit", "sqrt_drift_single_type", 20, {"alpha": 0.75, "beta": 1.0},
+    ("normal-limit", "sqrt_drift_single_type", 20, _limit(alpha=0.75, beta=1.0),
      "normal-limit is infeasible for this model: beta must lie in [3 alpha - 1, alpha + 1]"),
     # the scale n^{1/(1-alpha)} of both size-scaled laws is 0 at n = 0
-    pytest.param("gamma-limit", "gamma_single_type", 0, {},
+    pytest.param("gamma-limit", "gamma_single_type", 0, _limit(),
                  "gamma-limit is infeasible for this model: n must be >= 1\n",
                  marks=_WARNINGS_ARE_ERRORS),
-    pytest.param("l1-limit", "sqrt_drift_single_type", 0, {},
+    pytest.param("l1-limit", "sqrt_drift_single_type", 0, _limit(),
                  "l1-limit is infeasible for this model: n must be >= 1\n",
                  marks=_WARNINGS_ARE_ERRORS),
     # feller rescales the endpoint by n
-    pytest.param("feller", "gamma_single_type", 0, {},
+    pytest.param("feller", "gamma_single_type", 0, _limit(),
                  "feller is infeasible for this model: n must be >= 1\n",
                  marks=_WARNINGS_ARE_ERRORS),
+    # without drift the diffusion limit started at 0 stays at 0
+    ("feller", "gamma_single_type", 20, _no_immigration,
+     "feller is infeasible for this model: it needs drift > 0 "
+     "(a limit started at 0 without drift stays at 0)\n"),
+    # offspring without variance: the limit is the deterministic line drift * t
+    ("feller", "gamma_single_type", 20, _one_child_each,
+     "feller is infeasible for this model: it needs diffusion > 0 "
+     "(otherwise the limit is degenerate)\n"),
 ], ids=["gamma-limit", "l1-limit", "normal-limit", "gamma-limit-n0", "l1-limit-n0",
-        "feller-n0"])
-def test_limit_suite_infeasible_regime(tmp_path, capsys, monkeypatch, suite, doc_name, n, limit,
+        "feller-n0", "feller-zero-drift", "feller-zero-diffusion"])
+def test_limit_suite_infeasible_regime(tmp_path, capsys, monkeypatch, suite, doc_name, n, edit,
                                        message):
     doc = json.load(open(spec_path(doc_name)))
-    doc["limit"].update(limit)
+    edit(doc)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     monkeypatch.setattr(cli, "run_ensemble", _no_ensemble)
@@ -322,12 +344,29 @@ def test_feller_suite_small_scale(tmp_path):
     out = str(tmp_path / "rep")
     code = main(["--spec", spec_path("gamma_single_type"), "--suite", "feller",
                  "--n", "100", "--reps", "200", "--seed", "19", "--out", out,
-                 "--dt", "0.01", "--threshold-ks", "0.5"])
+                 "--threshold-ks", "0.5"])
     assert code == 0
     report = read_report(out)
     assert report["results"]["drift"] == pytest.approx(2.0)
     assert report["results"]["diffusion"] == pytest.approx(1.0)
-    assert os.path.exists(os.path.join(out, "quantile_fan.tsv"))
+    # the reference is the limit's exact law at t = 1, Gamma(2 drift / diffusion, diffusion / 2)
+    gof = report["results"]["gof"]
+    assert (gof["reference"], gof["params"]) == ("gamma", {"shape": 4.0, "scale": 0.5})
+    x, _, reference = np.loadtxt(os.path.join(out, "cdf_pairs.tsv"), skiprows=1).T
+    assert x.size == 200 and np.all(np.diff(x) >= 0)
+    np.testing.assert_allclose(reference, gamma_cdf(x, 4.0, 0.5), rtol=1e-9, atol=0)
+    assert gof["value"] == pytest.approx(ks_statistic(x, lambda v: gamma_cdf(v, 4.0, 0.5)))
+    # the fan's reference quantiles at time t are t times those at t = 1
+    fan = np.loadtxt(os.path.join(out, "quantile_fan.tsv"), skiprows=1)
+    ppf = scipy.stats.gamma.ppf([0.05, 0.25, 0.5, 0.75, 0.95], 4.0, scale=0.5)
+    np.testing.assert_allclose(fan[:, 6:], np.outer(fan[:, 0], ppf), rtol=1e-9, atol=0)
+
+
+def test_feller_suite_has_no_integrator_step_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--spec", spec_path("gamma_single_type"), "--suite", "feller", "--dt", "0.01"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --dt 0.01" in capsys.readouterr().err
 
 
 def test_explosion_suite(tmp_path):
@@ -356,6 +395,23 @@ def test_malformed_document_names_field(tmp_path, capsys):
                  "--out", str(tmp_path / "rep")])
     assert code == 2
     assert "migration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc_name, key, value, message", [
+    ("gamma_single_type", "offspring", [], "offspring: offspring spec needs at least one type"),
+    ("two_type_mixed", "offspring", [{"kind": "independent", "components": [
+        {"family": "poisson", "mean": 1.0}]}] * 2,
+     "offspring: offspring law for type 0 produces 1-vectors in a 2-type model"),
+    ("gamma_single_type", "dim", 7, "dim: 7 does not match the 1 per-type offspring laws"),
+], ids=["no-offspring", "short-offspring-law", "dim-mismatch"])
+def test_type_count_errors_exit_two(tmp_path, capsys, doc_name, key, value, message):
+    doc = json.load(open(spec_path(doc_name)))
+    doc[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["--spec", str(bad), "--suite", "classify", "--out", str(tmp_path / "rep")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_unknown_suite_rejected(tmp_path):

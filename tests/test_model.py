@@ -585,11 +585,23 @@ def _edited(doc, keys, value):
     (("offspring", 0, "components", 0, "mean"), "abc",
      "offspring[0].components[0]: could not convert string to float: 'abc'"),
     (("offspring", 0, "components"), 3, "offspring[0]: 'int' object is not iterable"),
+    (("offspring",), [], "offspring: offspring spec needs at least one type"),
+    (("offspring", 0, "components"), [{"family": "poisson", "mean": 0.3}],
+     "offspring: offspring law for type 0 produces 1-vectors in a 4-type model"),
+    # dim, where given, is an integer equal to the number of types
+    (("dim",), 7, "dim: 7 does not match the 4 per-type offspring laws"),
+    (("dim",), "x", "dim: expected an integer, got 'x'"),
 ])
 def test_format_errors_name_their_field(keys, value, message):
     with pytest.raises(SpecFormatError) as err:
         spec_from_dict(_edited(ALL_FAMILIES, keys, value))
     assert str(err.value) == message
+
+
+def test_dim_may_be_left_out_or_integral():
+    digest = spec_digest(spec_from_dict(ALL_FAMILIES))
+    for value in (_DELETE, 4.0):
+        assert spec_digest(spec_from_dict(_edited(ALL_FAMILIES, ("dim",), value))) == digest
 
 
 _INTEGER_FIELDS = [

@@ -19,6 +19,7 @@ from mbpm import (
     ecdf,
     estimate_explosion,
     gamma_cdf,
+    gamma_quantile,
     gof_report,
     ks_statistic,
     moment_check,
@@ -236,6 +237,21 @@ def test_gamma_cdf_against_scipy():
             ours = gamma_cdf(x, a, s)
             theirs = scipy.special.gammainc(a, x / s)
             assert np.abs(ours - theirs).max() < 1e-10, (a, s)
+
+
+@pytest.mark.parametrize("shape", [0.3, 4.0, 50.0])
+def test_gamma_quantile_against_scipy(shape):
+    # the feller suite's fan: five quantiles at t = 1, scale diffusion / 2
+    qs = (0.05, 0.25, 0.5, 0.75, 0.95)
+    for scale in (0.5, 2.0):
+        theirs = scipy.stats.gamma.ppf(qs, shape, scale=scale)
+        assert np.abs(gamma_quantile(qs, shape, scale) / theirs - 1.0).max() <= 1e-12
+
+
+def test_gamma_quantile_refuses_probabilities_outside_the_open_unit_interval():
+    for q in (0.0, 1.0, -0.5, np.nan):
+        with pytest.raises(ValueError, match="probabilities must lie in"):
+            gamma_quantile([0.5, q], 4.0, 0.5)
 
 
 def reference_gamma_cdf(t: float, a: float) -> float:
