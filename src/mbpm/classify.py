@@ -13,6 +13,12 @@ state-function set where possible, log-log slope regression at probe
 states otherwise, and a 10% safety margin around the critical ratio 1
 inside which the verdict is "inconclusive".
 
+Every criterion reads one evaluation of the probe ray (``_Ray``): h and
+sigma2 once per probe, and one enumeration of each type's migration atoms
+per probe for all fractional moments.  The order checks form one table,
+{shifted, centered} x {sigma, drift_log, drift}.  The classify suite reads
+its verdict and its exponents from one ray.
+
 Standing assumptions referenced throughout: (A) the offspring mean matrix
 is primitive with Perron root 1; (B) mean migration is o(||z||); (C) the
 migration parameters a, b, q, r converge at large sizes.
@@ -25,9 +31,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import algebra
-from .laws import Clamp, Constant, Power, ShiftedPoissonImmigration, Table
-from .model import MigrationComponent, ModelSpec
+from .laws import Constant, ShiftedPoissonImmigration
+from .model import ModelSpec
 from .moments import migration_atoms, migration_mean, sigma2
 
 _RATIO_MARGIN = 0.10  # safety band around the critical ratio 1
@@ -121,12 +126,38 @@ def is_absorbing_zero(spec: ModelSpec) -> bool:
     return True
 
 
+def _term_exponent(prob, law, law_exponent) -> float:
+    """Growth exponent of one migration term prob * E[law]; -inf when the
+    term never fires (no law, or a constant zero probability)."""
+    if law is None or (isinstance(prob, Constant) and prob.value == 0.0):
+        return -math.inf
+    return prob.growth_exponent() + law_exponent(law)
+
+
 def _immigration_mean_exponent(law) -> float:
-    if law is None:
-        return 0.0
     if isinstance(law, ShiftedPoissonImmigration):
         return law.mean_fn.growth_exponent()
     return 0.0
+
+
+def _hypothesis_B(spec: ModelSpec, ray) -> tuple:
+    """(holds, evidence) of hypothesis (B); the probe ratios come from the
+    ray, and are empty when it could not be evaluated (``ray`` is None)."""
+    exponents = [(_term_exponent(c.prob_imm, c.immigration, _immigration_mean_exponent),
+                  _term_exponent(c.prob_em, c.emigration, lambda law: law.growth_exponent()))
+                 for c in spec.migration.components]
+    ratios = [] if ray is None else [
+        float(np.max(np.abs(h))) / float(np.sum(z)) for z, h in zip(ray.probes, ray.h)
+    ]
+    worst = max(max(pair) for pair in exponents)
+    evidence = {
+        "term_exponents": [
+            [None if math.isinf(a) and a < 0 else a for a in pair] for pair in exponents
+        ],
+        "probe_ratios": ratios,
+        "worst_exponent": _finite(worst),
+    }
+    return worst < 1.0, evidence
 
 
 def check_hypothesis_B(spec: ModelSpec, config: CriteriaConfig = CriteriaConfig()):
@@ -139,43 +170,11 @@ def check_hypothesis_B(spec: ModelSpec, config: CriteriaConfig = CriteriaConfig(
     exponent is strictly below 1.  Probe ratios max_i |h_i(z)| / ||z|| are
     recorded as numeric evidence only.
     """
-    exponents = []
-    for comp in spec.migration.components:
-        imm_e = comp.prob_imm.growth_exponent() + _immigration_mean_exponent(comp.immigration)
-        if comp.immigration is None or (
-            isinstance(comp.prob_imm, Constant) and comp.prob_imm.value == 0.0
-        ):
-            imm_e = -math.inf
-        emi_e = comp.prob_em.growth_exponent() + (
-            comp.emigration.growth_exponent() if comp.emigration is not None else 0.0
-        )
-        if comp.emigration is None or (
-            isinstance(comp.prob_em, Constant) and comp.prob_em.value == 0.0
-        ):
-            emi_e = -math.inf
-        exponents.append((imm_e, emi_e))
-
     try:
-        u = spec.size_weights()
+        ray = _probe_ray(spec, config)
     except ValueError:
-        u = None
-    ratios = []
-    try:
-        for z in probe_states(spec, config):
-            h = migration_mean(spec.migration, z, u if u is not None else spec.spectral().u)
-            ratios.append(float(np.max(np.abs(h))) / float(np.sum(z)))
-    except ValueError:
-        ratios = []
-
-    worst = max(max(pair) for pair in exponents)
-    evidence = {
-        "term_exponents": [
-            [None if math.isinf(a) and a < 0 else a for a in pair] for pair in exponents
-        ],
-        "probe_ratios": ratios,
-        "worst_exponent": None if math.isinf(worst) else worst,
-    }
-    return worst < 1.0, evidence
+        ray = None
+    return _hypothesis_B(spec, ray)
 
 
 def check_hypothesis_C(spec: ModelSpec) -> Optional[dict]:
@@ -241,11 +240,51 @@ def check_growth_support(spec: ModelSpec, z) -> bool:
     return True
 
 
-def _exact_abs_moments(spec: ModelSpec, i: int, z, u, pairs) -> list:
-    """E[|shift + M_i(z)|^power] for each (power, shift) in ``pairs``, by
-    one enumeration of the migration atoms."""
-    vals, probs = migration_atoms(spec.migration, i, z, u)
-    return [float(np.sum(probs * np.abs(shift + vals) ** power)) for power, shift in pairs]
+@dataclass(frozen=True)
+class _Ray:
+    """Everything the criteria read along the probe ray, evaluated once."""
+
+    config: CriteriaConfig
+    probes: list
+    sizes: np.ndarray  # u.z per probe
+    h: list  # h(z) per probe
+    uh: np.ndarray
+    s2: np.ndarray  # sigma2(z) per probe
+    shifted: list  # [type][probe]: E|z_i + M_i|^(1 + delta/2)
+    centered: list  # [type][probe]: E|M_i - h_i|^(2 + delta)
+    surrogate: list  # [probe]: max over i of z_i + h_i and E|M_i - h_i|^alpha_tilde
+
+
+def _probe_ray(spec: ModelSpec, config: CriteriaConfig) -> _Ray:
+    """Evaluate the probe ray: one migration mean, one sigma2 per probe, and
+    one enumeration of the migration atoms per (probe, type)."""
+    u = spec.spectral().u
+    probes = probe_states(spec, config)
+    h_list = [migration_mean(spec.migration, z, u) for z in probes]
+    shifted_power, centered_power = 1.0 + config.delta / 2.0, 2.0 + config.delta
+    shifted, centered = [[] for _ in range(spec.dim)], [[] for _ in range(spec.dim)]
+    surrogate = []
+    for z, h in zip(probes, h_list):
+        candidates = []
+        for i in range(spec.dim):
+            vals, probs = migration_atoms(spec.migration, i, z, u)
+            zi, hi = float(z[i]), float(h[i])
+            shifted[i].append(float(np.sum(probs * np.abs(zi + vals) ** shifted_power)))
+            centered[i].append(float(np.sum(probs * np.abs(-hi + vals) ** centered_power)))
+            candidates.append(zi + hi)
+            candidates.append(float(np.sum(probs * np.abs(-hi + vals) ** config.alpha_tilde)))
+        surrogate.append(max(candidates))
+    return _Ray(
+        config=config,
+        probes=probes,
+        sizes=np.array([float(u @ z) for z in probes]),
+        h=h_list,
+        uh=np.array([float(u @ h) for h in h_list]),
+        s2=np.array([sigma2(spec, u, z) for z in probes]),
+        shifted=shifted,
+        centered=centered,
+        surrogate=surrogate,
+    )
 
 
 def _slope(xs, ys) -> float:
@@ -256,20 +295,106 @@ def _slope(xs, ys) -> float:
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
-def _order_check(sizes, lhs_per_type, rhs_values, name: str) -> dict:
-    """Little-o slope check: every type's fitted exponent must undershoot
-    the target's by the slack."""
-    rhs_slope = _slope(sizes, rhs_values)
-    lhs_slopes = [_slope(sizes, ys) for ys in lhs_per_type]
-    applicable = not math.isinf(rhs_slope)
-    ok = applicable and all(s <= rhs_slope - _SLOPE_SLACK for s in lhs_slopes)
-    return {
-        "name": name,
-        "ok": bool(ok),
-        "applicable": applicable,
-        "lhs_slopes": [None if math.isinf(s) else s for s in lhs_slopes],
-        "rhs_slope": None if math.isinf(rhs_slope) else rhs_slope,
+def _finite(x):
+    """x, or None where it is infinite (a slope that does not exist)."""
+    return None if math.isinf(x) else x
+
+
+def _order_checks(ray: _Ray) -> dict:
+    """The little-o slope checks {shifted, centered} x {sigma, drift_log,
+    drift}, keyed "<lhs>_vs_<rhs>": each holds when every type's fitted
+    exponent undershoots the target's by the slack.  The drift targets
+    exist only where u.h > 0 along the whole ray."""
+    sizes, delta = ray.sizes, ray.config.delta
+    targets = {"sigma": sizes ** (1.0 + delta) * ray.s2}
+    if (ray.uh > 0.0).all():
+        targets["drift_log"] = (
+            sizes ** (1.0 + delta) * ray.uh / np.log(sizes) ** (1.0 + ray.config.alpha_log)
+        )
+        targets["drift"] = sizes ** (2.0 + delta) * ray.uh
+    lhs_slopes = {
+        lhs: [_slope(sizes, ys) for ys in per_type]
+        for lhs, per_type in (("shifted", ray.shifted), ("centered", ray.centered))
     }
+    checks = {}
+    for rhs, values in targets.items():
+        rhs_slope = _slope(sizes, values)
+        applicable = not math.isinf(rhs_slope)
+        for lhs, slopes in lhs_slopes.items():
+            name = f"{lhs}_vs_{rhs}"
+            checks[name] = {
+                "name": name,
+                "ok": applicable and all(s <= rhs_slope - _SLOPE_SLACK for s in slopes),
+                "applicable": applicable,
+                "lhs_slopes": [_finite(s) for s in slopes],
+                "rhs_slope": _finite(rhs_slope),
+            }
+    return checks
+
+
+def _not_critical(spec: ModelSpec) -> Optional[GrowthVerdict]:
+    """The inconclusive verdict of a model without hypothesis (A), else None."""
+    try:
+        rho = spec.spectral().rho
+    except ValueError:
+        rho = None
+    if rho is not None and abs(rho - 1.0) <= _CRITICAL_TOL:
+        return None
+    return GrowthVerdict(
+        verdict="inconclusive",
+        condition="not-critical",
+        ratio_values=np.array([]),
+        probe_sizes=np.array([]),
+        hypothesis_A=False,
+        hypothesis_B=False,
+        support_ok=None,
+        diagnostics={"rho": rho},
+    )
+
+
+def _growth_verdict(spec: ModelSpec, ray: _Ray) -> GrowthVerdict:
+    """The verdict of a critical model, read from its probe ray."""
+    if (ray.s2 <= 0.0).any():
+        raise ValueError("one-step variance vanishes at this state (deterministic model)")
+    ratios = 2.0 * ray.sizes * ray.uh / ray.s2
+    hyp_b, b_evidence = _hypothesis_B(spec, ray)
+    checks = _order_checks(ray)
+
+    def dominated(rhs: str) -> bool:
+        return all(checks.get(f"{lhs}_vs_{rhs}", {}).get("ok") for lhs in ("shifted", "centered"))
+
+    try:
+        ones = np.ones(spec.dim, dtype=np.int64)
+        support_ok = all(check_growth_support(spec, z) for z in [*ray.probes, ones])
+    except ValueError:
+        support_ok = False
+
+    diagnostics = {
+        "hypothesis_B_evidence": b_evidence,
+        "h_at_probes": [h.tolist() for h in ray.h],
+        "sigma2_at_probes": ray.s2.tolist(),
+        "u_dot_h_at_probes": ray.uh.tolist(),
+    }
+
+    verdict, condition = "inconclusive", None
+    if all((h <= 1e-12).all() for h in ray.h):
+        verdict, condition = "no-growth", "emigration-dominates"
+    elif ratios.max() < 1.0 - _RATIO_MARGIN and (dominated("sigma") or dominated("drift")):
+        verdict, condition = "no-growth", "ratio-below-one"
+    elif support_ok and ratios.min() > 1.0 + _RATIO_MARGIN and dominated("drift_log"):
+        verdict, condition = "growth-possible", "ratio-above-one"
+
+    return GrowthVerdict(
+        verdict=verdict,
+        condition=condition,
+        ratio_values=ratios,
+        probe_sizes=ray.sizes,
+        hypothesis_A=True,
+        hypothesis_B=hyp_b,
+        support_ok=support_ok,
+        order_checks=checks,
+        diagnostics=diagnostics,
+    )
 
 
 def classify_growth(spec: ModelSpec, config: CriteriaConfig = CriteriaConfig()) -> GrowthVerdict:
@@ -286,114 +411,28 @@ def classify_growth(spec: ModelSpec, config: CriteriaConfig = CriteriaConfig()) 
     emigration-dominates condition is meaningful and corroborated by
     simulation even for linearly shrinking drifts.
     """
-    try:
-        spectral = spec.spectral()
-        hyp_a = abs(spectral.rho - 1.0) <= _CRITICAL_TOL
-    except ValueError:
-        spectral = None
-        hyp_a = False
+    return _not_critical(spec) or _growth_verdict(spec, _probe_ray(spec, config))
 
-    if not hyp_a:
-        return GrowthVerdict(
-            verdict="inconclusive",
-            condition="not-critical",
-            ratio_values=np.array([]),
-            probe_sizes=np.array([]),
-            hypothesis_A=False,
-            hypothesis_B=False,
-            support_ok=None,
-            diagnostics={"rho": None if spectral is None else spectral.rho},
-        )
 
-    u = spectral.u
-    probes = probe_states(spec, config)
-    sizes = np.array([float(u @ z) for z in probes])
-    hyp_b, b_evidence = check_hypothesis_B(spec, config)
+def _fitted_exponents(ray: _Ray) -> dict:
+    """The exponent fits of estimate_exponents, read from a probe ray."""
+    sizes, uh, s2 = ray.sizes, ray.uh, ray.s2
+    out = {"sizes": sizes.tolist()}
+    alpha = _slope(sizes, uh) if (uh > 0.0).all() else None
+    out["alpha"] = alpha
+    out["c_dot_u"] = None if alpha is None else float(uh[-1] / sizes[-1] ** alpha)
+    beta = _finite(_slope(sizes, s2))
+    out["beta"] = beta
+    out["nu"] = None if beta is None else float(s2[-1] / sizes[-1] ** beta)
+    out["delta1"] = _finite(_slope(sizes, [float(np.max(np.abs(h))) for h in ray.h]))
+    d2 = _finite(_slope(sizes, ray.surrogate))
+    out["delta2"] = None if d2 is None else d2 / ray.config.alpha_tilde
 
-    h_list = [migration_mean(spec.migration, z, u) for z in probes]
-    ratios = np.array([growth_ratio(spec, u, z) for z in probes])
-    s2_list = np.array([sigma2(spec, u, z) for z in probes])
-    uh_list = np.array([float(u @ h) for h in h_list])
-
-    delta = config.delta
-    p = spec.dim
-    lhs_shifted = [[] for _ in range(p)]  # E|z_i + M_i|^(1+delta/2)
-    lhs_centered = [[] for _ in range(p)]  # E|M_i - h_i|^(2+delta)
-    for z, h in zip(probes, h_list):
-        for i in range(p):
-            shifted, centered = _exact_abs_moments(
-                spec, i, z, u, ((1.0 + delta / 2.0, float(z[i])), (2.0 + delta, -float(h[i])))
-            )
-            lhs_shifted[i].append(shifted)
-            lhs_centered[i].append(centered)
-
-    rhs_sigma = sizes ** (1.0 + delta) * s2_list
-    checks = {
-        "shifted_vs_sigma": _order_check(sizes, lhs_shifted, rhs_sigma, "shifted_vs_sigma"),
-        "centered_vs_sigma": _order_check(sizes, lhs_centered, rhs_sigma, "centered_vs_sigma"),
-    }
-    if (uh_list > 0.0).all():
-        rhs_log = sizes ** (1.0 + delta) * uh_list / np.log(sizes) ** (1.0 + config.alpha_log)
-        rhs_drift = sizes ** (2.0 + delta) * uh_list
-        checks["shifted_vs_drift_log"] = _order_check(
-            sizes, lhs_shifted, rhs_log, "shifted_vs_drift_log"
-        )
-        checks["centered_vs_drift_log"] = _order_check(
-            sizes, lhs_centered, rhs_log, "centered_vs_drift_log"
-        )
-        checks["shifted_vs_drift"] = _order_check(
-            sizes, lhs_shifted, rhs_drift, "shifted_vs_drift"
-        )
-        checks["centered_vs_drift"] = _order_check(
-            sizes, lhs_centered, rhs_drift, "centered_vs_drift"
-        )
-
-    try:
-        support_ok = all(check_growth_support(spec, z) for z in probes) and check_growth_support(
-            spec, np.ones(p, dtype=np.int64)
-        )
-    except ValueError:
-        support_ok = False
-
-    diagnostics = {
-        "hypothesis_B_evidence": b_evidence,
-        "h_at_probes": [h.tolist() for h in h_list],
-        "sigma2_at_probes": s2_list.tolist(),
-        "u_dot_h_at_probes": uh_list.tolist(),
-    }
-
-    verdict, condition = "inconclusive", None
-    if all((h <= 1e-12).all() for h in h_list):
-        verdict, condition = "no-growth", "emigration-dominates"
-    elif ratios.max() < 1.0 - _RATIO_MARGIN and (
-        (checks["shifted_vs_sigma"]["ok"] and checks["centered_vs_sigma"]["ok"])
-        or (
-            "shifted_vs_drift" in checks
-            and checks["shifted_vs_drift"]["ok"]
-            and checks["centered_vs_drift"]["ok"]
-        )
-    ):
-        verdict, condition = "no-growth", "ratio-below-one"
-    elif (
-        support_ok
-        and ratios.min() > 1.0 + _RATIO_MARGIN
-        and "shifted_vs_drift_log" in checks
-        and checks["shifted_vs_drift_log"]["ok"]
-        and checks["centered_vs_drift_log"]["ok"]
-    ):
-        verdict, condition = "growth-possible", "ratio-above-one"
-
-    return GrowthVerdict(
-        verdict=verdict,
-        condition=condition,
-        ratio_values=ratios,
-        probe_sizes=sizes,
-        hypothesis_A=True,
-        hypothesis_B=hyp_b,
-        support_ok=support_ok,
-        order_checks=checks,
-        diagnostics=diagnostics,
-    )
+    out["ratio_limit"] = None
+    if alpha is not None and beta is not None and out["nu"]:
+        matched = abs(beta - (alpha + 1.0)) < 0.05
+        out["ratio_limit"] = 2.0 * out["c_dot_u"] / out["nu"] if matched else math.inf
+    return out
 
 
 def estimate_exponents(spec: ModelSpec, config: CriteriaConfig = CriteriaConfig()) -> dict:
@@ -405,46 +444,4 @@ def estimate_exponents(spec: ModelSpec, config: CriteriaConfig = CriteriaConfig(
     alpha_tilde-moment surrogate, divided by alpha_tilde).  Entries are
     None where the quantity is nonpositive somewhere on the ray.
     """
-    spectral = spec.spectral()
-    u = spectral.u
-    probes = probe_states(spec, config)
-    sizes = np.array([float(u @ z) for z in probes])
-    h_list = [migration_mean(spec.migration, z, u) for z in probes]
-    uh = np.array([float(u @ h) for h in h_list])
-    s2 = np.array([sigma2(spec, u, z) for z in probes])
-
-    out = {"sizes": sizes.tolist()}
-    if (uh > 0.0).all():
-        alpha = _slope(sizes, uh)
-        out["alpha"] = alpha
-        out["c_dot_u"] = float(uh[-1] / sizes[-1] ** alpha)
-    else:
-        out["alpha"] = None
-        out["c_dot_u"] = None
-    beta = _slope(sizes, s2)
-    out["beta"] = None if math.isinf(beta) else beta
-    out["nu"] = None if math.isinf(beta) else float(s2[-1] / sizes[-1] ** beta)
-
-    habs = np.array([float(np.max(np.abs(h))) for h in h_list])
-    d1 = _slope(sizes, habs)
-    out["delta1"] = None if math.isinf(d1) else d1
-
-    at = config.alpha_tilde
-    surrogate = []
-    for z, h in zip(probes, h_list):
-        vals = []
-        for i in range(spec.dim):
-            vals.append(float(z[i]) + float(h[i]))
-            vals.extend(_exact_abs_moments(spec, i, z, u, ((at, -float(h[i])),)))
-        surrogate.append(max(vals))
-    d2 = _slope(sizes, surrogate)
-    out["delta2"] = None if math.isinf(d2) else d2 / at
-
-    if out["alpha"] is not None and out["beta"] is not None and out["nu"]:
-        if abs(out["beta"] - (out["alpha"] + 1.0)) < 0.05:
-            out["ratio_limit"] = 2.0 * out["c_dot_u"] / out["nu"]
-        else:
-            out["ratio_limit"] = math.inf
-    else:
-        out["ratio_limit"] = None
-    return out
+    return _fitted_exponents(_probe_ray(spec, config))

@@ -40,7 +40,13 @@ from typing import Optional
 
 import numpy as np
 
-from .classify import CriteriaConfig, classify_growth, estimate_exponents
+from .classify import (
+    CriteriaConfig,
+    _fitted_exponents,
+    _growth_verdict,
+    _not_critical,
+    _probe_ray,
+)
 from .limits import a_seq, feller_params, lambda_n, params_from_spec, power_drift
 from .model import ModelSpec, SpecFormatError, spec_digest, spec_from_dict
 from .montecarlo import (
@@ -172,13 +178,13 @@ def _load_document(path: str) -> dict:
 
 def _suite_moments(spec: ModelSpec, doc: dict, config: ExperimentConfig):
     if config.state is not None:
-        z = np.asarray(config.state, dtype=np.int64)
+        z, source = np.asarray(config.state, dtype=np.int64), "--state"
     elif "reference_state" in doc:
-        z = np.asarray(doc["reference_state"], dtype=np.int64)
+        z, source = np.asarray(doc["reference_state"], dtype=np.int64), "reference_state"
     else:
-        z = np.full(spec.dim, 10, dtype=np.int64)
+        z, source = np.full(spec.dim, 10, dtype=np.int64), None
     if z.shape != (spec.dim,):
-        raise SpecFormatError("reference_state", f"expected {spec.dim} components")
+        raise SpecFormatError(source, f"expected {spec.dim} components")
     report = moment_check(spec, z, N=max(config.reps, 10_000), seed=config.seed)
     p = range(spec.dim)
     labels = [f"mean[{i}]" for i in p] + [f"cov[{i},{j}]" for i in p for j in p]
@@ -193,10 +199,12 @@ def _suite_moments(spec: ModelSpec, doc: dict, config: ExperimentConfig):
 
 
 def _suite_classify(spec: ModelSpec, doc: dict, config: ExperimentConfig):
+    """The verdict and the fitted exponents, both read from one probe ray."""
     cc = CriteriaConfig(ray_points=config.probe_magnitudes)
     with _applicable("classify"):
-        verdict = classify_growth(spec, cc)
-        exponents = estimate_exponents(spec, cc)
+        ray = _probe_ray(spec, cc)
+        verdict = _not_critical(spec) or _growth_verdict(spec, ray)
+        exponents = _fitted_exponents(ray)
     expected = doc.get("expected_verdict")
     passed = True if expected is None else (verdict.verdict == expected)
     columns = [np.asarray(verdict.probe_sizes, dtype=float),
@@ -400,6 +408,31 @@ def _parse_ints(text: str):
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
+def _at_least(convert, lo):
+    """An option type: a value read by ``convert`` that is >= lo (NaN is refused)."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not value >= lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names the type in "invalid int value"
+    return parse
+
+
+def _probe_magnitudes(text: str):
+    """Probe magnitudes by CriteriaConfig's own rule."""
+    try:
+        magnitudes = _parse_floats(text)
+        CriteriaConfig(ray_points=magnitudes)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"need two or more increasing magnitudes >= 10, got {text}"
+        ) from None
+    return magnitudes
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The command line; option defaults are those of ExperimentConfig."""
     defaults = {f.name: f.default for f in fields(ExperimentConfig) if f.default is not MISSING}
@@ -416,9 +449,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="path to a model document (JSON)",
     )
     parser.add_argument("--suite", required=True, choices=SUITES, help="experiment suite to run")
-    parser.add_argument("--n", type=int, help="trajectory horizon (default %(default)s)")
     parser.add_argument(
-        "--reps", type=int,
+        "--n", type=_at_least(int, 0), help="trajectory horizon (default %(default)s)"
+    )
+    parser.add_argument(
+        "--reps", type=_at_least(int, 1),
         help="replicates, or sample count for the moments suite (default %(default)s)",
     )
     parser.add_argument("--seed", type=int, help="master seed (default %(default)s)")
@@ -432,12 +467,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="relative-error threshold for l1-limit (default %(default)g)",
     )
     parser.add_argument(
-        "--probe-magnitudes", type=_parse_floats, metavar="M1,M2,...",
+        "--probe-magnitudes", type=_probe_magnitudes, metavar="M1,M2,...",
         help="classify probe sizes (default "
         + ",".join(f"{m:g}" for m in defaults["probe_magnitudes"]) + ")",
     )
     parser.add_argument(
-        "--explosion-k", type=float,
+        "--explosion-k", type=_at_least(float, 0),
         help="norm threshold for the explosion suite (default %(default)g)",
     )
     parser.add_argument(

@@ -16,7 +16,6 @@ samples.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -25,11 +24,6 @@ import numpy as np
 
 # Tail mass permitted to be dropped when enumerating an infinite support.
 DEFAULT_ATOM_TAIL = 1e-12
-
-# Inverse-CDF tables for heavy-tailed emigration are truncated here; the
-# discarded tail of the 1/j^3 law beyond 2^16 atoms carries total mass
-# ~1.2e-10, far below any tolerance used in the package.
-_TABLE_CAP = 1 << 16
 
 _EULER_GAMMA = 0.5772156649015329
 _ZETA2 = math.pi**2 / 6.0
@@ -757,31 +751,6 @@ class TruncatedGeometricEmigration:
         return 0.0
 
 
-class _PrefixTable:
-    """Lazily grown cumulative weights for inverse-CDF sampling."""
-
-    def __init__(self, weight_fn):
-        self._weight_fn = weight_fn
-        self._cum = np.zeros(0)
-        self._lock = threading.Lock()
-
-    def cum(self, m: int):
-        m = min(m, _TABLE_CAP)
-        if len(self._cum) < m:
-            with self._lock:
-                if len(self._cum) < m:
-                    size = 64
-                    while size < m:
-                        size *= 2
-                    size = min(size, _TABLE_CAP)
-                    j = np.arange(1, size + 1, dtype=float)
-                    self._cum = np.cumsum(self._weight_fn(j))
-        return self._cum[:m]
-
-
-_INVERSE_CUBE_PREFIX = _PrefixTable(lambda j: j**-3.0)
-
-
 @dataclass(frozen=True)
 class InverseCubeEmigration:
     """D proportional to 1/j^3 on {1, ..., zi}: bounded mean, heavy tail."""
@@ -801,22 +770,28 @@ class InverseCubeEmigration:
         raise ValueError(f"inverse-cube moments implemented for k <= 4, got {k}")
 
     def sample_batch(self, rng, zi):
-        """One draw per entry of the counts zi (k,); 0 where a count is 0."""
+        """One draw per entry of the counts zi (k,); 0 where a count is 0.
+
+        Zipf(3) draws, redrawn where they exceed their row's count: each
+        draw is kept with probability >= 1/zeta(3) ~ 0.83 (rejection from
+        the untruncated law, Devroye 1986), so the draws are exact at
+        every count.
+        """
         zi = np.asarray(zi, dtype=np.int64)
-        m = np.clip(zi, 1, _TABLE_CAP)
-        cum = _INVERSE_CUBE_PREFIX.cum(int(m.max(initial=1)))
-        idx = np.searchsorted(cum, rng.random(zi.shape) * cum[m - 1], side="right")
-        return (idx + 1) * (zi > 0)
+        out = np.zeros(zi.shape, dtype=np.int64)
+        rows = np.flatnonzero(zi > 0)
+        while rows.size:
+            draws = rng.zipf(3.0, size=rows.size)
+            kept = draws <= zi[rows]
+            out[rows[kept]] = draws[kept]
+            rows = rows[~kept]
+        return out
 
     def atoms(self, zi: int):
         if zi <= 0:
             return np.array([0]), np.array([1.0])
-        # Beyond the table cap the dropped 1/j^3 tail mass is ~1e-10; the
-        # returned probabilities are normalized by the full-support mass.
-        m = min(zi, _TABLE_CAP)
-        j = np.arange(1, m + 1)
-        w = j.astype(float) ** -3.0
-        return j, w / _h_sum(3, zi)
+        j = np.arange(1, zi + 1)
+        return j, j.astype(float) ** -3.0 / _h_sum(3, zi)
 
     def mean_limit(self) -> Optional[float]:
         return _ZETA2 / _ZETA3

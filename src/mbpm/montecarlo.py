@@ -116,6 +116,8 @@ def run_ensemble(
     """
     if R < 1:
         raise ValueError("need at least one replicate")
+    if n < 0:
+        raise ValueError("horizon must be nonnegative")
     if workers is None:
         workers = int(os.environ.get("MBPM_WORKERS", "1"))
     blocks = -(-R // BLOCK)

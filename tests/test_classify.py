@@ -1,8 +1,15 @@
 """Growth/no-growth criteria on the shipped example models."""
+import collections
+import json
+import os
+
 import numpy as np
 import pytest
 
 import mbpm.classify
+import mbpm.moments
+from conftest import spec_path
+from mbpm import cli
 from mbpm import (
     Constant,
     CriteriaConfig,
@@ -22,6 +29,7 @@ from mbpm import (
     estimate_exponents,
     growth_ratio,
     is_absorbing_zero,
+    load_spec,
     probe_states,
 )
 
@@ -177,3 +185,52 @@ def test_fractional_moments_enumerate_atoms_once(two_type_spec, monkeypatch):
     assert len(calls) == per_ray
     estimate_exponents(two_type_spec)
     assert len(calls) == 2 * per_ray
+
+
+# the shipped documents that carry an expected verdict
+_EXPECTED_VERDICT_DOCS = ["gamma_single_type", "sqrt_drift_single_type", "two_type_mixed",
+                          "pure_emigration"]
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("doc_name", _EXPECTED_VERDICT_DOCS)
+def test_classify_suite_evaluates_each_probe_once(tmp_path, monkeypatch, doc_name):
+    calls = collections.Counter()
+    for module, name in [(mbpm.classify, "migration_atoms"), (mbpm.classify, "sigma2"),
+                         (mbpm.classify, "migration_mean"), (mbpm.moments, "migration_mean"),
+                         (mbpm.moments, "migration_var")]:
+        _count_calls(monkeypatch, module, name, calls)
+    code = cli.main(["--spec", spec_path(doc_name), "--suite", "classify",
+                     "--out", str(tmp_path / "rep")])
+    assert code == 0
+    probes = len(CriteriaConfig().ray_points)
+    assert calls["migration_atoms"] == probes * load_spec(spec_path(doc_name)).dim
+    assert calls["sigma2"] == probes
+    assert calls["migration_var"] == probes
+    assert calls["migration_mean"] <= 2 * probes
+
+
+@pytest.mark.parametrize("doc_name", _EXPECTED_VERDICT_DOCS + ["small_support"])
+def test_classify_suite_reads_what_the_public_functions_compute(tmp_path, doc_name):
+    out = tmp_path / "rep"
+    assert cli.main(["--spec", spec_path(doc_name), "--suite", "classify",
+                     "--out", str(out)]) == 0
+    with open(os.path.join(out, "report.json")) as fh:
+        results = json.load(fh)["results"]
+    spec = load_spec(spec_path(doc_name))
+    verdict = classify_growth(spec)
+    assert results["classification"] == cli._jsonable(verdict.to_dict())
+    assert results["fitted_exponents"] == cli._jsonable(estimate_exponents(spec))
+    if verdict.hypothesis_A:
+        u = spec.spectral().u
+        for k, z in enumerate(probe_states(spec)):
+            assert verdict.ratio_values[k] == growth_ratio(spec, u, z)  # bit for bit

@@ -193,9 +193,6 @@ def _no_ensemble(*args, **kwargs):
     raise AssertionError("an ensemble was drawn for a suite that refuses the model")
 
 
-_WARNINGS_ARE_ERRORS = pytest.mark.filterwarnings("error::RuntimeWarning")
-
-
 def _limit(**values):
     return lambda doc: doc["limit"].update(values)
 
@@ -220,16 +217,13 @@ def _one_child_each(doc):
     ("normal-limit", "sqrt_drift_single_type", 20, _limit(alpha=0.75, beta=1.0),
      "normal-limit is infeasible for this model: beta must lie in [3 alpha - 1, alpha + 1]"),
     # the scale n^{1/(1-alpha)} of both size-scaled laws is 0 at n = 0
-    pytest.param("gamma-limit", "gamma_single_type", 0, _limit(),
-                 "gamma-limit is infeasible for this model: n must be >= 1\n",
-                 marks=_WARNINGS_ARE_ERRORS),
-    pytest.param("l1-limit", "sqrt_drift_single_type", 0, _limit(),
-                 "l1-limit is infeasible for this model: n must be >= 1\n",
-                 marks=_WARNINGS_ARE_ERRORS),
+    ("gamma-limit", "gamma_single_type", 0, _limit(),
+     "gamma-limit is infeasible for this model: n must be >= 1\n"),
+    ("l1-limit", "sqrt_drift_single_type", 0, _limit(),
+     "l1-limit is infeasible for this model: n must be >= 1\n"),
     # feller rescales the endpoint by n
-    pytest.param("feller", "gamma_single_type", 0, _limit(),
-                 "feller is infeasible for this model: n must be >= 1\n",
-                 marks=_WARNINGS_ARE_ERRORS),
+    ("feller", "gamma_single_type", 0, _limit(),
+     "feller is infeasible for this model: n must be >= 1\n"),
     # without drift the diffusion limit started at 0 stays at 0
     ("feller", "gamma_single_type", 20, _no_immigration,
      "feller is infeasible for this model: it needs drift > 0 "
@@ -280,6 +274,31 @@ def test_limit_suites_refuse_exactly_the_infeasible_documents(tmp_path, capsys, 
     else:
         assert code in (0, 1)
         assert read_report(out)["results"]["conditioning"]["total"] == 300
+
+
+@pytest.mark.parametrize("suite, option, value, message", [
+    ("explosion", "--reps", "0", "argument --reps: must be >= 1, got 0"),
+    ("classify", "--probe-magnitudes", "5",
+     "argument --probe-magnitudes: need two or more increasing magnitudes >= 10, got 5"),
+    ("explosion", "--explosion-k", "-1", "argument --explosion-k: must be >= 0, got -1"),
+    ("explosion", "--n", "-3", "argument --n: must be >= 0, got -3"),
+], ids=["reps-0", "one-probe-magnitude", "negative-explosion-k", "negative-n"])
+def test_invalid_option_values_are_usage_errors(tmp_path, capsys, monkeypatch, suite, option,
+                                                value, message):
+    monkeypatch.setattr(cli, "run_ensemble", _no_ensemble)
+    with pytest.raises(SystemExit) as exc:
+        main(["--spec", spec_path("gamma_single_type"), "--suite", suite, option, value,
+              "--out", str(tmp_path / "rep")])
+    assert exc.value.code == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
+def test_state_of_the_wrong_length_names_the_option(tmp_path, capsys):
+    code = main(["--spec", spec_path("gamma_single_type"), "--suite", "moments",
+                 "--state", "1,2", "--out", str(tmp_path / "rep")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --state: expected 1 components\n"
 
 
 def test_parser_defaults_are_the_config_defaults():

@@ -463,6 +463,19 @@ def test_inverse_cube_emigration_moments():
     assert oracles.total_variation(empirical_pmf(draws), oracle) < 0.02
 
 
+@pytest.mark.parametrize("law", [UniformEmigration(), TruncatedGeometricEmigration(ratio=0.9),
+                                 InverseCubeEmigration(), DeterministicEmigration(value=3)],
+                         ids=lambda law: type(law).__name__)
+@pytest.mark.parametrize("zi", [1, 7, 10**3, 10**5, 10**6])
+def test_emigration_atoms_agree_with_raw_moments(law, zi):
+    # the enumeration describes the same law as the closed form at every
+    # count, far beyond any table size
+    vals, probs = law.atoms(zi)
+    for k in range(1, 5):
+        from_atoms = float(np.sum(probs * vals.astype(float) ** k))
+        assert from_atoms == pytest.approx(law.raw_moment(k, zi), rel=1e-9, abs=0)
+
+
 def test_deterministic_emigration_cap():
     law = DeterministicEmigration(value=2)
     assert law.raw_moment(1, 5) == 2.0

@@ -97,6 +97,13 @@ def test_ensemble_paths_consistent(gamma_spec):
     assert np.array_equal(ens.paths[:, 0, 0], np.ones(4))
 
 
+def test_ensemble_refuses_a_negative_horizon(gamma_spec):
+    # as simulate_path does: a negative horizon has no terminal states
+    with pytest.raises(ValueError, match="horizon must be nonnegative"):
+        run_ensemble(gamma_spec, n=-3, R=5, master_seed=1)
+    assert (run_ensemble(gamma_spec, n=0, R=5, master_seed=1).terminal == 1).all()
+
+
 def test_ensemble_deterministic_model():
     ens = run_ensemble(deterministic_spec(), n=10, R=5, master_seed=1)
     assert (ens.terminal == 11).all()  # 1 + one immigrant per step
