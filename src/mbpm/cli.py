@@ -178,11 +178,10 @@ def _load_document(path: str) -> dict:
 
 def _suite_moments(spec: ModelSpec, doc: dict, config: ExperimentConfig):
     if config.state is not None:
-        z, source = np.asarray(config.state, dtype=np.int64), "--state"
-    elif "reference_state" in doc:
-        z, source = np.asarray(doc["reference_state"], dtype=np.int64), "reference_state"
+        z, source = config.state, "--state"
     else:
-        z, source = np.full(spec.dim, 10, dtype=np.int64), None
+        z, source = doc.get("reference_state", [10] * spec.dim), "reference_state"
+    z = np.asarray(z, dtype=np.int64)
     if z.shape != (spec.dim,):
         raise SpecFormatError(source, f"expected {spec.dim} components")
     report = moment_check(spec, z, N=max(config.reps, 10_000), seed=config.seed)
@@ -400,10 +399,6 @@ def run(config: ExperimentConfig) -> int:
     return 0 if passed else 1
 
 
-def _parse_floats(text: str):
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
-
-
 def _parse_ints(text: str):
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
@@ -424,7 +419,7 @@ def _at_least(convert, lo):
 def _probe_magnitudes(text: str):
     """Probe magnitudes by CriteriaConfig's own rule."""
     try:
-        magnitudes = _parse_floats(text)
+        magnitudes = tuple(float(tok) for tok in text.split(",") if tok.strip())
         CriteriaConfig(ray_points=magnitudes)
     except ValueError:
         raise argparse.ArgumentTypeError(
