@@ -12,12 +12,12 @@ Z_n / n against the gamma reference with a Kolmogorov-Smirnov check.
 import numpy as np
 
 from mbpm import (
+    LimitParams,
     ecdf,
     estimate_exponents,
     gamma_cdf,
     ks_statistic,
     load_spec,
-    make_limit_params,
     run_ensemble,
 )
 
@@ -28,7 +28,7 @@ spec = load_spec("specs/gamma_single_type.json")
 # from the moment structure along the growth ray
 # ---------------------------------------------------------------------------
 
-params = make_limit_params(alpha=0.0, c=[2.0], nu=1.0)
+params = LimitParams(alpha=0.0, c=np.array([2.0]), c_dot_u=2.0, beta=1.0, nu=1.0)
 print(f"exact:  drift exponent alpha = 0, u.c = {params.c_dot_u}, nu = {params.nu}")
 print(f"        gamma shape = {params.gamma_shape}, scale = {params.gamma_scale}")
 

@@ -4,7 +4,7 @@
 When the migration surplus decays with population size (here the
 expected surplus at size s is sqrt(s)), the surviving population still
 grows without bound, but deterministically to first order: Z_n tracks
-the profile a_n driven by the drift recursion a_{k+1} = a_k + hbar(a_k).
+the profile a_n driven by the drift recursion a_{k+1} = a_k + sqrt(a_k).
 The fluctuation Z_n - a_n, scaled by a power-law factor lambda_n, is
 asymptotically standard normal.  This script builds a_n and lambda_n,
 simulates an ensemble, and tests the standardized terminal values
@@ -13,15 +13,13 @@ against the normal reference.
 import numpy as np
 
 from mbpm import (
+    LimitParams,
     a_asymptotic,
     a_seq,
     ks_statistic,
-    l1_constant,
     lambda_n,
     load_spec,
-    make_limit_params,
     normal_cdf,
-    power_drift,
     run_ensemble,
 )
 
@@ -31,8 +29,7 @@ spec = load_spec("specs/sqrt_drift_single_type.json")
 # deterministic profile: exact recursion versus closed-form asymptote
 # ---------------------------------------------------------------------------
 
-hbar = power_drift(1.0, 0.5)  # expected surplus sqrt(s) at size s
-profile = a_seq(hbar, 100_000)
+profile = a_seq(1.0, 0.5, 100_000)  # expected surplus sqrt(s) at size s
 print("growth profile under drift sqrt(s):")
 print(f"{'n':>8} {'a_n':>14} {'asymptote':>14} {'ratio':>8}")
 for k in (10, 100, 1000, 10_000, 100_000):
@@ -44,10 +41,10 @@ for k in (10, 100, 1000, 10_000, 100_000):
 # power branch where lambda_n = n exactly
 # ---------------------------------------------------------------------------
 
-params = make_limit_params(alpha=0.5, c=[1.0], nu=1.0, beta=1.0)
+params = LimitParams(alpha=0.5, c=np.array([1.0]), c_dot_u=1.0, beta=1.0, nu=1.0)
 n = 800
 lam = lambda_n(params, n)
-a_n = float(a_seq(hbar, n)[-1])
+a_n = float(profile[n])
 print(f"\nat n = {n}: a_n = {a_n:.1f}, lambda_n = {lam:.1f}")
 
 # ---------------------------------------------------------------------------
@@ -74,7 +71,7 @@ assert ks < 0.10, "standardized fluctuations strayed from the normal reference"
 # a_n ~ n^2 / 4, and E[Z_n] / n^2 approaches the same constant
 # ---------------------------------------------------------------------------
 
-target = l1_constant(1.0, 0.5)
+target = params.l1_constant
 observed = float(ens.terminal[:, 0].mean()) / n**2
 print(f"\nmean growth rate: E[Z_n]/n^2 = {observed:.4f} (limit {target})")
 assert abs(observed - target) / target < 0.10

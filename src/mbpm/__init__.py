@@ -79,12 +79,8 @@ from .limits import (
     a_seq,
     euler_maruyama,
     feller_params,
-    gamma_limit_params,
-    l1_constant,
     lambda_n,
-    make_limit_params,
     params_from_spec,
-    power_drift,
     scaled_path,
 )
 from .montecarlo import (

@@ -38,36 +38,20 @@ from .moments import migration_atoms, migration_mean, sigma2
 _RATIO_MARGIN = 0.10  # safety band around the critical ratio 1
 _SLOPE_SLACK = 0.05  # fitted exponent must undershoot the target by this
 _CRITICAL_TOL = 1e-9
+_DELTA = 1.0  # the moment orders are 1 + delta/2 and 2 + delta
+_ALPHA_LOG = 1.0  # exponent on the log factor of the growth-side conditions
+_ALPHA_TILDE = 2.0  # moment order of the delta2 surrogate
+_VERDICTS = ("no-growth", "growth-possible", "inconclusive")
 
 
 @dataclass(frozen=True)
 class CriteriaConfig:
-    """Tunable parameters of the growth criteria.
+    """The probe ray: magnitudes of u . z at which the criteria probe the
+    model, along the right Perron vector v."""
 
-    delta enters the moment orders 1 + delta/2 and 2 + delta; alpha_log is
-    the exponent on the log factor in the growth-side conditions;
-    alpha_tilde, delta1, delta2 parameterize the fluctuation-side exponent
-    reports; ray_points are the probe magnitudes of u . z; direction is
-    the ray direction (right Perron eigenvector when omitted).
-    """
-
-    delta: float = 1.0
-    alpha_log: float = 1.0
-    alpha_tilde: float = 2.0
-    delta1: float = 0.9
-    delta2: float = 0.9
     ray_points: tuple = (1e3, 1e4, 1e5)
-    direction: Optional[tuple] = None
 
     def __post_init__(self):
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError("delta must lie in (0, 1]")
-        if self.alpha_log <= 0.0:
-            raise ValueError("alpha_log must be positive")
-        if not 1.0 < self.alpha_tilde <= 2.0:
-            raise ValueError("alpha_tilde must lie in (1, 2]")
-        if self.delta1 >= 1.0 or self.delta2 >= 1.0:
-            raise ValueError("delta1 and delta2 must be < 1")
         pts = tuple(float(x) for x in self.ray_points)
         if len(pts) < 2 or any(b <= a for a, b in zip(pts, pts[1:])) or pts[0] < 10:
             raise ValueError("ray_points must be increasing magnitudes >= 10")
@@ -75,7 +59,7 @@ class CriteriaConfig:
 
 @dataclass
 class GrowthVerdict:
-    verdict: str  # "no-growth" | "growth-possible" | "inconclusive"
+    verdict: str  # one of _VERDICTS
     condition: Optional[str]
     ratio_values: np.ndarray
     probe_sizes: np.ndarray
@@ -101,12 +85,7 @@ class GrowthVerdict:
 
 def probe_states(spec: ModelSpec, config: CriteriaConfig = CriteriaConfig()):
     """Integer states along the probe ray, one per configured magnitude."""
-    if config.direction is not None:
-        direction = np.asarray(config.direction, dtype=float)
-        if (direction < 0).any() or not direction.any():
-            raise ValueError("probe direction must be nonnegative and nonzero")
-    else:
-        direction = spec.spectral().v
+    direction = spec.spectral().v
     out = []
     for mag in config.ray_points:
         z = np.rint(mag * direction).astype(np.int64)
@@ -244,7 +223,6 @@ def check_growth_support(spec: ModelSpec, z) -> bool:
 class _Ray:
     """Everything the criteria read along the probe ray, evaluated once."""
 
-    config: CriteriaConfig
     probes: list
     sizes: np.ndarray  # u.z per probe
     h: list  # h(z) per probe
@@ -261,7 +239,7 @@ def _probe_ray(spec: ModelSpec, config: CriteriaConfig) -> _Ray:
     u = spec.spectral().u
     probes = probe_states(spec, config)
     h_list = [migration_mean(spec.migration, z, u) for z in probes]
-    shifted_power, centered_power = 1.0 + config.delta / 2.0, 2.0 + config.delta
+    shifted_power, centered_power = 1.0 + _DELTA / 2.0, 2.0 + _DELTA
     shifted, centered = [[] for _ in range(spec.dim)], [[] for _ in range(spec.dim)]
     surrogate = []
     for z, h in zip(probes, h_list):
@@ -272,10 +250,9 @@ def _probe_ray(spec: ModelSpec, config: CriteriaConfig) -> _Ray:
             shifted[i].append(float(np.sum(probs * np.abs(zi + vals) ** shifted_power)))
             centered[i].append(float(np.sum(probs * np.abs(-hi + vals) ** centered_power)))
             candidates.append(zi + hi)
-            candidates.append(float(np.sum(probs * np.abs(-hi + vals) ** config.alpha_tilde)))
+            candidates.append(float(np.sum(probs * np.abs(-hi + vals) ** _ALPHA_TILDE)))
         surrogate.append(max(candidates))
     return _Ray(
-        config=config,
         probes=probes,
         sizes=np.array([float(u @ z) for z in probes]),
         h=h_list,
@@ -305,13 +282,13 @@ def _order_checks(ray: _Ray) -> dict:
     drift}, keyed "<lhs>_vs_<rhs>": each holds when every type's fitted
     exponent undershoots the target's by the slack.  The drift targets
     exist only where u.h > 0 along the whole ray."""
-    sizes, delta = ray.sizes, ray.config.delta
-    targets = {"sigma": sizes ** (1.0 + delta) * ray.s2}
+    sizes = ray.sizes
+    targets = {"sigma": sizes ** (1.0 + _DELTA) * ray.s2}
     if (ray.uh > 0.0).all():
         targets["drift_log"] = (
-            sizes ** (1.0 + delta) * ray.uh / np.log(sizes) ** (1.0 + ray.config.alpha_log)
+            sizes ** (1.0 + _DELTA) * ray.uh / np.log(sizes) ** (1.0 + _ALPHA_LOG)
         )
-        targets["drift"] = sizes ** (2.0 + delta) * ray.uh
+        targets["drift"] = sizes ** (2.0 + _DELTA) * ray.uh
     lhs_slopes = {
         lhs: [_slope(sizes, ys) for ys in per_type]
         for lhs, per_type in (("shifted", ray.shifted), ("centered", ray.centered))
@@ -426,7 +403,7 @@ def _fitted_exponents(ray: _Ray) -> dict:
     out["nu"] = None if beta is None else float(s2[-1] / sizes[-1] ** beta)
     out["delta1"] = _finite(_slope(sizes, [float(np.max(np.abs(h))) for h in ray.h]))
     d2 = _finite(_slope(sizes, ray.surrogate))
-    out["delta2"] = None if d2 is None else d2 / ray.config.alpha_tilde
+    out["delta2"] = None if d2 is None else d2 / _ALPHA_TILDE
 
     out["ratio_limit"] = None
     if alpha is not None and beta is not None and out["nu"]:

@@ -41,14 +41,15 @@ from typing import Optional
 import numpy as np
 
 from .classify import (
+    _VERDICTS,
     CriteriaConfig,
     _fitted_exponents,
     _growth_verdict,
     _not_critical,
     _probe_ray,
 )
-from .limits import a_seq, feller_params, lambda_n, params_from_spec, power_drift
-from .model import ModelSpec, SpecFormatError, spec_digest, spec_from_dict
+from .limits import a_seq, feller_params, lambda_n, params_from_spec
+from .model import ModelSpec, SpecFormatError, _integer, spec_digest, spec_from_dict
 from .montecarlo import (
     estimate_explosion,
     gamma_cdf,
@@ -172,6 +173,75 @@ def _load_document(path: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Document extras: the optional top-level fields a suite reads, checked as
+# outside input before it runs; a malformed one raises SpecFormatError
+# ---------------------------------------------------------------------------
+
+_LIMIT_KEYS = ("alpha", "c", "nu", "beta")
+
+
+def _number(x, path: str) -> float:
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
+        raise SpecFormatError(path, f"expected a finite number, got {x!r}")
+    return float(x)
+
+
+def _numbers(xs, size: int, path: str) -> list:
+    if not isinstance(xs, list) or len(xs) != size:
+        raise SpecFormatError(path, f"expected a list of {size} numbers, got {xs!r}")
+    return [_number(x, f"{path}[{j}]") for j, x in enumerate(xs)]
+
+
+def _counts(z, dim: int, path: str) -> np.ndarray:
+    """A state of ``dim`` nonnegative integer counts."""
+    if not isinstance(z, (list, tuple)):
+        raise SpecFormatError(path, f"expected a list of counts, got {z!r}")
+    if len(z) != dim:
+        raise SpecFormatError(path, f"expected {dim} components")
+    try:
+        counts = np.array([_integer(x) for x in z], dtype=np.int64)
+    except (OverflowError, ValueError) as exc:
+        raise SpecFormatError(path, str(exc)) from None
+    if (counts < 0).any():
+        raise SpecFormatError(path, f"counts must be nonnegative, got {list(z)}")
+    return counts
+
+
+def _limit_block(block, dim: int) -> Optional[dict]:
+    """The calibrated growth constants of a ``limit`` block: numbers alpha,
+    nu and beta, and c, one number per type; any other key is refused."""
+    if block is None:
+        return None
+    if not isinstance(block, dict):
+        raise SpecFormatError("limit", f"expected a mapping, got {type(block).__name__}")
+    calibrated = {}
+    for key, value in block.items():
+        path = f"limit.{key}"
+        if key not in _LIMIT_KEYS:
+            raise SpecFormatError(path, "unknown field (the block takes alpha, c, nu and beta)")
+        calibrated[key] = _numbers(value, dim, path) if key == "c" else _number(value, path)
+    return calibrated
+
+
+def _expected_verdict(expected) -> Optional[str]:
+    if expected is not None and expected not in _VERDICTS:
+        raise SpecFormatError(
+            "expected_verdict", f"expected one of {', '.join(_VERDICTS)}, got {expected!r}"
+        )
+    return expected
+
+
+def _explosion_bounds(bounds) -> Optional[list]:
+    """The interval [lo, hi] the explosion probability must fall in."""
+    if bounds is None:
+        return None
+    lo, hi = _numbers(bounds, 2, "explosion_bounds")
+    if lo > hi:
+        raise SpecFormatError("explosion_bounds", f"lower bound {lo!r} exceeds upper bound {hi!r}")
+    return [lo, hi]
+
+
+# ---------------------------------------------------------------------------
 # Suites: each returns (passed, payload, plot files)
 # ---------------------------------------------------------------------------
 
@@ -181,9 +251,7 @@ def _suite_moments(spec: ModelSpec, doc: dict, config: ExperimentConfig):
         z, source = config.state, "--state"
     else:
         z, source = doc.get("reference_state", [10] * spec.dim), "reference_state"
-    z = np.asarray(z, dtype=np.int64)
-    if z.shape != (spec.dim,):
-        raise SpecFormatError(source, f"expected {spec.dim} components")
+    z = _counts(z, spec.dim, source)
     report = moment_check(spec, z, N=max(config.reps, 10_000), seed=config.seed)
     p = range(spec.dim)
     labels = [f"mean[{i}]" for i in p] + [f"cov[{i},{j}]" for i in p for j in p]
@@ -199,12 +267,12 @@ def _suite_moments(spec: ModelSpec, doc: dict, config: ExperimentConfig):
 
 def _suite_classify(spec: ModelSpec, doc: dict, config: ExperimentConfig):
     """The verdict and the fitted exponents, both read from one probe ray."""
+    expected = _expected_verdict(doc.get("expected_verdict"))
     cc = CriteriaConfig(ray_points=config.probe_magnitudes)
     with _applicable("classify"):
         ray = _probe_ray(spec, cc)
         verdict = _not_critical(spec) or _growth_verdict(spec, ray)
         exponents = _fitted_exponents(ray)
-    expected = doc.get("expected_verdict")
     passed = True if expected is None else (verdict.verdict == expected)
     columns = [np.asarray(verdict.probe_sizes, dtype=float),
                np.asarray(verdict.ratio_values, dtype=float)]
@@ -243,8 +311,6 @@ def _normal_law(params, n, uu, a_n):
 
 def _l1_law(params, n, uu, a_n):
     target = params.l1_constant
-    if target is None:
-        raise ValueError("it needs alpha < 1 and u.c > 0")
     scale_n = _size_scale(params, n)
 
     def gate(w, config):
@@ -273,11 +339,12 @@ _LIMIT_LAWS = {"gamma-limit": _gamma_law, "normal-limit": _normal_law, "l1-limit
 
 def _suite_limit(spec: ModelSpec, doc: dict, config: ExperimentConfig):
     """A limit law on the ensemble conditioned on survival, u.Z_n > eps * a_n."""
+    calibrated = _limit_block(doc.get("limit"), spec.dim)
     with _applicable(config.suite):
-        params = params_from_spec(spec, doc.get("limit"))
+        params = params_from_spec(spec, calibrated)
         u = spec.spectral().u
         uu = float(u @ u)
-        a_n = float(a_seq(power_drift(params.c_dot_u, params.alpha), config.n)[-1])
+        a_n = float(a_seq(params.c_dot_u, params.alpha, config.n)[-1])
         transform, gate, extra = _LIMIT_LAWS[config.suite](params, config.n, uu, a_n)
     ens = run_ensemble(spec, config.n, config.reps, config.seed, workers=config.workers)
     weighted = ens.terminal_weighted(u)
@@ -335,14 +402,10 @@ def _suite_feller(spec: ModelSpec, doc: dict, config: ExperimentConfig):
 
 
 def _suite_explosion(spec: ModelSpec, doc: dict, config: ExperimentConfig):
+    bounds = _explosion_bounds(doc.get("explosion_bounds"))
     ens = run_ensemble(spec, config.n, config.reps, config.seed, workers=config.workers)
     est = estimate_explosion(ens, config.explosion_k)
-    bounds = doc.get("explosion_bounds")
-    if bounds is not None:
-        lo, hi = float(bounds[0]), float(bounds[1])
-        passed = lo <= est.value <= hi
-    else:
-        passed = True
+    passed = bounds is None or bounds[0] <= est.value <= bounds[1]
     norms = np.abs(ens.terminal).sum(axis=1).astype(float)
     payload = {
         "explosion": est.to_dict(),

@@ -1,7 +1,7 @@
 """Normalizing sequences and limit laws for near-critical growth.
 
 When growth is possible, the deterministic recursion a_{k+1} = a_k +
-hbar(a_k) tracks the typical size of u . Z_k.  Around it live three
+(u.c) a_k^alpha tracks the typical size of u . Z_k.  Around it live three
 limit statements this module parameterizes:
 
   * gamma regime (variance exponent beta = 1 + alpha, nu < 2 u.c): the
@@ -14,20 +14,21 @@ limit statements this module parameterizes:
     sizes, n^{-1} Z_{floor(nt)} converges weakly to a square-root
     diffusion in the Perron direction.
 
-All parameters live in LimitParams; lambda_n and the gamma/L1 constants
-are evaluated exactly as displayed in their defining formulas, so
-calibrated integer cases come out exact in floating point.
+LimitParams holds the growth constants alpha, u.c, beta and nu and
+derives the gamma and L1 constants from them; a_seq, lambda_n and those
+constants are evaluated exactly as displayed in their defining formulas,
+so calibrated integer cases come out exact in floating point.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import algebra
-from .classify import CriteriaConfig, check_hypothesis_C, estimate_exponents
+from .classify import _ALPHA_TILDE, _DELTA, check_hypothesis_C, estimate_exponents
 from .model import ModelSpec, Trajectory
 
 _BETA_TOL = 1e-9
@@ -40,9 +41,10 @@ class LimitParams:
     alpha is the growth exponent of the mean adjustment (u . h(z) ~
     (u . c) (u . z)^alpha), c its coefficient vector, beta and nu the
     exponent and coefficient of the one-step variance sigma2(z) ~
-    nu (u . z)^beta.  delta, delta1, delta2, alpha_tilde parameterize the
-    side conditions; the remaining fields are derived law parameters
-    (None where the regime does not apply).
+    nu (u . z)^beta.  delta1 and delta2 are the fitted fluctuation-side
+    exponents, and the Feller coefficients those of the diffusion limit
+    (None where they do not exist).  The gamma and L1 constants are
+    derived from the growth constants.
     """
 
     alpha: float
@@ -50,13 +52,8 @@ class LimitParams:
     c_dot_u: float
     beta: float
     nu: float
-    delta: float = 1.0
     delta1: Optional[float] = None
     delta2: Optional[float] = None
-    alpha_tilde: float = 2.0
-    gamma_shape: Optional[float] = None
-    gamma_scale: Optional[float] = None
-    l1_constant: Optional[float] = None
     feller_drift: Optional[float] = None
     feller_diffusion: Optional[float] = None
 
@@ -70,6 +67,31 @@ class LimitParams:
         if self.beta > 1.0 + self.alpha + _BETA_TOL:
             raise ValueError("beta must be <= 1 + alpha")
 
+    @property
+    def _gamma_regime(self) -> bool:
+        """beta = 1 + alpha and nu < 2 u.c: growth has positive probability
+        and the gamma limit exists."""
+        return abs(self.beta - (1.0 + self.alpha)) <= _BETA_TOL and self.nu < 2.0 * self.c_dot_u
+
+    @property
+    def gamma_shape(self) -> Optional[float]:
+        """Shape (2 (u.c) - nu alpha) / (nu (1 - alpha)) of the limiting gamma law."""
+        if not self._gamma_regime:
+            return None
+        return (2.0 * self.c_dot_u - self.nu * self.alpha) / (self.nu * (1.0 - self.alpha))
+
+    @property
+    def gamma_scale(self) -> Optional[float]:
+        """Scale nu (1 - alpha)^2 / 2 of the limiting gamma law."""
+        if not self._gamma_regime:
+            return None
+        return self.nu * (1.0 - self.alpha) ** 2 / 2.0
+
+    @property
+    def l1_constant(self) -> float:
+        """Constant of the mean-normalized a.s./L1 limit: ((u.c)(1-alpha))^{1/(1-alpha)}."""
+        return (self.c_dot_u * (1.0 - self.alpha)) ** (1.0 / (1.0 - self.alpha))
+
     def to_dict(self) -> dict:
         return {
             "alpha": self.alpha,
@@ -77,10 +99,10 @@ class LimitParams:
             "c_dot_u": self.c_dot_u,
             "beta": self.beta,
             "nu": self.nu,
-            "delta": self.delta,
+            "delta": _DELTA,
             "delta1": self.delta1,
             "delta2": self.delta2,
-            "alpha_tilde": self.alpha_tilde,
+            "alpha_tilde": _ALPHA_TILDE,
             "gamma_shape": self.gamma_shape,
             "gamma_scale": self.gamma_scale,
             "l1_constant": self.l1_constant,
@@ -89,102 +111,21 @@ class LimitParams:
         }
 
 
-def gamma_limit_params(alpha: float, nu: float, c_dot_u: float):
-    """Shape and scale of the limiting gamma law in the beta = 1 + alpha regime.
-
-    shape = (2 (u.c) - nu alpha) / (nu (1 - alpha)), scale = nu (1 - alpha)^2 / 2.
-    """
-    if alpha >= 1.0:
-        raise ValueError("alpha must be < 1")
-    if nu <= 0.0:
-        raise ValueError("nu must be positive")
-    if nu >= 2.0 * c_dot_u:
-        raise ValueError(
-            "nu >= 2 u.c is the no-growth regime: unbounded growth has "
-            "probability zero there and the gamma limit does not apply"
-        )
-    shape = (2.0 * c_dot_u - nu * alpha) / (nu * (1.0 - alpha))
-    scale = nu * (1.0 - alpha) ** 2 / 2.0
-    return shape, scale
-
-
-def l1_constant(c_dot_u: float, alpha: float) -> float:
-    """Constant of the mean-normalized a.s./L1 limit: ((u.c)(1-alpha))^{1/(1-alpha)}."""
-    if alpha >= 1.0:
-        raise ValueError("alpha must be < 1")
-    if c_dot_u <= 0.0:
-        raise ValueError("u . c must be positive")
-    return (c_dot_u * (1.0 - alpha)) ** (1.0 / (1.0 - alpha))
-
-
-def make_limit_params(
-    alpha: float,
-    c,
-    nu: float,
-    beta: Optional[float] = None,
-    u=None,
-    delta: float = 1.0,
-    delta1: Optional[float] = None,
-    delta2: Optional[float] = None,
-    alpha_tilde: float = 2.0,
-    feller_drift: Optional[float] = None,
-    feller_diffusion: Optional[float] = None,
-) -> LimitParams:
-    """Assemble LimitParams, deriving the law constants that apply.
-
-    c may be a scalar (single type) or a vector; u defaults to uniform
-    weights 1/p so that a scalar c gives c_dot_u = c.  beta defaults to
-    1 + alpha.  Gamma parameters are filled only in the beta = 1 + alpha,
-    nu < 2 u.c regime.
-    """
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    if u is None:
-        u = np.full(c.shape, 1.0 / c.size)
-    u = np.asarray(u, dtype=float)
-    c_dot_u = float(u @ c)
-    if beta is None:
-        beta = 1.0 + alpha
-    shape = scale = None
-    if abs(beta - (1.0 + alpha)) <= _BETA_TOL and nu < 2.0 * c_dot_u:
-        shape, scale = gamma_limit_params(alpha, nu, c_dot_u)
-    const = l1_constant(c_dot_u, alpha) if alpha < 1.0 and c_dot_u > 0.0 else None
-    return LimitParams(
-        alpha=alpha,
-        c=c,
-        c_dot_u=c_dot_u,
-        beta=beta,
-        nu=nu,
-        delta=delta,
-        delta1=delta1,
-        delta2=delta2,
-        alpha_tilde=alpha_tilde,
-        gamma_shape=shape,
-        gamma_scale=scale,
-        l1_constant=const,
-        feller_drift=feller_drift,
-        feller_diffusion=feller_diffusion,
-    )
-
-
-def params_from_spec(
-    spec: ModelSpec,
-    calibrated: Optional[dict] = None,
-    config: CriteriaConfig = CriteriaConfig(),
-) -> LimitParams:
+def params_from_spec(spec: ModelSpec, calibrated: Optional[dict] = None) -> LimitParams:
     """LimitParams for a model, from calibration or fitted exponents.
 
     calibrated, when given, is a mapping with keys among {"alpha", "c",
-    "nu", "beta", "delta", "delta1", "delta2", "alpha_tilde"} (the limit
-    block of a model document) and takes precedence over the slope fits
-    of classify.estimate_exponents.  The diffusion coefficients are
-    attached whenever the large-size migration limits exist.
+    "nu", "beta"} (the limit block of a model document) and takes
+    precedence over the slope fits of classify.estimate_exponents; beta
+    defaults to 1 + alpha.  The diffusion coefficients are attached
+    whenever the large-size migration limits exist.
     """
     calibrated = dict(calibrated or {})
     u = spec.spectral().u
     fitted = {}
     need_fit = any(k not in calibrated for k in ("alpha", "c", "nu"))
     if need_fit:
-        fitted = estimate_exponents(spec, config)
+        fitted = estimate_exponents(spec)
         if fitted["alpha"] is None or fitted["nu"] is None:
             raise ValueError(
                 "cannot fit growth exponents (drift or variance not positive "
@@ -198,49 +139,36 @@ def params_from_spec(
         c = fitted["c_dot_u"] * spec.spectral().v
     nu = float(calibrated.get("nu", fitted.get("nu", 0.0)))
     beta = calibrated.get("beta", fitted.get("beta"))
-    beta = None if beta is None else float(beta)
     drift = diffusion = None
     try:
         drift, diffusion = feller_params(spec)
     except ValueError:
         pass
-    return make_limit_params(
-        alpha,
-        c,
-        nu,
-        beta=beta,
-        u=u,
-        delta=float(calibrated.get("delta", 1.0)),
-        delta1=calibrated.get("delta1", fitted.get("delta1")),
-        delta2=calibrated.get("delta2", fitted.get("delta2")),
-        alpha_tilde=float(calibrated.get("alpha_tilde", 2.0)),
+    return LimitParams(
+        alpha=alpha,
+        c=c,
+        c_dot_u=float(u @ c),
+        beta=1.0 + alpha if beta is None else float(beta),
+        nu=nu,
+        delta1=fitted.get("delta1"),
+        delta2=fitted.get("delta2"),
         feller_drift=drift,
         feller_diffusion=diffusion,
     )
 
 
-def power_drift(c_dot_u: float, alpha: float) -> Callable[[float], float]:
-    """The parametric aggregate drift x -> (u.c) x^alpha."""
-    if c_dot_u <= 0.0:
-        raise ValueError("u . c must be positive")
-
-    def hbar(x: float) -> float:
-        return c_dot_u * x**alpha
-
-    return hbar
-
-
-def a_seq(hbar: Callable[[float], float], n: int):
-    """Values a_0 .. a_n of the size recursion a_{k+1} = a_k + hbar(a_k), a_0 = 1."""
+def a_seq(c_dot_u: float, alpha: float, n: int):
+    """Values a_0 .. a_n of the size recursion a_{k+1} = a_k + (u.c) a_k^alpha, a_0 = 1."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     a = np.empty(n + 1)
-    a[0] = 1.0
+    a[0] = x = 1.0
     for k in range(n):
-        step = float(hbar(float(a[k])))
+        step = c_dot_u * x**alpha
         if not step > 0.0:
-            raise ValueError(f"drift increment nonpositive at x={a[k]!r}: {step!r}")
-        a[k + 1] = a[k] + step
+            raise ValueError(f"drift increment nonpositive at x={x!r}: {step!r}")
+        x += step
+        a[k + 1] = x
     return a
 
 
@@ -268,10 +196,6 @@ def lambda_n(params: LimitParams, n: int) -> float:
             ((1-alpha) n)^{(beta - alpha + 1)/(1-alpha)})^{1/2}.
     """
     alpha, beta, nu, cu = params.alpha, params.beta, params.nu, params.c_dot_u
-    if alpha >= 1.0:
-        raise ValueError("alpha must be < 1")
-    if nu <= 0.0:
-        raise ValueError("nu must be positive")
     if beta < 3.0 * alpha - 1.0 - _BETA_TOL or beta > alpha + 1.0 + _BETA_TOL:
         raise ValueError("beta must lie in [3 alpha - 1, alpha + 1]")
     if n < 2:

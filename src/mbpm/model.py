@@ -527,9 +527,14 @@ def _read(block: _Block, d, path: str):
     if form is None:
         raise SpecFormatError(f"{path}.{block.tag}", f"unknown {block.noun} {block.tag} {tag!r}")
     make, fields = form
+    fields = [_Field(*f) for f in fields]
+    known = {block.tag, *(f.key for f in fields)}
+    for key in d:
+        if key not in known:
+            raise SpecFormatError(f"{path}.{key}", "unknown field")
     args = {}
     try:
-        for key, conv, attr, optional in (_Field(*f) for f in fields):
+        for key, conv, attr, optional in fields:
             if optional and d.get(key) is None:
                 args[attr or key] = None
             else:

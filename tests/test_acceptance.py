@@ -14,19 +14,17 @@ import conftest
 import oracles
 from conftest import load_doc
 from mbpm import (
+    LimitParams,
     a_asymptotic,
     a_seq,
     classify_growth,
     feller_params,
     gamma_cdf,
     ks_statistic,
-    l1_constant,
     lambda_n,
-    make_limit_params,
     moment_check,
     normal_cdf,
     perron,
-    power_drift,
     sample_step_batch,
     stream_for,
 )
@@ -97,7 +95,7 @@ def test_criterion_4_l1_constant(sqrt_ensemble):
     t0 = time.perf_counter()
     n = sqrt_ensemble.n
     w = sqrt_ensemble.terminal[:2000, 0] / n**2
-    target = l1_constant(1.0, 0.5)
+    target = LimitParams(alpha=0.5, c=np.array([1.0]), c_dot_u=1.0, beta=1.0, nu=1.0).l1_constant
     rel = abs(w.mean() - target) / target
     elapsed = time.perf_counter() - t0 + sqrt_ensemble.build_seconds
     record(4, rel <= 0.10,
@@ -110,8 +108,8 @@ def test_criterion_5_normal_fluctuations(sqrt_ensemble):
     budget = 600.0
     t0 = time.perf_counter()
     n = sqrt_ensemble.n
-    a_n = a_seq(power_drift(1.0, 0.5), n)[-1]
-    params = make_limit_params(alpha=0.5, c=np.array([1.0]), nu=1.0, beta=1.0)
+    a_n = a_seq(1.0, 0.5, n)[-1]
+    params = LimitParams(alpha=0.5, c=np.array([1.0]), c_dot_u=1.0, beta=1.0, nu=1.0)
     lam = lambda_n(params, n)
     w = (sqrt_ensemble.terminal[:, 0] - a_n) / lam
     d = ks_statistic(w, normal_cdf)
@@ -159,12 +157,12 @@ def test_criterion_8_exact_sequences():
     n_big = 1_000_000
     ok = True
     for c in [2.0, 0.5]:
-        a = a_seq(lambda x: c, n_big)
+        a = a_seq(c, 0.0, n_big)
         ok = ok and np.array_equal(a, 1.0 + c * np.arange(n_big + 1))
-    ratio = (a_seq(power_drift(1.0, 0.5), 100_000)[-1]
+    ratio = (a_seq(1.0, 0.5, 100_000)[-1]
              / a_asymptotic(1.0, 0.5, 100_000))
     ok = ok and abs(ratio - 1.0) <= 0.05
-    params = make_limit_params(alpha=0.0, c=np.array([2.0]), nu=1.0, beta=1.0)
+    params = LimitParams(alpha=0.0, c=np.array([2.0]), c_dot_u=2.0, beta=1.0, nu=1.0)
     lam_exact = all(lambda_n(params, n) == float(n)
                     for n in [2, 10, 500, 1000, 1_000_000])
     ok = ok and lam_exact

@@ -52,17 +52,11 @@ def drift_const_spec():
 
 def test_criteria_config_validation():
     with pytest.raises(ValueError):
-        CriteriaConfig(delta=0.0)
-    with pytest.raises(ValueError):
-        CriteriaConfig(delta=1.5)
-    with pytest.raises(ValueError):
-        CriteriaConfig(alpha_tilde=1.0)
-    with pytest.raises(ValueError):
-        CriteriaConfig(delta1=1.0)
-    with pytest.raises(ValueError):
         CriteriaConfig(ray_points=(100.0,))
     with pytest.raises(ValueError):
         CriteriaConfig(ray_points=(1000.0, 100.0))
+    with pytest.raises(ValueError):
+        CriteriaConfig(ray_points=(5.0, 100.0))
 
 
 def test_probe_states_follow_direction(two_type_spec):

@@ -248,6 +248,80 @@ def test_limit_suite_infeasible_regime(tmp_path, capsys, monkeypatch, suite, doc
     assert not (tmp_path / "rep").exists()
 
 
+def _nothing_runs(*args, **kwargs):
+    raise AssertionError("a suite ran on a document whose extras are malformed")
+
+
+@pytest.mark.parametrize("suite, doc_name, key, value, message", [
+    ("gamma-limit", "gamma_single_type", "limit", [1, 2], "limit: expected a mapping, got list"),
+    # a misspelt key would otherwise leave alpha to the exponent fit
+    ("gamma-limit", "gamma_single_type", "limit", {"alpah": 0.0, "c": [2.0], "nu": 1.0},
+     "limit.alpah: unknown field (the block takes alpha, c, nu and beta)"),
+    ("gamma-limit", "gamma_single_type", "limit", {"alpha": 0.0, "c": [2.0], "delta": 1.0},
+     "limit.delta: unknown field (the block takes alpha, c, nu and beta)"),
+    ("l1-limit", "sqrt_drift_single_type", "limit", {"alpha": "x", "c": [1.0], "nu": 1.0},
+     "limit.alpha: expected a finite number, got 'x'"),
+    ("normal-limit", "sqrt_drift_single_type", "limit", {"alpha": 0.5, "c": [1.0, 1.0]},
+     "limit.c: expected a list of 1 numbers, got [1.0, 1.0]"),
+    ("l1-limit", "sqrt_drift_single_type", "limit", {"c": [True]},
+     "limit.c[0]: expected a finite number, got True"),
+    ("explosion", "pure_death", "explosion_bounds", [1],
+     "explosion_bounds: expected a list of 2 numbers, got [1]"),
+    ("explosion", "pure_death", "explosion_bounds", "ab",
+     "explosion_bounds: expected a list of 2 numbers, got 'ab'"),
+    ("explosion", "pure_death", "explosion_bounds", [0.5, 0.25],
+     "explosion_bounds: lower bound 0.5 exceeds upper bound 0.25"),
+    ("moments", "small_support", "reference_state", "ab",
+     "reference_state: expected a list of counts, got 'ab'"),
+    ("moments", "small_support", "reference_state", [-3, 1],
+     "reference_state: counts must be nonnegative, got [-3, 1]"),
+    ("moments", "small_support", "reference_state", [2.5, 1],
+     "reference_state: expected an integer, got 2.5"),
+    ("classify", "two_type_mixed", "expected_verdict", "no growth",
+     "expected_verdict: expected one of no-growth, growth-possible, inconclusive, "
+     "got 'no growth'"),
+], ids=["limit-list", "limit-misspelt-key", "limit-retired-key", "limit-alpha-string",
+        "limit-c-length", "limit-c-bool", "bounds-short", "bounds-string", "bounds-inverted",
+        "state-string", "state-negative", "state-fraction", "verdict-unknown"])
+def test_malformed_document_extras_exit_two(tmp_path, capsys, monkeypatch, suite, doc_name, key,
+                                            value, message):
+    doc = json.load(open(spec_path(doc_name)))
+    doc[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    for name in ("run_ensemble", "moment_check", "_probe_ray"):
+        monkeypatch.setattr(cli, name, _nothing_runs)
+    code = main(["--spec", str(bad), "--suite", suite,
+                 "--n", "20", "--reps", "50", "--out", str(tmp_path / "rep")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "rep").exists()
+
+
+_LIMIT_PARAM_KEYS = {"alpha", "c", "c_dot_u", "beta", "nu", "delta", "delta1", "delta2",
+                     "alpha_tilde", "gamma_shape", "gamma_scale", "l1_constant", "feller_drift",
+                     "feller_diffusion"}
+
+
+@pytest.mark.parametrize("suite, doc_name, gamma, l1, feller", [
+    ("gamma-limit", "gamma_single_type", (4.0, 0.5), 2.0, (2.0, 1.0)),
+    ("l1-limit", "sqrt_drift_single_type", (None, None), 0.25, (None, None)),
+], ids=["gamma", "sqrt-drift"])
+def test_report_limit_params_block(tmp_path, suite, doc_name, gamma, l1, feller):
+    out = str(tmp_path / "rep")
+    assert main(["--spec", spec_path(doc_name), "--suite", suite, "--n", "20", "--reps", "50",
+                 "--seed", "3", "--out", out]) in (0, 1)
+    params = read_report(out)["results"]["limit_params"]
+    assert set(params) == _LIMIT_PARAM_KEYS
+    calibrated = json.load(open(spec_path(doc_name)))["limit"]
+    assert {key: params[key] for key in calibrated} == calibrated
+    assert (params["gamma_shape"], params["gamma_scale"]) == gamma
+    assert params["l1_constant"] == l1
+    assert (params["feller_drift"], params["feller_diffusion"]) == feller
+    assert (params["delta"], params["alpha_tilde"]) == (1.0, 2.0)
+    assert params["delta1"] is None and params["delta2"] is None  # calibrated: nothing fitted
+
+
 # the (suite, document) pairs of the shipped documents that exit 2
 _INFEASIBLE_LIMITS = {
     ("gamma-limit", doc) for doc in ("pure_death", "pure_emigration", "small_support",

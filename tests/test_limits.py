@@ -21,16 +21,16 @@ from mbpm import (
     a_seq,
     euler_maruyama,
     feller_params,
-    gamma_limit_params,
-    l1_constant,
     lambda_n,
-    make_limit_params,
     params_from_spec,
-    power_drift,
     scaled_path,
     simulate_path,
     stream_for,
 )
+
+
+def _params(alpha, beta, nu=1.0, c=2.0):
+    return LimitParams(alpha=alpha, c=np.array([c]), c_dot_u=c, beta=beta, nu=nu)
 
 
 # ---------------------------------------------------------------------------
@@ -50,38 +50,41 @@ def test_limit_params_validation():
 
 
 def test_gamma_limit_params_hand_values():
-    shape, scale = gamma_limit_params(alpha=0.0, nu=1.0, c_dot_u=2.0)
-    assert abs(shape - 4.0) < 1e-12
-    assert abs(scale - 0.5) < 1e-12
-    shape2, scale2 = gamma_limit_params(alpha=0.5, nu=1.0, c_dot_u=1.0)
-    assert abs(shape2 - 3.0) < 1e-12
-    assert abs(scale2 - 0.125) < 1e-12
+    params = _params(0.0, 1.0, nu=1.0, c=2.0)
+    assert abs(params.gamma_shape - 4.0) < 1e-12
+    assert abs(params.gamma_scale - 0.5) < 1e-12
+    params2 = _params(0.5, 1.5, nu=1.0, c=1.0)
+    assert abs(params2.gamma_shape - 3.0) < 1e-12
+    assert abs(params2.gamma_scale - 0.125) < 1e-12
 
 
 def test_gamma_limit_params_mean_identity():
     # shape * scale = (2 u.c - nu alpha)(1 - alpha) / 2 for any admissible combo
     for alpha, nu, c in [(0.0, 1.0, 2.0), (0.5, 1.0, 1.0), (0.25, 0.5, 1.5)]:
-        shape, scale = gamma_limit_params(alpha, nu, c)
+        params = _params(alpha, 1.0 + alpha, nu=nu, c=c)
+        shape, scale = params.gamma_shape, params.gamma_scale
         assert abs(shape * scale - (2 * c - nu * alpha) * (1 - alpha) / 2) < 1e-12
 
 
 def test_gamma_limit_params_no_growth_regime():
-    with pytest.raises(ValueError, match="no-growth"):
-        gamma_limit_params(alpha=0.0, nu=4.0, c_dot_u=2.0)
+    # nu >= 2 u.c: unbounded growth has probability zero, and no gamma limit exists
+    params = _params(0.0, 1.0, nu=4.0, c=2.0)
+    assert params.gamma_shape is None and params.gamma_scale is None
 
 
 def test_l1_constant():
-    assert abs(l1_constant(1.0, 0.5) - 0.25) < 1e-15
-    assert abs(l1_constant(2.0, 0.0) - 2.0) < 1e-15
+    assert abs(_params(0.5, 1.0, c=1.0).l1_constant - 0.25) < 1e-15
+    assert abs(_params(0.0, 1.0, c=2.0).l1_constant - 2.0) < 1e-15
 
 
-def test_make_limit_params_fills_gamma_only_in_regime():
-    params = make_limit_params(alpha=0.0, c=np.array([2.0]), nu=1.0)
+def test_limit_params_fill_gamma_only_in_regime():
+    params = _params(0.0, 1.0, nu=1.0, c=2.0)
     assert params.gamma_shape == pytest.approx(4.0)
     assert params.l1_constant == pytest.approx(2.0)
-    off = make_limit_params(alpha=0.0, c=np.array([2.0]), nu=1.0, beta=0.5)
-    assert off.gamma_shape is None
-    starved = make_limit_params(alpha=0.0, c=np.array([0.25]), nu=1.0)
+    off = _params(0.0, 0.5, nu=1.0, c=2.0)
+    assert off.gamma_shape is None and off.gamma_scale is None
+    assert off.l1_constant == pytest.approx(2.0)  # the L1 limit needs no beta = 1 + alpha
+    starved = _params(0.0, 1.0, nu=1.0, c=0.25)
     assert starved.gamma_shape is None  # nu >= 2 u.c: no gamma limit
 
 
@@ -97,6 +100,7 @@ def test_params_from_spec_calibrated_overrides(gamma_spec):
     assert params.gamma_shape == pytest.approx(4.0)
     assert params.feller_drift == pytest.approx(2.0)
     assert params.feller_diffusion == pytest.approx(1.0)
+    assert params.delta1 is None and params.delta2 is None  # nothing was fitted
 
 
 def test_params_from_spec_fitted(gamma_spec):
@@ -111,18 +115,18 @@ def test_params_from_spec_fitted(gamma_spec):
 
 
 def test_a_seq_constant_drift_exact():
-    a = a_seq(lambda x: 2.0, 1000)
+    a = a_seq(2.0, 0.0, 1000)
     assert np.array_equal(a, 1.0 + 2.0 * np.arange(1001))
 
 
 def test_a_seq_linear_drift_doubles():
-    a = a_seq(lambda x: x, 20)
+    a = a_seq(1.0, 1.0, 20)
     assert np.array_equal(a, 2.0 ** np.arange(21))
 
 
 def test_a_seq_rejects_nonpositive_drift():
     with pytest.raises(ValueError, match="nonpositive"):
-        a_seq(lambda x: -1.0, 5)
+        a_seq(-1.0, 0.0, 5)
 
 
 def test_a_asymptotic_values():
@@ -131,24 +135,21 @@ def test_a_asymptotic_values():
 
 
 def test_a_seq_approaches_asymptote():
-    drift = power_drift(1.0, 0.5)
-    a = a_seq(drift, 10_000)
+    a = a_seq(1.0, 0.5, 10_000)
     ratio = a[-1] / a_asymptotic(1.0, 0.5, 10_000)
     assert abs(ratio - 1.0) < 0.05
 
 
-def test_power_drift_callable():
-    f = power_drift(2.0, 0.5)
-    assert f(25.0) == pytest.approx(10.0)
+def test_a_seq_power_drift_step():
+    # the increment at size x is (u.c) x^alpha
+    a = a_seq(2.0, 0.5, 2)
+    assert a[1] == 3.0
+    assert a[2] == 3.0 + 2.0 * 3.0**0.5
 
 
 # ---------------------------------------------------------------------------
 # fluctuation scale
 # ---------------------------------------------------------------------------
-
-
-def _params(alpha, beta, nu=1.0, c=2.0):
-    return LimitParams(alpha=alpha, c=np.array([c]), c_dot_u=c, beta=beta, nu=nu)
 
 
 def test_lambda_n_power_branch_exact():

@@ -591,6 +591,18 @@ def _edited(doc, keys, value):
     # dim, where given, is an integer equal to the number of types
     (("dim",), 7, "dim: 7 does not match the 4 per-type offspring laws"),
     (("dim",), "x", "dim: expected an integer, got 'x'"),
+    # an unknown field in a block, in each kind of block
+    (("migration", 1, "prob_imm", "hii"), 50, "migration[1].prob_imm.hii: unknown field"),
+    (("migration", 0, "immigration", "mean", "inner", "coef"), 1.0,
+     "migration[0].immigration.mean.inner.coef: unknown field"),
+    (("offspring", 0, "components", 0, "prob"), 0.2,
+     "offspring[0].components[0].prob: unknown field"),
+    (("offspring", 1, "components"), [], "offspring[1].components: unknown field"),
+    (("migration", 3, "immigration_law"), {"family": "deterministic", "value": 1},
+     "migration[3].immigration_law: unknown field"),
+    (("migration", 2, "emigration", "ratio"), 0.5, "migration[2].emigration.ratio: unknown field"),
+    (("migration", 1, "immigration", "values"), [1], "migration[1].immigration.values: unknown field"),
+    (("initial", "state"), [1, 0, 0, 0], "initial.state: unknown field"),
 ])
 def test_format_errors_name_their_field(keys, value, message):
     with pytest.raises(SpecFormatError) as err:
