@@ -42,19 +42,26 @@ _DELTA = 1.0  # the moment orders are 1 + delta/2 and 2 + delta
 _ALPHA_LOG = 1.0  # exponent on the log factor of the growth-side conditions
 _ALPHA_TILDE = 2.0  # moment order of the delta2 surrogate
 _VERDICTS = ("no-growth", "growth-possible", "inconclusive")
+_INT64_BOUND = 2.0**63  # the least float past int64
 
 
 @dataclass(frozen=True)
 class CriteriaConfig:
     """The probe ray: magnitudes of u . z at which the criteria probe the
-    model, along the right Perron vector v."""
+    model, along the right Perron vector v.
+
+    u sums to 1 and u . v = 1, so some entry of v is at least 1: a
+    magnitude of 2^63 or more has a probe state past int64 in every model.
+    """
 
     ray_points: tuple = (1e3, 1e4, 1e5)
 
     def __post_init__(self):
         pts = tuple(float(x) for x in self.ray_points)
+        if not all(x < _INT64_BOUND for x in pts):  # refuses nan too
+            raise ValueError("need finite magnitudes below 2^63")
         if len(pts) < 2 or any(b <= a for a, b in zip(pts, pts[1:])) or pts[0] < 10:
-            raise ValueError("ray_points must be increasing magnitudes >= 10")
+            raise ValueError("need two or more increasing magnitudes >= 10")
 
 
 @dataclass
@@ -88,7 +95,10 @@ def probe_states(spec: ModelSpec, config: CriteriaConfig = CriteriaConfig()):
     direction = spec.spectral().v
     out = []
     for mag in config.ray_points:
-        z = np.rint(mag * direction).astype(np.int64)
+        z = np.rint(mag * direction)
+        if not z.max() < _INT64_BOUND:
+            raise ValueError(f"the probe state at magnitude {mag:g} does not fit int64")
+        z = z.astype(np.int64)
         if not z.any():
             z = np.ones(spec.dim, dtype=np.int64)
         out.append(z)

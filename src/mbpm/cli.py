@@ -480,14 +480,15 @@ def _at_least(convert, lo):
 
 
 def _probe_magnitudes(text: str):
-    """Probe magnitudes by CriteriaConfig's own rule."""
+    """Probe magnitudes by CriteriaConfig's own rules, refused with its message."""
     try:
         magnitudes = tuple(float(tok) for tok in text.split(",") if tok.strip())
-        CriteriaConfig(ray_points=magnitudes)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"need two or more increasing magnitudes >= 10, got {text}"
-        ) from None
+        magnitudes = ()  # refused below as too few magnitudes
+    try:
+        CriteriaConfig(ray_points=magnitudes)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}, got {text}") from None
     return magnitudes
 
 

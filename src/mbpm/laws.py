@@ -243,14 +243,17 @@ def _h_sum(power: int, n: int) -> float:
 _POISSON_RATE_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 
 
-def poisson_draws(rng, rates, size=None, law="offspring"):
+def poisson_draws(rng, rates, size=None, law="offspring", rows=None):
     """One Poisson draw per entry of ``rates`` (R,) or (R, p), or ``size``
     draws at one scalar rate.
 
     A rate past numpy's limit raises a ValueError naming the ``law`` and,
-    for an array of rates, the offending entry's row (and child type) in
-    ``rates``, instead of numpy's bare "lam value too large".  numpy checks every rate before it draws,
-    so the search for the offending one runs only after its refusal.
+    for an array of rates, the offending entry's row (and child type),
+    instead of numpy's bare "lam value too large".  The row is the entry's
+    index in ``rates``, or, where ``rates`` holds the rows of the states
+    that the boolean mask ``rows`` selects, the row of the states.  numpy
+    checks every rate before it draws, so the search for the offending one
+    runs only after its refusal.
     """
     try:
         return rng.poisson(rates, size)
@@ -260,7 +263,8 @@ def poisson_draws(rng, rates, size=None, law="offspring"):
     where = np.unravel_index(np.argmax(rates), np.shape(rates))
     at = ""
     if where:
-        at = f" at row {where[0]}" + (f", child type {where[1]}" if len(where) > 1 else "")
+        row = where[0] if rows is None else np.flatnonzero(rows)[where[0]]
+        at = f" at row {row}" + (f", child type {where[1]}" if len(where) > 1 else "")
     raise ValueError(
         f"Poisson {law} rate {np.max(rates):.10g}{at} is past numpy's "
         f"Poisson limit {_POISSON_RATE_MAX:.10g}"
@@ -586,7 +590,7 @@ class ShiftedPoissonImmigration:
         rate = self._constant_rate
         if rate is None:
             rate = self._rate(Z if rows is None else Z[rows], u)
-        return 1 + poisson_draws(rng, rate, _count(Z, rows), law="immigration")
+        return 1 + poisson_draws(rng, rate, _count(Z, rows), law="immigration", rows=rows)
 
     def atoms(self, z, u=None, tail: float = DEFAULT_ATOM_TAIL):
         vals, probs = _poisson_atoms(self._rate(z, u), tail)

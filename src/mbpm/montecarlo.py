@@ -1,9 +1,14 @@
 """Reproducible ensembles and the statistics used by the experiment suites.
 
 An ensemble advances its replicates in lockstep, in fixed blocks of
-BLOCK rows: block b holds replicates [b BLOCK, (b+1) BLOCK) and draws
-from a counter-based generator keyed by (master_seed, b).  Workers
-receive whole blocks, so results are bit-identical for any worker count.
+BLOCK = 2048 rows: block b holds replicates [b BLOCK, (b+1) BLOCK) and
+draws from a counter-based generator keyed by (master_seed, b).  Workers
+receive whole blocks, so results are bit-identical for any worker count,
+and an ensemble of at most BLOCK replicates runs in one process.  The
+size was chosen by measurement: a step's cost is mostly fixed per numpy
+call, so wider blocks cost less per row-step (1.5-2.8x less at 2048 rows
+than at 256, for R = 4096 and n = 800 on a shared 2-vCPU host), while
+2048 still splits 4096 replicates between two workers.
 On top of the ensembles sit the estimators the suites share: explosion
 probabilities with binomial confidence intervals, empirical CDFs, the
 Kolmogorov-Smirnov sup-distance, reference gamma and normal CDFs accurate
@@ -33,7 +38,7 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _EPS_GUARD = 1e-12
 
 # Replicates per stream.  Fixed, so the draws never depend on the worker count.
-BLOCK = 256
+BLOCK = 2048
 
 
 def stream_for(master_seed: int, block: int):
@@ -80,6 +85,8 @@ def _simulate_blocks(args):
     """Replicates [lo, hi), whole blocks, each advanced n steps in lockstep.
 
     ``spec`` is the ModelSpec in-process, or its document in a worker process.
+    A ValueError from the kernel is raised again with the step and the
+    block's first replicate, so that its "row r" is replicate start + r.
     """
     spec, n, master_seed, lo, hi, store_paths = args
     if isinstance(spec, dict):
@@ -91,10 +98,16 @@ def _simulate_blocks(args):
         rows = slice(start - lo, stop - lo)
         rng = stream_for(master_seed, start // BLOCK)
         Z = spec.initial.sample(rng, stop - start)
-        for k in range(n):
-            if store_paths:
-                paths[rows, k] = Z
-            Z = advance(spec, Z, rng)
+        try:
+            for k in range(n):
+                if store_paths:
+                    paths[rows, k] = Z
+                Z = advance(spec, Z, rng)
+        except ValueError as exc:
+            raise ValueError(
+                f"step {k + 1} of {n}, block from replicate {start} (row r is "
+                f"replicate {start} + r): {exc}"
+            ) from exc
         term[rows] = Z
         if store_paths:
             paths[rows, n] = Z

@@ -1,13 +1,16 @@
 """Independent brute-force oracles used by the tests.
 
 Everything here is computed from first principles on plain Python
-numbers: probability tables are read from the raw model documents (or
-given literally), and expectations are direct weighted sums.  Nothing
+numbers, or on numpy arrays for the dense-grid n-step law: probability
+tables are read from the raw model documents (or given literally), and
+expectations are direct weighted sums.  Nothing
 imports the library's law or moment machinery, so agreement between
 these values and the package is evidence, not tautology.
 """
 import math
 from itertools import product
+
+import numpy as np
 
 
 def poisson_pmf(lam, tail=1e-15):
@@ -276,3 +279,97 @@ def one_step_pmf(doc, z, u=None):
 def total_variation(pmf_a, pmf_b):
     keys = set(pmf_a) | set(pmf_b)
     return 0.5 * math.fsum(abs(pmf_a.get(k, 0.0) - pmf_b.get(k, 0.0)) for k in keys)
+
+
+# ---------------------------------------------------------------------------
+# n-step law of a two-type document on a dense grid (finite laws only)
+# ---------------------------------------------------------------------------
+
+
+def _grid(pmf):
+    """A dict pmf over pairs (a, b) >= 0 as a 2-D array indexed [a, b]."""
+    out = np.zeros((max(a for a, _ in pmf) + 1, max(b for _, b in pmf) + 1))
+    for (a, b), q in pmf.items():
+        out[a, b] += q
+    return out
+
+
+def _convolve_grid(acc, kernel):
+    """2-D convolution of acc (..., X, Y) with a small kernel (x, y): one
+    shifted, weighted add of acc per nonzero kernel cell."""
+    x, y = kernel.shape
+    out = np.zeros(acc.shape[:-2] + (acc.shape[-2] + x - 1, acc.shape[-1] + y - 1))
+    for i, j in zip(*np.nonzero(kernel)):
+        out[..., i : i + acc.shape[-2], j : j + acc.shape[-1]] += kernel[i, j] * acc
+    return out
+
+
+def _offspring_of_counts(counts, kernels):
+    """Law of the children of parent counts distributed as counts[c0, c1].
+
+    With f_i the law of one type-i parent's children, the children of
+    (c0, c1) parents are f_0^{*c0} * f_1^{*c1}, so the mixture is the
+    polynomial sum C[c0, c1] f_0^{c0} f_1^{c1} under convolution.  It is
+    evaluated by Horner's rule: in c1 for every c0 at once, then in c0.
+    """
+    k0, k1 = kernels
+    inner = counts[:, -1, None, None].copy()
+    for c1 in range(counts.shape[1] - 2, -1, -1):
+        inner = _convolve_grid(inner, k1)
+        inner[:, 0, 0] += counts[:, c1]
+    acc = inner[-1]
+    for c0 in range(counts.shape[0] - 2, -1, -1):
+        acc = _convolve_grid(acc, k0)
+        acc[: inner.shape[1], : inner.shape[2]] += inner[c0]
+    return acc
+
+
+def multi_step_law(doc, n, u=None):
+    """The law of Z_n of a two-type document as a 2-D array P[a, b].
+
+    Exact up to rounding, straight from the raw document: per step, each
+    state's mass is shifted by its migration outcomes (``component_adjustment_pmf``
+    per type), then the parent counts are pushed through the offspring laws
+    by repeated 2-D convolution.  Nothing is truncated but the Poisson
+    tails of the document's pmfs (below 1e-15 each), and a law that holds
+    less than 1 - 1e-12 of the mass is refused.
+    """
+    if len(doc["offspring"]) != 2:
+        raise ValueError("the dense-grid oracle handles two-type documents")
+    kernels = [_grid(offspring_vector_pmf(law, 2)) for law in doc["offspring"]]
+    init = doc["initial"]
+    if init["kind"] == "deterministic":
+        law = _grid({tuple(init["state"]): 1.0})
+    else:
+        law = _grid(_merge((tuple(s), q) for s, q in zip(init["states"], init["probs"])))
+    for _ in range(n):
+        moved = {}
+        for a, b in zip(*np.nonzero(law)):
+            z = (int(a), int(b))
+            z_sum = float(sum(z)) if u is None else float(u[0] * z[0] + u[1] * z[1])
+            adj = [component_adjustment_pmf(comp, z[i], z_sum)
+                   for i, comp in enumerate(doc["migration"])]
+            for m0, q0 in adj[0].items():
+                for m1, q1 in adj[1].items():
+                    key = (z[0] + m0, z[1] + m1)
+                    moved[key] = moved.get(key, 0.0) + law[a, b] * q0 * q1
+        law = _offspring_of_counts(_grid(moved), kernels)
+    if abs(law.sum() - 1.0) > 1e-12:
+        raise ValueError(f"the grid holds mass {law.sum()!r}, not 1 within 1e-12")
+    return law
+
+
+def binomial_mean_abs_deviation(R, p):
+    """E|X - R p| for X ~ Binomial(R, p): 2 v C(R, v) p^v (1-p)^(R-v+1) with
+    v = floor(R p) + 1 (De Moivre; Diaconis and Zabell 1991)."""
+    if p <= 0.0 or p >= 1.0:
+        return 0.0
+    v = math.floor(R * p) + 1
+    log_term = (math.lgamma(R + 1) - math.lgamma(v + 1) - math.lgamma(R - v + 1)
+                + v * math.log(p) + (R - v + 1) * math.log1p(-p))
+    return 2.0 * v * math.exp(log_term)
+
+
+def expected_total_variation(law, R):
+    """E TV(empirical law of R draws, law), exactly, from the binomial cell counts."""
+    return 0.5 * math.fsum(binomial_mean_abs_deviation(R, float(p)) for p in law.ravel()) / R

@@ -57,6 +57,15 @@ def test_criteria_config_validation():
         CriteriaConfig(ray_points=(1000.0, 100.0))
     with pytest.raises(ValueError):
         CriteriaConfig(ray_points=(5.0, 100.0))
+    for top in (1e300, float("nan"), float("inf"), 2.0**63):  # no probe state fits int64
+        with pytest.raises(ValueError, match=r"need finite magnitudes below 2\^63"):
+            CriteriaConfig(ray_points=(10.0, top))
+
+
+def test_probe_state_past_int64_is_named(small_support_spec):
+    # v = (1.23, 0.70): 9e18 fits the config's bound, but not the state 1.1e19
+    with pytest.raises(ValueError, match="probe state at magnitude 9e\\+18 does not fit int64"):
+        probe_states(small_support_spec, CriteriaConfig(ray_points=(10.0, 9e18)))
 
 
 def test_probe_states_follow_direction(two_type_spec):

@@ -356,7 +356,14 @@ def test_limit_suites_refuse_exactly_the_infeasible_documents(tmp_path, capsys, 
      "argument --probe-magnitudes: need two or more increasing magnitudes >= 10, got 5"),
     ("explosion", "--explosion-k", "-1", "argument --explosion-k: must be >= 0, got -1"),
     ("explosion", "--n", "-3", "argument --n: must be >= 0, got -3"),
-], ids=["reps-0", "one-probe-magnitude", "negative-explosion-k", "negative-n"])
+    ("classify", "--probe-magnitudes", "10,1e300",
+     "argument --probe-magnitudes: need finite magnitudes below 2^63, got 10,1e300"),
+    ("classify", "--probe-magnitudes", "10,nan",
+     "argument --probe-magnitudes: need finite magnitudes below 2^63, got 10,nan"),
+    ("classify", "--probe-magnitudes", "10,inf",
+     "argument --probe-magnitudes: need finite magnitudes below 2^63, got 10,inf"),
+], ids=["reps-0", "one-probe-magnitude", "negative-explosion-k", "negative-n",
+        "probe-magnitude-1e300", "probe-magnitude-nan", "probe-magnitude-inf"])
 def test_invalid_option_values_are_usage_errors(tmp_path, capsys, monkeypatch, suite, option,
                                                 value, message):
     monkeypatch.setattr(cli, "run_ensemble", _no_ensemble)

@@ -207,6 +207,17 @@ def test_poisson_offspring_rate_past_numpy_limit_is_named():
         law.sample_sum_batch(np.random.default_rng(0), np.array([1, 2**62, 3]))
 
 
+def test_immigration_rate_past_numpy_limit_names_the_row_of_the_states():
+    # the mask selects rows 2 and 3; the second selected row is row 3 of Z
+    law = ShiftedPoissonImmigration(mean_fn=Power(coeff=1e17, exponent=1.0))
+    Z = np.array([[1], [2], [3], [500]], dtype=np.int64)
+    rows = np.array([False, False, True, True])
+    with pytest.raises(ValueError, match=r"immigration rate 5e\+19 at row 3 is past"):
+        law.sample_batch(np.random.default_rng(0), Z, rows)
+    with pytest.raises(ValueError, match=r"immigration rate 5e\+19 at row 3 is past"):
+        law.sample_batch(np.random.default_rng(0), Z, None)
+
+
 def test_poisson_atoms_at_rate_one_million():
     vals, probs = PoissonOffspring(mean=1e6).atoms()
     assert probs.sum() >= 1.0 - 1e-12

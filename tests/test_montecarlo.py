@@ -1,4 +1,5 @@
 """Ensemble machinery, tail estimates, and the hand-rolled statistics."""
+import hashlib
 import math
 
 import numpy as np
@@ -29,7 +30,10 @@ from mbpm import (
     stream_for,
     wilson_interval,
 )
-from mbpm.montecarlo import BLOCK
+import oracles
+from conftest import load_doc
+from mbpm import PoissonOffspring, advance
+from mbpm.montecarlo import BLOCK, _simulate_blocks
 
 
 def deterministic_spec():
@@ -87,6 +91,42 @@ def test_ensemble_identical_across_worker_counts(gamma_spec):
         full = run_ensemble(gamma_spec, workers=workers, store_paths=True, **kw)
         assert np.array_equal(one.terminal, full.terminal)
         assert np.array_equal(one.paths, full.paths)
+
+
+@pytest.mark.parametrize("block", [1, 2], ids=["block-1", "partial-last-block"])
+def test_ensemble_block_is_advance_on_its_own_stream(two_type_spec, block):
+    # replicates [b BLOCK, (b+1) BLOCK) are advance iterated on stream_for(seed, b)
+    R, n, seed = 2 * BLOCK + 37, 6, 23
+    ens = run_ensemble(two_type_spec, n=n, R=R, master_seed=seed, store_paths=True)
+    lo, hi = block * BLOCK, min((block + 1) * BLOCK, R)
+    rng = stream_for(seed, block)
+    Z = two_type_spec.initial.sample(rng, hi - lo)
+    for k in range(n):
+        assert np.array_equal(ens.paths[lo:hi, k], Z)
+        Z = advance(two_type_spec, Z, rng)
+    assert np.array_equal(ens.terminal[lo:hi], Z)
+
+
+def test_ensemble_within_256_replicates_is_unchanged(gamma_spec):
+    # terminal states of a 150-replicate ensemble as drawn with 256-row
+    # blocks: any block of 256 rows or more keeps them, as it keeps block 0
+    ens = run_ensemble(gamma_spec, n=500, R=150, master_seed=7)
+    digest = hashlib.sha256(ens.terminal.astype("<i8").tobytes()).hexdigest()
+    assert digest == "4d8073e48e1efa3d63d659106b5cc4eaf798f078b750408cdf9453bab67ba913"
+
+
+def test_kernel_error_in_an_ensemble_names_the_step_and_the_block():
+    # Poisson(1e9) children: rates 1e9 and ~1e18 pass, the ~1e27 of step 3 does not
+    offspring = OffspringSpec(laws=(IndependentOffspring(components=(PoissonOffspring(1e9),)),))
+    stay = MigrationComponent(prob_none=Constant(1.0), prob_imm=Constant(0.0),
+                              prob_em=Constant(0.0))
+    spec = ModelSpec(offspring, MigrationSpec(components=(stay,)), DeterministicInitial((1,)))
+    with pytest.raises(ValueError, match=r"^step 3 of 5, block from replicate 0 \(row r is "
+                                         r"replicate 0 \+ r\): Poisson offspring rate .* at row [012], "):
+        run_ensemble(spec, n=5, R=3, master_seed=1)
+    with pytest.raises(ValueError, match=rf"^step 3 of 5, block from replicate {BLOCK} \(row r "
+                                         rf"is replicate {BLOCK} \+ r\): Poisson offspring "):
+        _simulate_blocks((spec, 5, 1, BLOCK, BLOCK + 3, False))
 
 
 def test_ensemble_paths_consistent(gamma_spec):
@@ -391,3 +431,48 @@ def test_moment_check_detects_wrong_model(gamma_spec, sqrt_spec):
     wrong = cond_mean(sqrt_spec, z)
     se = math.sqrt(batch.var() / len(batch))
     assert abs(batch.mean() - wrong[0]) > 10 * se
+
+
+# ---------------------------------------------------------------------------
+# the exact n-step law across block boundaries
+# ---------------------------------------------------------------------------
+
+# Error rate of the total-variation gate.  TV(empirical, exact) moves by at
+# most 1/R when one replicate changes, so McDiarmid's inequality gives
+# P(TV >= E TV + t) <= exp(-2 R t^2); E TV is exact from the binomial cell
+# counts.  The gate is E TV + sqrt(log(1/alpha) / (2 R)), fixed by R alone.
+_TV_ALPHA = 1e-6
+
+
+def test_multi_step_oracle_at_one_step_is_the_one_step_pmf():
+    doc = load_doc("small_support")
+    grid = oracles.multi_step_law(doc, 1)
+    pmf = oracles.one_step_pmf(doc, doc["initial"]["state"])
+    assert grid.sum() == pytest.approx(1.0, abs=1e-12)
+    assert max(abs(grid[z] - q) for z, q in pmf.items()) < 1e-15
+    assert grid.sum() - math.fsum(pmf.values()) < 1e-12  # no mass off the enumerated support
+
+
+@pytest.mark.parametrize("R, p", [(10, 0.3), (50, 0.02), (7, 0.999), (20497, 1e-5)])
+def test_binomial_mean_abs_deviation_against_summation(R, p):
+    k = np.arange(R + 1)
+    direct = float(scipy.stats.binom.pmf(k, R, p) @ np.abs(k - R * p))
+    assert oracles.binomial_mean_abs_deviation(R, p) == pytest.approx(direct, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_ensemble_terminal_law_is_the_exact_n_step_law(small_support_spec, pure_death_spec, n):
+    # ten full blocks and a partial one
+    R = 10 * BLOCK + 17
+    exact = oracles.multi_step_law(load_doc("small_support"), n)
+    bound = (oracles.expected_total_variation(exact, R)
+             + math.sqrt(math.log(1.0 / _TV_ALPHA) / (2 * R)))
+    term = run_ensemble(small_support_spec, n=n, R=R, master_seed=4242).terminal
+    shape = np.maximum(exact.shape, term.max(axis=0) + 1)
+    freq = np.zeros(shape)
+    np.add.at(freq, (term[:, 0], term[:, 1]), 1.0 / R)
+    freq[: exact.shape[0], : exact.shape[1]] -= exact
+    assert 0.5 * np.abs(freq).sum() <= bound
+    # an absorbed row stays at zero in every block
+    dead = run_ensemble(pure_death_spec, n=n, R=R, master_seed=4242, store_paths=True)
+    assert (dead.paths[:, 0] == 5).all() and (dead.paths[:, 1:] == 0).all()
