@@ -324,7 +324,7 @@ def _offspring_of_counts(counts, kernels):
     return acc
 
 
-def multi_step_law(doc, n, u=None):
+def multi_step_law(doc, n):
     """The law of Z_n of a two-type document as a 2-D array P[a, b].
 
     Exact up to rounding, straight from the raw document: per step, each
@@ -332,22 +332,25 @@ def multi_step_law(doc, n, u=None):
     per type), then the parent counts are pushed through the offspring laws
     by repeated 2-D convolution.  Nothing is truncated but the Poisson
     tails of the document's pmfs (below 1e-15 each), and a law that holds
-    less than 1 - 1e-12 of the mass is refused.
+    less than 1 - 1e-12 of the mass is refused.  The initial state must be
+    deterministic and every migration state function constant.
     """
     if len(doc["offspring"]) != 2:
         raise ValueError("the dense-grid oracle handles two-type documents")
     kernels = [_grid(offspring_vector_pmf(law, 2)) for law in doc["offspring"]]
-    init = doc["initial"]
-    if init["kind"] == "deterministic":
-        law = _grid({tuple(init["state"]): 1.0})
-    else:
-        law = _grid(_merge((tuple(s), q) for s, q in zip(init["states"], init["probs"])))
+    if doc["initial"]["kind"] != "deterministic":
+        raise ValueError("the dense-grid oracle starts from a deterministic state")
+    for comp in doc["migration"]:
+        fns = [comp["prob_none"], comp["prob_imm"], comp["prob_em"]]
+        fns += [comp["immigration"]["mean"]] if "mean" in (comp.get("immigration") or {}) else []
+        if any(fn["kind"] != "constant" for fn in fns):
+            raise ValueError("the dense-grid oracle handles state-independent migration")
+    law = _grid({tuple(doc["initial"]["state"]): 1.0})
     for _ in range(n):
         moved = {}
         for a, b in zip(*np.nonzero(law)):
             z = (int(a), int(b))
-            z_sum = float(sum(z)) if u is None else float(u[0] * z[0] + u[1] * z[1])
-            adj = [component_adjustment_pmf(comp, z[i], z_sum)
+            adj = [component_adjustment_pmf(comp, z[i], 0.0)  # z_sum unread: constants only
                    for i, comp in enumerate(doc["migration"])]
             for m0, q0 in adj[0].items():
                 for m1, q1 in adj[1].items():
@@ -357,19 +360,3 @@ def multi_step_law(doc, n, u=None):
     if abs(law.sum() - 1.0) > 1e-12:
         raise ValueError(f"the grid holds mass {law.sum()!r}, not 1 within 1e-12")
     return law
-
-
-def binomial_mean_abs_deviation(R, p):
-    """E|X - R p| for X ~ Binomial(R, p): 2 v C(R, v) p^v (1-p)^(R-v+1) with
-    v = floor(R p) + 1 (De Moivre; Diaconis and Zabell 1991)."""
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    v = math.floor(R * p) + 1
-    log_term = (math.lgamma(R + 1) - math.lgamma(v + 1) - math.lgamma(R - v + 1)
-                + v * math.log(p) + (R - v + 1) * math.log1p(-p))
-    return 2.0 * v * math.exp(log_term)
-
-
-def expected_total_variation(law, R):
-    """E TV(empirical law of R draws, law), exactly, from the binomial cell counts."""
-    return 0.5 * math.fsum(binomial_mean_abs_deviation(R, float(p)) for p in law.ravel()) / R
