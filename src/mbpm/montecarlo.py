@@ -14,7 +14,15 @@ On top of the ensembles sit the estimators the suites share: explosion
 probabilities with binomial confidence intervals, empirical CDFs, the
 Kolmogorov-Smirnov sup-distance, reference gamma and normal CDFs accurate
 to 1e-10, and a one-step moment checker that compares empirical means
-and covariances against the exact formulas.
+and covariances against the exact formulas.  The checker draws in
+chunks too, of whole batches and about ROWS = 2**16 rows: chunk c from
+stream_for(seed, c).  It keeps only each batch's mean and scatter matrix
+and merges them, so its memory does not grow with the sample count up to
+MOMENT_BATCHES * ROWS samples.  ROWS was chosen by measurement on the same
+host: from 2**12 to 2**18 rows the benchmark's two moments ops took the
+same CPU time within noise, while the peak memory grows with the chunk
+(2.6 MB at 2**15, 4.9 MB at 2**16, 20.9 MB at 2**18 for 10**6 samples of
+two_type_mixed).
 
 KS thresholds are deliberately experiment-level constants rather than
 p-values: the sampled laws are only asymptotically the reference laws, so
@@ -40,6 +48,11 @@ _EPS_GUARD = 1e-12
 
 # Replicates per stream.  Fixed, so the draws never depend on the worker count.
 BLOCK = 2048
+
+# moment_check: batches of the batch-means covariance bands, and the rows a
+# chunk of whole batches aims at (one stream and one reduction per chunk).
+MOMENT_BATCHES = 100
+ROWS = 2**16
 
 
 def stream_for(master_seed: int, block: int):
@@ -454,39 +467,56 @@ class MomentCheckReport:
         }
 
 
-def moment_check(
-    spec: ModelSpec, z, N: int = 1_000_000, seed: int = 0, batches: int = 100
-) -> MomentCheckReport:
+def moment_check(spec: ModelSpec, z, N: int = 1_000_000, seed: int = 0) -> MomentCheckReport:
     """Compare N one-step samples against the exact mean and covariance.
 
     Mean bands use the exact covariance (known, not estimated).  Covariance
-    entry bands come from batch means: the N samples are cut into
-    `batches` blocks, the per-block sample covariances give the spread of
-    the full-sample estimate.  Pass iff every entry is within 4 SE (plus a
-    tiny absolute guard so exact-zero-variance models compare equal).
+    entry bands come from batch means: the first MOMENT_BATCHES * (N //
+    MOMENT_BATCHES) samples are cut into MOMENT_BATCHES equal batches, whose
+    sample covariances give the spread of the full-sample estimate.  Pass iff
+    every entry is within 4 SE (plus a tiny absolute guard so exact-zero-
+    variance models compare equal).
+
+    The samples are drawn in chunks of whole batches, about ROWS rows each:
+    chunk c from stream_for(seed, c), and the N % MOMENT_BATCHES leftover
+    rows, which enter only the full-sample statistics, from the stream after
+    the last chunk.  One reduction per chunk gives each batch's mean and
+    scatter matrix, and merging those (Chan, Golub & LeVeque 1979) gives the
+    full-sample mean and covariance, so no (N, p) array is built.
     """
     from .model import sample_step_batch
 
     if N < 10_000:
         raise ValueError("moment_check needs at least 1e4 samples")
     z = np.asarray(z, dtype=np.int64)
-    rng = stream_for(seed, 0)
-    batch = sample_step_batch(spec, z, N, rng).astype(float)
+    p = spec.dim
+    size = N // MOMENT_BATCHES
+    per_chunk = max(1, ROWS // size)
+    # (groups, rows per group) of each chunk, then of the leftover rows.
+    parts = [(min(per_chunk, MOMENT_BATCHES - first), size)
+             for first in range(0, MOMENT_BATCHES, per_chunk)]
+    if N % MOMENT_BATCHES:
+        parts.append((1, N % MOMENT_BATCHES))
+    sizes, means, scatters = [], [], []
+    for c, (g, rows) in enumerate(parts):
+        x = sample_step_batch(spec, z, g * rows, stream_for(seed, c)).reshape(g, rows, p)
+        m = x.mean(axis=1)
+        d = x - m[:, None, :]
+        sizes.append(np.full(g, rows))
+        means.append(m)
+        scatters.append(np.matmul(d.transpose(0, 2, 1), d))
+    n, mean, scatter = (np.concatenate(a) for a in (sizes, means, scatters))
+
+    # The groups' sizes, means and scatter matrices merged into the sample's.
+    mean_emp = n @ mean / N
+    dev = mean - mean_emp
+    cov_emp = (scatter.sum(axis=0) + (n[:, None] * dev).T @ dev) / (N - 1)
+    per_batch = scatter[:MOMENT_BATCHES] / (size - 1)
+    cov_se = per_batch.std(axis=0, ddof=1) / math.sqrt(MOMENT_BATCHES)
 
     mean_exact = cond_mean(spec, z)
     cov_exact = cond_var(spec, z)
-    mean_emp = batch.mean(axis=0)
     mean_se = np.sqrt(np.clip(np.diag(cov_exact), 0.0, None) / N)
-
-    cov_emp = np.atleast_2d(np.cov(batch, rowvar=False, ddof=1))
-    block = N // batches
-    p = spec.dim
-    per_block = np.empty((batches, p, p))
-    for b in range(batches):
-        seg = batch[b * block : (b + 1) * block]
-        per_block[b] = np.atleast_2d(np.cov(seg, rowvar=False, ddof=1))
-    cov_se = per_block.std(axis=0, ddof=1) / math.sqrt(batches)
-
     mean_gap = np.abs(mean_emp - mean_exact)
     cov_gap = np.abs(cov_emp - cov_exact)
     mean_sigmas = float(np.max(mean_gap / (mean_se + _EPS_GUARD)))

@@ -1,6 +1,7 @@
 """Ensemble machinery, tail estimates, and the hand-rolled statistics."""
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,17 +26,19 @@ from mbpm import (
     gamma_quantile,
     gof_report,
     ks_statistic,
+    load_spec,
     moment_check,
     normal_cdf,
     run_ensemble,
+    sample_step_batch,
     simulate_path,
     stream_for,
     wilson_interval,
 )
-from mbpm.montecarlo import BLOCK, _simulate_blocks
+from mbpm.montecarlo import BLOCK, MOMENT_BATCHES, ROWS, _simulate_blocks
 
 import oracles
-from conftest import load_doc
+from conftest import load_doc, spec_path
 
 
 def deterministic_spec():
@@ -422,6 +425,62 @@ def test_moment_check_deterministic_model():
 def test_moment_check_rejects_tiny_samples(gamma_spec):
     with pytest.raises(ValueError):
         moment_check(gamma_spec, np.array([5]), N=100, seed=7)
+
+
+def two_pass_moments(spec, z, N, seed):
+    """Mean, covariance and batch-means SE over moment_check's draws, two-pass.
+
+    Every chunk is drawn again from its stream and the chunks concatenated;
+    then np.mean, np.cov and one np.cov per batch, as over a single array.
+    """
+    size = N // MOMENT_BATCHES
+    per_chunk = max(1, ROWS // size)
+    firsts = range(0, MOMENT_BATCHES, per_chunk)
+    parts = [
+        sample_step_batch(spec, z, min(per_chunk, MOMENT_BATCHES - first) * size,
+                          stream_for(seed, c))
+        for c, first in enumerate(firsts)
+    ]
+    if N % MOMENT_BATCHES:
+        parts.append(sample_step_batch(spec, z, N % MOMENT_BATCHES,
+                                       stream_for(seed, len(firsts))))
+    batch = np.concatenate(parts).astype(float)
+    assert len(batch) == N
+    cov = np.atleast_2d(np.cov(batch, rowvar=False, ddof=1))
+    per_batch = np.array([
+        np.atleast_2d(np.cov(batch[b * size:(b + 1) * size], rowvar=False, ddof=1))
+        for b in range(MOMENT_BATCHES)
+    ])
+    se = per_batch.std(axis=0, ddof=1) / math.sqrt(MOMENT_BATCHES)
+    return batch.mean(axis=0), cov, se, len(parts)
+
+
+@pytest.mark.parametrize("N, streams", [(10_000, 1), (123_457, 3)], ids=["one-chunk", "leftover"])
+@pytest.mark.parametrize("name, z", [("two_type_mixed", (50, 30)), ("small_support", (2, 1))],
+                         ids=["two_type_mixed", "small_support"])
+def test_moment_check_streams_the_two_pass_statistics(name, z, N, streams):
+    spec = load_spec(spec_path(name))
+    rep = moment_check(spec, np.array(z), N=N, seed=31)
+    mean, cov, se, parts = two_pass_moments(spec, np.array(z), N, seed=31)
+    assert parts == streams
+    for got, want in ((rep.mean_empirical, mean), (rep.cov_empirical, cov),
+                      (rep.cov_se, se)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_moment_check_memory_does_not_grow_with_samples(two_type_spec):
+    def peak(N):
+        tracemalloc.start()
+        try:
+            moment_check(two_type_spec, np.array([50, 30]), N=N, seed=2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(200_000), peak(2_000_000)
+    assert large <= 1.25 * small, (small, large)
+    assert large < 16e6, large
 
 
 def test_moment_check_detects_wrong_model(gamma_spec, sqrt_spec):
