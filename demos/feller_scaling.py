@@ -24,9 +24,6 @@ from mbpm import (
     ks_statistic,
     load_spec,
     run_ensemble,
-    scaled_path,
-    simulate_path,
-    stream_for,
 )
 
 spec = load_spec("specs/gamma_single_type.json")
@@ -38,11 +35,12 @@ print(f"diffusion limit: dY = {drift} dt + sqrt({diffusion} * max(Y,0)) dW")
 # ---------------------------------------------------------------------------
 
 n = 300
-traj = simulate_path(spec, n=n, rng=stream_for(7, 0))
-path = scaled_path(traj, n=n, T=1.0, grid=10)
+states = run_ensemble(spec, n=n, R=1, master_seed=7, store_paths=True).paths[0]
+times = np.linspace(0.0, 1.0, 11)
+values = states[np.floor(n * times).astype(np.int64)] / float(n)
 print("\none rescaled path Z_{floor(nt)}/n:")
-print("t:", np.array2string(path.times, precision=1))
-print("Y:", np.array2string(path.values[:, 0], precision=3))
+print("t:", np.array2string(times, precision=1))
+print("Y:", np.array2string(values[:, 0], precision=3))
 
 # ---------------------------------------------------------------------------
 # endpoint law: rescaled ensemble versus the exact law of Y_1

@@ -46,7 +46,6 @@ from .model import (
     spec_digest,
     spec_from_dict,
     spec_to_dict,
-    step,
 )
 from .moments import (
     MomentReport,
@@ -57,14 +56,12 @@ from .moments import (
     migration_mean,
     migration_var,
     moment_report,
-    offspring_moments,
     sigma2,
 )
 from .classify import (
     CriteriaConfig,
     GrowthVerdict,
     check_growth_support,
-    check_hypothesis_B,
     check_hypothesis_C,
     classify_growth,
     estimate_exponents,
@@ -74,14 +71,12 @@ from .classify import (
 )
 from .limits import (
     LimitParams,
-    ScaledPath,
     a_asymptotic,
     a_seq,
     euler_maruyama,
     feller_params,
     lambda_n,
     params_from_spec,
-    scaled_path,
 )
 from .montecarlo import (
     Ensemble,

@@ -130,14 +130,20 @@ def _immigration_mean_exponent(law) -> float:
 
 
 def _hypothesis_B(spec: ModelSpec, ray) -> tuple:
-    """(holds, evidence) of hypothesis (B); the probe ratios come from the
-    ray, and are empty when it could not be evaluated (``ray`` is None)."""
+    """(holds, evidence) of hypothesis (B): is the mean migration h(z) =
+    o(||z||)?
+
+    Decided structurally on the closed state-function set: each of the
+    immigration term a_i q_i and emigration term b_i r_i gets the growth
+    exponent of its factors (uniform emigration removes a linear fraction
+    of the count, hence exponent 1), and the hypothesis holds when every
+    exponent is strictly below 1.  Probe ratios max_i |h_i(z)| / ||z|| on
+    the ray are recorded as numeric evidence only.
+    """
     exponents = [(_term_exponent(c.prob_imm, c.immigration, _immigration_mean_exponent),
                   _term_exponent(c.prob_em, c.emigration, lambda law: law.growth_exponent()))
                  for c in spec.migration.components]
-    ratios = [] if ray is None else [
-        float(np.max(np.abs(h))) / float(np.sum(z)) for z, h in zip(ray.probes, ray.h)
-    ]
+    ratios = [float(np.max(np.abs(h))) / float(np.sum(z)) for z, h in zip(ray.probes, ray.h)]
     worst = max(max(pair) for pair in exponents)
     evidence = {
         "term_exponents": [
@@ -147,23 +153,6 @@ def _hypothesis_B(spec: ModelSpec, ray) -> tuple:
         "worst_exponent": _finite(worst),
     }
     return worst < 1.0, evidence
-
-
-def check_hypothesis_B(spec: ModelSpec, config: CriteriaConfig = CriteriaConfig()):
-    """Is the mean migration h(z) = o(||z||)?  Returns (holds, evidence).
-
-    Decided structurally on the closed state-function set: each of the
-    immigration term a_i q_i and emigration term b_i r_i gets the growth
-    exponent of its factors (uniform emigration removes a linear fraction
-    of the count, hence exponent 1), and the hypothesis holds when every
-    exponent is strictly below 1.  Probe ratios max_i |h_i(z)| / ||z|| are
-    recorded as numeric evidence only.
-    """
-    try:
-        ray = _probe_ray(spec, config)
-    except ValueError:
-        ray = None
-    return _hypothesis_B(spec, ray)
 
 
 def check_hypothesis_C(spec: ModelSpec) -> Optional[dict]:

@@ -539,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="probe state for the moments suite (default: document reference_state)",
     )
     parser.add_argument(
-        "--workers", type=int,
+        "--workers", type=_at_least(int, 1),
         help="worker processes (default: MBPM_WORKERS environment variable, else 1)",
     )
     parser.set_defaults(**defaults)

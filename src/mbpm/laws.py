@@ -1,9 +1,11 @@
 """Distribution families for offspring, immigration, and emigration.
 
 Every family carries exact low-order moments next to its sampler, so the
-moment formulas elsewhere never fall back on Monte Carlo, and enumeration
-(`atoms`) for total-variation checks where the support is finite or can be
-truncated below any tolerance.
+moment formulas elsewhere never fall back on Monte Carlo.  Migration laws
+also enumerate their support (`atoms`, truncated below a tolerance where
+it is infinite), which feeds the classifier's exact fractional moments;
+the total-variation checks of the tests enumerate the transition law on
+their own.
 
 State-dependent quantities (migration probabilities, immigration means)
 are expressed through a small closed set of *state functions* of the
@@ -18,12 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 # Tail mass permitted to be dropped when enumerating an infinite support.
 DEFAULT_ATOM_TAIL = 1e-12
+# Largest number of atoms an enumeration builds.
+_ENUM_LIMIT = 1 << 20
 
 _EULER_GAMMA = 0.5772156649015329
 _ZETA2 = math.pi**2 / 6.0
@@ -288,9 +292,6 @@ class PoissonOffspring:
     def sample_sum_batch(self, rng, counts):
         return poisson_draws(rng, np.asarray(counts, dtype=np.int64) * self.mean)
 
-    def atoms(self, tail: float = DEFAULT_ATOM_TAIL):
-        return _poisson_atoms(self.mean, tail)
-
 
 @dataclass(frozen=True)
 class BernoulliOffspring:
@@ -312,9 +313,6 @@ class BernoulliOffspring:
 
     def sample_sum_batch(self, rng, counts):
         return rng.binomial(np.asarray(counts, dtype=np.int64), self.prob)
-
-    def atoms(self, tail: float = DEFAULT_ATOM_TAIL):
-        return np.array([0, 1]), np.array([1.0 - self.prob, self.prob])
 
 
 @dataclass(frozen=True)
@@ -347,15 +345,6 @@ class GeometricOffspring:
         if pos.any():
             out[pos] = rng.negative_binomial(counts[pos], 1.0 - self._ratio)
         return out
-
-    def atoms(self, tail: float = DEFAULT_ATOM_TAIL):
-        if self.mean == 0.0:
-            return np.array([0]), np.array([1.0])
-        s = self._ratio
-        # (1 - s) s^k tail beyond K is s^(K+1)
-        kmax = max(1, int(math.ceil(math.log(tail) / math.log(s))))
-        ks = np.arange(kmax + 1)
-        return ks, (1.0 - s) * s ** ks.astype(float)
 
 
 @dataclass(frozen=True)
@@ -391,12 +380,6 @@ class TableOffspring:
         counts = np.asarray(counts, dtype=np.int64)
         draws = rng.multinomial(counts, self.probs)
         return draws @ np.asarray(self.values, dtype=np.int64)
-
-    def atoms(self, tail: float = DEFAULT_ATOM_TAIL):
-        return np.asarray(self.values, dtype=np.int64), np.asarray(self.probs, dtype=float)
-
-
-ScalarOffspring = PoissonOffspring | BernoulliOffspring | GeometricOffspring | TableOffspring
 
 
 def _poisson_atoms(lam: float, tail: float):
@@ -435,8 +418,6 @@ def _poisson_atoms(lam: float, tail: float):
 # Joint offspring laws (vector of children of all types from one parent)
 # ---------------------------------------------------------------------------
 
-_ENUM_LIMIT = 1 << 20
-
 
 @dataclass(frozen=True)
 class IndependentOffspring:
@@ -468,20 +449,6 @@ class IndependentOffspring:
         """Add the summed children of counts[r] parents into row r of out (R, p)."""
         for j, c in enumerate(self.components):
             out[:, j] += c.sample_sum_batch(rng, counts)
-
-    def atoms(self, tail: float = DEFAULT_ATOM_TAIL):
-        per = [c.atoms(tail / max(len(self.components), 1)) for c in self.components]
-        total = 1
-        for vals, _ in per:
-            total *= len(vals)
-            if total > _ENUM_LIMIT:
-                raise ValueError("joint offspring support too large to enumerate")
-        grids = np.meshgrid(*[vals for vals, _ in per], indexing="ij")
-        vectors = np.stack([g.reshape(-1) for g in grids], axis=1)
-        probs = np.ones(1)
-        for _, pr in per:
-            probs = np.multiply.outer(probs, pr).reshape(-1)
-        return vectors.astype(np.int64), probs
 
 
 @dataclass(frozen=True)
@@ -523,12 +490,6 @@ class FiniteOffspring:
         """Add the summed children of counts[r] parents into row r of out (R, p)."""
         draws = rng.multinomial(np.asarray(counts, dtype=np.int64), self.probs)
         out += draws @ np.asarray(self.vectors, dtype=np.int64)
-
-    def atoms(self, tail: float = DEFAULT_ATOM_TAIL):
-        return np.asarray(self.vectors, dtype=np.int64), np.asarray(self.probs, dtype=float)
-
-
-OffspringLaw = IndependentOffspring | FiniteOffspring
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +625,15 @@ ImmigrationLaw = ShiftedPoissonImmigration | DeterministicImmigration | TableImm
 # ---------------------------------------------------------------------------
 
 
+def _check_enumerable(law: str, zi: int):
+    """Refuse to enumerate the zi atoms {1, ..., zi} past ``_ENUM_LIMIT``."""
+    if zi > _ENUM_LIMIT:
+        raise ValueError(
+            f"{law} emigration from a count of {zi} is too large to enumerate "
+            f"(at most {_ENUM_LIMIT} atoms)"
+        )
+
+
 @dataclass(frozen=True)
 class UniformEmigration:
     """D uniform on {1, ..., zi}: mean removals grow linearly with the count."""
@@ -681,6 +651,7 @@ class UniformEmigration:
     def atoms(self, zi: int):
         if zi <= 0:
             return np.array([0]), np.array([1.0])
+        _check_enumerable("uniform", zi)
         return np.arange(1, zi + 1), np.full(zi, 1.0 / zi)
 
     def mean_limit(self) -> Optional[float]:
@@ -794,6 +765,7 @@ class InverseCubeEmigration:
     def atoms(self, zi: int):
         if zi <= 0:
             return np.array([0]), np.array([1.0])
+        _check_enumerable("inverse-cube", zi)
         j = np.arange(1, zi + 1)
         return j, j.astype(float) ** -3.0 / _h_sum(3, zi)
 

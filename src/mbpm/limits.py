@@ -29,7 +29,7 @@ import numpy as np
 
 from . import algebra
 from .classify import _ALPHA_TILDE, _DELTA, check_hypothesis_C, estimate_exponents
-from .model import ModelSpec, Trajectory
+from .model import ModelSpec
 
 _BETA_TOL = 1e-9
 
@@ -269,30 +269,3 @@ def euler_maruyama(
         values[:, k + 1] = y
     return times, values
 
-
-@dataclass(frozen=True)
-class ScaledPath:
-    """A trajectory rescaled diffusively: values of Z_{floor(n t)} / n on a grid."""
-
-    times: np.ndarray
-    values: np.ndarray  # (len(times), p)
-    n: int
-
-    def weighted(self, u):
-        """Scalar reduction u . values, one entry per grid time."""
-        return self.values @ np.asarray(u, dtype=float)
-
-
-def scaled_path(traj: Trajectory, n: int, T: float, grid: int = 200) -> ScaledPath:
-    """Sample the step function t -> Z_{floor(n t)} / n on a uniform grid over [0, T]."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    states = np.asarray(traj.states, dtype=float)
-    need = math.floor(n * T)
-    if states.shape[0] <= need:
-        raise ValueError(
-            f"trajectory has {states.shape[0] - 1} steps, needs at least {need}"
-        )
-    times = np.linspace(0.0, T, grid + 1)
-    idx = np.floor(n * times).astype(np.int64)
-    return ScaledPath(times=times, values=states[idx] / float(n), n=n)

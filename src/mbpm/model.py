@@ -22,9 +22,9 @@ missing laws and of a zero count already applied
 once (``ModelSpec.size_weights``).  When every offspring count is Poisson
 the offspring take one call: the children of type j from all parents are
 a sum of independent Poissons, hence Poisson with the summed rate.
-``step`` and ``simulate_path`` run the kernel on a single row,
-``sample_step_batch`` on one state broadcast to many rows, and the
-ensembles in ``montecarlo`` on blocks of replicates.
+``simulate_path`` runs the kernel on a single row, ``sample_step_batch``
+on one state broadcast to many rows, and the ensembles in ``montecarlo``
+on blocks of replicates.
 
 The mean matrix convention is column-per-parent: mean_matrix()[i, j] is
 the expected number of type-i children of one type-j parent, and the
@@ -241,9 +241,6 @@ class DeterministicInitial:
         """``size`` initial states, one per row."""
         return np.tile(np.asarray(self.state, dtype=np.int64), (size, 1))
 
-    def mean_norm(self) -> float:
-        return float(np.sum(self.state))
-
 
 @dataclass(frozen=True)
 class TableInitial:
@@ -268,9 +265,6 @@ class TableInitial:
         """``size`` initial states, one per row."""
         idx = rng.choice(len(self.states), p=self.probs, size=size)
         return np.asarray(self.states, dtype=np.int64)[idx]
-
-    def mean_norm(self) -> float:
-        return float(np.asarray(self.states).sum(axis=1) @ np.asarray(self.probs))
 
 
 InitialLaw = DeterministicInitial | TableInitial
@@ -441,11 +435,6 @@ def advance(spec: ModelSpec, Z, rng):
     counts = sample_migration(spec.migration, Z, rng, u=spec.size_weights())
     counts += Z
     return spec.offspring.sample_sum_batch(rng, counts)
-
-
-def step(spec: ModelSpec, z, rng):
-    """One transition from the state z: ``advance`` on a single row."""
-    return advance(spec, np.asarray(z, dtype=np.int64)[None, :], rng)[0]
 
 
 def simulate_path(spec: ModelSpec, n: int, rng) -> Trajectory:

@@ -24,12 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import odot
-from .model import MigrationSpec, ModelSpec, OffspringSpec
-
-
-def offspring_moments(spec: OffspringSpec):
-    """Mean matrix (column per parent type) and per-type covariance matrices."""
-    return spec.mean_matrix(), spec.cov_tensor()
+from .model import MigrationSpec, ModelSpec
 
 
 def _component_raws(comp, k: int, z, u, zi: int) -> list:

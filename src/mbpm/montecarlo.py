@@ -40,7 +40,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import ModelSpec, advance, spec_digest, spec_from_dict, spec_to_dict
+from .model import ModelSpec, advance, spec_digest
 from .moments import cond_mean, cond_var
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -98,13 +98,10 @@ class Ensemble:
 def _simulate_blocks(args):
     """Replicates [lo, hi), whole blocks, each advanced n steps in lockstep.
 
-    ``spec`` is the ModelSpec in-process, or its document in a worker process.
     A ValueError from the kernel is raised again with the step and the
     block's first replicate, so that its "row r" is replicate start + r.
     """
     spec, n, master_seed, lo, hi, store_paths = args
-    if isinstance(spec, dict):
-        spec = spec_from_dict(spec)
     term = np.empty((hi - lo, spec.dim), dtype=np.int64)
     paths = np.empty((hi - lo, n + 1, spec.dim), dtype=np.int64) if store_paths else None
     for start in range(lo, hi, BLOCK):
@@ -154,11 +151,10 @@ def run_ensemble(
     spans = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     terminal = np.empty((R, spec.dim), dtype=np.int64)
     paths = np.empty((R, n + 1, spec.dim), dtype=np.int64) if store_paths else None
-    if len(spans) == 1:
-        results = [_simulate_blocks((spec, n, master_seed, *spans[0], store_paths))]
+    jobs = [(spec, n, master_seed, lo, hi, store_paths) for lo, hi in spans]
+    if len(jobs) == 1:
+        results = [_simulate_blocks(jobs[0])]
     else:
-        doc = spec_to_dict(spec)
-        jobs = [(doc, n, master_seed, lo, hi, store_paths) for lo, hi in spans]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_simulate_blocks, jobs))
     for lo, term_block, path_block in results:

@@ -23,7 +23,6 @@ from mbpm import (
     OffspringSpec,
     PoissonOffspring,
     check_growth_support,
-    check_hypothesis_B,
     check_hypothesis_C,
     classify_growth,
     estimate_exponents,
@@ -91,13 +90,13 @@ def test_is_absorbing_zero(gamma_spec, pure_death_spec, emigration_spec):
 
 
 def test_hypothesis_B(gamma_spec, sqrt_spec, two_type_spec):
-    ok, evidence = check_hypothesis_B(gamma_spec)
-    assert ok
-    ok_sqrt, _ = check_hypothesis_B(sqrt_spec)
-    assert ok_sqrt
-    ok_two, evidence_two = check_hypothesis_B(two_type_spec)
-    assert not ok_two  # uniform emigration grows linearly with the count
-    assert isinstance(evidence_two, dict)
+    assert classify_growth(gamma_spec).hypothesis_B
+    assert classify_growth(sqrt_spec).hypothesis_B
+    verdict = classify_growth(two_type_spec)
+    assert not verdict.hypothesis_B  # uniform emigration grows linearly with the count
+    evidence = verdict.diagnostics["hypothesis_B_evidence"]
+    assert evidence["worst_exponent"] == 1.0
+    assert len(evidence["probe_ratios"]) == len(verdict.probe_sizes)
 
 
 def test_hypothesis_C(gamma_spec, sqrt_spec, two_type_spec):

@@ -73,6 +73,19 @@ def test_classify_suite_probe_magnitudes(tmp_path):
     assert read_report(out)["results"]["classification"]["probe_sizes"] == [100.0, 1000.0, 10000.0]
 
 
+def test_classify_suite_refuses_emigration_past_the_enumeration_limit(tmp_path, capsys):
+    # uniform emigration has one atom per removal size; at a 1e12 probe that
+    # would be terabytes, so the suite stops before building them
+    out = tmp_path / "rep"
+    code = main(["--spec", spec_path("two_type_mixed"), "--suite", "classify",
+                 "--out", str(out), "--probe-magnitudes", "10,1e12"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: classify is infeasible for this model: uniform emigration from a count of "
+        "1000000000000 is too large to enumerate (at most 1048576 atoms)\n")
+    assert not out.exists()
+
+
 def test_gamma_suite_small_scale(tmp_path):
     out = str(tmp_path / "rep")
     args = ["--spec", spec_path("gamma_single_type"), "--suite", "gamma-limit",
@@ -362,8 +375,11 @@ def test_limit_suites_refuse_exactly_the_infeasible_documents(tmp_path, capsys, 
      "argument --probe-magnitudes: need finite magnitudes below 2^63, got 10,nan"),
     ("classify", "--probe-magnitudes", "10,inf",
      "argument --probe-magnitudes: need finite magnitudes below 2^63, got 10,inf"),
+    ("explosion", "--workers", "0", "argument --workers: must be >= 1, got 0"),
+    ("explosion", "--workers", "-3", "argument --workers: must be >= 1, got -3"),
 ], ids=["reps-0", "one-probe-magnitude", "negative-explosion-k", "negative-n",
-        "probe-magnitude-1e300", "probe-magnitude-nan", "probe-magnitude-inf"])
+        "probe-magnitude-1e300", "probe-magnitude-nan", "probe-magnitude-inf",
+        "workers-0", "negative-workers"])
 def test_invalid_option_values_are_usage_errors(tmp_path, capsys, monkeypatch, suite, option,
                                                 value, message):
     monkeypatch.setattr(cli, "run_ensemble", _no_ensemble)

@@ -170,12 +170,19 @@ def test_h_sum_switchover_continuity(power):
 # ---------------------------------------------------------------------------
 
 
+def poisson_atoms(lam):
+    """Poisson(lam) atoms, read off the shifted-Poisson immigration law of
+    mean lam + 1 and shifted back by 1."""
+    vals, probs = ShiftedPoissonImmigration(mean_fn=Constant(lam + 1.0)).atoms(None)
+    return vals - 1, probs
+
+
 def test_poisson_offspring_moments_and_atoms():
     law = PoissonOffspring(mean=1.7)
     assert law.mean == 1.7
     assert abs(law.var() - 1.7) < 1e-15
     assert abs(law.prob_zero() - math.exp(-1.7)) < 1e-15
-    vals, probs = law.atoms()
+    vals, probs = poisson_atoms(1.7)
     oracle = oracles.poisson_pmf(1.7)
     assert abs(probs.sum() - 1.0) < 1e-9
     for v, p in zip(vals, probs):
@@ -185,7 +192,7 @@ def test_poisson_offspring_moments_and_atoms():
 @pytest.mark.parametrize("lam", [0.5, 25.0, 745.0, 746.0, 1e4])
 def test_poisson_atoms_at_large_rates(lam):
     # exp(-lam) underflows to 0.0 from lam = 746 on; atoms must not start there
-    vals, probs = PoissonOffspring(mean=lam).atoms()
+    vals, probs = poisson_atoms(lam)
     got = dict(zip(vals.tolist(), probs.tolist()))
     oracle = oracles.poisson_pmf(lam, tail=1e-12)
     assert max(abs(got.get(k, 0.0) - oracle.get(k, 0.0)) for k in set(got) | set(oracle)) < 1e-12
@@ -219,7 +226,7 @@ def test_immigration_rate_past_numpy_limit_names_the_row_of_the_states():
 
 
 def test_poisson_atoms_at_rate_one_million():
-    vals, probs = PoissonOffspring(mean=1e6).atoms()
+    vals, probs = poisson_atoms(1e6)
     assert probs.sum() >= 1.0 - 1e-12
     assert abs(float(vals @ probs) - 1e6) < 1e-9 * 1e6
     assert len(vals) < 20_000  # a window around the mode, not the whole range from 0
@@ -485,6 +492,16 @@ def test_emigration_atoms_agree_with_raw_moments(law, zi):
     for k in range(1, 5):
         from_atoms = float(np.sum(probs * vals.astype(float) ** k))
         assert from_atoms == pytest.approx(law.raw_moment(k, zi), rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("law, name", [(UniformEmigration(), "uniform"),
+                                       (InverseCubeEmigration(), "inverse-cube")])
+def test_emigration_atoms_refuse_counts_past_the_enumeration_limit(law, name):
+    # one atom per removal size: 2^20 + 1 of them is past the limit, and
+    # the refusal comes before any array is built
+    with pytest.raises(ValueError, match=rf"^{name} emigration from a count of 1048577 is too "
+                                         r"large to enumerate \(at most 1048576 atoms\)$"):
+        law.atoms(2**20 + 1)
 
 
 def test_deterministic_emigration_cap():

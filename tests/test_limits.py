@@ -16,15 +16,12 @@ from mbpm import (
     ModelSpec,
     OffspringSpec,
     PoissonOffspring,
-    Trajectory,
     a_asymptotic,
     a_seq,
     euler_maruyama,
     feller_params,
     lambda_n,
     params_from_spec,
-    scaled_path,
-    simulate_path,
     stream_for,
 )
 
@@ -256,25 +253,3 @@ def test_euler_maruyama_mean_matches_drift():
 def test_euler_maruyama_needs_rng_for_noise():
     with pytest.raises(ValueError):
         euler_maruyama(1.0, 1.0, T=1.0)
-
-
-def test_scaled_path_piecewise_constant(gamma_spec):
-    traj = simulate_path(gamma_spec, 50, stream_for(3, 0))
-    sp = scaled_path(traj, n=50, T=1.0, grid=100)
-    assert sp.values.shape == (101, 1)
-    assert np.array_equal(sp.values[0], traj.states[0] / 50.0)
-    assert np.array_equal(sp.values[-1], traj.states[50] / 50.0)
-    w = sp.weighted(np.array([1.0]))
-    assert w.shape == (101,)
-    # the embedded step function only jumps when floor(n t) does
-    k = np.floor(50 * sp.times).astype(int)
-    flat = np.flatnonzero(np.diff(k) == 0)
-    assert flat.size > 0
-    for a in flat:
-        assert np.array_equal(sp.values[a], sp.values[a + 1])
-
-
-def test_scaled_path_length_check(gamma_spec):
-    traj = simulate_path(gamma_spec, 10, stream_for(4, 0))
-    with pytest.raises(ValueError):
-        scaled_path(traj, n=50, T=1.0)

@@ -26,7 +26,6 @@ from mbpm import (
     spec_digest,
     spec_from_dict,
     spec_to_dict,
-    step,
     stream_for,
 )
 
@@ -108,7 +107,7 @@ def test_step_stays_nonnegative(two_type_spec):
     rng = np.random.default_rng(1)
     z = np.array([50, 30])
     for _ in range(500):
-        z = step(two_type_spec, z, rng)
+        z = advance(two_type_spec, z[None, :], rng)[0]
         assert z.dtype == np.int64
         assert (z >= 0).all()
 
@@ -133,7 +132,7 @@ def test_batch_and_step_agree_in_law(two_type_spec):
     z = np.array([50, 30])
     batch = sample_step_batch(two_type_spec, z, 200_000, stream_for(77, 0))
     rng = np.random.default_rng(3)
-    loop = np.array([step(two_type_spec, z, rng) for _ in range(20_000)])
+    loop = np.array([advance(two_type_spec, z[None, :], rng)[0] for _ in range(20_000)])
     bm, lm = batch.mean(axis=0), loop.mean(axis=0)
     se = np.sqrt(batch.var(axis=0) / len(batch) + loop.var(axis=0) / len(loop))
     assert (np.abs(bm - lm) < 5 * se + 1e-9).all()

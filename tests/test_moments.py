@@ -23,7 +23,6 @@ from mbpm import (
     migration_var,
     moment_check,
     moment_report,
-    offspring_moments,
     sigma2,
     size_of,
 )
@@ -47,7 +46,7 @@ def drift_const_spec():
 
 
 def test_offspring_moments_two_type(two_type_spec):
-    m, cov = offspring_moments(two_type_spec.offspring)
+    m, cov = two_type_spec.offspring.mean_matrix(), two_type_spec.offspring.cov_tensor()
     assert np.allclose(m, 0.5)
     assert cov.shape == (2, 2, 2)
     for i in range(2):
