@@ -66,7 +66,6 @@ from .classify import (
     classify_growth,
     estimate_exponents,
     growth_ratio,
-    is_absorbing_zero,
     probe_states,
 )
 from .limits import (

@@ -105,16 +105,6 @@ def probe_states(spec: ModelSpec, config: CriteriaConfig = CriteriaConfig()):
     return out
 
 
-def is_absorbing_zero(spec: ModelSpec) -> bool:
-    """Whether the zero state is absorbing (no immigration can fire there)."""
-    zero = np.zeros(spec.dim, dtype=np.int64)
-    for comp in spec.migration.components:
-        _, pi, _ = comp.branch_probs(zero, None, 0)
-        if pi > 0.0:
-            return False
-    return True
-
-
 def _term_exponent(prob, law, law_exponent) -> float:
     """Growth exponent of one migration term prob * E[law]; -inf when the
     term never fires (no law, or a constant zero probability)."""

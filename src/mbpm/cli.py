@@ -18,7 +18,8 @@ simulated.  Option defaults are the field defaults of ``ExperimentConfig``.
 
 Each suite returns its plot data as named tables, a header plus one
 sequence per column, and ``_write_tsv`` writes each one from its columns:
-float64 columns as %.10g, label columns as str().
+float64 columns as %.10g, formatted once per run of equal adjacent cells,
+label columns as str().
 
 Reports are deterministic for a fixed document and seed: the wall-clock
 timestamp is isolated in a single header field and no timings are
@@ -51,6 +52,7 @@ from .classify import (
 from .limits import a_seq, feller_params, lambda_n, params_from_spec
 from .model import ModelSpec, SpecFormatError, _integer, spec_digest, spec_from_dict
 from .montecarlo import (
+    _run_starts,
     estimate_explosion,
     gamma_cdf,
     gamma_quantile,
@@ -127,18 +129,29 @@ def _jsonable(obj):
     return obj
 
 
+def _float_cells(a):
+    """%.10g of each cell of the float64 array a, formatted once per run of equal cells."""
+    starts = _run_starts(a)
+    texts = list(map("%.10g".__mod__, a[starts].tolist()))
+    if starts.size == a.size:
+        return texts
+    return np.repeat(np.array(texts, dtype=object), np.diff(starts, append=a.size)).tolist()
+
+
 def _write_tsv(path: Path, header, columns):
     """Header plus one line per row, from one sequence per column.
 
-    A float64 column is written as %.10g, any other column as str() of its
-    cells: one %-format string serves the file and the body is one join.
+    A float64 column is written as %.10g, formatted once per run of equal
+    adjacent cells (equal bit patterns give equal text); any other column
+    as str() of its cells.
     """
-    arrays = [np.asarray(col) for col in columns]
-    floats = [a.dtype == np.float64 for a in arrays]
-    fmt = "\t".join("%.10g" if f else "%s" for f in floats) + "\n"
-    cells = [a.tolist() if f else col for a, f, col in zip(arrays, floats, columns)]
+    cells = []
+    for col in columns:
+        a = np.asarray(col)
+        cells.append(_float_cells(a) if a.dtype == np.float64 else list(map(str, col)))
+    lines = ["\t".join(header), *map("\t".join, zip(*cells))]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(header) + "\n" + "".join(map(fmt.__mod__, zip(*cells))))
+        fh.write("\n".join(lines) + "\n")
 
 
 def _ks_check(sample, config, cdf, law: str, law_params: dict):

@@ -13,7 +13,9 @@ scalar size s = u . z, where u is the left Perron weight vector of the
 offspring mean matrix: constants, powers coeff * s**exponent, step tables,
 and clamps of those.  Keeping the set closed lets the classifier reason
 structurally about growth exponents and limits instead of guessing from
-samples.
+samples, and lets validation find every size at which a function changes
+form (its ``knees``): between two knees, and beyond the last, each one is
+a constant or a single power.
 """
 from __future__ import annotations
 
@@ -74,6 +76,12 @@ class Constant:
     def _divergence(self) -> int:
         return 0
 
+    def knees(self) -> tuple:
+        return ()
+
+    def crossings(self, level: float) -> tuple:
+        return ()
+
 
 @dataclass(frozen=True)
 class Power:
@@ -106,6 +114,18 @@ class Power:
             return 0
         return 1 if self.coeff > 0 else -1
 
+    def knees(self) -> tuple:
+        return ()
+
+    def crossings(self, level: float) -> tuple:
+        """The size at which coeff * s**exponent equals level, if there is one."""
+        if self.coeff == 0.0 or self.exponent == 0.0 or not level / self.coeff > 0.0:
+            return ()
+        try:
+            return ((level / self.coeff) ** (1.0 / self.exponent),)
+        except OverflowError:  # beyond every float size
+            return ()
+
 
 @dataclass(frozen=True)
 class Table:
@@ -136,6 +156,12 @@ class Table:
 
     def _divergence(self) -> int:
         return 0
+
+    def knees(self) -> tuple:
+        return tuple(self.breaks)
+
+    def crossings(self, level: float) -> tuple:
+        return ()  # a table only changes value at its breaks
 
 
 @dataclass(frozen=True)
@@ -180,6 +206,14 @@ class Clamp:
         if d < 0 and self.lo is not None:
             return 0
         return d
+
+    def knees(self) -> tuple:
+        """The inner function's knees and the sizes at which it meets a bound."""
+        bounds = [b for b in (self.lo, self.hi) if b is not None]
+        return self.inner.knees() + sum((self.inner.crossings(b) for b in bounds), ())
+
+    def crossings(self, level: float) -> tuple:
+        return self.inner.crossings(level)
 
 
 StateFunction = Constant | Power | Table | Clamp

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, NamedTuple, Optional
@@ -325,50 +326,73 @@ class ModelSpec:
             ) from exc
 
     def validate(self):
-        """Check probability and immigration-mean invariants at probe states."""
+        """Check the probability and immigration-mean invariants at every size.
+
+        First at probe states: zero, the unit states and two more.  Then, on
+        models whose migration reads the size s = u . z, as functions of s:
+        at every knee of a state function (a ``Table`` break, a size where
+        the inner function of a ``Clamp`` meets a bound) and in the limit of
+        large sizes.  Between two knees, and beyond the last, each state
+        function is a constant or a single power, so an unclamped power that
+        leaves [0, 1] fails in the limit.  The immigration mean is checked
+        with the probabilities, as a state function of its own.
+        """
         p = self.dim
         u = self.size_weights()
         probes = [np.zeros(p, dtype=np.int64)]
         probes.extend(np.eye(p, dtype=np.int64))
         probes.append(np.full(p, 5, dtype=np.int64))
         probes.append(np.arange(1, p + 1, dtype=np.int64) * 7)
-        for z in probes:
-            for i, comp in enumerate(self.migration.components):
-                vals = {
-                    "prob_none": comp.prob_none(z, u),
-                    "prob_imm": comp.prob_imm(z, u),
-                    "prob_em": comp.prob_em(z, u),
-                }
-                for name, v in vals.items():
-                    if not 0.0 <= v <= 1.0 + _PROB_TOL:
-                        raise ValueError(
-                            f"migration[{i}].{name} = {v} at z={z.tolist()} "
-                            "is outside [0, 1]"
-                        )
-                total = sum(vals.values())
-                if abs(total - 1.0) > _PROB_TOL:
-                    raise ValueError(
-                        f"migration[{i}] branch probabilities sum to {total} "
-                        f"at z={z.tolist()}"
-                    )
-                if comp.immigration is None and vals["prob_imm"] > 0.0:
-                    raise ValueError(
-                        f"migration[{i}] has immigration probability {vals['prob_imm']} "
-                        f"at z={z.tolist()} but no immigration law"
-                    )
-                if comp.emigration is None and vals["prob_em"] > 0.0 and z[i] > 0:
-                    raise ValueError(
-                        f"migration[{i}] has emigration probability {vals['prob_em']} "
-                        f"at z={z.tolist()} but no emigration law"
-                    )
-                if comp.immigration is not None:
-                    mean = comp.immigration.mean(z, u)
-                    if mean < 1.0 - _PROB_TOL:
-                        raise ValueError(
-                            f"migration[{i}] immigration mean {mean} at "
-                            f"z={z.tolist()} is below 1"
-                        )
+        one = np.ones(1)
+        for i, comp in enumerate(self.migration.components):
+            fns = (comp.prob_none, comp.prob_imm, comp.prob_em)
+            imm = comp.immigration
+            if isinstance(imm, ShiftedPoissonImmigration):
+                fns += (imm.mean_fn,)
+            elif imm is not None:
+                fns += (Constant(imm.mean()),)
+            for z in probes:
+                _check_branches(i, comp, f"z={z.tolist()}", [f(z, u) for f in fns], z[i] > 0)
+            if u is None:
+                continue
+            for s in sorted({s for f in fns for s in f.knees() if s > 0}):
+                size = np.array([float(s)])  # a one-type state of size s under weights (1,)
+                values = [f(size, one) for f in fns]
+                _check_branches(i, comp, f"size u.z = {float(s)!r}", values, True)
+            _check_branches(i, comp, "the limit of large sizes", [_limit(f) for f in fns], True)
         return self
+
+
+def _limit(f: StateFunction) -> float:
+    """The state function's limit at large sizes, +-inf where it diverges."""
+    lim = f.limit()
+    return math.copysign(math.inf, f._divergence()) if lim is None else lim
+
+
+def _check_branches(i: int, comp: MigrationComponent, where: str, values, emigrates):
+    """Refuse migration component i's (none, immigration, emigration)
+    probabilities, followed by its immigration mean if it has a law, at one
+    place, described by where."""
+    probs = values[:3]
+    for name, v in zip(("prob_none", "prob_imm", "prob_em"), probs):
+        if not 0.0 <= v <= 1.0 + _PROB_TOL:
+            raise ValueError(f"migration[{i}].{name} = {v} at {where} is outside [0, 1]")
+    total = sum(probs)
+    if abs(total - 1.0) > _PROB_TOL:
+        raise ValueError(f"migration[{i}] branch probabilities sum to {total} at {where}")
+    if comp.immigration is None and probs[1] > 0.0:
+        raise ValueError(
+            f"migration[{i}] has immigration probability {probs[1]} at {where} "
+            "but no immigration law"
+        )
+    if comp.emigration is None and probs[2] > 0.0 and emigrates:
+        raise ValueError(
+            f"migration[{i}] has emigration probability {probs[2]} at {where} "
+            "but no emigration law"
+        )
+    for mean in values[3:]:
+        if mean < 1.0 - _PROB_TOL:
+            raise ValueError(f"migration[{i}] immigration mean {mean} at {where} is below 1")
 
 
 @dataclass(frozen=True)

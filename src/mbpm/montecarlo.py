@@ -24,6 +24,14 @@ same CPU time within noise, while the peak memory grows with the chunk
 (2.6 MB at 2**15, 4.9 MB at 2**16, 20.9 MB at 2**18 for 10**6 samples of
 two_type_mixed).
 
+A reference CDF must be point-wise: its value at a point may not depend
+on the other points of the array it is called on.  The KS statistics
+call it once, on the distinct values of the sorted sample (its runs of
+equal bit patterns), and spread the result over the ties.  The limit
+suites' samples are normalised integer populations, so they sit on a
+lattice: on a single-type document, 10**4 replicates at n = 8 take fewer
+than a hundred distinct values.
+
 KS thresholds are deliberately experiment-level constants rather than
 p-values: the sampled laws are only asymptotically the reference laws, so
 a classical test would reject at large R no matter what.  A threshold
@@ -34,7 +42,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -155,6 +162,9 @@ def run_ensemble(
     if len(jobs) == 1:
         results = [_simulate_blocks(jobs[0])]
     else:
+        # imported here: the pool's modules weigh on every import of mbpm
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_simulate_blocks, jobs))
     for lo, term_block, path_block in results:
@@ -236,15 +246,36 @@ def ecdf(sample) -> Callable:
     return F
 
 
+def _run_starts(x):
+    """Indices at which a run of equal adjacent values of the float64 array x starts.
+
+    Values compare by bit pattern, so -0.0 and 0.0 fall in different runs
+    and NaNs of one pattern in the same one; no tolerance is involved.  A
+    point-wise function takes one value on each run.
+    """
+    bits = np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
+    new = np.empty(bits.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
 def _sorted_with_cdf(sample, cdf: Callable):
-    """The sorted sample and the reference CDF at it, from one call of cdf."""
+    """The sorted sample and the reference CDF at it, from one call of cdf.
+
+    cdf must be point-wise.  It is called once, on the distinct values of
+    the sorted sample in increasing order (the heads of its runs of equal
+    bit patterns), and its values are repeated over each run.
+    """
     xs = np.sort(np.asarray(sample, dtype=float))
     if xs.size == 0:
         raise ValueError("empty sample")
-    F = np.asarray(cdf(xs), dtype=float)
-    if F.shape != xs.shape:
+    starts = _run_starts(xs)
+    heads = xs[starts]
+    F = np.asarray(cdf(heads), dtype=float)
+    if F.shape != heads.shape:
         raise ValueError("the reference CDF must map an array to an array of its shape")
-    return xs, F
+    return xs, np.repeat(F, np.diff(starts, append=xs.size))
 
 
 def _ks_sorted(F) -> float:
@@ -258,8 +289,8 @@ def ks_statistic(sample, cdf: Callable) -> float:
     """Sup-distance between the sample's empirical CDF and a reference CDF.
 
     Both one-sided gaps are evaluated at the order statistics:
-    max(i/n - F(x_i), F(x_i) - (i-1)/n).  cdf is called once, on the
-    sorted sample as an array.
+    max(i/n - F(x_i), F(x_i) - (i-1)/n).  cdf must be point-wise; it is
+    called once, on the distinct values of the sorted sample as an array.
     """
     return _ks_sorted(_sorted_with_cdf(sample, cdf)[1])
 
@@ -415,7 +446,11 @@ class GoFReport:
 
 
 def gof_report(sample, cdf: Callable, reference: str, params: dict, threshold: float) -> GoFReport:
-    """KS comparison of the sample with the reference law; cdf is called once."""
+    """KS comparison of the sample with the reference law.
+
+    cdf must be point-wise; it is called once, on the distinct values of
+    the sorted sample, and reference_values repeats them over the ties.
+    """
     xs, F = _sorted_with_cdf(sample, cdf)
     d = _ks_sorted(F)
     return GoFReport(

@@ -27,7 +27,6 @@ from mbpm import (
     classify_growth,
     estimate_exponents,
     growth_ratio,
-    is_absorbing_zero,
     load_spec,
     probe_states,
 )
@@ -81,12 +80,6 @@ def test_growth_ratio_hand_value(drift_const_spec):
     # drift 0.75, variance 100.75 * 1 + 1.6875 at z = 100
     val = growth_ratio(drift_const_spec, [1.0], [100])
     assert abs(val - 150.0 / 102.4375) < 1e-12
-
-
-def test_is_absorbing_zero(gamma_spec, pure_death_spec, emigration_spec):
-    assert not is_absorbing_zero(gamma_spec)  # immigration fires at zero
-    assert is_absorbing_zero(pure_death_spec)
-    assert is_absorbing_zero(emigration_spec)
 
 
 def test_hypothesis_B(gamma_spec, sqrt_spec, two_type_spec):

@@ -138,6 +138,14 @@ def test_write_tsv_matches_per_cell_formatting(tmp_path):
     path = tmp_path / "mixed.tsv"
     _write_tsv(path, header, columns)
     assert path.read_bytes() == _per_cell_tsv(header, columns).encode("utf-8")
+    # float64 columns with heavy ties, -0.0 beside 0.0, NaN and +-inf, sorted or not
+    lattice = np.random.default_rng(8).integers(-10, 50, size=10_000) / 8.0
+    lattice[:40] = [-0.0, 0.0, np.nan, np.inf, -np.inf] * 8
+    columns = [np.sort(lattice), lattice, np.arange(1, lattice.size + 1) / lattice.size,
+               np.repeat(np.array([1 / 3, -0.0, 0.0, 1e22]), 2500), ["x"] * lattice.size]
+    header = ("sorted", "shuffled", "distinct", "blocks", "label")
+    _write_tsv(path, header, columns)
+    assert path.read_bytes() == _per_cell_tsv(header, columns).encode("utf-8")
     # a zero-row table is its header alone
     empty = [[], np.array([]), np.array([], dtype=np.int64), []]
     _write_tsv(path, ("a", "b", "c", "d"), empty)
@@ -157,19 +165,28 @@ _SUITE_TABLES = {
 
 @pytest.mark.parametrize("suite", cli.SUITES)
 def test_suite_tables_match_the_row_wise_reference(tmp_path, monkeypatch, suite):
-    written = set()
+    written, distinct = set(), []
 
     def checked(path, header, columns):
         _write_tsv(path, header, columns)
         assert path.read_bytes() == _per_cell_tsv(header, columns).encode("utf-8")
         written.add(path.name)
+        if path.name == "cdf_pairs.tsv":
+            distinct.append((np.unique(columns[0]).size, len(columns[0])))
 
     monkeypatch.setattr(cli, "_write_tsv", checked)
-    for doc_name in SHIPPED:
-        code = main(["--spec", spec_path(doc_name), "--suite", suite, "--n", "20",
-                     "--reps", "200", "--seed", "3", "--threshold-ks", "0.5",
-                     "--out", str(tmp_path / doc_name)])
-        assert code in (0, 1, 2)
+    sizes = [("--n", "20", "--reps", "200")]
+    if suite in ("gamma-limit", "normal-limit"):
+        sizes.append(("--n", "8", "--reps", "5000"))  # lattice samples, heavy ties
+    for k, size in enumerate(sizes):
+        distinct.clear()
+        for doc_name in SHIPPED:
+            code = main(["--spec", spec_path(doc_name), "--suite", suite, *size,
+                         "--seed", "3", "--threshold-ks", "0.5",
+                         "--out", str(tmp_path / f"{doc_name}-{k}")])
+            assert code in (0, 1, 2)
+        if k:
+            assert any(10 * d < rows for d, rows in distinct)
     assert written == _SUITE_TABLES[suite]
 
 

@@ -8,6 +8,7 @@ import pytest
 import oracles
 from conftest import load_doc, spec_path
 from mbpm import (
+    Clamp,
     Constant,
     DeterministicImmigration,
     DeterministicInitial,
@@ -17,7 +18,9 @@ from mbpm import (
     OffspringSpec,
     PoissonOffspring,
     IndependentOffspring,
+    Power,
     SpecFormatError,
+    Table,
     advance,
     load_spec,
     sample_migration,
@@ -92,6 +95,59 @@ def test_validate_rejects_missing_immigration_law():
     spec = single_type_spec(prob_none=0.5, prob_imm=0.5, immigration=None)
     with pytest.raises(ValueError, match="no immigration law"):
         spec.validate()
+
+
+def _table(breaks, values):
+    return {"kind": "table", "breaks": breaks, "values": values}
+
+
+def _power(coeff, exponent):
+    return {"kind": "power", "coeff": coeff, "exponent": exponent}
+
+
+_PROBE_GAPS = {
+    # refused at the first probe already, by the component and the state
+    "mean-constant": (
+        {"immigration": {"family": "shifted_poisson", "mean": {"kind": "constant", "value": 0.5}}},
+        "spec: migration[0] immigration mean 0.5 at z=[0] is below 1"),
+    # sums to 0.8 from size 100 on, past every probe state
+    "table-break": (
+        {"prob_imm": _table([0, 100], [0.5, 0.8]), "prob_none": _table([0, 100], [0.5, 0])},
+        "spec: migration[0] branch probabilities sum to 0.8 at size u.z = 100.0"),
+    # max(0.01 s, 1) is 1 up to s = 100 and then grows without bound
+    "unclamped-power": (
+        {"prob_imm": {"kind": "clamp", "inner": _power(0.01, 1.0), "lo": 1.0}},
+        "spec: migration[0].prob_imm = inf at the limit of large sizes is outside [0, 1]"),
+    # the immigration mean falls below 1 at size 50
+    "mean-table-break": (
+        {"immigration": {"family": "shifted_poisson", "mean": _table([0, 50], [2.0, 0.5])}},
+        "spec: migration[0] immigration mean 0.5 at size u.z = 50.0 is below 1"),
+    # 3 s**-0.1 is above 1 at every probe but tends to 0
+    "mean-decays": (
+        {"immigration": {"family": "shifted_poisson",
+                         "mean": {"kind": "clamp", "inner": _power(3.0, -0.1), "hi": 3.0}}},
+        "spec: migration[0] immigration mean 0.0 at the limit of large sizes is below 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PROBE_GAPS))
+def test_validate_checks_between_the_probe_states(case):
+    change, message = _PROBE_GAPS[case]
+    doc = load_doc("gamma_single_type")
+    doc["migration"][0].update(change)
+    with pytest.raises(SpecFormatError) as err:
+        spec_from_dict(doc)
+    assert str(err.value) == message
+
+
+def test_state_function_knees():
+    assert Table((0, 10, 100), (1, 2, 3)).knees() == (0, 10, 100)
+    assert Clamp(Power(0.5, 0.5), lo=1.0, hi=2.0).knees() == (4.0, 16.0)
+    assert Clamp(Power(2.0, -1.0), hi=1.0).knees() == (2.0,)
+    assert Clamp(Power(-1.0, 1.0), lo=0.0).knees() == ()  # meets 0 only at s = 0
+    assert Clamp(Clamp(Table((0, 5), (0.2, 3.0)), hi=2.0), lo=0.5).knees() == (0, 5)
+    assert Clamp(Power(1e-300, 1e-3), hi=1.0).knees() == ()  # beyond every float
+    assert Power(1.0, 2.0).knees() == () and Constant(0.5).knees() == ()
 
 
 def test_sample_migration_bounds(two_type_spec):

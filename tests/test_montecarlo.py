@@ -1,6 +1,9 @@
 """Ensemble machinery, tail estimates, and the hand-rolled statistics."""
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -35,7 +38,7 @@ from mbpm import (
     stream_for,
     wilson_interval,
 )
-from mbpm.montecarlo import BLOCK, MOMENT_BATCHES, ROWS, _simulate_blocks
+from mbpm.montecarlo import BLOCK, MOMENT_BATCHES, ROWS, _run_starts, _simulate_blocks
 
 import oracles
 from conftest import load_doc, spec_path
@@ -96,6 +99,21 @@ def test_ensemble_identical_across_worker_counts(gamma_spec):
         full = run_ensemble(gamma_spec, workers=workers, store_paths=True, **kw)
         assert np.array_equal(one.terminal, full.terminal)
         assert np.array_equal(one.paths, full.paths)
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # the pool is imported by the first ensemble that has more than one job
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(os.path.dirname(__file__), os.pardir, "src"),
+                      env.get("PYTHONPATH")]))
+    code = ("import sys, mbpm; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("block", [1, 2], ids=["block-1", "partial-last-block"])
@@ -385,6 +403,69 @@ def test_ks_statistic_calls_cdf_once_on_the_sorted_sample():
     assert len(seen) == 1 and seen[0].tolist() == [0.1, 0.5, 0.9]
     with pytest.raises(ValueError, match="array"):
         ks_statistic(sample, lambda x: 0.5)  # not vectorised
+    # a duplicated sample: once, on its distinct values in increasing order
+    seen.clear()
+    d = ks_statistic(np.array([0.9, 0.1, 0.5, 0.1, 0.9, 0.9]), cdf)
+    assert len(seen) == 1 and seen[0].tolist() == [0.1, 0.5, 0.9]
+    assert d == pytest.approx(0.9 - 3 / 6)  # F(x_4) - (4 - 1)/n
+    with pytest.raises(ValueError, match="array"):
+        ks_statistic(np.full(4, 0.5), lambda x: 0.5)
+
+
+def tie_heavy_sample(with_specials: bool):
+    """10**4 draws over 60 lattice values; with -0.0 beside 0.0, NaN and +-inf."""
+    x = np.random.default_rng(31).integers(-10, 50, size=10_000) / 8.0
+    if with_specials:
+        x[:40] = [-0.0, 0.0, np.nan, np.inf, -np.inf] * 8
+    return x
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def test_run_starts_split_by_bit_pattern():
+    x = np.array([-1.0, -1.0, -0.0, 0.0, 0.0, 2.0, np.nan, np.nan, np.inf])
+    assert _run_starts(x).tolist() == [0, 2, 3, 5, 6, 8]
+    assert _run_starts(np.array([])).tolist() == []
+    assert _run_starts(np.array([3.0])).tolist() == [0]
+    x = np.sort(tie_heavy_sample(False))
+    starts = _run_starts(x)
+    assert x[starts].tolist() == np.unique(x).tolist()
+    assert starts.tolist() == np.unique(x, return_index=True)[1].tolist()
+
+
+def signed_cdf(x):
+    """A point-wise map that tells -0.0 from 0.0 (and passes NaN and inf through)."""
+    return np.where(np.signbit(x), 0.25, 0.75) + np.clip(x, -1e-3, 1e-3)
+
+
+@pytest.mark.parametrize("with_specials", [False, True], ids=["lattice", "specials"])
+@pytest.mark.parametrize("cdf", [lambda x: gamma_cdf(x, 4.0, 0.5), normal_cdf, signed_cdf],
+                         ids=["gamma", "normal", "signed"])
+def test_gof_report_on_ties_equals_the_cdf_point_by_point(cdf, with_specials):
+    sample = tie_heavy_sample(with_specials)
+    seen = []
+
+    def counted(x):
+        seen.append(np.array(x))
+        return cdf(x)
+
+    rep = gof_report(sample, counted, "reference", {}, threshold=1.0)
+    xs = rep.sorted_sample
+    assert bits(xs).tolist() == bits(np.sort(sample)).tolist()
+    per_point = [float(cdf(np.array([v]))[0]) for v in xs.tolist()]
+    assert bits(rep.reference_values).tolist() == bits(per_point).tolist()  # bit for bit
+    assert len(seen) == 1
+    heads = seen[0]
+    assert set(bits(heads).tolist()) == set(bits(sample).tolist())
+    # one head per run of equal bits: sorting may interleave -0.0 and 0.0
+    assert heads.size == 1 + np.count_nonzero(np.diff(bits(xs)))
+    if not with_specials:
+        assert heads.size == 60 and np.all(np.diff(heads) > 0)  # strictly increasing
+    F, i = np.array(per_point), np.arange(1, xs.size + 1)
+    d = max(np.max(i / xs.size - F), np.max(F - (i - 1) / xs.size))
+    assert rep.value == d or (with_specials and math.isnan(rep.value) and math.isnan(d))
 
 
 def test_gof_report_keeps_the_evaluated_reference():
