@@ -51,6 +51,7 @@ from .moments import (
     MomentReport,
     cond_mean,
     cond_var,
+    migration_abs_moments,
     migration_atoms,
     migration_kappa,
     migration_mean,

@@ -14,10 +14,12 @@ states otherwise, and a 10% safety margin around the critical ratio 1
 inside which the verdict is "inconclusive".
 
 Every criterion reads one evaluation of the probe ray (``_Ray``): h and
-sigma2 once per probe, and one enumeration of each type's migration atoms
-per probe for all fractional moments.  The order checks form one table,
-{shifted, centered} x {sigma, drift_log, drift}.  The classify suite reads
-its verdict and its exponents from one ray.
+sigma2 once per probe, and one call of moments.migration_abs_moments per
+probe and type for all fractional moments.  No emigration law is
+enumerated up to the count there, so a probe may lie at any magnitude whose
+state fits int64.  The order checks form one table, {shifted, centered} x
+{sigma, drift_log, drift}.  The classify suite reads its verdict and its
+exponents from one ray.
 
 Standing assumptions referenced throughout: (A) the offspring mean matrix
 is primitive with Perron root 1; (B) mean migration is o(||z||); (C) the
@@ -33,7 +35,7 @@ import numpy as np
 
 from .laws import Constant, ShiftedPoissonImmigration
 from .model import ModelSpec
-from .moments import migration_atoms, migration_mean, sigma2
+from .moments import migration_abs_moments, migration_mean, sigma2
 
 _RATIO_MARGIN = 0.10  # safety band around the critical ratio 1
 _SLOPE_SLACK = 0.05  # fitted exponent must undershoot the target by this
@@ -223,8 +225,9 @@ class _Ray:
 
 
 def _probe_ray(spec: ModelSpec, config: CriteriaConfig) -> _Ray:
-    """Evaluate the probe ray: one migration mean, one sigma2 per probe, and
-    one enumeration of the migration atoms per (probe, type)."""
+    """Evaluate the probe ray: one migration mean and one sigma2 per probe,
+    and one call of migration_abs_moments per (probe, type) for all
+    fractional moments."""
     u = spec.spectral().u
     probes = probe_states(spec, config)
     h_list = [migration_mean(spec.migration, z, u) for z in probes]
@@ -234,12 +237,13 @@ def _probe_ray(spec: ModelSpec, config: CriteriaConfig) -> _Ray:
     for z, h in zip(probes, h_list):
         candidates = []
         for i in range(spec.dim):
-            vals, probs = migration_atoms(spec.migration, i, z, u)
             zi, hi = float(z[i]), float(h[i])
-            shifted[i].append(float(np.sum(probs * np.abs(zi + vals) ** shifted_power)))
-            centered[i].append(float(np.sum(probs * np.abs(-hi + vals) ** centered_power)))
+            pairs = ((shifted_power, -zi), (centered_power, hi), (_ALPHA_TILDE, hi))
+            m_shifted, m_centered, m_tilde = migration_abs_moments(spec.migration, i, z, u, pairs)
+            shifted[i].append(m_shifted)
+            centered[i].append(m_centered)
             candidates.append(zi + hi)
-            candidates.append(float(np.sum(probs * np.abs(-hi + vals) ** _ALPHA_TILDE)))
+            candidates.append(m_tilde)
         surrogate.append(max(candidates))
     return _Ray(
         probes=probes,

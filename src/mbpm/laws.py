@@ -3,9 +3,12 @@
 Every family carries exact low-order moments next to its sampler, so the
 moment formulas elsewhere never fall back on Monte Carlo.  Migration laws
 also enumerate their support (`atoms`, truncated below a tolerance where
-it is infinite), which feeds the classifier's exact fractional moments;
-the total-variation checks of the tests enumerate the transition law on
-their own.
+it is infinite).  The classifier's absolute moments read `atoms` only
+where the support is a window that does not grow with the count.  Uniform
+and inverse-cube emigration, whose support does grow, give E|D - c|^q in
+closed form (`abs_moment`), and their `atoms` serve the tests as its
+oracle.  The total-variation checks of the tests enumerate the transition
+law on their own.
 
 State-dependent quantities (migration probabilities, immigration means)
 are expressed through a small closed set of *state functions* of the
@@ -30,6 +33,11 @@ import numpy as np
 DEFAULT_ATOM_TAIL = 1e-12
 # Largest number of atoms an enumeration builds.
 _ENUM_LIMIT = 1 << 20
+# Argument from which the power sums switch to Euler-Maclaurin, and the
+# number of inverse-cube terms summed before the harmonic sums take over.
+_EM_START = 64
+# Most inverse-cube terms summed directly for the power 3/2.
+_INVERSE_CUBE_HEAD = 1 << 20
 
 _EULER_GAMMA = 0.5772156649015329
 _ZETA2 = math.pi**2 / 6.0
@@ -271,6 +279,77 @@ def _h_sum(power: int, n: int) -> float:
     if len(_h_cache) < 65536:
         _h_cache[key] = val
     return val
+
+
+def _power_sum(q: float, count: int, e: float) -> float:
+    """Sum of (k + e)**q over k = 0..count-1, for e >= 0 and q in {3/2, 2, 3}.
+
+    Every term is nonnegative, so nothing cancels.  The integer powers
+    expand binomially into Faulhaber sums.  The power 3/2 sums its terms
+    directly until k + e reaches _EM_START, and the rest by Euler-Maclaurin
+    through the B6 term, whose remainder is below 3e-15 of the sum there.
+    """
+    if count <= 0:
+        return 0.0
+    if q in (2, 3):
+        q = int(q)
+        return math.fsum(math.comb(q, r) * e ** (q - r) * (_faulhaber(r, count - 1) + (r == 0))
+                         for r in range(q + 1))
+    if q != 1.5:
+        raise ValueError(f"power sums implemented for q in {{3/2, 2, 3}}, got {q}")
+    head = min(count, max(0, math.ceil(_EM_START - e)))
+    total = float(np.sum((np.arange(head) + e) ** 1.5))
+    if head == count:
+        return total
+    a, b = head + e, count - 1 + e  # first and last argument of the tail
+    integral = 0.4 * a**2.5 * math.expm1(2.5 * math.log1p((count - 1 - head) / a))
+    ends = 0.5 * (a**1.5 + b**1.5)
+    # B_2p / (2p)! times the differences of f', f''' and f^(5) of f = x^(3/2)
+    bernoulli = (1.5 * (b**0.5 - a**0.5) / 12.0 + 0.375 * (b**-1.5 - a**-1.5) / 720.0
+                 - 1.40625 * (b**-3.5 - a**-3.5) / 30240.0)
+    return total + integral + ends + bernoulli
+
+
+def _inverse_cube_tail(q: float, c: float, head: int, n: int) -> float:
+    """Sum of j**-3 |j - c|**q over j = head+1..n, for q in {3/2, 2, 3}.
+
+    The integer powers expand into the harmonic sums _h_sum on the two
+    sides of c.  Their rounding stays within a few ulps of the moment,
+    because the head's first term |1 - c|**q is a fixed share of it.
+
+    The power 3/2 starts past a = head + 1 = 2^20 + 1.  Where |c| <= 0.8 a,
+    it is Euler-Maclaurin through the B2 term.  In s = sqrt(a / x), its
+    integral is 2 a^-1/2 times the integral of (1 - c s^2 / a)^(3/2) over
+    [sqrt(a / n), 1], a function analytic well beyond that interval, so 32
+    Gauss-Legendre nodes give it to rounding.  Farther out the tail is
+    dropped: it weighs less than 1/(2 a^2) + 2/c^2 < 1e-11 of the moment.
+    """
+    if q == 1.5:
+        a = head + 1
+        if abs(c) > 0.8 * a:
+            return 0.0
+        from numpy.polynomial.legendre import leggauss
+
+        nodes, weights = leggauss(32)
+        s0 = math.sqrt(a / n)
+        s = 0.5 * (1.0 + s0) + 0.5 * (1.0 - s0) * nodes
+        integral = (1.0 - s0) * a**-0.5 * float(np.sum(weights * (1.0 - c / a * s * s) ** 1.5))
+        g_a, g_n = a**-3.0 * (a - c) ** 1.5, n**-3.0 * (n - c) ** 1.5
+        slope_a = g_a * (1.5 / (a - c) - 3.0 / a)
+        slope_n = g_n * (1.5 / (n - c) - 3.0 / n)
+        return integral + 0.5 * (g_a + g_n) + (slope_n - slope_a) / 12.0
+
+    def between(p, lo, hi):  # sum of j**-p over lo < j <= hi
+        return _h_sum(p, hi) - _h_sum(p, lo)
+
+    if q == 2:
+        return between(1, head, n) - 2.0 * c * between(2, head, n) + c * c * between(3, head, n)
+    split = min(n, max(head, math.floor(c)))  # head < j <= split lie at or below c
+    below = (c**3 * between(3, head, split) - 3.0 * c * c * between(2, head, split)
+             + 3.0 * c * between(1, head, split) - (split - head))
+    above = ((n - split) - 3.0 * c * between(1, split, n) + 3.0 * c * c * between(2, split, n)
+             - c**3 * between(3, split, n))
+    return below + above
 
 
 # ---------------------------------------------------------------------------
@@ -682,6 +761,21 @@ class UniformEmigration:
         zi = np.asarray(zi, dtype=np.int64)
         return rng.integers(1, np.maximum(zi, 1), endpoint=True) * (zi > 0)
 
+    def abs_moment(self, q: float, c: float, zi: int) -> float:
+        """E|D - c|^q for q in {3/2, 2, 3} and a real c, at any count.
+
+        The atoms 1..zi split at c.  On each side the distances to c step
+        by one from an offset: c minus the last atom below c, or the first
+        atom above c minus c.  So each side is one _power_sum.
+        """
+        if zi <= 0:
+            return abs(c) ** q
+        m = math.floor(c)
+        below = min(zi, m)  # atoms 1..below lie at or below c
+        first = max(1, m + 1)  # atoms first..zi lie above c
+        total = _power_sum(q, below, c - below) + _power_sum(q, zi - first + 1, first - c)
+        return total / zi
+
     def atoms(self, zi: int):
         if zi <= 0:
             return np.array([0]), np.array([1.0])
@@ -795,6 +889,24 @@ class InverseCubeEmigration:
             out[rows[kept]] = draws[kept]
             rows = rows[~kept]
         return out
+
+    def abs_moment(self, q: float, c: float, zi: int) -> float:
+        """E|D - c|^q for q in {3/2, 2, 3} and a real c, at any count.
+
+        The first terms are summed directly: 64 of them for the integer
+        powers, up to 2^20 for the power 3/2.  The rest is
+        _inverse_cube_tail.
+        """
+        if zi <= 0:
+            return abs(c) ** q
+        if q not in (1.5, 2, 3):
+            raise ValueError(f"inverse-cube moments implemented for q in {{3/2, 2, 3}}, got {q}")
+        head = min(zi, _INVERSE_CUBE_HEAD if q == 1.5 else _EM_START)
+        j = np.arange(1, head + 1, dtype=float)
+        total = float(np.sum(j**-3.0 * np.abs(j - c) ** q))
+        if zi > head:
+            total += _inverse_cube_tail(q, c, head, zi)
+        return total / _h_sum(3, zi)
 
     def atoms(self, zi: int):
         if zi <= 0:

@@ -17,11 +17,13 @@ from mbpm import (
     DeterministicImmigration,
     DeterministicInitial,
     IndependentOffspring,
+    InverseCubeEmigration,
     MigrationComponent,
     MigrationSpec,
     ModelSpec,
     OffspringSpec,
     PoissonOffspring,
+    UniformEmigration,
     check_growth_support,
     check_hypothesis_C,
     classify_growth,
@@ -164,17 +166,17 @@ def test_estimate_exponents_sqrt(sqrt_spec):
     assert abs(out["beta"] - 1.0) < 0.02
 
 
-def test_fractional_moments_enumerate_atoms_once(two_type_spec, monkeypatch):
+def test_fractional_moments_evaluate_once(two_type_spec, monkeypatch):
     # both order checks of classify_growth, and the surrogate of
-    # estimate_exponents, share one atom enumeration per (probe, type)
+    # estimate_exponents, share one migration_abs_moments call per (probe, type)
     calls = []
-    atoms = mbpm.classify.migration_atoms
+    abs_moments = mbpm.classify.migration_abs_moments
 
     def counted(*args, **kwargs):
         calls.append(args[1])
-        return atoms(*args, **kwargs)
+        return abs_moments(*args, **kwargs)
 
-    monkeypatch.setattr(mbpm.classify, "migration_atoms", counted)
+    monkeypatch.setattr(mbpm.classify, "migration_abs_moments", counted)
     per_ray = len(CriteriaConfig().ray_points) * two_type_spec.dim
     classify_growth(two_type_spec)
     assert len(calls) == per_ray
@@ -200,7 +202,7 @@ def _count_calls(monkeypatch, module, name, calls):
 @pytest.mark.parametrize("doc_name", _EXPECTED_VERDICT_DOCS)
 def test_classify_suite_evaluates_each_probe_once(tmp_path, monkeypatch, doc_name):
     calls = collections.Counter()
-    for module, name in [(mbpm.classify, "migration_atoms"), (mbpm.classify, "sigma2"),
+    for module, name in [(mbpm.classify, "migration_abs_moments"), (mbpm.classify, "sigma2"),
                          (mbpm.classify, "migration_mean"), (mbpm.moments, "migration_mean"),
                          (mbpm.moments, "migration_var")]:
         _count_calls(monkeypatch, module, name, calls)
@@ -208,7 +210,7 @@ def test_classify_suite_evaluates_each_probe_once(tmp_path, monkeypatch, doc_nam
                      "--out", str(tmp_path / "rep")])
     assert code == 0
     probes = len(CriteriaConfig().ray_points)
-    assert calls["migration_atoms"] == probes * load_spec(spec_path(doc_name)).dim
+    assert calls["migration_abs_moments"] == probes * load_spec(spec_path(doc_name)).dim
     assert calls["sigma2"] == probes
     assert calls["migration_var"] == probes
     assert calls["migration_mean"] <= 2 * probes
@@ -229,3 +231,31 @@ def test_classify_suite_reads_what_the_public_functions_compute(tmp_path, doc_na
         u = spec.spectral().u
         for k, z in enumerate(probe_states(spec)):
             assert verdict.ratio_values[k] == growth_ratio(spec, u, z)  # bit for bit
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("classify enumerated a support that grows with the count")
+
+
+@pytest.mark.parametrize("doc_name", _EXPECTED_VERDICT_DOCS + ["small_support", "pure_death"])
+def test_classify_enumerates_no_growing_support(tmp_path, monkeypatch, capsys, doc_name):
+    # uniform and inverse-cube emigration have one atom per removal size, so
+    # classify reads their closed forms: with migration_atoms and their atoms
+    # refusing, every shipped document gives the same exit code, output and files
+    out = tmp_path / "rep"
+
+    def run():
+        code = cli.main(["--spec", spec_path(doc_name), "--suite", "classify", "--out", str(out)])
+        files = {}
+        if out.exists():
+            for name in sorted(os.listdir(out)):
+                with open(out / name) as fh:
+                    files[name] = [line for line in fh if '"timestamp"' not in line]
+        return code, files, capsys.readouterr()
+
+    reference = run()
+    monkeypatch.setattr(mbpm.moments, "migration_atoms", _refuse)
+    monkeypatch.setattr(UniformEmigration, "atoms", _refuse)
+    monkeypatch.setattr(InverseCubeEmigration, "atoms", _refuse)
+    assert run() == reference
+    assert reference[0] == (2 if doc_name == "pure_death" else 0)

@@ -73,17 +73,26 @@ def test_classify_suite_probe_magnitudes(tmp_path):
     assert read_report(out)["results"]["classification"]["probe_sizes"] == [100.0, 1000.0, 10000.0]
 
 
-def test_classify_suite_refuses_emigration_past_the_enumeration_limit(tmp_path, capsys):
-    # uniform emigration has one atom per removal size; at a 1e12 probe that
-    # would be terabytes, so the suite stops before building them
-    out = tmp_path / "rep"
+def test_classify_suite_probes_emigration_past_the_enumeration_limit(tmp_path, capsys):
+    # uniform emigration has one atom per removal size, 10^12 of them at this
+    # probe; classify reads its closed-form moments instead
+    out = str(tmp_path / "rep")
     code = main(["--spec", spec_path("two_type_mixed"), "--suite", "classify",
-                 "--out", str(out), "--probe-magnitudes", "10,1e12"])
-    assert code == 2
-    assert capsys.readouterr().err == (
-        "error: classify is infeasible for this model: uniform emigration from a count of "
-        "1000000000000 is too large to enumerate (at most 1048576 atoms)\n")
-    assert not out.exists()
+                 "--out", out, "--probe-magnitudes", "10,1e12"])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert read_report(out)["results"]["classification"]["verdict"] == "no-growth"
+
+
+@pytest.mark.parametrize("doc_name", ["two_type_mixed", "pure_emigration"])
+def test_classify_suite_at_large_probe_magnitudes(tmp_path, doc_name):
+    out = str(tmp_path / "rep")
+    code = main(["--spec", spec_path(doc_name), "--suite", "classify",
+                 "--out", out, "--probe-magnitudes", "1e3,1e5,1e7,1e9"])
+    assert code == 0
+    classification = read_report(out)["results"]["classification"]
+    assert classification["verdict"] == "no-growth"
+    assert classification["probe_sizes"] == pytest.approx([1e3, 1e5, 1e7, 1e9], rel=1e-3)
 
 
 def test_gamma_suite_small_scale(tmp_path):

@@ -504,6 +504,145 @@ def test_emigration_atoms_refuse_counts_past_the_enumeration_limit(law, name):
         law.atoms(2**20 + 1)
 
 
+# Closed-form absolute moments E|D - c|^q of the two emigration laws whose
+# support grows with the count, against their atoms.
+
+_GROWING_LAWS = [UniformEmigration(), InverseCubeEmigration()]
+_ABS_ORDERS = (1.5, 2.0, 3.0)
+
+
+def _prefix_moments(law, top, shifts):
+    """{(q, c): E|D - c|^q at every count 1..top}, from the atoms at count top.
+
+    At a count n below top, both laws are their first n atoms renormalized.
+    The prefix sums run in extended precision, so their rounding stays far
+    below the 1e-12 tolerance up to top = 2^20.
+    """
+    vals, probs = law.atoms(top)
+    mass = np.cumsum(probs, dtype=np.longdouble)
+    out = {}
+    for c in shifts:
+        dist = np.abs(vals - c)
+        for q in _ABS_ORDERS:
+            sums = np.cumsum(probs * dist**q, dtype=np.longdouble)
+            out[q, c] = (sums / mass).astype(float)
+    return out
+
+
+@pytest.mark.parametrize("law", _GROWING_LAWS, ids=lambda law: type(law).__name__)
+def test_emigration_abs_moments_at_every_count_to_4096(law):
+    # every count at every order, two or three of the eleven shifts per count;
+    # each shift lies past the support below some count and inside it from
+    # there on.  At 64.5 the first inverse-cube term taken from the harmonic
+    # sums lies within one of c, so counting it on the wrong side of c shows.
+    shifts = (-7.5, -1.0, 0.0, 1.0, 2.5, 63.5, 64.0, 64.5, 1000.25, 2048.0, 3000.5)
+    counts = np.arange(1, 4097)
+    oracle = _prefix_moments(law, 4096, shifts)
+    for k, c in enumerate(shifts):
+        checked = counts[counts % 5 == k % 5]
+        for q in _ABS_ORDERS:
+            got = [law.abs_moment(q, c, int(n)) for n in checked]
+            np.testing.assert_allclose(got, oracle[q, c][checked - 1], rtol=1e-12, atol=0,
+                                       err_msg=f"q={q}, c={c}")
+
+
+# about 200 log-spaced counts, both sides of the direct-sum limit of the
+# harmonic sums (10^6), and the enumeration limit
+_LOG_COUNTS = sorted({int(n) for n in np.geomspace(4097, 2**20, 200)}
+                     | {999_999, 1_000_000, 1_000_001, 2**20 - 1, 2**20})
+
+
+@pytest.mark.parametrize("law", _GROWING_LAWS, ids=lambda law: type(law).__name__)
+def test_emigration_abs_moments_at_log_spaced_counts_to_2_20(law):
+    counts = _LOG_COUNTS
+    if isinstance(law, InverseCubeEmigration):  # its harmonic sums cost O(count) each
+        counts = counts[::8]
+    shifts = (-7.5, 1000.0, 2**19 + 0.5)
+    oracle = _prefix_moments(law, 2**20, shifts)
+    for c in shifts:
+        for q in _ABS_ORDERS:
+            got = [law.abs_moment(q, c, n) for n in counts]
+            np.testing.assert_allclose(got, oracle[q, c][np.array(counts) - 1], rtol=1e-12,
+                                       atol=0, err_msg=f"q={q}, c={c}")
+
+
+def test_emigration_abs_moments_match_the_atoms_of_each_count():
+    for law in _GROWING_LAWS:
+        for n in (1, 63, 64, 65, 4096, 1_000_000, 1_000_001):
+            vals, probs = law.atoms(n)
+            for q in _ABS_ORDERS:
+                for c in (-2.5, 1.0, n / 2 + 0.5, float(n)):
+                    direct = float(np.sum(probs * np.abs(vals - c) ** q))
+                    assert law.abs_moment(q, c, n) == pytest.approx(direct, rel=1e-12, abs=0)
+
+
+def test_inverse_cube_abs_moments_past_the_direct_head():
+    # past 2^20 terms the power 3/2 adds a Gauss-Legendre tail where
+    # |c| <= 0.8 (2^20 + 1), and otherwise drops a tail below 1e-11 of it
+    law = InverseCubeEmigration()
+    n = 2**20 + 4097
+    j = np.arange(1, n + 1, dtype=float)
+    w = j**-3.0
+    for c, rel_15 in ((-7.5, 1e-12), (1.37, 1e-12), (1000.5, 1e-12), (-5e5, 1e-12),
+                      (5e5, 1e-12), (9e5, 1e-11), (float(n), 1e-11), (2e6 + 0.5, 1e-11)):
+        d = np.abs(j - c)
+        for q, rel in ((1.5, rel_15), (2.0, 1e-12), (3.0, 1e-12)):
+            direct = float(np.sum(w * d**q) / np.sum(w))
+            assert law.abs_moment(q, c, n) == pytest.approx(direct, rel=rel, abs=0), (q, c)
+
+
+def test_abs_moments_refuse_other_orders():
+    for law in _GROWING_LAWS:
+        with pytest.raises(ValueError, match="implemented for q in"):
+            law.abs_moment(2.5, 1.0, 100)
+
+
+def test_uniform_three_halves_power_sum_recovers_zeta():
+    # sum of k^(3/2), k = 1..n, is zeta(-3/2) + 2/5 n^(5/2) + 1/2 n^(3/2)
+    # + 1/8 n^(1/2) + 1/1920 n^(-3/2) + O(n^(-7/2))
+    for n in (100, 300):
+        total = n * UniformEmigration().abs_moment(1.5, 0.0, n)
+        rest = 0.4 * n**2.5 + 0.5 * n**1.5 + n**0.5 / 8 + n**-1.5 / 1920
+        assert total - rest == pytest.approx(-0.025485201889833035, abs=1e-9)
+
+
+def test_uniform_three_halves_power_sums_against_hurwitz_zeta():
+    # sum of (k + e)^(3/2), k = 0..N-1, is zeta(-3/2, e) - zeta(-3/2, N + e).
+    # mpmath's Hurwitz zeta takes time linear in its argument, so past 10^4
+    # the reference is its asymptotic series at 40 digits, checked here
+    # against mpmath's zeta at 10^3 + 1/2.
+    mpmath = pytest.importorskip("mpmath")
+    s = mpmath.mpf(-1.5)
+
+    def hurwitz(x):
+        x = mpmath.mpf(x)
+        if x < 1000:
+            return mpmath.zeta(s, x)
+        out = x ** (1 - s) / (s - 1) + x**-s / 2
+        for k in range(1, 12):
+            out += mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k) * mpmath.rf(s, 2 * k - 1) \
+                * x ** (1 - s - 2 * k)
+        return out
+
+    def power_sum(count, e):
+        return hurwitz(e) - hurwitz(count + e)
+
+    with mpmath.workdps(40):
+        assert hurwitz(1000.5) == pytest.approx(mpmath.zeta(s, mpmath.mpf(1000.5)), rel=1e-25)
+        law = UniformEmigration()
+        for n in (10**7, 10**12, 10**18):
+            half = n // 2
+            cases = [
+                (float(n), power_sum(n - 1, 1)),  # distances n-1, ..., 1 and 0
+                (n + 0.5, power_sum(n, mpmath.mpf(0.5))),
+                (-0.25, power_sum(n, mpmath.mpf(1.25))),
+                (half + 0.25, power_sum(half, mpmath.mpf(0.25)) + power_sum(n - half, mpmath.mpf(0.75))),
+            ]
+            for c, reference in cases:
+                got = law.abs_moment(1.5, c, n) * n
+                assert got == pytest.approx(float(reference), rel=1e-12, abs=0), (n, c)
+
+
 def test_deterministic_emigration_cap():
     law = DeterministicEmigration(value=2)
     assert law.raw_moment(1, 5) == 2.0

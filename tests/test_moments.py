@@ -3,20 +3,24 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import load_doc
+from conftest import load_doc, spec_path
 from mbpm import (
     Constant,
     DeterministicEmigration,
     DeterministicImmigration,
     DeterministicInitial,
     IndependentOffspring,
+    InverseCubeEmigration,
     MigrationComponent,
     MigrationSpec,
     ModelSpec,
     OffspringSpec,
     PoissonOffspring,
+    UniformEmigration,
     cond_mean,
     cond_var,
+    load_spec,
+    migration_abs_moments,
     migration_atoms,
     migration_kappa,
     migration_mean,
@@ -109,6 +113,48 @@ def test_migration_atoms_reproduce_moments(two_type_spec):
         assert abs(mean - h[i]) < 1e-8
         second = float((vals - mean) ** 2 @ probs)
         assert abs(second - var[i, i]) < 1e-6
+
+
+def _inverse_cube_spec():
+    """One type: +2 w.p. 1/4, inverse-cube emigration w.p. 1/4."""
+    offspring = OffspringSpec(
+        laws=(IndependentOffspring(components=(PoissonOffspring(mean=1.0),)),)
+    )
+    comp = MigrationComponent(
+        prob_none=Constant(0.5),
+        prob_imm=Constant(0.25),
+        prob_em=Constant(0.25),
+        immigration=DeterministicImmigration(value=2),
+        emigration=InverseCubeEmigration(),
+    )
+    return ModelSpec(offspring, MigrationSpec(components=(comp,)),
+                     DeterministicInitial(state=(1,)))
+
+
+_SHIPPED = ["gamma_single_type", "pure_death", "pure_emigration", "small_support",
+            "sqrt_drift_single_type", "two_type_mixed"]
+
+
+@pytest.mark.parametrize("doc_name", _SHIPPED + ["inverse_cube"])
+def test_migration_abs_moments_match_the_atoms(doc_name):
+    # bounded laws are read from the same atoms, bit for bit; uniform and
+    # inverse-cube emigration add their closed forms, within 1e-12
+    spec = _inverse_cube_spec() if doc_name == "inverse_cube" else load_spec(spec_path(doc_name))
+    u = spec.size_weights()
+    for scale in (1, 7, 3000):
+        z = np.arange(scale, scale + spec.dim)
+        h = migration_mean(spec.migration, z, u)
+        for i, comp in enumerate(spec.migration.components):
+            zi, hi = float(z[i]), float(h[i])
+            pairs = [(1.5, -zi), (3.0, hi), (2.0, hi), (2.0, 0.5), (3.0, -7.5), (1.5, zi / 3)]
+            got = migration_abs_moments(spec.migration, i, z, u, pairs)
+            vals, probs = migration_atoms(spec.migration, i, z, u)
+            for (q, a), moment in zip(pairs, got):
+                from_atoms = float(np.sum(probs * np.abs(vals - a) ** q))
+                if not isinstance(comp.emigration, (UniformEmigration, InverseCubeEmigration)):
+                    assert moment == from_atoms
+                else:
+                    assert moment == pytest.approx(from_atoms, rel=1e-12, abs=0)
 
 
 def test_raw_migration_moments_evaluate_branches_once(two_type_spec, monkeypatch):
