@@ -7,95 +7,119 @@ emigration of part of the current count) with state-dependent
 probabilities.  The package computes exact conditional moments, classifies
 growth regimes near criticality, and checks the distributional limits
 (gamma, normal, L1, Feller diffusion) against Monte Carlo ensembles.
+
+Importing the package loads none of its submodules.  A submodule loads the
+first time one of its names is used (PEP 562): ``from mbpm import
+load_spec`` loads ``model`` and the two modules it needs, ``laws`` and
+``algebra``, and leaves ``moments``, ``classify``, ``limits`` and
+``montecarlo`` unloaded until something asks for them.
 """
-from .algebra import SpectralData, criticality, is_primitive, odot, perron
-from .laws import (
-    BernoulliOffspring,
-    Clamp,
-    Constant,
-    DeterministicEmigration,
-    DeterministicImmigration,
-    FiniteOffspring,
-    GeometricOffspring,
-    IndependentOffspring,
-    InverseCubeEmigration,
-    PoissonOffspring,
-    Power,
-    ShiftedPoissonImmigration,
-    Table,
-    TableImmigration,
-    TableOffspring,
-    TruncatedGeometricEmigration,
-    UniformEmigration,
-    size_of,
-)
-from .model import (
-    DeterministicInitial,
-    MigrationComponent,
-    MigrationSpec,
-    ModelSpec,
-    OffspringSpec,
-    SpecFormatError,
-    TableInitial,
-    Trajectory,
-    advance,
-    load_spec,
-    sample_migration,
-    sample_step_batch,
-    simulate_path,
-    spec_digest,
-    spec_from_dict,
-    spec_to_dict,
-)
-from .moments import (
-    MomentReport,
-    cond_mean,
-    cond_var,
-    migration_abs_moments,
-    migration_atoms,
-    migration_kappa,
-    migration_mean,
-    migration_var,
-    moment_report,
-    sigma2,
-)
-from .classify import (
-    CriteriaConfig,
-    GrowthVerdict,
-    check_growth_support,
-    check_hypothesis_C,
-    classify_growth,
-    estimate_exponents,
-    growth_ratio,
-    probe_states,
-)
-from .limits import (
-    LimitParams,
-    a_asymptotic,
-    a_seq,
-    euler_maruyama,
-    feller_params,
-    lambda_n,
-    params_from_spec,
-)
-from .montecarlo import (
-    Ensemble,
-    GoFReport,
-    MomentCheckReport,
-    ProbabilityEstimate,
-    ecdf,
-    estimate_explosion,
-    gamma_cdf,
-    gamma_quantile,
-    gof_report,
-    ks_statistic,
-    moment_check,
-    normal_cdf,
-    run_ensemble,
-    stream_for,
-    wilson_interval,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The exported names of each submodule.
+_EXPORTS = {
+    "algebra": ("SpectralData", "criticality", "is_primitive", "odot", "perron"),
+    "laws": (
+        "BernoulliOffspring",
+        "Clamp",
+        "Constant",
+        "DeterministicEmigration",
+        "DeterministicImmigration",
+        "FiniteOffspring",
+        "GeometricOffspring",
+        "IndependentOffspring",
+        "InverseCubeEmigration",
+        "PoissonOffspring",
+        "Power",
+        "ShiftedPoissonImmigration",
+        "Table",
+        "TableImmigration",
+        "TableOffspring",
+        "TruncatedGeometricEmigration",
+        "UniformEmigration",
+        "size_of",
+    ),
+    "model": (
+        "DeterministicInitial",
+        "MigrationComponent",
+        "MigrationSpec",
+        "ModelSpec",
+        "OffspringSpec",
+        "SpecFormatError",
+        "TableInitial",
+        "Trajectory",
+        "advance",
+        "load_spec",
+        "sample_migration",
+        "sample_step_batch",
+        "simulate_path",
+        "spec_digest",
+        "spec_from_dict",
+        "spec_to_dict",
+    ),
+    "moments": (
+        "MomentReport",
+        "cond_mean",
+        "cond_var",
+        "migration_abs_moments",
+        "migration_atoms",
+        "migration_kappa",
+        "migration_mean",
+        "migration_var",
+        "moment_report",
+        "sigma2",
+    ),
+    "classify": (
+        "CriteriaConfig",
+        "GrowthVerdict",
+        "check_growth_support",
+        "check_hypothesis_C",
+        "classify_growth",
+        "estimate_exponents",
+        "growth_ratio",
+        "probe_states",
+    ),
+    "limits": (
+        "LimitParams",
+        "a_asymptotic",
+        "a_seq",
+        "euler_maruyama",
+        "feller_params",
+        "lambda_n",
+        "params_from_spec",
+    ),
+    "montecarlo": (
+        "Ensemble",
+        "GoFReport",
+        "MomentCheckReport",
+        "ProbabilityEstimate",
+        "ecdf",
+        "estimate_explosion",
+        "gamma_cdf",
+        "gamma_quantile",
+        "gof_report",
+        "ks_statistic",
+        "moment_check",
+        "normal_cdf",
+        "run_ensemble",
+        "stream_for",
+        "wilson_interval",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_EXPORTS, *_SOURCE])
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _SOURCE:
+        return getattr(importlib.import_module(f"{__name__}.{_SOURCE[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -279,13 +279,17 @@ def _suite_moments(spec: ModelSpec, doc: dict, config: ExperimentConfig):
 
 
 def _suite_classify(spec: ModelSpec, doc: dict, config: ExperimentConfig):
-    """The verdict and the fitted exponents, both read from one probe ray."""
+    """The verdict and the fitted exponents, both read from one probe ray.
+
+    A model without Perron data has no ray: it reports the not-critical
+    verdict and no exponents."""
     expected = _expected_verdict(doc.get("expected_verdict"))
     cc = CriteriaConfig(ray_points=config.probe_magnitudes)
     with _applicable("classify"):
-        ray = _probe_ray(spec, cc)
-        verdict = _not_critical(spec) or _growth_verdict(spec, ray)
-        exponents = _fitted_exponents(ray)
+        verdict = _not_critical(spec)
+        ray = None if verdict and verdict.diagnostics["rho"] is None else _probe_ray(spec, cc)
+        verdict = verdict or _growth_verdict(spec, ray)
+        exponents = None if ray is None else _fitted_exponents(ray)
     passed = True if expected is None else (verdict.verdict == expected)
     columns = [np.asarray(verdict.probe_sizes, dtype=float),
                np.asarray(verdict.ratio_values, dtype=float)]

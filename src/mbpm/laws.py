@@ -33,13 +33,13 @@ import numpy as np
 DEFAULT_ATOM_TAIL = 1e-12
 # Largest number of atoms an enumeration builds.
 _ENUM_LIMIT = 1 << 20
-# Argument from which the power sums switch to Euler-Maclaurin, and the
-# number of inverse-cube terms summed before the harmonic sums take over.
+# Argument from which the power and harmonic sums switch to Euler-Maclaurin,
+# and the number of inverse-cube terms summed before the harmonic sums take
+# over.
 _EM_START = 64
 # Most inverse-cube terms summed directly for the power 3/2.
 _INVERSE_CUBE_HEAD = 1 << 20
 
-_EULER_GAMMA = 0.5772156649015329
 _ZETA2 = math.pi**2 / 6.0
 _ZETA3 = 1.2020569031595942854
 
@@ -250,35 +250,30 @@ def _faulhaber(k: int, n: int) -> float:
     raise ValueError(f"power sums only implemented for k <= 4, got {k}")
 
 
-_H_DIRECT_LIMIT = 1_000_000
-_h_cache: dict = {}
-
-
 def _h_sum(power: int, n: int) -> float:
     """Sum of j**(-power) for j = 1..n, power in {1, 2, 3}.
 
-    Direct summation up to 1e6 terms, Euler-Maclaurin tail beyond: the
-    switchover error is below 1e-14 relative either way.
+    The first _EM_START terms are summed directly, the rest by
+    Euler-Maclaurin through the B6 term: past j = 64 the remainder is
+    below 3e-18 of the sum, so the result is exact to rounding.
     """
-    if n <= 0:
-        return 0.0
-    key = (power, n)
-    if key in _h_cache:
-        return _h_cache[key]
-    if n <= _H_DIRECT_LIMIT:
-        j = np.arange(1, n + 1, dtype=float)
-        val = float(np.sum(j**-power))
-    elif power == 1:
-        val = math.log(n) + _EULER_GAMMA + 1.0 / (2 * n) - 1.0 / (12 * n**2)
-    elif power == 2:
-        val = _ZETA2 - 1.0 / n + 1.0 / (2 * n**2) - 1.0 / (6 * n**3)
-    elif power == 3:
-        val = _ZETA3 - 1.0 / (2 * n**2) + 1.0 / (2 * n**3) - 1.0 / (4 * n**4)
-    else:
+    if power not in (1, 2, 3):
         raise ValueError("harmonic sums implemented for powers 1..3 only")
-    if len(_h_cache) < 65536:
-        _h_cache[key] = val
-    return val
+    parts = (np.arange(1, min(n, _EM_START) + 1, dtype=float) ** -power).tolist()
+    if n > _EM_START:
+        a, b = float(_EM_START + 1), float(n)  # first and last term of the tail
+        if power == 1:
+            parts.append(math.log(b / a))
+        else:
+            parts.append((a ** (1 - power) - b ** (1 - power)) / (power - 1))
+        parts.append(0.5 * (a**-power + b**-power))
+        # B_2k / (2k)! times f^(2k-1)(b) - f^(2k-1)(a) of f = x^-p, k = 1..3
+        rising = power  # p (p + 1) ... (p + 2k - 2)
+        for k, coeff in enumerate((1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0), start=1):
+            m = power + 2 * k - 1
+            parts.append(coeff * rising * (a**-m - b**-m))
+            rising *= m * (m + 1)
+    return math.fsum(parts)
 
 
 def _power_sum(q: float, count: int, e: float) -> float:

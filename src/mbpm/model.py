@@ -32,7 +32,6 @@ conditional mean acts as a left matrix product.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -697,5 +696,7 @@ def load_spec(path) -> ModelSpec:
 
 def spec_digest(spec: ModelSpec) -> str:
     """Stable content hash of the model (formatting-independent)."""
+    import hashlib  # here, not at the top: loading a document needs no OpenSSL
+
     canonical = json.dumps(spec_to_dict(spec), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

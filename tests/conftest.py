@@ -5,6 +5,8 @@ that needs them, so the acceptance suite's runtime budget is paid once.
 """
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -31,6 +33,18 @@ def spec_path(name):
 def load_doc(name):
     with open(spec_path(name)) as fh:
         return json.load(fh)
+
+
+def run_python(code):
+    """Run ``code`` in a fresh interpreter that imports mbpm from this
+    checkout's src/; its stdout, once it has exited with status 0."""
+    env = dict(os.environ)
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 @pytest.fixture(scope="session")

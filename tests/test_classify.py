@@ -233,6 +233,20 @@ def test_classify_suite_reads_what_the_public_functions_compute(tmp_path, doc_na
             assert verdict.ratio_values[k] == growth_ratio(spec, u, z)  # bit for bit
 
 
+def test_classify_suite_without_perron_data(tmp_path, pure_death_spec):
+    # pure_death's mean matrix is not primitive: the suite gives the verdict
+    # of classify_growth and no fitted exponents instead of refusing the model
+    out = tmp_path / "rep"
+    assert cli.main(["--spec", spec_path("pure_death"), "--suite", "classify",
+                     "--out", str(out)]) == 0
+    with open(os.path.join(out, "report.json")) as fh:
+        results = json.load(fh)["results"]
+    verdict = classify_growth(pure_death_spec)
+    assert (verdict.verdict, verdict.condition) == ("inconclusive", "not-critical")
+    assert results["classification"] == cli._jsonable(verdict.to_dict())
+    assert results["fitted_exponents"] is None
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("classify enumerated a support that grows with the count")
 
@@ -258,4 +272,4 @@ def test_classify_enumerates_no_growing_support(tmp_path, monkeypatch, capsys, d
     monkeypatch.setattr(UniformEmigration, "atoms", _refuse)
     monkeypatch.setattr(InverseCubeEmigration, "atoms", _refuse)
     assert run() == reference
-    assert reference[0] == (2 if doc_name == "pure_death" else 0)
+    assert reference[0] == 0

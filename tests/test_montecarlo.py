@@ -1,9 +1,6 @@
 """Ensemble machinery, tail estimates, and the hand-rolled statistics."""
 import hashlib
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -41,7 +38,7 @@ from mbpm import (
 from mbpm.montecarlo import BLOCK, MOMENT_BATCHES, ROWS, _run_starts, _simulate_blocks
 
 import oracles
-from conftest import load_doc, spec_path
+from conftest import load_doc, run_python, spec_path
 
 
 def deterministic_spec():
@@ -103,17 +100,10 @@ def test_ensemble_identical_across_worker_counts(gamma_spec):
 
 def test_import_leaves_the_process_pool_unloaded():
     # the pool is imported by the first ensemble that has more than one job
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [os.path.join(os.path.dirname(__file__), os.pardir, "src"),
-                      env.get("PYTHONPATH")]))
     code = ("import sys, mbpm; "
             "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
             "if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert run_python(code).strip() == "[]"
 
 
 @pytest.mark.parametrize("block", [1, 2], ids=["block-1", "partial-last-block"])
