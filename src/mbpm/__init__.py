@@ -12,9 +12,10 @@ Importing the package loads none of its submodules.  A submodule loads the
 first time one of its names is used (PEP 562): ``from mbpm import
 load_spec`` loads ``model`` and the two modules it needs, ``laws`` and
 ``algebra``, and leaves ``moments``, ``classify``, ``limits`` and
-``montecarlo`` unloaded until something asks for them.
+``montecarlo`` unloaded until something asks for them.  ``mbpm.cli``
+imports every submodule at its top, so the ``mbpm`` command loads them all.
 """
-import importlib
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
@@ -115,9 +116,9 @@ __all__ = sorted([*_EXPORTS, *_SOURCE])
 
 def __getattr__(name):
     if name in _EXPORTS:
-        return importlib.import_module(f"{__name__}.{name}")
+        return _import_module(f"{__name__}.{name}")
     if name in _SOURCE:
-        return getattr(importlib.import_module(f"{__name__}.{_SOURCE[name]}"), name)
+        return getattr(_import_module(f"{__name__}.{_SOURCE[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

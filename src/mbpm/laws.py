@@ -250,6 +250,28 @@ def _faulhaber(k: int, n: int) -> float:
     raise ValueError(f"power sums only implemented for k <= 4, got {k}")
 
 
+def _em_tail(q: float, a: float, b: float, span: int) -> tuple:
+    """Euler-Maclaurin through the B6 term for the sum of x**q over
+    x = a, a+1, ..., b, where b - a = span is an integer: the integral, the
+    half end terms and the three Bernoulli corrections, each returned alone
+    so the caller chooses how to add them.
+
+    The integral is taken from span / a, exact where b - a would round.
+    """
+    if q == -1:
+        integral = math.log1p(span / a)
+    else:
+        integral = 1.0 / (q + 1) * a ** (q + 1) * math.expm1((q + 1) * math.log1p(span / a))
+    ends = 0.5 * (a**q + b**q)
+    # B_2k / (2k)! times f^(2k-1)(b) - f^(2k-1)(a), k = 1..3, of f = x^q
+    bernoulli, slope = [], q  # q (q - 1) ... (q - 2k + 2)
+    for k, denominator in enumerate((12.0, -720.0, 30240.0), start=1):
+        m = q - 2 * k + 1
+        bernoulli.append(slope * (b**m - a**m) / denominator)
+        slope *= m * (m - 1)
+    return integral, ends, bernoulli
+
+
 def _h_sum(power: int, n: int) -> float:
     """Sum of j**(-power) for j = 1..n, power in {1, 2, 3}.
 
@@ -261,18 +283,9 @@ def _h_sum(power: int, n: int) -> float:
         raise ValueError("harmonic sums implemented for powers 1..3 only")
     parts = (np.arange(1, min(n, _EM_START) + 1, dtype=float) ** -power).tolist()
     if n > _EM_START:
-        a, b = float(_EM_START + 1), float(n)  # first and last term of the tail
-        if power == 1:
-            parts.append(math.log(b / a))
-        else:
-            parts.append((a ** (1 - power) - b ** (1 - power)) / (power - 1))
-        parts.append(0.5 * (a**-power + b**-power))
-        # B_2k / (2k)! times f^(2k-1)(b) - f^(2k-1)(a) of f = x^-p, k = 1..3
-        rising = power  # p (p + 1) ... (p + 2k - 2)
-        for k, coeff in enumerate((1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0), start=1):
-            m = power + 2 * k - 1
-            parts.append(coeff * rising * (a**-m - b**-m))
-            rising *= m * (m + 1)
+        integral, ends, bernoulli = _em_tail(-power, float(_EM_START + 1), float(n),
+                                             n - _EM_START - 1)
+        parts += [integral, ends, *bernoulli]
     return math.fsum(parts)
 
 
@@ -296,13 +309,8 @@ def _power_sum(q: float, count: int, e: float) -> float:
     total = float(np.sum((np.arange(head) + e) ** 1.5))
     if head == count:
         return total
-    a, b = head + e, count - 1 + e  # first and last argument of the tail
-    integral = 0.4 * a**2.5 * math.expm1(2.5 * math.log1p((count - 1 - head) / a))
-    ends = 0.5 * (a**1.5 + b**1.5)
-    # B_2p / (2p)! times the differences of f', f''' and f^(5) of f = x^(3/2)
-    bernoulli = (1.5 * (b**0.5 - a**0.5) / 12.0 + 0.375 * (b**-1.5 - a**-1.5) / 720.0
-                 - 1.40625 * (b**-3.5 - a**-3.5) / 30240.0)
-    return total + integral + ends + bernoulli
+    integral, ends, (b2, b4, b6) = _em_tail(1.5, head + e, count - 1 + e, count - 1 - head)
+    return total + integral + ends + (b2 + b4 + b6)
 
 
 def _inverse_cube_tail(q: float, c: float, head: int, n: int) -> float:

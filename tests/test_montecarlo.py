@@ -99,11 +99,13 @@ def test_ensemble_identical_across_worker_counts(gamma_spec):
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    # the pool is imported by the first ensemble that has more than one job
-    code = ("import sys, mbpm; "
-            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+    # the pool is imported by the first ensemble that has more than one job;
+    # mbpm.cli loads every submodule, montecarlo included
+    code = ("import sys, mbpm.cli; "
+            "print('mbpm.montecarlo' in sys.modules, "
+            "sorted(m for m in ('concurrent.futures', 'multiprocessing') "
             "if m in sys.modules))")
-    assert run_python(code).strip() == "[]"
+    assert run_python(code).strip() == "True []"
 
 
 @pytest.mark.parametrize("block", [1, 2], ids=["block-1", "partial-last-block"])

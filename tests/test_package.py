@@ -82,3 +82,9 @@ def test_exports_are_listed_and_unknown_names_refused():
     assert set(EXPORTED) <= set(dir(mbpm))
     with pytest.raises(AttributeError, match="no attribute 'not_exported'"):
         mbpm.not_exported
+
+
+def test_public_namespace_is_the_exports_alone():
+    # in a fresh interpreter, before any submodule has loaded
+    code = "import json, mbpm; print(json.dumps([n for n in dir(mbpm) if n[0] != '_']))"
+    assert json.loads(run_python(code)) == EXPORTED
