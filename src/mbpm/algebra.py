@@ -16,6 +16,8 @@ import numpy as np
 
 _POWER_TOL = 1e-12
 _POWER_MAXIT = 100_000
+# Distance from 1 within which a Perron root counts as critical.
+_CRITICAL_TOL = 1e-9
 
 
 def odot(z, mats):
@@ -78,7 +80,7 @@ class SpectralData:
     v: np.ndarray
 
 
-def perron(m, tol: float = _POWER_TOL, maxit: int = _POWER_MAXIT) -> SpectralData:
+def perron(m) -> SpectralData:
     """Perron root and eigenvector pair of a primitive matrix.
 
     Power iteration on m^T (for ``u``) and m (for ``v``); primitivity
@@ -92,16 +94,17 @@ def perron(m, tol: float = _POWER_TOL, maxit: int = _POWER_MAXIT) -> SpectralDat
     def _iterate(a):
         x = np.full(p, 1.0 / p)
         lam = 1.0
-        for _ in range(maxit):
+        for _ in range(_POWER_MAXIT):
             y = a @ x
             lam_new = y.sum()
             if lam_new <= 0:
                 raise ValueError("power iteration collapsed; matrix is degenerate")
             y /= lam_new
-            if np.abs(y - x).max() < tol and abs(lam_new - lam) < tol * max(1.0, lam):
+            if (np.abs(y - x).max() < _POWER_TOL
+                    and abs(lam_new - lam) < _POWER_TOL * max(1.0, lam)):
                 return lam_new, y
             x, lam = y, lam_new
-        raise ValueError(f"power iteration did not converge in {maxit} steps")
+        raise ValueError(f"power iteration did not converge in {_POWER_MAXIT} steps")
 
     rho_u, u = _iterate(m.T)
     rho_v, v = _iterate(m)
@@ -111,9 +114,14 @@ def perron(m, tol: float = _POWER_TOL, maxit: int = _POWER_MAXIT) -> SpectralDat
     return SpectralData(rho=float(rho), u=u, v=v)
 
 
-def criticality(m, tol: float = 1e-9) -> str:
+def is_critical(rho: float) -> bool:
+    """Whether the Perron root rho counts as 1."""
+    return abs(rho - 1.0) <= _CRITICAL_TOL
+
+
+def criticality(m) -> str:
     """Classify the Perron root as subcritical / critical / supercritical."""
     rho = perron(m).rho
-    if abs(rho - 1.0) <= tol:
+    if is_critical(rho):
         return "critical"
     return "supercritical" if rho > 1.0 else "subcritical"

@@ -33,13 +33,13 @@ from typing import Optional
 
 import numpy as np
 
-from .laws import Constant, ShiftedPoissonImmigration
+from .algebra import is_critical
+from .laws import growth_exponent_of, limit_of
 from .model import ModelSpec
 from .moments import migration_abs_moments, migration_mean, sigma2
 
 _RATIO_MARGIN = 0.10  # safety band around the critical ratio 1
 _SLOPE_SLACK = 0.05  # fitted exponent must undershoot the target by this
-_CRITICAL_TOL = 1e-9
 _DELTA = 1.0  # the moment orders are 1 + delta/2 and 2 + delta
 _ALPHA_LOG = 1.0  # exponent on the log factor of the growth-side conditions
 _ALPHA_TILDE = 2.0  # moment order of the delta2 surrogate
@@ -78,19 +78,6 @@ class GrowthVerdict:
     order_checks: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "condition": self.condition,
-            "ratio_values": np.asarray(self.ratio_values).tolist(),
-            "probe_sizes": np.asarray(self.probe_sizes).tolist(),
-            "hypothesis_A": self.hypothesis_A,
-            "hypothesis_B": self.hypothesis_B,
-            "support_ok": self.support_ok,
-            "order_checks": self.order_checks,
-            "diagnostics": self.diagnostics,
-        }
-
 
 def probe_states(spec: ModelSpec, config: CriteriaConfig = CriteriaConfig()):
     """Integer states along the probe ray, one per configured magnitude."""
@@ -107,18 +94,14 @@ def probe_states(spec: ModelSpec, config: CriteriaConfig = CriteriaConfig()):
     return out
 
 
-def _term_exponent(prob, law, law_exponent) -> float:
+def _term_exponent(prob, law, law_leading) -> float:
     """Growth exponent of one migration term prob * E[law]; -inf when the
-    term never fires (no law, or a constant zero probability)."""
-    if law is None or (isinstance(prob, Constant) and prob.value == 0.0):
+    term never fires at large sizes (no law, or a probability that is
+    eventually 0)."""
+    lead = prob.leading()
+    if law is None or lead[0] == 0.0:
         return -math.inf
-    return prob.growth_exponent() + law_exponent(law)
-
-
-def _immigration_mean_exponent(law) -> float:
-    if isinstance(law, ShiftedPoissonImmigration):
-        return law.mean_fn.growth_exponent()
-    return 0.0
+    return growth_exponent_of(lead) + growth_exponent_of(law_leading(law))
 
 
 def _hypothesis_B(spec: ModelSpec, ray) -> tuple:
@@ -132,8 +115,8 @@ def _hypothesis_B(spec: ModelSpec, ray) -> tuple:
     exponent is strictly below 1.  Probe ratios max_i |h_i(z)| / ||z|| on
     the ray are recorded as numeric evidence only.
     """
-    exponents = [(_term_exponent(c.prob_imm, c.immigration, _immigration_mean_exponent),
-                  _term_exponent(c.prob_em, c.emigration, lambda law: law.growth_exponent()))
+    exponents = [(_term_exponent(c.prob_imm, c.immigration, lambda law: law.mean_fn.leading()),
+                  _term_exponent(c.prob_em, c.emigration, lambda law: law.mean_leading()))
                  for c in spec.migration.components]
     ratios = [float(np.max(np.abs(h))) / float(np.sum(z)) for z, h in zip(ray.probes, ray.h)]
     worst = max(max(pair) for pair in exponents)
@@ -151,36 +134,25 @@ def check_hypothesis_C(spec: ModelSpec) -> Optional[dict]:
     """Large-size limits of the migration parameters, or None if any diverges.
 
     Returns {"p": ..., "q": ..., "r": ..., "a": ..., "b": ...} as float
-    arrays when every state function and law mean converges.
+    arrays when every state function and law mean converges.  A missing
+    law's probability and mean count as 0.
     """
-    p_lim, q_lim, r_lim, a_lim, b_lim = [], [], [], [], []
+    nothing = (0.0, 0.0)
+    limits = {key: [] for key in "pqrab"}
     for comp in spec.migration.components:
-        pn = comp.prob_none.limit()
-        qi = comp.prob_imm.limit()
-        ri = comp.prob_em.limit()
-        if comp.immigration is None:
-            qi, ai = 0.0, 0.0
-        else:
-            ai = comp.immigration.mean_limit()
-        if comp.emigration is None:
-            ri, bi = 0.0, 0.0
-        else:
-            bi = comp.emigration.mean_limit()
-        vals = (pn, qi, ri, ai, bi)
-        if any(v is None for v in vals):
-            return None
-        p_lim.append(pn)
-        q_lim.append(qi)
-        r_lim.append(ri)
-        a_lim.append(ai)
-        b_lim.append(bi)
-    return {
-        "p": np.array(p_lim),
-        "q": np.array(q_lim),
-        "r": np.array(r_lim),
-        "a": np.array(a_lim),
-        "b": np.array(b_lim),
-    }
+        imm, em = comp.immigration, comp.emigration
+        leads = {
+            "p": comp.prob_none.leading(),
+            "q": nothing if imm is None else comp.prob_imm.leading(),
+            "r": nothing if em is None else comp.prob_em.leading(),
+            "a": nothing if imm is None else imm.mean_fn.leading(),
+            "b": nothing if em is None else em.mean_leading(),
+        }
+        for key, lead in leads.items():
+            limits[key].append(limit_of(lead))
+    if not all(math.isfinite(v) for values in limits.values() for v in values):
+        return None
+    return {key: np.array(values) for key, values in limits.items()}
 
 
 def growth_ratio(spec: ModelSpec, u, z) -> float:
@@ -308,7 +280,7 @@ def _not_critical(spec: ModelSpec) -> Optional[GrowthVerdict]:
         rho = spec.spectral().rho
     except ValueError:
         rho = None
-    if rho is not None and abs(rho - 1.0) <= _CRITICAL_TOL:
+    if rho is not None and is_critical(rho):
         return None
     return GrowthVerdict(
         verdict="inconclusive",

@@ -33,7 +33,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -108,7 +108,12 @@ class ExperimentConfig:
 
 
 def _jsonable(obj):
-    """Recursively coerce numpy scalars/arrays and non-finite floats for JSON."""
+    """Recursively coerce numpy scalars/arrays and non-finite floats for JSON.
+
+    A report record (a dataclass) becomes the dict of the fields its repr
+    shows, keyed by their declared names."""
+    if is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in fields(obj) if f.repr}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -160,7 +165,7 @@ def _ks_check(sample, config, cdf, law: str, law_params: dict):
     n = gof.sorted_sample.size
     columns = (gof.sorted_sample, np.arange(1, n + 1) / n, gof.reference_values)
     files = {"cdf_pairs.tsv": (("x", "empirical", "reference"), columns)}
-    return gof.passed, {"gof": gof.to_dict()}, files
+    return gof.passed, {"gof": gof}, files
 
 
 def _gamma_gate(shape: float, scale: float):
@@ -275,7 +280,7 @@ def _suite_moments(spec: ModelSpec, doc: dict, config: ExperimentConfig):
                           (report.mean_se, report.cov_se))
     ]
     files = {"moment_bands.tsv": (("entry", "exact", "empirical", "se"), columns)}
-    return report.passed, {"moment_check": report.to_dict()}, files
+    return report.passed, {"moment_check": report}, files
 
 
 def _suite_classify(spec: ModelSpec, doc: dict, config: ExperimentConfig):
@@ -295,7 +300,7 @@ def _suite_classify(spec: ModelSpec, doc: dict, config: ExperimentConfig):
                np.asarray(verdict.ratio_values, dtype=float)]
     files = {"ratio_curve.tsv": (("size", "ratio"), columns)}
     payload = {
-        "classification": verdict.to_dict(),
+        "classification": verdict,
         "fitted_exponents": exponents,
         "expected_verdict": expected,
     }

@@ -14,11 +14,18 @@ State-dependent quantities (migration probabilities, immigration means)
 are expressed through a small closed set of *state functions* of the
 scalar size s = u . z, where u is the left Perron weight vector of the
 offspring mean matrix: constants, powers coeff * s**exponent, step tables,
-and clamps of those.  Keeping the set closed lets the classifier reason
-structurally about growth exponents and limits instead of guessing from
-samples, and lets validation find every size at which a function changes
-form (its ``knees``): between two knees, and beyond the last, each one is
-a constant or a single power.
+and clamps of those.  Keeping the set closed lets validation find every
+size at which a function changes form (its ``knees``): between two knees,
+and beyond the last, each one is a constant or a single power.
+
+Each state function and migration law states its large-size form once:
+``leading()`` of a state function, and of an immigration law's mean
+``mean_fn``, and ``mean_leading()`` of an emigration law, give (coeff,
+exponent) with f(s) = coeff * s**exponent * (1 + o(1)) as s -> inf, and
+(0, 0) for a function that is eventually 0.  ``limit_of`` and
+``growth_exponent_of`` read that pair; model validation, the classifier's
+hypotheses (B) and (C) and the Feller parameters all go through them
+instead of guessing from samples.
 """
 from __future__ import annotations
 
@@ -75,14 +82,8 @@ class Constant:
     def __call__(self, z, u=None):
         return self.value
 
-    def growth_exponent(self) -> float:
-        return 0.0
-
-    def limit(self) -> Optional[float]:
-        return self.value
-
-    def _divergence(self) -> int:
-        return 0
+    def leading(self) -> tuple:
+        return (float(self.value), 0.0)
 
     def knees(self) -> tuple:
         return ()
@@ -105,22 +106,10 @@ class Power:
         with np.errstate(divide="ignore"):
             return self.coeff * np.power(size_of(z, u), self.exponent)
 
-    def growth_exponent(self) -> float:
+    def leading(self) -> tuple:
         if self.coeff == 0.0:
-            return 0.0
-        return max(self.exponent, 0.0)
-
-    def limit(self) -> Optional[float]:
-        if self.coeff == 0.0 or self.exponent < 0:
-            return 0.0
-        if self.exponent == 0:
-            return self.coeff
-        return None
-
-    def _divergence(self) -> int:
-        if self.coeff == 0.0 or self.exponent <= 0:
-            return 0
-        return 1 if self.coeff > 0 else -1
+            return (0.0, 0.0)
+        return (float(self.coeff), float(self.exponent))
 
     def knees(self) -> tuple:
         return ()
@@ -156,14 +145,8 @@ class Table:
         idx = np.searchsorted(self.breaks, size_of(z, u), side="right") - 1
         return np.asarray(self.values)[np.maximum(idx, 0)]
 
-    def growth_exponent(self) -> float:
-        return 0.0
-
-    def limit(self) -> Optional[float]:
-        return float(self.values[-1])
-
-    def _divergence(self) -> int:
-        return 0
+    def leading(self) -> tuple:
+        return (float(self.values[-1]), 0.0)
 
     def knees(self) -> tuple:
         return tuple(self.breaks)
@@ -187,33 +170,17 @@ class Clamp:
     def __call__(self, z, u=None):
         return np.clip(self.inner(z, u), self.lo, self.hi)
 
-    def growth_exponent(self) -> float:
-        if self.hi is not None:
-            return 0.0
-        return self.inner.growth_exponent()
-
-    def limit(self) -> Optional[float]:
-        lim = self.inner.limit()
-        if lim is None:
-            d = self.inner._divergence()
-            if d > 0:
-                return self.hi  # None when unbounded above
-            if d < 0:
-                return self.lo
-            return None
-        if self.lo is not None:
-            lim = max(lim, self.lo)
-        if self.hi is not None:
-            lim = min(lim, self.hi)
-        return lim
-
-    def _divergence(self) -> int:
-        d = self.inner._divergence()
-        if d > 0 and self.hi is not None:
-            return 0
-        if d < 0 and self.lo is not None:
-            return 0
-        return d
+    def leading(self) -> tuple:
+        """The inner function's leading form, unless the inner function ends
+        up past a bound: then the bound, a constant.  A decaying power that
+        tends to a bound at 0 from past it ends up past it."""
+        coeff, exponent = lead = self.inner.leading()
+        end = limit_of(lead)
+        for bound, side in ((self.lo, 1.0), (self.hi, -1.0)):
+            if bound is not None and (side * (end - bound) < 0.0 or (
+                    end == bound and exponent < 0.0 and side * coeff < 0.0)):
+                return (float(bound), 0.0)
+        return lead
 
     def knees(self) -> tuple:
         """The inner function's knees and the sizes at which it meets a bound."""
@@ -225,6 +192,22 @@ class Clamp:
 
 
 StateFunction = Constant | Power | Table | Clamp
+
+
+def limit_of(lead: tuple) -> float:
+    """The large-size limit of the leading form (coeff, exponent): +-inf
+    where it diverges."""
+    coeff, exponent = lead
+    if exponent > 0.0 and coeff != 0.0:
+        return math.copysign(math.inf, coeff)
+    return coeff if exponent == 0.0 else 0.0
+
+
+def growth_exponent_of(lead: tuple) -> float:
+    """The growth exponent of the leading form (coeff, exponent): 0 for a
+    bounded form."""
+    coeff, exponent = lead
+    return max(exponent, 0.0) if coeff != 0.0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -498,15 +481,15 @@ class TableOffspring:
         return draws @ np.asarray(self.values, dtype=np.int64)
 
 
-def _poisson_atoms(lam: float, tail: float):
+def _poisson_atoms(lam: float):
     """Poisson(lam) atoms on a window around the mode m = floor(lam).
 
     Weights relative to the mode come from the ratios p(k+1)/p(k) =
     lam/(k+1), so nothing underflows at any rate (exp(-lam) is 0.0 from
     lam = 746 on).  Beyond the window the ratios fall geometrically, which
     bounds the dropped mass on each side; the window doubles until that
-    bound is below tail.  The probabilities are normalized to the window
-    plus the bound, so they sum to at least 1 - tail.
+    bound is below DEFAULT_ATOM_TAIL.  The probabilities are normalized to
+    the window plus the bound, so they sum to at least 1 - DEFAULT_ATOM_TAIL.
     """
     if lam == 0.0:
         return np.array([0]), np.array([1.0])
@@ -525,7 +508,7 @@ def _poisson_atoms(lam: float, tail: float):
             beyond += down[-1] * q / (1.0 - q)
         w = np.concatenate((down[::-1], [1.0], up))
         total = w.sum()
-        if beyond < tail * total:
+        if beyond < DEFAULT_ATOM_TAIL * total:
             return np.arange(lo, hi + 1), w / (total + beyond)
         width *= 2
 
@@ -669,12 +652,9 @@ class ShiftedPoissonImmigration:
             rate = self._rate(Z if rows is None else Z[rows], u)
         return 1 + poisson_draws(rng, rate, _count(Z, rows), law="immigration", rows=rows)
 
-    def atoms(self, z, u=None, tail: float = DEFAULT_ATOM_TAIL):
-        vals, probs = _poisson_atoms(self._rate(z, u), tail)
+    def atoms(self, z, u=None):
+        vals, probs = _poisson_atoms(self._rate(z, u))
         return vals + 1, probs
-
-    def mean_limit(self) -> Optional[float]:
-        return self.mean_fn.limit()
 
 
 @dataclass(frozen=True)
@@ -685,6 +665,10 @@ class DeterministicImmigration:
         if int(self.value) != self.value or self.value < 1:
             raise ValueError("immigration size must be an integer >= 1")
 
+    @property
+    def mean_fn(self) -> Constant:
+        return Constant(float(self.value))
+
     def mean(self, z=None, u=None) -> float:
         return float(self.value)
 
@@ -694,11 +678,8 @@ class DeterministicImmigration:
     def sample_batch(self, rng, Z, rows, u=None):
         return np.full(_count(Z, rows), int(self.value), dtype=np.int64)
 
-    def atoms(self, z=None, u=None, tail: float = DEFAULT_ATOM_TAIL):
+    def atoms(self, z=None, u=None):
         return np.array([int(self.value)]), np.array([1.0])
-
-    def mean_limit(self) -> Optional[float]:
-        return float(self.value)
 
 
 @dataclass(frozen=True)
@@ -716,6 +697,10 @@ class TableImmigration:
         if (p < 0).any() or abs(p.sum() - 1.0) > 1e-12:
             raise ValueError("immigration probabilities must sum to 1")
 
+    @property
+    def mean_fn(self) -> Constant:
+        return Constant(self.mean())
+
     def mean(self, z=None, u=None) -> float:
         return float(np.dot(self.values, self.probs))
 
@@ -726,11 +711,8 @@ class TableImmigration:
         idx = rng.choice(len(self.values), p=self.probs, size=_count(Z, rows))
         return np.asarray(self.values, dtype=np.int64)[idx]
 
-    def atoms(self, z=None, u=None, tail: float = DEFAULT_ATOM_TAIL):
+    def atoms(self, z=None, u=None):
         return np.asarray(self.values, dtype=np.int64), np.asarray(self.probs, dtype=float)
-
-    def mean_limit(self) -> Optional[float]:
-        return self.mean()
 
 
 ImmigrationLaw = ShiftedPoissonImmigration | DeterministicImmigration | TableImmigration
@@ -785,11 +767,8 @@ class UniformEmigration:
         _check_enumerable("uniform", zi)
         return np.arange(1, zi + 1), np.full(zi, 1.0 / zi)
 
-    def mean_limit(self) -> Optional[float]:
-        return None  # diverges with the count
-
-    def growth_exponent(self) -> float:
-        return 1.0
+    def mean_leading(self) -> tuple:
+        return (0.5, 1.0)  # the mean (zi + 1) / 2
 
 
 @dataclass(frozen=True)
@@ -850,11 +829,8 @@ class TruncatedGeometricEmigration:
         w = self.ratio ** (j - 1.0)
         return j, w / self._mass(zi)
 
-    def mean_limit(self) -> Optional[float]:
-        return 1.0 / (1.0 - self.ratio)
-
-    def growth_exponent(self) -> float:
-        return 0.0
+    def mean_leading(self) -> tuple:
+        return (1.0 / (1.0 - self.ratio), 0.0)
 
 
 @dataclass(frozen=True)
@@ -918,11 +894,8 @@ class InverseCubeEmigration:
         j = np.arange(1, zi + 1)
         return j, j.astype(float) ** -3.0 / _h_sum(3, zi)
 
-    def mean_limit(self) -> Optional[float]:
-        return _ZETA2 / _ZETA3
-
-    def growth_exponent(self) -> float:
-        return 0.0
+    def mean_leading(self) -> tuple:
+        return (_ZETA2 / _ZETA3, 0.0)
 
 
 @dataclass(frozen=True)
@@ -949,11 +922,8 @@ class DeterministicEmigration:
             return np.array([0]), np.array([1.0])
         return np.array([min(int(self.value), zi)]), np.array([1.0])
 
-    def mean_limit(self) -> Optional[float]:
-        return float(self.value)
-
-    def growth_exponent(self) -> float:
-        return 0.0
+    def mean_leading(self) -> tuple:
+        return (float(self.value), 0.0)
 
 
 EmigrationLaw = (

@@ -220,13 +220,12 @@ def feller_params(spec: ModelSpec):
     parameters; then drift = u . (a q - b r) at the limits and diffusion
     = u^T (v odot Sigma) u with Sigma the offspring covariance block.
     """
-    m = spec.mean_matrix()
-    if algebra.criticality(m) != "critical":
+    spectral = spec.spectral()
+    if not algebra.is_critical(spectral.rho):
         raise ValueError("diffusion scaling limit requires a critical mean matrix")
     lims = check_hypothesis_C(spec)
     if lims is None:
         raise ValueError("migration parameters do not converge at large sizes")
-    spectral = spec.spectral()
     u, v = spectral.u, spectral.v
     drift_vec = lims["a"] * lims["q"] - lims["b"] * lims["r"]
     drift = float(u @ drift_vec)

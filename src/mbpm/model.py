@@ -33,7 +33,6 @@ conditional mean acts as a left matrix product.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, NamedTuple, Optional
@@ -48,8 +47,8 @@ from .laws import (
     ImmigrationLaw,
     IndependentOffspring,
     PoissonOffspring,
-    ShiftedPoissonImmigration,
     StateFunction,
+    limit_of,
     poisson_draws,
 )
 
@@ -159,6 +158,12 @@ class MigrationComponent:
             pn, pi = pn + pi, 0.0
         return pn, pi, pe
 
+    def state_functions(self) -> tuple:
+        """The (none, immigration, emigration) probabilities, followed by
+        the immigration mean where there is an immigration law."""
+        fns = (self.prob_none, self.prob_imm, self.prob_em)
+        return fns if self.immigration is None else fns + (self.immigration.mean_fn,)
+
     @cached_property
     def branches(self):
         """``branch_probs`` compiled once into ``_Branches``; None unless every
@@ -214,14 +219,7 @@ class MigrationSpec:
                 return depends(f.inner)
             return True
 
-        for comp in self.components:
-            if any(depends(f) for f in (comp.prob_none, comp.prob_imm, comp.prob_em)):
-                return True
-            if isinstance(comp.immigration, ShiftedPoissonImmigration) and depends(
-                comp.immigration.mean_fn
-            ):
-                return True
-        return False
+        return any(depends(f) for comp in self.components for f in comp.state_functions())
 
 
 @dataclass(frozen=True)
@@ -344,12 +342,7 @@ class ModelSpec:
         probes.append(np.arange(1, p + 1, dtype=np.int64) * 7)
         one = np.ones(1)
         for i, comp in enumerate(self.migration.components):
-            fns = (comp.prob_none, comp.prob_imm, comp.prob_em)
-            imm = comp.immigration
-            if isinstance(imm, ShiftedPoissonImmigration):
-                fns += (imm.mean_fn,)
-            elif imm is not None:
-                fns += (Constant(imm.mean()),)
+            fns = comp.state_functions()
             for z in probes:
                 _check_branches(i, comp, f"z={z.tolist()}", [f(z, u) for f in fns], z[i] > 0)
             if u is None:
@@ -358,14 +351,9 @@ class ModelSpec:
                 size = np.array([float(s)])  # a one-type state of size s under weights (1,)
                 values = [f(size, one) for f in fns]
                 _check_branches(i, comp, f"size u.z = {float(s)!r}", values, True)
-            _check_branches(i, comp, "the limit of large sizes", [_limit(f) for f in fns], True)
+            values = [limit_of(f.leading()) for f in fns]
+            _check_branches(i, comp, "the limit of large sizes", values, True)
         return self
-
-
-def _limit(f: StateFunction) -> float:
-    """The state function's limit at large sizes, +-inf where it diverges."""
-    lim = f.limit()
-    return math.copysign(math.inf, f._divergence()) if lim is None else lim
 
 
 def _check_branches(i: int, comp: MigrationComponent, where: str, values, emigrates):

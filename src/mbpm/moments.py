@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import odot
-from .laws import DEFAULT_ATOM_TAIL, InverseCubeEmigration, UniformEmigration
+from .laws import InverseCubeEmigration, UniformEmigration
 from .model import MigrationSpec, ModelSpec
 
 # Emigration laws with one atom per removal size up to the count
@@ -85,14 +85,14 @@ def migration_kappa(spec: MigrationSpec, z, u=None):
     return np.array(out)
 
 
-def _component_atoms(comp, z, u, zi: int, branches, tail: float, emigration: bool = True):
+def _component_atoms(comp, z, u, zi: int, branches, emigration: bool = True):
     """The atoms of one component's adjustment, the emigration branch's only
     when ``emigration`` is set."""
     pn, pi, pe = branches
     values = [np.zeros(1)]
     probs = [np.array([pn])]
     if pi > 0.0:
-        iv, ip = comp.immigration.atoms(z, u, tail)
+        iv, ip = comp.immigration.atoms(z, u)
         values.append(iv.astype(float))
         probs.append(pi * ip)
     if pe > 0.0 and emigration:
@@ -102,7 +102,7 @@ def _component_atoms(comp, z, u, zi: int, branches, tail: float, emigration: boo
     return np.concatenate(values), np.concatenate(probs)
 
 
-def migration_atoms(spec: MigrationSpec, i: int, z, u=None, tail: float = DEFAULT_ATOM_TAIL):
+def migration_atoms(spec: MigrationSpec, i: int, z, u=None):
     """Support and probabilities of component i's adjustment M_i at z.
 
     The tests' oracle for migration_abs_moments.  Values are floats (they
@@ -112,7 +112,7 @@ def migration_atoms(spec: MigrationSpec, i: int, z, u=None, tail: float = DEFAUL
     z = np.asarray(z, dtype=np.int64)
     comp = spec.components[i]
     zi = int(z[i])
-    return _component_atoms(comp, z, u, zi, comp.branch_probs(z, u, zi), tail)
+    return _component_atoms(comp, z, u, zi, comp.branch_probs(z, u, zi))
 
 
 def migration_abs_moments(spec: MigrationSpec, i: int, z, u, pairs) -> list:
@@ -131,8 +131,7 @@ def migration_abs_moments(spec: MigrationSpec, i: int, z, u, pairs) -> list:
     branches = comp.branch_probs(z, u, zi)
     pe = branches[2]
     closed = pe > 0.0 and isinstance(comp.emigration, _GROWING_SUPPORT)
-    vals, probs = _component_atoms(comp, z, u, zi, branches, DEFAULT_ATOM_TAIL,
-                                   emigration=not closed)
+    vals, probs = _component_atoms(comp, z, u, zi, branches, emigration=not closed)
     out = []
     for q, a in pairs:
         moment = float(np.sum(probs * np.abs(vals - a) ** q))
@@ -183,17 +182,6 @@ class MomentReport:
     varM: np.ndarray
     sigma2: float
     kappa: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "z": self.z.tolist(),
-            "h": self.h.tolist(),
-            "cond_mean": self.cond_mean.tolist(),
-            "cond_cov": self.cond_cov.tolist(),
-            "varM": self.varM.tolist(),
-            "sigma2": self.sigma2,
-            "kappa": self.kappa.tolist(),
-        }
 
 
 def moment_report(spec: ModelSpec, z, u=None) -> MomentReport:

@@ -420,7 +420,8 @@ class GoFReport:
     """One goodness-of-fit comparison against a reference law.
 
     sorted_sample and reference_values (the reference CDF at the sorted
-    sample) are kept for plot files; they are not part of to_dict().
+    sample) are kept for plot files; they are left out of the repr, and
+    so of report.json.
     """
 
     statistic: str
@@ -432,17 +433,6 @@ class GoFReport:
     passed: bool
     sorted_sample: np.ndarray = field(default=None, repr=False, compare=False)
     reference_values: np.ndarray = field(default=None, repr=False, compare=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "value": self.value,
-            "sample_size": self.sample_size,
-            "reference": self.reference,
-            "params": self.params,
-            "threshold": self.threshold,
-            "passed": self.passed,
-        }
 
 
 def gof_report(sample, cdf: Callable, reference: str, params: dict, threshold: float) -> GoFReport:
@@ -481,21 +471,6 @@ class MomentCheckReport:
     max_mean_sigmas: float
     max_cov_sigmas: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "z": np.asarray(self.z).tolist(),
-            "n_samples": self.n_samples,
-            "mean_exact": self.mean_exact.tolist(),
-            "mean_empirical": self.mean_empirical.tolist(),
-            "mean_se": self.mean_se.tolist(),
-            "cov_exact": self.cov_exact.tolist(),
-            "cov_empirical": self.cov_empirical.tolist(),
-            "cov_se": self.cov_se.tolist(),
-            "max_mean_sigmas": self.max_mean_sigmas,
-            "max_cov_sigmas": self.max_cov_sigmas,
-            "passed": self.passed,
-        }
 
 
 def moment_check(spec: ModelSpec, z, N: int = 1_000_000, seed: int = 0) -> MomentCheckReport:

@@ -35,14 +35,22 @@ def load_doc(name):
         return json.load(fh)
 
 
-def run_python(code):
-    """Run ``code`` in a fresh interpreter that imports mbpm from this
-    checkout's src/; its stdout, once it has exited with status 0."""
-    env = dict(os.environ)
+def run_fresh(argv, env=None, **kwargs):
+    """Run ``python *argv`` in a fresh interpreter that imports mbpm from
+    this checkout's src/, with ``env`` added to the environment; the
+    completed process, its output captured as text.  ``kwargs`` go to
+    subprocess.run."""
+    env = dict(os.environ, **(env or {}))
     src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          **kwargs)
+
+
+def run_python(code):
+    """Run ``code`` in a fresh interpreter; its stdout, once it has exited
+    with status 0."""
+    proc = run_fresh(["-c", code], timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

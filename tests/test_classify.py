@@ -1,6 +1,7 @@
 """Growth/no-growth criteria on the shipped example models."""
 import collections
 import json
+import math
 import os
 
 import numpy as np
@@ -8,9 +9,10 @@ import pytest
 
 import mbpm.classify
 import mbpm.moments
-from conftest import spec_path
+from conftest import load_doc, spec_path
 from mbpm import cli
 from mbpm import (
+    Clamp,
     Constant,
     CriteriaConfig,
     DeterministicEmigration,
@@ -23,6 +25,7 @@ from mbpm import (
     ModelSpec,
     OffspringSpec,
     PoissonOffspring,
+    Power,
     UniformEmigration,
     check_growth_support,
     check_hypothesis_C,
@@ -31,7 +34,9 @@ from mbpm import (
     growth_ratio,
     load_spec,
     probe_states,
+    spec_from_dict,
 )
+from mbpm.laws import growth_exponent_of, limit_of
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +99,55 @@ def test_hypothesis_B(gamma_spec, sqrt_spec, two_type_spec):
     assert len(evidence["probe_ratios"]) == len(verdict.probe_sizes)
 
 
+def test_hypothesis_B_sees_a_clamp_bound_take_over(tmp_path):
+    # Clamp(Power(-1, 1), lo=0.2) is 0.2 at every size: the emigration term
+    # prob_em * E[D] is bounded, and the probe ratios fall like 1/s
+    doc = load_doc("gamma_single_type")
+    doc["migration"][0].update(
+        prob_none={"kind": "constant", "value": 0.3},
+        prob_imm={"kind": "constant", "value": 0.5},
+        prob_em={"kind": "clamp", "lo": 0.2,
+                 "inner": {"kind": "power", "coeff": -1.0, "exponent": 1.0}},
+        emigration={"family": "truncated_geometric", "ratio": 0.5},
+    )
+    path = tmp_path / "clamped.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "rep"
+    assert cli.main(["--spec", str(path), "--suite", "classify", "--out", str(out)]) == 0
+    with open(out / "report.json") as fh:
+        classification = json.load(fh)["results"]["classification"]
+    assert classification["verdict"] == "growth-possible"
+    assert classification["hypothesis_B"] is True
+    evidence = classification["diagnostics"]["hypothesis_B_evidence"]
+    assert evidence["term_exponents"] == [[0.0, 0.0]]
+    assert evidence["worst_exponent"] == 0.0
+    ratios = evidence["probe_ratios"]
+    assert all(r2 < 0.2 * r1 for r1, r2 in zip(ratios, ratios[1:]))
+
+
+def test_hypothesis_B_skips_a_term_whose_probability_ends_at_zero():
+    # immigration fires only below size 100: like a constant zero
+    # probability, its term has no exponent
+    doc = load_doc("gamma_single_type")
+    doc["migration"][0].update(
+        prob_none={"kind": "table", "breaks": [1.0, 100.0], "values": [0.0, 1.0]},
+        prob_imm={"kind": "table", "breaks": [1.0, 100.0], "values": [1.0, 0.0]},
+    )
+    verdict = classify_growth(spec_from_dict(doc).validate())
+    evidence = verdict.diagnostics["hypothesis_B_evidence"]
+    assert evidence["term_exponents"] == [[None, None]]
+    assert evidence["worst_exponent"] is None
+    assert verdict.hypothesis_B
+
+
+def test_clamp_bound_that_never_binds_keeps_the_divergence():
+    # Clamp(Power(-1, 1), hi=0.5) diverges to -inf: the bound above never binds
+    f = Clamp(Power(-1.0, 1.0), hi=0.5)
+    assert f.leading() == (-1.0, 1.0)
+    assert limit_of(f.leading()) == -math.inf
+    assert growth_exponent_of(f.leading()) == 1.0
+
+
 def test_hypothesis_C(gamma_spec, sqrt_spec, two_type_spec):
     limits = check_hypothesis_C(gamma_spec)
     assert limits is not None
@@ -110,7 +164,7 @@ def test_classify_two_type_no_growth(two_type_spec):
     assert verdict.condition == "ratio-below-one"
     assert verdict.hypothesis_A
     assert (verdict.ratio_values < 0.9).all()
-    d = verdict.to_dict()
+    d = cli._jsonable(verdict)
     assert d["verdict"] == "no-growth"
 
 
@@ -225,7 +279,7 @@ def test_classify_suite_reads_what_the_public_functions_compute(tmp_path, doc_na
         results = json.load(fh)["results"]
     spec = load_spec(spec_path(doc_name))
     verdict = classify_growth(spec)
-    assert results["classification"] == cli._jsonable(verdict.to_dict())
+    assert results["classification"] == cli._jsonable(verdict)
     assert results["fitted_exponents"] == cli._jsonable(estimate_exponents(spec))
     if verdict.hypothesis_A:
         u = spec.spectral().u
@@ -243,7 +297,7 @@ def test_classify_suite_without_perron_data(tmp_path, pure_death_spec):
         results = json.load(fh)["results"]
     verdict = classify_growth(pure_death_spec)
     assert (verdict.verdict, verdict.condition) == ("inconclusive", "not-critical")
-    assert results["classification"] == cli._jsonable(verdict.to_dict())
+    assert results["classification"] == cli._jsonable(verdict)
     assert results["fitted_exponents"] is None
 
 

@@ -2,14 +2,12 @@
 import dataclasses
 import json
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import spec_path
+from conftest import run_fresh, spec_path
 from mbpm import cli, ecdf, gamma_cdf, gof_report, ks_statistic, normal_cdf
 from mbpm.cli import _ks_check, _write_tsv, main
 
@@ -446,14 +444,10 @@ def test_feller_suite_rejects_divergent_migration(tmp_path, capsys):
 
 def test_other_errors_are_not_reported_as_bad_input(tmp_path):
     # a malformed worker count is not a malformed document: it surfaces as itself
-    env = dict(os.environ, MBPM_WORKERS="abc")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(os.path.dirname(__file__), os.pardir, "src"), env.get("PYTHONPATH", "")]
-    )
-    proc = subprocess.run(
-        [sys.executable, "-m", "mbpm.cli", "--spec", spec_path("pure_emigration"),
+    proc = run_fresh(
+        ["-m", "mbpm.cli", "--spec", spec_path("pure_emigration"),
          "--suite", "explosion", "--n", "5", "--reps", "10", "--out", str(tmp_path / "rep")],
-        env=env, capture_output=True, text=True, timeout=120,
+        env={"MBPM_WORKERS": "abc"}, timeout=120,
     )
     assert proc.returncode == 1
     assert "Traceback" in proc.stderr

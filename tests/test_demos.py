@@ -1,10 +1,9 @@
 """Every script in demos/ runs to completion from the repository root."""
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import run_fresh
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -12,9 +11,5 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
 def test_demo_exits_zero(script):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=600)
+    proc = run_fresh([str(script)], cwd=ROOT, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -26,7 +26,7 @@ from mbpm import (
     UniformEmigration,
     size_of,
 )
-from mbpm.laws import _EM_START, _faulhaber, _h_sum
+from mbpm.laws import _EM_START, _faulhaber, _h_sum, growth_exponent_of, limit_of
 
 
 def empirical_pmf(draws):
@@ -55,20 +55,19 @@ def test_size_of():
 def test_constant_function():
     f = Constant(2.0)
     assert f([123.0]) == 2.0
-    assert f.growth_exponent() == 0.0
-    assert f.limit() == 2.0
+    assert f.leading() == (2.0, 0.0)
 
 
 def test_power_function():
     f = Power(1.0, 0.5)
     assert f([4.0]) == 2.0
     assert f([0.0]) == 0.0
-    assert f.growth_exponent() == 0.5
-    assert f.limit() is None
+    assert f.leading() == (1.0, 0.5)
+    assert (limit_of(f.leading()), growth_exponent_of(f.leading())) == (math.inf, 0.5)
     g = Power(3.0, -1.0)
     assert g([6.0]) == 0.5
-    assert g.growth_exponent() == 0.0
-    assert g.limit() == 0.0
+    assert g.leading() == (3.0, -1.0)
+    assert (limit_of(g.leading()), growth_exponent_of(g.leading())) == (0.0, 0.0)
     assert math.isinf(g([0.0]))
 
 
@@ -87,8 +86,7 @@ def test_table_function_right_continuous():
     assert f([10.0]) == 1.0
     assert f([99.0]) == 1.0
     assert f([100.0]) == 5.0
-    assert f.limit() == 5.0
-    assert f.growth_exponent() == 0.0
+    assert f.leading() == (5.0, 0.0)
     with pytest.raises(ValueError):
         Table(breaks=(10.0, 5.0), values=(1.0, 2.0))
     with pytest.raises(ValueError):
@@ -99,12 +97,10 @@ def test_clamp_function():
     f = Clamp(Power(1.0, 0.5), lo=1.0)
     assert f([0.0]) == 1.0
     assert f([100.0]) == 10.0
-    assert f.growth_exponent() == 0.5
-    assert f.limit() is None
+    assert f.leading() == (1.0, 0.5)
     g = Clamp(Power(1.0, 1.0), lo=0.0, hi=4.0)
     assert g([9.0]) == 4.0
-    assert g.growth_exponent() == 0.0
-    assert g.limit() == 4.0
+    assert g.leading() == (4.0, 0.0)
     with pytest.raises(ValueError):
         Clamp(Constant(1.0))
     with pytest.raises(ValueError):
@@ -129,6 +125,76 @@ def test_state_functions_on_arrays_match_scalars(f):
     scalar = [f([s]) for s in sizes]
     stacked = np.broadcast_to(f(sizes[:, None]), sizes.shape)
     assert np.array_equal(stacked, scalar)
+
+
+LARGE_SIZES = [1e6, 1e9, 1e12]
+
+
+def assert_leading(value, lead, s, rel):
+    """value agrees with coeff * s**exponent to the relative tolerance rel;
+    it is exactly 0 where the leading form is (0, 0)."""
+    coeff, exponent = lead
+    expected = coeff * s**exponent
+    assert abs(value - expected) <= rel * abs(expected), (value, lead, s)
+
+
+# Beyond its last knee each state function is a constant or a single power,
+# so evaluation and the leading form agree to rounding (measured: exactly).
+@pytest.mark.parametrize("s", LARGE_SIZES)
+@pytest.mark.parametrize("f", [
+    Constant(0.3),
+    Constant(0.0),
+    Power(1.0, 0.5),
+    Power(-2.0, 0.5),
+    Power(3.0, -1.0),
+    Power(-2.0, -0.5),
+    Power(0.0, 1.0),
+    Power(0.0, -1.0),
+    Power(2.0, 0.0),
+    Table(breaks=(10.0, 100.0), values=(1.0, 5.0)),
+    Table(breaks=(10.0, 100.0), values=(1.0, 0.0)),
+    Clamp(Power(1.0, 0.5), lo=1.0),  # lo only, not crossing
+    Clamp(Power(-1.0, 1.0), lo=0.2),  # lo only, crossing
+    Clamp(Power(1.0, 1.0), hi=4.0),  # hi only, crossing
+    Clamp(Power(-1.0, 1.0), hi=0.5),  # hi only, not crossing
+    Clamp(Power(1.0, 1.0), lo=0.0, hi=4.0),  # both, crossing hi
+    Clamp(Power(-1.0, 0.5), lo=-3.0, hi=0.0),  # both, crossing lo
+    Clamp(Power(1.0, -0.5), lo=-1.0, hi=1.0),  # both, not crossing
+    Clamp(Power(3.0, -1.0), hi=0.25),  # decays inside the bound
+    Clamp(Power(-1.0, -1.0), lo=0.0),  # decays to the bound from past it
+    Clamp(Power(1.0, -1.0), lo=0.0),  # decays to the bound from inside
+    Clamp(Power(1.0, -1.0), hi=0.0),
+    Clamp(Power(-3.0, -1.0), hi=0.0),
+    Clamp(Constant(5.0), hi=2.0),
+    Clamp(Table(breaks=(10.0,), values=(1.0,)), lo=2.0),
+    Clamp(Clamp(Power(1.0, 1.0), hi=4.0), lo=5.0),  # nested: the outer bound takes over
+    Clamp(Clamp(Power(-1.0, 0.5), lo=-3.0), hi=-1.0),
+    Clamp(Clamp(Power(-2.0, -1.0), lo=-5.0), lo=0.0),
+], ids=repr)
+def test_state_function_leading_form_agrees_with_evaluation(f, s):
+    assert_leading(float(f([s])), f.leading(), s, rel=1e-15)
+
+
+# The law means approach their leading forms like 1/s: uniform emigration's
+# (zi + 1)/2 is 1/zi above 0.5 zi, inverse-cube's 0.61/zi below zeta(2)/zeta(3).
+@pytest.mark.parametrize("s", LARGE_SIZES)
+@pytest.mark.parametrize("law", [
+    ShiftedPoissonImmigration(mean_fn=Constant(2.0)),
+    ShiftedPoissonImmigration(mean_fn=Clamp(Power(1.0, 0.5), lo=1.0)),
+    DeterministicImmigration(value=3),
+    TableImmigration(values=(1, 4), probs=(0.75, 0.25)),
+    UniformEmigration(),
+    TruncatedGeometricEmigration(ratio=0.5),
+    TruncatedGeometricEmigration(ratio=0.99),
+    InverseCubeEmigration(),
+    DeterministicEmigration(value=3),
+], ids=repr)
+def test_migration_law_leading_form_agrees_with_its_mean(law, s):
+    if hasattr(law, "mean_fn"):
+        value, lead = float(law.mean([s])), law.mean_fn.leading()
+    else:
+        value, lead = law.raw_moment(1, int(s)), law.mean_leading()
+    assert_leading(value, lead, s, rel=2.0 / s)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +477,7 @@ def test_table_immigration():
     law = TableImmigration(values=(1, 4), probs=(0.75, 0.25))
     assert abs(law.mean() - 1.75) < 1e-15
     assert abs(law.raw_moment(2) - (0.75 + 0.25 * 16)) < 1e-15
-    assert law.mean_limit() == 1.75
+    assert law.mean_fn == Constant(1.75)
     with pytest.raises(ValueError):
         TableImmigration(values=(0, 2), probs=(0.5, 0.5))
 
@@ -473,8 +539,7 @@ def test_uniform_emigration_moments():
     for k in range(1, 5):
         direct = oracles.pmf_moment(oracle, k)
         assert abs(law.raw_moment(k, zi) - direct) < 1e-9 * max(1.0, direct)
-    assert law.mean_limit() is None
-    assert law.growth_exponent() == 1.0
+    assert law.mean_leading() == (0.5, 1.0)
     draws = draws_at_count(law, zi, 11)
     assert oracles.total_variation(empirical_pmf(draws), oracle) < 0.02
 
@@ -496,7 +561,7 @@ def test_truncated_geometric_emigration_moments():
     for k in range(1, 5):
         direct = oracles.pmf_moment(oracle, k)
         assert abs(law.raw_moment(k, zi) - direct) < 1e-12 * max(1.0, direct)
-    assert abs(law.mean_limit() - 2.0) < 1e-12
+    assert law.mean_leading() == (2.0, 0.0)
     draws = draws_at_count(law, zi, 12)
     assert oracles.total_variation(empirical_pmf(draws), oracle) < 0.02
 
@@ -510,7 +575,8 @@ def test_inverse_cube_emigration_moments():
         assert abs(law.raw_moment(k, zi) - direct) < 1e-9 * max(1.0, direct)
     # limit of the mean: zeta(2) / zeta(3)
     big = oracles.pmf_moment(oracles.inverse_cube_pmf(200_000), 1)
-    assert abs(law.mean_limit() - big) < 1e-4
+    coeff, exponent = law.mean_leading()
+    assert abs(coeff - big) < 1e-4 and exponent == 0.0
     draws = draws_at_count(law, zi, 13)
     assert oracles.total_variation(empirical_pmf(draws), oracle) < 0.02
 

@@ -8,6 +8,7 @@ import pytest
 import scipy.special
 import scipy.stats
 
+from mbpm import cli
 from mbpm import (
     Constant,
     DeterministicImmigration,
@@ -466,7 +467,7 @@ def test_gof_report_keeps_the_evaluated_reference():
     assert rep.sorted_sample.tolist() == sorted(sample.tolist())
     assert rep.reference_values.tolist() == normal_cdf(np.sort(sample)).tolist()
     assert rep.value == ks_statistic(sample, normal_cdf)
-    assert set(rep.to_dict()) == {
+    assert set(cli._jsonable(rep)) == {
         "statistic", "value", "sample_size", "reference", "params", "threshold", "passed"}
 
 
