@@ -5,31 +5,29 @@ A critical single-type model with a constant expected migration surplus
 of 2 per step grows linearly on the event of survival, and Z_n / n
 converges in law to a gamma distribution.  With reproduction variance
 nu = 1 the limit is Gamma(shape 4, scale 1/2): shape = 2 u.c / nu and
-scale = nu / 2.  This script computes those parameters from the model,
-simulates an ensemble, and compares the empirical distribution of
+scale = nu / 2.  This script derives those parameters from the model's
+laws, compares them with slope fits along the growth ray, simulates an ensemble, and compares the empirical distribution of
 Z_n / n against the gamma reference with a Kolmogorov-Smirnov check.
 """
-import numpy as np
-
 from mbpm import (
-    LimitParams,
     ecdf,
     estimate_exponents,
     gamma_cdf,
     ks_statistic,
     load_spec,
+    params_from_spec,
     run_ensemble,
 )
 
 spec = load_spec("specs/gamma_single_type.json")
 
 # ---------------------------------------------------------------------------
-# limit parameters, two ways: exact from the construction, and fitted
-# from the moment structure along the growth ray
+# limit parameters, two ways: exact from the laws' large-size forms, and
+# fitted from the moment structure along the growth ray
 # ---------------------------------------------------------------------------
 
-params = LimitParams(alpha=0.0, c=np.array([2.0]), c_dot_u=2.0, beta=1.0, nu=1.0)
-print(f"exact:  drift exponent alpha = 0, u.c = {params.c_dot_u}, nu = {params.nu}")
+params = params_from_spec(spec)
+print(f"exact:  drift exponent alpha = {params.alpha}, u.c = {params.c_dot_u}, nu = {params.nu}")
 print(f"        gamma shape = {params.gamma_shape}, scale = {params.gamma_scale}")
 
 fitted = estimate_exponents(spec)

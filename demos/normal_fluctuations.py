@@ -10,16 +10,14 @@ asymptotically standard normal.  This script builds a_n and lambda_n,
 simulates an ensemble, and tests the standardized terminal values
 against the normal reference.
 """
-import numpy as np
-
 from mbpm import (
-    LimitParams,
     a_asymptotic,
     a_seq,
     ks_statistic,
     lambda_n,
     load_spec,
     normal_cdf,
+    params_from_spec,
     run_ensemble,
 )
 
@@ -37,11 +35,11 @@ for k in (10, 100, 1000, 10_000, 100_000):
     print(f"{k:8d} {profile[k]:14.2f} {asym:14.2f} {profile[k] / asym:8.5f}")
 
 # ---------------------------------------------------------------------------
-# fluctuation scale: alpha = 1/2, beta = 1, nu = 1 puts the model in the
-# power branch where lambda_n = n exactly
+# fluctuation scale: the laws give alpha = 1/2, beta = 1, nu = 1, which
+# puts the model in the power branch where lambda_n = n exactly
 # ---------------------------------------------------------------------------
 
-params = LimitParams(alpha=0.5, c=np.array([1.0]), c_dot_u=1.0, beta=1.0, nu=1.0)
+params = params_from_spec(spec)
 n = 800
 lam = lambda_n(params, n)
 a_n = float(profile[n])

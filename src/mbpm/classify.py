@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import is_critical
-from .laws import growth_exponent_of, limit_of
+from .laws import growth_exponent_of, limit_of, product_of
 from .model import ModelSpec
 from .moments import migration_abs_moments, migration_mean, sigma2
 
@@ -94,14 +94,40 @@ def probe_states(spec: ModelSpec, config: CriteriaConfig = CriteriaConfig()):
     return out
 
 
-def _term_exponent(prob, law, law_leading) -> float:
-    """Growth exponent of one migration term prob * E[law]; -inf when the
-    term never fires at large sizes (no law, or a probability that is
-    eventually 0)."""
-    lead = prob.leading()
-    if law is None or lead[0] == 0.0:
-        return -math.inf
-    return growth_exponent_of(lead) + growth_exponent_of(law_leading(law))
+def _migration_leads(comp, vi: float = 1.0) -> dict:
+    """Leading forms (coeff, exponent) in the size s of one migration
+    component's parameters along the ray z = s v, where the type's count is
+    z_i = vi s.
+
+    "p", "q" and "r" are the no-migration, immigration and emigration
+    probabilities, "a" and "b" the immigration and emigration law means,
+    and "var_a" and "var_b" their variances.  An emigration law reads the
+    count, so its coefficient is scaled by vi**exponent.  A missing law's
+    probability, mean and variance are (0, 0).
+    """
+    nothing = (0.0, 0.0)
+    imm, em = comp.immigration, comp.emigration
+
+    def at_count(lead):
+        return (lead[0] * vi ** lead[1], lead[1])
+
+    return {
+        "p": comp.prob_none.leading(),
+        "q": nothing if imm is None else comp.prob_imm.leading(),
+        "r": nothing if em is None else comp.prob_em.leading(),
+        "a": nothing if imm is None else imm.mean_fn.leading(),
+        "b": nothing if em is None else at_count(em.mean_leading()),
+        "var_a": nothing if imm is None else imm.var_leading(),
+        "var_b": nothing if em is None else at_count(em.var_leading()),
+    }
+
+
+def _migration_terms(leads: dict) -> tuple:
+    """Leading forms of the immigration term q_i E[I_i] and the emigration
+    term r_i E[D_i] of one component's mean h_i = q_i E[I_i] - r_i E[D_i],
+    from its _migration_leads; (0, 0) for a term that never fires at large
+    sizes."""
+    return product_of(leads["q"], leads["a"]), product_of(leads["r"], leads["b"])
 
 
 def _hypothesis_B(spec: ModelSpec, ray) -> tuple:
@@ -110,13 +136,14 @@ def _hypothesis_B(spec: ModelSpec, ray) -> tuple:
 
     Decided structurally on the closed state-function set: each of the
     immigration term a_i q_i and emigration term b_i r_i gets the growth
-    exponent of its factors (uniform emigration removes a linear fraction
-    of the count, hence exponent 1), and the hypothesis holds when every
-    exponent is strictly below 1.  Probe ratios max_i |h_i(z)| / ||z|| on
+    exponent of its leading form (_migration_terms; uniform emigration
+    removes a linear fraction of the count, hence exponent 1), and the
+    hypothesis holds when every exponent is strictly below 1.  A term that
+    never fires has exponent -inf.  Probe ratios max_i |h_i(z)| / ||z|| on
     the ray are recorded as numeric evidence only.
     """
-    exponents = [(_term_exponent(c.prob_imm, c.immigration, lambda law: law.mean_fn.leading()),
-                  _term_exponent(c.prob_em, c.emigration, lambda law: law.mean_leading()))
+    exponents = [tuple(growth_exponent_of(t) if t[0] != 0.0 else -math.inf
+                       for t in _migration_terms(_migration_leads(c)))
                  for c in spec.migration.components]
     ratios = [float(np.max(np.abs(h))) / float(np.sum(z)) for z, h in zip(ray.probes, ray.h)]
     worst = max(max(pair) for pair in exponents)
@@ -137,19 +164,11 @@ def check_hypothesis_C(spec: ModelSpec) -> Optional[dict]:
     arrays when every state function and law mean converges.  A missing
     law's probability and mean count as 0.
     """
-    nothing = (0.0, 0.0)
     limits = {key: [] for key in "pqrab"}
     for comp in spec.migration.components:
-        imm, em = comp.immigration, comp.emigration
-        leads = {
-            "p": comp.prob_none.leading(),
-            "q": nothing if imm is None else comp.prob_imm.leading(),
-            "r": nothing if em is None else comp.prob_em.leading(),
-            "a": nothing if imm is None else imm.mean_fn.leading(),
-            "b": nothing if em is None else em.mean_leading(),
-        }
-        for key, lead in leads.items():
-            limits[key].append(limit_of(lead))
+        leads = _migration_leads(comp)
+        for key in limits:
+            limits[key].append(limit_of(leads[key]))
     if not all(math.isfinite(v) for values in limits.values() for v in values):
         return None
     return {key: np.array(values) for key, values in limits.items()}

@@ -1,18 +1,19 @@
 """Command line entry point: run named experiment suites on a model document.
 
-Each suite loads a model, runs a calibrated experiment, writes a
+Each suite loads a model, runs an experiment, writes a
 machine-readable report plus plain delimited plot data into the output
 directory, prints a one-line verdict, and exits 0 when the suite's
 assertions pass, 1 when they fail, and 2 on a malformed document or an
 infeasible suite/model combination.
 
 The three limit suites (gamma-limit, normal-limit, l1-limit) share one
-runner, ``_suite_limit``: it derives the limit parameters and the
-normalizing sequence a_n, asks the suite's entry in ``_LIMIT_LAWS`` for
-its sample transform and gate (refusing the model before any ensemble is
-drawn when the law does not exist), then keeps the replicates with
-u.Z_n > eps * a_n and gates their transformed sizes.  The feller suite
-gates the endpoints u.Z_n / n through the same gamma KS gate: its
+runner, ``_suite_limit``: it derives the limit parameters from the laws
+and the normalizing sequence a_n, asks the suite's entry in
+``_LIMIT_LAWS`` for its sample transform and gate (refusing the model
+before any ensemble is drawn when the law does not exist), checks the
+document's ``limit`` block against the derived constants, then keeps the
+replicates with u.Z_n > eps * a_n and gates their transformed sizes.
+The feller suite gates the endpoints u.Z_n / n through the same gamma KS gate: its
 diffusion limit has an exact Gamma law at every time, so no reference is
 simulated.  Option defaults are the field defaults of ``ExperimentConfig``.
 
@@ -196,6 +197,7 @@ def _load_document(path: str) -> dict:
 # ---------------------------------------------------------------------------
 
 _LIMIT_KEYS = ("alpha", "c", "nu", "beta")
+_LIMIT_RTOL = 1e-12  # a limit block's value must equal the derived one to this, relative
 
 
 def _number(x, path: str) -> float:
@@ -225,20 +227,30 @@ def _counts(z, dim: int, path: str) -> np.ndarray:
     return counts
 
 
-def _limit_block(block, dim: int) -> Optional[dict]:
-    """The calibrated growth constants of a ``limit`` block: numbers alpha,
-    nu and beta, and c, one number per type; any other key is refused."""
+def _limit_block(block, dim: int) -> dict:
+    """The growth constants a ``limit`` block asserts: numbers alpha, nu and
+    beta, and c, one number per type; any other key is refused."""
     if block is None:
-        return None
+        return {}
     if not isinstance(block, dict):
         raise SpecFormatError("limit", f"expected a mapping, got {type(block).__name__}")
-    calibrated = {}
+    claimed = {}
     for key, value in block.items():
         path = f"limit.{key}"
         if key not in _LIMIT_KEYS:
             raise SpecFormatError(path, "unknown field (the block takes alpha, c, nu and beta)")
-        calibrated[key] = _numbers(value, dim, path) if key == "c" else _number(value, path)
-    return calibrated
+        claimed[key] = _numbers(value, dim, path) if key == "c" else _number(value, path)
+    return claimed
+
+
+def _check_limit_block(claimed: dict, params) -> None:
+    """Refuse a ``limit`` block key whose value is not the one derived from
+    the laws, to _LIMIT_RTOL relative."""
+    for key, value in claimed.items():
+        derived = getattr(params, key)
+        if not np.allclose(value, derived, rtol=_LIMIT_RTOL, atol=0.0):
+            derived = np.asarray(derived, dtype=float).tolist()
+            raise SpecFormatError(f"limit.{key}", f"the laws give {derived!r}, not {value!r}")
 
 
 def _expected_verdict(expected) -> Optional[str]:
@@ -361,13 +373,14 @@ _LIMIT_LAWS = {"gamma-limit": _gamma_law, "normal-limit": _normal_law, "l1-limit
 
 def _suite_limit(spec: ModelSpec, doc: dict, config: ExperimentConfig):
     """A limit law on the ensemble conditioned on survival, u.Z_n > eps * a_n."""
-    calibrated = _limit_block(doc.get("limit"), spec.dim)
+    claimed = _limit_block(doc.get("limit"), spec.dim)
     with _applicable(config.suite):
-        params = params_from_spec(spec, calibrated)
+        params = params_from_spec(spec)
         u = spec.spectral().u
         uu = float(u @ u)
         a_n = float(a_seq(params.c_dot_u, params.alpha, config.n)[-1])
         transform, gate, extra = _LIMIT_LAWS[config.suite](params, config.n, uu, a_n)
+    _check_limit_block(claimed, params)
     ens = run_ensemble(spec, config.n, config.reps, config.seed, workers=config.workers)
     weighted = ens.terminal_weighted(u)
     keep = weighted > _SURVIVAL_EPS * a_n

@@ -20,12 +20,13 @@ and beyond the last, each one is a constant or a single power.
 
 Each state function and migration law states its large-size form once:
 ``leading()`` of a state function, and of an immigration law's mean
-``mean_fn``, and ``mean_leading()`` of an emigration law, give (coeff,
-exponent) with f(s) = coeff * s**exponent * (1 + o(1)) as s -> inf, and
-(0, 0) for a function that is eventually 0.  ``limit_of`` and
-``growth_exponent_of`` read that pair; model validation, the classifier's
-hypotheses (B) and (C) and the Feller parameters all go through them
-instead of guessing from samples.
+``mean_fn``, ``mean_leading()`` of an emigration law, and
+``var_leading()`` of every migration law, give (coeff, exponent) with
+f(s) = coeff * s**exponent * (1 + o(1)) as s -> inf, and (0, 0) for a
+function that is eventually 0.  ``limit_of``, ``growth_exponent_of`` and
+``product_of`` read that pair; model validation, the classifier's
+hypotheses (B) and (C), the Feller parameters and the limit constants
+all go through them instead of guessing from samples.
 """
 from __future__ import annotations
 
@@ -210,6 +211,18 @@ def growth_exponent_of(lead: tuple) -> float:
     return max(exponent, 0.0) if coeff != 0.0 else 0.0
 
 
+def product_of(*leads) -> tuple:
+    """The leading form of a product of functions with these leading forms:
+    coefficients multiply and exponents add; (0, 0) where a factor is
+    eventually 0."""
+    coeff, exponent = 1.0, 0.0
+    for c, e in leads:
+        if c == 0.0:
+            return (0.0, 0.0)
+        coeff, exponent = coeff * c, exponent + e
+    return (coeff, exponent)
+
+
 # ---------------------------------------------------------------------------
 # Exact sum helpers for emigration moments
 # ---------------------------------------------------------------------------
@@ -300,8 +313,9 @@ def _inverse_cube_tail(q: float, c: float, head: int, n: int) -> float:
     """Sum of j**-3 |j - c|**q over j = head+1..n, for q in {3/2, 2, 3}.
 
     The integer powers expand into the harmonic sums _h_sum on the two
-    sides of c.  Their rounding stays within a few ulps of the moment,
-    because the head's first term |1 - c|**q is a fixed share of it.
+    sides of c, each taken once at head, at the split at c and at n.  Their
+    rounding stays within a few ulps of the moment, because the head's
+    first term |1 - c|**q is a fixed share of it.
 
     The power 3/2 starts past a = head + 1 = 2^20 + 1.  Where |c| <= 0.8 a,
     it is Euler-Maclaurin through the B2 term.  In s = sqrt(a / x), its
@@ -325,16 +339,19 @@ def _inverse_cube_tail(q: float, c: float, head: int, n: int) -> float:
         slope_n = g_n * (1.5 / (n - c) - 3.0 / n)
         return integral + 0.5 * (g_a + g_n) + (slope_n - slope_a) / 12.0
 
-    def between(p, lo, hi):  # sum of j**-p over lo < j <= hi
-        return _h_sum(p, hi) - _h_sum(p, lo)
+    split = n if q == 2 else min(n, max(head, math.floor(c)))  # head < j <= split: j <= c
+    sums = {k: [_h_sum(p, k) for p in (1, 2, 3)] for k in {head, split, n}}
+
+    def between(lo, hi):  # sums of j**-p over lo < j <= hi, p = 1, 2, 3
+        return [b - a for a, b in zip(sums[lo], sums[hi])]
 
     if q == 2:
-        return between(1, head, n) - 2.0 * c * between(2, head, n) + c * c * between(3, head, n)
-    split = min(n, max(head, math.floor(c)))  # head < j <= split lie at or below c
-    below = (c**3 * between(3, head, split) - 3.0 * c * c * between(2, head, split)
-             + 3.0 * c * between(1, head, split) - (split - head))
-    above = ((n - split) - 3.0 * c * between(1, split, n) + 3.0 * c * c * between(2, split, n)
-             - c**3 * between(3, split, n))
+        s1, s2, s3 = between(head, n)
+        return s1 - 2.0 * c * s2 + c * c * s3
+    b1, b2, b3 = between(head, split)
+    a1, a2, a3 = between(split, n)
+    below = c**3 * b3 - 3.0 * c * c * b2 + 3.0 * c * b1 - (split - head)
+    above = (n - split) - 3.0 * c * a1 + 3.0 * c * c * a2 - c**3 * a3
     return below + above
 
 
@@ -388,6 +405,9 @@ class PoissonOffspring:
     def prob_zero(self) -> float:
         return math.exp(-self.mean)
 
+    def largest(self) -> Optional[int]:
+        return None  # no largest count
+
     def sample_sum_batch(self, rng, counts):
         return poisson_draws(rng, np.asarray(counts, dtype=np.int64) * self.mean)
 
@@ -409,6 +429,9 @@ class BernoulliOffspring:
 
     def prob_zero(self) -> float:
         return 1.0 - self.prob
+
+    def largest(self) -> int:
+        return 1
 
     def sample_sum_batch(self, rng, counts):
         return rng.binomial(np.asarray(counts, dtype=np.int64), self.prob)
@@ -434,6 +457,9 @@ class GeometricOffspring:
 
     def prob_zero(self) -> float:
         return 1.0 / (1.0 + self.mean)
+
+    def largest(self) -> Optional[int]:
+        return None  # no largest count
 
     def sample_sum_batch(self, rng, counts):
         counts = np.asarray(counts, dtype=np.int64)
@@ -474,6 +500,9 @@ class TableOffspring:
     def prob_zero(self) -> float:
         v = np.asarray(self.values)
         return float(np.asarray(self.probs, dtype=float)[v == 0].sum())
+
+    def largest(self) -> int:
+        return int(max(self.values))
 
     def sample_sum_batch(self, rng, counts):
         counts = np.asarray(counts, dtype=np.int64)
@@ -544,6 +573,10 @@ class IndependentOffspring:
             out *= c.prob_zero()
         return out
 
+    def largest_vec(self) -> list:
+        """The largest count of each child type, 0 where its law has none."""
+        return [c.largest() or 0 for c in self.components]
+
     def sample_sum_batch(self, rng, counts, out):
         """Add the summed children of counts[r] parents into row r of out (R, p)."""
         for j, c in enumerate(self.components):
@@ -584,6 +617,10 @@ class FiniteOffspring:
         v = np.asarray(self.vectors)
         mask = (v == 0).all(axis=1)
         return float(np.asarray(self.probs, dtype=float)[mask].sum())
+
+    def largest_vec(self) -> list:
+        """The largest count of each child type."""
+        return [int(x) for x in np.asarray(self.vectors).max(axis=0)]
 
     def sample_sum_batch(self, rng, counts, out):
         """Add the summed children of counts[r] parents into row r of out (R, p)."""
@@ -656,6 +693,15 @@ class ShiftedPoissonImmigration:
         vals, probs = _poisson_atoms(self._rate(z, u))
         return vals + 1, probs
 
+    def var_leading(self) -> tuple:
+        """The variance is the Poisson rate a(s) - 1: a growing mean's
+        leading form, else the mean's limit minus 1."""
+        lead = self.mean_fn.leading()
+        if lead[1] > 0.0:
+            return lead
+        rate = limit_of(lead) - 1.0
+        return (rate, 0.0) if rate != 0.0 else (0.0, 0.0)
+
 
 @dataclass(frozen=True)
 class DeterministicImmigration:
@@ -680,6 +726,9 @@ class DeterministicImmigration:
 
     def atoms(self, z=None, u=None):
         return np.array([int(self.value)]), np.array([1.0])
+
+    def var_leading(self) -> tuple:
+        return (0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -713,6 +762,11 @@ class TableImmigration:
 
     def atoms(self, z=None, u=None):
         return np.asarray(self.values, dtype=np.int64), np.asarray(self.probs, dtype=float)
+
+    def var_leading(self) -> tuple:
+        spread = np.asarray(self.values, dtype=float) - self.mean()
+        var = float(np.dot(spread * spread, self.probs))
+        return (var, 0.0) if var != 0.0 else (0.0, 0.0)
 
 
 ImmigrationLaw = ShiftedPoissonImmigration | DeterministicImmigration | TableImmigration
@@ -769,6 +823,9 @@ class UniformEmigration:
 
     def mean_leading(self) -> tuple:
         return (0.5, 1.0)  # the mean (zi + 1) / 2
+
+    def var_leading(self) -> tuple:
+        return (1.0 / 12.0, 2.0)  # the variance (zi^2 - 1) / 12
 
 
 @dataclass(frozen=True)
@@ -831,6 +888,9 @@ class TruncatedGeometricEmigration:
 
     def mean_leading(self) -> tuple:
         return (1.0 / (1.0 - self.ratio), 0.0)
+
+    def var_leading(self) -> tuple:
+        return (self.ratio / (1.0 - self.ratio) ** 2, 0.0)
 
 
 @dataclass(frozen=True)
@@ -897,6 +957,12 @@ class InverseCubeEmigration:
     def mean_leading(self) -> tuple:
         return (_ZETA2 / _ZETA3, 0.0)
 
+    def var_leading(self) -> tuple:
+        """E[D^2] = H_1(zi) / H_3(zi) grows like log(zi) / zeta(3), which no
+        power states: an infinite coefficient at exponent 0 marks a factor
+        that outgrows every constant and no positive power."""
+        return (math.inf, 0.0)
+
 
 @dataclass(frozen=True)
 class DeterministicEmigration:
@@ -924,6 +990,9 @@ class DeterministicEmigration:
 
     def mean_leading(self) -> tuple:
         return (float(self.value), 0.0)
+
+    def var_leading(self) -> tuple:
+        return (0.0, 0.0)
 
 
 EmigrationLaw = (

@@ -62,6 +62,7 @@ class SpecFormatError(ValueError):
 
 
 _PROB_TOL = 1e-12
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -104,6 +105,34 @@ class OffspringSpec:
             return self.mean_matrix()
         return None
 
+    @cached_property
+    def _largest(self):
+        """(largest, widest): largest[i, j] is the largest count of child type
+        j from one parent of type i, 0 where the law has none, and widest the
+        largest column sum; None if no law has a largest count."""
+        largest = np.array([law.largest_vec() for law in self.laws], dtype=object)
+        widest = int(largest.sum(axis=0).max())
+        return (largest, widest) if widest else None
+
+    def _check_int64(self, counts):
+        """Refuse a row whose parents could have more children of one type
+        than int64 holds, naming the row and the child type.
+
+        One max reduction decides whether any row can come near; only then
+        are the rows' bounds summed, exactly, in Python integers.
+        """
+        if self._largest is None:
+            return
+        largest, widest = self._largest
+        if int(counts.max(initial=0)) * widest <= _INT64_MAX:
+            return
+        bounds = counts.astype(object) @ largest
+        for r, j in np.argwhere(bounds > _INT64_MAX)[:1]:
+            raise ValueError(
+                f"the parents of row {r} could have {bounds[r, j]} children of type {j}, "
+                f"past int64 ({_INT64_MAX})"
+            )
+
     def sample_sum_batch(self, rng, counts):
         """Children (R, p) of the parent counts (R, p), summed over all parents.
 
@@ -111,7 +140,8 @@ class OffspringSpec:
         (counts @ m.T)[r, j].  The rates are summed parent by parent rather
         than by a BLAS product, whose fused multiply-adds vary by CPU: the
         draws must not.  With one type the rate is counts * mean, as in
-        ``PoissonOffspring``.  Other laws draw parent type by parent type.
+        ``PoissonOffspring``.  Other laws draw parent type by parent type,
+        after ``_check_int64``: numpy would wrap a sum past int64 silently.
         """
         m = self.poisson_means
         if m is not None:
@@ -119,6 +149,7 @@ class OffspringSpec:
             for i in range(1, self.dim):
                 rates += counts[:, i, None] * m[:, i]
             return poisson_draws(rng, rates)
+        self._check_int64(counts)
         out = np.zeros_like(counts)
         for i, law in enumerate(self.laws):
             law.sample_sum_batch(rng, counts[:, i], out)

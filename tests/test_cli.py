@@ -230,8 +230,26 @@ def _no_ensemble(*args, **kwargs):
     raise AssertionError("an ensemble was drawn for a suite that refuses the model")
 
 
-def _limit(**values):
-    return lambda doc: doc["limit"].update(values)
+def _as_shipped(doc):
+    pass
+
+
+# The law edits below change the growth constants, so the shipped limit
+# block, which asserts the unedited ones, goes with them.
+def _starved_immigration(doc):
+    # u.c = 0.2 * 1.25 = 0.25 < nu / 2 = 0.5
+    doc["migration"][0].update(prob_none={"kind": "constant", "value": 0.8},
+                               prob_imm={"kind": "constant", "value": 0.2})
+    doc["migration"][0]["immigration"]["mean"]["value"] = 1.25
+    del doc["limit"]
+
+
+def _immigration_power(exponent):
+    def edit(doc):
+        doc["migration"][0]["immigration"]["mean"]["inner"]["exponent"] = exponent
+        del doc["limit"]
+
+    return edit
 
 
 def _no_immigration(doc):
@@ -245,21 +263,21 @@ def _one_child_each(doc):
 
 @pytest.mark.parametrize("suite, doc_name, n, edit, message", [
     # nu >= 2 u.c: unbounded growth is a null event
-    ("gamma-limit", "gamma_single_type", 20, _limit(c=[0.25]),
+    ("gamma-limit", "gamma_single_type", 20, _starved_immigration,
      "gamma-limit is infeasible for this model: it needs variance exponent beta = 1 + alpha"),
-    # no first-order growth constant exists
-    ("l1-limit", "sqrt_drift_single_type", 20, _limit(alpha=1.0),
+    # an immigration mean linear in the size: no first-order growth constant exists
+    ("l1-limit", "sqrt_drift_single_type", 20, _immigration_power(1.0),
      "l1-limit is infeasible for this model: alpha must be < 1"),
-    # beta < 3 alpha - 1: no fluctuation scale Lambda_n
-    ("normal-limit", "sqrt_drift_single_type", 20, _limit(alpha=0.75, beta=1.0),
+    # alpha = 3/4 and beta = 1 < 3 alpha - 1: no fluctuation scale Lambda_n
+    ("normal-limit", "sqrt_drift_single_type", 20, _immigration_power(0.75),
      "normal-limit is infeasible for this model: beta must lie in [3 alpha - 1, alpha + 1]"),
     # the scale n^{1/(1-alpha)} of both size-scaled laws is 0 at n = 0
-    ("gamma-limit", "gamma_single_type", 0, _limit(),
+    ("gamma-limit", "gamma_single_type", 0, _as_shipped,
      "gamma-limit is infeasible for this model: n must be >= 1\n"),
-    ("l1-limit", "sqrt_drift_single_type", 0, _limit(),
+    ("l1-limit", "sqrt_drift_single_type", 0, _as_shipped,
      "l1-limit is infeasible for this model: n must be >= 1\n"),
     # feller rescales the endpoint by n
-    ("feller", "gamma_single_type", 0, _limit(),
+    ("feller", "gamma_single_type", 0, _as_shipped,
      "feller is infeasible for this model: n must be >= 1\n"),
     # without drift the diffusion limit started at 0 stays at 0
     ("feller", "gamma_single_type", 20, _no_immigration,
@@ -291,7 +309,7 @@ def _nothing_runs(*args, **kwargs):
 
 @pytest.mark.parametrize("suite, doc_name, key, value, message", [
     ("gamma-limit", "gamma_single_type", "limit", [1, 2], "limit: expected a mapping, got list"),
-    # a misspelt key would otherwise leave alpha to the exponent fit
+    # a misspelt key would otherwise assert nothing
     ("gamma-limit", "gamma_single_type", "limit", {"alpah": 0.0, "c": [2.0], "nu": 1.0},
      "limit.alpah: unknown field (the block takes alpha, c, nu and beta)"),
     ("gamma-limit", "gamma_single_type", "limit", {"alpha": 0.0, "c": [2.0], "delta": 1.0},
@@ -302,6 +320,12 @@ def _nothing_runs(*args, **kwargs):
      "limit.c: expected a list of 1 numbers, got [1.0, 1.0]"),
     ("l1-limit", "sqrt_drift_single_type", "limit", {"c": [True]},
      "limit.c[0]: expected a finite number, got True"),
+    # well formed, but not what the laws give: the suite would gate against a wrong law
+    ("gamma-limit", "gamma_single_type", "limit",
+     {"alpha": 0.0, "beta": 1.0, "c": [3.0], "nu": 1.0},
+     "limit.c: the laws give [2.0], not [3.0]"),
+    ("normal-limit", "sqrt_drift_single_type", "limit", {"nu": 1.0 + 1e-11},
+     "limit.nu: the laws give 1.0, not 1.00000000001"),
     ("explosion", "pure_death", "explosion_bounds", [1],
      "explosion_bounds: expected a list of 2 numbers, got [1]"),
     ("explosion", "pure_death", "explosion_bounds", "ab",
@@ -318,8 +342,8 @@ def _nothing_runs(*args, **kwargs):
      "expected_verdict: expected one of no-growth, growth-possible, inconclusive, "
      "got 'no growth'"),
 ], ids=["limit-list", "limit-misspelt-key", "limit-retired-key", "limit-alpha-string",
-        "limit-c-length", "limit-c-bool", "bounds-short", "bounds-string", "bounds-inverted",
-        "state-string", "state-negative", "state-fraction", "verdict-unknown"])
+        "limit-c-length", "limit-c-bool", "limit-c-wrong", "limit-nu-off", "bounds-short",
+        "bounds-string", "bounds-inverted", "state-string", "state-negative", "state-fraction", "verdict-unknown"])
 def test_malformed_document_extras_exit_two(tmp_path, capsys, monkeypatch, suite, doc_name, key,
                                             value, message):
     doc = json.load(open(spec_path(doc_name)))
@@ -356,7 +380,18 @@ def test_report_limit_params_block(tmp_path, suite, doc_name, gamma, l1, feller)
     assert params["l1_constant"] == l1
     assert (params["feller_drift"], params["feller_diffusion"]) == feller
     assert (params["delta"], params["alpha_tilde"]) == (1.0, 2.0)
-    assert params["delta1"] is None and params["delta2"] is None  # calibrated: nothing fitted
+    assert params["delta1"] is None and params["delta2"] is None  # kept as report keys
+
+
+def test_limit_block_within_the_tolerance_passes(tmp_path):
+    doc = json.load(open(spec_path("sqrt_drift_single_type")))
+    doc["limit"]["nu"] = 1.0 + 1e-13
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out = str(tmp_path / "rep")
+    assert main(["--spec", str(path), "--suite", "l1-limit", "--n", "20", "--reps", "50",
+                 "--out", out]) in (0, 1)
+    assert read_report(out)["results"]["limit_params"]["nu"] == 1.0  # the derived value
 
 
 # the (suite, document) pairs of the shipped documents that exit 2

@@ -197,6 +197,40 @@ def test_migration_law_leading_form_agrees_with_its_mean(law, s):
     assert_leading(value, lead, s, rel=2.0 / s)
 
 
+# The law variances approach their leading forms like s^-1/2 or faster: the
+# clamped square-root mean's Poisson rate is s^1/2 - 1.  Inverse-cube
+# emigration's variance grows like log(zi) / zeta(3), which no power
+# states, and is checked on its own below.
+@pytest.mark.parametrize("s", LARGE_SIZES)
+@pytest.mark.parametrize("law", [
+    ShiftedPoissonImmigration(mean_fn=Constant(2.0)),
+    ShiftedPoissonImmigration(mean_fn=Constant(1.0)),
+    ShiftedPoissonImmigration(mean_fn=Clamp(Power(1.0, 0.5), lo=1.0)),
+    ShiftedPoissonImmigration(mean_fn=Clamp(Power(1.0, -0.5), lo=1.0)),
+    DeterministicImmigration(value=3),
+    TableImmigration(values=(1, 4), probs=(0.75, 0.25)),
+    TableImmigration(values=(2, 2), probs=(0.5, 0.5)),
+    UniformEmigration(),
+    TruncatedGeometricEmigration(ratio=0.5),
+    TruncatedGeometricEmigration(ratio=0.99),
+    DeterministicEmigration(value=3),
+], ids=repr)
+def test_migration_law_var_leading_agrees_with_its_variance(law, s):
+    if hasattr(law, "mean_fn"):
+        m1, m2 = (float(law.raw_moment(k, [s])) for k in (1, 2))
+    else:
+        m1, m2 = (law.raw_moment(k, int(s)) for k in (1, 2))
+    assert_leading(m2 - m1 * m1, law.var_leading(), s, rel=2.0 / math.sqrt(s))
+
+
+@pytest.mark.parametrize("s", LARGE_SIZES)
+def test_inverse_cube_variance_grows_like_a_log(s):
+    law = InverseCubeEmigration()
+    assert law.var_leading() == (math.inf, 0.0)
+    var = law.raw_moment(2, int(s)) - law.raw_moment(1, int(s)) ** 2
+    assert 0.85 < var * 1.2020569031595942 / math.log(s) < 1.0
+
+
 # ---------------------------------------------------------------------------
 # exact sum helpers
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Limit-law parameters, size recursions, and the diffusion approximation."""
 import math
+import os
 
 import numpy as np
 import pytest
 
+from conftest import SPEC_DIR, load_doc, spec_path
 from mbpm import (
+    Clamp,
     Constant,
     DeterministicEmigration,
     DeterministicImmigration,
@@ -16,14 +19,21 @@ from mbpm import (
     ModelSpec,
     OffspringSpec,
     PoissonOffspring,
+    Power,
+    UniformEmigration,
     a_asymptotic,
     a_seq,
     euler_maruyama,
     feller_params,
     lambda_n,
+    load_spec,
+    migration_mean,
     params_from_spec,
+    sigma2,
+    spec_from_dict,
     stream_for,
 )
+from mbpm.classify import _migration_leads, _migration_terms
 
 
 def _params(alpha, beta, nu=1.0, c=2.0):
@@ -85,25 +95,128 @@ def test_limit_params_fill_gamma_only_in_regime():
     assert starved.gamma_shape is None  # nu >= 2 u.c: no gamma limit
 
 
-def test_params_from_spec_calibrated_overrides(gamma_spec):
-    from conftest import load_doc
-
-    doc = load_doc("gamma_single_type")
-    params = params_from_spec(gamma_spec, calibrated=doc["limit"])
-    assert params.alpha == 0.0
-    assert params.c_dot_u == pytest.approx(2.0)
-    assert params.nu == pytest.approx(1.0)
-    assert params.beta == pytest.approx(1.0)
-    assert params.gamma_shape == pytest.approx(4.0)
-    assert params.feller_drift == pytest.approx(2.0)
-    assert params.feller_diffusion == pytest.approx(1.0)
-    assert params.delta1 is None and params.delta2 is None  # nothing was fitted
+@pytest.mark.parametrize("doc_name, gamma_shape", [
+    ("gamma_single_type", 4.0),
+    ("sqrt_drift_single_type", None),
+])
+def test_params_from_spec_derives_the_shipped_limit_blocks(doc_name, gamma_shape):
+    doc = load_doc(doc_name)
+    params = params_from_spec(spec_from_dict(doc))
+    for key, value in doc["limit"].items():
+        assert np.asarray(getattr(params, key)).tolist() == value  # bit for bit
+    assert params.c_dot_u == doc["limit"]["c"][0]
+    assert params.gamma_shape == gamma_shape
 
 
-def test_params_from_spec_fitted(gamma_spec):
+def test_params_from_spec_attaches_the_feller_coefficients(gamma_spec):
     params = params_from_spec(gamma_spec)
-    assert abs(params.alpha) < 0.01
-    assert abs(params.c_dot_u - 2.0) < 0.05
+    assert (params.feller_drift, params.feller_diffusion) == (2.0, 1.0)
+    assert params.to_dict()["delta1"] is None and params.to_dict()["delta2"] is None
+
+
+def _two_type_candidate():
+    """two_type_mixed started at (0, 0), with type 0's uniform emigration
+    replaced by truncated_geometric (ratio 0.5): every migration law is
+    bounded, so alpha = 0 and beta = 1."""
+    doc = load_doc("two_type_mixed")
+    doc["initial"]["state"] = [0, 0]
+    doc["migration"][0]["emigration"] = {"family": "truncated_geometric", "ratio": 0.5}
+    return spec_from_dict(doc)
+
+
+def test_params_from_spec_on_the_two_type_candidate():
+    # u = v = (1/2, 1/2) and (1, 1); h = (0.3 * 2 - 0.2 * 2, 0.25 * 3 - 0.25 * 2);
+    # nu = sum_i v_i u^T Sigma_i u = 2 * (0.25 * 0.5 + 0.25 * 0.5)
+    params = params_from_spec(_two_type_candidate())
+    assert params.alpha == 0.0 and params.beta == 1.0
+    assert params.c == pytest.approx([0.2, 0.25], rel=1e-12)
+    assert params.c_dot_u == pytest.approx(0.225, rel=1e-12)
+    assert params.nu == pytest.approx(0.5, rel=1e-12)
+    # 2 u.c / nu = 0.9 is the shape of the Feller marginal Gamma(2 drift / diffusion, .)
+    assert 2.0 * params.c_dot_u / params.nu == pytest.approx(0.9, rel=1e-12)
+    assert params.feller_drift == pytest.approx(params.c_dot_u, rel=1e-12)
+    assert params.feller_diffusion == pytest.approx(params.nu, rel=1e-12)
+    # ... but nu > 2 u.c: unbounded growth is a null event, so no gamma limit law
+    assert params.gamma_shape is None
+
+
+SHIPPED = sorted(name[:-5] for name in os.listdir(SPEC_DIR) if name.endswith(".json"))
+# the shipped documents whose growth constants exist: the others have no
+# Perron data (pure_death) or uniform emigration, linear in the count
+_DERIVED = ("gamma_single_type", "small_support", "sqrt_drift_single_type")
+
+
+@pytest.mark.parametrize("doc_name", SHIPPED)
+def test_params_from_spec_refuses_exactly_the_documents_without_constants(doc_name):
+    spec = load_spec(spec_path(doc_name))
+    if doc_name in _DERIVED:
+        params_from_spec(spec)
+    else:
+        with pytest.raises(ValueError):
+            params_from_spec(spec)
+
+
+@pytest.mark.parametrize("doc_name", _DERIVED)
+def test_derived_constants_agree_with_the_exact_moments_far_out(doc_name):
+    # along z = s v at s = 1e12, u.h(z) ~ (u.c) s^alpha and sigma2(z) ~ nu s^beta
+    spec = load_spec(spec_path(doc_name))
+    params = params_from_spec(spec)
+    spectral = spec.spectral()
+    z = np.rint(1e12 * spectral.v).astype(np.int64)
+    s = float(spectral.u @ z)
+    uh = float(spectral.u @ migration_mean(spec.migration, z, spectral.u))
+    assert uh == pytest.approx(params.c_dot_u * s**params.alpha, rel=1e-5)
+    assert sigma2(spec, spectral.u, z) == pytest.approx(params.nu * s**params.beta, rel=1e-5)
+
+
+def test_derived_constants_are_exact_where_the_slope_fit_was_not(sqrt_spec):
+    # three-probe slope fits gave nu = 1.152 and beta = 0.988 here
+    params = params_from_spec(sqrt_spec)
+    assert (params.alpha, params.c_dot_u, params.nu, params.beta) == (0.5, 1.0, 1.0, 1.0)
+
+
+def _gamma_doc(**migration):
+    doc = load_doc("gamma_single_type")
+    del doc["limit"]
+    doc["migration"][0].update(migration)
+    return doc
+
+
+def _constant(value):
+    return {"kind": "constant", "value": value}
+
+
+def test_params_from_spec_refuses_cancelling_mean_terms():
+    # 0.5 * E[I] = 0.5 * 2 against 0.5 * E[D] = 0.5 * 2: the drift's order is unknown
+    doc = _gamma_doc(prob_none=_constant(0.0), prob_imm=_constant(0.5), prob_em=_constant(0.5),
+                     emigration={"family": "deterministic", "value": 2})
+    with pytest.raises(ValueError, match="leading mean migration terms cancel at exponent 0"):
+        params_from_spec(spec_from_dict(doc))
+
+
+def test_params_from_spec_refuses_a_log_variance_on_top():
+    # one child each: no offspring variance, so inverse-cube emigration's
+    # log-growing variance is the top term
+    doc = _gamma_doc(prob_none=_constant(0.25), prob_imm=_constant(0.5),
+                     prob_em=_constant(0.25), emigration={"family": "inverse_cube"})
+    doc["offspring"][0]["components"][0] = {"family": "deterministic", "value": 1}
+    with pytest.raises(ValueError, match="grows like a log at its top"):
+        params_from_spec(spec_from_dict(doc))
+    # with Poisson offspring the linear offspring part stays on top
+    doc["offspring"][0]["components"][0] = {"family": "poisson", "mean": 1.0}
+    params = params_from_spec(spec_from_dict(doc))
+    assert (params.nu, params.beta) == (1.0, 1.0)
+
+
+def test_params_from_spec_weights_emigration_by_the_count():
+    # a decaying emigration probability r = s^-1/2 (clamped below 1/2) times
+    # uniform removals (z_i + 1) / 2: the term is s^1/2 / 2, below linear
+    comp = MigrationComponent(
+        prob_none=Constant(0.5), prob_imm=Constant(0.0),
+        prob_em=Clamp(Power(1.0, -0.5), hi=0.5), emigration=UniformEmigration(),
+    )
+    assert _migration_terms(_migration_leads(comp)) == ((0.0, 0.0), (0.5, 0.5))
+    assert _migration_terms(_migration_leads(comp, 4.0)) == ((0.0, 0.0), (2.0, 0.5))  # z_i = 4 s
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,12 @@ import pytest
 import oracles
 from conftest import load_doc, spec_path
 from mbpm import (
+    BernoulliOffspring,
     Clamp,
     Constant,
     DeterministicImmigration,
     DeterministicInitial,
+    FiniteOffspring,
     MigrationComponent,
     MigrationSpec,
     ModelSpec,
@@ -21,8 +23,10 @@ from mbpm import (
     Power,
     SpecFormatError,
     Table,
+    TableOffspring,
     advance,
     load_spec,
+    run_ensemble,
     sample_migration,
     sample_step_batch,
     simulate_path,
@@ -304,6 +308,36 @@ def test_pooled_rate_past_numpy_limit_is_named():
     with pytest.raises(ValueError, match=r"rate 9\.223372037e\+18 at row 1, child type 0 is "
                                          r"past numpy's Poisson limit 9\.223372006e\+18"):
         offspring.sample_sum_batch(np.random.default_rng(0), counts)
+
+
+@pytest.mark.parametrize("law", [
+    IndependentOffspring(components=(TableOffspring((0, 1, 3), (0.5, 0.25, 0.25)),
+                                     BernoulliOffspring(0.5))),
+    FiniteOffspring(vectors=((0, 0), (3, 1)), probs=(0.5, 0.5)),
+], ids=["independent", "finite"])
+def test_children_past_int64_are_refused_before_the_draw(law):
+    # a parent of either type has at most 3 children of type 0, so the rows'
+    # bounds are 3 (z_0 + z_1): exactly 2^63 - 2 in row 0, 2^63 + 1 in row 1
+    offspring = OffspringSpec(laws=(law, law))
+    edge = (2**63 - 1) // 3
+    counts = np.array([[edge, 0], [edge, 1], [2**62, 0]], dtype=np.int64)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=rf"^the parents of row 1 could have {3 * edge + 3} "
+                                         r"children of type 0, past int64"):
+        offspring.sample_sum_batch(rng, counts)
+    assert rng.random() == np.random.default_rng(0).random()  # nothing was drawn
+    assert offspring.sample_sum_batch(rng, counts[:1]).shape == (1, 2)
+
+
+def test_supercritical_ensemble_stops_before_int64_wraps(small_support_spec):
+    # Perron root 1.227: unguarded, states wrap negative at step 202 and
+    # numpy's multinomial fails at step 203 with a bare "n < 0"; the
+    # worst-case bound (two children of type 0 per type-0 parent, one per
+    # type-1 parent) passes int64 at step 198
+    with pytest.raises(ValueError, match=r"^step 198 of 400, block from replicate 0 .*: the "
+                                         r"parents of row 5 could have \d+ children of type "
+                                         r"0, past int64 \(9223372036854775807\)$"):
+        run_ensemble(small_support_spec, 400, 100, 7)
 
 
 # ---------------------------------------------------------------------------
