@@ -501,13 +501,16 @@ def _parse_ints(text: str):
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
-def _at_least(convert, lo):
-    """An option type: a value read by ``convert`` that is >= lo (NaN is refused)."""
+def _at_least(convert, lo, below=None):
+    """An option type: a value read by ``convert`` that is >= lo, and < below
+    where that is given (NaN is refused)."""
 
     def parse(text: str):
         value = convert(text)
         if not value >= lo:
             raise argparse.ArgumentTypeError(f"must be >= {lo}, got {text}")
+        if below is not None and not value < below:
+            raise argparse.ArgumentTypeError(f"must be < {below}, got {text}")
         return value
 
     parse.__name__ = convert.__name__  # argparse names the type in "invalid int value"
@@ -550,14 +553,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--reps", type=_at_least(int, 1),
         help="replicates, or sample count for the moments suite (default %(default)s)",
     )
-    parser.add_argument("--seed", type=int, help="master seed (default %(default)s)")
+    parser.add_argument(
+        "--seed", type=_at_least(int, 0, 2**64), help="master seed (default %(default)s)"
+    )
     parser.add_argument("--out", help="output directory (default ./%(default)s)")
     parser.add_argument(
-        "--threshold-ks", type=float,
+        "--threshold-ks", type=_at_least(float, 0),
         help="KS pass threshold (default 0.05; 0.07 for normal-limit)",
     )
     parser.add_argument(
-        "--threshold-rel", type=float,
+        "--threshold-rel", type=_at_least(float, 0),
         help="relative-error threshold for l1-limit (default %(default)g)",
     )
     parser.add_argument(

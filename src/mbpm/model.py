@@ -14,14 +14,13 @@ states never leave the nonnegative orthant.
 
 One kernel, ``advance``, draws every transition: it steps an (R, p) array
 of states with a fixed sequence of numpy calls, per type for migration and
-per parent type for offspring.  What a step does not need to recompute is
-compiled once and cached on the spec: each migration component's constant
-branch probabilities become intervals of a uniform, with the folds of
-missing laws and of a zero count already applied
-(``MigrationComponent.branches``), and the Perron weights are computed
-once (``ModelSpec.size_weights``).  When every offspring count is Poisson
-the offspring take one call: the children of type j from all parents are
-a sum of independent Poissons, hence Poisson with the summed rate.
+per parent type for offspring.  Migration reads each component's branch
+probabilities at the rows' states at every step (``branch_probs``), so
+constant and state-dependent documents take the same path; the Perron
+weights are computed once (``ModelSpec.size_weights``).  When every
+offspring count is Poisson the offspring take one call: the children of
+type j from all parents are a sum of independent Poissons, hence Poisson
+with the summed rate.
 ``simulate_path`` runs the kernel on a single row, ``sample_step_batch``
 on one state broadcast to many rows, and the ensembles in ``montecarlo``
 on blocks of replicates.
@@ -171,20 +170,23 @@ class MigrationComponent:
 
         ``z`` is one state with this type's count ``zi``, or a stack of
         states (R, p) with the counts (R,); each probability is then a
-        scalar or one value per row.  Emigration is folded into "none"
-        where the type's count is zero: there is nothing to remove, so the
-        branch is a no-op there.  Only then do constant probabilities
-        become per-row arrays.
+        scalar or one value per row.  A branch without a law is folded into
+        "none", and so is emigration where the type's count is zero: there
+        is nothing to remove, so the branch is a no-op there.  Only then do
+        constant probabilities become per-row arrays.  The kernel calls
+        this at every step, so the zero-count mask is built only where
+        there is an emigration law.
         """
         pn = self.prob_none(z, u)
         pi = self.prob_imm(z, u)
         pe = self.prob_em(z, u)
-        empty = np.asarray(zi) <= 0
         if self.emigration is None:
             pn, pe = pn + pe, 0.0
-        elif empty.any():
-            moved = pe * empty
-            pn, pe = pn + moved, pe - moved
+        else:
+            empty = np.asarray(zi) <= 0
+            if np.count_nonzero(empty):
+                moved = pe * empty
+                pn, pe = pn + moved, pe - moved
         if self.immigration is None:
             pn, pi = pn + pi, 0.0
         return pn, pi, pe
@@ -194,42 +196,6 @@ class MigrationComponent:
         the immigration mean where there is an immigration law."""
         fns = (self.prob_none, self.prob_imm, self.prob_em)
         return fns if self.immigration is None else fns + (self.immigration.mean_fn,)
-
-    @cached_property
-    def branches(self):
-        """``branch_probs`` compiled once into ``_Branches``; None unless every
-        probability is constant.
-
-        The fold at a zero count is compiled as well, where it can trigger:
-        with an emigration law and a positive emigration probability.
-        """
-        if not all(isinstance(f, Constant) for f in (self.prob_none, self.prob_imm, self.prob_em)):
-            return None
-        pn, pi, pe = self.branch_probs(None, None, 1)
-        hi = pn + pi
-        empty = None
-        if self.emigration is not None and self.prob_em.value > 0.0:
-            pn0, pi0, _ = self.branch_probs(None, None, 0)
-            empty = (pn0, pn0 + pi0)
-        return _Branches(pn, hi, pe > 0.0, empty, empty is None and pn <= 0.0 and hi >= 1.0)
-
-
-@dataclass(frozen=True)
-class _Branches:
-    """One type's migration branches as intervals of a uniform x per row.
-
-    x picks immigration on [lo, hi) and emigration on [hi, 1) where
-    ``emigrates`` (a bool, or one per row).  ``empty`` is the (lo, hi) of a
-    row whose count is zero, which does not emigrate, or None where that
-    fold cannot trigger.  ``everyone_immigrates`` is True where [lo, hi)
-    covers [0, 1) in every row.
-    """
-
-    lo: object
-    hi: object
-    emigrates: object
-    empty: Optional[tuple] = None
-    everyone_immigrates: bool = False
 
 
 @dataclass(frozen=True)
@@ -429,36 +395,28 @@ class Trajectory:
 def sample_migration(spec: MigrationSpec, Z, rng, u=None):
     """Migration adjustments M (R, p) for the states Z (R, p).
 
-    Per type, one uniform per row chooses the row's branch; immigration
-    and emigration then draw only for the rows in their branch, at those
-    rows' states and counts.  The branch intervals come compiled from
-    ``MigrationComponent.branches``, or from ``branch_probs`` at these
-    rows where a probability depends on the state.  The uniforms are drawn
-    even where every row takes the same branch, so the stream does not
+    Per type, ``branch_probs`` at these rows gives the branch intervals of
+    a uniform x: immigration on [pn, pn + pi), emigration on [pn + pi, 1)
+    where pe > 0.  One uniform per row chooses the row's branch;
+    immigration and emigration then draw only for the rows in their
+    branch, at those rows' states and counts.  Where pn is one scalar
+    <= 0 and pn + pi >= 1, every row immigrates, and the draw takes no
+    masks.  The uniforms are drawn even then, so the stream does not
     depend on the shortcut.
     """
     out = np.zeros(Z.shape, dtype=np.int64)
     for i, comp in enumerate(spec.components):
         zi, col = Z[:, i], out[:, i]
-        b = comp.branches
-        if b is None:
-            pn, pi, pe = comp.branch_probs(Z, u, zi)
-            b = _Branches(pn, pn + pi, pe > 0.0)
-        lo, hi, em_ok = b.lo, b.hi, b.emigrates
-        if b.empty is not None:
-            empty = zi <= 0
-            if np.count_nonzero(empty):
-                lo = np.where(empty, b.empty[0], lo)
-                hi = np.where(empty, b.empty[1], hi)
-                em_ok = ~empty
+        pn, pi, pe = comp.branch_probs(Z, u, zi)
+        hi = pn + pi
         x = rng.random(len(Z))
-        if b.everyone_immigrates and len(Z):  # no masks; zero rows draw nothing
+        if isinstance(hi, float) and pn <= 0.0 and hi >= 1.0 and len(Z):  # zero rows draw nothing
             col[:] = comp.immigration.sample_batch(rng, Z, None, u)
             continue
-        imm = (x >= lo) & (x < hi)
+        imm = (x >= pn) & (x < hi)
         if np.count_nonzero(imm):
             col[imm] = comp.immigration.sample_batch(rng, Z, imm, u)
-        em = (x >= hi) & em_ok
+        em = (x >= hi) & (pe > 0.0)
         if np.count_nonzero(em):
             col[em] = -comp.emigration.sample_batch(rng, zi[em])
     return out
@@ -468,11 +426,11 @@ def advance(spec: ModelSpec, Z, rng):
     """The next generation of every row of the int64 states Z (R, p).
 
     Migration first (``sample_migration``, with the spec's cached Perron
-    weights and compiled branch intervals), then every parent present sums
-    its offspring (``OffspringSpec.sample_sum_batch``).  The draws are a
-    fixed sequence of numpy calls, so the same rows from the same stream
-    give the same result.  ``Z`` may be a read-only view, such as one
-    state broadcast to R rows.
+    weights), then every parent present sums its offspring
+    (``OffspringSpec.sample_sum_batch``).  The draws are a fixed sequence
+    of numpy calls, so the same rows from the same stream give the same
+    result.  ``Z`` may be a read-only view, such as one state broadcast to
+    R rows.
     """
     counts = sample_migration(spec.migration, Z, rng, u=spec.size_weights())
     counts += Z

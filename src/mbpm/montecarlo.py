@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 import os
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -82,7 +81,6 @@ class Ensemble:
     master_seed: int
     terminal: np.ndarray  # (R, p) int64
     paths: Optional[np.ndarray] = None  # (R, n+1, p) int64 when stored
-    build_seconds: float = 0.0
 
     def terminal_weighted(self, u):
         """Scalar reduction u . Z_n per replicate."""
@@ -153,7 +151,6 @@ def run_ensemble(
         workers = int(os.environ.get("MBPM_WORKERS", "1"))
     blocks = -(-R // BLOCK)
     workers = max(1, min(workers, blocks))
-    t0 = time.perf_counter()
     bounds = np.minimum(np.linspace(0, blocks, workers + 1).astype(int) * BLOCK, R)
     spans = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     terminal = np.empty((R, spec.dim), dtype=np.int64)
@@ -179,7 +176,6 @@ def run_ensemble(
         master_seed=master_seed,
         terminal=terminal,
         paths=paths,
-        build_seconds=time.perf_counter() - t0,
     )
 
 

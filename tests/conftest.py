@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -87,21 +88,34 @@ def pure_death_spec():
 
 # Pinned ensembles.  Seeds are frozen so every run sees the same draws.
 
+# Seconds each pinned ensemble took to build, by fixture name; the
+# acceptance criteria charge it to every criterion that reads the ensemble.
+BUILD_SECONDS = {}
+
+
+def timed_ensemble(name, spec, **kwargs):
+    """``run_ensemble(spec, **kwargs)``, its build time kept in BUILD_SECONDS[name]."""
+    t0 = time.perf_counter()
+    ens = run_ensemble(spec, **kwargs)
+    BUILD_SECONDS[name] = time.perf_counter() - t0
+    return ens
+
+
 @pytest.fixture(scope="session")
 def gamma_ensemble(gamma_spec):
     """5000 constant-drift paths to generation 1000, terminal and full paths."""
-    return run_ensemble(gamma_spec, n=1000, R=5000, master_seed=31416,
-                        store_paths=True)
+    return timed_ensemble("gamma_ensemble", gamma_spec, n=1000, R=5000, master_seed=31416,
+                          store_paths=True)
 
 
 @pytest.fixture(scope="session")
 def sqrt_ensemble(sqrt_spec):
     """3000 square-root-drift paths to generation 2000, terminals only."""
-    return run_ensemble(sqrt_spec, n=2000, R=3000, master_seed=27183)
+    return timed_ensemble("sqrt_ensemble", sqrt_spec, n=2000, R=3000, master_seed=27183)
 
 
 @pytest.fixture(scope="session")
 def emigration_ensemble(emigration_spec):
     """2000 emigration-only paths to generation 500, full paths kept."""
-    return run_ensemble(emigration_spec, n=500, R=2000, master_seed=16180,
-                        store_paths=True)
+    return timed_ensemble("emigration_ensemble", emigration_spec, n=500, R=2000,
+                          master_seed=16180, store_paths=True)

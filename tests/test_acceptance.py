@@ -83,7 +83,7 @@ def test_criterion_3_gamma_limit(gamma_ensemble):
     t0 = time.perf_counter()
     w = gamma_ensemble.terminal[:, 0] / gamma_ensemble.n
     d = ks_statistic(w, lambda x: gamma_cdf(x, 4.0, 0.5))
-    elapsed = time.perf_counter() - t0 + gamma_ensemble.build_seconds
+    elapsed = time.perf_counter() - t0 + conftest.BUILD_SECONDS["gamma_ensemble"]
     record(3, d <= 0.05,
            f"Z_n/n vs gamma(shape 4, scale 0.5): KS {d:.4f} <= 0.05 "
            f"(n=1000, R=5000)",
@@ -97,7 +97,7 @@ def test_criterion_4_l1_constant(sqrt_ensemble):
     w = sqrt_ensemble.terminal[:2000, 0] / n**2
     target = LimitParams(alpha=0.5, c=np.array([1.0]), c_dot_u=1.0, beta=1.0, nu=1.0).l1_constant
     rel = abs(w.mean() - target) / target
-    elapsed = time.perf_counter() - t0 + sqrt_ensemble.build_seconds
+    elapsed = time.perf_counter() - t0 + conftest.BUILD_SECONDS["sqrt_ensemble"]
     record(4, rel <= 0.10,
            f"mean of Z_n/n^2 = {w.mean():.4f} within {rel * 100:.1f}% of "
            f"{target} (n=2000, R=2000)",
@@ -113,7 +113,7 @@ def test_criterion_5_normal_fluctuations(sqrt_ensemble):
     lam = lambda_n(params, n)
     w = (sqrt_ensemble.terminal[:, 0] - a_n) / lam
     d = ks_statistic(w, normal_cdf)
-    elapsed = time.perf_counter() - t0 + sqrt_ensemble.build_seconds
+    elapsed = time.perf_counter() - t0 + conftest.BUILD_SECONDS["sqrt_ensemble"]
     record(5, d <= 0.07,
            f"(Z_n - a_n)/Lambda_n vs standard normal: KS {d:.4f} <= 0.07 "
            f"(n=2000, R=3000, a_n={a_n:.0f}, Lambda_n={lam:.0f})",
@@ -128,7 +128,7 @@ def test_criterion_6_diffusion_limit(gamma_spec, gamma_ensemble):
     w_emp = gamma_ensemble.paths[:2000, 500, 0] / 500.0
     # the diffusion started at 0 is exactly Gamma(2 drift / diffusion, diffusion / 2) at t = 1
     d = ks_statistic(w_emp, lambda x: gamma_cdf(x, 2.0 * drift / diffusion, diffusion / 2.0))
-    elapsed = time.perf_counter() - t0 + gamma_ensemble.build_seconds
+    elapsed = time.perf_counter() - t0 + conftest.BUILD_SECONDS["gamma_ensemble"]
     record(6, d <= 0.05,
            f"Z_[n]/n at n=500 vs the diffusion's exact law Gamma(4, 0.5) "
            f"(drift 2, diffusion 1): one-sample KS {d:.4f} <= 0.05 (R=2000)",
@@ -141,7 +141,7 @@ def test_criterion_7_no_growth(emigration_spec, emigration_ensemble):
     verdict = classify_growth(emigration_spec)
     norms = np.abs(emigration_ensemble.paths).sum(axis=2)
     exceed = int((norms.max(axis=1) > 1e3).sum())
-    elapsed = time.perf_counter() - t0 + emigration_ensemble.build_seconds
+    elapsed = time.perf_counter() - t0 + conftest.BUILD_SECONDS["emigration_ensemble"]
     ok = (verdict.verdict == "no-growth" and exceed == 0
           and emigration_ensemble.replicates == 2000)
     record(7, ok,

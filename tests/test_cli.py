@@ -436,9 +436,20 @@ def test_limit_suites_refuse_exactly_the_infeasible_documents(tmp_path, capsys, 
      "argument --probe-magnitudes: need finite magnitudes below 2^63, got 10,inf"),
     ("explosion", "--workers", "0", "argument --workers: must be >= 1, got 0"),
     ("explosion", "--workers", "-3", "argument --workers: must be >= 1, got -3"),
+    ("explosion", "--seed", "-1", "argument --seed: must be >= 0, got -1"),
+    ("classify", "--seed", "-1", "argument --seed: must be >= 0, got -1"),
+    ("moments", "--seed", str(2**64),
+     f"argument --seed: must be < {2**64}, got {2**64}"),
+    ("gamma-limit", "--threshold-ks", "-1", "argument --threshold-ks: must be >= 0, got -1"),
+    ("gamma-limit", "--threshold-ks", "nan", "argument --threshold-ks: must be >= 0, got nan"),
+    ("l1-limit", "--threshold-rel", "-0.1",
+     "argument --threshold-rel: must be >= 0, got -0.1"),
+    ("l1-limit", "--threshold-rel", "nan", "argument --threshold-rel: must be >= 0, got nan"),
 ], ids=["reps-0", "one-probe-magnitude", "negative-explosion-k", "negative-n",
         "probe-magnitude-1e300", "probe-magnitude-nan", "probe-magnitude-inf",
-        "workers-0", "negative-workers"])
+        "workers-0", "negative-workers", "seed-negative", "classify-seed-negative", "seed-2**64",
+        "negative-threshold-ks", "threshold-ks-nan", "negative-threshold-rel",
+        "threshold-rel-nan"])
 def test_invalid_option_values_are_usage_errors(tmp_path, capsys, monkeypatch, suite, option,
                                                 value, message):
     monkeypatch.setattr(cli, "run_ensemble", _no_ensemble)

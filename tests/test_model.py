@@ -341,7 +341,7 @@ def test_supercritical_ensemble_stops_before_int64_wraps(small_support_spec):
 
 
 # ---------------------------------------------------------------------------
-# migration: branch intervals compiled once per component
+# migration: one kernel path, whose branch probabilities fold at every step
 # ---------------------------------------------------------------------------
 
 SHIPPED = ["gamma_single_type", "sqrt_drift_single_type", "two_type_mixed",
@@ -349,7 +349,8 @@ SHIPPED = ["gamma_single_type", "sqrt_drift_single_type", "two_type_mixed",
 
 
 def reference_migration(spec, Z, rng, u=None):
-    """Migration with the branch probabilities evaluated and folded at every step."""
+    """Migration with the branch probabilities evaluated and folded at every
+    step, and every branch drawn through a mask."""
     out = np.zeros(Z.shape, dtype=np.int64)
     for i, comp in enumerate(spec.components):
         zi = Z[:, i]
@@ -365,14 +366,14 @@ def reference_migration(spec, Z, rng, u=None):
 
 
 def reference_kernel(spec, Z, rng):
-    """``advance`` without compiled branches."""
+    """``advance`` with ``reference_migration``."""
     u = spec.size_weights()
     counts = reference_migration(spec.migration, Z, rng, u) + Z
     return spec.offspring.sample_sum_batch(rng, counts)
 
 
 def table_branches_doc():
-    """small_support with size-dependent branch probabilities: no component compiles.
+    """small_support with size-dependent branch probabilities.
 
     Type 0 has table prob_none and prob_imm with a table immigration law;
     type 1 has table prob_imm and prob_em, so its emigration mask is per row.
@@ -387,14 +388,77 @@ def table_branches_doc():
     return doc
 
 
+def kernel_spec(name):
+    """A shipped document's spec, or the table_branches one."""
+    if name == "table_branches":
+        return spec_from_dict(table_branches_doc())
+    return load_spec(spec_path(name))
+
+
+# sha256 of the initial states and the 50 states after them (int64 bytes),
+# from stream_for(61, R), for R = 1, 7 and 300; recorded from the kernel
+# that compiled constant branch probabilities, so the single path draws
+# the same stream.
+STREAM_DIGESTS = {
+    "gamma_single_type": (
+        "c6be3d40eaab7f836cec3222ab3c989f2bd0a53a9777d0c100f3c46999aed716",
+        "b044e156bd463d8fb7220e3188eb9703ce55d1135b0c52b4af94d63be0918a3a",
+        "00a4f93424fa1d6e2163bec2412144cbe76f6e91bf9266523c884825580cc9d9",
+    ),
+    "sqrt_drift_single_type": (
+        "c919ca5987781b14a63ad9b12999da020d7acad52278b018f5ea46bc8417d80e",
+        "c25faf571e0a3ed6623166aa84ccce0f92cc43c055ae06601818c167e72f3547",
+        "c02aa53368995ba84bd8296f57432c59ae8798f237bb7b8f7e0b634e5bebfbb4",
+    ),
+    "two_type_mixed": (
+        "c8f1e1883250e5771a781938246aa8b85a3d92f5c59e3634677e906f0f880c75",
+        "dbf5ef721c06629fb76d9545c9b4e644da168afa1c6a4c7809ac83eed2b0142c",
+        "ae1a9c667c425b8a8aba879e0aecd74e49ccc9cccbbb4a256f53ee59a71c0e9b",
+    ),
+    "pure_emigration": (
+        "d6b283b92bbffc1a9bb96437ed52f469356701e30e654e2f5937d7cba0ad61b1",
+        "9e43553cd1f922abf01b8359c52351e3dd352a22e573e17d890c49f697861716",
+        "c8badec5c1ac1018195f03ee2688188b0158a1db02c5793718ce0b7d8a58eaac",
+    ),
+    "small_support": (
+        "249338b9c2546ccb088ed83a7112c56c3d7f35e88a01022b392cca9cf920ddd7",
+        "f00f00e81c883200db9e0a55cfebf41a1b3f7f3b10a2473107a7985ef868a519",
+        "5961b8f7014686a41aa33b4a42dc3f72711b593dfc1308183431bdce2876993d",
+    ),
+    "pure_death": (
+        "7ce3b5ecbaadb8c4aba02a0a4d4ee9cf8e5876f3246a0102b20c64ce3a741848",
+        "2a754f67eaf53606b33033d989a377114edff83b6bd73187e51ca3e315695337",
+        "e91c1e7c0cff6b4eb2e4c6a3c37ae37da213520d1cf6363e82e7b1e07f8b015e",
+    ),
+    "table_branches": (
+        "8b0a5e2183c3c040f9ba0d52834870833190d333eb6198f26975d929ba11c2d1",
+        "24679e73319573e0565dde5d6c539fc1d4dee37e8ab02b78d1c7eab19427d734",
+        "f03d3afddd31048db3b56c34019e8abb117f6334104d5f3b3ab515dabefe373b",
+    ),
+}
+
+
 @pytest.mark.parametrize("R", [1, 7, 300])
 @pytest.mark.parametrize("name", SHIPPED + ["table_branches"])
-def test_compiled_kernel_equals_reference_kernel(name, R):
+def test_kernel_stream_is_pinned(name, R):
+    import hashlib
+
+    spec = kernel_spec(name)
+    rng = stream_for(61, R)
+    Z = spec.initial.sample(rng, R)
+    digest = hashlib.sha256(np.ascontiguousarray(Z, dtype="<i8").tobytes())
+    for _ in range(50):
+        Z = advance(spec, Z, rng)
+        digest.update(np.ascontiguousarray(Z, dtype="<i8").tobytes())
+    assert digest.hexdigest() == STREAM_DIGESTS[name][[1, 7, 300].index(R)]
+
+
+@pytest.mark.parametrize("R", [1, 7, 300])
+@pytest.mark.parametrize("name", SHIPPED + ["table_branches"])
+def test_kernel_equals_reference_kernel(name, R):
+    spec = kernel_spec(name)
     if name == "table_branches":
-        spec = spec_from_dict(table_branches_doc())
-        assert all(c.branches is None for c in spec.migration.components)
-    else:
-        spec = load_spec(spec_path(name))
+        assert not any(isinstance(c.prob_imm, Constant) for c in spec.migration.components)
     rng_a, rng_b = stream_for(61, R), stream_for(61, R)
     Z = spec.initial.sample(rng_a, R)
     assert np.array_equal(Z, spec.initial.sample(rng_b, R))
@@ -409,23 +473,32 @@ def test_compiled_kernel_equals_reference_kernel(name, R):
         assert empty_rows > 0  # rows reach zero, where emigration folds
 
 
-def test_branches_compile_the_folds():
-    def branches(name):
-        return [c.branches for c in load_spec(spec_path(name)).migration.components]
+def test_branch_probs_fold_missing_laws_and_empty_rows():
+    def components(name):
+        return load_spec(spec_path(name)).migration.components
 
-    (gamma,) = branches("gamma_single_type")
-    assert gamma.everyone_immigrates and not gamma.emigrates and gamma.empty is None
-    (death,) = branches("pure_death")
-    assert (death.lo, death.hi, death.emigrates, death.everyone_immigrates) == (1.0, 1.0, False, False)
-    for em in branches("pure_emigration"):
+    rows = np.array([3, 0, 1])  # one empty row
+    (gamma,) = components("gamma_single_type")
+    assert gamma.branch_probs(None, None, 1) == (0.0, 1.0, 0.0)  # every row immigrates
+    (death,) = components("pure_death")
+    assert death.branch_probs(None, None, 1) == (1.0, 0.0, 0.0)
+    for em in components("pure_emigration"):
         # no immigration law: prob_imm folds into none; an empty row cannot emigrate
-        assert (em.lo, em.hi, em.emigrates, em.empty) == (0.5, 0.5, True, (1.0, 1.0))
-    imm_em, _ = branches("two_type_mixed")
-    assert (imm_em.lo, imm_em.hi, imm_em.empty) == (0.5, 0.8, (0.7, 1.0))
-    assert not imm_em.everyone_immigrates
+        assert em.branch_probs(None, None, 1) == (0.5, 0.0, 0.5)
+        assert em.branch_probs(None, None, 0) == (1.0, 0.0, 0.0)
+        pn, pi, pe = em.branch_probs(None, None, rows)
+        assert (pn.tolist(), pi, pe.tolist()) == ([0.5, 1.0, 0.5], 0.0, [0.5, 0.0, 0.5])
+    imm_em, _ = components("two_type_mixed")
+    pn, pi, pe = imm_em.branch_probs(None, None, 1)
+    assert (pn, pn + pi, pe) == (0.5, 0.8, 0.2)
+    pn, pi, pe = imm_em.branch_probs(None, None, 0)
+    assert (pn, pn + pi, pe) == (0.7, 1.0, 0.0)
+    pn, pi, pe = imm_em.branch_probs(None, None, rows)
+    assert (pn + pi).tolist() == [0.8, 1.0, 0.8] and pn.tolist() == [0.5, 0.7, 0.5]
+    assert pe.tolist() == [0.2, 0.0, 0.2]
 
 
-def test_compiled_spec_copies_and_pickles():
+def test_copied_and_pickled_spec_draws_alike():
     import pickle
 
     spec = load_spec(spec_path("two_type_mixed"))
