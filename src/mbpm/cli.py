@@ -558,11 +558,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--out", help="output directory (default ./%(default)s)")
     parser.add_argument(
-        "--threshold-ks", type=_at_least(float, 0),
+        "--threshold-ks", type=_at_least(float, 0, 1),
         help="KS pass threshold (default 0.05; 0.07 for normal-limit)",
     )
     parser.add_argument(
-        "--threshold-rel", type=_at_least(float, 0),
+        "--threshold-rel", type=_at_least(float, 0, math.inf),
         help="relative-error threshold for l1-limit (default %(default)g)",
     )
     parser.add_argument(

@@ -317,27 +317,16 @@ def _inverse_cube_tail(q: float, c: float, head: int, n: int) -> float:
     rounding stays within a few ulps of the moment, because the head's
     first term |1 - c|**q is a fixed share of it.
 
-    The power 3/2 starts past a = head + 1 = 2^20 + 1.  Where |c| <= 0.8 a,
-    it is Euler-Maclaurin through the B2 term.  In s = sqrt(a / x), its
-    integral is 2 a^-1/2 times the integral of (1 - c s^2 / a)^(3/2) over
-    [sqrt(a / n), 1], a function analytic well beyond that interval, so 32
-    Gauss-Legendre nodes give it to rounding.  Farther out the tail is
+    The power 3/2 starts past a = head + 1 = 2^20 + 1 and is asked only
+    for |c| > 0.8 a (the classifier's shift c = zi), where the tail is
     dropped: it weighs less than 1/(2 a^2) + 2/c^2 < 1e-11 of the moment.
+    A shift closer to 0 is refused.
     """
     if q == 1.5:
-        a = head + 1
-        if abs(c) > 0.8 * a:
-            return 0.0
-        from numpy.polynomial.legendre import leggauss
-
-        nodes, weights = leggauss(32)
-        s0 = math.sqrt(a / n)
-        s = 0.5 * (1.0 + s0) + 0.5 * (1.0 - s0) * nodes
-        integral = (1.0 - s0) * a**-0.5 * float(np.sum(weights * (1.0 - c / a * s * s) ** 1.5))
-        g_a, g_n = a**-3.0 * (a - c) ** 1.5, n**-3.0 * (n - c) ** 1.5
-        slope_a = g_a * (1.5 / (a - c) - 3.0 / a)
-        slope_n = g_n * (1.5 / (n - c) - 3.0 / n)
-        return integral + 0.5 * (g_a + g_n) + (slope_n - slope_a) / 12.0
+        if abs(c) <= 0.8 * (head + 1):
+            raise ValueError(f"inverse-cube moment of power q = {q} past {head} terms "
+                             f"needs |c| > {0.8 * (head + 1):.10g}, got c = {c}")
+        return 0.0
 
     split = n if q == 2 else min(n, max(head, math.floor(c)))  # head < j <= split: j <= c
     sums = {k: [_h_sum(p, k) for p in (1, 2, 3)] for k in {head, split, n}}
@@ -468,7 +457,13 @@ class GeometricOffspring:
             return out
         pos = counts > 0
         if pos.any():
-            out[pos] = rng.negative_binomial(counts[pos], 1.0 - self._ratio)
+            try:
+                out[pos] = rng.negative_binomial(counts[pos], 1.0 - self._ratio)
+            except ValueError as exc:  # numpy: "n too large or p too small"
+                raise ValueError(
+                    f"geometric offspring of mean {self.mean:.10g} from {counts.max()} "
+                    "parents are past numpy's negative-binomial limit"
+                ) from exc
         return out
 
 
@@ -788,27 +783,23 @@ def _check_enumerable(law: str, zi: int):
 
 @dataclass(frozen=True)
 class UniformEmigration:
-    """D uniform on {1, ..., zi}: mean removals grow linearly with the count."""
+    """D uniform on {1, ..., zi}, for counts zi >= 1 (``branch_probs`` folds
+    zi = 0 away): mean removals grow linearly with the count."""
 
     def raw_moment(self, k: int, zi: int) -> float:
-        if zi <= 0:
-            return 0.0
         return _faulhaber(k, zi) / zi
 
     def sample_batch(self, rng, zi):
-        """One draw per entry of the counts zi (k,); 0 where a count is 0."""
-        zi = np.asarray(zi, dtype=np.int64)
-        return rng.integers(1, np.maximum(zi, 1), endpoint=True) * (zi > 0)
+        """One draw per entry of the counts zi (k,)."""
+        return rng.integers(1, np.asarray(zi, dtype=np.int64), endpoint=True)
 
     def abs_moment(self, q: float, c: float, zi: int) -> float:
-        """E|D - c|^q for q in {3/2, 2, 3} and a real c, at any count.
+        """E|D - c|^q for q in {3/2, 2, 3} and a real c.
 
         The atoms 1..zi split at c.  On each side the distances to c step
         by one from an offset: c minus the last atom below c, or the first
         atom above c minus c.  So each side is one _power_sum.
         """
-        if zi <= 0:
-            return abs(c) ** q
         m = math.floor(c)
         below = min(zi, m)  # atoms 1..below lie at or below c
         first = max(1, m + 1)  # atoms first..zi lie above c
@@ -816,8 +807,6 @@ class UniformEmigration:
         return total / zi
 
     def atoms(self, zi: int):
-        if zi <= 0:
-            return np.array([0]), np.array([1.0])
         _check_enumerable("uniform", zi)
         return np.arange(1, zi + 1), np.full(zi, 1.0 / zi)
 
@@ -830,7 +819,8 @@ class UniformEmigration:
 
 @dataclass(frozen=True)
 class TruncatedGeometricEmigration:
-    """D proportional to ratio**(j-1) on {1, ..., zi}."""
+    """D proportional to ratio**(j-1) on {1, ..., zi}, for counts zi >= 1
+    (``branch_probs`` folds zi = 0 away)."""
 
     ratio: float
 
@@ -847,8 +837,6 @@ class TruncatedGeometricEmigration:
         # is at most rho = (1 + 1/cut)^k s times the one before, so the
         # dropped tail is below t_cut rho / (1 - rho); cut doubles until that
         # is below 1e-16 of the sum.
-        if zi <= 0:
-            return 0.0
         s = self.ratio
         cut = 64
         while True:
@@ -864,9 +852,9 @@ class TruncatedGeometricEmigration:
         return total / self._mass(zi)
 
     def sample_batch(self, rng, zi):
-        """One draw per entry of the counts zi (k,); 0 where a count is 0."""
+        """One draw per entry of the counts zi (k,)."""
         zi = np.asarray(zi, dtype=np.int64)
-        return self._invert(rng.random(zi.shape), np.maximum(zi, 1)) * (zi > 0)
+        return self._invert(rng.random(zi.shape), zi)
 
     def _invert(self, unif, zi):
         # CDF(j) = (1 - s^j) / (1 - s^zi): solve for the smallest j with CDF >= U
@@ -876,8 +864,6 @@ class TruncatedGeometricEmigration:
         return np.minimum(np.maximum(j, 1), zi).astype(np.int64)
 
     def atoms(self, zi: int):
-        if zi <= 0:
-            return np.array([0]), np.array([1.0])
         # For huge counts, drop the analytically negligible geometric tail
         # (every term below 1e-18 of the total) instead of materializing it.
         cut = 1 + int(math.ceil(math.log(1e-18) / math.log(self.ratio)))
@@ -895,11 +881,10 @@ class TruncatedGeometricEmigration:
 
 @dataclass(frozen=True)
 class InverseCubeEmigration:
-    """D proportional to 1/j^3 on {1, ..., zi}: bounded mean, heavy tail."""
+    """D proportional to 1/j^3 on {1, ..., zi}, for counts zi >= 1
+    (``branch_probs`` folds zi = 0 away): bounded mean, heavy tail."""
 
     def raw_moment(self, k: int, zi: int) -> float:
-        if zi <= 0:
-            return 0.0
         norm = _h_sum(3, zi)
         if k == 1:
             return _h_sum(2, zi) / norm
@@ -912,16 +897,19 @@ class InverseCubeEmigration:
         raise ValueError(f"inverse-cube moments implemented for k <= 4, got {k}")
 
     def sample_batch(self, rng, zi):
-        """One draw per entry of the counts zi (k,); 0 where a count is 0.
+        """One draw per entry of the counts zi (k,), each at least 1.
 
         Zipf(3) draws, redrawn where they exceed their row's count: each
         draw is kept with probability >= 1/zeta(3) ~ 0.83 (rejection from
         the untruncated law, Devroye 1986), so the draws are exact at
-        every count.
+        every count.  Below 1 no draw is ever kept, so such a count is
+        refused.
         """
         zi = np.asarray(zi, dtype=np.int64)
+        if np.min(zi, initial=1) < 1:
+            raise ValueError(f"inverse-cube emigration needs counts >= 1, got {np.min(zi)}")
         out = np.zeros(zi.shape, dtype=np.int64)
-        rows = np.flatnonzero(zi > 0)
+        rows = np.arange(zi.size)
         while rows.size:
             draws = rng.zipf(3.0, size=rows.size)
             kept = draws <= zi[rows]
@@ -930,14 +918,13 @@ class InverseCubeEmigration:
         return out
 
     def abs_moment(self, q: float, c: float, zi: int) -> float:
-        """E|D - c|^q for q in {3/2, 2, 3} and a real c, at any count.
+        """E|D - c|^q for q in {3/2, 2, 3} and a real c.
 
         The first terms are summed directly: 64 of them for the integer
         powers, up to 2^20 for the power 3/2.  The rest is
-        _inverse_cube_tail.
+        _inverse_cube_tail.  Past 2^20 the power 3/2 takes only shifts
+        |c| > 0.8 (2^20 + 1), such as the classifier's c = zi.
         """
-        if zi <= 0:
-            return abs(c) ** q
         if q not in (1.5, 2, 3):
             raise ValueError(f"inverse-cube moments implemented for q in {{3/2, 2, 3}}, got {q}")
         head = min(zi, _INVERSE_CUBE_HEAD if q == 1.5 else _EM_START)
@@ -948,8 +935,6 @@ class InverseCubeEmigration:
         return total / _h_sum(3, zi)
 
     def atoms(self, zi: int):
-        if zi <= 0:
-            return np.array([0]), np.array([1.0])
         _check_enumerable("inverse-cube", zi)
         j = np.arange(1, zi + 1)
         return j, j.astype(float) ** -3.0 / _h_sum(3, zi)
@@ -966,7 +951,8 @@ class InverseCubeEmigration:
 
 @dataclass(frozen=True)
 class DeterministicEmigration:
-    """Remove a fixed number, capped at the available count."""
+    """Remove a fixed number, capped at the available count zi >= 1
+    (``branch_probs`` folds zi = 0 away)."""
 
     value: int
 
@@ -975,17 +961,13 @@ class DeterministicEmigration:
             raise ValueError("emigration size must be an integer >= 1")
 
     def raw_moment(self, k: int, zi: int) -> float:
-        if zi <= 0:
-            return 0.0
         return float(min(self.value, zi)) ** k
 
     def sample_batch(self, rng, zi):
-        """One draw per entry of the counts zi (k,); 0 where a count is 0."""
-        return np.clip(np.asarray(zi, dtype=np.int64), 0, int(self.value))
+        """One draw per entry of the counts zi (k,)."""
+        return np.minimum(np.asarray(zi, dtype=np.int64), int(self.value))
 
     def atoms(self, zi: int):
-        if zi <= 0:
-            return np.array([0]), np.array([1.0])
         return np.array([min(int(self.value), zi)]), np.array([1.0])
 
     def mean_leading(self) -> tuple:

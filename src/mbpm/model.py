@@ -176,6 +176,11 @@ class MigrationComponent:
         constant probabilities become per-row arrays.  The kernel calls
         this at every step, so the zero-count mask is built only where
         there is an emigration law.
+
+        This fold, with the ``pe > 0`` mask of ``sample_migration``, is the
+        one place the zero-count rule lives: the emigration laws are
+        defined only on counts >= 1, and every caller (the kernel,
+        ``moments`` and ``classify``) reaches them only where pe > 0.
         """
         pn = self.prob_none(z, u)
         pi = self.prob_imm(z, u)
@@ -399,7 +404,10 @@ def sample_migration(spec: MigrationSpec, Z, rng, u=None):
     a uniform x: immigration on [pn, pn + pi), emigration on [pn + pi, 1)
     where pe > 0.  One uniform per row chooses the row's branch;
     immigration and emigration then draw only for the rows in their
-    branch, at those rows' states and counts.  Where pn is one scalar
+    branch, at those rows' states and counts.  The pe > 0 mask, with the
+    fold in ``branch_probs``, is the one place the zero-count rule lives:
+    at a folded row pn + pi can round to just below 1, and the mask keeps
+    that row's count of 0 away from the emigration law.  Where pn is one scalar
     <= 0 and pn + pi >= 1, every row immigrates, and the draw takes no
     masks.  The uniforms are drawn even then, so the stream does not
     depend on the shortcut.

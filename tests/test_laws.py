@@ -555,14 +555,14 @@ def test_immigration_draws_only_at_the_selected_rows(law, reads_states):
 
 
 def draws_at_count(law, zi, seed):
-    """Draw at a shuffled vector of counts 0, 1 and zi; check every row's
-    support and return the draws of the rows at count zi."""
+    """Draw at a shuffled vector of counts 1 and zi; check every row's
+    support and return the draws of the rows at count zi.  Emigration laws
+    are defined on counts >= 1 only: branch_probs folds a count of 0 away."""
     rng = np.random.default_rng(seed)
-    counts = rng.permutation(np.repeat([0, 1, zi], [1000, 1000, 100_000]))
+    counts = rng.permutation(np.repeat([1, zi], [1000, 100_000]))
     draws = law.sample_batch(rng, counts)
     assert draws.shape == counts.shape
-    assert (draws[counts == 0] == 0).all()
-    assert ((draws >= 1) & (draws <= counts))[counts > 0].all()
+    assert ((draws >= 1) & (draws <= counts)).all()
     return draws[counts == zi]
 
 
@@ -613,6 +613,9 @@ def test_inverse_cube_emigration_moments():
     assert abs(coeff - big) < 1e-4 and exponent == 0.0
     draws = draws_at_count(law, zi, 13)
     assert oracles.total_variation(empirical_pmf(draws), oracle) < 0.02
+    # its rejection loop would never end below a count of 1
+    with pytest.raises(ValueError, match=r"^inverse-cube emigration needs counts >= 1, got 0$"):
+        law.sample_batch(np.random.default_rng(13), np.array([3, 0, 5]))
 
 
 @pytest.mark.parametrize("law", [UniformEmigration(), TruncatedGeometricEmigration(ratio=0.9),
@@ -711,16 +714,22 @@ def test_emigration_abs_moments_match_the_atoms_of_each_count():
 
 
 def test_inverse_cube_abs_moments_past_the_direct_head():
-    # past 2^20 terms the power 3/2 adds a Gauss-Legendre tail where
-    # |c| <= 0.8 (2^20 + 1), and otherwise drops a tail below 1e-11 of it
+    # past 2^20 terms the power 3/2 drops a tail below 1e-11 of the moment
+    # where |c| > 0.8 (2^20 + 1), as at the classifier's shift c = zi, and
+    # refuses a shift closer to 0
     law = InverseCubeEmigration()
     n = 2**20 + 4097
     j = np.arange(1, n + 1, dtype=float)
     w = j**-3.0
-    for c, rel_15 in ((-7.5, 1e-12), (1.37, 1e-12), (1000.5, 1e-12), (-5e5, 1e-12),
-                      (5e5, 1e-12), (9e5, 1e-11), (float(n), 1e-11), (2e6 + 0.5, 1e-11)):
+    for c, rel_15 in ((-7.5, None), (1.37, None), (1000.5, None), (-5e5, None),
+                      (5e5, None), (9e5, 1e-11), (float(n), 1e-11), (2e6 + 0.5, 1e-11)):
         d = np.abs(j - c)
         for q, rel in ((1.5, rel_15), (2.0, 1e-12), (3.0, 1e-12)):
+            if rel is None:
+                with pytest.raises(ValueError, match=rf"power q = 1.5 past 1048576 terms needs "
+                                                     rf"\|c\| > 838861.6, got c = {c}$"):
+                    law.abs_moment(q, c, n)
+                continue
             direct = float(np.sum(w * d**q) / np.sum(w))
             assert law.abs_moment(q, c, n) == pytest.approx(direct, rel=rel, abs=0), (q, c)
 

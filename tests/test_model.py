@@ -11,9 +11,11 @@ from mbpm import (
     BernoulliOffspring,
     Clamp,
     Constant,
+    DeterministicEmigration,
     DeterministicImmigration,
     DeterministicInitial,
     FiniteOffspring,
+    InverseCubeEmigration,
     MigrationComponent,
     MigrationSpec,
     ModelSpec,
@@ -24,11 +26,17 @@ from mbpm import (
     SpecFormatError,
     Table,
     TableOffspring,
+    TruncatedGeometricEmigration,
+    UniformEmigration,
     advance,
+    cli,
+    cond_var,
     load_spec,
+    migration_abs_moments,
     run_ensemble,
     sample_migration,
     sample_step_batch,
+    sigma2,
     simulate_path,
     spec_digest,
     spec_from_dict,
@@ -498,6 +506,65 @@ def test_branch_probs_fold_missing_laws_and_empty_rows():
     assert pe.tolist() == [0.2, 0.0, 0.2]
 
 
+EMIGRATION_LAWS = (UniformEmigration, TruncatedGeometricEmigration, InverseCubeEmigration,
+                   DeterministicEmigration)
+
+
+def four_emigrations_spec():
+    """Four types, one per emigration law, each with Poisson(1/4) children
+    of every type (critical) and +1 or -D with probability 1/4 each."""
+    offspring = OffspringSpec(laws=tuple(
+        IndependentOffspring(components=(PoissonOffspring(mean=0.25),) * 4) for _ in range(4)))
+    comps = tuple(
+        MigrationComponent(prob_none=Constant(0.5), prob_imm=Constant(0.25),
+                           prob_em=Constant(0.25), immigration=DeterministicImmigration(value=1),
+                           emigration=law)
+        for law in (UniformEmigration(), TruncatedGeometricEmigration(ratio=0.5),
+                    InverseCubeEmigration(), DeterministicEmigration(value=2)))
+    return ModelSpec(offspring, MigrationSpec(components=comps),
+                     DeterministicInitial(state=(1, 1, 1, 1)))
+
+
+def test_emigration_laws_see_only_positive_counts(tmp_path, monkeypatch):
+    # branch_probs folds an empty type's emigration into "no migration", and
+    # the laws are defined only on counts >= 1: check every count they are
+    # handed by the kernel, the exact moments and the classifier
+    reached = set()
+
+    def checking(law, name, at):
+        method = getattr(law, name)
+
+        def wrapped(self, *args):
+            lowest = np.min(args[at])
+            assert lowest >= 1, f"{law.__name__}.{name} was handed a count of {lowest}"
+            reached.add(law)
+            return method(self, *args)
+        return wrapped
+
+    for law in EMIGRATION_LAWS:
+        for name, at in (("raw_moment", 1), ("abs_moment", 2), ("atoms", 0),
+                         ("sample_batch", 1)):
+            if hasattr(law, name):
+                monkeypatch.setattr(law, name, checking(law, name, at))
+
+    for spec in (load_spec(spec_path("pure_emigration")), load_spec(spec_path("two_type_mixed")),
+                 four_emigrations_spec()):
+        paths = run_ensemble(spec, 30, 200, 5, store_paths=True, workers=1).paths
+        assert (paths == 0).any()  # rows reach 0
+        u = spec.spectral().u
+        for z in ([0] * spec.dim, [0, 4, 0, 9][:spec.dim], [5, 0, 2, 0][:spec.dim]):
+            z = np.array(z)
+            cond_var(spec, z)
+            sigma2(spec, u, z)
+            for i in range(spec.dim):
+                migration_abs_moments(spec.migration, i, z, u,
+                                      [(1.5, -float(z[i])), (2.0, 0.5), (3.0, -1.0)])
+    for name in SHIPPED:
+        assert cli.main(["--spec", spec_path(name), "--suite", "classify",
+                         "--out", str(tmp_path / name)]) == 0
+    assert reached == set(EMIGRATION_LAWS)
+
+
 def test_copied_and_pickled_spec_draws_alike():
     import pickle
 
@@ -516,6 +583,21 @@ def test_immigration_rate_past_numpy_limit_is_named():
     with pytest.raises(ValueError, match=r"^Poisson immigration rate 1e\+19 is past numpy's "
                                          r"Poisson limit 9\.223372006e\+18$"):
         advance(spec, np.ones((3, 1), dtype=np.int64), stream_for(0, 0))
+
+
+def test_geometric_offspring_past_numpy_limit_are_named():
+    # numpy's own refusal reads "n too large or p too small"
+    doc = load_doc("gamma_single_type")
+    doc["offspring"][0]["components"][0] = {"family": "geometric", "mean": 1e6}
+    doc["migration"][0] = {"prob_none": {"kind": "constant", "value": 1.0},
+                           "prob_imm": {"kind": "constant", "value": 0.0},
+                           "prob_em": {"kind": "constant", "value": 0.0}}
+    doc["initial"]["state"] = [10**13]
+    spec = spec_from_dict(doc)
+    with pytest.raises(ValueError, match=r"^geometric offspring of mean 1000000 from "
+                                         r"10000000000000 parents are past numpy's "
+                                         r"negative-binomial limit$"):
+        advance(spec, np.array([spec.initial.state]), stream_for(0, 0))
 
 
 # ---------------------------------------------------------------------------
