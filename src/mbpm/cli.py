@@ -51,7 +51,16 @@ from .classify import (
     _probe_ray,
 )
 from .limits import a_seq, feller_params, lambda_n, params_from_spec
-from .model import ModelSpec, SpecFormatError, _integer, spec_digest, spec_from_dict
+from .model import (
+    ModelSpec,
+    SpecFormatError,
+    _integer,
+    _load_document,
+    _number,
+    _numbers,
+    spec_digest,
+    spec_from_dict,
+)
 from .montecarlo import (
     _run_starts,
     estimate_explosion,
@@ -181,16 +190,6 @@ def _quantile_columns(x):
     return [f"q{int(100 * q)}" for q in _FAN_QUANTILES], qs
 
 
-def _load_document(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise SpecFormatError("document", f"no such file: {path}")
-    except json.JSONDecodeError as exc:
-        raise SpecFormatError("document", f"not valid JSON: {exc}")
-
-
 # ---------------------------------------------------------------------------
 # Document extras: the optional top-level fields a suite reads, checked as
 # outside input before it runs; a malformed one raises SpecFormatError
@@ -198,18 +197,6 @@ def _load_document(path: str) -> dict:
 
 _LIMIT_KEYS = ("alpha", "c", "nu", "beta")
 _LIMIT_RTOL = 1e-12  # a limit block's value must equal the derived one to this, relative
-
-
-def _number(x, path: str) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
-        raise SpecFormatError(path, f"expected a finite number, got {x!r}")
-    return float(x)
-
-
-def _numbers(xs, size: int, path: str) -> list:
-    if not isinstance(xs, list) or len(xs) != size:
-        raise SpecFormatError(path, f"expected a list of {size} numbers, got {xs!r}")
-    return [_number(x, f"{path}[{j}]") for j, x in enumerate(xs)]
 
 
 def _counts(z, dim: int, path: str) -> np.ndarray:
@@ -239,7 +226,7 @@ def _limit_block(block, dim: int) -> dict:
         path = f"limit.{key}"
         if key not in _LIMIT_KEYS:
             raise SpecFormatError(path, "unknown field (the block takes alpha, c, nu and beta)")
-        claimed[key] = _numbers(value, dim, path) if key == "c" else _number(value, path)
+        claimed[key] = _numbers(value, path, dim) if key == "c" else _number(value, path)
     return claimed
 
 
@@ -265,7 +252,7 @@ def _explosion_bounds(bounds) -> Optional[list]:
     """The interval [lo, hi] the explosion probability must fall in."""
     if bounds is None:
         return None
-    lo, hi = _numbers(bounds, 2, "explosion_bounds")
+    lo, hi = _numbers(bounds, "explosion_bounds", 2)
     if lo > hi:
         raise SpecFormatError("explosion_bounds", f"lower bound {lo!r} exceeds upper bound {hi!r}")
     return [lo, hi]
@@ -462,7 +449,10 @@ _SUITE_RUNNERS = {
 
 def run(config: ExperimentConfig) -> int:
     """Execute one suite; write report.json and plot data; return exit status."""
-    doc = _load_document(config.spec_path)
+    try:
+        doc = _load_document(config.spec_path)
+    except FileNotFoundError:
+        raise SpecFormatError("document", f"no such file: {config.spec_path}") from None
     spec = spec_from_dict(doc)
     runner = _SUITE_RUNNERS[config.suite]
     passed, payload, files = runner(spec, doc, config)

@@ -348,6 +348,22 @@ def _inverse_cube_tail(q: float, c: float, head: int, n: int) -> float:
 # Offspring marginals (counts of one child type from one parent)
 # ---------------------------------------------------------------------------
 
+
+def check_table(atoms, probs, noun: str, ndim: int = 1, least: int = 0):
+    """Refuse a finite law unless it has one atom per probability (an
+    integer, or with ndim = 2 an integer vector), every atom's entries are
+    at least ``least``, and the probabilities are nonnegative and sum to 1.
+    Each test is written so that a NaN fails it."""
+    a = np.asarray(atoms)
+    p = np.asarray(probs, dtype=float)
+    if a.ndim != ndim or p.ndim != 1 or len(a) != p.size or a.size == 0:
+        raise ValueError(f"{noun} needs one probability per atom")
+    if not ((a >= least).all() and np.array_equal(a, a.astype(int))):
+        raise ValueError(f"{noun} atoms must have integer entries >= {least}")
+    if not ((p >= 0.0).all() and abs(p.sum() - 1.0) <= 1e-12):
+        raise ValueError(f"{noun} probabilities must be nonnegative and sum to 1")
+
+
 # numpy's Poisson sampler rejects rates above this (numpy/random/_common.pyx).
 _POISSON_RATE_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 
@@ -385,7 +401,7 @@ class PoissonOffspring:
     mean: float
 
     def __post_init__(self):
-        if self.mean < 0:
+        if not self.mean >= 0:
             raise ValueError("poisson mean must be nonnegative")
 
     def var(self) -> float:
@@ -433,7 +449,7 @@ class GeometricOffspring:
     mean: float
 
     def __post_init__(self):
-        if self.mean < 0:
+        if not self.mean >= 0:
             raise ValueError("geometric mean must be nonnegative")
 
     @property
@@ -475,14 +491,7 @@ class TableOffspring:
     probs: tuple
 
     def __post_init__(self):
-        v = np.asarray(self.values)
-        p = np.asarray(self.probs, dtype=float)
-        if v.shape != p.shape or v.ndim != 1 or v.size == 0:
-            raise ValueError("table law needs matching nonempty values and probs")
-        if (v < 0).any() or not np.array_equal(v, v.astype(int)):
-            raise ValueError("table law values must be nonnegative integers")
-        if (p < 0).any() or abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError("table law probabilities must be nonnegative and sum to 1")
+        check_table(self.values, self.probs, "table law")
 
     @property
     def mean(self) -> float:
@@ -586,14 +595,7 @@ class FiniteOffspring:
     probs: tuple
 
     def __post_init__(self):
-        v = np.asarray(self.vectors)
-        p = np.asarray(self.probs, dtype=float)
-        if v.ndim != 2 or v.shape[0] != p.shape[0] or v.size == 0:
-            raise ValueError("finite offspring law needs one probability per vector")
-        if (v < 0).any() or not np.array_equal(v, v.astype(int)):
-            raise ValueError("offspring vectors must have nonnegative integer entries")
-        if (p < 0).any() or abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError("offspring probabilities must be nonnegative and sum to 1")
+        check_table(self.vectors, self.probs, "finite offspring law", ndim=2)
 
     @property
     def dim(self) -> int:
@@ -655,14 +657,11 @@ class ShiftedPoissonImmigration:
 
     def _rate(self, z, u):
         a = np.asarray(self.mean_fn(z, u))
-        if a.min() < 1.0 - 1e-12:
+        if not a.min() >= 1.0 - 1e-12:
             raise ValueError(
                 f"immigration mean {a.min()} fell below 1; clamp the mean state function"
             )
         return np.maximum(a - 1.0, 0.0)
-
-    def mean(self, z, u=None) -> float:
-        return 1.0 + self._rate(z, u)
 
     def raw_moment(self, k: int, z, u=None) -> float:
         lam = self._rate(z, u)
@@ -710,9 +709,6 @@ class DeterministicImmigration:
     def mean_fn(self) -> Constant:
         return Constant(float(self.value))
 
-    def mean(self, z=None, u=None) -> float:
-        return float(self.value)
-
     def raw_moment(self, k: int, z=None, u=None) -> float:
         return float(self.value) ** k
 
@@ -732,21 +728,11 @@ class TableImmigration:
     probs: tuple
 
     def __post_init__(self):
-        v = np.asarray(self.values)
-        p = np.asarray(self.probs, dtype=float)
-        if v.shape != p.shape or v.ndim != 1 or v.size == 0:
-            raise ValueError("immigration table needs matching values and probs")
-        if (v < 1).any() or not np.array_equal(v, v.astype(int)):
-            raise ValueError("immigration sizes must be integers >= 1")
-        if (p < 0).any() or abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError("immigration probabilities must sum to 1")
+        check_table(self.values, self.probs, "immigration table", least=1)
 
     @property
     def mean_fn(self) -> Constant:
-        return Constant(self.mean())
-
-    def mean(self, z=None, u=None) -> float:
-        return float(np.dot(self.values, self.probs))
+        return Constant(self.raw_moment(1))
 
     def raw_moment(self, k: int, z=None, u=None) -> float:
         return float(np.dot(np.asarray(self.values, dtype=float) ** k, self.probs))
@@ -759,7 +745,7 @@ class TableImmigration:
         return np.asarray(self.values, dtype=np.int64), np.asarray(self.probs, dtype=float)
 
     def var_leading(self) -> tuple:
-        spread = np.asarray(self.values, dtype=float) - self.mean()
+        spread = np.asarray(self.values, dtype=float) - self.raw_moment(1)
         var = float(np.dot(spread * spread, self.probs))
         return (var, 0.0) if var != 0.0 else (0.0, 0.0)
 

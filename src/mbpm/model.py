@@ -32,6 +32,7 @@ conditional mean acts as a left matrix product.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, NamedTuple, Optional
@@ -248,14 +249,7 @@ class TableInitial:
     probs: tuple
 
     def __post_init__(self):
-        s = np.asarray(self.states)
-        p = np.asarray(self.probs, dtype=float)
-        if s.ndim != 2 or s.shape[0] != p.shape[0] or s.size == 0:
-            raise ValueError("initial table needs one probability per state")
-        if (s < 0).any() or not np.array_equal(s, s.astype(int)):
-            raise ValueError("initial states must have nonnegative integer entries")
-        if (p < 0).any() or abs(p.sum() - 1.0) > _PROB_TOL:
-            raise ValueError("initial probabilities must be nonnegative and sum to 1")
+        laws.check_table(self.states, self.probs, "initial table", ndim=2)
 
     @property
     def dim(self) -> int:
@@ -380,7 +374,7 @@ def _check_branches(i: int, comp: MigrationComponent, where: str, values, emigra
             "but no emigration law"
         )
     for mean in values[3:]:
-        if mean < 1.0 - _PROB_TOL:
+        if not mean >= 1.0 - _PROB_TOL:
             raise ValueError(f"migration[{i}] immigration mean {mean} at {where} is below 1")
 
 
@@ -490,6 +484,22 @@ def _integer(x) -> int:
     raise ValueError(f"expected an integer, got {x!r}")
 
 
+def _number(x, path: str) -> float:
+    """A real-number field's value: a finite int or float, never a bool or a string."""
+    real = isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+    if not (real and math.isfinite(x)):
+        raise SpecFormatError(path, f"expected a finite number, got {x!r}")
+    return float(x)
+
+
+def _numbers(xs, path: str, size: Optional[int] = None) -> list:
+    """A list field's numbers, each read by ``_number``; ``size`` of them where given."""
+    if not isinstance(xs, (list, tuple)) or size not in (None, len(xs)):
+        count = "" if size is None else f"{size} "
+        raise SpecFormatError(path, f"expected a list of {count}numbers, got {xs!r}")
+    return [_number(x, f"{path}[{j}]") for j, x in enumerate(xs)]
+
+
 class _Conv(NamedTuple):
     """A field's conversion from its document value and back."""
 
@@ -567,9 +577,9 @@ def _each(block: _Block) -> _Conv:
     )
 
 
-_FLOAT = _Conv(lambda x, path: float(x), lambda x: x)
+_FLOAT = _Conv(_number, lambda x: x)
 _INT = _Conv(lambda x, path: _integer(x), int)
-_FLOATS = _Conv(lambda xs, path: tuple(float(x) for x in xs), list)
+_FLOATS = _Conv(lambda xs, path: tuple(_numbers(xs, path)), list)
 _INTS = _Conv(lambda xs, path: tuple(_integer(x) for x in xs), list)
 _INT_ROWS = _Conv(lambda rows, path: tuple(_INTS.read(row, path) for row in rows),
                   lambda rows: [list(row) for row in rows])
@@ -617,14 +627,21 @@ _INITIAL = _Block("kind", "initial law", {
 })
 
 
+# the model's fields, then the extras the command line's suites read
+_DOCUMENT_KEYS = ("dim", "offspring", "migration", "initial",
+                  "reference_state", "limit", "expected_verdict", "explosion_bounds")
+
+
 def spec_from_dict(doc: dict) -> ModelSpec:
     """Build and validate a ModelSpec from a configuration document.
 
-    Unknown top-level keys are allowed (experiment layers attach e.g. a
-    ``limit`` block); unknown or missing fields inside the model blocks
-    raise SpecFormatError naming the field.  ``dim`` may be left out; where
-    present it must be the number of types.
+    An unknown or missing field, at the top level (``_DOCUMENT_KEYS``) or
+    inside a model block, raises SpecFormatError naming the field.  ``dim``
+    may be left out; where present it must be the number of types.
     """
+    for key in _mapping(doc, ""):
+        if key not in _DOCUMENT_KEYS:
+            raise SpecFormatError(key, "unknown field")
     offspring_doc = _require(doc, "offspring", "")
     if not isinstance(offspring_doc, (list, tuple)):
         raise SpecFormatError("offspring", "expected a list of per-type offspring laws")
@@ -670,13 +687,19 @@ def spec_to_dict(spec: ModelSpec) -> dict:
     }
 
 
-def load_spec(path) -> ModelSpec:
+def _load_document(path) -> dict:
+    """The JSON document at path.  Raises SpecFormatError on text that is
+    not JSON or holds a NaN or Infinity literal, FileNotFoundError if there
+    is no file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh, parse_constant=lambda name: _number(float(name), "document"))
         except json.JSONDecodeError as exc:
             raise SpecFormatError("document", f"not valid JSON: {exc}") from exc
-    return spec_from_dict(doc)
+
+
+def load_spec(path) -> ModelSpec:
+    return spec_from_dict(_load_document(path))
 
 
 def spec_digest(spec: ModelSpec) -> str:

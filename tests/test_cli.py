@@ -1,6 +1,7 @@
 """End-to-end command line runs at reduced scale."""
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -569,6 +570,38 @@ def test_missing_file_exits_two(tmp_path, capsys):
                  "--out", str(tmp_path / "rep")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+# A misspelt extra would otherwise be ignored, and its gate with it: both
+# documents pass with the key misspelt and fail with it spelt right.
+@pytest.mark.parametrize("suite, doc_name, key, value", [
+    ("classify", "two_type_mixed", "expected_verdic", "growth-possible"),
+    ("explosion", "pure_death", "explosion_bound", [0.5, 1.0]),
+], ids=["expected-verdict", "explosion-bounds"])
+def test_unknown_top_level_field_exits_two(tmp_path, capsys, suite, doc_name, key, value):
+    doc = json.load(open(spec_path(doc_name)))
+    doc[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["--spec", str(bad), "--suite", suite, "--n", "20", "--reps", "50",
+                 "--out", str(tmp_path / "rep")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {key}: unknown field\n"
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("suite", ["moments", "explosion"])
+def test_non_finite_literal_exits_two(tmp_path, capsys, suite):
+    doc = json.load(open(spec_path("small_support")))
+    doc["migration"][0]["immigration"]["probs"] = [math.nan, 1.0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))  # a NaN literal, which JSON itself does not have
+    assert "[NaN, 1.0]" in bad.read_text()
+    code = main(["--spec", str(bad), "--suite", suite, "--n", "20", "--reps", "50",
+                 "--out", str(tmp_path / "rep")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: document: expected a finite number, got nan\n"
+    assert not (tmp_path / "rep").exists()
 
 
 def test_malformed_document_names_field(tmp_path, capsys):

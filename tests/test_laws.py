@@ -191,7 +191,7 @@ def test_state_function_leading_form_agrees_with_evaluation(f, s):
 ], ids=repr)
 def test_migration_law_leading_form_agrees_with_its_mean(law, s):
     if hasattr(law, "mean_fn"):
-        value, lead = float(law.mean([s])), law.mean_fn.leading()
+        value, lead = float(law.raw_moment(1, [s])), law.mean_fn.leading()
     else:
         value, lead = law.raw_moment(1, int(s)), law.mean_leading()
     assert_leading(value, lead, s, rel=2.0 / s)
@@ -459,7 +459,7 @@ def test_finite_offspring_vector_moments():
 def test_shifted_poisson_immigration_moments():
     law = ShiftedPoissonImmigration(mean_fn=Constant(2.0))
     z = np.array([10.0])
-    assert law.mean(z) == 2.0
+    assert law.raw_moment(1, z) == 2.0
     oracle = oracles.shifted_poisson_pmf(2.0)
     for k in range(1, 5):
         direct = oracles.pmf_moment(oracle, k)
@@ -472,8 +472,8 @@ def test_shifted_poisson_immigration_moments():
 
 def test_shifted_poisson_immigration_state_dependence():
     law = ShiftedPoissonImmigration(mean_fn=Clamp(Power(1.0, 0.5), lo=1.0))
-    assert law.mean(np.array([100.0])) == 10.0
-    assert law.mean(np.array([0.0])) == 1.0
+    assert law.raw_moment(1, np.array([100.0])) == 10.0
+    assert law.raw_moment(1, np.array([0.0])) == 1.0
     # one draw per selected row, each at its own row's mean
     sizes = np.tile([0, 100, 400], 50_000)
     rows = sizes < 400
@@ -485,8 +485,8 @@ def test_shifted_poisson_immigration_state_dependence():
 
 def test_shifted_poisson_immigration_rejects_mean_below_one():
     law = ShiftedPoissonImmigration(mean_fn=Constant(0.5))
-    with pytest.raises(ValueError):
-        law.mean(np.array([4.0]))
+    with pytest.raises(ValueError, match="below 1"):
+        law.raw_moment(1, np.array([4.0]))
     # a stack of states raises if any selected row's mean is below 1
     law = ShiftedPoissonImmigration(mean_fn=Power(1.0, 1.0))
     Z = np.array([[4], [0], [9]])
@@ -509,7 +509,7 @@ def test_deterministic_immigration():
 
 def test_table_immigration():
     law = TableImmigration(values=(1, 4), probs=(0.75, 0.25))
-    assert abs(law.mean() - 1.75) < 1e-15
+    assert abs(law.raw_moment(1) - 1.75) < 1e-15
     assert abs(law.raw_moment(2) - (0.75 + 0.25 * 16)) < 1e-15
     assert law.mean_fn == Constant(1.75)
     with pytest.raises(ValueError):
@@ -792,6 +792,6 @@ def test_deterministic_emigration_cap():
     assert law.raw_moment(3, 5) == 8.0
     assert law.raw_moment(1, 1) == 1.0  # capped at the available count
     rng = np.random.default_rng(14)
-    assert law.sample_batch(rng, np.array([0, 1, 7, 2])).tolist() == [0, 1, 2, 2]
+    assert law.sample_batch(rng, np.array([1, 1, 7, 2])).tolist() == [1, 1, 2, 2]
     with pytest.raises(ValueError):
         DeterministicEmigration(value=0)

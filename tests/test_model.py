@@ -1,6 +1,7 @@
 """Model assembly, sampling, and round-trip serialization."""
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from mbpm import (
     DeterministicImmigration,
     DeterministicInitial,
     FiniteOffspring,
+    GeometricOffspring,
     InverseCubeEmigration,
     MigrationComponent,
     MigrationSpec,
@@ -23,8 +25,11 @@ from mbpm import (
     PoissonOffspring,
     IndependentOffspring,
     Power,
+    ShiftedPoissonImmigration,
     SpecFormatError,
     Table,
+    TableImmigration,
+    TableInitial,
     TableOffspring,
     TruncatedGeometricEmigration,
     UniformEmigration,
@@ -107,6 +112,22 @@ def test_validate_rejects_missing_immigration_law():
     spec = single_type_spec(prob_none=0.5, prob_imm=0.5, immigration=None)
     with pytest.raises(ValueError, match="no immigration law"):
         spec.validate()
+
+
+# A NaN fails every comparison, so each range check must be one that NaN fails.
+@pytest.mark.parametrize("make", [
+    lambda: PoissonOffspring(math.nan),
+    lambda: GeometricOffspring(math.nan),
+    lambda: single_type_spec(immigration=ShiftedPoissonImmigration(Constant(math.nan))).validate(),
+    lambda: TableOffspring((0, 1), (math.nan, 1.0)),
+    lambda: FiniteOffspring(((0,), (1,)), (math.nan, 1.0)),
+    lambda: TableImmigration((1, 2), (math.nan, 1.0)),
+    lambda: TableInitial(((0,), (1,)), (math.nan, 1.0)),
+], ids=["poisson-mean", "geometric-mean", "shifted-poisson-mean", "table-offspring",
+        "finite-offspring", "table-immigration", "table-initial"])
+def test_nan_parameters_are_refused(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 def _table(breaks, values):
@@ -827,7 +848,7 @@ def _edited(doc, keys, value):
     # a constructor's refusal is reported at its block
     (("migration", 1, "prob_imm", "lo"), 0.5, "migration[1].prob_imm: clamp bounds are inverted"),
     (("offspring", 0, "components", 0, "mean"), "abc",
-     "offspring[0].components[0]: could not convert string to float: 'abc'"),
+     "offspring[0].components[0].mean: expected a finite number, got 'abc'"),
     (("offspring", 0, "components"), 3, "offspring[0]: 'int' object is not iterable"),
     (("offspring",), [], "offspring: offspring spec needs at least one type"),
     (("offspring", 0, "components"), [{"family": "poisson", "mean": 0.3}],
@@ -887,6 +908,70 @@ def test_integer_fields_accept_integral_floats(keys, path):
         target = target[k]
     spec = spec_from_dict(_edited(doc, keys, float(target)))
     assert spec_digest(spec) == spec_digest(spec_from_dict(copy.deepcopy(doc)))
+
+
+# Every real-number field of ALL_FAMILIES, one of each kind and family.
+_REAL_FIELDS = [
+    ("offspring", 0, "components", 0, "mean"),
+    ("offspring", 0, "components", 1, "prob"),
+    ("offspring", 0, "components", 2, "mean"),
+    ("offspring", 1, "probs", 0),
+    ("offspring", 2, "components", 0, "probs", 1),
+    ("migration", 0, "prob_none", "coeff"),
+    ("migration", 0, "prob_none", "exponent"),
+    ("migration", 0, "prob_imm", "breaks", 1),
+    ("migration", 0, "prob_imm", "values", 0),
+    ("migration", 0, "immigration", "mean", "lo"),
+    ("migration", 1, "prob_imm", "hi"),
+    ("migration", 1, "prob_none", "value"),
+    ("migration", 1, "emigration", "ratio"),
+    ("migration", 2, "immigration", "probs", 0),
+    ("initial", "probs", 1),
+]
+
+
+def _field_path(keys) -> str:
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, True, "0.5"],
+                         ids=["nan", "inf", "bool", "string"])
+@pytest.mark.parametrize("keys", _REAL_FIELDS, ids=_field_path)
+def test_real_fields_refuse_non_numbers(keys, value):
+    with pytest.raises(SpecFormatError) as err:
+        spec_from_dict(_edited(ALL_FAMILIES, keys, value))
+    assert str(err.value) == f"{_field_path(keys)}: expected a finite number, got {value!r}"
+
+
+@pytest.mark.parametrize("keys", [
+    ("offspring", 1, "probs"),
+    ("offspring", 2, "components", 0, "probs"),
+    ("migration", 0, "prob_imm", "breaks"),
+    ("migration", 2, "immigration", "probs"),
+    ("initial", "probs"),
+], ids=_field_path)
+def test_list_fields_refuse_strings(keys):
+    with pytest.raises(SpecFormatError) as err:
+        spec_from_dict(_edited(ALL_FAMILIES, keys, "01"))
+    assert str(err.value) == f"{_field_path(keys)}: expected a list of numbers, got '01'"
+
+
+def test_unknown_top_level_field_is_refused():
+    doc = dict(ALL_FAMILIES, expected_verdic="no-growth")
+    with pytest.raises(SpecFormatError) as err:
+        spec_from_dict(doc)
+    assert str(err.value) == "expected_verdic: unknown field"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_load_spec_refuses_non_finite_literals(tmp_path, value):
+    path = tmp_path / "literal.json"
+    path.write_text(json.dumps(_edited(ALL_FAMILIES, ("offspring", 0, "components", 0, "mean"),
+                                       value)))
+    assert ("NaN" if math.isnan(value) else "Infinity") in path.read_text()
+    with pytest.raises(SpecFormatError) as err:
+        load_spec(str(path))
+    assert str(err.value) == f"document: expected a finite number, got {value!r}"
 
 
 def test_load_spec_missing_file(tmp_path):
