@@ -50,7 +50,6 @@ _EXPORTS = {
         "OffspringSpec",
         "SpecFormatError",
         "TableInitial",
-        "Trajectory",
         "advance",
         "load_spec",
         "sample_migration",

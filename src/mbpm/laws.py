@@ -1,14 +1,14 @@
 """Distribution families for offspring, immigration, and emigration.
 
 Every family carries exact low-order moments next to its sampler, so the
-moment formulas elsewhere never fall back on Monte Carlo.  Migration laws
-also enumerate their support (`atoms`, truncated below a tolerance where
-it is infinite).  The classifier's absolute moments read `atoms` only
-where the support is a window that does not grow with the count.  Uniform
-and inverse-cube emigration, whose support does grow, give E|D - c|^q in
-closed form (`abs_moment`), and their `atoms` serve the tests as its
-oracle.  The total-variation checks of the tests enumerate the transition
-law on their own.
+moment formulas elsewhere never fall back on Monte Carlo.  Each migration
+law answers absolute moments one way.  A law whose support is a window
+that does not grow with the count enumerates it (`atoms`, truncated below
+a tolerance where it is infinite).  Uniform and inverse-cube emigration,
+whose support grows with the count, have no `atoms`: they give
+E|D - c|^q in closed form (`abs_moment`).  The tests enumerate those
+supports, and the transition law of their total-variation checks, on
+their own.
 
 State-dependent quantities (migration probabilities, immigration means)
 are expressed through a small closed set of *state functions* of the
@@ -39,7 +39,7 @@ import numpy as np
 
 # Tail mass permitted to be dropped when enumerating an infinite support.
 DEFAULT_ATOM_TAIL = 1e-12
-# Largest number of atoms an enumeration builds.
+# Largest Poisson window an enumeration builds.
 _ENUM_LIMIT = 1 << 20
 # Argument from which the power and harmonic sums switch to Euler-Maclaurin,
 # and the number of inverse-cube terms summed before the harmonic sums take
@@ -758,15 +758,6 @@ ImmigrationLaw = ShiftedPoissonImmigration | DeterministicImmigration | TableImm
 # ---------------------------------------------------------------------------
 
 
-def _check_enumerable(law: str, zi: int):
-    """Refuse to enumerate the zi atoms {1, ..., zi} past ``_ENUM_LIMIT``."""
-    if zi > _ENUM_LIMIT:
-        raise ValueError(
-            f"{law} emigration from a count of {zi} is too large to enumerate "
-            f"(at most {_ENUM_LIMIT} atoms)"
-        )
-
-
 @dataclass(frozen=True)
 class UniformEmigration:
     """D uniform on {1, ..., zi}, for counts zi >= 1 (``branch_probs`` folds
@@ -791,10 +782,6 @@ class UniformEmigration:
         first = max(1, m + 1)  # atoms first..zi lie above c
         total = _power_sum(q, below, c - below) + _power_sum(q, zi - first + 1, first - c)
         return total / zi
-
-    def atoms(self, zi: int):
-        _check_enumerable("uniform", zi)
-        return np.arange(1, zi + 1), np.full(zi, 1.0 / zi)
 
     def mean_leading(self) -> tuple:
         return (0.5, 1.0)  # the mean (zi + 1) / 2
@@ -919,11 +906,6 @@ class InverseCubeEmigration:
         if zi > head:
             total += _inverse_cube_tail(q, c, head, zi)
         return total / _h_sum(3, zi)
-
-    def atoms(self, zi: int):
-        _check_enumerable("inverse-cube", zi)
-        j = np.arange(1, zi + 1)
-        return j, j.astype(float) ** -3.0 / _h_sum(3, zi)
 
     def mean_leading(self) -> tuple:
         return (_ZETA2 / _ZETA3, 0.0)

@@ -378,14 +378,6 @@ def _check_branches(i: int, comp: MigrationComponent, where: str, values, emigra
             raise ValueError(f"migration[{i}] immigration mean {mean} at {where} is below 1")
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    states: np.ndarray  # (n+1, p) int64
-
-    def __len__(self) -> int:
-        return self.states.shape[0]
-
-
 # ---------------------------------------------------------------------------
 # Sampling: one transition kernel on arrays of states
 # ---------------------------------------------------------------------------
@@ -439,8 +431,9 @@ def advance(spec: ModelSpec, Z, rng):
     return spec.offspring.sample_sum_batch(rng, counts)
 
 
-def simulate_path(spec: ModelSpec, n: int, rng) -> Trajectory:
-    """A trajectory of n steps from the initial law: ``advance`` on a single row."""
+def simulate_path(spec: ModelSpec, n: int, rng) -> np.ndarray:
+    """The (n + 1, p) int64 states of n steps from the initial law:
+    ``advance`` on a single row."""
     if n < 0:
         raise ValueError("horizon must be nonnegative")
     states = np.empty((n + 1, spec.dim), dtype=np.int64)
@@ -449,7 +442,7 @@ def simulate_path(spec: ModelSpec, n: int, rng) -> Trajectory:
     for k in range(n):
         Z = advance(spec, Z, rng)
         states[k + 1] = Z[0]
-    return Trajectory(states=states)
+    return states
 
 
 def sample_step_batch(spec: ModelSpec, z, size: int, rng):
@@ -498,6 +491,20 @@ def _numbers(xs, path: str, size: Optional[int] = None) -> list:
         count = "" if size is None else f"{size} "
         raise SpecFormatError(path, f"expected a list of {count}numbers, got {xs!r}")
     return [_number(x, f"{path}[{j}]") for j, x in enumerate(xs)]
+
+
+def _integers(xs, path: str) -> tuple:
+    """A list field's integers, each read by ``_integer``."""
+    if not isinstance(xs, (list, tuple)):
+        raise SpecFormatError(path, f"expected a list of integers, got {xs!r}")
+    return tuple(_integer(x) for x in xs)
+
+
+def _integer_rows(rows, path: str) -> tuple:
+    """A list field's integer lists, each read by ``_integers``."""
+    if not isinstance(rows, (list, tuple)):
+        raise SpecFormatError(path, f"expected a list of integer lists, got {rows!r}")
+    return tuple(_integers(row, f"{path}[{j}]") for j, row in enumerate(rows))
 
 
 class _Conv(NamedTuple):
@@ -580,9 +587,8 @@ def _each(block: _Block) -> _Conv:
 _FLOAT = _Conv(_number, lambda x: x)
 _INT = _Conv(lambda x, path: _integer(x), int)
 _FLOATS = _Conv(lambda xs, path: tuple(_numbers(xs, path)), list)
-_INTS = _Conv(lambda xs, path: tuple(_integer(x) for x in xs), list)
-_INT_ROWS = _Conv(lambda rows, path: tuple(_INTS.read(row, path) for row in rows),
-                  lambda rows: [list(row) for row in rows])
+_INTS = _Conv(_integers, list)
+_INT_ROWS = _Conv(_integer_rows, lambda rows: [list(row) for row in rows])
 
 # a state function field; bound late, as a clamp nests one in the registry below
 _STATE = _Conv(lambda d, path: _read(_STATE_FN, d, path), lambda f: _write(_STATE_FN, f))

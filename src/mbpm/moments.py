@@ -19,8 +19,9 @@ probability, -D_i with the emigration probability, so
 
 The growth criteria read absolute moments E|M_i - a|^q at the orders
 3/2, 2 and 3, which mix the same three branches (migration_abs_moments).
-Uniform and inverse-cube emigration, whose support grows with the count,
-enter through their closed forms, not their atoms.
+They sum over the one enumeration migration_atoms.  Uniform and
+inverse-cube emigration, whose support grows with the count, have no
+atoms and enter through their closed forms.
 """
 from __future__ import annotations
 
@@ -29,11 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import odot
-from .laws import InverseCubeEmigration, UniformEmigration
 from .model import MigrationSpec, ModelSpec
-
-# Emigration laws with one atom per removal size up to the count
-_GROWING_SUPPORT = (UniformEmigration, InverseCubeEmigration)
 
 
 def _component_raws(comp, k: int, z, u, zi: int) -> list:
@@ -85,58 +82,52 @@ def migration_kappa(spec: MigrationSpec, z, u=None):
     return np.array(out)
 
 
-def _component_atoms(comp, z, u, zi: int, branches, emigration: bool = True):
-    """The atoms of one component's adjustment, the emigration branch's only
-    when ``emigration`` is set."""
-    pn, pi, pe = branches
+def migration_atoms(spec: MigrationSpec, i: int, z, u=None):
+    """Support and probabilities of component i's adjustment M_i at z.
+
+    Three branches: the atom 0 of no migration, the immigration atoms, and
+    the emigration atoms where the law has ``atoms``.  Values are floats
+    (they include negatives).  The probabilities fall short of 1 by the
+    enumeration tail of unbounded immigration supports, and by the whole
+    mass of a uniform or inverse-cube emigration branch, whose support
+    grows with the count.
+    """
+    z = np.asarray(z, dtype=np.int64)
+    comp = spec.components[i]
+    zi = int(z[i])
+    pn, pi, pe = comp.branch_probs(z, u, zi)
     values = [np.zeros(1)]
     probs = [np.array([pn])]
     if pi > 0.0:
         iv, ip = comp.immigration.atoms(z, u)
         values.append(iv.astype(float))
         probs.append(pi * ip)
-    if pe > 0.0 and emigration:
+    if pe > 0.0 and hasattr(comp.emigration, "atoms"):
         dv, dp = comp.emigration.atoms(zi)
         values.append(-dv.astype(float))
         probs.append(pe * dp)
     return np.concatenate(values), np.concatenate(probs)
 
 
-def migration_atoms(spec: MigrationSpec, i: int, z, u=None):
-    """Support and probabilities of component i's adjustment M_i at z.
-
-    The tests' oracle for migration_abs_moments.  Values are floats (they
-    include negatives); probabilities may undershoot 1 by the enumeration
-    tail of unbounded immigration supports.
-    """
-    z = np.asarray(z, dtype=np.int64)
-    comp = spec.components[i]
-    zi = int(z[i])
-    return _component_atoms(comp, z, u, zi, comp.branch_probs(z, u, zi))
-
-
 def migration_abs_moments(spec: MigrationSpec, i: int, z, u, pairs) -> list:
     """E|M_i - a|^q of component i's adjustment at z, one per (q, a) in pairs,
     for q in {3/2, 2, 3} and real shifts a.
 
-    The branch probabilities are evaluated once for all pairs.  The atom
-    at 0, the immigration window and the atoms of a bounded emigration law
-    are summed as one array.  Uniform and inverse-cube emigration, whose
-    support grows with the count, add their closed form instead:
+    Each moment sums over migration_atoms.  An emigration law without
+    atoms adds its closed form, weighted by the emigration probability:
     E|-D - a|^q = E|D - (-a)|^q.
     """
     z = np.asarray(z, dtype=np.int64)
+    vals, probs = migration_atoms(spec, i, z, u)
     comp = spec.components[i]
     zi = int(z[i])
-    branches = comp.branch_probs(z, u, zi)
-    pe = branches[2]
-    closed = pe > 0.0 and isinstance(comp.emigration, _GROWING_SUPPORT)
-    vals, probs = _component_atoms(comp, z, u, zi, branches, emigration=not closed)
+    closed = getattr(comp.emigration, "abs_moment", None)
+    pe = comp.branch_probs(z, u, zi)[2] if closed else 0.0
     out = []
     for q, a in pairs:
         moment = float(np.sum(probs * np.abs(vals - a) ** q))
-        if closed:
-            moment += pe * comp.emigration.abs_moment(q, -a, zi)
+        if pe > 0.0:
+            moment += pe * closed(q, -a, zi)
         out.append(moment)
     return out
 

@@ -11,7 +11,8 @@ import time
 
 import pytest
 
-from mbpm import load_spec, run_ensemble
+import oracles
+from mbpm import InverseCubeEmigration, UniformEmigration, load_spec, run_ensemble
 
 SPEC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "specs")
 
@@ -34,6 +35,19 @@ def spec_path(name):
 def load_doc(name):
     with open(spec_path(name)) as fh:
         return json.load(fh)
+
+
+# The oracle atoms of the emigration laws whose support grows with the count,
+# which have none of their own.
+_GROWING_ATOMS = {UniformEmigration: oracles.uniform_atoms,
+                  InverseCubeEmigration: oracles.inverse_cube_atoms}
+
+
+def emigration_atoms(law, zi):
+    """The atoms (values, probs) of an emigration law at the count zi >= 1:
+    the oracle's where the support grows with the count, else the law's own."""
+    growing = _GROWING_ATOMS.get(type(law))
+    return growing(zi) if growing else law.atoms(zi)
 
 
 def run_fresh(argv, env=None, **kwargs):

@@ -1,11 +1,12 @@
 """Independent brute-force oracles used by the tests.
 
 Everything here is computed from first principles on plain Python
-numbers, or on numpy arrays for the dense-grid n-step law: probability
-tables are read from the raw model documents (or given literally), and
-expectations are direct weighted sums.  Nothing
-imports the library's law or moment machinery, so agreement between
-these values and the package is evidence, not tautology.
+numbers, or on numpy arrays for the dense-grid n-step law and for the
+emigration supports that grow with the count: probability tables are
+read from the raw model documents (or given literally), and expectations
+are direct weighted sums.  Nothing imports the library's law or moment
+machinery, so agreement between these values and the package is
+evidence, not tautology.
 """
 import math
 from itertools import product
@@ -67,6 +68,21 @@ def inverse_cube_pmf(zi):
     weights = [j ** -3.0 for j in range(1, zi + 1)]
     total = math.fsum(weights)
     return {j: w / total for j, w in zip(range(1, zi + 1), weights)}
+
+
+def uniform_atoms(zi):
+    """Uniform emigration on {1, ..., zi} as numpy arrays (values, probs),
+    for counts zi >= 1; fast enough to enumerate 2^20 atoms."""
+    weights = np.ones(zi)
+    return np.arange(1, zi + 1), weights / math.fsum(weights)
+
+
+def inverse_cube_atoms(zi):
+    """Inverse-cube emigration on {1, ..., zi} as numpy arrays (values,
+    probs), for counts zi >= 1; fast enough to enumerate 2^20 atoms."""
+    values = np.arange(1, zi + 1)
+    weights = values.astype(float) ** -3.0
+    return values, weights / math.fsum(weights)
 
 
 def pmf_moment(pmf, k, center=0.0, absolute=False):

@@ -19,14 +19,12 @@ from mbpm import (
     DeterministicImmigration,
     DeterministicInitial,
     IndependentOffspring,
-    InverseCubeEmigration,
     MigrationComponent,
     MigrationSpec,
     ModelSpec,
     OffspringSpec,
     PoissonOffspring,
     Power,
-    UniformEmigration,
     check_growth_support,
     check_hypothesis_C,
     classify_growth,
@@ -301,15 +299,12 @@ def test_classify_suite_without_perron_data(tmp_path, pure_death_spec):
     assert results["fitted_exponents"] is None
 
 
-def _refuse(*args, **kwargs):
-    raise AssertionError("classify enumerated a support that grows with the count")
-
-
 @pytest.mark.parametrize("doc_name", _EXPECTED_VERDICT_DOCS + ["small_support", "pure_death"])
 def test_classify_enumerates_no_growing_support(tmp_path, monkeypatch, capsys, doc_name):
-    # uniform and inverse-cube emigration have one atom per removal size, so
-    # classify reads their closed forms: with migration_atoms and their atoms
-    # refusing, every shipped document gives the same exit code, output and files
+    # classify's absolute moments read migration_atoms once per probe and
+    # type; uniform and inverse-cube emigration, one atom per removal size,
+    # enter through their closed forms, so no support it reads grows with
+    # the count (a uniform branch at the probe 10^5 would have 10^5 atoms)
     out = tmp_path / "rep"
 
     def run():
@@ -322,8 +317,19 @@ def test_classify_enumerates_no_growing_support(tmp_path, monkeypatch, capsys, d
         return code, files, capsys.readouterr()
 
     reference = run()
-    monkeypatch.setattr(mbpm.moments, "migration_atoms", _refuse)
-    monkeypatch.setattr(UniformEmigration, "atoms", _refuse)
-    monkeypatch.setattr(InverseCubeEmigration, "atoms", _refuse)
+    with open(out / "report.json") as fh:  # no fitted exponents where there is no probe ray
+        has_ray = json.load(fh)["results"]["fitted_exponents"] is not None
+    sizes = []
+    migration_atoms = mbpm.moments.migration_atoms
+
+    def recording(*args, **kwargs):
+        vals, probs = migration_atoms(*args, **kwargs)
+        sizes.append(len(vals))
+        return vals, probs
+
+    monkeypatch.setattr(mbpm.moments, "migration_atoms", recording)
     assert run() == reference
     assert reference[0] == 0
+    probes = len(CriteriaConfig().ray_points)
+    assert len(sizes) == has_ray * probes * load_spec(spec_path(doc_name)).dim
+    assert max(sizes, default=0) <= 1000

@@ -202,19 +202,19 @@ def test_step_stays_nonnegative(two_type_spec):
 
 
 def test_simulate_path_shape_and_stream(two_type_spec):
-    traj = simulate_path(two_type_spec, 100, stream_for(555, 3))
-    assert traj.states.shape == (101, 2)
-    assert len(traj) == 101
-    assert (traj.states[0] == [50, 30]).all()
-    assert (traj.states >= 0).all()
+    states = simulate_path(two_type_spec, 100, stream_for(555, 3))
+    assert states.shape == (101, 2)
+    assert states.dtype == np.int64
+    assert (states[0] == [50, 30]).all()
+    assert (states >= 0).all()
     # the path is a function of its stream
     again = simulate_path(two_type_spec, 100, stream_for(555, 3))
-    assert np.array_equal(traj.states, again.states)
+    assert np.array_equal(states, again)
 
 
 def test_pure_death_absorbs(pure_death_spec):
-    traj = simulate_path(pure_death_spec, 10, np.random.default_rng(2))
-    assert (traj.states[1:] == 0).all()
+    states = simulate_path(pure_death_spec, 10, np.random.default_rng(2))
+    assert (states[1:] == 0).all()
 
 
 def test_batch_and_step_agree_in_law(two_type_spec):
@@ -898,6 +898,25 @@ def test_integer_fields_refuse_non_integers(keys, path, value):
     with pytest.raises(SpecFormatError) as err:
         spec_from_dict(_edited(ALL_FAMILIES_DETERMINISTIC, keys, value))
     assert str(err.value) == f"{path}: expected an integer, got {value!r}"
+
+
+@pytest.mark.parametrize("doc, keys, value, message", [
+    (ALL_FAMILIES, ("offspring", 2, "components", 0, "values"), "012",
+     "offspring[2].components[0].values: expected a list of integers, got '012'"),
+    (ALL_FAMILIES_DETERMINISTIC, ("initial", "state"), 5,
+     "initial.state: expected a list of integers, got 5"),
+    (ALL_FAMILIES_DETERMINISTIC, ("initial", "state"), "21",
+     "initial.state: expected a list of integers, got '21'"),
+    (ALL_FAMILIES, ("initial", "states"), [[1, 2], 7],
+     "initial.states[1]: expected a list of integers, got 7"),
+    (ALL_FAMILIES, ("offspring", 1, "vectors"), 5,
+     "offspring[1].vectors: expected a list of integer lists, got 5"),
+], ids=["values-string", "state-int", "state-string", "states-row-int", "vectors-int"])
+def test_integer_list_fields_refuse_non_lists(doc, keys, value, message):
+    # a string is not read as a list of characters, nor a number as a list
+    with pytest.raises(SpecFormatError) as err:
+        spec_from_dict(_edited(doc, keys, value))
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("keys, path", _INTEGER_FIELDS, ids=_INTEGER_IDS)

@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import load_doc, spec_path
-from mbpm import cli
+from conftest import emigration_atoms, load_doc, spec_path
+from mbpm import cli, model
 from mbpm import (
     Constant,
     DeterministicEmigration,
@@ -101,13 +101,26 @@ def test_migration_moments_small_support():
         assert abs(h[i] - oracles.pmf_moment(pmf, 1)) < 1e-12
 
 
+def all_atoms(spec, i, z, u):
+    """migration_atoms with the emigration branch it leaves out, that of a
+    law whose support grows with the count, added from the oracle atoms."""
+    vals, probs = migration_atoms(spec.migration, i, z, u)
+    comp = spec.migration.components[i]
+    zi = int(z[i])
+    pe = comp.branch_probs(z, u, zi)[2]
+    if pe == 0.0 or hasattr(comp.emigration, "atoms"):
+        return vals, probs
+    dv, dp = emigration_atoms(comp.emigration, zi)
+    return np.concatenate((vals, -dv.astype(float))), np.concatenate((probs, pe * dp))
+
+
 def test_migration_atoms_reproduce_moments(two_type_spec):
     u = two_type_spec.spectral().u
     z = np.array([50, 30])
     h = migration_mean(two_type_spec.migration, z, u)
     var = migration_var(two_type_spec.migration, z, u)
     for i in range(2):
-        vals, probs = migration_atoms(two_type_spec.migration, i, z, u)
+        vals, probs = all_atoms(two_type_spec, i, z, u)
         mass = probs.sum()
         assert abs(mass - 1.0) < 1e-9
         mean = float(vals @ probs)
@@ -138,8 +151,9 @@ _SHIPPED = ["gamma_single_type", "pure_death", "pure_emigration", "small_support
 
 @pytest.mark.parametrize("doc_name", _SHIPPED + ["inverse_cube"])
 def test_migration_abs_moments_match_the_atoms(doc_name):
-    # bounded laws are read from the same atoms, bit for bit; uniform and
-    # inverse-cube emigration add their closed forms, within 1e-12
+    # bounded laws are read from migration_atoms, bit for bit; uniform and
+    # inverse-cube emigration add their closed forms, within 1e-12 of the
+    # oracle atoms
     spec = _inverse_cube_spec() if doc_name == "inverse_cube" else load_spec(spec_path(doc_name))
     u = spec.size_weights()
     for scale in (1, 7, 3000):
@@ -149,13 +163,22 @@ def test_migration_abs_moments_match_the_atoms(doc_name):
             zi, hi = float(z[i]), float(h[i])
             pairs = [(1.5, -zi), (3.0, hi), (2.0, hi), (2.0, 0.5), (3.0, -7.5), (1.5, zi / 3)]
             got = migration_abs_moments(spec.migration, i, z, u, pairs)
-            vals, probs = migration_atoms(spec.migration, i, z, u)
+            vals, probs = all_atoms(spec, i, z, u)
             for (q, a), moment in zip(pairs, got):
                 from_atoms = float(np.sum(probs * np.abs(vals - a) ** q))
                 if not isinstance(comp.emigration, (UniformEmigration, InverseCubeEmigration)):
                     assert moment == from_atoms
                 else:
                     assert moment == pytest.approx(from_atoms, rel=1e-12, abs=0)
+
+
+def test_each_migration_law_answers_absolute_moments_one_way():
+    # migration_abs_moments sums the atoms of a law that has them and adds
+    # the closed form of one that has none: never both, never neither
+    for make, _ in model._EMIGRATION.forms.values():
+        assert hasattr(make, "atoms") != hasattr(make, "abs_moment"), make.__name__
+    for make, _ in model._IMMIGRATION.forms.values():
+        assert hasattr(make, "atoms"), make.__name__
 
 
 def test_raw_migration_moments_evaluate_branches_once(two_type_spec, monkeypatch):

@@ -82,8 +82,8 @@ def test_ensemble_matches_direct_simulation(gamma_spec):
     # a one-replicate ensemble is block 0 with a single row
     ens = run_ensemble(gamma_spec, n=40, R=1, master_seed=99, store_paths=True)
     direct = simulate_path(gamma_spec, 40, stream_for(99, 0))
-    assert np.array_equal(ens.paths[0], direct.states)
-    assert np.array_equal(ens.terminal[0], direct.states[-1])
+    assert np.array_equal(ens.paths[0], direct)
+    assert np.array_equal(ens.terminal[0], direct[-1])
 
 
 def test_ensemble_identical_across_worker_counts(gamma_spec):

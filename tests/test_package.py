@@ -15,7 +15,7 @@ EXPORTED = [
     "ModelSpec", "MomentCheckReport", "MomentReport", "OffspringSpec", "PoissonOffspring",
     "Power", "ProbabilityEstimate", "ShiftedPoissonImmigration", "SpecFormatError",
     "SpectralData", "Table", "TableImmigration", "TableInitial", "TableOffspring",
-    "Trajectory", "TruncatedGeometricEmigration", "UniformEmigration", "a_asymptotic",
+    "TruncatedGeometricEmigration", "UniformEmigration", "a_asymptotic",
     "a_seq", "advance", "algebra", "check_growth_support", "check_hypothesis_C", "classify",
     "classify_growth", "cond_mean", "cond_var", "criticality", "ecdf", "estimate_explosion",
     "estimate_exponents", "euler_maruyama", "feller_params", "gamma_cdf", "gamma_quantile",
