@@ -35,9 +35,9 @@ print(f"diffusion limit: dY = {drift} dt + sqrt({diffusion} * max(Y,0)) dW")
 # ---------------------------------------------------------------------------
 
 n = 300
-states = run_ensemble(spec, n=n, R=1, master_seed=7, store_paths=True).paths[0]
 times = np.linspace(0.0, 1.0, 11)
-values = states[np.floor(n * times).astype(np.int64)] / float(n)
+steps = np.arange(11) * n // 10  # floor(n t) exactly, on integers
+values = run_ensemble(spec, n=n, R=1, master_seed=7, steps=steps).states[0] / float(n)
 print("\none rescaled path Z_{floor(nt)}/n:")
 print("t:", np.array2string(times, precision=1))
 print("Y:", np.array2string(values[:, 0], precision=3))
@@ -48,8 +48,8 @@ print("Y:", np.array2string(values[:, 0], precision=3))
 
 R = 800
 print(f"\nsimulating {R} trajectories of length {n} ...")
-ens = run_ensemble(spec, n=n, R=R, master_seed=16021, store_paths=True)
-w_model = ens.paths[:, n, 0] / float(n)
+ens = run_ensemble(spec, n=n, R=R, master_seed=16021)
+w_model = ens.terminal[:, 0] / float(n)
 shape, scale = 2.0 * drift / diffusion, diffusion / 2.0
 
 print(f"\nmodel endpoint:     mean {w_model.mean():.4f}, std {w_model.std(ddof=1):.4f}")

@@ -35,9 +35,9 @@ print(f"drift ratios along the ray: {np.array2string(np.asarray(verdict.ratio_va
 
 n, R = 500, 1000
 print(f"\nsimulating {R} paths of {n} steps from z0 = {list(spec.initial.state)} ...")
-ens = run_ensemble(spec, n=n, R=R, master_seed=8675309, store_paths=True)
+ens = run_ensemble(spec, n=n, R=R, master_seed=8675309, steps=range(n + 1))
 
-norms = np.abs(ens.paths).sum(axis=2)  # (R, n+1) l1 norm at each step
+norms = np.abs(ens.states).sum(axis=2)  # (R, n+1) l1 norm at each step
 running_max = norms.max(axis=1)
 print(f"largest norm ever reached: {int(running_max.max())}")
 print(f"median terminal norm:      {float(np.median(norms[:, -1])):.1f}")

@@ -369,7 +369,7 @@ def _suite_limit(spec: ModelSpec, doc: dict, config: ExperimentConfig):
         transform, gate, extra = _LIMIT_LAWS[config.suite](params, config.n, uu, a_n)
     _check_limit_block(claimed, params)
     ens = run_ensemble(spec, config.n, config.reps, config.seed, workers=config.workers)
-    weighted = ens.terminal_weighted(u)
+    weighted = ens.terminal @ u
     keep = weighted > _SURVIVAL_EPS * a_n
     passed, payload, files = gate(transform(weighted[keep]), config)
     payload.update(
@@ -393,7 +393,8 @@ def _suite_feller(spec: ModelSpec, doc: dict, config: ExperimentConfig):
     Y is a scaled squared Bessel process (Feller 1951), so Y_t is exactly
     Gamma(2 drift / diffusion, diffusion t / 2): the endpoints take the
     one-sample gamma KS gate, and the fan's reference quantiles at time t
-    are t times those at t = 1.
+    are t times those at t = 1.  The ensemble keeps only the fan's steps
+    [n t] at t = 0, 0.01, ..., 1.
     """
     with _applicable("feller"):
         drift, diffusion = feller_params(spec)
@@ -405,13 +406,13 @@ def _suite_feller(spec: ModelSpec, doc: dict, config: ExperimentConfig):
             raise ValueError("n must be >= 1")
     shape, scale = 2.0 * drift / diffusion, diffusion / 2.0
     u = spec.spectral().u
-    ens = run_ensemble(
-        spec, config.n, config.reps, config.seed, store_paths=True, workers=config.workers
-    )
-    passed, payload, files = _gamma_gate(shape, scale)(ens.terminal_weighted(u) / config.n, config)
     grid = np.linspace(0.0, 1.0, 101)
-    idx = np.minimum((grid * config.n).astype(int), config.n)
-    emp_q = np.quantile((ens.paths @ u)[:, idx] / config.n, _FAN_QUANTILES, axis=0)
+    idx = np.arange(101) * config.n // 100  # [n t] exactly; a float n t may fall below it
+    steps = np.unique(idx)
+    ens = run_ensemble(spec, config.n, config.reps, config.seed, steps, config.workers)
+    passed, payload, files = _gamma_gate(shape, scale)(ens.terminal @ u / config.n, config)
+    weighted = (ens.states @ u)[:, np.searchsorted(steps, idx)]
+    emp_q = np.quantile(weighted / config.n, _FAN_QUANTILES, axis=0)
     ref_q = np.outer(gamma_quantile(_FAN_QUANTILES, shape, scale), grid)
     header = (
         ["t"]

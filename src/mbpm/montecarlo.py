@@ -1,6 +1,7 @@
 """Reproducible ensembles and the statistics used by the experiment suites.
 
-An ensemble advances its replicates in lockstep, in fixed blocks of
+An ensemble advances its replicates in lockstep and keeps their states
+only at the steps its caller names.  It runs in fixed blocks of
 BLOCK = 2048 rows: block b holds replicates [b BLOCK, (b+1) BLOCK) and
 draws from a counter-based generator keyed by (master_seed, b).  Workers
 receive whole blocks, so results are bit-identical for any worker count,
@@ -42,7 +43,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -73,18 +74,19 @@ def stream_for(master_seed: int, block: int):
 
 @dataclass
 class Ensemble:
-    """Replicated trajectories of one model, regenerable from the seed."""
+    """Replicated trajectories of one model, kept at some steps, regenerable from the seed."""
 
     spec_digest: str
     n: int
     replicates: int
     master_seed: int
-    terminal: np.ndarray  # (R, p) int64
-    paths: Optional[np.ndarray] = None  # (R, n+1, p) int64 when stored
+    steps: tuple  # strictly increasing steps in [0, n], ending at n
+    states: np.ndarray  # (R, len(steps), p) int64, states[:, j] at step steps[j]
 
-    def terminal_weighted(self, u):
-        """Scalar reduction u . Z_n per replicate."""
-        return self.terminal @ np.asarray(u, dtype=float)
+    @property
+    def terminal(self) -> np.ndarray:
+        """The (R, p) states at step n."""
+        return self.states[:, -1]
 
     def summary(self) -> dict:
         norms = np.abs(self.terminal).sum(axis=1)
@@ -103,31 +105,31 @@ class Ensemble:
 def _simulate_blocks(args):
     """Replicates [lo, hi), whole blocks, each advanced n steps in lockstep.
 
+    Returns lo and the (hi - lo, len(steps), p) states at the kept steps.
     A ValueError from the kernel is raised again with the step and the
     block's first replicate, so that its "row r" is replicate start + r.
     """
-    spec, n, master_seed, lo, hi, store_paths = args
-    term = np.empty((hi - lo, spec.dim), dtype=np.int64)
-    paths = np.empty((hi - lo, n + 1, spec.dim), dtype=np.int64) if store_paths else None
+    spec, n, steps, master_seed, lo, hi = args
+    states = np.empty((hi - lo, len(steps), spec.dim), dtype=np.int64)
     for start in range(lo, hi, BLOCK):
         stop = min(start + BLOCK, hi)
         rows = slice(start - lo, stop - lo)
         rng = stream_for(master_seed, start // BLOCK)
         Z = spec.initial.sample(rng, stop - start)
+        j = 0
         try:
             for k in range(n):
-                if store_paths:
-                    paths[rows, k] = Z
+                if k == steps[j]:
+                    states[rows, j] = Z
+                    j += 1
                 Z = advance(spec, Z, rng)
         except ValueError as exc:
             raise ValueError(
                 f"step {k + 1} of {n}, block from replicate {start} (row r is "
                 f"replicate {start} + r): {exc}"
             ) from exc
-        term[rows] = Z
-        if store_paths:
-            paths[rows, n] = Z
-    return lo, term, paths
+        states[rows, j] = Z  # steps[j] == n
+    return lo, states
 
 
 def run_ensemble(
@@ -135,27 +137,34 @@ def run_ensemble(
     n: int,
     R: int,
     master_seed: int,
-    store_paths: bool = False,
+    steps: Optional[Sequence[int]] = None,
     workers: Optional[int] = None,
 ) -> Ensemble:
     """R independent trajectories of length n, merged by replicate index.
 
-    workers defaults to the MBPM_WORKERS environment variable (1 when
-    unset).  Any worker count yields the same ensemble bit for bit.
+    The ensemble keeps the states at steps, strictly increasing integers
+    in [0, n] that end at n; left out, it keeps only (n,), the terminal
+    states.  Other steps are refused before any draw.  workers defaults
+    to the MBPM_WORKERS environment variable (1 when unset).  Any worker
+    count yields the same ensemble bit for bit.
     """
     if R < 1:
         raise ValueError("need at least one replicate")
     if n < 0:
         raise ValueError("horizon must be nonnegative")
+    given = (n,) if steps is None else tuple(steps)
+    steps = tuple(int(k) for k in given)  # Python ints: compared at every step
+    if (not steps or steps != given or steps[0] < 0 or steps[-1] != n
+            or any(a >= b for a, b in zip(steps, steps[1:]))):
+        raise ValueError(f"steps must be strictly increasing integers in [0, {n}] ending at {n}")
     if workers is None:
         workers = int(os.environ.get("MBPM_WORKERS", "1"))
     blocks = -(-R // BLOCK)
     workers = max(1, min(workers, blocks))
     bounds = np.minimum(np.linspace(0, blocks, workers + 1).astype(int) * BLOCK, R)
     spans = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    terminal = np.empty((R, spec.dim), dtype=np.int64)
-    paths = np.empty((R, n + 1, spec.dim), dtype=np.int64) if store_paths else None
-    jobs = [(spec, n, master_seed, lo, hi, store_paths) for lo, hi in spans]
+    states = np.empty((R, len(steps), spec.dim), dtype=np.int64)
+    jobs = [(spec, n, steps, master_seed, lo, hi) for lo, hi in spans]
     if len(jobs) == 1:
         results = [_simulate_blocks(jobs[0])]
     else:
@@ -164,18 +173,16 @@ def run_ensemble(
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_simulate_blocks, jobs))
-    for lo, term_block, path_block in results:
-        terminal[lo : lo + term_block.shape[0]] = term_block
-        if store_paths:
-            paths[lo : lo + path_block.shape[0]] = path_block
+    for lo, block in results:
+        states[lo : lo + block.shape[0]] = block
 
     return Ensemble(
         spec_digest=spec_digest(spec),
         n=n,
         replicates=R,
         master_seed=master_seed,
-        terminal=terminal,
-        paths=paths,
+        steps=steps,
+        states=states,
     )
 
 

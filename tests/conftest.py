@@ -117,9 +117,9 @@ def timed_ensemble(name, spec, **kwargs):
 
 @pytest.fixture(scope="session")
 def gamma_ensemble(gamma_spec):
-    """5000 constant-drift paths to generation 1000, terminal and full paths."""
+    """5000 constant-drift paths to generation 1000, kept at steps 500 and 1000."""
     return timed_ensemble("gamma_ensemble", gamma_spec, n=1000, R=5000, master_seed=31416,
-                          store_paths=True)
+                          steps=(500, 1000))
 
 
 @pytest.fixture(scope="session")
@@ -130,6 +130,6 @@ def sqrt_ensemble(sqrt_spec):
 
 @pytest.fixture(scope="session")
 def emigration_ensemble(emigration_spec):
-    """2000 emigration-only paths to generation 500, full paths kept."""
+    """2000 emigration-only paths to generation 500, every step kept."""
     return timed_ensemble("emigration_ensemble", emigration_spec, n=500, R=2000,
-                          master_seed=16180, store_paths=True)
+                          master_seed=16180, steps=range(501))

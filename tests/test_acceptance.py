@@ -125,7 +125,7 @@ def test_criterion_6_diffusion_limit(gamma_spec, gamma_ensemble):
     t0 = time.perf_counter()
     drift, diffusion = feller_params(gamma_spec)
     assert drift == 2.0 and diffusion == 1.0
-    w_emp = gamma_ensemble.paths[:2000, 500, 0] / 500.0
+    w_emp = gamma_ensemble.states[:2000, gamma_ensemble.steps.index(500), 0] / 500.0
     # the diffusion started at 0 is exactly Gamma(2 drift / diffusion, diffusion / 2) at t = 1
     d = ks_statistic(w_emp, lambda x: gamma_cdf(x, 2.0 * drift / diffusion, diffusion / 2.0))
     elapsed = time.perf_counter() - t0 + conftest.BUILD_SECONDS["gamma_ensemble"]
@@ -139,7 +139,7 @@ def test_criterion_7_no_growth(emigration_spec, emigration_ensemble):
     budget = 120.0
     t0 = time.perf_counter()
     verdict = classify_growth(emigration_spec)
-    norms = np.abs(emigration_ensemble.paths).sum(axis=2)
+    norms = np.abs(emigration_ensemble.states).sum(axis=2)
     exceed = int((norms.max(axis=1) > 1e3).sum())
     elapsed = time.perf_counter() - t0 + conftest.BUILD_SECONDS["emigration_ensemble"]
     ok = (verdict.verdict == "no-growth" and exceed == 0

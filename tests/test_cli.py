@@ -3,13 +3,15 @@ import dataclasses
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
 
 from conftest import run_fresh, spec_path
-from mbpm import cli, ecdf, gamma_cdf, gof_report, ks_statistic, normal_cdf
+from mbpm import (cli, ecdf, gamma_cdf, gof_report, ks_statistic, load_spec, normal_cdf,
+                  run_ensemble)
 from mbpm.cli import _ks_check, _write_tsv, main
 
 SHIPPED = ["gamma_single_type", "sqrt_drift_single_type", "two_type_mixed",
@@ -546,6 +548,34 @@ def test_feller_suite_small_scale(tmp_path):
     fan = np.loadtxt(os.path.join(out, "quantile_fan.tsv"), skiprows=1)
     ppf = scipy.stats.gamma.ppf([0.05, 0.25, 0.5, 0.75, 0.95], 4.0, scale=0.5)
     np.testing.assert_allclose(fan[:, 6:], np.outer(fan[:, 0], ppf), rtol=1e-9, atol=0)
+
+
+def test_feller_fan_reads_step_floor_of_n_t(tmp_path):
+    # 0.29 * 100 is 28.999999999999996 in floating point; the row reads Z_29
+    out = str(tmp_path / "rep")
+    main(["--spec", spec_path("gamma_single_type"), "--suite", "feller", "--n", "100",
+          "--reps", "60", "--seed", "23", "--out", out])
+    fan = np.loadtxt(os.path.join(out, "quantile_fan.tsv"), skiprows=1)
+    spec = load_spec(spec_path("gamma_single_type"))
+    ens = run_ensemble(spec, 100, 60, 23, steps=range(101))
+    w = ens.states[:, 29] @ spec.spectral().u / 100
+    assert fan[29, 0] == 0.29
+    want = np.quantile(w, [0.05, 0.25, 0.5, 0.75, 0.95])
+    np.testing.assert_allclose(fan[29, 1:6], want, rtol=1e-9, atol=0)
+
+
+def test_feller_suite_memory_does_not_grow_with_the_horizon(tmp_path):
+    # the ensemble keeps the fan's 101 steps, not all n + 1 of them
+    args = ["--spec", spec_path("gamma_single_type"), "--suite", "feller", "--n", "2000",
+            "--reps", "500", "--seed", "3"]
+    main(args + ["--out", str(tmp_path / "warm")])
+    tracemalloc.start()
+    try:
+        main(args + ["--out", str(tmp_path / "rep")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
 
 
 def test_feller_suite_has_no_integrator_step_option(capsys):

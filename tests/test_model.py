@@ -570,7 +570,7 @@ def test_emigration_laws_see_only_positive_counts(tmp_path, monkeypatch):
 
     for spec in (load_spec(spec_path("pure_emigration")), load_spec(spec_path("two_type_mixed")),
                  four_emigrations_spec()):
-        paths = run_ensemble(spec, 30, 200, 5, store_paths=True, workers=1).paths
+        paths = run_ensemble(spec, 30, 200, 5, steps=range(31), workers=1).states
         assert (paths == 0).any()  # rows reach 0
         u = spec.spectral().u
         for z in ([0] * spec.dim, [0, 4, 0, 9][:spec.dim], [5, 0, 2, 0][:spec.dim]):

@@ -80,23 +80,24 @@ def test_stream_for_validation():
 
 def test_ensemble_matches_direct_simulation(gamma_spec):
     # a one-replicate ensemble is block 0 with a single row
-    ens = run_ensemble(gamma_spec, n=40, R=1, master_seed=99, store_paths=True)
+    ens = run_ensemble(gamma_spec, n=40, R=1, master_seed=99, steps=range(41))
     direct = simulate_path(gamma_spec, 40, stream_for(99, 0))
-    assert np.array_equal(ens.paths[0], direct)
+    assert np.array_equal(ens.states[0], direct)
     assert np.array_equal(ens.terminal[0], direct[-1])
 
 
 def test_ensemble_identical_across_worker_counts(gamma_spec):
     # three full blocks and a partial one, split across up to three workers
     kw = dict(n=20, R=3 * BLOCK + 1, master_seed=17)
-    one = run_ensemble(gamma_spec, workers=1, store_paths=True, **kw)
+    every = range(kw["n"] + 1)
+    one = run_ensemble(gamma_spec, workers=1, steps=every, **kw)
     assert len(np.unique(one.terminal[:, 0])) > 10  # rows are not copies
     for workers in (2, 3):
         bare = run_ensemble(gamma_spec, workers=workers, **kw)
         assert np.array_equal(one.terminal, bare.terminal)
-        full = run_ensemble(gamma_spec, workers=workers, store_paths=True, **kw)
+        full = run_ensemble(gamma_spec, workers=workers, steps=every, **kw)
         assert np.array_equal(one.terminal, full.terminal)
-        assert np.array_equal(one.paths, full.paths)
+        assert np.array_equal(one.states, full.states)
 
 
 def test_import_leaves_the_process_pool_unloaded():
@@ -113,12 +114,12 @@ def test_import_leaves_the_process_pool_unloaded():
 def test_ensemble_block_is_advance_on_its_own_stream(two_type_spec, block):
     # replicates [b BLOCK, (b+1) BLOCK) are advance iterated on stream_for(seed, b)
     R, n, seed = 2 * BLOCK + 37, 6, 23
-    ens = run_ensemble(two_type_spec, n=n, R=R, master_seed=seed, store_paths=True)
+    ens = run_ensemble(two_type_spec, n=n, R=R, master_seed=seed, steps=range(n + 1))
     lo, hi = block * BLOCK, min((block + 1) * BLOCK, R)
     rng = stream_for(seed, block)
     Z = two_type_spec.initial.sample(rng, hi - lo)
     for k in range(n):
-        assert np.array_equal(ens.paths[lo:hi, k], Z)
+        assert np.array_equal(ens.states[lo:hi, k], Z)
         Z = advance(two_type_spec, Z, rng)
     assert np.array_equal(ens.terminal[lo:hi], Z)
 
@@ -142,15 +143,43 @@ def test_kernel_error_in_an_ensemble_names_the_step_and_the_block():
         run_ensemble(spec, n=5, R=3, master_seed=1)
     with pytest.raises(ValueError, match=rf"^step 3 of 5, block from replicate {BLOCK} \(row r "
                                          rf"is replicate {BLOCK} \+ r\): Poisson offspring "):
-        _simulate_blocks((spec, 5, 1, BLOCK, BLOCK + 3, False))
+        _simulate_blocks((spec, 5, (5,), 1, BLOCK, BLOCK + 3))
 
 
 def test_ensemble_paths_consistent(gamma_spec):
     ens = run_ensemble(gamma_spec, n=25, R=4, master_seed=5,
-                       store_paths=True)
-    assert ens.paths.shape == (4, 26, 1)
-    assert np.array_equal(ens.paths[:, -1, :], ens.terminal)
-    assert np.array_equal(ens.paths[:, 0, 0], np.ones(4))
+                       steps=range(26))
+    assert ens.states.shape == (4, 26, 1)
+    assert np.array_equal(ens.states[:, -1, :], ens.terminal)
+    assert np.array_equal(ens.states[:, 0, 0], np.ones(4))
+
+
+@pytest.mark.parametrize("steps", [(), (3, 1, 5), (1, 1, 5), (-1, 5), (2, 6), (1, 3),
+                                   (2.5, 5)],
+                         ids=["empty", "unsorted", "duplicate", "negative", "past-n",
+                              "last-not-n", "fractional"])
+def test_ensemble_refuses_steps_before_any_draw(gamma_spec, monkeypatch, steps):
+    def no_draw(*args):
+        raise AssertionError("a draw before the steps were checked")
+
+    monkeypatch.setattr("mbpm.montecarlo.advance", no_draw)
+    monkeypatch.setattr("mbpm.montecarlo.stream_for", no_draw)
+    with pytest.raises(ValueError, match=r"^steps must be strictly increasing integers in "
+                                         r"\[0, 5\] ending at 5$"):
+        run_ensemble(gamma_spec, n=5, R=3, master_seed=1, steps=steps)
+
+
+def test_ensemble_kept_steps_are_columns_of_every_step(two_type_spec):
+    # two full blocks and a partial one; steps given as numpy integers
+    n, R, seed = 12, 2 * BLOCK + 5, 29
+    every = run_ensemble(two_type_spec, n=n, R=R, master_seed=seed, steps=range(n + 1))
+    kept = np.array([0, 3, 4, 11, 12])
+    for workers in (1, 2, 3):
+        ens = run_ensemble(two_type_spec, n=n, R=R, master_seed=seed, steps=kept,
+                           workers=workers)
+        assert ens.steps == (0, 3, 4, 11, 12) and all(type(k) is int for k in ens.steps)
+        assert np.array_equal(ens.states, every.states[:, kept])
+        assert np.array_equal(ens.terminal, every.terminal)
 
 
 def test_ensemble_refuses_a_negative_horizon(gamma_spec):
@@ -172,7 +201,7 @@ def test_ensemble_summary_and_weighting(gamma_spec):
     assert s["n"] == 20
     assert "terminal_mean" in s and "fraction_null" in s
     assert "build_seconds" not in s  # reports stay free of timings
-    w = ens.terminal_weighted(np.array([1.0]))
+    w = ens.terminal @ np.array([1.0])
     assert w.shape == (8,)
     assert np.array_equal(w, ens.terminal[:, 0].astype(float))
 
@@ -615,5 +644,5 @@ def test_ensemble_terminal_law_is_the_exact_n_step_law(small_support_spec, pure_
     freq[: exact.shape[0], : exact.shape[1]] -= exact
     assert 0.5 * np.abs(freq).sum() <= bound
     # an absorbed row stays at zero in every block
-    dead = run_ensemble(pure_death_spec, n=n, R=R, master_seed=4242, store_paths=True)
-    assert (dead.paths[:, 0] == 5).all() and (dead.paths[:, 1:] == 0).all()
+    dead = run_ensemble(pure_death_spec, n=n, R=R, master_seed=4242, steps=range(n + 1))
+    assert (dead.states[:, 0] == 5).all() and (dead.states[:, 1:] == 0).all()
