@@ -60,6 +60,6 @@ print("constant-surplus model along the growth ray:")
 print(f"{'size':>8} {'u.h(z)':>10} {'sigma^2(z)':>12} {'ratio':>8}")
 for size in (10, 100, 1000, 10000):
     z = np.round(size * sd.v).astype(np.int64)
-    drift = float(sd.u @ migration_mean(spec.migration, z))
+    drift = float(sd.u @ migration_mean(spec, z))
     fluct = sigma2(spec, sd.u, z)
     print(f"{size:8d} {drift:10.4f} {fluct:12.2f} {growth_ratio(spec, sd.u, z):8.3f}")

@@ -40,7 +40,6 @@ _EXPORTS = {
         "TableOffspring",
         "TruncatedGeometricEmigration",
         "UniformEmigration",
-        "size_of",
     ),
     "model": (
         "DeterministicInitial",

@@ -175,14 +175,14 @@ def check_hypothesis_C(spec: ModelSpec) -> Optional[dict]:
 
 
 def growth_ratio(spec: ModelSpec, u, z) -> float:
-    """The drift-to-fluctuation ratio 2 (u.z)(u.h(z)) / sigma2(z)."""
+    """The drift-to-fluctuation ratio 2 (u.z)(u.h(z)) / sigma2(z): u weights
+    z, h and Z', and h(z) reads the model's own size at z."""
     u = np.asarray(u, dtype=float)
     z = np.asarray(z, dtype=np.int64)
     s2 = sigma2(spec, u, z)
     if s2 <= 0.0:
         raise ValueError("one-step variance vanishes at this state (deterministic model)")
-    h = migration_mean(spec.migration, z, u)
-    return 2.0 * float(u @ z) * float(u @ h) / s2
+    return 2.0 * float(u @ z) * float(u @ migration_mean(spec, z)) / s2
 
 
 def check_growth_support(spec: ModelSpec, z) -> bool:
@@ -190,10 +190,10 @@ def check_growth_support(spec: ModelSpec, z) -> bool:
     z = np.asarray(z, dtype=np.int64)
     if not z.any():
         raise ValueError("support condition is defined for non-null states")
-    u = spec.size_weights()
+    s = spec.size(z)
     for i in np.flatnonzero(z > 0):
         comp = spec.migration.components[i]
-        _, pi, _ = comp.branch_probs(z, u, int(z[i]))
+        _, pi, _ = comp.branch_probs(s, int(z[i]))
         if pi <= 0.0:
             return False
         if spec.offspring.laws[i].prob_zero() >= 1.0:
@@ -221,7 +221,7 @@ def _probe_ray(spec: ModelSpec, config: CriteriaConfig) -> _Ray:
     fractional moments."""
     u = spec.spectral().u
     probes = probe_states(spec, config)
-    h_list = [migration_mean(spec.migration, z, u) for z in probes]
+    h_list = [migration_mean(spec, z) for z in probes]
     shifted_power, centered_power = 1.0 + _DELTA / 2.0, 2.0 + _DELTA
     shifted, centered = [[] for _ in range(spec.dim)], [[] for _ in range(spec.dim)]
     surrogate = []
@@ -230,7 +230,7 @@ def _probe_ray(spec: ModelSpec, config: CriteriaConfig) -> _Ray:
         for i in range(spec.dim):
             zi, hi = float(z[i]), float(h[i])
             pairs = ((shifted_power, -zi), (centered_power, hi), (_ALPHA_TILDE, hi))
-            m_shifted, m_centered, m_tilde = migration_abs_moments(spec.migration, i, z, u, pairs)
+            m_shifted, m_centered, m_tilde = migration_abs_moments(spec, i, z, pairs)
             shifted[i].append(m_shifted)
             centered[i].append(m_centered)
             candidates.append(zi + hi)

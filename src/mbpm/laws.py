@@ -14,9 +14,13 @@ State-dependent quantities (migration probabilities, immigration means)
 are expressed through a small closed set of *state functions* of the
 scalar size s = u . z, where u is the left Perron weight vector of the
 offspring mean matrix: constants, powers coeff * s**exponent, step tables,
-and clamps of those.  Keeping the set closed lets validation find every
-size at which a function changes form (its ``knees``): between two knees,
-and beyond the last, each one is a constant or a single power.
+and clamps of those.  Each is called as f(s), at one size or an array of
+sizes, and so are the immigration laws' moments, atoms and draws;
+``ModelSpec.size`` is the one place a size is formed from a state, and
+it forms one only where some state function ``reads_size``.
+Keeping the set closed lets validation find every size at which a
+function changes form (its ``knees``): between two knees, and beyond the
+last, each one is a constant or a single power.
 
 Each state function and migration law states its large-size form once:
 ``leading()`` of a state function, and of an immigration law's mean
@@ -52,25 +56,6 @@ _ZETA2 = math.pi**2 / 6.0
 _ZETA3 = 1.2020569031595942854
 
 
-def size_of(z, u=None):
-    """Size u . z seen by state functions.
-
-    ``z`` is one state (p,), giving a float, or a stack of states (R, p),
-    giving one size per row.  For single-type models the weight vector
-    defaults to (1,); with more types it must be supplied (it comes from
-    the mean matrix spectrum), except at the null state.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if u is None:
-        if z.shape[-1] != 1 and z.any():
-            raise ValueError(
-                "size-dependent state function needs the left Perron weights u "
-                "for a multitype state"
-            )
-        u = np.ones(z.shape[-1])
-    return z @ np.asarray(u, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # State functions of the scalar size
 # ---------------------------------------------------------------------------
@@ -80,7 +65,7 @@ def size_of(z, u=None):
 class Constant:
     value: float
 
-    def __call__(self, z, u=None):
+    def __call__(self, s):
         return self.value
 
     def leading(self) -> tuple:
@@ -95,17 +80,17 @@ class Constant:
 
 @dataclass(frozen=True)
 class Power:
-    """coeff * s**exponent of the size s = u . z (0 at s = 0 for exponent > 0)."""
+    """coeff * s**exponent of the size s (0 at s = 0 for exponent > 0)."""
 
     coeff: float
     exponent: float
 
-    def __call__(self, z, u=None):
+    def __call__(self, s):
         if self.coeff == 0.0:
             return 0.0
         # 0**0 = 1 and 0**(-e) = inf give the limits at s = 0
         with np.errstate(divide="ignore"):
-            return self.coeff * np.power(size_of(z, u), self.exponent)
+            return self.coeff * np.power(s, self.exponent)
 
     def leading(self) -> tuple:
         if self.coeff == 0.0:
@@ -142,8 +127,8 @@ class Table:
         if any(b2 <= b1 for b1, b2 in zip(self.breaks, self.breaks[1:])):
             raise ValueError("table breaks must be strictly increasing")
 
-    def __call__(self, z, u=None):
-        idx = np.searchsorted(self.breaks, size_of(z, u), side="right") - 1
+    def __call__(self, s):
+        idx = np.searchsorted(self.breaks, s, side="right") - 1
         return np.asarray(self.values)[np.maximum(idx, 0)]
 
     def leading(self) -> tuple:
@@ -168,8 +153,8 @@ class Clamp:
         if self.lo is not None and self.hi is not None and self.lo > self.hi:
             raise ValueError("clamp bounds are inverted")
 
-    def __call__(self, z, u=None):
-        return np.clip(self.inner(z, u), self.lo, self.hi)
+    def __call__(self, s):
+        return np.clip(self.inner(s), self.lo, self.hi)
 
     def leading(self) -> tuple:
         """The inner function's leading form, unless the inner function ends
@@ -193,6 +178,14 @@ class Clamp:
 
 
 StateFunction = Constant | Power | Table | Clamp
+
+
+def reads_size(f) -> bool:
+    """Whether the state function f depends on the size: a constant, or a
+    clamp of one, does not."""
+    while isinstance(f, Clamp):
+        f = f.inner
+    return not isinstance(f, Constant)
 
 
 def limit_of(lead: tuple) -> float:
@@ -644,47 +637,42 @@ def _poisson_raw(k: int, lam: float) -> float:
     raise ValueError(f"poisson raw moments implemented for k <= 4, got {k}")
 
 
-def _count(Z, rows) -> int:
-    """The number of rows of Z that the mask rows (None: every row) selects."""
-    return len(Z) if rows is None else np.count_nonzero(rows)
-
-
 @dataclass(frozen=True)
 class ShiftedPoissonImmigration:
-    """1 + Poisson(a(z) - 1) arrivals with state-dependent mean a(z) >= 1."""
+    """1 + Poisson(a(s) - 1) arrivals with size-dependent mean a(s) >= 1."""
 
     mean_fn: StateFunction
 
-    def _rate(self, z, u):
-        a = np.asarray(self.mean_fn(z, u))
+    def _rate(self, s):
+        a = np.asarray(self.mean_fn(s))
         if not a.min() >= 1.0 - 1e-12:
             raise ValueError(
                 f"immigration mean {a.min()} fell below 1; clamp the mean state function"
             )
         return np.maximum(a - 1.0, 0.0)
 
-    def raw_moment(self, k: int, z, u=None) -> float:
-        lam = self._rate(z, u)
+    def raw_moment(self, k: int, s) -> float:
+        lam = self._rate(s)
         return sum(math.comb(k, j) * _poisson_raw(j, lam) for j in range(k + 1))
 
     @cached_property
     def _constant_rate(self):
-        """The Poisson rate of a constant mean, checked once; None if the mean reads the state."""
-        return self._rate(None, None) if isinstance(self.mean_fn, Constant) else None
+        """The Poisson rate of a constant mean, checked once; None if the mean reads the size."""
+        return None if reads_size(self.mean_fn) else self._rate(None)
 
-    def sample_batch(self, rng, Z, rows, u=None):
-        """One draw per row of the states Z (R, p) selected by the mask rows
-        (every row if None), at its mean.
+    def sample_batch(self, rng, n, s=None, rows=None):
+        """``n`` draws, one per row of the sizes s (R,) that the mask rows
+        selects (every row if None), each at its row's mean.
 
-        A constant mean does not read the states, so they are not gathered.
+        A constant mean does not read the sizes, so they are not gathered.
         """
         rate = self._constant_rate
         if rate is None:
-            rate = self._rate(Z if rows is None else Z[rows], u)
-        return 1 + poisson_draws(rng, rate, _count(Z, rows), law="immigration", rows=rows)
+            rate = self._rate(s if rows is None else s[rows])
+        return 1 + poisson_draws(rng, rate, n, law="immigration", rows=rows)
 
-    def atoms(self, z, u=None):
-        vals, probs = _poisson_atoms(self._rate(z, u))
+    def atoms(self, s):
+        vals, probs = _poisson_atoms(self._rate(s))
         return vals + 1, probs
 
     def var_leading(self) -> tuple:
@@ -709,13 +697,13 @@ class DeterministicImmigration:
     def mean_fn(self) -> Constant:
         return Constant(float(self.value))
 
-    def raw_moment(self, k: int, z=None, u=None) -> float:
+    def raw_moment(self, k: int, s=None) -> float:
         return float(self.value) ** k
 
-    def sample_batch(self, rng, Z, rows, u=None):
-        return np.full(_count(Z, rows), int(self.value), dtype=np.int64)
+    def sample_batch(self, rng, n, s=None, rows=None):
+        return np.full(n, int(self.value), dtype=np.int64)
 
-    def atoms(self, z=None, u=None):
+    def atoms(self, s=None):
         return np.array([int(self.value)]), np.array([1.0])
 
     def var_leading(self) -> tuple:
@@ -734,14 +722,14 @@ class TableImmigration:
     def mean_fn(self) -> Constant:
         return Constant(self.raw_moment(1))
 
-    def raw_moment(self, k: int, z=None, u=None) -> float:
+    def raw_moment(self, k: int, s=None) -> float:
         return float(np.dot(np.asarray(self.values, dtype=float) ** k, self.probs))
 
-    def sample_batch(self, rng, Z, rows, u=None):
-        idx = rng.choice(len(self.values), p=self.probs, size=_count(Z, rows))
+    def sample_batch(self, rng, n, s=None, rows=None):
+        idx = rng.choice(len(self.values), p=self.probs, size=n)
         return np.asarray(self.values, dtype=np.int64)[idx]
 
-    def atoms(self, z=None, u=None):
+    def atoms(self, s=None):
         return np.asarray(self.values, dtype=np.int64), np.asarray(self.probs, dtype=float)
 
     def var_leading(self) -> tuple:

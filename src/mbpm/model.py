@@ -12,15 +12,20 @@ Emigration is only possible from types with a positive count (the branch
 is folded into "no migration" at z_i = 0, where removing is a no-op), so
 states never leave the nonnegative orthant.
 
+The migration's state functions read one scalar of a state, its size
+s = u . z with u the left Perron weight vector.  ``ModelSpec.size`` is the
+one place a size is formed, and it forms none where every state function
+is constant; everything downstream (``branch_probs``, the immigration
+laws, the migration moments) reads s, never u.
+
 One kernel, ``advance``, draws every transition: it steps an (R, p) array
 of states with a fixed sequence of numpy calls, per type for migration and
-per parent type for offspring.  Migration reads each component's branch
-probabilities at the rows' states at every step (``branch_probs``), so
-constant and state-dependent documents take the same path; the Perron
-weights are computed once (``ModelSpec.size_weights``).  When every
-offspring count is Poisson the offspring take one call: the children of
-type j from all parents are a sum of independent Poissons, hence Poisson
-with the summed rate.
+per parent type for offspring.  Migration forms the rows' sizes once per
+step and reads each component's branch probabilities at them
+(``branch_probs``), so constant and state-dependent documents take the
+same path.  When every offspring count is Poisson the offspring take one
+call: the children of type j from all parents are a sum of independent
+Poissons, hence Poisson with the summed rate.
 ``simulate_path`` runs the kernel on a single row, ``sample_step_batch``
 on one state broadcast to many rows, and the ensembles in ``montecarlo``
 on blocks of replicates.
@@ -41,8 +46,6 @@ import numpy as np
 
 from . import algebra, laws
 from .laws import (
-    Clamp,
-    Constant,
     EmigrationLaw,
     ImmigrationLaw,
     IndependentOffspring,
@@ -166,26 +169,27 @@ class MigrationComponent:
     immigration: Optional[ImmigrationLaw] = None
     emigration: Optional[EmigrationLaw] = None
 
-    def branch_probs(self, z, u, zi):
-        """Effective (none, immigration, emigration) probabilities at z.
+    def branch_probs(self, s, zi):
+        """Effective (none, immigration, emigration) probabilities at the
+        size s (``ModelSpec.size``) of a state with this type's count zi.
 
-        ``z`` is one state with this type's count ``zi``, or a stack of
-        states (R, p) with the counts (R,); each probability is then a
-        scalar or one value per row.  A branch without a law is folded into
-        "none", and so is emigration where the type's count is zero: there
-        is nothing to remove, so the branch is a no-op there.  Only then do
-        constant probabilities become per-row arrays.  The kernel calls
-        this at every step, so the zero-count mask is built only where
-        there is an emigration law.
+        ``s`` and ``zi`` are one state's, or one per row of a stack of
+        states (R,); each probability is then a scalar or one value per
+        row.  ``s`` is None where no state function reads the size.  A
+        branch without a law is folded into "none", and so is emigration
+        where the type's count is zero: there is nothing to remove, so the
+        branch is a no-op there.  Only then do constant probabilities
+        become per-row arrays.  The kernel calls this at every step, so the
+        zero-count mask is built only where there is an emigration law.
 
         This fold, with the ``pe > 0`` mask of ``sample_migration``, is the
         one place the zero-count rule lives: the emigration laws are
         defined only on counts >= 1, and every caller (the kernel,
         ``moments`` and ``classify``) reaches them only where pe > 0.
         """
-        pn = self.prob_none(z, u)
-        pi = self.prob_imm(z, u)
-        pe = self.prob_em(z, u)
+        pn = self.prob_none(s)
+        pi = self.prob_imm(s)
+        pe = self.prob_em(s)
         if self.emigration is None:
             pn, pe = pn + pe, 0.0
         else:
@@ -214,15 +218,8 @@ class MigrationSpec:
 
     def needs_size(self) -> bool:
         """Whether any state function here depends on the scalar size u . z."""
-
-        def depends(f) -> bool:
-            if isinstance(f, Constant):
-                return False
-            if isinstance(f, Clamp):
-                return depends(f.inner)
-            return True
-
-        return any(depends(f) for comp in self.components for f in comp.state_functions())
+        return any(laws.reads_size(f) for comp in self.components
+                   for f in comp.state_functions())
 
 
 @dataclass(frozen=True)
@@ -281,6 +278,16 @@ class ModelSpec:
         self.migration = migration
         self.initial = initial
         self._spectral = None
+        self._u = None  # the weights of the size, where the migration reads it
+        if migration.needs_size():
+            try:
+                self._u = self.spectral().u
+            except ValueError as exc:
+                raise ValueError(
+                    "migration uses size-dependent state functions, which need the "
+                    "left Perron weights, but the offspring mean matrix is not "
+                    "primitive"
+                ) from exc
 
     @property
     def dim(self) -> int:
@@ -297,56 +304,41 @@ class ModelSpec:
             self._spectral = algebra.perron(self.mean_matrix())
         return self._spectral
 
-    def size_weights(self):
-        """Left Perron weights u when the migration needs them, else None.
+    def size(self, z):
+        """The size s = u . z that the state functions read: a float for one
+        state (p,), one per row for a stack (R, p); None where no state
+        function reads it (``laws.reads_size``).
 
-        Constant-only specs stay usable on models whose mean matrix is not
-        primitive (the weights are never evaluated there).  Computed once.
+        The one place a size is formed.  u, the left Perron weight vector,
+        is found once, when the spec is built; a constant-only spec needs
+        none, so its mean matrix need not be primitive.
         """
-        return self._size_weights
-
-    @cached_property
-    def _size_weights(self):
-        if not self.migration.needs_size():
-            return None
-        try:
-            return self.spectral().u
-        except ValueError as exc:
-            raise ValueError(
-                "migration uses size-dependent state functions, which need the "
-                "left Perron weights, but the offspring mean matrix is not "
-                "primitive"
-            ) from exc
+        return None if self._u is None else np.asarray(z, dtype=float) @ self._u
 
     def validate(self):
         """Check the probability and immigration-mean invariants at every size.
 
-        First at probe states: zero, the unit states and two more.  Then, on
-        models whose migration reads the size s = u . z, as functions of s:
-        at every knee of a state function (a ``Table`` break, a size where
-        the inner function of a ``Clamp`` meets a bound) and in the limit of
-        large sizes.  Between two knees, and beyond the last, each state
-        function is a constant or a single power, so an unclamped power that
-        leaves [0, 1] fails in the limit.  The immigration mean is checked
-        with the probabilities, as a state function of its own.
+        First at probe states: zero, the unit states and two more.  Then as
+        functions of the size s: at every knee of a state function (a
+        ``Table`` break, a size where the inner function of a ``Clamp``
+        meets a bound) and in the limit of large sizes.  Between two knees,
+        and beyond the last, each state function is a constant or a single
+        power, so an unclamped power that leaves [0, 1] fails in the limit.
+        The immigration mean is checked with the probabilities, as a state
+        function of its own.
         """
         p = self.dim
-        u = self.size_weights()
         probes = [np.zeros(p, dtype=np.int64)]
         probes.extend(np.eye(p, dtype=np.int64))
         probes.append(np.full(p, 5, dtype=np.int64))
         probes.append(np.arange(1, p + 1, dtype=np.int64) * 7)
-        one = np.ones(1)
         for i, comp in enumerate(self.migration.components):
             fns = comp.state_functions()
             for z in probes:
-                _check_branches(i, comp, f"z={z.tolist()}", [f(z, u) for f in fns], z[i] > 0)
-            if u is None:
-                continue
-            for s in sorted({s for f in fns for s in f.knees() if s > 0}):
-                size = np.array([float(s)])  # a one-type state of size s under weights (1,)
-                values = [f(size, one) for f in fns]
-                _check_branches(i, comp, f"size u.z = {float(s)!r}", values, True)
+                s = self.size(z)
+                _check_branches(i, comp, f"z={z.tolist()}", [f(s) for f in fns], z[i] > 0)
+            for s in sorted({float(s) for f in fns for s in f.knees() if s > 0}):
+                _check_branches(i, comp, f"size u.z = {s!r}", [f(s) for f in fns], True)
             values = [limit_of(f.leading()) for f in fns]
             _check_branches(i, comp, "the limit of large sizes", values, True)
         return self
@@ -383,33 +375,36 @@ def _check_branches(i: int, comp: MigrationComponent, where: str, values, emigra
 # ---------------------------------------------------------------------------
 
 
-def sample_migration(spec: MigrationSpec, Z, rng, u=None):
+def sample_migration(spec: ModelSpec, Z, rng):
     """Migration adjustments M (R, p) for the states Z (R, p).
 
-    Per type, ``branch_probs`` at these rows gives the branch intervals of
-    a uniform x: immigration on [pn, pn + pi), emigration on [pn + pi, 1)
-    where pe > 0.  One uniform per row chooses the row's branch;
-    immigration and emigration then draw only for the rows in their
-    branch, at those rows' states and counts.  The pe > 0 mask, with the
-    fold in ``branch_probs``, is the one place the zero-count rule lives:
-    at a folded row pn + pi can round to just below 1, and the mask keeps
-    that row's count of 0 away from the emigration law.  Where pn is one scalar
-    <= 0 and pn + pi >= 1, every row immigrates, and the draw takes no
-    masks.  The uniforms are drawn even then, so the stream does not
-    depend on the shortcut.
+    The rows' sizes are formed once (``ModelSpec.size``; none where the
+    migration reads no size).  Per type, ``branch_probs`` at these sizes
+    and counts gives the branch intervals of a uniform x: immigration on
+    [pn, pn + pi), emigration on [pn + pi, 1) where pe > 0.  One uniform
+    per row chooses the row's branch; immigration and emigration then draw
+    only for the rows in their branch, at those rows' sizes and counts.
+    The pe > 0 mask, with the fold in ``branch_probs``, is the one place
+    the zero-count rule lives: at a folded row pn + pi can round to just
+    below 1, and the mask keeps that row's count of 0 away from the
+    emigration law.  Where pn is one scalar <= 0 and pn + pi >= 1, every
+    row immigrates, and the draw takes no masks.  The uniforms are drawn
+    even then, so the stream does not depend on the shortcut.
     """
+    s = spec.size(Z)
     out = np.zeros(Z.shape, dtype=np.int64)
-    for i, comp in enumerate(spec.components):
+    for i, comp in enumerate(spec.migration.components):
         zi, col = Z[:, i], out[:, i]
-        pn, pi, pe = comp.branch_probs(Z, u, zi)
+        pn, pi, pe = comp.branch_probs(s, zi)
         hi = pn + pi
         x = rng.random(len(Z))
         if isinstance(hi, float) and pn <= 0.0 and hi >= 1.0 and len(Z):  # zero rows draw nothing
-            col[:] = comp.immigration.sample_batch(rng, Z, None, u)
+            col[:] = comp.immigration.sample_batch(rng, len(Z), s)
             continue
         imm = (x >= pn) & (x < hi)
-        if np.count_nonzero(imm):
-            col[imm] = comp.immigration.sample_batch(rng, Z, imm, u)
+        k = np.count_nonzero(imm)
+        if k:
+            col[imm] = comp.immigration.sample_batch(rng, k, s, imm)
         em = (x >= hi) & (pe > 0.0)
         if np.count_nonzero(em):
             col[em] = -comp.emigration.sample_batch(rng, zi[em])
@@ -419,14 +414,14 @@ def sample_migration(spec: MigrationSpec, Z, rng, u=None):
 def advance(spec: ModelSpec, Z, rng):
     """The next generation of every row of the int64 states Z (R, p).
 
-    Migration first (``sample_migration``, with the spec's cached Perron
-    weights), then every parent present sums its offspring
+    Migration first (``sample_migration``, at the rows' sizes), then every
+    parent present sums its offspring
     (``OffspringSpec.sample_sum_batch``).  The draws are a fixed sequence
     of numpy calls, so the same rows from the same stream give the same
     result.  ``Z`` may be a read-only view, such as one state broadcast to
     R rows.
     """
-    counts = sample_migration(spec.migration, Z, rng, u=spec.size_weights())
+    counts = sample_migration(spec, Z, rng)
     counts += Z
     return spec.offspring.sample_sum_batch(rng, counts)
 

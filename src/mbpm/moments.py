@@ -30,20 +30,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import odot
-from .model import MigrationSpec, ModelSpec
+from .model import ModelSpec
 
 
-def _component_raws(comp, k: int, z, u, zi: int) -> list:
-    """Raw moments E[M_i^1], ..., E[M_i^k] of one component's adjustment.
+def _component_raws(comp, k: int, s, zi: int) -> list:
+    """Raw moments E[M_i^1], ..., E[M_i^k] of one component's adjustment
+    at the size s and the count zi.
 
     The branch probabilities are evaluated once for all orders.
     """
-    _, pi, pe = comp.branch_probs(z, u, zi)
+    _, pi, pe = comp.branch_probs(s, zi)
     raws = []
     for order in range(1, k + 1):
         out = 0.0
         if pi > 0.0:
-            out += pi * comp.immigration.raw_moment(order, z, u)
+            out += pi * comp.immigration.raw_moment(order, s)
         if pe > 0.0:
             sign = -1.0 if order % 2 else 1.0
             out += sign * pe * comp.emigration.raw_moment(order, zi)
@@ -51,82 +52,74 @@ def _component_raws(comp, k: int, z, u, zi: int) -> list:
     return raws
 
 
-def migration_mean(spec: MigrationSpec, z, u=None):
+def _per_type_raws(spec: ModelSpec, k: int, z) -> list:
+    """_component_raws of every type at the state z, whose size is formed once."""
+    z = np.asarray(z, dtype=np.int64)
+    s = spec.size(z)
+    return [_component_raws(comp, k, s, int(z[i]))
+            for i, comp in enumerate(spec.migration.components)]
+
+
+def migration_mean(spec: ModelSpec, z):
     """Mean migration adjustment h(z), one entry per type."""
-    z = np.asarray(z, dtype=np.int64)
-    return np.array(
-        [
-            _component_raws(comp, 1, z, u, int(z[i]))[0]
-            for i, comp in enumerate(spec.components)
-        ]
-    )
+    return np.array([m1 for (m1,) in _per_type_raws(spec, 1, z)])
 
 
-def migration_var(spec: MigrationSpec, z, u=None):
+def migration_var(spec: ModelSpec, z):
     """Covariance of M(z): diagonal under across-type independence."""
-    z = np.asarray(z, dtype=np.int64)
-    diag = []
-    for i, comp in enumerate(spec.components):
-        m1, m2 = _component_raws(comp, 2, z, u, int(z[i]))
-        diag.append(m2 - m1 * m1)
-    return np.diag(diag)
+    return np.diag([m2 - m1 * m1 for m1, m2 in _per_type_raws(spec, 2, z)])
 
 
-def migration_kappa(spec: MigrationSpec, z, u=None):
+def migration_kappa(spec: ModelSpec, z):
     """Fourth central moments E[(M_i - h_i)^4], one entry per type."""
-    z = np.asarray(z, dtype=np.int64)
-    out = []
-    for i, comp in enumerate(spec.components):
-        m1, m2, m3, m4 = _component_raws(comp, 4, z, u, int(z[i]))
-        out.append(m4 - 4 * m1 * m3 + 6 * m1 * m1 * m2 - 3 * m1**4)
-    return np.array(out)
+    return np.array([m4 - 4 * m1 * m3 + 6 * m1 * m1 * m2 - 3 * m1**4
+                     for m1, m2, m3, m4 in _per_type_raws(spec, 4, z)])
 
 
-def migration_atoms(spec: MigrationSpec, i: int, z, u=None):
-    """Support and probabilities of component i's adjustment M_i at z.
+def migration_atoms(spec: ModelSpec, i: int, z):
+    """Support, probabilities and emigration probability of component i's
+    adjustment M_i at z.
 
     Three branches: the atom 0 of no migration, the immigration atoms, and
     the emigration atoms where the law has ``atoms``.  Values are floats
     (they include negatives).  The probabilities fall short of 1 by the
     enumeration tail of unbounded immigration supports, and by the whole
-    mass of a uniform or inverse-cube emigration branch, whose support
+    mass pe of a uniform or inverse-cube emigration branch, whose support
     grows with the count.
     """
     z = np.asarray(z, dtype=np.int64)
-    comp = spec.components[i]
-    zi = int(z[i])
-    pn, pi, pe = comp.branch_probs(z, u, zi)
+    comp, s, zi = spec.migration.components[i], spec.size(z), int(z[i])
+    pn, pi, pe = comp.branch_probs(s, zi)
     values = [np.zeros(1)]
     probs = [np.array([pn])]
     if pi > 0.0:
-        iv, ip = comp.immigration.atoms(z, u)
+        iv, ip = comp.immigration.atoms(s)
         values.append(iv.astype(float))
         probs.append(pi * ip)
     if pe > 0.0 and hasattr(comp.emigration, "atoms"):
         dv, dp = comp.emigration.atoms(zi)
         values.append(-dv.astype(float))
         probs.append(pe * dp)
-    return np.concatenate(values), np.concatenate(probs)
+    return np.concatenate(values), np.concatenate(probs), pe
 
 
-def migration_abs_moments(spec: MigrationSpec, i: int, z, u, pairs) -> list:
+def migration_abs_moments(spec: ModelSpec, i: int, z, pairs) -> list:
     """E|M_i - a|^q of component i's adjustment at z, one per (q, a) in pairs,
     for q in {3/2, 2, 3} and real shifts a.
 
-    Each moment sums over migration_atoms.  An emigration law without
-    atoms adds its closed form, weighted by the emigration probability:
+    Each moment sums over the atoms of migration_atoms, whose branch
+    probabilities are evaluated once.  An emigration law without atoms
+    adds its closed form, weighted by the emigration probability:
     E|-D - a|^q = E|D - (-a)|^q.
     """
-    z = np.asarray(z, dtype=np.int64)
-    vals, probs = migration_atoms(spec, i, z, u)
-    comp = spec.components[i]
+    vals, probs, pe = migration_atoms(spec, i, z)
+    comp = spec.migration.components[i]
     zi = int(z[i])
     closed = getattr(comp.emigration, "abs_moment", None)
-    pe = comp.branch_probs(z, u, zi)[2] if closed else 0.0
     out = []
     for q, a in pairs:
         moment = float(np.sum(probs * np.abs(vals - a) ** q))
-        if pe > 0.0:
+        if closed and pe > 0.0:
             moment += pe * closed(q, -a, zi)
         out.append(moment)
     return out
@@ -135,30 +128,27 @@ def migration_abs_moments(spec: MigrationSpec, i: int, z, u, pairs) -> list:
 def cond_mean(spec: ModelSpec, z):
     """Conditional mean of the next state: m (z + h(z))."""
     z = np.asarray(z, dtype=np.int64)
-    h = migration_mean(spec.migration, z, spec.size_weights())
-    return spec.mean_matrix() @ (z + h)
+    return spec.mean_matrix() @ (z + migration_mean(spec, z))
 
 
 def cond_var(spec: ModelSpec, z):
     """Conditional covariance of the next state."""
     z = np.asarray(z, dtype=np.int64)
-    u = spec.size_weights()
-    h = migration_mean(spec.migration, z, u)
     m = spec.mean_matrix()
-    branching = odot(z + h, spec.cov_tensor())
-    return branching + m @ migration_var(spec.migration, z, u) @ m.T
+    branching = odot(z + migration_mean(spec, z), spec.cov_tensor())
+    return branching + m @ migration_var(spec, z) @ m.T
 
 
 def sigma2(spec: ModelSpec, u, z) -> float:
     """Conditional variance of the weighted size u . Z' given Z = z.
 
+    ``u`` weights Z' only: the migration reads the model's own size at z.
     Under criticality (u^T m = u^T) this equals u^T cond_var u; the direct
     form below avoids the matrix products.
     """
     z = np.asarray(z, dtype=np.int64)
     u = np.asarray(u, dtype=float)
-    h = migration_mean(spec.migration, z, u)
-    inner = odot(z + h, spec.cov_tensor()) + migration_var(spec.migration, z, u)
+    inner = odot(z + migration_mean(spec, z), spec.cov_tensor()) + migration_var(spec, z)
     return float(u @ inner @ u)
 
 
@@ -178,25 +168,22 @@ class MomentReport:
 def moment_report(spec: ModelSpec, z, u=None) -> MomentReport:
     """All exact moment quantities at z in one bundle.
 
-    ``u`` defaults to the spec's own left Perron weights when available;
-    sigma2 needs some weight vector, so constant-migration specs on
-    non-primitive mean matrices must pass one explicitly.
+    ``u`` weights Z' in sigma2 only; every migration quantity reads the
+    model's own size at z.  It defaults to the left Perron weights, or to
+    equal weights on a mean matrix that has none.
     """
     z = np.asarray(z, dtype=np.int64)
-    if u is None:
-        u = spec.size_weights()
     if u is None:
         try:
             u = spec.spectral().u
         except ValueError:
             u = np.full(spec.dim, 1.0 / spec.dim)
-    mig = spec.migration
     return MomentReport(
         z=z.copy(),
-        h=migration_mean(mig, z, u),
+        h=migration_mean(spec, z),
         cond_mean=cond_mean(spec, z),
         cond_cov=cond_var(spec, z),
-        varM=migration_var(mig, z, u),
+        varM=migration_var(spec, z),
         sigma2=sigma2(spec, u, z),
-        kappa=migration_kappa(mig, z, u),
+        kappa=migration_kappa(spec, z),
     )

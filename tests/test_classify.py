@@ -32,6 +32,7 @@ from mbpm import (
     growth_ratio,
     load_spec,
     probe_states,
+    sigma2,
     spec_from_dict,
 )
 from mbpm.laws import growth_exponent_of, limit_of
@@ -85,6 +86,15 @@ def test_growth_ratio_hand_value(drift_const_spec):
     # drift 0.75, variance 100.75 * 1 + 1.6875 at z = 100
     val = growth_ratio(drift_const_spec, [1.0], [100])
     assert abs(val - 150.0 / 102.4375) < 1e-12
+
+
+def test_growth_ratio_reads_h_at_the_models_own_size(sqrt_spec):
+    # sqrt_drift's h(100) = 10 at its own size s = z; weights u = 1/4 scale
+    # u.z, u.h and sigma2 only, so the ratio is the one at u = 1
+    z = [100]
+    s2 = sigma2(sqrt_spec, [0.25], z)
+    assert growth_ratio(sqrt_spec, [0.25], z) == 2.0 * 25.0 * 2.5 / s2
+    assert growth_ratio(sqrt_spec, [0.25], z) == growth_ratio(sqrt_spec, [1.0], z)
 
 
 def test_hypothesis_B(gamma_spec, sqrt_spec, two_type_spec):
@@ -323,9 +333,9 @@ def test_classify_enumerates_no_growing_support(tmp_path, monkeypatch, capsys, d
     migration_atoms = mbpm.moments.migration_atoms
 
     def recording(*args, **kwargs):
-        vals, probs = migration_atoms(*args, **kwargs)
+        vals, probs, pe = migration_atoms(*args, **kwargs)
         sizes.append(len(vals))
-        return vals, probs
+        return vals, probs, pe
 
     monkeypatch.setattr(mbpm.moments, "migration_atoms", recording)
     assert run() == reference

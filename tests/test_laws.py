@@ -25,7 +25,6 @@ from mbpm import (
     TableOffspring,
     TruncatedGeometricEmigration,
     UniformEmigration,
-    size_of,
 )
 from mbpm.laws import _EM_START, _faulhaber, _h_sum, growth_exponent_of, limit_of
 
@@ -36,57 +35,44 @@ def empirical_pmf(draws):
 
 
 # ---------------------------------------------------------------------------
-# scalar size and state functions
+# state functions of the scalar size
 # ---------------------------------------------------------------------------
-
-
-def test_size_of():
-    assert size_of([7.0]) == 7.0
-    assert size_of([0, 0, 0]) == 0.0
-    assert size_of([2.0, 3.0], [0.5, 0.5]) == 2.5
-    with pytest.raises(ValueError):
-        size_of([1.0, 2.0])
-    stack = np.array([[2, 3], [0, 0], [4, 0]])
-    assert size_of(stack, [0.5, 0.5]).tolist() == [2.5, 0.0, 2.0]
-    assert size_of(np.zeros((3, 2))).tolist() == [0.0, 0.0, 0.0]
-    with pytest.raises(ValueError):
-        size_of(stack)
 
 
 def test_constant_function():
     f = Constant(2.0)
-    assert f([123.0]) == 2.0
+    assert f(123.0) == 2.0
     assert f.leading() == (2.0, 0.0)
 
 
 def test_power_function():
     f = Power(1.0, 0.5)
-    assert f([4.0]) == 2.0
-    assert f([0.0]) == 0.0
+    assert f(4.0) == 2.0
+    assert f(0.0) == 0.0
     assert f.leading() == (1.0, 0.5)
     assert (limit_of(f.leading()), growth_exponent_of(f.leading())) == (math.inf, 0.5)
     g = Power(3.0, -1.0)
-    assert g([6.0]) == 0.5
+    assert g(6.0) == 0.5
     assert g.leading() == (3.0, -1.0)
     assert (limit_of(g.leading()), growth_exponent_of(g.leading())) == (0.0, 0.0)
-    assert math.isinf(g([0.0]))
+    assert math.isinf(g(0.0))
 
 
 def test_power_limits_at_zero_size_raise_no_warning():
     # 0**(-e) = inf and 0**e = 0 are the limits at s = 0, not numerical accidents
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert Power(3.0, -1.0)([0.0]) == math.inf
-        assert Power(3.0, -1.0)(np.array([[0.0], [6.0]])).tolist() == [math.inf, 0.5]
-        assert Power(1.0, 0.5)(np.zeros((2, 1))).tolist() == [0.0, 0.0]
+        assert Power(3.0, -1.0)(0.0) == math.inf
+        assert Power(3.0, -1.0)(np.array([0.0, 6.0])).tolist() == [math.inf, 0.5]
+        assert Power(1.0, 0.5)(np.zeros(2)).tolist() == [0.0, 0.0]
 
 
 def test_table_function_right_continuous():
     f = Table(breaks=(10.0, 100.0), values=(1.0, 5.0))
-    assert f([3.0]) == 1.0
-    assert f([10.0]) == 1.0
-    assert f([99.0]) == 1.0
-    assert f([100.0]) == 5.0
+    assert f(3.0) == 1.0
+    assert f(10.0) == 1.0
+    assert f(99.0) == 1.0
+    assert f(100.0) == 5.0
     assert f.leading() == (5.0, 0.0)
     with pytest.raises(ValueError):
         Table(breaks=(10.0, 5.0), values=(1.0, 2.0))
@@ -96,11 +82,11 @@ def test_table_function_right_continuous():
 
 def test_clamp_function():
     f = Clamp(Power(1.0, 0.5), lo=1.0)
-    assert f([0.0]) == 1.0
-    assert f([100.0]) == 10.0
+    assert f(0.0) == 1.0
+    assert f(100.0) == 10.0
     assert f.leading() == (1.0, 0.5)
     g = Clamp(Power(1.0, 1.0), lo=0.0, hi=4.0)
-    assert g([9.0]) == 4.0
+    assert g(9.0) == 4.0
     assert g.leading() == (4.0, 0.0)
     with pytest.raises(ValueError):
         Clamp(Constant(1.0))
@@ -123,8 +109,8 @@ def test_clamp_function():
 def test_state_functions_on_arrays_match_scalars(f):
     # sizes at 0, at and around the table breaks, and far out
     sizes = np.array([0.0, 1.0, 9.0, 10.0, 99.0, 100.0, 1e6])
-    scalar = [f([s]) for s in sizes]
-    stacked = np.broadcast_to(f(sizes[:, None]), sizes.shape)
+    scalar = [f(s) for s in sizes]
+    stacked = np.broadcast_to(f(sizes), sizes.shape)
     assert np.array_equal(stacked, scalar)
 
 
@@ -173,7 +159,7 @@ def assert_leading(value, lead, s, rel):
     Clamp(Clamp(Power(-2.0, -1.0), lo=-5.0), lo=0.0),
 ], ids=repr)
 def test_state_function_leading_form_agrees_with_evaluation(f, s):
-    assert_leading(float(f([s])), f.leading(), s, rel=1e-15)
+    assert_leading(float(f(s)), f.leading(), s, rel=1e-15)
 
 
 # The law means approach their leading forms like 1/s: uniform emigration's
@@ -192,7 +178,7 @@ def test_state_function_leading_form_agrees_with_evaluation(f, s):
 ], ids=repr)
 def test_migration_law_leading_form_agrees_with_its_mean(law, s):
     if hasattr(law, "mean_fn"):
-        value, lead = float(law.raw_moment(1, [s])), law.mean_fn.leading()
+        value, lead = float(law.raw_moment(1, s)), law.mean_fn.leading()
     else:
         value, lead = law.raw_moment(1, int(s)), law.mean_leading()
     assert_leading(value, lead, s, rel=2.0 / s)
@@ -218,7 +204,7 @@ def test_migration_law_leading_form_agrees_with_its_mean(law, s):
 ], ids=repr)
 def test_migration_law_var_leading_agrees_with_its_variance(law, s):
     if hasattr(law, "mean_fn"):
-        m1, m2 = (float(law.raw_moment(k, [s])) for k in (1, 2))
+        m1, m2 = (float(law.raw_moment(k, s)) for k in (1, 2))
     else:
         m1, m2 = (law.raw_moment(k, int(s)) for k in (1, 2))
     assert_leading(m2 - m1 * m1, law.var_leading(), s, rel=2.0 / math.sqrt(s))
@@ -352,12 +338,12 @@ def test_poisson_offspring_rate_past_numpy_limit_is_named():
 def test_immigration_rate_past_numpy_limit_names_the_row_of_the_states():
     # the mask selects rows 2 and 3; the second selected row is row 3 of Z
     law = ShiftedPoissonImmigration(mean_fn=Power(coeff=1e17, exponent=1.0))
-    Z = np.array([[1], [2], [3], [500]], dtype=np.int64)
+    s = np.array([1.0, 2.0, 3.0, 500.0])
     rows = np.array([False, False, True, True])
     with pytest.raises(ValueError, match=r"immigration rate 5e\+19 at row 3 is past"):
-        law.sample_batch(np.random.default_rng(0), Z, rows)
+        law.sample_batch(np.random.default_rng(0), 2, s, rows)
     with pytest.raises(ValueError, match=r"immigration rate 5e\+19 at row 3 is past"):
-        law.sample_batch(np.random.default_rng(0), Z, None)
+        law.sample_batch(np.random.default_rng(0), 4, s)
 
 
 def test_poisson_atoms_at_rate_one_million():
@@ -459,26 +445,26 @@ def test_finite_offspring_vector_moments():
 
 def test_shifted_poisson_immigration_moments():
     law = ShiftedPoissonImmigration(mean_fn=Constant(2.0))
-    z = np.array([10.0])
-    assert law.raw_moment(1, z) == 2.0
+    s = 10.0
+    assert law.raw_moment(1, s) == 2.0
     oracle = oracles.shifted_poisson_pmf(2.0)
     for k in range(1, 5):
         direct = oracles.pmf_moment(oracle, k)
-        assert abs(law.raw_moment(k, z) - direct) < 1e-10 * max(1.0, direct)
+        assert abs(law.raw_moment(k, s) - direct) < 1e-10 * max(1.0, direct)
     rng = np.random.default_rng(10)
-    draws = law.sample_batch(rng, np.broadcast_to(z, (50_000, 1)), np.ones(50_000, bool))
+    draws = law.sample_batch(rng, 50_000, np.full(50_000, s), np.ones(50_000, bool))
     assert draws.min() >= 1
     assert oracles.total_variation(empirical_pmf(draws), oracle) < 0.02
 
 
 def test_shifted_poisson_immigration_state_dependence():
     law = ShiftedPoissonImmigration(mean_fn=Clamp(Power(1.0, 0.5), lo=1.0))
-    assert law.raw_moment(1, np.array([100.0])) == 10.0
-    assert law.raw_moment(1, np.array([0.0])) == 1.0
+    assert law.raw_moment(1, 100.0) == 10.0
+    assert law.raw_moment(1, 0.0) == 1.0
     # one draw per selected row, each at its own row's mean
-    sizes = np.tile([0, 100, 400], 50_000)
+    sizes = np.tile([0.0, 100.0, 400.0], 50_000)
     rows = sizes < 400
-    draws = law.sample_batch(np.random.default_rng(15), sizes[:, None], rows)
+    draws = law.sample_batch(np.random.default_rng(15), 100_000, sizes, rows)
     assert draws.shape == (100_000,)
     assert (draws[sizes[rows] == 0] == 1).all()
     assert abs(draws[sizes[rows] == 100].mean() - 10.0) < 5 * 3.0 / np.sqrt(50_000)
@@ -487,14 +473,14 @@ def test_shifted_poisson_immigration_state_dependence():
 def test_shifted_poisson_immigration_rejects_mean_below_one():
     law = ShiftedPoissonImmigration(mean_fn=Constant(0.5))
     with pytest.raises(ValueError, match="below 1"):
-        law.raw_moment(1, np.array([4.0]))
-    # a stack of states raises if any selected row's mean is below 1
+        law.raw_moment(1, 4.0)
+    # a stack of sizes raises if any selected row's mean is below 1
     law = ShiftedPoissonImmigration(mean_fn=Power(1.0, 1.0))
-    Z = np.array([[4], [0], [9]])
+    s = np.array([4.0, 0.0, 9.0])
     with pytest.raises(ValueError, match="below 1"):
-        law.sample_batch(np.random.default_rng(16), Z, np.ones(3, bool))
+        law.sample_batch(np.random.default_rng(16), 3, s, np.ones(3, bool))
     # ... and only the selected rows are read
-    draws = law.sample_batch(np.random.default_rng(16), Z, np.array([True, False, True]))
+    draws = law.sample_batch(np.random.default_rng(16), 2, s, np.array([True, False, True]))
     assert draws.shape == (2,) and draws.min() >= 1
 
 
@@ -518,35 +504,41 @@ def test_table_immigration():
 
 
 class _NoGather(np.ndarray):
-    """A state stack that fails when rows are gathered from it."""
+    """A stack of sizes that fails when rows are gathered from it."""
 
     def __getitem__(self, key):
-        raise AssertionError("the immigrating states were gathered")
+        raise AssertionError("the immigrating sizes were gathered")
 
 
-@pytest.mark.parametrize("law, reads_states", [
+@pytest.mark.parametrize("law, reads_sizes", [
     (ShiftedPoissonImmigration(mean_fn=Constant(2.0)), False),
     (DeterministicImmigration(value=3), False),
     (TableImmigration(values=(1, 4), probs=(0.75, 0.25)), False),
+    (ShiftedPoissonImmigration(mean_fn=Clamp(Constant(2.0), lo=1.0)), False),
     (ShiftedPoissonImmigration(mean_fn=Clamp(Power(1.0, 0.5), lo=1.0)), True),
-], ids=["shifted-poisson-constant", "deterministic", "table", "shifted-poisson-power"])
-def test_immigration_draws_only_at_the_selected_rows(law, reads_states):
-    Z = np.arange(0, 600, 3, dtype=np.int64)[:, None]
-    rows = np.random.default_rng(17).random(len(Z)) < 0.4
+], ids=["shifted-poisson-constant", "deterministic", "table", "shifted-poisson-clamped-constant",
+        "shifted-poisson-power"])
+def test_immigration_draws_only_at_the_selected_rows(law, reads_sizes):
+    s = np.arange(0, 600, 3, dtype=float)
+    rows = np.random.default_rng(17).random(len(s)) < 0.4
+    k = int(rows.sum())
     # the draws equal those of the selected rows alone, from the same stream
-    masked = law.sample_batch(np.random.default_rng(18), Z, rows)
-    alone = law.sample_batch(np.random.default_rng(18), Z[rows], np.ones(rows.sum(), bool))
-    assert masked.shape == (rows.sum(),)
+    masked = law.sample_batch(np.random.default_rng(18), k, s, rows)
+    alone = law.sample_batch(np.random.default_rng(18), k, s[rows], np.ones(k, bool))
+    assert masked.shape == (k,)
     assert masked.tolist() == alone.tolist()
     # rows=None selects every row
-    every = law.sample_batch(np.random.default_rng(18), Z, None)
+    every = law.sample_batch(np.random.default_rng(18), len(s), s)
     assert every.tolist() == law.sample_batch(
-        np.random.default_rng(18), Z, np.ones(len(Z), bool)).tolist()
-    if reads_states:
+        np.random.default_rng(18), len(s), s, np.ones(len(s), bool)).tolist()
+    if reads_sizes:
         with pytest.raises(AssertionError, match="gathered"):
-            law.sample_batch(np.random.default_rng(18), Z.view(_NoGather), rows)
+            law.sample_batch(np.random.default_rng(18), k, s.view(_NoGather), rows)
     else:
-        draws = law.sample_batch(np.random.default_rng(18), Z.view(_NoGather), rows)
+        draws = law.sample_batch(np.random.default_rng(18), k, s.view(_NoGather), rows)
+        assert np.asarray(draws).tolist() == masked.tolist()
+        # a spec whose state functions read no size forms none
+        draws = law.sample_batch(np.random.default_rng(18), k, None, rows)
         assert np.asarray(draws).tolist() == masked.tolist()
 
 

@@ -48,6 +48,7 @@ from mbpm import (
     spec_to_dict,
     stream_for,
 )
+from mbpm.model import _PROB_TOL
 
 
 def single_type_spec(prob_none=0.5, prob_imm=0.5, prob_em=0.0, immigration=None):
@@ -74,25 +75,24 @@ def test_dimension_mismatch_rejected(two_type_spec):
 def test_branch_probs_fold_missing_laws():
     spec = single_type_spec(prob_none=0.4, prob_imm=0.0, prob_em=0.6)
     comp = spec.migration.components[0]
-    pn, pi, pe = comp.branch_probs(np.array([5]), None, 5)
+    pn, pi, pe = comp.branch_probs(spec.size([5]), 5)
     assert (pn, pi, pe) == (1.0, 0.0, 0.0)  # no emigration law: branch folds
 
 
 def test_branch_probs_fold_at_zero_count(emigration_spec):
     comp = emigration_spec.migration.components[0]
-    u = emigration_spec.spectral().u
-    z = np.array([0, 4])
-    pn, pi, pe = comp.branch_probs(z, u, 0)
+    size = emigration_spec.size
+    pn, pi, pe = comp.branch_probs(size([0, 4]), 0)
     assert pe == 0.0 and abs(pn - 1.0) < 1e-12
-    pn1, pi1, pe1 = comp.branch_probs(np.array([4, 0]), u, 4)
+    pn1, pi1, pe1 = comp.branch_probs(size([4, 0]), 4)
     assert abs(pe1 - 0.5) < 1e-12
     # a stack of states gives per-row probabilities equal to the scalar ones
     Z = np.array([[0, 4], [4, 0], [1, 1]])
-    rows = np.broadcast_arrays(*comp.branch_probs(Z, u, Z[:, 0]))
+    rows = np.broadcast_arrays(*comp.branch_probs(size(Z), Z[:, 0]))
     for r, z in enumerate(Z):
-        assert [b[r] for b in rows] == list(comp.branch_probs(z, u, z[0]))
+        assert [b[r] for b in rows] == list(comp.branch_probs(size(z), z[0]))
     # constant probabilities stay scalars while no row is empty
-    assert all(np.ndim(b) == 0 for b in comp.branch_probs(Z[1:], u, Z[1:, 0]))
+    assert all(np.ndim(b) == 0 for b in comp.branch_probs(size(Z[1:]), Z[1:, 0]))
 
 
 def test_validate_passes_shipped_documents():
@@ -183,11 +183,38 @@ def test_state_function_knees():
     assert Power(1.0, 2.0).knees() == () and Constant(0.5).knees() == ()
 
 
+def test_size_is_formed_by_the_spec():
+    # u = (1,) on sqrt_drift: one state gives a float, a stack one size per row
+    spec = load_spec(spec_path("sqrt_drift_single_type"))
+    assert spec.size([7]) == 7.0 and np.ndim(spec.size([7])) == 0
+    assert spec.size(np.array([[7], [0], [3]])).tolist() == [7.0, 0.0, 3.0]
+    # two types weigh their counts by u, the null state included, and each
+    # row of a stack has the size of its state alone
+    spec = spec_from_dict(table_branches_doc())
+    u = spec.spectral().u
+    Z = np.array([[2, 3], [0, 0], [4, 0]])
+    alone = [spec.size(z) for z in Z]
+    assert alone == [float(u @ z) for z in Z]
+    assert spec.size(Z).tolist() == pytest.approx(alone, rel=1e-15)
+    assert spec.size([0, 0]) == 0.0
+    # constant-only migration forms no size, even on a mean matrix that is
+    # not primitive; size-dependent migration is refused there
+    assert load_spec(spec_path("two_type_mixed")).size(Z) is None
+    assert load_spec(spec_path("pure_death")).size([5]) is None
+    doc = load_doc("pure_death")
+    doc["migration"][0]["prob_none"] = {"kind": "table", "breaks": [0.0, 10.0],
+                                        "values": [1.0, 1.0]}
+    with pytest.raises(SpecFormatError) as err:
+        spec_from_dict(doc)
+    assert str(err.value) == (
+        "spec: migration uses size-dependent state functions, which need the left Perron "
+        "weights, but the offspring mean matrix is not primitive")
+
+
 def test_sample_migration_bounds(two_type_spec):
     rng = np.random.default_rng(0)
-    u = two_type_spec.spectral().u
     Z = np.tile([[50, 30], [0, 2], [1, 0]], (200, 1))
-    m = sample_migration(two_type_spec.migration, Z, rng, u)
+    m = sample_migration(two_type_spec, Z, rng)
     assert m.shape == Z.shape
     assert (Z + m >= 0).all()
 
@@ -271,7 +298,7 @@ def mixed_family_spec():
 
 def reference_advance(spec, Z, rng):
     """The kernel with every parent type drawing its own children."""
-    counts = sample_migration(spec.migration, Z, rng, u=spec.size_weights()) + Z
+    counts = sample_migration(spec, Z, rng) + Z
     out = np.zeros_like(counts)
     for i, law in enumerate(spec.offspring.laws):
         law.sample_sum_batch(rng, counts[:, i], out)
@@ -377,18 +404,19 @@ SHIPPED = ["gamma_single_type", "sqrt_drift_single_type", "two_type_mixed",
            "pure_emigration", "small_support", "pure_death"]
 
 
-def reference_migration(spec, Z, rng, u=None):
+def reference_migration(spec, Z, rng):
     """Migration with the branch probabilities evaluated and folded at every
     step, and every branch drawn through a mask."""
+    s = spec.size(Z)
     out = np.zeros(Z.shape, dtype=np.int64)
-    for i, comp in enumerate(spec.components):
+    for i, comp in enumerate(spec.migration.components):
         zi = Z[:, i]
-        pn, pi, pe = comp.branch_probs(Z, u, zi)
+        pn, pi, pe = comp.branch_probs(s, zi)
         x = rng.random(len(Z))
         imm = (x >= pn) & (x < pn + pi)
         em = (x >= pn + pi) & (pe > 0.0)
         if imm.any():
-            out[imm, i] = comp.immigration.sample_batch(rng, Z, imm, u)
+            out[imm, i] = comp.immigration.sample_batch(rng, int(imm.sum()), s, imm)
         if em.any():
             out[em, i] = -comp.emigration.sample_batch(rng, zi[em])
     return out
@@ -396,8 +424,7 @@ def reference_migration(spec, Z, rng, u=None):
 
 def reference_kernel(spec, Z, rng):
     """``advance`` with ``reference_migration``."""
-    u = spec.size_weights()
-    counts = reference_migration(spec.migration, Z, rng, u) + Z
+    counts = reference_migration(spec, Z, rng) + Z
     return spec.offspring.sample_sum_batch(rng, counts)
 
 
@@ -415,6 +442,26 @@ def table_branches_doc():
     m0["prob_none"], m0["prob_imm"] = table([0.5, 0.2]), table([0.3, 0.6])
     m1["prob_imm"], m1["prob_em"] = table([0.2, 0.1]), table([0.2, 0.3])
     return doc
+
+
+# about 10^4 sizes: every integer below 1000, where tables break, then a
+# geometric grid to 1e15
+DENSE_SIZES = np.unique(np.concatenate((np.arange(1000.0), np.geomspace(1.0, 1e15, 9000))))
+
+
+@pytest.mark.parametrize("name", SHIPPED + ["table_branches"])
+def test_state_functions_stay_valid_on_a_dense_grid_of_sizes(name):
+    # validation checks probes, knees and the limit; this checks between them,
+    # with one vectorised call per state function
+    spec = kernel_spec(name)
+    for comp in spec.migration.components:
+        pn, pi, pe, *mean = (np.broadcast_to(f(DENSE_SIZES), DENSE_SIZES.shape)
+                             for f in comp.state_functions())
+        for prob in (pn, pi, pe):
+            assert ((prob >= 0.0) & (prob <= 1.0)).all()
+        assert (np.abs(pn + pi + pe - 1.0) <= _PROB_TOL).all()
+        for a in mean:
+            assert (a >= 1.0 - _PROB_TOL).all()
 
 
 def kernel_spec(name):
@@ -508,21 +555,21 @@ def test_branch_probs_fold_missing_laws_and_empty_rows():
 
     rows = np.array([3, 0, 1])  # one empty row
     (gamma,) = components("gamma_single_type")
-    assert gamma.branch_probs(None, None, 1) == (0.0, 1.0, 0.0)  # every row immigrates
+    assert gamma.branch_probs(None, 1) == (0.0, 1.0, 0.0)  # every row immigrates
     (death,) = components("pure_death")
-    assert death.branch_probs(None, None, 1) == (1.0, 0.0, 0.0)
+    assert death.branch_probs(None, 1) == (1.0, 0.0, 0.0)
     for em in components("pure_emigration"):
         # no immigration law: prob_imm folds into none; an empty row cannot emigrate
-        assert em.branch_probs(None, None, 1) == (0.5, 0.0, 0.5)
-        assert em.branch_probs(None, None, 0) == (1.0, 0.0, 0.0)
-        pn, pi, pe = em.branch_probs(None, None, rows)
+        assert em.branch_probs(None, 1) == (0.5, 0.0, 0.5)
+        assert em.branch_probs(None, 0) == (1.0, 0.0, 0.0)
+        pn, pi, pe = em.branch_probs(None, rows)
         assert (pn.tolist(), pi, pe.tolist()) == ([0.5, 1.0, 0.5], 0.0, [0.5, 0.0, 0.5])
     imm_em, _ = components("two_type_mixed")
-    pn, pi, pe = imm_em.branch_probs(None, None, 1)
+    pn, pi, pe = imm_em.branch_probs(None, 1)
     assert (pn, pn + pi, pe) == (0.5, 0.8, 0.2)
-    pn, pi, pe = imm_em.branch_probs(None, None, 0)
+    pn, pi, pe = imm_em.branch_probs(None, 0)
     assert (pn, pn + pi, pe) == (0.7, 1.0, 0.0)
-    pn, pi, pe = imm_em.branch_probs(None, None, rows)
+    pn, pi, pe = imm_em.branch_probs(None, rows)
     assert (pn + pi).tolist() == [0.8, 1.0, 0.8] and pn.tolist() == [0.5, 0.7, 0.5]
     assert pe.tolist() == [0.2, 0.0, 0.2]
 
@@ -578,7 +625,7 @@ def test_emigration_laws_see_only_positive_counts(tmp_path, monkeypatch):
             cond_var(spec, z)
             sigma2(spec, u, z)
             for i in range(spec.dim):
-                migration_abs_moments(spec.migration, i, z, u,
+                migration_abs_moments(spec, i, z,
                                       [(1.5, -float(z[i])), (2.0, 0.5), (3.0, -1.0)])
     for name in SHIPPED:
         assert cli.main(["--spec", spec_path(name), "--suite", "classify",
@@ -595,6 +642,23 @@ def test_copied_and_pickled_spec_draws_alike():
     for clone in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
         assert spec_digest(clone) == spec_digest(spec)
         assert np.array_equal(advance(clone, Z, stream_for(4, 0)), first)
+
+
+def test_clamped_constant_immigration_mean_reads_no_size():
+    # a clamp of a constant reads no size, as the constant does: the spec
+    # forms none, and the masked immigration branch draws as the bare one
+    doc = load_doc("gamma_single_type")
+    comp = doc["migration"][0]
+    comp["prob_none"]["value"], comp["prob_imm"]["value"] = 0.5, 0.5
+    bare = spec_from_dict(doc)
+    comp["immigration"]["mean"] = {"kind": "clamp", "inner": comp["immigration"]["mean"],
+                                   "lo": 1.0}
+    clamped = spec_from_dict(doc)
+    Z = np.arange(1, 41, dtype=np.int64)[:, None]
+    assert clamped.size(Z) is None
+    m = sample_migration(clamped, Z, stream_for(5, 0))
+    assert np.array_equal(m, sample_migration(bare, Z, stream_for(5, 0)))
+    assert 0 < np.count_nonzero(m) < len(Z)
 
 
 def test_immigration_rate_past_numpy_limit_is_named():

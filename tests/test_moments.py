@@ -29,7 +29,6 @@ from mbpm import (
     moment_check,
     moment_report,
     sigma2,
-    size_of,
 )
 
 
@@ -60,9 +59,9 @@ def test_offspring_moments_two_type(two_type_spec):
 
 def test_hand_computed_single_type_moments(drift_const_spec):
     z = np.array([100])
-    h = migration_mean(drift_const_spec.migration, z)
+    h = migration_mean(drift_const_spec, z)
     assert abs(h[0] - 0.75) < 1e-15
-    varm = migration_var(drift_const_spec.migration, z)
+    varm = migration_var(drift_const_spec, z)
     assert abs(varm[0, 0] - 1.6875) < 1e-15
     assert abs(cond_mean(drift_const_spec, z)[0] - 100.75) < 1e-12
     assert abs(cond_var(drift_const_spec, z)[0, 0] - 102.4375) < 1e-12
@@ -73,10 +72,10 @@ def test_migration_moments_match_enumeration(two_type_spec):
     doc = load_doc("two_type_mixed")
     u = two_type_spec.spectral().u
     z = np.array([50, 30])
-    zs = size_of(z, u)
-    h = migration_mean(two_type_spec.migration, z, u)
-    var = migration_var(two_type_spec.migration, z, u)
-    kap = migration_kappa(two_type_spec.migration, z, u)
+    zs = float(u @ z)
+    h = migration_mean(two_type_spec, z)
+    var = migration_var(two_type_spec, z)
+    kap = migration_kappa(two_type_spec, z)
     for i in range(2):
         pmf = oracles.component_adjustment_pmf(doc["migration"][i], int(z[i]), zs)
         assert abs(sum(pmf.values()) - 1.0) < 1e-12
@@ -94,20 +93,18 @@ def test_migration_moments_small_support():
 
     spec = load_spec(spec_path("small_support"))
     z = np.array([2, 1])
-    u = spec.size_weights()
-    h = migration_mean(spec.migration, z, u)
+    h = migration_mean(spec, z)
     for i in range(2):
         pmf = oracles.component_adjustment_pmf(doc["migration"][i], int(z[i]), 0.0)
         assert abs(h[i] - oracles.pmf_moment(pmf, 1)) < 1e-12
 
 
-def all_atoms(spec, i, z, u):
+def all_atoms(spec, i, z):
     """migration_atoms with the emigration branch it leaves out, that of a
     law whose support grows with the count, added from the oracle atoms."""
-    vals, probs = migration_atoms(spec.migration, i, z, u)
+    vals, probs, pe = migration_atoms(spec, i, z)
     comp = spec.migration.components[i]
     zi = int(z[i])
-    pe = comp.branch_probs(z, u, zi)[2]
     if pe == 0.0 or hasattr(comp.emigration, "atoms"):
         return vals, probs
     dv, dp = emigration_atoms(comp.emigration, zi)
@@ -115,12 +112,11 @@ def all_atoms(spec, i, z, u):
 
 
 def test_migration_atoms_reproduce_moments(two_type_spec):
-    u = two_type_spec.spectral().u
     z = np.array([50, 30])
-    h = migration_mean(two_type_spec.migration, z, u)
-    var = migration_var(two_type_spec.migration, z, u)
+    h = migration_mean(two_type_spec, z)
+    var = migration_var(two_type_spec, z)
     for i in range(2):
-        vals, probs = all_atoms(two_type_spec, i, z, u)
+        vals, probs = all_atoms(two_type_spec, i, z)
         mass = probs.sum()
         assert abs(mass - 1.0) < 1e-9
         mean = float(vals @ probs)
@@ -155,15 +151,14 @@ def test_migration_abs_moments_match_the_atoms(doc_name):
     # inverse-cube emigration add their closed forms, within 1e-12 of the
     # oracle atoms
     spec = _inverse_cube_spec() if doc_name == "inverse_cube" else load_spec(spec_path(doc_name))
-    u = spec.size_weights()
     for scale in (1, 7, 3000):
         z = np.arange(scale, scale + spec.dim)
-        h = migration_mean(spec.migration, z, u)
+        h = migration_mean(spec, z)
         for i, comp in enumerate(spec.migration.components):
             zi, hi = float(z[i]), float(h[i])
             pairs = [(1.5, -zi), (3.0, hi), (2.0, hi), (2.0, 0.5), (3.0, -7.5), (1.5, zi / 3)]
-            got = migration_abs_moments(spec.migration, i, z, u, pairs)
-            vals, probs = all_atoms(spec, i, z, u)
+            got = migration_abs_moments(spec, i, z, pairs)
+            vals, probs = all_atoms(spec, i, z)
             for (q, a), moment in zip(pairs, got):
                 from_atoms = float(np.sum(probs * np.abs(vals - a) ** q))
                 if not isinstance(comp.emigration, (UniformEmigration, InverseCubeEmigration)):
@@ -182,7 +177,6 @@ def test_each_migration_law_answers_absolute_moments_one_way():
 
 
 def test_raw_migration_moments_evaluate_branches_once(two_type_spec, monkeypatch):
-    u = two_type_spec.spectral().u
     z = np.array([50, 30])
     calls = []
     branch_probs = MigrationComponent.branch_probs
@@ -194,14 +188,19 @@ def test_raw_migration_moments_evaluate_branches_once(two_type_spec, monkeypatch
     monkeypatch.setattr(MigrationComponent, "branch_probs", counted)
     for fn in (migration_mean, migration_var, migration_kappa):
         calls.clear()
-        fn(two_type_spec.migration, z, u)
+        fn(two_type_spec, z)
         assert len(calls) == two_type_spec.dim  # once per component, for all orders
+    # uniform emigration (type 0) has no atoms: its closed form reads the
+    # same evaluation as the atoms of the other branches
+    for i, comp in enumerate(two_type_spec.migration.components):
+        calls.clear()
+        migration_abs_moments(two_type_spec, i, z, [(1.5, -50.0), (2.0, 0.5), (3.0, 1.0)])
+        assert calls == [comp]
 
 
 def test_migration_folds_at_zero_state(two_type_spec):
     z = np.zeros(2, dtype=np.int64)
-    u = two_type_spec.spectral().u
-    h = migration_mean(two_type_spec.migration, z, u)
+    h = migration_mean(two_type_spec, z)
     # emigration is impossible at zero counts, so the drift is the pure
     # immigration part: q_i * E I_i
     assert abs(h[0] - 0.3 * 2.0) < 1e-12
@@ -216,6 +215,18 @@ def test_sigma2_consistent_with_cond_var(two_type_spec):
         direct = sigma2(two_type_spec, u, z)
         via_cov = float(u @ cond_var(two_type_spec, z) @ u)
         assert abs(direct - via_cov) < 1e-10 * max(1.0, direct)
+
+
+def test_weights_scale_only_the_next_state(sqrt_spec):
+    # sqrt_drift's immigration mean reads the model's own size, s = z (u = 1).
+    # Weights passed in weight Z' only: h(100) stays sqrt(100) = 10 under
+    # u = 1/4, where resizing the migration to s = 25 would give 5.
+    z = np.array([100])
+    rep = moment_report(sqrt_spec, z, u=[0.25])
+    assert rep.h.tolist() == [10.0]
+    assert np.array_equal(rep.cond_mean, sqrt_spec.mean_matrix() @ (z + rep.h))
+    assert rep.sigma2 == sigma2(sqrt_spec, [1.0], z) / 16
+    assert sigma2(sqrt_spec, [0.25], z) == sigma2(sqrt_spec, [1.0], z) / 16
 
 
 def test_moment_report_bundles_everything(two_type_spec):

@@ -24,7 +24,7 @@ EXPORTED = [
     "migration_mean", "migration_var", "model", "moment_check", "moment_report", "moments",
     "montecarlo", "normal_cdf", "odot", "params_from_spec", "perron", "probe_states",
     "run_ensemble", "sample_migration", "sample_step_batch", "sigma2", "simulate_path",
-    "size_of", "spec_digest", "spec_from_dict", "spec_to_dict", "stream_for",
+    "spec_digest", "spec_from_dict", "spec_to_dict", "stream_for",
     "wilson_interval",
 ]
 SUBMODULES = ["algebra", "classify", "laws", "limits", "model", "moments", "montecarlo"]
