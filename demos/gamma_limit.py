@@ -6,7 +6,8 @@ of 2 per step grows linearly on the event of survival, and Z_n / n
 converges in law to a gamma distribution.  With reproduction variance
 nu = 1 the limit is Gamma(shape 4, scale 1/2): shape = 2 u.c / nu and
 scale = nu / 2.  This script derives those parameters from the model's
-laws, compares them with slope fits along the growth ray, simulates an ensemble, and compares the empirical distribution of
+laws, checks that the classifier's exponents along the growth ray are the
+same, simulates an ensemble, and compares the empirical distribution of
 Z_n / n against the gamma reference with a Kolmogorov-Smirnov check.
 """
 from mbpm import (
@@ -22,19 +23,21 @@ from mbpm import (
 spec = load_spec("specs/gamma_single_type.json")
 
 # ---------------------------------------------------------------------------
-# limit parameters, two ways: exact from the laws' large-size forms, and
-# fitted from the moment structure along the growth ray
+# limit parameters, exact from the laws' large-size forms, which the
+# classifier's exponents along the growth ray read too
 # ---------------------------------------------------------------------------
 
 params = params_from_spec(spec)
 print(f"exact:  drift exponent alpha = {params.alpha}, u.c = {params.c_dot_u}, nu = {params.nu}")
 print(f"        gamma shape = {params.gamma_shape}, scale = {params.gamma_scale}")
 
-fitted = estimate_exponents(spec)
+exponents = estimate_exponents(spec)
 print(
-    f"fitted: alpha = {fitted['alpha']:.4f}, u.c = {fitted['c_dot_u']:.4f}, "
-    f"nu = {fitted['nu']:.4f}, beta = {fitted['beta']:.4f}"
+    f"classifier: alpha = {exponents['alpha']}, u.c = {exponents['c_dot_u']}, "
+    f"nu = {exponents['nu']}, beta = {exponents['beta']}"
 )
+assert (exponents["alpha"], exponents["c_dot_u"], exponents["nu"], exponents["beta"]) == (
+    params.alpha, params.c_dot_u, params.nu, params.beta)
 
 # ---------------------------------------------------------------------------
 # ensemble of trajectories started from a single individual

@@ -40,12 +40,12 @@ for name, path in cases:
     print(f"verdict: {result.verdict}  [{result.condition}]")
     print(f"probe sizes:  {np.array2string(np.asarray(result.probe_sizes), precision=0)}")
     print(f"drift ratios: {np.array2string(np.asarray(result.ratio_values), precision=3)}")
-    fitted = estimate_exponents(spec)
-    if fitted["alpha"] is not None:
+    exponents = estimate_exponents(spec)
+    if exponents["alpha"] is not None:
         print(
-            f"fitted drift ~ c*s^alpha with alpha = {fitted['alpha']:.3f}, "
-            f"u.c = {fitted['c_dot_u']:.3f}; "
-            f"fluctuation sigma^2 ~ nu*s^beta with beta = {fitted['beta']:.3f}"
+            f"drift ~ c*s^alpha with alpha = {exponents['alpha']:.3f}, "
+            f"u.c = {exponents['c_dot_u']:.3f}; "
+            f"fluctuation sigma^2 ~ nu*s^beta with beta = {exponents['beta']:.3f}"
         )
     print()
 

@@ -62,7 +62,6 @@ _EXPORTS = {
         "MomentReport",
         "cond_mean",
         "cond_var",
-        "migration_abs_moments",
         "migration_atoms",
         "migration_kappa",
         "migration_mean",

@@ -7,19 +7,16 @@ u the left Perron weights, everything hinges on the ratio
 
 along rays to infinity: staying below 1 forbids unbounded growth and
 exceeding 1 permits it, under side conditions bounding higher moments of
-one transition.  Limits cannot be decided from finitely many states, so
-the checks are honest approximations: structural reasoning on the closed
-state-function set where possible, log-log slope regression at probe
-states otherwise, and a 10% safety margin around the critical ratio 1
-inside which the verdict is "inconclusive".
+one transition.  The ratio is read at probe states on the ray (``_Ray``:
+h and sigma2 once per probe), with a 10% safety margin around the
+critical ratio 1 inside which the verdict is "inconclusive".
 
-Every criterion reads one evaluation of the probe ray (``_Ray``): h and
-sigma2 once per probe, and one call of moments.migration_abs_moments per
-probe and type for all fractional moments.  No emigration law is
-enumerated up to the count there, so a probe may lie at any magnitude whose
-state fits int64.  The order checks form one table, {shifted, centered} x
-{sigma, drift_log, drift}.  The classify suite reads its verdict and its
-exponents from one ray.
+The side conditions are little-o comparisons of growth rates.  Every law
+states its large-size form (see laws), so they compare exact growth
+exponents along the ray (moments.leading_moments and
+moments.abs_exponent); nothing is fitted.  The order checks form one
+table, {shifted, centered} x {sigma, drift_log, drift}.  The classify
+suite reads its verdict and its exponents from one ray.
 
 Standing assumptions referenced throughout: (A) the offspring mean matrix
 is primitive with Perron root 1; (B) mean migration is o(||z||); (C) the
@@ -34,15 +31,21 @@ from typing import Optional
 import numpy as np
 
 from .algebra import is_critical
-from .laws import growth_exponent_of, limit_of, product_of
+from .laws import exponent_of, limit_of
 from .model import ModelSpec
-from .moments import migration_abs_moments, migration_mean, sigma2
+from .moments import (
+    abs_exponent,
+    leading_moments,
+    migration_leads,
+    migration_mean,
+    migration_terms,
+    sigma2,
+)
 
 _RATIO_MARGIN = 0.10  # safety band around the critical ratio 1
-_SLOPE_SLACK = 0.05  # fitted exponent must undershoot the target by this
-_DELTA = 1.0  # the moment orders are 1 + delta/2 and 2 + delta
-_ALPHA_LOG = 1.0  # exponent on the log factor of the growth-side conditions
-_ALPHA_TILDE = 2.0  # moment order of the delta2 surrogate
+_SLOPE_SLACK = 0.05  # an exponent must undershoot its target's by this
+DELTA = 1.0  # the moment orders are 1 + delta/2 and 2 + delta
+ALPHA_TILDE = 2.0  # moment order of the delta2 surrogate
 _VERDICTS = ("no-growth", "growth-possible", "inconclusive")
 _INT64_BOUND = 2.0**63  # the least float past int64
 
@@ -94,57 +97,19 @@ def probe_states(spec: ModelSpec, config: CriteriaConfig = CriteriaConfig()):
     return out
 
 
-def _migration_leads(comp, vi: float = 1.0) -> dict:
-    """Leading forms (coeff, exponent) in the size s of one migration
-    component's parameters along the ray z = s v, where the type's count is
-    z_i = vi s.
-
-    "p", "q" and "r" are the no-migration, immigration and emigration
-    probabilities, "a" and "b" the immigration and emigration law means,
-    and "var_a" and "var_b" their variances.  An emigration law reads the
-    count, so its coefficient is scaled by vi**exponent.  A missing law's
-    probability, mean and variance are (0, 0).
-    """
-    nothing = (0.0, 0.0)
-    imm, em = comp.immigration, comp.emigration
-
-    def at_count(lead):
-        return (lead[0] * vi ** lead[1], lead[1])
-
-    return {
-        "p": comp.prob_none.leading(),
-        "q": nothing if imm is None else comp.prob_imm.leading(),
-        "r": nothing if em is None else comp.prob_em.leading(),
-        "a": nothing if imm is None else imm.mean_fn.leading(),
-        "b": nothing if em is None else at_count(em.mean_leading()),
-        "var_a": nothing if imm is None else imm.var_leading(),
-        "var_b": nothing if em is None else at_count(em.var_leading()),
-    }
-
-
-def _migration_terms(leads: dict) -> tuple:
-    """Leading forms of the immigration term q_i E[I_i] and the emigration
-    term r_i E[D_i] of one component's mean h_i = q_i E[I_i] - r_i E[D_i],
-    from its _migration_leads; (0, 0) for a term that never fires at large
-    sizes."""
-    return product_of(leads["q"], leads["a"]), product_of(leads["r"], leads["b"])
-
-
-def _hypothesis_B(spec: ModelSpec, ray) -> tuple:
+def _hypothesis_B(ray, exps: dict) -> tuple:
     """(holds, evidence) of hypothesis (B): is the mean migration h(z) =
     o(||z||)?
 
     Decided structurally on the closed state-function set: each of the
     immigration term a_i q_i and emigration term b_i r_i gets the growth
-    exponent of its leading form (_migration_terms; uniform emigration
-    removes a linear fraction of the count, hence exponent 1), and the
-    hypothesis holds when every exponent is strictly below 1.  A term that
-    never fires has exponent -inf.  Probe ratios max_i |h_i(z)| / ||z|| on
-    the ray are recorded as numeric evidence only.
+    exponent of its leading form (_exponents; uniform emigration removes a
+    linear fraction of the count, hence exponent 1), 0 for a bounded term,
+    and the hypothesis holds when every exponent is strictly below 1.  A
+    term that never fires has exponent -inf.  Probe ratios max_i |h_i(z)|
+    / ||z|| on the ray are recorded as numeric evidence only.
     """
-    exponents = [tuple(growth_exponent_of(t) if t[0] != 0.0 else -math.inf
-                       for t in _migration_terms(_migration_leads(c)))
-                 for c in spec.migration.components]
+    exponents = [[e if math.isinf(e) else max(e, 0.0) for e in pair] for pair in exps["terms"]]
     ratios = [float(np.max(np.abs(h))) / float(np.sum(z)) for z, h in zip(ray.probes, ray.h)]
     worst = max(max(pair) for pair in exponents)
     evidence = {
@@ -166,7 +131,7 @@ def check_hypothesis_C(spec: ModelSpec) -> Optional[dict]:
     """
     limits = {key: [] for key in "pqrab"}
     for comp in spec.migration.components:
-        leads = _migration_leads(comp)
+        leads = migration_leads(comp)
         for key in limits:
             limits[key].append(limit_of(leads[key]))
     if not all(math.isfinite(v) for values in limits.values() for v in values):
@@ -203,92 +168,71 @@ def check_growth_support(spec: ModelSpec, z) -> bool:
 
 @dataclass(frozen=True)
 class _Ray:
-    """Everything the criteria read along the probe ray, evaluated once."""
+    """The ratio's ingredients along the probe ray, evaluated once."""
 
     probes: list
     sizes: np.ndarray  # u.z per probe
     h: list  # h(z) per probe
     uh: np.ndarray
     s2: np.ndarray  # sigma2(z) per probe
-    shifted: list  # [type][probe]: E|z_i + M_i|^(1 + delta/2)
-    centered: list  # [type][probe]: E|M_i - h_i|^(2 + delta)
-    surrogate: list  # [probe]: max over i of z_i + h_i and E|M_i - h_i|^alpha_tilde
 
 
 def _probe_ray(spec: ModelSpec, config: CriteriaConfig) -> _Ray:
-    """Evaluate the probe ray: one migration mean and one sigma2 per probe,
-    and one call of migration_abs_moments per (probe, type) for all
-    fractional moments."""
+    """Evaluate the probe ray: one migration mean and one sigma2 per probe."""
     u = spec.spectral().u
     probes = probe_states(spec, config)
     h_list = [migration_mean(spec, z) for z in probes]
-    shifted_power, centered_power = 1.0 + _DELTA / 2.0, 2.0 + _DELTA
-    shifted, centered = [[] for _ in range(spec.dim)], [[] for _ in range(spec.dim)]
-    surrogate = []
-    for z, h in zip(probes, h_list):
-        candidates = []
-        for i in range(spec.dim):
-            zi, hi = float(z[i]), float(h[i])
-            pairs = ((shifted_power, -zi), (centered_power, hi), (_ALPHA_TILDE, hi))
-            m_shifted, m_centered, m_tilde = migration_abs_moments(spec, i, z, pairs)
-            shifted[i].append(m_shifted)
-            centered[i].append(m_centered)
-            candidates.append(zi + hi)
-            candidates.append(m_tilde)
-        surrogate.append(max(candidates))
     return _Ray(
         probes=probes,
         sizes=np.array([float(u @ z) for z in probes]),
         h=h_list,
         uh=np.array([float(u @ h) for h in h_list]),
         s2=np.array([sigma2(spec, u, z) for z in probes]),
-        shifted=shifted,
-        centered=centered,
-        surrogate=surrogate,
     )
 
 
-def _slope(xs, ys) -> float:
-    """Least-squares slope of log ys against log xs; -inf if any y is 0."""
-    ys = np.asarray(ys, dtype=float)
-    if (ys <= 0.0).any():
-        return -math.inf
-    return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
-
-
 def _finite(x):
-    """x, or None where it is infinite (a slope that does not exist)."""
+    """x, or None where it is infinite (a quantity that is eventually 0)."""
     return None if math.isinf(x) else x
 
 
-def _order_checks(ray: _Ray) -> dict:
-    """The little-o slope checks {shifted, centered} x {sigma, drift_log,
-    drift}, keyed "<lhs>_vs_<rhs>": each holds when every type's fitted
-    exponent undershoots the target's by the slack.  The drift targets
-    exist only where u.h > 0 along the whole ray."""
-    sizes = ray.sizes
-    targets = {"sigma": sizes ** (1.0 + _DELTA) * ray.s2}
-    if (ray.uh > 0.0).all():
-        targets["drift_log"] = (
-            sizes ** (1.0 + _DELTA) * ray.uh / np.log(sizes) ** (1.0 + _ALPHA_LOG)
-        )
-        targets["drift"] = sizes ** (2.0 + _DELTA) * ray.uh
-    lhs_slopes = {
-        lhs: [_slope(sizes, ys) for ys in per_type]
-        for lhs, per_type in (("shifted", ray.shifted), ("centered", ray.centered))
-    }
+def _exponents(spec: ModelSpec) -> dict:
+    """The exact growth exponents along the ray that the order checks and
+    estimate_exponents compare: moments.leading_moments, and per type the
+    shifted moment E|z_i + M_i|^(1 + delta/2), the centered moment
+    E|M_i - h_i|^(2 + delta) and the terms q_i E[I_i] and r_i E[D_i] of
+    h_i (-inf where 0); and the surrogate, the larger of z_i + h_i (a
+    count: linear) and E|M_i - h_i|^alpha_tilde over all types."""
+    comps = spec.migration.components
+    out = leading_moments(spec)
+    out["shifted"] = [abs_exponent(c, 1.0 + DELTA / 2.0, shifted=True) for c in comps]
+    out["centered"] = [abs_exponent(c, 2.0 + DELTA) for c in comps]
+    out["surrogate"] = max(1.0, *(abs_exponent(c, ALPHA_TILDE) for c in comps))
+    out["terms"] = [[exponent_of(t) for t in migration_terms(migration_leads(c))] for c in comps]
+    return out
+
+
+def _order_checks(ray: _Ray, exps: dict) -> dict:
+    """The little-o checks {shifted, centered} x {sigma, drift_log, drift},
+    keyed "<lhs>_vs_<rhs>": each holds when every type's exponent
+    undershoots the target's by the slack.  The targets are s^(1 + delta)
+    sigma2, s^(1 + delta) u.h / log(s)^2 and s^(2 + delta) u.h; a log
+    factor moves no exponent.  The drift targets exist only where u.h > 0
+    along the whole ray and its leading terms do not cancel."""
+    targets = {"sigma": 1.0 + DELTA + exps["beta"]}
+    if (ray.uh > 0.0).all() and not exps["cancels"]:
+        targets["drift_log"] = 1.0 + DELTA + exps["alpha"]
+        targets["drift"] = 2.0 + DELTA + exps["alpha"]
     checks = {}
-    for rhs, values in targets.items():
-        rhs_slope = _slope(sizes, values)
-        applicable = not math.isinf(rhs_slope)
-        for lhs, slopes in lhs_slopes.items():
+    for rhs, rhs_exponent in targets.items():
+        for lhs in ("shifted", "centered"):
             name = f"{lhs}_vs_{rhs}"
             checks[name] = {
                 "name": name,
-                "ok": applicable and all(s <= rhs_slope - _SLOPE_SLACK for s in slopes),
-                "applicable": applicable,
-                "lhs_slopes": [_finite(s) for s in slopes],
-                "rhs_slope": _finite(rhs_slope),
+                "ok": all(e <= rhs_exponent - _SLOPE_SLACK for e in exps[lhs]),
+                "applicable": True,
+                "lhs_slopes": [_finite(e) for e in exps[lhs]],
+                "rhs_slope": rhs_exponent,
             }
     return checks
 
@@ -313,13 +257,14 @@ def _not_critical(spec: ModelSpec) -> Optional[GrowthVerdict]:
     )
 
 
-def _growth_verdict(spec: ModelSpec, ray: _Ray) -> GrowthVerdict:
-    """The verdict of a critical model, read from its probe ray."""
+def _growth_verdict(spec: ModelSpec, ray: _Ray, exps: dict) -> GrowthVerdict:
+    """The verdict of a critical model, read from its probe ray and its
+    exact exponents."""
     if (ray.s2 <= 0.0).any():
         raise ValueError("one-step variance vanishes at this state (deterministic model)")
     ratios = 2.0 * ray.sizes * ray.uh / ray.s2
-    hyp_b, b_evidence = _hypothesis_B(spec, ray)
-    checks = _order_checks(ray)
+    hyp_b, b_evidence = _hypothesis_B(ray, exps)
+    checks = _order_checks(ray, exps)
 
     def dominated(rhs: str) -> bool:
         return all(checks.get(f"{lhs}_vs_{rhs}", {}).get("ok") for lhs in ("shifted", "centered"))
@@ -372,37 +317,38 @@ def classify_growth(spec: ModelSpec, config: CriteriaConfig = CriteriaConfig()) 
     emigration-dominates condition is meaningful and corroborated by
     simulation even for linearly shrinking drifts.
     """
-    return _not_critical(spec) or _growth_verdict(spec, _probe_ray(spec, config))
+    return _not_critical(spec) or _growth_verdict(spec, _probe_ray(spec, config), _exponents(spec))
 
 
-def _fitted_exponents(ray: _Ray) -> dict:
-    """The exponent fits of estimate_exponents, read from a probe ray."""
-    sizes, uh, s2 = ray.sizes, ray.uh, ray.s2
-    out = {"sizes": sizes.tolist()}
-    alpha = _slope(sizes, uh) if (uh > 0.0).all() else None
-    out["alpha"] = alpha
-    out["c_dot_u"] = None if alpha is None else float(uh[-1] / sizes[-1] ** alpha)
-    beta = _finite(_slope(sizes, s2))
-    out["beta"] = beta
-    out["nu"] = None if beta is None else float(s2[-1] / sizes[-1] ** beta)
-    out["delta1"] = _finite(_slope(sizes, [float(np.max(np.abs(h))) for h in ray.h]))
-    d2 = _finite(_slope(sizes, ray.surrogate))
-    out["delta2"] = None if d2 is None else d2 / _ALPHA_TILDE
-
-    out["ratio_limit"] = None
-    if alpha is not None and beta is not None and out["nu"]:
-        matched = abs(beta - (alpha + 1.0)) < 0.05
-        out["ratio_limit"] = 2.0 * out["c_dot_u"] / out["nu"] if matched else math.inf
+def _fitted_exponents(ray: _Ray, exps: dict) -> dict:
+    """The exponents of estimate_exponents, read from _exponents; the ray
+    gives the probe sizes and the sign of u.h."""
+    drift = (ray.uh > 0.0).all() and not exps["cancels"]
+    out = {
+        "sizes": ray.sizes.tolist(),
+        "alpha": exps["alpha"] if drift else None,
+        "c_dot_u": exps["c_dot_u"] if drift else None,
+        "beta": exps["beta"],
+        "nu": _finite(exps["nu"]),
+        "delta1": _finite(max(max(pair) for pair in exps["terms"])),
+        "delta2": exps["surrogate"] / ALPHA_TILDE,
+        "ratio_limit": None,
+    }
+    if drift and out["nu"]:
+        matched = abs(exps["beta"] - (exps["alpha"] + 1.0)) < 0.05
+        out["ratio_limit"] = 2.0 * exps["c_dot_u"] / out["nu"] if matched else math.inf
     return out
 
 
 def estimate_exponents(spec: ModelSpec, config: CriteriaConfig = CriteriaConfig()) -> dict:
-    """Fitted growth exponents of the drift and variance along the ray.
+    """Exact growth exponents of the drift and variance along the ray.
 
-    Reports alpha (slope of log u.h), the matched drift coefficient
-    u.c, beta and nu for sigma2, and the fluctuation exponent
-    surrogates delta1 (growth of max_i |h_i|) and delta2 (growth of the
-    alpha_tilde-moment surrogate, divided by alpha_tilde).  Entries are
-    None where the quantity is nonpositive somewhere on the ray.
+    Reports alpha and u.c of the drift u.h ~ (u.c) s^alpha, beta and nu
+    of sigma2 ~ nu s^beta (as params_from_spec derives them), and the
+    fluctuation exponent surrogates delta1 (growth of max_i |h_i|) and
+    delta2 (growth of the alpha_tilde-moment surrogate, divided by
+    alpha_tilde).  alpha and u.c are None where u.h is nonpositive
+    somewhere on the ray or its leading terms cancel, nu where a log tops
+    sigma2, and delta1 where h is eventually 0.
     """
-    return _fitted_exponents(_probe_ray(spec, config))
+    return _fitted_exponents(_probe_ray(spec, config), _exponents(spec))

@@ -7,12 +7,13 @@ assertions pass, 1 when they fail, and 2 on a malformed document or an
 infeasible suite/model combination.
 
 The three limit suites (gamma-limit, normal-limit, l1-limit) share one
-runner, ``_suite_limit``: it derives the limit parameters from the laws
-and the normalizing sequence a_n, asks the suite's entry in
-``_LIMIT_LAWS`` for its sample transform and gate (refusing the model
-before any ensemble is drawn when the law does not exist), checks the
-document's ``limit`` block against the derived constants, then keeps the
-replicates with u.Z_n > eps * a_n and gates their transformed sizes.
+runner, ``_suite_limit``: it refuses a mean matrix that is not critical,
+derives the limit parameters from the laws and the normalizing sequence
+a_n, asks the suite's entry in ``_LIMIT_LAWS`` for its sample transform
+and gate (refusing the model before any ensemble is drawn when the law
+does not exist), checks the document's ``limit`` block against the
+derived constants, then keeps the replicates with u.Z_n > eps * a_n and
+gates their transformed sizes.
 The feller suite gates the endpoints u.Z_n / n through the same gamma KS gate: its
 diffusion limit has an exact Gamma law at every time, so no reference is
 simulated.  Option defaults are the field defaults of ``ExperimentConfig``.
@@ -24,7 +25,9 @@ label columns as str().
 
 Reports are deterministic for a fixed document and seed: the wall-clock
 timestamp is isolated in a single header field and no timings are
-embedded, so reruns are byte-identical apart from that one line.
+embedded, so reruns at one worker count are byte-identical apart from
+that one line.  The report also records ``workers``, which a rerun at
+another worker count changes.
 """
 from __future__ import annotations
 
@@ -42,9 +45,11 @@ from typing import Optional
 
 import numpy as np
 
+from .algebra import is_critical
 from .classify import (
     _VERDICTS,
     CriteriaConfig,
+    _exponents,
     _fitted_exponents,
     _growth_verdict,
     _not_critical,
@@ -283,7 +288,8 @@ def _suite_moments(spec: ModelSpec, doc: dict, config: ExperimentConfig):
 
 
 def _suite_classify(spec: ModelSpec, doc: dict, config: ExperimentConfig):
-    """The verdict and the fitted exponents, both read from one probe ray.
+    """The verdict and the exponents, read from one probe ray and one set
+    of exact exponents.
 
     A model without Perron data has no ray: it reports the not-critical
     verdict and no exponents."""
@@ -291,9 +297,11 @@ def _suite_classify(spec: ModelSpec, doc: dict, config: ExperimentConfig):
     cc = CriteriaConfig(ray_points=config.probe_magnitudes)
     with _applicable("classify"):
         verdict = _not_critical(spec)
-        ray = None if verdict and verdict.diagnostics["rho"] is None else _probe_ray(spec, cc)
-        verdict = verdict or _growth_verdict(spec, ray)
-        exponents = None if ray is None else _fitted_exponents(ray)
+        exponents = None
+        if not verdict or verdict.diagnostics["rho"] is not None:
+            ray, exps = _probe_ray(spec, cc), _exponents(spec)
+            verdict = verdict or _growth_verdict(spec, ray, exps)
+            exponents = _fitted_exponents(ray, exps)
     passed = True if expected is None else (verdict.verdict == expected)
     columns = [np.asarray(verdict.probe_sizes, dtype=float),
                np.asarray(verdict.ratio_values, dtype=float)]
@@ -313,7 +321,7 @@ def _size_scale(params, n):
     return n ** (1.0 / (1.0 - params.alpha))
 
 
-def _gamma_law(params, n, uu, a_n):
+def _gamma_law(params, n, a_n):
     if params.gamma_shape is None:
         raise ValueError(
             "it needs variance exponent beta = 1 + alpha and nu < 2 u.c (otherwise "
@@ -321,16 +329,16 @@ def _gamma_law(params, n, uu, a_n):
         )
     scale_n = _size_scale(params, n)
     gate = _gamma_gate(params.gamma_shape, params.gamma_scale)
-    return lambda w: (w / (scale_n * uu)) ** (1.0 - params.alpha), gate, {}
+    return lambda w: (w / scale_n) ** (1.0 - params.alpha), gate, {}
 
 
-def _normal_law(params, n, uu, a_n):
+def _normal_law(params, n, a_n):
     lam = lambda_n(params, n)
     gate = partial(_ks_check, cdf=normal_cdf, law="standard normal", law_params={})
-    return lambda w: (w - uu * a_n) / (uu * lam), gate, {"a_n": a_n, "lambda_n": lam}
+    return lambda w: (w - a_n) / lam, gate, {"a_n": a_n, "lambda_n": lam}
 
 
-def _l1_law(params, n, uu, a_n):
+def _l1_law(params, n, a_n):
     target = params.l1_constant
     scale_n = _size_scale(params, n)
 
@@ -348,25 +356,28 @@ def _l1_law(params, n, uu, a_n):
         files = {"sample_summary.tsv": (("statistic", "value"), columns)}
         return rel_err <= config.threshold_rel, payload, files
 
-    return lambda w: w / (scale_n * uu), gate, {}
+    return lambda w: w / scale_n, gate, {}
 
 
-# Each limit law maps (params, n, u.u, a_n) to (transform of the surviving
+# Each limit law maps (params, n, a_n) to (transform of the surviving
 # weighted sizes u.Z_n, gate(sample, config) -> (passed, payload, files),
 # extra payload keys), or raises ValueError when the law does not exist
-# for the model.
+# for the model.  a_n tracks u.Z_n itself (u.v = 1): no rescaling by u.u.
 _LIMIT_LAWS = {"gamma-limit": _gamma_law, "normal-limit": _normal_law, "l1-limit": _l1_law}
 
 
 def _suite_limit(spec: ModelSpec, doc: dict, config: ExperimentConfig):
-    """A limit law on the ensemble conditioned on survival, u.Z_n > eps * a_n."""
+    """A limit law on the ensemble conditioned on survival, u.Z_n > eps * a_n,
+    of a model with a critical mean matrix (feller refuses others too)."""
     claimed = _limit_block(doc.get("limit"), spec.dim)
     with _applicable(config.suite):
+        spectral = spec.spectral()
+        if not is_critical(spectral.rho):
+            raise ValueError("the limit law requires a critical mean matrix")
         params = params_from_spec(spec)
-        u = spec.spectral().u
-        uu = float(u @ u)
+        u = spectral.u
         a_n = float(a_seq(params.c_dot_u, params.alpha, config.n)[-1])
-        transform, gate, extra = _LIMIT_LAWS[config.suite](params, config.n, uu, a_n)
+        transform, gate, extra = _LIMIT_LAWS[config.suite](params, config.n, a_n)
     _check_limit_block(claimed, params)
     ens = run_ensemble(spec, config.n, config.reps, config.seed, workers=config.workers)
     weighted = ens.terminal @ u

@@ -1,14 +1,12 @@
 """Distribution families for offspring, immigration, and emigration.
 
 Every family carries exact low-order moments next to its sampler, so the
-moment formulas elsewhere never fall back on Monte Carlo.  Each migration
-law answers absolute moments one way.  A law whose support is a window
-that does not grow with the count enumerates it (`atoms`, truncated below
-a tolerance where it is infinite).  Uniform and inverse-cube emigration,
-whose support grows with the count, have no `atoms`: they give
-E|D - c|^q in closed form (`abs_moment`).  The tests enumerate those
-supports, and the transition law of their total-variation checks, on
-their own.
+moment formulas elsewhere never fall back on Monte Carlo.  A law whose
+support is a window that does not grow with the count enumerates it
+(`atoms`, truncated below a tolerance where it is infinite).  Uniform and
+inverse-cube emigration, whose support grows with the count, have no
+`atoms`; the tests enumerate those supports, and the transition law of
+their total-variation checks, on their own.
 
 State-dependent quantities (migration probabilities, immigration means)
 are expressed through a small closed set of *state functions* of the
@@ -27,10 +25,12 @@ Each state function and migration law states its large-size form once:
 ``mean_fn``, ``mean_leading()`` of an emigration law, and
 ``var_leading()`` of every migration law, give (coeff, exponent) with
 f(s) = coeff * s**exponent * (1 + o(1)) as s -> inf, and (0, 0) for a
-function that is eventually 0.  ``limit_of``, ``growth_exponent_of`` and
-``product_of`` read that pair; model validation, the classifier's
-hypotheses (B) and (C), the Feller parameters and the limit constants
-all go through them instead of guessing from samples.
+function that is eventually 0.  ``abs_leading(q)`` of every migration law
+gives the growth of its central q-th absolute moment in the same form, up
+to its coefficient.  ``limit_of``, ``exponent_of`` and ``product_of``
+read that pair; model validation, the classifier's hypotheses, order
+checks and exponents, the Feller parameters and the limit constants all
+go through them instead of guessing from samples.
 """
 from __future__ import annotations
 
@@ -45,12 +45,8 @@ import numpy as np
 DEFAULT_ATOM_TAIL = 1e-12
 # Largest Poisson window an enumeration builds.
 _ENUM_LIMIT = 1 << 20
-# Argument from which the power and harmonic sums switch to Euler-Maclaurin,
-# and the number of inverse-cube terms summed before the harmonic sums take
-# over.
+# Argument from which the harmonic sums switch to Euler-Maclaurin.
 _EM_START = 64
-# Most inverse-cube terms summed directly for the power 3/2.
-_INVERSE_CUBE_HEAD = 1 << 20
 
 _ZETA2 = math.pi**2 / 6.0
 _ZETA3 = 1.2020569031595942854
@@ -197,11 +193,10 @@ def limit_of(lead: tuple) -> float:
     return coeff if exponent == 0.0 else 0.0
 
 
-def growth_exponent_of(lead: tuple) -> float:
-    """The growth exponent of the leading form (coeff, exponent): 0 for a
-    bounded form."""
-    coeff, exponent = lead
-    return max(exponent, 0.0) if coeff != 0.0 else 0.0
+def exponent_of(lead: tuple) -> float:
+    """The exponent of the leading form (coeff, exponent); -inf for a form
+    that is eventually 0."""
+    return lead[1] if lead[0] != 0.0 else -math.inf
 
 
 def product_of(*leads) -> tuple:
@@ -239,102 +234,33 @@ def _faulhaber(k: int, n: int) -> float:
     raise ValueError(f"power sums only implemented for k <= 4, got {k}")
 
 
-def _em_tail(q: float, a: float, b: float, span: int) -> tuple:
-    """Euler-Maclaurin through the B6 term for the sum of x**q over
-    x = a, a+1, ..., b, where b - a = span is an integer: the integral, the
-    half end terms and the three Bernoulli corrections, each returned alone
-    so the caller chooses how to add them.
-
-    The integral is taken from span / a, exact where b - a would round.
-    """
-    if q == -1:
-        integral = math.log1p(span / a)
-    else:
-        integral = 1.0 / (q + 1) * a ** (q + 1) * math.expm1((q + 1) * math.log1p(span / a))
-    ends = 0.5 * (a**q + b**q)
-    # B_2k / (2k)! times f^(2k-1)(b) - f^(2k-1)(a), k = 1..3, of f = x^q
-    bernoulli, slope = [], q  # q (q - 1) ... (q - 2k + 2)
-    for k, denominator in enumerate((12.0, -720.0, 30240.0), start=1):
-        m = q - 2 * k + 1
-        bernoulli.append(slope * (b**m - a**m) / denominator)
-        slope *= m * (m - 1)
-    return integral, ends, bernoulli
-
-
 def _h_sum(power: int, n: int) -> float:
     """Sum of j**(-power) for j = 1..n, power in {1, 2, 3}.
 
     The first _EM_START terms are summed directly, the rest by
     Euler-Maclaurin through the B6 term: past j = 64 the remainder is
-    below 3e-18 of the sum, so the result is exact to rounding.
+    below 3e-18 of the sum, so the result is exact to rounding.  fsum adds
+    the integral, the half end terms and the three Bernoulli corrections;
+    the integral is taken from span / a, exact where b - a would round.
     """
     if power not in (1, 2, 3):
         raise ValueError("harmonic sums implemented for powers 1..3 only")
     parts = (np.arange(1, min(n, _EM_START) + 1, dtype=float) ** -power).tolist()
-    if n > _EM_START:
-        integral, ends, bernoulli = _em_tail(-power, float(_EM_START + 1), float(n),
-                                             n - _EM_START - 1)
-        parts += [integral, ends, *bernoulli]
+    if n > _EM_START:  # the sum of x**q over x = a, a+1, ..., b
+        q, a, b, span = -power, float(_EM_START + 1), float(n), n - _EM_START - 1
+        log_ratio = math.log1p(span / a)
+        if q == -1:
+            parts.append(log_ratio)
+        else:
+            parts.append(1.0 / (q + 1) * a ** (q + 1) * math.expm1((q + 1) * log_ratio))
+        parts.append(0.5 * (a**q + b**q))
+        # B_2k / (2k)! times f^(2k-1)(b) - f^(2k-1)(a), k = 1..3, of f = x^q
+        slope = q  # q (q - 1) ... (q - 2k + 2)
+        for k, denominator in enumerate((12.0, -720.0, 30240.0), start=1):
+            m = q - 2 * k + 1
+            parts.append(slope * (b**m - a**m) / denominator)
+            slope *= m * (m - 1)
     return math.fsum(parts)
-
-
-def _power_sum(q: float, count: int, e: float) -> float:
-    """Sum of (k + e)**q over k = 0..count-1, for e >= 0 and q in {3/2, 2, 3}.
-
-    Every term is nonnegative, so nothing cancels.  The integer powers
-    expand binomially into Faulhaber sums.  The power 3/2 sums its terms
-    directly until k + e reaches _EM_START, and the rest by Euler-Maclaurin
-    through the B6 term, whose remainder is below 3e-15 of the sum there.
-    """
-    if count <= 0:
-        return 0.0
-    if q in (2, 3):
-        q = int(q)
-        return math.fsum(math.comb(q, r) * e ** (q - r) * (_faulhaber(r, count - 1) + (r == 0))
-                         for r in range(q + 1))
-    if q != 1.5:
-        raise ValueError(f"power sums implemented for q in {{3/2, 2, 3}}, got {q}")
-    head = min(count, max(0, math.ceil(_EM_START - e)))
-    total = float(np.sum((np.arange(head) + e) ** 1.5))
-    if head == count:
-        return total
-    integral, ends, (b2, b4, b6) = _em_tail(1.5, head + e, count - 1 + e, count - 1 - head)
-    return total + integral + ends + (b2 + b4 + b6)
-
-
-def _inverse_cube_tail(q: float, c: float, head: int, n: int) -> float:
-    """Sum of j**-3 |j - c|**q over j = head+1..n, for q in {3/2, 2, 3}.
-
-    The integer powers expand into the harmonic sums _h_sum on the two
-    sides of c, each taken once at head, at the split at c and at n.  Their
-    rounding stays within a few ulps of the moment, because the head's
-    first term |1 - c|**q is a fixed share of it.
-
-    The power 3/2 starts past a = head + 1 = 2^20 + 1 and is asked only
-    for |c| > 0.8 a (the classifier's shift c = zi), where the tail is
-    dropped: it weighs less than 1/(2 a^2) + 2/c^2 < 1e-11 of the moment.
-    A shift closer to 0 is refused.
-    """
-    if q == 1.5:
-        if abs(c) <= 0.8 * (head + 1):
-            raise ValueError(f"inverse-cube moment of power q = {q} past {head} terms "
-                             f"needs |c| > {0.8 * (head + 1):.10g}, got c = {c}")
-        return 0.0
-
-    split = n if q == 2 else min(n, max(head, math.floor(c)))  # head < j <= split: j <= c
-    sums = {k: [_h_sum(p, k) for p in (1, 2, 3)] for k in {head, split, n}}
-
-    def between(lo, hi):  # sums of j**-p over lo < j <= hi, p = 1, 2, 3
-        return [b - a for a, b in zip(sums[lo], sums[hi])]
-
-    if q == 2:
-        s1, s2, s3 = between(head, n)
-        return s1 - 2.0 * c * s2 + c * c * s3
-    b1, b2, b3 = between(head, split)
-    a1, a2, a3 = between(split, n)
-    below = c**3 * b3 - 3.0 * c * c * b2 + 3.0 * c * b1 - (split - head)
-    above = (n - split) - 3.0 * c * a1 + 3.0 * c * c * a2 - c**3 * a3
-    return below + above
 
 
 # ---------------------------------------------------------------------------
@@ -619,6 +545,24 @@ class FiniteOffspring:
 
 
 # ---------------------------------------------------------------------------
+# Migration laws
+# ---------------------------------------------------------------------------
+
+
+class _SpreadsLikeItsDeviation:
+    """``abs_leading(q)`` of a migration law whose spread about its mean
+    scales like its standard deviation: a Poisson rate ~ s^e, a uniform
+    window ~ zi, or a bounded law."""
+
+    def abs_leading(self, q: float) -> tuple:
+        """The leading form of E|X - E X|^q up to its coefficient, stated
+        as 1: the q/2 power of the variance's; (0, 0) where the variance
+        is eventually 0."""
+        coeff, exponent = self.var_leading()
+        return (1.0, q * exponent / 2.0) if coeff != 0.0 else (0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
 # Immigration laws (N-valued, at least one arrival per event)
 # ---------------------------------------------------------------------------
 
@@ -638,7 +582,7 @@ def _poisson_raw(k: int, lam: float) -> float:
 
 
 @dataclass(frozen=True)
-class ShiftedPoissonImmigration:
+class ShiftedPoissonImmigration(_SpreadsLikeItsDeviation):
     """1 + Poisson(a(s) - 1) arrivals with size-dependent mean a(s) >= 1."""
 
     mean_fn: StateFunction
@@ -686,7 +630,7 @@ class ShiftedPoissonImmigration:
 
 
 @dataclass(frozen=True)
-class DeterministicImmigration:
+class DeterministicImmigration(_SpreadsLikeItsDeviation):
     value: int
 
     def __post_init__(self):
@@ -711,7 +655,7 @@ class DeterministicImmigration:
 
 
 @dataclass(frozen=True)
-class TableImmigration:
+class TableImmigration(_SpreadsLikeItsDeviation):
     values: tuple
     probs: tuple
 
@@ -747,7 +691,7 @@ ImmigrationLaw = ShiftedPoissonImmigration | DeterministicImmigration | TableImm
 
 
 @dataclass(frozen=True)
-class UniformEmigration:
+class UniformEmigration(_SpreadsLikeItsDeviation):
     """D uniform on {1, ..., zi}, for counts zi >= 1 (``branch_probs`` folds
     zi = 0 away): mean removals grow linearly with the count."""
 
@@ -758,19 +702,6 @@ class UniformEmigration:
         """One draw per entry of the counts zi (k,)."""
         return rng.integers(1, np.asarray(zi, dtype=np.int64), endpoint=True)
 
-    def abs_moment(self, q: float, c: float, zi: int) -> float:
-        """E|D - c|^q for q in {3/2, 2, 3} and a real c.
-
-        The atoms 1..zi split at c.  On each side the distances to c step
-        by one from an offset: c minus the last atom below c, or the first
-        atom above c minus c.  So each side is one _power_sum.
-        """
-        m = math.floor(c)
-        below = min(zi, m)  # atoms 1..below lie at or below c
-        first = max(1, m + 1)  # atoms first..zi lie above c
-        total = _power_sum(q, below, c - below) + _power_sum(q, zi - first + 1, first - c)
-        return total / zi
-
     def mean_leading(self) -> tuple:
         return (0.5, 1.0)  # the mean (zi + 1) / 2
 
@@ -779,7 +710,7 @@ class UniformEmigration:
 
 
 @dataclass(frozen=True)
-class TruncatedGeometricEmigration:
+class TruncatedGeometricEmigration(_SpreadsLikeItsDeviation):
     """D proportional to ratio**(j-1) on {1, ..., zi}, for counts zi >= 1
     (``branch_probs`` folds zi = 0 away)."""
 
@@ -878,23 +809,6 @@ class InverseCubeEmigration:
             rows = rows[~kept]
         return out
 
-    def abs_moment(self, q: float, c: float, zi: int) -> float:
-        """E|D - c|^q for q in {3/2, 2, 3} and a real c.
-
-        The first terms are summed directly: 64 of them for the integer
-        powers, up to 2^20 for the power 3/2.  The rest is
-        _inverse_cube_tail.  Past 2^20 the power 3/2 takes only shifts
-        |c| > 0.8 (2^20 + 1), such as the classifier's c = zi.
-        """
-        if q not in (1.5, 2, 3):
-            raise ValueError(f"inverse-cube moments implemented for q in {{3/2, 2, 3}}, got {q}")
-        head = min(zi, _INVERSE_CUBE_HEAD if q == 1.5 else _EM_START)
-        j = np.arange(1, head + 1, dtype=float)
-        total = float(np.sum(j**-3.0 * np.abs(j - c) ** q))
-        if zi > head:
-            total += _inverse_cube_tail(q, c, head, zi)
-        return total / _h_sum(3, zi)
-
     def mean_leading(self) -> tuple:
         return (_ZETA2 / _ZETA3, 0.0)
 
@@ -904,9 +818,17 @@ class InverseCubeEmigration:
         that outgrows every constant and no positive power."""
         return (math.inf, 0.0)
 
+    def abs_leading(self, q: float) -> tuple:
+        """E|D - E D|^q is the tail sum of j^(q-3) / zeta(3) to leading
+        order: bounded below q = 2, a log at q = 2 (marked as in
+        var_leading), and like zi^(q-2) above."""
+        if q == 2.0:
+            return self.var_leading()
+        return (1.0, max(q - 2.0, 0.0))
+
 
 @dataclass(frozen=True)
-class DeterministicEmigration:
+class DeterministicEmigration(_SpreadsLikeItsDeviation):
     """Remove a fixed number, capped at the available count zi >= 1
     (``branch_probs`` folds zi = 0 away)."""
 

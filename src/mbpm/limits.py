@@ -22,9 +22,10 @@ so integer cases come out exact in floating point.
 params_from_spec reads the four constants off the document's laws along
 the ray z = s v (v the right Perron vector, u . v = 1, so u . z = s): the
 top term of u . h(s v) gives alpha and u . c, and the top term of
-sigma2(s v) gives beta and nu.  Every law states its large-size form as
-a (coeff, exponent) pair (see laws), so the constants are exact; nothing
-is fitted.
+sigma2(s v) gives beta and nu (moments.leading_moments, which the growth
+classifier reads too).  Every law states its large-size form as a
+(coeff, exponent) pair (see laws), so the constants are exact; nothing is
+fitted.
 """
 from __future__ import annotations
 
@@ -35,12 +36,11 @@ from typing import Optional
 import numpy as np
 
 from . import algebra
-from .classify import _ALPHA_TILDE, _DELTA, _migration_leads, _migration_terms, check_hypothesis_C
-from .laws import product_of
+from .classify import ALPHA_TILDE, DELTA, check_hypothesis_C
 from .model import ModelSpec
+from .moments import leading_moments, offspring_diffusion
 
 _BETA_TOL = 1e-9
-_CANCEL_TOL = 1e-12  # top mean terms whose sum is this small a share of their sizes cancel
 
 
 @dataclass(frozen=True)
@@ -105,10 +105,10 @@ class LimitParams:
             "c_dot_u": self.c_dot_u,
             "beta": self.beta,
             "nu": self.nu,
-            "delta": _DELTA,
+            "delta": DELTA,
             "delta1": None,  # report keys of the retired fluctuation fits
             "delta2": None,
-            "alpha_tilde": _ALPHA_TILDE,
+            "alpha_tilde": ALPHA_TILDE,
             "gamma_shape": self.gamma_shape,
             "gamma_scale": self.gamma_scale,
             "l1_constant": self.l1_constant,
@@ -117,100 +117,27 @@ class LimitParams:
         }
 
 
-def _top(terms) -> tuple:
-    """The leading form of a sum of terms given by their leading forms: the
-    largest exponent among the nonzero terms and the sum of their
-    coefficients there; (0, 0) where every term is eventually 0."""
-    live = [(c, e) for c, e in terms if c != 0.0]
-    if not live:
-        return (0.0, 0.0)
-    exponent = max(e for _, e in live)
-    return (sum(c for c, e in live if e == exponent), exponent)
+def params_from_spec(spec: ModelSpec) -> LimitParams:
+    """LimitParams for a model, exact from its laws.
 
-
-def _spread(lead) -> tuple:
-    """The leading form of p (1 - p) for a probability p of leading form
-    lead: an eventually constant p gives the constant p (1 - p), and a
-    decaying p decays like p itself."""
-    coeff, exponent = lead
-    return lead if exponent < 0.0 else (coeff * (1.0 - coeff), 0.0)
-
-
-def _offspring_diffusion(spec: ModelSpec, spectral) -> float:
-    """u^T (v odot Sigma) u, with Sigma the offspring covariance block: the
-    Feller diffusion coefficient, and the offspring part of sigma2(s v) per
-    unit size."""
-    u, v = spectral.u, spectral.v
-    return float(u @ algebra.odot(v, spec.cov_tensor()) @ u)
-
-
-def _growth_constants(spec: ModelSpec) -> dict:
-    """alpha, c, u . c, nu and beta, exact from the laws along the ray z = s v.
-
-    Mean side: h_i(s v) = q_i E[I_i] - r_i E[D_i], each term a product of
-    leading forms (classify._migration_terms).  alpha is the top exponent
-    over all types and c_i type i's coefficient there.  Where the top
-    terms cancel in u . c the drift's order is below what the leading
-    forms state, and the model is refused.
-
-    Variance side: sigma2(s v) = u^T ((s v + h) odot Sigma) u
-    + sum_i u_i^2 Var M_i.  The offspring part is s times the Feller
-    diffusion coefficient; its h part is O(s^alpha) with alpha < 1 (which
-    LimitParams requires), so it is never on top.  Each migration variance
-
-        Var M_i = q Var I + r Var D + q (1 - q) E[I]^2 + r (1 - r) E[D]^2
-                  + 2 q r E[I] E[D]
-
-    is a sum of nonnegative terms, so nothing cancels; beta is the top
-    exponent and nu the sum of the coefficients there.  A top term that
-    grows like a log (inverse-cube emigration) has no power form, and the
-    model is refused.
+    The growth constants are the top terms of moments.leading_moments; a
+    ValueError names a model whose constants do not exist or lie outside
+    the theory: top mean terms that cancel in u . c, a variance that grows
+    like a log at its top, or a LimitParams refusal.  The diffusion
+    coefficients are attached whenever the large-size migration limits
+    exist.
     """
-    spectral = spec.spectral()
-    u, v = spectral.u, spectral.v
-    means = []
-    variances = [(_offspring_diffusion(spec, spectral), 1.0)]
-    for i, comp in enumerate(spec.migration.components):
-        lead = _migration_leads(comp, v[i])
-        imm, em = _migration_terms(lead)
-        means.append((imm, (-em[0], em[1])))
-        q, r, a, b = lead["q"], lead["r"], lead["a"], lead["b"]
-        for coeff, exponent in (
-            product_of(q, lead["var_a"]),
-            product_of(r, lead["var_b"]),
-            product_of(_spread(q), a, a),
-            product_of(_spread(r), b, b),
-            product_of((2.0, 0.0), q, r, a, b),
-        ):
-            variances.append((u[i] ** 2 * coeff, exponent))
-    alpha = _top(term for pair in means for term in pair)[1]
-    tops = [[coeff for coeff, e in pair if coeff != 0.0 and e == alpha] for pair in means]
-    c = np.array([sum(top) for top in tops], dtype=float)
-    c_dot_u = float(u @ c)
-    scale = sum(u_i * abs(coeff) for u_i, top in zip(u, tops) for coeff in top)
-    if scale > 0.0 and abs(c_dot_u) <= _CANCEL_TOL * scale:
+    constants = leading_moments(spec)
+    if constants.pop("cancels"):
         raise ValueError(
-            f"the leading mean migration terms cancel at exponent {alpha:g}, "
+            f"the leading mean migration terms cancel at exponent {constants['alpha']:g}, "
             "so the drift's order is not stated by the laws' leading forms"
         )
-    nu, beta = _top(variances)
-    if math.isinf(nu):
+    if math.isinf(constants["nu"]):
         raise ValueError(
             "the one-step variance grows like a log at its top (inverse-cube "
             "emigration), so no power nu s^beta states it"
         )
-    return {"alpha": alpha, "c": c, "c_dot_u": c_dot_u, "nu": nu, "beta": beta}
-
-
-def params_from_spec(spec: ModelSpec) -> LimitParams:
-    """LimitParams for a model, exact from its laws.
-
-    The growth constants come from _growth_constants; a ValueError names
-    a model whose constants do not exist or lie outside the theory.  The
-    diffusion coefficients are attached whenever the large-size migration
-    limits exist.
-    """
-    constants = _growth_constants(spec)
     drift = diffusion = None
     try:
         drift, diffusion = feller_params(spec)
@@ -289,7 +216,7 @@ def feller_params(spec: ModelSpec):
     if lims is None:
         raise ValueError("migration parameters do not converge at large sizes")
     drift_vec = lims["a"] * lims["q"] - lims["b"] * lims["r"]
-    return float(spectral.u @ drift_vec), _offspring_diffusion(spec, spectral)
+    return float(spectral.u @ drift_vec), offspring_diffusion(spec, spectral)
 
 
 def euler_maruyama(

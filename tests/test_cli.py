@@ -10,8 +10,8 @@ import pytest
 import scipy.stats
 
 from conftest import run_fresh, spec_path
-from mbpm import (cli, ecdf, gamma_cdf, gof_report, ks_statistic, load_spec, normal_cdf,
-                  run_ensemble)
+from mbpm import (a_seq, cli, cond_mean, ecdf, gamma_cdf, gof_report, ks_statistic, lambda_n,
+                  load_spec, normal_cdf, params_from_spec, run_ensemble, spec_from_dict)
 from mbpm.cli import _ks_check, _write_tsv, main
 
 SHIPPED = ["gamma_single_type", "sqrt_drift_single_type", "two_type_mixed",
@@ -403,7 +403,7 @@ _INFEASIBLE_LIMITS = {
                                      "sqrt_drift_single_type", "two_type_mixed")
 } | {
     (suite, doc) for suite in ("normal-limit", "l1-limit")
-    for doc in ("pure_death", "pure_emigration", "two_type_mixed")
+    for doc in ("pure_death", "pure_emigration", "small_support", "two_type_mixed")
 }
 
 
@@ -423,6 +423,93 @@ def test_limit_suites_refuse_exactly_the_infeasible_documents(tmp_path, capsys, 
     else:
         assert code in (0, 1)
         assert read_report(out)["results"]["conditioning"]["total"] == 300
+
+
+def _constant(value):
+    return {"kind": "constant", "value": value}
+
+
+def _coupled_two_type_doc():
+    """Two types with Poisson offspring of mean columns (0.7, 0.3) and
+    (0.4, 0.6), so u = (1/2, 1/2), u.u = 1/2 and v = (8/7, 6/7); type 0
+    always receives 1 + Poisson(1) immigrants (mean 2), type 1 never
+    migrates; started at 0.  Then h = (2, 0), u.c = 1, alpha = 0, beta = 1
+    and nu = 1/2: the gamma regime."""
+    still = {"prob_none": _constant(1.0), "prob_imm": _constant(0.0), "prob_em": _constant(0.0)}
+    return {
+        "dim": 2,
+        "initial": {"kind": "deterministic", "state": [0, 0]},
+        "migration": [
+            {"prob_none": _constant(0.0), "prob_imm": _constant(1.0), "prob_em": _constant(0.0),
+             "immigration": {"family": "shifted_poisson", "mean": _constant(2.0)}},
+            still,
+        ],
+        "offspring": [
+            {"kind": "independent", "components": [{"family": "poisson", "mean": m}
+                                                   for m in column]}
+            for column in ((0.7, 0.3), (0.4, 0.6))
+        ],
+    }
+
+
+def test_limit_transforms_read_the_weighted_size_itself():
+    # a_n tracks u.Z_n with u.v = 1, so no transform divides by u.u = 1/2
+    spec = spec_from_dict(_coupled_two_type_doc())
+    spectral = spec.spectral()
+    assert (float(spectral.u @ spectral.u), float(spectral.u @ spectral.v)) == pytest.approx(
+        (0.5, 1.0), rel=1e-12)
+    params = params_from_spec(spec)
+    assert (params.alpha, params.c_dot_u, params.beta) == (0.0, 1.0, 1.0)
+    assert params.nu == pytest.approx(0.5, rel=1e-12)
+    n, w = 50, np.array([0.5, 12.0, 51.0, 260.0])
+    a_n = float(a_seq(params.c_dot_u, params.alpha, n)[-1])
+    assert a_n == 1.0 + n
+    scale = n ** (1.0 / (1.0 - params.alpha))
+    hand = {
+        "gamma-limit": (w / scale) ** (1.0 - params.alpha),
+        "normal-limit": (w - a_n) / lambda_n(params, n),
+        "l1-limit": w / scale,
+    }
+    for suite, expected in hand.items():
+        transform, _, _ = cli._LIMIT_LAWS[suite](params, n, a_n)
+        np.testing.assert_allclose(transform(w), expected, rtol=1e-15, atol=0)
+
+
+def test_weighted_mean_grows_by_u_dot_c_each_step():
+    # h is constant here, so the exact conditional mean z -> m (z + h) is
+    # affine; read it off cond_mean at 0 and at the unit states and iterate
+    # it from Z_0 = 0: E u.Z_n = n u.c
+    spec = spec_from_dict(_coupled_two_type_doc())
+    u = spec.spectral().u
+    shift = cond_mean(spec, [0, 0])
+    m = np.column_stack([cond_mean(spec, e) - shift for e in np.eye(2, dtype=np.int64)])
+    np.testing.assert_allclose(m, spec.mean_matrix(), rtol=0, atol=1e-15)
+    c_dot_u = params_from_spec(spec).c_dot_u
+    mean = np.zeros(2)
+    for n in range(1, 201):
+        mean = m @ mean + shift
+        assert float(u @ mean) == pytest.approx(n * c_dot_u, rel=1e-12)
+
+
+@pytest.mark.parametrize("suite", ["gamma-limit", "l1-limit"])
+def test_limit_suites_pass_on_a_document_with_u_dot_u_below_one(tmp_path, suite):
+    # the transforms divided by u.u = 1/2 once, which doubled every sample
+    path = tmp_path / "coupled.json"
+    path.write_text(json.dumps(_coupled_two_type_doc()))
+    out = tmp_path / "rep"
+    assert main(["--spec", str(path), "--suite", suite, "--n", "100", "--reps", "2000",
+                 "--seed", "3", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("suite", ["gamma-limit", "normal-limit", "l1-limit"])
+def test_limit_suites_refuse_a_supercritical_mean_matrix(tmp_path, capsys, suite):
+    # small_support's mean matrix has rho = 1.227
+    code = main(["--spec", spec_path("small_support"), "--suite", suite,
+                 "--out", str(tmp_path / "rep")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {suite} is infeasible for this model: "
+        "the limit law requires a critical mean matrix")
 
 
 @pytest.mark.parametrize("suite, option, value, message", [

@@ -33,7 +33,7 @@ from mbpm import (
     spec_from_dict,
     stream_for,
 )
-from mbpm.classify import _migration_leads, _migration_terms
+from mbpm.moments import migration_leads, migration_terms
 
 
 def _params(alpha, beta, nu=1.0, c=2.0):
@@ -215,8 +215,8 @@ def test_params_from_spec_weights_emigration_by_the_count():
         prob_none=Constant(0.5), prob_imm=Constant(0.0),
         prob_em=Clamp(Power(1.0, -0.5), hi=0.5), emigration=UniformEmigration(),
     )
-    assert _migration_terms(_migration_leads(comp)) == ((0.0, 0.0), (0.5, 0.5))
-    assert _migration_terms(_migration_leads(comp, 4.0)) == ((0.0, 0.0), (2.0, 0.5))  # z_i = 4 s
+    assert migration_terms(migration_leads(comp)) == ((0.0, 0.0), (0.5, 0.5))
+    assert migration_terms(migration_leads(comp, 4.0)) == ((0.0, 0.0), (2.0, 0.5))  # z_i = 4 s
 
 
 # ---------------------------------------------------------------------------

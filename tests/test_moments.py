@@ -21,7 +21,6 @@ from mbpm import (
     cond_mean,
     cond_var,
     load_spec,
-    migration_abs_moments,
     migration_atoms,
     migration_kappa,
     migration_mean,
@@ -125,57 +124,6 @@ def test_migration_atoms_reproduce_moments(two_type_spec):
         assert abs(second - var[i, i]) < 1e-6
 
 
-def _inverse_cube_spec():
-    """One type: +2 w.p. 1/4, inverse-cube emigration w.p. 1/4."""
-    offspring = OffspringSpec(
-        laws=(IndependentOffspring(components=(PoissonOffspring(mean=1.0),)),)
-    )
-    comp = MigrationComponent(
-        prob_none=Constant(0.5),
-        prob_imm=Constant(0.25),
-        prob_em=Constant(0.25),
-        immigration=DeterministicImmigration(value=2),
-        emigration=InverseCubeEmigration(),
-    )
-    return ModelSpec(offspring, MigrationSpec(components=(comp,)),
-                     DeterministicInitial(state=(1,)))
-
-
-_SHIPPED = ["gamma_single_type", "pure_death", "pure_emigration", "small_support",
-            "sqrt_drift_single_type", "two_type_mixed"]
-
-
-@pytest.mark.parametrize("doc_name", _SHIPPED + ["inverse_cube"])
-def test_migration_abs_moments_match_the_atoms(doc_name):
-    # bounded laws are read from migration_atoms, bit for bit; uniform and
-    # inverse-cube emigration add their closed forms, within 1e-12 of the
-    # oracle atoms
-    spec = _inverse_cube_spec() if doc_name == "inverse_cube" else load_spec(spec_path(doc_name))
-    for scale in (1, 7, 3000):
-        z = np.arange(scale, scale + spec.dim)
-        h = migration_mean(spec, z)
-        for i, comp in enumerate(spec.migration.components):
-            zi, hi = float(z[i]), float(h[i])
-            pairs = [(1.5, -zi), (3.0, hi), (2.0, hi), (2.0, 0.5), (3.0, -7.5), (1.5, zi / 3)]
-            got = migration_abs_moments(spec, i, z, pairs)
-            vals, probs = all_atoms(spec, i, z)
-            for (q, a), moment in zip(pairs, got):
-                from_atoms = float(np.sum(probs * np.abs(vals - a) ** q))
-                if not isinstance(comp.emigration, (UniformEmigration, InverseCubeEmigration)):
-                    assert moment == from_atoms
-                else:
-                    assert moment == pytest.approx(from_atoms, rel=1e-12, abs=0)
-
-
-def test_each_migration_law_answers_absolute_moments_one_way():
-    # migration_abs_moments sums the atoms of a law that has them and adds
-    # the closed form of one that has none: never both, never neither
-    for make, _ in model._EMIGRATION.forms.values():
-        assert hasattr(make, "atoms") != hasattr(make, "abs_moment"), make.__name__
-    for make, _ in model._IMMIGRATION.forms.values():
-        assert hasattr(make, "atoms"), make.__name__
-
-
 def test_raw_migration_moments_evaluate_branches_once(two_type_spec, monkeypatch):
     z = np.array([50, 30])
     calls = []
@@ -190,12 +138,6 @@ def test_raw_migration_moments_evaluate_branches_once(two_type_spec, monkeypatch
         calls.clear()
         fn(two_type_spec, z)
         assert len(calls) == two_type_spec.dim  # once per component, for all orders
-    # uniform emigration (type 0) has no atoms: its closed form reads the
-    # same evaluation as the atoms of the other branches
-    for i, comp in enumerate(two_type_spec.migration.components):
-        calls.clear()
-        migration_abs_moments(two_type_spec, i, z, [(1.5, -50.0), (2.0, 0.5), (3.0, 1.0)])
-        assert calls == [comp]
 
 
 def test_migration_folds_at_zero_state(two_type_spec):

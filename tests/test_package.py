@@ -20,7 +20,7 @@ EXPORTED = [
     "classify_growth", "cond_mean", "cond_var", "criticality", "ecdf", "estimate_explosion",
     "estimate_exponents", "euler_maruyama", "feller_params", "gamma_cdf", "gamma_quantile",
     "gof_report", "growth_ratio", "is_primitive", "ks_statistic", "lambda_n", "laws",
-    "limits", "load_spec", "migration_abs_moments", "migration_atoms", "migration_kappa",
+    "limits", "load_spec", "migration_atoms", "migration_kappa",
     "migration_mean", "migration_var", "model", "moment_check", "moment_report", "moments",
     "montecarlo", "normal_cdf", "odot", "params_from_spec", "perron", "probe_states",
     "run_ensemble", "sample_migration", "sample_step_batch", "sigma2", "simulate_path",
