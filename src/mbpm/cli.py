@@ -489,9 +489,9 @@ def run(config: ExperimentConfig) -> int:
         "results": payload,
     }
     report_path = out_dir / "report.json"
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # one string, one write: json.dump writes every chunk of the encoder on its own
+    report_path.write_text(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n",
+                           encoding="utf-8")
     for name, (header, columns) in files.items():
         _write_tsv(out_dir / name, header, columns)
 

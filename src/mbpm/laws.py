@@ -84,7 +84,10 @@ class Power:
     def __call__(self, s):
         if self.coeff == 0.0:
             return 0.0
-        # 0**0 = 1 and 0**(-e) = inf give the limits at s = 0
+        # 0**0 = 1 and 0**(-e) = inf give the limits at s = 0; only the
+        # latter warns, and an errstate costs more than the power
+        if self.exponent >= 0.0:
+            return self.coeff * np.power(s, self.exponent)
         with np.errstate(divide="ignore"):
             return self.coeff * np.power(s, self.exponent)
 
@@ -150,7 +153,15 @@ class Clamp:
             raise ValueError("clamp bounds are inverted")
 
     def __call__(self, s):
-        return np.clip(self.inner(s), self.lo, self.hi)
+        # np.clip's values without its Python wrapper, signed zeros included:
+        # with one bound it is np.maximum(v, lo) or np.minimum(v, hi), which
+        # return the bound where v equals it; with two it returns v there
+        v = self.inner(s)
+        if self.hi is None:
+            return np.maximum(v, self.lo)
+        if self.lo is None:
+            return np.minimum(v, self.hi)
+        return np.minimum(self.hi, np.maximum(self.lo, v))
 
     def leading(self) -> tuple:
         """The inner function's leading form, unless the inner function ends
@@ -295,9 +306,9 @@ def poisson_draws(rng, rates, size=None, law="offspring", rows=None):
     for an array of rates, the offending entry's row (and child type),
     instead of numpy's bare "lam value too large".  The row is the entry's
     index in ``rates``, or, where ``rates`` holds the rows of the states
-    that the boolean mask ``rows`` selects, the row of the states.  numpy
-    checks every rate before it draws, so the search for the offending one
-    runs only after its refusal.
+    that ``rows`` selects (an index array or a boolean mask), the row of
+    the states.  numpy checks every rate before it draws, so the search for
+    the offending one runs only after its refusal.
     """
     try:
         return rng.poisson(rates, size)
@@ -307,7 +318,10 @@ def poisson_draws(rng, rates, size=None, law="offspring", rows=None):
     where = np.unravel_index(np.argmax(rates), np.shape(rates))
     at = ""
     if where:
-        row = where[0] if rows is None else np.flatnonzero(rows)[where[0]]
+        row = where[0]
+        if rows is not None:
+            rows = np.asarray(rows)
+            row = (np.flatnonzero(rows) if rows.dtype == bool else rows)[row]
         at = f" at row {row}" + (f", child type {where[1]}" if len(where) > 1 else "")
     raise ValueError(
         f"Poisson {law} rate {np.max(rates):.10g}{at} is past numpy's "
@@ -605,15 +619,18 @@ class ShiftedPoissonImmigration(_SpreadsLikeItsDeviation):
         return None if reads_size(self.mean_fn) else self._rate(None)
 
     def sample_batch(self, rng, n, s=None, rows=None):
-        """``n`` draws, one per row of the sizes s (R,) that the mask rows
-        selects (every row if None), each at its row's mean.
+        """``n`` draws, one per row of the sizes s (R,) that rows selects
+        (an index array or a boolean mask; every row if None), each at its
+        row's mean.
 
         A constant mean does not read the sizes, so they are not gathered.
         """
         rate = self._constant_rate
         if rate is None:
             rate = self._rate(s if rows is None else s[rows])
-        return 1 + poisson_draws(rng, rate, n, law="immigration", rows=rows)
+        draws = poisson_draws(rng, rate, n, law="immigration", rows=rows)
+        draws += 1
+        return draws
 
     def atoms(self, s):
         vals, probs = _poisson_atoms(self._rate(s))
@@ -669,8 +686,17 @@ class TableImmigration(_SpreadsLikeItsDeviation):
     def raw_moment(self, k: int, s=None) -> float:
         return float(np.dot(np.asarray(self.values, dtype=float) ** k, self.probs))
 
+    @cached_property
+    def _cdf(self):
+        cdf = np.cumsum(self.probs, dtype=float)
+        cdf /= cdf[-1]
+        return cdf
+
     def sample_batch(self, rng, n, s=None, rows=None):
-        idx = rng.choice(len(self.values), p=self.probs, size=n)
+        """``n`` draws by inversion of the cached CDF: draw for draw, and
+        stream position included, those of ``rng.choice(len(values),
+        p=probs, size=n)``, which forms the same CDF on every call."""
+        idx = np.searchsorted(self._cdf, rng.random(n), side="right")
         return np.asarray(self.values, dtype=np.int64)[idx]
 
     def atoms(self, s=None):

@@ -142,18 +142,23 @@ class OffspringSpec:
         All-Poisson laws draw once per row and child type, at the rate
         (counts @ m.T)[r, j].  The rates are summed parent by parent rather
         than by a BLAS product, whose fused multiply-adds vary by CPU: the
-        draws must not.  With one type the rate is counts * mean, as in
-        ``PoissonOffspring``.  Other laws draw parent type by parent type,
-        after ``_check_int64``: numpy would wrap a sum past int64 silently.
+        draws must not.  They are formed type-major, a (p, R) array from
+        the rows of counts.T (contiguous where counts is the transpose of
+        ``sample_migration``'s buffer), and drawn through its transpose in
+        the C order of (R, p).  With one type the rate is counts * mean, as
+        in ``PoissonOffspring``.  Other laws draw parent type by parent
+        type, after ``_check_int64``: numpy would wrap a sum past int64
+        silently.  Either way the children come back C-ordered.
         """
         m = self.poisson_means
         if m is not None:
-            rates = counts[:, :1] * m[:, 0]
+            c = counts.T
+            rates = c[0] * m[:, :1]
             for i in range(1, self.dim):
-                rates += counts[:, i, None] * m[:, i]
-            return poisson_draws(rng, rates)
+                rates += c[i] * m[:, i, None]
+            return poisson_draws(rng, rates.T)
         self._check_int64(counts)
-        out = np.zeros_like(counts)
+        out = np.zeros(counts.shape, dtype=np.int64)
         for i, law in enumerate(self.laws):
             law.sample_sum_batch(rng, counts[:, i], out)
         return out
@@ -193,7 +198,7 @@ class MigrationComponent:
         if self.emigration is None:
             pn, pe = pn + pe, 0.0
         else:
-            empty = np.asarray(zi) <= 0
+            empty = zi <= 0
             if np.count_nonzero(empty):
                 moved = pe * empty
                 pn, pe = pn + moved, pe - moved
@@ -313,7 +318,11 @@ class ModelSpec:
         is found once, when the spec is built; a constant-only spec needs
         none, so its mean matrix need not be primitive.
         """
-        return None if self._u is None else np.asarray(z, dtype=float) @ self._u
+        if self._u is None:
+            return None
+        if len(self._u) == 1:  # one product per row, no (R, 1) @ (1,) matmul
+            return np.asarray(z)[..., 0] * self._u[0]
+        return np.asarray(z, dtype=float) @ self._u
 
     def validate(self):
         """Check the probability and immigration-mean invariants at every size.
@@ -383,32 +392,39 @@ def sample_migration(spec: ModelSpec, Z, rng):
     and counts gives the branch intervals of a uniform x: immigration on
     [pn, pn + pi), emigration on [pn + pi, 1) where pe > 0.  One uniform
     per row chooses the row's branch; immigration and emigration then draw
-    only for the rows in their branch, at those rows' sizes and counts.
-    The pe > 0 mask, with the fold in ``branch_probs``, is the one place
-    the zero-count rule lives: at a folded row pn + pi can round to just
-    below 1, and the mask keeps that row's count of 0 away from the
-    emigration law.  Where pn is one scalar <= 0 and pn + pi >= 1, every
-    row immigrates, and the draw takes no masks.  The uniforms are drawn
-    even then, so the stream does not depend on the shortcut.
+    only for the rows in their branch, at those rows' sizes and counts,
+    which they reach through index arrays (``np.flatnonzero``): at tens of
+    thousands of rows numpy scatters and gathers by index several times
+    faster than by boolean mask.  The pe > 0 mask, with the fold in
+    ``branch_probs``, is the one place the zero-count rule lives: at a
+    folded row pn + pi can round to just below 1, and the mask keeps that
+    row's count of 0 away from the emigration law.  Where pn is one scalar
+    <= 0 and pn + pi >= 1, every row immigrates, and the draw takes no
+    index.  The uniforms are drawn even then, so the stream does not
+    depend on the shortcut.
+
+    The adjustments are written type-major, one contiguous row of a (p, R)
+    buffer per type, and returned as its transpose: an F-ordered (R, p)
+    view, whose columns ``OffspringSpec.sample_sum_batch`` reads as rows.
     """
     s = spec.size(Z)
-    out = np.zeros(Z.shape, dtype=np.int64)
+    R = len(Z)
+    out = np.zeros((spec.dim, R), dtype=np.int64)
     for i, comp in enumerate(spec.migration.components):
-        zi, col = Z[:, i], out[:, i]
+        zi, row = Z[:, i], out[i]
         pn, pi, pe = comp.branch_probs(s, zi)
         hi = pn + pi
-        x = rng.random(len(Z))
-        if isinstance(hi, float) and pn <= 0.0 and hi >= 1.0 and len(Z):  # zero rows draw nothing
-            col[:] = comp.immigration.sample_batch(rng, len(Z), s)
+        x = rng.random(R)
+        if isinstance(hi, float) and pn <= 0.0 and hi >= 1.0 and R:  # zero rows draw nothing
+            row[:] = comp.immigration.sample_batch(rng, R, s)
             continue
-        imm = (x >= pn) & (x < hi)
-        k = np.count_nonzero(imm)
-        if k:
-            col[imm] = comp.immigration.sample_batch(rng, k, s, imm)
-        em = (x >= hi) & (pe > 0.0)
-        if np.count_nonzero(em):
-            col[em] = -comp.emigration.sample_batch(rng, zi[em])
-    return out
+        imm = np.flatnonzero((x >= pn) & (x < hi))
+        if imm.size:
+            row[imm] = comp.immigration.sample_batch(rng, imm.size, s, imm)
+        em = np.flatnonzero((x >= hi) & (pe > 0.0))
+        if em.size:
+            row[em] = -comp.emigration.sample_batch(rng, zi[em])
+    return out.T
 
 
 def advance(spec: ModelSpec, Z, rng):
@@ -419,7 +435,7 @@ def advance(spec: ModelSpec, Z, rng):
     (``OffspringSpec.sample_sum_batch``).  The draws are a fixed sequence
     of numpy calls, so the same rows from the same stream give the same
     result.  ``Z`` may be a read-only view, such as one state broadcast to
-    R rows.
+    R rows, or F-ordered; the next generation is C-ordered either way.
     """
     counts = sample_migration(spec, Z, rng)
     counts += Z

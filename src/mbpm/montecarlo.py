@@ -17,13 +17,15 @@ Kolmogorov-Smirnov sup-distance, reference gamma and normal CDFs accurate
 to 1e-10, and a one-step moment checker that compares empirical means
 and covariances against the exact formulas.  The checker draws in
 chunks too, of whole batches and about ROWS = 2**16 rows: chunk c from
-stream_for(seed, c).  It keeps only each batch's mean and scatter matrix
-and merges them, so its memory does not grow with the sample count up to
-MOMENT_BATCHES * ROWS samples.  ROWS was chosen by measurement on the same
+stream_for(seed, c).  It keeps only each batch's mean (an exact float64
+sum along the rows, no copy) and scatter matrix and merges them, so its
+memory does not grow with the sample count up to MOMENT_BATCHES * ROWS
+samples.  ROWS was chosen by measurement on the same
 host: from 2**12 to 2**18 rows the benchmark's two moments ops took the
 same CPU time within noise, while the peak memory grows with the chunk
-(2.6 MB at 2**15, 4.9 MB at 2**16, 20.9 MB at 2**18 for 10**6 samples of
-two_type_mixed).
+(traced: 1.5 MB at 2**15, 3.0 MB at 2**16, 12.6 MB at 2**18 for 10**6
+samples of two_type_mixed; a chunk's samples are dropped before the next
+chunk draws).
 
 A reference CDF must be point-wise: its value at a point may not depend
 on the other points of the array it is called on.  The KS statistics
@@ -491,7 +493,11 @@ def moment_check(spec: ModelSpec, z, N: int = 1_000_000, seed: int = 0) -> Momen
     rows, which enter only the full-sample statistics, from the stream after
     the last chunk.  One reduction per chunk gives each batch's mean and
     scatter matrix, and merging those (Chan, Golub & LeVeque 1979) gives the
-    full-sample mean and covariance, so no (N, p) array is built.
+    full-sample mean and covariance, so no (N, p) array is built.  A
+    batch's mean is its float64 sum along the contiguous row axis, divided
+    by its rows, without the copy and the length-p inner loop of
+    ``x.mean(axis=1)``: the counts are integers, so the sum is exact, and
+    equal to the mean's, while it stays below 2**53.
     """
     from .model import sample_step_batch
 
@@ -509,11 +515,12 @@ def moment_check(spec: ModelSpec, z, N: int = 1_000_000, seed: int = 0) -> Momen
     sizes, means, scatters = [], [], []
     for c, (g, rows) in enumerate(parts):
         x = sample_step_batch(spec, z, g * rows, stream_for(seed, c)).reshape(g, rows, p)
-        m = x.mean(axis=1)
+        m = np.einsum("grp->gp", x, dtype=np.float64) / rows
         d = x - m[:, None, :]
         sizes.append(np.full(g, rows))
         means.append(m)
         scatters.append(np.matmul(d.transpose(0, 2, 1), d))
+        del x, d  # not alive while the next chunk draws
     n, mean, scatter = (np.concatenate(a) for a in (sizes, means, scatters))
 
     # The groups' sizes, means and scatter matrices merged into the sample's.

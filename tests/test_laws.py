@@ -95,6 +95,19 @@ def test_clamp_function():
         Clamp(Constant(1.0), lo=2.0, hi=1.0)
 
 
+@pytest.mark.parametrize("lo, hi", [(0.0, None), (-0.0, None), (None, 0.0), (None, -0.0),
+                                    (0.0, 1.0), (-0.0, 0.0), (-0.0, -0.0), (-1.0, 0.5)])
+def test_clamp_is_np_clip_bit_for_bit(lo, hi):
+    # signed zeros on both sides of each bound, scalar and array sizes
+    inner = Table(breaks=(0.0, 1.0, 2.0, 3.0, 4.0, 5.0), values=(-0.0, 0.0, -1.0, 0.5, 2.0, 1.0))
+    f = Clamp(inner, lo=lo, hi=hi)
+    sizes = np.arange(6.0) + 0.5
+    for s in [sizes, *sizes]:
+        got, want = f(s), np.clip(inner(s), lo, hi)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (s, got, want)
+
+
 @pytest.mark.parametrize("f", [
     Constant(0.3),
     Power(1.0, 0.5),
@@ -344,6 +357,8 @@ def test_immigration_rate_past_numpy_limit_names_the_row_of_the_states():
     with pytest.raises(ValueError, match=r"immigration rate 5e\+19 at row 3 is past"):
         law.sample_batch(np.random.default_rng(0), 2, s, rows)
     with pytest.raises(ValueError, match=r"immigration rate 5e\+19 at row 3 is past"):
+        law.sample_batch(np.random.default_rng(0), 2, s, np.flatnonzero(rows))
+    with pytest.raises(ValueError, match=r"immigration rate 5e\+19 at row 3 is past"):
         law.sample_batch(np.random.default_rng(0), 4, s)
 
 
@@ -524,6 +539,19 @@ def test_deterministic_immigration():
     assert list(vals) == [3] and list(probs) == [1.0]
     with pytest.raises(ValueError):
         DeterministicImmigration(value=0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 1000])
+def test_table_immigration_draws_are_those_of_choice(n):
+    # the cached CDF draws what rng.choice draws, and leaves the stream where it does
+    # the probabilities' float sum is 1 - 2**-53, which both normalise away
+    law = TableImmigration(values=(1, 2, 5, 9, 3), probs=(0.7, 0.0, 0.1, 0.1, 0.1))
+    for key in range(5):
+        rng_a, rng_b = np.random.default_rng(key), np.random.default_rng(key)
+        got = law.sample_batch(rng_a, n)
+        want = np.asarray(law.values)[rng_b.choice(len(law.values), p=law.probs, size=n)]
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert rng_a.random() == rng_b.random()
 
 
 def test_table_immigration():

@@ -364,6 +364,15 @@ def test_pooled_rate_past_numpy_limit_is_named():
     with pytest.raises(ValueError, match=r"rate 9\.223372037e\+18 at row 1, child type 0 is "
                                          r"past numpy's Poisson limit 9\.223372006e\+18"):
         offspring.sample_sum_batch(np.random.default_rng(0), counts)
+    # asymmetric means: only child type 1 of row 2 passes the limit, and the
+    # rates, formed type-major, are still named by row and child type
+    skew = IndependentOffspring(components=(PoissonOffspring(1.0), PoissonOffspring(2.0)))
+    offspring = OffspringSpec(laws=(skew, skew))
+    counts = np.array([[1, 1], [2**60, 2**60], [2**61, 2**61]], dtype=np.int64)
+    with pytest.raises(ValueError, match=r"rate 9\.223372037e\+18 at row 2, child type 1 is "):
+        offspring.sample_sum_batch(np.random.default_rng(0), counts)
+    with pytest.raises(ValueError, match=r"at row 2, child type 1 is "):
+        offspring.sample_sum_batch(np.random.default_rng(0), np.asfortranarray(counts))
 
 
 @pytest.mark.parametrize("law", [
@@ -547,6 +556,33 @@ def test_kernel_equals_reference_kernel(name, R):
     assert rng_a.random() == rng_b.random()
     if R > 1 and name in ("pure_emigration", "pure_death", "two_type_mixed"):
         assert empty_rows > 0  # rows reach zero, where emigration folds
+
+
+@pytest.mark.parametrize("name", ["two_type_mixed", "small_support", "sqrt_drift_single_type"])
+def test_advance_reads_any_layout_of_the_states(name):
+    # C-ordered, F-ordered and broadcast read-only states give the same
+    # C-ordered next generation and leave the stream at the same place
+    spec = load_spec(spec_path(name))
+    rng = stream_for(5, 0)
+    Z = spec.initial.sample(rng, 300)
+    for _ in range(3):
+        Z = advance(spec, Z, rng)
+    z = Z[0]
+    layouts = {
+        "rows": (Z, np.asfortranarray(Z)),
+        "one state": (np.tile(z, (300, 1)), np.asfortranarray(np.tile(z, (300, 1))),
+                      np.broadcast_to(z, (300, spec.dim))),
+    }
+    for states in layouts.values():
+        assert not states[-1].flags.c_contiguous or spec.dim == 1
+        results = []
+        for X in states:
+            rng = stream_for(6, 0)
+            nxt = advance(spec, X, rng)
+            assert nxt.flags.c_contiguous
+            results.append((nxt, rng.random()))
+        for nxt, after in results[1:]:
+            assert np.array_equal(nxt, results[0][0]) and after == results[0][1]
 
 
 def test_branch_probs_fold_missing_laws_and_empty_rows():

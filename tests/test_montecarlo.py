@@ -586,6 +586,19 @@ def test_moment_check_memory_does_not_grow_with_samples(two_type_spec):
     assert large < 16e6, large
 
 
+def test_moment_check_peak_memory_is_bounded(two_type_spec):
+    # a chunk of 64 000 rows, its (R, 2) int64 states 1 MB: the draws, the
+    # batch means and scatters must not hold more than a few such arrays
+    moment_check(two_type_spec, np.array([50, 30]), N=200_000, seed=2)  # warm caches
+    tracemalloc.start()
+    try:
+        moment_check(two_type_spec, np.array([50, 30]), N=200_000, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.1e6, peak
+
+
 def test_moment_check_detects_wrong_model(gamma_spec, sqrt_spec):
     # check the gamma model's samples against the sqrt model's moments
     from mbpm import cond_mean, sample_step_batch
