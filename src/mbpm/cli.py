@@ -19,9 +19,12 @@ diffusion limit has an exact Gamma law at every time, so no reference is
 simulated.  Option defaults are the field defaults of ``ExperimentConfig``.
 
 Each suite returns its plot data as named tables, a header plus one
-sequence per column, and ``_write_tsv`` writes each one from its columns:
-float64 columns as %.10g, formatted once per run of equal adjacent cells,
-label columns as str().
+sequence per column, and ``_write_tsv`` writes each one by whole columns in
+UTF-8: a float64 column as %.10g, where a column of the ranks i/n (the
+empirical CDF of every KS gate) is formatted from the integers i and n and
+any other once per run of equal adjacent cells, and any other column as
+str().  Each column becomes one array of cell texts; the rows are joined
+column by column, and the lines in one join.
 
 Reports are deterministic for a fixed document and seed: the wall-clock
 timestamp is isolated in a single header field and no timings are
@@ -39,7 +42,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from datetime import datetime, timezone
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Optional
 
@@ -149,29 +152,90 @@ def _jsonable(obj):
     return obj
 
 
-def _float_cells(a):
-    """%.10g of each cell of the float64 array a, formatted once per run of equal cells."""
+_RANK_LIMIT = 9 * 10**8  # below it i·10^(k+9) < 10^10·n fits in an int64
+
+
+def _rank_cells(n: int, sep: bytes) -> np.ndarray:
+    """sep + %.10g of i/n for i = 1 .. n, as bytes, read from the integers i and n.
+
+    k is the smallest number with i·10^k >= n, so q, rem = divmod(i·10^(k+9), n)
+    holds the ten significant digits of the rational i/n, rounded to nearest
+    on 2·rem against n.  The text below 1 is "0." and the 13 decimals
+    q·10^(4-k) with their trailing zeros cut, so a q of 10^10 carries into
+    decimal k - 1; row n is "1".  The double i/n lies within 2^-53 of the
+    rational, relative: about 1.1e-6 of a unit in the 10th digit, so the
+    two round alike except within n // 10^5 + 1 of a tie.  Rows there, ties
+    included, and rows below 1e-4 (%g's exponent form, k = 5) are formatted
+    from the double.
+    """
+    i = np.arange(1, n + 1)
+    # the rows with k = 5, 4, .., 0 are runs: i·10^k >= n from ceil(n / 10^k) on
+    runs = np.diff(-(-n // 10 ** np.arange(4, -1, -1)), prepend=1, append=n + 1)
+    scaled = i * np.repeat(10 ** np.arange(14, 8, -1), runs)
+    q = scaled // n
+    gap = 2 * (scaled - q * n) - n
+    q += gap > 0
+    slow = np.abs(gap) <= n // 10**5 + 1
+    slow[:runs[0]] = True  # k = 5: below 1e-4
+    decimals = q * np.repeat(10 ** np.array([0, 0, 1, 2, 3, 4]), runs)
+    # the 13 decimals, last first, digit-major; trailing zeros become NUL
+    # bytes, which the bytes view drops
+    head = sep + b"0."
+    w = len(head)
+    buf = np.empty((w + 13, n), dtype=np.uint8)
+    buf[:w] = np.frombuffer(head, dtype=np.uint8)[:, None]
+    kept = np.zeros(n, dtype=bool)  # a nonzero digit at or after this place
+    for place in range(w + 12, w - 1, -1):
+        tens = decimals // 10
+        digit = decimals - 10 * tens
+        decimals = tens
+        kept |= digit != 0
+        np.multiply(digit + ord("0"), kept, out=buf[place], casting="unsafe")
+    cells = np.ascontiguousarray(buf.T).view(f"S{w + 13}").ravel()
+    redo = np.flatnonzero(slow)
+    texts = np.array([sep + b"%.10g" % x for x in (i[redo] / n).tolist()] + [sep + b"1"])
+    cells = cells.astype(np.result_type(cells, texts))
+    cells[np.append(redo, n - 1)] = texts
+    return cells
+
+
+def _float_cells(a, sep: bytes) -> np.ndarray:
+    """sep + %.10g of each cell of the float64 array a, as bytes.
+
+    The ranks i/n, i = 1 .. n, are read from the integers; any other column
+    is formatted once per run of equal cells, whose texts are repeated.
+    """
+    n = a.size
+    if 0 < n < _RANK_LIMIT and np.array_equal(a, np.arange(1, n + 1) / n):
+        return _rank_cells(n, sep)
     starts = _run_starts(a)
-    texts = list(map("%.10g".__mod__, a[starts].tolist()))
-    if starts.size == a.size:
-        return texts
-    return np.repeat(np.array(texts, dtype=object), np.diff(starts, append=a.size)).tolist()
+    heads = np.array(list(map((sep + b"%.10g").__mod__, a[starts].tolist())), dtype="S")
+    return heads if starts.size == n else np.repeat(heads, np.diff(starts, append=n))
 
 
 def _write_tsv(path: Path, header, columns):
-    """Header plus one line per row, from one sequence per column.
+    """Header plus one line per row, from one sequence per column, in UTF-8.
 
-    A float64 column is written as %.10g, formatted once per run of equal
-    adjacent cells (equal bit patterns give equal text); any other column
-    as str() of its cells.
+    Each column becomes one array of cell texts, the tab before each cell
+    included: a float64 column as %.10g (a column of the ranks i/n from
+    the integers i and n, any other formatted once per run of equal
+    adjacent cells, since equal bit patterns give equal text), any other
+    column as str() of its cells.  The rows are joined column by column,
+    then the lines in one join, and written at once.  numpy byte strings
+    drop trailing NUL bytes, so a cell text must not end in one.
     """
     cells = []
-    for col in columns:
+    for j, col in enumerate(columns):
+        sep = b"\t" if j else b""
         a = np.asarray(col)
-        cells.append(_float_cells(a) if a.dtype == np.float64 else list(map(str, col)))
-    lines = ["\t".join(header), *map("\t".join, zip(*cells))]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        if a.dtype == np.float64:
+            cells.append(_float_cells(a, sep))
+        else:
+            cells.append(np.array([sep + str(c).encode() for c in col], dtype="S"))
+    rows = cells[0]
+    for c in cells[1:]:
+        rows = np.char.add(rows, c)
+    path.write_bytes(b"\n".join(["\t".join(header).encode(), *rows.tolist()]) + b"\n")
 
 
 def _ks_check(sample, config, cdf, law: str, law_params: dict):
@@ -343,7 +407,7 @@ def _l1_law(params, n, a_n):
     scale_n = _size_scale(params, n)
 
     def gate(w, config):
-        mean = float(w.mean())
+        mean = float(w.mean()) if w.size else math.nan  # no replicate kept: fails
         rel_err = abs(mean - target) / target
         payload = {
             "target": target,
@@ -588,8 +652,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: building it takes 0.2-0.3 ms, which a process that
+# calls main() many times (a benchmark loop, the tests) paid on every call
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    config = ExperimentConfig(**vars(build_parser().parse_args(argv)))
+    config = ExperimentConfig(**vars(_parser().parse_args(argv)))
     try:
         return run(config)
     except (SpecFormatError, InfeasibleSuiteError) as exc:

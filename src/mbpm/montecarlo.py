@@ -445,9 +445,14 @@ def gof_report(sample, cdf: Callable, reference: str, params: dict, threshold: f
 
     cdf must be point-wise; it is called once, on the distinct values of
     the sorted sample, and reference_values repeats them over the ties.
+    An empty sample has no KS distance: its value is nan, and it fails.
     """
-    xs, F = _sorted_with_cdf(sample, cdf)
-    d = _ks_sorted(F)
+    if len(sample):
+        xs, F = _sorted_with_cdf(sample, cdf)
+        d = _ks_sorted(F)
+    else:
+        xs = F = np.empty(0)
+        d = math.nan
     return GoFReport(
         statistic="ks",
         value=d,

@@ -12,7 +12,7 @@ import scipy.stats
 from conftest import run_fresh, spec_path
 from mbpm import (a_seq, cli, cond_mean, ecdf, gamma_cdf, gof_report, ks_statistic, lambda_n,
                   load_spec, normal_cdf, params_from_spec, run_ensemble, spec_from_dict)
-from mbpm.cli import _ks_check, _write_tsv, main
+from mbpm.cli import _ks_check, _rank_cells, _write_tsv, main
 
 SHIPPED = ["gamma_single_type", "sqrt_drift_single_type", "two_type_mixed",
            "pure_emigration", "small_support", "pure_death"]
@@ -129,13 +129,29 @@ def _per_cell_tsv(header, columns):
     return "".join(line + "\n" for line in rows)
 
 
+# every n <= 2000; exact binary ties at n = 2^k and 3·2^k, which the window
+# sends to the double, where %.10g rounds half to even; 5·2^k, whose ties are
+# inexact doubles on either side; 5^k; sizes around the replicates-wide
+# R = 10^4; and n = 999999, above 4.5e5, where a row one unit from a tie,
+# 2·rem - n = ±1, rounds by its double
+RANK_SIZES = [*range(1, 2001), *(2**e for e in range(11, 21)), *(3 * 2**e for e in range(1, 16)),
+              *(5 * 2**e for e in range(11, 15)), *(5**e for e in range(1, 8)),
+              10**4 - 3, 10**4 + 3, 10**5, 999_999, 10**6]
+
+
+def test_rank_cells_are_the_printf_texts_of_i_over_n():
+    for n in RANK_SIZES:
+        expected = [b"\t%.10g" % x for x in (np.arange(1, n + 1) / n).tolist()]
+        assert _rank_cells(n, b"\t").tolist() == expected, n
+
+
 def test_write_tsv_matches_per_cell_formatting(tmp_path):
     # one kind of cell per column: floats (Python or float64), everything else labels
     py_floats = [0.1 + 0.2, float("nan"), float("inf"), -float("inf"), 1e-300, 2.5, -7.5e-8,
                  1e22, -0.0, 1e-5, 1e-4, 9999999999.5, 1e10, 9999999999.0]
     k = len(py_floats)
     columns = [
-        [f"mean[{i}]" for i in range(k)],
+        [f"mean[{i}]" for i in range(k - 1)] + ["σ²·Zₙ/n"],
         py_floats,
         np.array([np.float64(6.02214076e23), np.float64(-0.0), np.nan, np.inf, -np.inf,
                   np.float64(1.0 / 3.0), 1e-5, 1e-4, 9999999999.5, 1e10, 0.0, 1.0, -1.0, 1e22]),
@@ -227,6 +243,32 @@ def test_gamma_suite_forced_failure(tmp_path, capsys):
     assert code == 1
     assert "gamma-limit: FAIL" in capsys.readouterr().out
     assert read_report(out)["passed"] is False
+
+
+@pytest.mark.parametrize("suite, doc_name, n, seed, table, rows", [
+    ("gamma-limit", "gamma_single_type", 1, 1, "cdf_pairs.tsv", []),
+    ("normal-limit", "sqrt_drift_single_type", 2, 6, "cdf_pairs.tsv", []),
+    ("l1-limit", "sqrt_drift_single_type", 2, 6, "sample_summary.tsv",
+     [f"q{q}\tnan" for q in (5, 25, 50, 75, 95)] + ["mean\tnan", "target\t0.25"]),
+], ids=["gamma-limit", "normal-limit", "l1-limit"])
+def test_limit_suite_keeping_no_replicate_fails(tmp_path, capsys, suite, doc_name, n, seed, table,
+                                                rows):
+    # one replicate that dies out: the conditioning keeps none, and the gate fails
+    out = tmp_path / "rep"
+    code = main(["--spec", spec_path(doc_name), "--suite", suite, "--n", str(n), "--reps", "1",
+                 "--seed", str(seed), "--out", str(out)])
+    assert code == 1
+    assert f"{suite}: FAIL" in capsys.readouterr().out
+    report = read_report(out)
+    assert report["passed"] is False
+    assert report["results"]["conditioning"]["kept"] == 0
+    if suite == "l1-limit":
+        assert report["results"]["sample_mean"] == "nan"
+    else:
+        assert report["results"]["gof"]["value"] == "nan"
+        assert report["results"]["gof"]["sample_size"] == 0
+    header = {"cdf_pairs.tsv": "x\tempirical\treference", "sample_summary.tsv": "statistic\tvalue"}
+    assert (out / table).read_text() == "".join(f"{line}\n" for line in [header[table], *rows])
 
 
 def _no_ensemble(*args, **kwargs):
