@@ -15,6 +15,8 @@ import oracles
 from mbpm import InverseCubeEmigration, UniformEmigration, load_spec, run_ensemble
 
 SPEC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "specs")
+# the stems of the shipped documents
+SHIPPED = sorted(name[:-5] for name in os.listdir(SPEC_DIR) if name.endswith(".json"))
 
 # One line per acceptance criterion, shown in the terminal summary so the
 # verdicts stay visible under output capture.

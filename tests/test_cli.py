@@ -9,13 +9,10 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import run_fresh, spec_path
-from mbpm import (a_seq, cli, cond_mean, ecdf, gamma_cdf, gof_report, ks_statistic, lambda_n,
-                  load_spec, normal_cdf, params_from_spec, run_ensemble, spec_from_dict)
+from conftest import SHIPPED, run_fresh, spec_path
+from mbpm import (a_seq, cli, cond_mean, ecdf, gamma_cdf, ks_statistic, lambda_n, load_spec,
+                  normal_cdf, params_from_spec, run_ensemble)
 from mbpm.cli import _ks_check, _rank_cells, _write_tsv, main
-
-SHIPPED = ["gamma_single_type", "sqrt_drift_single_type", "two_type_mixed",
-           "pure_emigration", "small_support", "pure_death"]
 
 
 def read_report(out_dir):
@@ -246,14 +243,15 @@ def test_gamma_suite_forced_failure(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("suite, doc_name, n, seed, table, rows", [
-    ("gamma-limit", "gamma_single_type", 1, 1, "cdf_pairs.tsv", []),
-    ("normal-limit", "sqrt_drift_single_type", 2, 6, "cdf_pairs.tsv", []),
-    ("l1-limit", "sqrt_drift_single_type", 2, 6, "sample_summary.tsv",
+    ("gamma-limit", "gamma_single_type", 1, 2, "cdf_pairs.tsv", []),
+    ("normal-limit", "sqrt_drift_single_type", 2, 25, "cdf_pairs.tsv", []),
+    ("l1-limit", "sqrt_drift_single_type", 2, 25, "sample_summary.tsv",
      [f"q{q}\tnan" for q in (5, 25, 50, 75, 95)] + ["mean\tnan", "target\t0.25"]),
 ], ids=["gamma-limit", "normal-limit", "l1-limit"])
 def test_limit_suite_keeping_no_replicate_fails(tmp_path, capsys, suite, doc_name, n, seed, table,
                                                 rows):
-    # one replicate that dies out: the conditioning keeps none, and the gate fails
+    # one replicate that dies out: the conditioning keeps none, and the gate
+    # fails; each seed is the smallest at which the replicate is dropped
     out = tmp_path / "rep"
     code = main(["--spec", spec_path(doc_name), "--suite", suite, "--n", str(n), "--reps", "1",
                  "--seed", str(seed), "--out", str(out)])
@@ -449,9 +447,7 @@ _INFEASIBLE_LIMITS = {
 }
 
 
-@pytest.mark.parametrize("doc_name", ["gamma_single_type", "sqrt_drift_single_type",
-                                      "two_type_mixed", "pure_emigration", "small_support",
-                                      "pure_death"])
+@pytest.mark.parametrize("doc_name", SHIPPED)
 @pytest.mark.parametrize("suite", ["gamma-limit", "normal-limit", "l1-limit"])
 def test_limit_suites_refuse_exactly_the_infeasible_documents(tmp_path, capsys, suite,
                                                               doc_name):
@@ -467,36 +463,16 @@ def test_limit_suites_refuse_exactly_the_infeasible_documents(tmp_path, capsys, 
         assert read_report(out)["results"]["conditioning"]["total"] == 300
 
 
-def _constant(value):
-    return {"kind": "constant", "value": value}
-
-
-def _coupled_two_type_doc():
-    """Two types with Poisson offspring of mean columns (0.7, 0.3) and
-    (0.4, 0.6), so u = (1/2, 1/2), u.u = 1/2 and v = (8/7, 6/7); type 0
-    always receives 1 + Poisson(1) immigrants (mean 2), type 1 never
-    migrates; started at 0.  Then h = (2, 0), u.c = 1, alpha = 0, beta = 1
-    and nu = 1/2: the gamma regime."""
-    still = {"prob_none": _constant(1.0), "prob_imm": _constant(0.0), "prob_em": _constant(0.0)}
-    return {
-        "dim": 2,
-        "initial": {"kind": "deterministic", "state": [0, 0]},
-        "migration": [
-            {"prob_none": _constant(0.0), "prob_imm": _constant(1.0), "prob_em": _constant(0.0),
-             "immigration": {"family": "shifted_poisson", "mean": _constant(2.0)}},
-            still,
-        ],
-        "offspring": [
-            {"kind": "independent", "components": [{"family": "poisson", "mean": m}
-                                                   for m in column]}
-            for column in ((0.7, 0.3), (0.4, 0.6))
-        ],
-    }
+# specs/two_type_coupled.json: two types with Poisson offspring of mean
+# columns (0.7, 0.3) and (0.4, 0.6), so u = (1/2, 1/2), u.u = 1/2 and
+# v = (8/7, 6/7); type 0 always receives 1 + Poisson(1) immigrants (mean 2),
+# type 1 never migrates; started at 0.  Then h = (2, 0), u.c = 1, alpha = 0,
+# beta = 1 and nu = 1/2: the gamma regime.
 
 
 def test_limit_transforms_read_the_weighted_size_itself():
     # a_n tracks u.Z_n with u.v = 1, so no transform divides by u.u = 1/2
-    spec = spec_from_dict(_coupled_two_type_doc())
+    spec = load_spec(spec_path("two_type_coupled"))
     spectral = spec.spectral()
     assert (float(spectral.u @ spectral.u), float(spectral.u @ spectral.v)) == pytest.approx(
         (0.5, 1.0), rel=1e-12)
@@ -521,7 +497,7 @@ def test_weighted_mean_grows_by_u_dot_c_each_step():
     # h is constant here, so the exact conditional mean z -> m (z + h) is
     # affine; read it off cond_mean at 0 and at the unit states and iterate
     # it from Z_0 = 0: E u.Z_n = n u.c
-    spec = spec_from_dict(_coupled_two_type_doc())
+    spec = load_spec(spec_path("two_type_coupled"))
     u = spec.spectral().u
     shift = cond_mean(spec, [0, 0])
     m = np.column_stack([cond_mean(spec, e) - shift for e in np.eye(2, dtype=np.int64)])
@@ -536,11 +512,9 @@ def test_weighted_mean_grows_by_u_dot_c_each_step():
 @pytest.mark.parametrize("suite", ["gamma-limit", "l1-limit"])
 def test_limit_suites_pass_on_a_document_with_u_dot_u_below_one(tmp_path, suite):
     # the transforms divided by u.u = 1/2 once, which doubled every sample
-    path = tmp_path / "coupled.json"
-    path.write_text(json.dumps(_coupled_two_type_doc()))
     out = tmp_path / "rep"
-    assert main(["--spec", str(path), "--suite", suite, "--n", "100", "--reps", "2000",
-                 "--seed", "3", "--out", str(out)]) == 0
+    assert main(["--spec", spec_path("two_type_coupled"), "--suite", suite, "--n", "100",
+                 "--reps", "2000", "--seed", "3", "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize("suite", ["gamma-limit", "normal-limit", "l1-limit"])

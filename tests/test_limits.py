@@ -1,11 +1,10 @@
 """Limit-law parameters, size recursions, and the diffusion approximation."""
 import math
-import os
 
 import numpy as np
 import pytest
 
-from conftest import SPEC_DIR, load_doc, spec_path
+from conftest import SHIPPED, load_doc, spec_path
 from mbpm import (
     Clamp,
     Constant,
@@ -140,10 +139,9 @@ def test_params_from_spec_on_the_two_type_candidate():
     assert params.gamma_shape is None
 
 
-SHIPPED = sorted(name[:-5] for name in os.listdir(SPEC_DIR) if name.endswith(".json"))
 # the shipped documents whose growth constants exist: the others have no
 # Perron data (pure_death) or uniform emigration, linear in the count
-_DERIVED = ("gamma_single_type", "small_support", "sqrt_drift_single_type")
+_DERIVED = ("gamma_single_type", "small_support", "sqrt_drift_single_type", "two_type_coupled")
 
 
 @pytest.mark.parametrize("doc_name", SHIPPED)

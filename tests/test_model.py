@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import load_doc, spec_path
+from conftest import SHIPPED, load_doc, spec_path
 from mbpm import (
     BernoulliOffspring,
     Clamp,
@@ -96,8 +96,7 @@ def test_branch_probs_fold_at_zero_count(emigration_spec):
 
 
 def test_validate_passes_shipped_documents():
-    for name in ["two_type_mixed", "gamma_single_type", "sqrt_drift_single_type",
-                 "pure_emigration", "small_support", "pure_death"]:
+    for name in SHIPPED:
         load_spec(spec_path(name)).validate()
 
 
@@ -307,7 +306,7 @@ def reference_advance(spec, Z, rng):
 
 def test_poisson_documents_pool_their_offspring():
     for name in ["gamma_single_type", "sqrt_drift_single_type", "two_type_mixed",
-                 "pure_emigration"]:
+                 "pure_emigration", "two_type_coupled"]:
         offspring = load_spec(spec_path(name)).offspring
         assert np.array_equal(offspring.poisson_means, offspring.mean_matrix())
     for name in ["small_support", "pure_death"]:
@@ -398,9 +397,9 @@ def test_supercritical_ensemble_stops_before_int64_wraps(small_support_spec):
     # Perron root 1.227: unguarded, states wrap negative at step 202 and
     # numpy's multinomial fails at step 203 with a bare "n < 0"; the
     # worst-case bound (two children of type 0 per type-0 parent, one per
-    # type-1 parent) passes int64 at step 198
-    with pytest.raises(ValueError, match=r"^step 198 of 400, block from replicate 0 .*: the "
-                                         r"parents of row 5 could have \d+ children of type "
+    # type-1 parent) passes int64 at step 199
+    with pytest.raises(ValueError, match=r"^step 199 of 400, block from replicate 0 .*: the "
+                                         r"parents of row 19 could have \d+ children of type "
                                          r"0, past int64 \(9223372036854775807\)$"):
         run_ensemble(small_support_spec, 400, 100, 7)
 
@@ -408,10 +407,6 @@ def test_supercritical_ensemble_stops_before_int64_wraps(small_support_spec):
 # ---------------------------------------------------------------------------
 # migration: one kernel path, whose branch probabilities fold at every step
 # ---------------------------------------------------------------------------
-
-SHIPPED = ["gamma_single_type", "sqrt_drift_single_type", "two_type_mixed",
-           "pure_emigration", "small_support", "pure_death"]
-
 
 def reference_migration(spec, Z, rng):
     """Migration with the branch probabilities evaluated and folded at every
@@ -481,34 +476,39 @@ def kernel_spec(name):
 
 
 # sha256 of the initial states and the 50 states after them (int64 bytes),
-# from stream_for(61, R), for R = 1, 7 and 300; recorded from the kernel
-# that compiled constant branch probabilities, so the single path draws
-# the same stream.
+# from stream_for(61, R), for R = 1, 7 and 300.  Recorded again when
+# stream_for moved from Philox to SFC64: a change that keeps the kernel's
+# draws keeps them.  pure_death draws nothing, so its three did not move.
 STREAM_DIGESTS = {
     "gamma_single_type": (
-        "c6be3d40eaab7f836cec3222ab3c989f2bd0a53a9777d0c100f3c46999aed716",
-        "b044e156bd463d8fb7220e3188eb9703ce55d1135b0c52b4af94d63be0918a3a",
-        "00a4f93424fa1d6e2163bec2412144cbe76f6e91bf9266523c884825580cc9d9",
+        "c0e81a9aee5a340429a7c5e70b14951597798cef013ee6a6c113c03d9257f15e",
+        "c79c72adab6ea0df387b2f426771249aa4f3e57745e050ad3eda30472205bbfe",
+        "da91206b9ac64c0de943a79f541ab88122a5a425c15e81cd8978ab0218515421",
     ),
     "sqrt_drift_single_type": (
-        "c919ca5987781b14a63ad9b12999da020d7acad52278b018f5ea46bc8417d80e",
-        "c25faf571e0a3ed6623166aa84ccce0f92cc43c055ae06601818c167e72f3547",
-        "c02aa53368995ba84bd8296f57432c59ae8798f237bb7b8f7e0b634e5bebfbb4",
+        "6741d7967373fb07c91045cbee4c79c2914b27339029f29b87db1545a3b53394",
+        "e38acc15c0a161857365779d14c1e7e74045938c559c50a9d02613e704e5e934",
+        "c83d328a1fb619da2b06906c1ccc05cb2331a217eaecc56737ae375ba7eec77f",
     ),
     "two_type_mixed": (
-        "c8f1e1883250e5771a781938246aa8b85a3d92f5c59e3634677e906f0f880c75",
-        "dbf5ef721c06629fb76d9545c9b4e644da168afa1c6a4c7809ac83eed2b0142c",
-        "ae1a9c667c425b8a8aba879e0aecd74e49ccc9cccbbb4a256f53ee59a71c0e9b",
+        "0385dfacc6a118c7bc4fb0fc7618e3906dafa13ff3e93833f6c1d6d813831874",
+        "d0b76ec75b47d128cccfc355e0c678440591b8c18e6a2069e04adea4f36c3565",
+        "4ca32dd3a06ffd63246b3bb54228ca85218ee28688b712fdc55d93c650e523d6",
+    ),
+    "two_type_coupled": (
+        "4a2b4524cc5812eaaf379c6b018a72840dc10d8a2e93ccb12ac3e05bf9b17c8f",
+        "29658d88ad96548740a6c8fea60c51207c5a211b1b8636c2e6f865d015b76d41",
+        "76dfa76741d77ef37fa7c6bcb124544aea645002ee0f92eab74fceefd85c1883",
     ),
     "pure_emigration": (
-        "d6b283b92bbffc1a9bb96437ed52f469356701e30e654e2f5937d7cba0ad61b1",
-        "9e43553cd1f922abf01b8359c52351e3dd352a22e573e17d890c49f697861716",
-        "c8badec5c1ac1018195f03ee2688188b0158a1db02c5793718ce0b7d8a58eaac",
+        "e22bacbc25e9f79610dd88bb6f15df03f142f2ee9fe5a21447433f60c2930702",
+        "e06a359ee193333ced412aa57548949881d1ab326ca6a5581f9ebb5d3c8771c9",
+        "f5c0b788018185b25bbfa8881ace6b4d8f37672fc91fd13b783b723e64ff17e9",
     ),
     "small_support": (
-        "249338b9c2546ccb088ed83a7112c56c3d7f35e88a01022b392cca9cf920ddd7",
-        "f00f00e81c883200db9e0a55cfebf41a1b3f7f3b10a2473107a7985ef868a519",
-        "5961b8f7014686a41aa33b4a42dc3f72711b593dfc1308183431bdce2876993d",
+        "2925684b04292efabd927dbc58e814c5b4fe9a8807a371053ecac831c95355a5",
+        "d5eee5907e8b626787132efb74e0ccaaf0026d54875b44662e35b9dc4a9fda77",
+        "3e03764ba07b1d5a021eff2b11670ec6b7ebd211ecea993f62e717a438987d96",
     ),
     "pure_death": (
         "7ce3b5ecbaadb8c4aba02a0a4d4ee9cf8e5876f3246a0102b20c64ce3a741848",
@@ -516,9 +516,9 @@ STREAM_DIGESTS = {
         "e91c1e7c0cff6b4eb2e4c6a3c37ae37da213520d1cf6363e82e7b1e07f8b015e",
     ),
     "table_branches": (
-        "8b0a5e2183c3c040f9ba0d52834870833190d333eb6198f26975d929ba11c2d1",
-        "24679e73319573e0565dde5d6c539fc1d4dee37e8ab02b78d1c7eab19427d734",
-        "f03d3afddd31048db3b56c34019e8abb117f6334104d5f3b3ab515dabefe373b",
+        "65593442d3e570b7bc31182cf7c4579fa4220f9022f9ee99aba74c21465c4839",
+        "dd0e9901195f324769e168589d19abfab0f5daa1859ed32f4003a5ac5ba197ca",
+        "a9f02c24cd7188aacff2b9a80876f589d3c880a318afd4fdeffc503e481219bb",
     ),
 }
 
@@ -725,8 +725,7 @@ def test_geometric_offspring_past_numpy_limit_are_named():
 
 
 def test_round_trip_all_documents():
-    for name in ["two_type_mixed", "gamma_single_type", "sqrt_drift_single_type",
-                 "pure_emigration", "small_support", "pure_death"]:
+    for name in SHIPPED:
         spec = load_spec(spec_path(name))
         again = spec_from_dict(spec_to_dict(spec))
         assert spec_digest(spec) == spec_digest(again)
@@ -787,6 +786,7 @@ SHIPPED_DIGESTS = {
     "pure_emigration": "0eb16a9088f385a513273ee19dd44fa678e8b12ef770bdff8d8690ffae84350d",
     "small_support": "0da01724cb0f95f1e15373e299300def25ff2afd911b4a2de1d849403413754e",
     "pure_death": "7c5923fa65a63b127701885ce2960a157d9bf30cb82c9528216b31d75047fe16",
+    "two_type_coupled": "7de07e8bb039afa5e0bcc836d55f4d15964648eba4fe244bb928085f551ea9c5",
 }
 
 

@@ -39,7 +39,7 @@ from mbpm import (
 from mbpm.montecarlo import BLOCK, MOMENT_BATCHES, ROWS, _run_starts, _simulate_blocks
 
 import oracles
-from conftest import load_doc, run_python, spec_path
+from conftest import load_doc, run_fresh, run_python, spec_path
 
 
 def deterministic_spec():
@@ -69,6 +69,22 @@ def test_stream_for_reproducible():
     assert np.array_equal(a, b)
     c = stream_for(123, 8).integers(0, 2**63, size=5)
     assert not np.array_equal(a, c)
+
+
+def test_stream_for_separates_word_boundary_pairs():
+    # the list form SeedSequence([seed, block]) maps these pairs together;
+    # stream_for must not, nor any other pair of the grid
+    def first_word(entropy):
+        return np.random.SFC64(np.random.SeedSequence(entropy)).random_raw()
+
+    colliding = [((7, 1), (2**32 + 7, 0)), ((2**32, 1), (0, 2**32 + 1))]
+    for a, b in colliding:
+        assert first_word(list(a)) == first_word(list(b))
+    edges = [0, 1, 7, 2**32 - 1, 2**32, 2**32 + 1, 2**32 + 7, 2**63, 2**64 - 1]
+    pairs = {(seed, block) for seed in edges for block in edges}
+    pairs.update(pair for both in colliding for pair in both)
+    firsts = {stream_for(seed, block).bit_generator.random_raw() for seed, block in pairs}
+    assert len(firsts) == len(pairs)
 
 
 def test_stream_for_validation():
@@ -125,11 +141,13 @@ def test_ensemble_block_is_advance_on_its_own_stream(two_type_spec, block):
 
 
 def test_ensemble_within_256_replicates_is_unchanged(gamma_spec):
-    # terminal states of a 150-replicate ensemble as drawn with 256-row
-    # blocks: any block of 256 rows or more keeps them, as it keeps block 0
+    # terminal states of a 150-replicate ensemble, all in block 0.  First
+    # recorded with 256-row blocks, to show that any BLOCK of 256 rows or
+    # more keeps them; recorded again when stream_for moved from Philox to
+    # SFC64, so it now pins block 0's stream
     ens = run_ensemble(gamma_spec, n=500, R=150, master_seed=7)
     digest = hashlib.sha256(ens.terminal.astype("<i8").tobytes()).hexdigest()
-    assert digest == "4d8073e48e1efa3d63d659106b5cc4eaf798f078b750408cdf9453bab67ba913"
+    assert digest == "cdd632edbfd618d32bdce1ecb2043b0ff421e0dce39483db56febfa3cfa51d3e"
 
 
 def test_kernel_error_in_an_ensemble_names_the_step_and_the_block():
@@ -570,6 +588,53 @@ def test_moment_check_streams_the_two_pass_statistics(name, z, N, streams):
                       (rep.cov_se, se)):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("N", [10_000, 10_037], ids=["whole-batches", "leftover"])
+def test_moment_check_statistics_are_exact(two_type_spec, N):
+    # the report's mean, covariance and batch covariances are the exact
+    # rational statistics of the same draws, each rounded once
+    from fractions import Fraction
+
+    z = np.array([50, 30])
+    rep = moment_check(two_type_spec, z, N=N, seed=5)
+    x = sample_step_batch(two_type_spec, z, 10_000, stream_for(5, 0))  # one chunk
+    if N % MOMENT_BATCHES:
+        x = np.concatenate([x, sample_step_batch(two_type_spec, z, N % MOMENT_BATCHES,
+                                                 stream_for(5, 1))])
+    rows = x.tolist()
+
+    def mean_and_cov(rows):
+        n = len(rows)
+        mean = [Fraction(sum(col), n) for col in zip(*rows)]
+        cov = [[sum((r[i] - mean[i]) * (r[j] - mean[j]) for r in rows) / (n - 1)
+                for j in range(2)] for i in range(2)]
+        return np.array([float(m) for m in mean]), np.array(cov, dtype=float)
+
+    mean, cov = mean_and_cov(rows)
+    assert rep.mean_empirical.tolist() == mean.tolist()
+    assert rep.cov_empirical.tolist() == cov.tolist()
+    size = N // MOMENT_BATCHES
+    per_batch = np.array([mean_and_cov(rows[b * size:(b + 1) * size])[1]
+                          for b in range(MOMENT_BATCHES)])
+    se = per_batch.std(axis=0, ddof=1) / math.sqrt(MOMENT_BATCHES)
+    assert rep.cov_se.tolist() == se.tolist()
+
+
+def test_moment_check_does_not_depend_on_the_blas_kernel(two_type_spec):
+    # OpenBLAS picks its kernels by CPU; the Haswell ones round products of
+    # floats differently from the AVX-512 ones, which moved the last bit of
+    # a covariance before the statistics were formed from exact sums
+    code = ("import numpy as np; from mbpm import load_spec, moment_check; "
+            f"rep = moment_check(load_spec({spec_path('two_type_mixed')!r}), "
+            "np.array([50, 30]), N=1_000_000, seed=1); "
+            "print([a.tobytes().hex() for a in "
+            "(rep.mean_empirical, rep.cov_empirical, rep.cov_se)])")
+    proc = run_fresh(["-c", code], env={"OPENBLAS_CORETYPE": "Haswell"}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rep = moment_check(two_type_spec, np.array([50, 30]), N=1_000_000, seed=1)
+    here = [a.tobytes().hex() for a in (rep.mean_empirical, rep.cov_empirical, rep.cov_se)]
+    assert proc.stdout.strip() == str(here)
 
 
 def test_moment_check_memory_does_not_grow_with_samples(two_type_spec):

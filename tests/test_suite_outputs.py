@@ -10,6 +10,9 @@ that keeps every output unchanged keeps them.  Eight were recorded again
 since: the five classify runs with a probe ray, when exact growth
 exponents replaced the slope fits, and the three limit suites on
 small_support, when they began to refuse its supercritical mean matrix.
+Every run that draws was recorded again when ``stream_for`` moved from
+Philox to SFC64, in the same change that made moment_check's statistics
+exact integer sums; two_type_coupled's seven were first recorded then.
 They pin float64 results bit for bit, as ``test_kernel_stream_is_pinned``
 pins the draws, so a change that moves one last bit of one number shows
 here.
@@ -17,7 +20,8 @@ here.
 Two more runs, gamma-limit and normal-limit at the size of the
 replicates-wide benchmark workload (``--n 8 --reps 10000``), pin
 ``cdf_pairs.tsv`` at about 10^4 rows of heavy ties and ranks i/R; they
-were recorded before the table writer formed the ranks from integers.
+were recorded before the table writer formed the ranks from integers,
+and again on the SFC64 streams.
 """
 import hashlib
 import json
@@ -28,22 +32,24 @@ from conftest import spec_path
 from mbpm.cli import SUITES, main
 
 DOCUMENTS = ["gamma_single_type", "sqrt_drift_single_type", "two_type_mixed",
-             "pure_emigration", "small_support", "pure_death"]
+             "pure_emigration", "small_support", "pure_death", "two_type_coupled"]
 
 # (suite, document) -> sha256, in the order SUITES x DOCUMENTS
 DIGESTS = {
     ("moments", "gamma_single_type"):
-        "e45e69e69aef02201695abdb8e86ea3f217ae8e1aea665c466608e067d3c20f2",
+        "2850d59dc12416622162ceece56ba97ebfad966c1d27fb8fc0a762ea9a93357f",
     ("moments", "sqrt_drift_single_type"):
-        "d528af918f401a9ce7423f7ece74ade0e43bf86db1a4646344f5ddcb37b6eadd",
+        "1d7a986af92bd75c39331706dc9d0c29024922bfb14dc32ddcebb91a2a4bfacb",
     ("moments", "two_type_mixed"):
-        "60c4c523bf251acfb6a86870405b24795c281cf07d59f8da18006170171fda14",
+        "6be635beaa69ee362bf3e1dcb83774ebfbbc567c8ada44df6fa2a14edc298f8c",
     ("moments", "pure_emigration"):
-        "fc0f675c3c697d5c2572d65f0058034648f10ccc6d52b1ecc26815427c6844cd",
+        "1b2a2c8d74fca1e0952709190a1c7590d2a084c5ff138e105ad0e0fd287657a0",
     ("moments", "small_support"):
-        "c34aeabab18d6753d213aad955c95f766e5cb85a74d3ce24bdda086fdc2a3934",
+        "bb905264cb0389565260ed9df203ad6e849fc16ff520718cdd75b5be3178b2a9",
     ("moments", "pure_death"):
         "43b10b753dd68e1e8b2fac4cb3747c12c8e7a059056296c353ccf605ff0cd66b",
+    ("moments", "two_type_coupled"):
+        "3aabe263c484879880c94b7a72b4d142593d8fcd1e79ba2ec8244a134885d21f",
     ("classify", "gamma_single_type"):
         "8949a26aa3eafe349a73fa62a37de88c1a83228e781218dfcecbd8f50e2c2aa8",
     ("classify", "sqrt_drift_single_type"):
@@ -56,8 +62,10 @@ DIGESTS = {
         "9dbf38f8e9e9246392f35969da82f844c80f022c990a1504e414d4c14e9f06d6",
     ("classify", "pure_death"):
         "ae665e51aba41a1c7f5e7eecbcc885af09126cfff40e240045394c456a8cc890",
+    ("classify", "two_type_coupled"):
+        "71b11d4dad4a352bc519becbe56674324589281850516c2f6f42af0cdbcdb93c",
     ("gamma-limit", "gamma_single_type"):
-        "711a53e37c6079c405dec96adc6f6e0273e5bb4154f5a1ac26c638b5ef7d2833",
+        "220d9d78071ab489a0ce7769d08fba6c163091eeb82ab6b270d48ba3c53de143",
     ("gamma-limit", "sqrt_drift_single_type"):
         "eb822339a550d86ef1f1bb596b3f9d1469fa1a281bda8120dc958531f63b4588",
     ("gamma-limit", "two_type_mixed"):
@@ -68,10 +76,12 @@ DIGESTS = {
         "fec947d87e1e1b433f66492cd100209798a883aea7692607727f15290230b4dc",
     ("gamma-limit", "pure_death"):
         "ec5001b5cec797b9f6864b0941e82bae17dd30c5cf45006f2e63a4da678f7989",
+    ("gamma-limit", "two_type_coupled"):
+        "b4f9efbeac8bb885f13fe935073d3aa2a567ed5bed0e0fb71bb31b67f8a6b622",
     ("normal-limit", "gamma_single_type"):
-        "5a91943df55170609d2db7e40a85c69d0abc95ca2b6ed1a4850f8dc6026d05da",
+        "5aa520dc2007c38dedba942e30142ce9b1c6f4870ca3ec0a6315fd31b4401fee",
     ("normal-limit", "sqrt_drift_single_type"):
-        "754f8bc524d0fb175f11f8608cf5a8fad5ef1b20ea7ced0e696ef126dac44bab",
+        "070aa920e1b1470d956c19de4507bf76e546763e1f0b816c1cd659688b083065",
     ("normal-limit", "two_type_mixed"):
         "dd612a3c2ad6cfb6ca5b7e985e903a8feb5029cc15ece88b69d1a7b5bcbab138",
     ("normal-limit", "pure_emigration"):
@@ -80,10 +90,12 @@ DIGESTS = {
         "f720cc0bd36af4b3ee6108c317b1e76651e72c3eba2f19789e310a8ee6a0c738",
     ("normal-limit", "pure_death"):
         "7da88550b94d80991a52f2c41908c9614949570bcd44eea5dda1711fdbcbdc66",
+    ("normal-limit", "two_type_coupled"):
+        "8748333352627a962c874e582477d87a55c15ad60f62aa92c6ce45a809e58f17",
     ("l1-limit", "gamma_single_type"):
-        "e8ccdf2620b9991b514bd2417f4d9f050cf227c588af41f6088347f7fab4c047",
+        "102c9cb62b60c5245164924789ac412261ee2c85d70f06e7b51d126bb478c845",
     ("l1-limit", "sqrt_drift_single_type"):
-        "e777abe24c63fea3724a9c1667fafcccde778be35817bb79bee237a1552f75eb",
+        "f578dd3f788627eec2ff69a3462419719f083d358ce3e9b05cb4f6dab280e428",
     ("l1-limit", "two_type_mixed"):
         "996eb4adee6e6cb672741a6a2bd7866cfc23e83ee3d3bc169f5da535f37720c7",
     ("l1-limit", "pure_emigration"):
@@ -92,8 +104,10 @@ DIGESTS = {
         "600fd48c570de5f0ed7baa9884174e55dad900f993fe4d737d78e941d6b4108e",
     ("l1-limit", "pure_death"):
         "172fa5539c874c378077af5de18430dd9f04b0708509e887526269aefb1049c5",
+    ("l1-limit", "two_type_coupled"):
+        "06dbf6375cfb95305d3700a71999ad441f4af018967e7afaaf6fb1a8f61c018f",
     ("feller", "gamma_single_type"):
-        "db13e778400496aac5035d0e86270b739f3267bde405df7660768e047bde7b5c",
+        "93960c8fd7a78df724814503832cda89d8ac8ddf9950afea2a5ec1ac8d4e6a71",
     ("feller", "sqrt_drift_single_type"):
         "b055731eedb8b759f449103687c30bfd7c6712d3ae44e78d874d1a419aad6070",
     ("feller", "two_type_mixed"):
@@ -104,27 +118,31 @@ DIGESTS = {
         "20106610bc8c6404c55fdbf5ebbcff7f45822dc0967d742721f74ac29f4e3e28",
     ("feller", "pure_death"):
         "6df9dc27ffc034a2f8b992ab3aa7074e0c407a5fb84d40f378a18bb9785ae95e",
+    ("feller", "two_type_coupled"):
+        "5ccaca06d53f8da44a2fd2de8cd08edb75de100873833623197b780543898a36",
     ("explosion", "gamma_single_type"):
-        "a64ce57e980388c5030c66d7bc911df72dc5d3a742bb308f49b73dc858ce2faf",
+        "e379e2dfbabd249a524c5b840ecefa22e50055dcf68aa644f09d9de04e131b95",
     ("explosion", "sqrt_drift_single_type"):
-        "7ef41007ee1604e1459d811d83ec98f9a8f0bcfb2a3520b4bab38e030e0f17be",
+        "9eb7f71ec3b85c2febefacc9a6250b4841625f2f149be830e6c5eedfcbfc8371",
     ("explosion", "two_type_mixed"):
-        "bd64cd5675abbd8109fa763f997569d85e9a22c6932f3d25ee20d4385768648d",
+        "5c4bc5838be284ba71b3d112fdb245b562b826c048afab6542ad4445c3253ab5",
     ("explosion", "pure_emigration"):
         "bc4dd1ea578146bbf8961c041b4dde235df11aa7152834abb0adfd67cdd39c5c",
     ("explosion", "small_support"):
-        "fb2f24a3f9868f3e8fc3fb03488762d9d3e3ae15592ac009f7a001474f81052b",
+        "6cf9005abb80c02b09ae35860b7ef56dfdc479eadb3b23b3eca62fdde23e2422",
     ("explosion", "pure_death"):
         "f0416bf6a4e5a427f5179993794b1a60bd59719ff8b9efe884981f366ede584f",
+    ("explosion", "two_type_coupled"):
+        "c41714716acce0881d9e6e0d7e89c3560b6a895fef78ec1836ac53d894cb6c9a",
 }
 
 
 # (suite, document) -> sha256 at --n 8 --reps 10000
 WIDE_DIGESTS = {
     ("gamma-limit", "gamma_single_type"):
-        "21665835673352e8cfead8b6da7d11b9c2e77706ce3afd5ac5faeed518c9a3d4",
+        "f8fa99d12d95e6263b40f6c84d8d17e3d2a66a0073e54ed331751817da436bf8",
     ("normal-limit", "sqrt_drift_single_type"):
-        "4feed28de844cbac1928779e37d17946d35f8dff4d3ef55e3085caca9e400878",
+        "498371dfd47fc67842020fe5546cc0d910706ef87f5a7ad3eca8c19e974491c9",
 }
 
 
