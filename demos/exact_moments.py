@@ -42,9 +42,10 @@ print("conditional covariance:")
 print(report.cond_cov)
 print(f"size variance sigma^2(z)   = {report.sigma2:.6f}")
 
-# consistency: at criticality the weighted-size variance can also be read
-# off the conditional covariance matrix
-direct = sigma2(spec, sd.u, z)
+# consistency: at criticality the variance of the size u.Z' (u the left
+# weights, which sigma2 reads from the model) can also be read off the
+# conditional covariance matrix
+direct = sigma2(spec, z)
 via_cov = float(sd.u @ cond_var(spec, z) @ sd.u)
 print(f"sigma^2 via covariance     = {via_cov:.6f} (diff {abs(direct - via_cov):.2e})")
 

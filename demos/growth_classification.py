@@ -5,9 +5,11 @@ At criticality the branching mechanism alone cannot sustain growth; what
 decides the long-run behaviour is the balance between the migration
 drift h(z) and the size fluctuation sigma^2(z) at large population
 sizes.  The classifier probes both along a ray of growing states and
-compares the ratio 2 (u.z)(u.h(z)) / sigma^2(z) against the threshold 1:
-ratios settling above it support unbounded growth, ratios below it
-force eventual collapse to the absorption region.
+compares the ratio 2 (u.z)(u.h(z)) / sigma^2(z), u the left Perron
+weights, against the threshold 1: ratios settling above it support
+unbounded growth, ratios below it force eventual collapse to the
+absorption region.  The verdict carries the exact growth exponents of
+the drift and the fluctuation along the same ray.
 
 Four calibrated models illustrate the regimes:
   * constant immigration surplus  -> growth (ratio tends to 4)
@@ -19,7 +21,6 @@ import numpy as np
 
 from mbpm import (
     classify_growth,
-    estimate_exponents,
     growth_ratio,
     load_spec,
     migration_mean,
@@ -40,7 +41,7 @@ for name, path in cases:
     print(f"verdict: {result.verdict}  [{result.condition}]")
     print(f"probe sizes:  {np.array2string(np.asarray(result.probe_sizes), precision=0)}")
     print(f"drift ratios: {np.array2string(np.asarray(result.ratio_values), precision=3)}")
-    exponents = estimate_exponents(spec)
+    exponents = result.exponents
     if exponents["alpha"] is not None:
         print(
             f"drift ~ c*s^alpha with alpha = {exponents['alpha']:.3f}, "
@@ -61,5 +62,5 @@ print(f"{'size':>8} {'u.h(z)':>10} {'sigma^2(z)':>12} {'ratio':>8}")
 for size in (10, 100, 1000, 10000):
     z = np.round(size * sd.v).astype(np.int64)
     drift = float(sd.u @ migration_mean(spec, z))
-    fluct = sigma2(spec, sd.u, z)
-    print(f"{size:8d} {drift:10.4f} {fluct:12.2f} {growth_ratio(spec, sd.u, z):8.3f}")
+    fluct = sigma2(spec, z)
+    print(f"{size:8d} {drift:10.4f} {fluct:12.2f} {growth_ratio(spec, z):8.3f}")

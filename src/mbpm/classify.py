@@ -15,8 +15,9 @@ The side conditions are little-o comparisons of growth rates.  Every law
 states its large-size form (see laws), so they compare exact growth
 exponents along the ray (moments.leading_moments and
 moments.abs_exponent); nothing is fitted.  The order checks form one
-table, {shifted, centered} x {sigma, drift_log, drift}.  The classify
-suite reads its verdict and its exponents from one ray.
+table, {shifted, centered} x {sigma, drift_log, drift}.  classify_growth
+reads its verdict and the exponents of estimate_exponents, which it
+carries on the verdict, from one ray.
 
 Standing assumptions referenced throughout: (A) the offspring mean matrix
 is primitive with Perron root 1; (B) mean migration is o(||z||); (C) the
@@ -46,7 +47,7 @@ _RATIO_MARGIN = 0.10  # safety band around the critical ratio 1
 _SLOPE_SLACK = 0.05  # an exponent must undershoot its target's by this
 DELTA = 1.0  # the moment orders are 1 + delta/2 and 2 + delta
 ALPHA_TILDE = 2.0  # moment order of the delta2 surrogate
-_VERDICTS = ("no-growth", "growth-possible", "inconclusive")
+VERDICTS = ("no-growth", "growth-possible", "inconclusive")
 _INT64_BOUND = 2.0**63  # the least float past int64
 
 
@@ -71,7 +72,7 @@ class CriteriaConfig:
 
 @dataclass
 class GrowthVerdict:
-    verdict: str  # one of _VERDICTS
+    verdict: str  # one of VERDICTS
     condition: Optional[str]
     ratio_values: np.ndarray
     probe_sizes: np.ndarray
@@ -80,6 +81,9 @@ class GrowthVerdict:
     support_ok: Optional[bool]
     order_checks: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
+    # estimate_exponents' dict, None without Perron data; outside the repr, so
+    # the report's classification block does not show it
+    exponents: Optional[dict] = field(default=None, repr=False)
 
 
 def probe_states(spec: ModelSpec, config: CriteriaConfig = CriteriaConfig()):
@@ -139,12 +143,12 @@ def check_hypothesis_C(spec: ModelSpec) -> Optional[dict]:
     return {key: np.array(values) for key, values in limits.items()}
 
 
-def growth_ratio(spec: ModelSpec, u, z) -> float:
-    """The drift-to-fluctuation ratio 2 (u.z)(u.h(z)) / sigma2(z): u weights
-    z, h and Z', and h(z) reads the model's own size at z."""
-    u = np.asarray(u, dtype=float)
+def growth_ratio(spec: ModelSpec, z) -> float:
+    """The drift-to-fluctuation ratio 2 (u.z)(u.h(z)) / sigma2(z), u the
+    left Perron weights."""
+    u = spec.spectral().u
     z = np.asarray(z, dtype=np.int64)
-    s2 = sigma2(spec, u, z)
+    s2 = sigma2(spec, z)
     if s2 <= 0.0:
         raise ValueError("one-step variance vanishes at this state (deterministic model)")
     return 2.0 * float(u @ z) * float(u @ migration_mean(spec, z)) / s2
@@ -187,7 +191,7 @@ def _probe_ray(spec: ModelSpec, config: CriteriaConfig) -> _Ray:
         sizes=np.array([float(u @ z) for z in probes]),
         h=h_list,
         uh=np.array([float(u @ h) for h in h_list]),
-        s2=np.array([sigma2(spec, u, z) for z in probes]),
+        s2=np.array([sigma2(spec, z) for z in probes]),
     )
 
 
@@ -237,29 +241,46 @@ def _order_checks(ray: _Ray, exps: dict) -> dict:
     return checks
 
 
-def _not_critical(spec: ModelSpec) -> Optional[GrowthVerdict]:
-    """The inconclusive verdict of a model without hypothesis (A), else None."""
+def classify_growth(spec: ModelSpec, config: CriteriaConfig = CriteriaConfig()) -> GrowthVerdict:
+    """Decide no-growth / growth-possible / inconclusive from probe states.
+
+    No-growth fires when (a) every mean adjustment component is
+    nonpositive at all probes (emigration dominates), or (b) the ratio
+    stays below 1 - margin and the transition moments are dominated in the
+    little-o sense.  Growth-possible needs the support condition, ratio
+    above 1 + margin, and the log-damped moment dominations.  Anything
+    else, including ratios inside the margin, is inconclusive; a mean
+    matrix without hypothesis (A) gives inconclusive / not-critical.
+
+    The sublinear-drift hypothesis (B) is reported, not enforced: the
+    emigration-dominates condition is meaningful and corroborated by
+    simulation even for linearly shrinking drifts.
+
+    The verdict carries the exponents of estimate_exponents, read from the
+    same probe ray and exact exponents, wherever the mean matrix has
+    Perron data (critical or not); None where it has none.
+    """
     try:
         rho = spec.spectral().rho
     except ValueError:
         rho = None
-    if rho is not None and is_critical(rho):
-        return None
-    return GrowthVerdict(
-        verdict="inconclusive",
-        condition="not-critical",
-        ratio_values=np.array([]),
-        probe_sizes=np.array([]),
-        hypothesis_A=False,
-        hypothesis_B=False,
-        support_ok=None,
-        diagnostics={"rho": rho},
-    )
+    exponents = None
+    if rho is not None:
+        ray, exps = _probe_ray(spec, config), _exponents(spec)
+        exponents = _fitted_exponents(ray, exps)
+    if rho is None or not is_critical(rho):
+        return GrowthVerdict(
+            verdict="inconclusive",
+            condition="not-critical",
+            ratio_values=np.array([]),
+            probe_sizes=np.array([]),
+            hypothesis_A=False,
+            hypothesis_B=False,
+            support_ok=None,
+            diagnostics={"rho": rho},
+            exponents=exponents,
+        )
 
-
-def _growth_verdict(spec: ModelSpec, ray: _Ray, exps: dict) -> GrowthVerdict:
-    """The verdict of a critical model, read from its probe ray and its
-    exact exponents."""
     if (ray.s2 <= 0.0).any():
         raise ValueError("one-step variance vanishes at this state (deterministic model)")
     ratios = 2.0 * ray.sizes * ray.uh / ray.s2
@@ -300,24 +321,8 @@ def _growth_verdict(spec: ModelSpec, ray: _Ray, exps: dict) -> GrowthVerdict:
         support_ok=support_ok,
         order_checks=checks,
         diagnostics=diagnostics,
+        exponents=exponents,
     )
-
-
-def classify_growth(spec: ModelSpec, config: CriteriaConfig = CriteriaConfig()) -> GrowthVerdict:
-    """Decide no-growth / growth-possible / inconclusive from probe states.
-
-    No-growth fires when (a) every mean adjustment component is
-    nonpositive at all probes (emigration dominates), or (b) the ratio
-    stays below 1 - margin and the transition moments are dominated in the
-    little-o sense.  Growth-possible needs the support condition, ratio
-    above 1 + margin, and the log-damped moment dominations.  Anything
-    else, including ratios inside the margin, is inconclusive.
-
-    The sublinear-drift hypothesis (B) is reported, not enforced: the
-    emigration-dominates condition is meaningful and corroborated by
-    simulation even for linearly shrinking drifts.
-    """
-    return _not_critical(spec) or _growth_verdict(spec, _probe_ray(spec, config), _exponents(spec))
 
 
 def _fitted_exponents(ray: _Ray, exps: dict) -> dict:

@@ -49,15 +49,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import is_critical
-from .classify import (
-    _VERDICTS,
-    CriteriaConfig,
-    _exponents,
-    _fitted_exponents,
-    _growth_verdict,
-    _not_critical,
-    _probe_ray,
-)
+from .classify import VERDICTS, CriteriaConfig, classify_growth
 from .limits import a_seq, feller_params, lambda_n, params_from_spec
 from .model import (
     ModelSpec,
@@ -276,7 +268,7 @@ def _counts(z, dim: int, path: str) -> np.ndarray:
         raise SpecFormatError(path, f"expected {dim} components")
     try:
         counts = np.array([_integer(x) for x in z], dtype=np.int64)
-    except (OverflowError, ValueError) as exc:
+    except ValueError as exc:
         raise SpecFormatError(path, str(exc)) from None
     if (counts < 0).any():
         raise SpecFormatError(path, f"counts must be nonnegative, got {list(z)}")
@@ -310,9 +302,9 @@ def _check_limit_block(claimed: dict, params) -> None:
 
 
 def _expected_verdict(expected) -> Optional[str]:
-    if expected is not None and expected not in _VERDICTS:
+    if expected is not None and expected not in VERDICTS:
         raise SpecFormatError(
-            "expected_verdict", f"expected one of {', '.join(_VERDICTS)}, got {expected!r}"
+            "expected_verdict", f"expected one of {', '.join(VERDICTS)}, got {expected!r}"
         )
     return expected
 
@@ -352,27 +344,18 @@ def _suite_moments(spec: ModelSpec, doc: dict, config: ExperimentConfig):
 
 
 def _suite_classify(spec: ModelSpec, doc: dict, config: ExperimentConfig):
-    """The verdict and the exponents, read from one probe ray and one set
-    of exact exponents.
-
-    A model without Perron data has no ray: it reports the not-critical
-    verdict and no exponents."""
+    """The verdict of classify_growth and the exponents it carries (none for
+    a model without Perron data)."""
     expected = _expected_verdict(doc.get("expected_verdict"))
-    cc = CriteriaConfig(ray_points=config.probe_magnitudes)
     with _applicable("classify"):
-        verdict = _not_critical(spec)
-        exponents = None
-        if not verdict or verdict.diagnostics["rho"] is not None:
-            ray, exps = _probe_ray(spec, cc), _exponents(spec)
-            verdict = verdict or _growth_verdict(spec, ray, exps)
-            exponents = _fitted_exponents(ray, exps)
+        verdict = classify_growth(spec, CriteriaConfig(ray_points=config.probe_magnitudes))
     passed = True if expected is None else (verdict.verdict == expected)
     columns = [np.asarray(verdict.probe_sizes, dtype=float),
                np.asarray(verdict.ratio_values, dtype=float)]
     files = {"ratio_curve.tsv": (("size", "ratio"), columns)}
     payload = {
         "classification": verdict,
-        "fitted_exponents": exponents,
+        "fitted_exponents": verdict.exponents,
         "expected_verdict": expected,
     }
     return passed, payload, files

@@ -480,12 +480,14 @@ def _require(d, key: str, path: str):
 
 
 def _integer(x) -> int:
-    """An integer field's value: an int, or an integral float such as 1.0."""
-    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
-        return int(x)
-    if isinstance(x, float) and x.is_integer():
-        return int(x)
-    raise ValueError(f"expected an integer, got {x!r}")
+    """An integer field's value: an int, or an integral float such as 1.0,
+    within int64."""
+    integral = isinstance(x, (int, np.integer)) or isinstance(x, float) and x.is_integer()
+    if not integral or isinstance(x, bool):
+        raise ValueError(f"expected an integer, got {x!r}")
+    if not -_INT64_MAX - 1 <= x <= _INT64_MAX:
+        raise ValueError(f"expected an integer within int64, got {x!r}")
+    return int(x)
 
 
 def _number(x, path: str) -> float:

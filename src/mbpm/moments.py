@@ -7,9 +7,10 @@ With h(z) = E[M(z)] the mean migration adjustment, one step from z has
 
 where (.) mixes a vector with the per-type offspring covariance matrices
 (algebra.odot) and Var[M(z)] is diagonal because migration components are
-independent across types.  The scalar variance of the weighted size u . Z'
-is sigma2.  Everything here is closed-form; Monte Carlo appears only in
-tests, as the independent check of these formulas.
+independent across types.  The scalar variance of the size u . Z', with u
+the model's left Perron weights, is sigma2.  Everything here is
+closed-form; Monte Carlo appears only in tests, as the independent check
+of these formulas.
 
 Raw migration moments use that each component M_i is a three-way mixture:
 0 with the no-migration probability, +I_i with the immigration
@@ -123,15 +124,15 @@ def cond_var(spec: ModelSpec, z):
     return branching + m @ migration_var(spec, z) @ m.T
 
 
-def sigma2(spec: ModelSpec, u, z) -> float:
-    """Conditional variance of the weighted size u . Z' given Z = z.
+def sigma2(spec: ModelSpec, z) -> float:
+    """Conditional variance of the size u . Z' given Z = z, u the left
+    Perron weights (a ValueError on a mean matrix without them).
 
-    ``u`` weights Z' only: the migration reads the model's own size at z.
     Under criticality (u^T m = u^T) this equals u^T cond_var u; the direct
     form below avoids the matrix products.
     """
+    u = spec.spectral().u
     z = np.asarray(z, dtype=np.int64)
-    u = np.asarray(u, dtype=float)
     inner = odot(z + migration_mean(spec, z), spec.cov_tensor()) + migration_var(spec, z)
     return float(u @ inner @ u)
 
@@ -149,26 +150,17 @@ class MomentReport:
     kappa: np.ndarray
 
 
-def moment_report(spec: ModelSpec, z, u=None) -> MomentReport:
-    """All exact moment quantities at z in one bundle.
-
-    ``u`` weights Z' in sigma2 only; every migration quantity reads the
-    model's own size at z.  It defaults to the left Perron weights, or to
-    equal weights on a mean matrix that has none.
-    """
+def moment_report(spec: ModelSpec, z) -> MomentReport:
+    """All exact moment quantities at z in one bundle; sigma2 refuses a
+    mean matrix without left Perron weights."""
     z = np.asarray(z, dtype=np.int64)
-    if u is None:
-        try:
-            u = spec.spectral().u
-        except ValueError:
-            u = np.full(spec.dim, 1.0 / spec.dim)
     return MomentReport(
         z=z.copy(),
         h=migration_mean(spec, z),
         cond_mean=cond_mean(spec, z),
         cond_cov=cond_var(spec, z),
         varM=migration_var(spec, z),
-        sigma2=sigma2(spec, u, z),
+        sigma2=sigma2(spec, z),
         kappa=migration_kappa(spec, z),
     )
 

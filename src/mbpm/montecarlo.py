@@ -228,6 +228,8 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95):
     """95% score interval for a binomial proportion (no continuity correction)."""
     if trials < 1:
         raise ValueError("need at least one trial")
+    if not 0 <= successes <= trials:
+        raise ValueError(f"successes must lie in [0, trials = {trials}], got {successes}")
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -239,8 +241,8 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95):
 
 def estimate_explosion(ensemble: Ensemble, K: float) -> ProbabilityEstimate:
     """Fraction of replicates whose terminal l1 norm exceeds K."""
-    if K < 0:
-        raise ValueError("threshold must be nonnegative")
+    if not K >= 0:  # refuses nan too
+        raise ValueError(f"threshold K must be >= 0, got {K!r}")
     norms = np.abs(ensemble.terminal).sum(axis=1)
     hits = int((norms > K).sum())
     low, high = wilson_interval(hits, ensemble.replicates)
@@ -523,13 +525,17 @@ def moment_check(spec: ModelSpec, z, N: int = 1_000_000, seed: int = 0) -> Momen
     The samples are drawn in chunks of whole batches, about ROWS rows each:
     chunk c from stream_for(seed, c), and the N % MOMENT_BATCHES leftover
     rows, which enter only the full-sample statistics, from the stream after
-    the last chunk.  One reduction per chunk gives each batch's sums S and
-    Gram matrix Q = x^T x of its float64 counts, so no (N, p) array is
-    built.  Both are sums of integers, hence exact whatever the BLAS
-    kernel or the order of addition, while every entry stays below 2**53.
-    The mean and covariance of the full sample and of each batch are then
-    formed from Python-int totals, (N sum Q - sum S sum S^T) / (N (N - 1)),
-    and rounded once, so the report does not depend on the host's BLAS.
+    the last chunk.  Each row x is first shifted by c, the exact
+    conditional mean rounded to one int64 per type.  One reduction per chunk
+    gives each batch's sums S and Gram matrix Q = x^T x of its shifted
+    counts as float64, so no (N, p) array is built.  Both are sums of
+    integers, hence exact whatever the BLAS kernel or the order of
+    addition, while every entry stays below 2**53; after the shift that
+    bounds the spread of the counts about their mean, not the counts.  The
+    mean (sum S + N c) / N and the covariance (N sum Q - sum S sum S^T) /
+    (N (N - 1)), which the shift leaves unchanged, of the full sample and
+    of each batch are then formed from Python-int totals and rounded once,
+    so the report does not depend on the host's BLAS.
     """
     from .model import sample_step_batch
 
@@ -544,9 +550,13 @@ def moment_check(spec: ModelSpec, z, N: int = 1_000_000, seed: int = 0) -> Momen
              for first in range(0, MOMENT_BATCHES, per_chunk)]
     if N % MOMENT_BATCHES:
         parts.append((1, N % MOMENT_BATCHES))
+    mean_exact = cond_mean(spec, z)
+    cov_exact = cond_var(spec, z)
+    shift = np.rint(mean_exact).astype(np.int64)
     sums, grams = [], []
     for c, (g, rows) in enumerate(parts):
         x = sample_step_batch(spec, z, g * rows, stream_for(seed, c)).reshape(g, rows, p)
+        x -= shift
         sums.append(np.einsum("grp->gp", x, dtype=np.float64))
         x = x.astype(np.float64)
         grams.append(np.matmul(x.transpose(0, 2, 1), x))
@@ -554,13 +564,11 @@ def moment_check(spec: ModelSpec, z, N: int = 1_000_000, seed: int = 0) -> Momen
     S, Q = (_to_ints(np.concatenate(a)) for a in (sums, grams))
 
     total_s, total_q = S.sum(axis=0), Q.sum(axis=0)
-    mean_emp = (total_s / N).astype(np.float64)
+    mean_emp = ((total_s + N * _to_ints(shift)) / N).astype(np.float64)
     cov_emp = _cov_from_sums(N, total_s, total_q)
     per_batch = _cov_from_sums(size, S[:MOMENT_BATCHES], Q[:MOMENT_BATCHES])
     cov_se = per_batch.std(axis=0, ddof=1) / math.sqrt(MOMENT_BATCHES)
 
-    mean_exact = cond_mean(spec, z)
-    cov_exact = cond_var(spec, z)
     mean_se = np.sqrt(np.clip(np.diag(cov_exact), 0.0, None) / N)
     mean_gap = np.abs(mean_emp - mean_exact)
     cov_gap = np.abs(cov_emp - cov_exact)

@@ -10,7 +10,7 @@ import pytest
 
 import mbpm.classify
 import mbpm.moments
-from conftest import load_doc, spec_path
+from conftest import SHIPPED, load_doc, spec_path
 from mbpm import cli
 from mbpm import (
     Clamp,
@@ -89,17 +89,8 @@ def test_probe_states_follow_direction(two_type_spec):
 
 def test_growth_ratio_hand_value(drift_const_spec):
     # drift 0.75, variance 100.75 * 1 + 1.6875 at z = 100
-    val = growth_ratio(drift_const_spec, [1.0], [100])
+    val = growth_ratio(drift_const_spec, [100])
     assert abs(val - 150.0 / 102.4375) < 1e-12
-
-
-def test_growth_ratio_reads_h_at_the_models_own_size(sqrt_spec):
-    # sqrt_drift's h(100) = 10 at its own size s = z; weights u = 1/4 scale
-    # u.z, u.h and sigma2 only, so the ratio is the one at u = 1
-    z = [100]
-    s2 = sigma2(sqrt_spec, [0.25], z)
-    assert growth_ratio(sqrt_spec, [0.25], z) == 2.0 * 25.0 * 2.5 / s2
-    assert growth_ratio(sqrt_spec, [0.25], z) == growth_ratio(sqrt_spec, [1.0], z)
 
 
 def test_hypothesis_B(gamma_spec, sqrt_spec, two_type_spec):
@@ -279,7 +270,7 @@ def test_estimate_exponents_agree_with_the_exact_moments_far_out(doc_name):
     spectral = spec.spectral()
     z = np.rint(1e12 * spectral.v).astype(np.int64)
     s = float(spectral.u @ z)
-    assert sigma2(spec, spectral.u, z) == pytest.approx(out["nu"] * s ** out["beta"], rel=1e-5)
+    assert sigma2(spec, z) == pytest.approx(out["nu"] * s ** out["beta"], rel=1e-5)
     if out["alpha"] is not None:
         uh = float(spectral.u @ mbpm.moments.migration_mean(spec, z))
         assert uh == pytest.approx(out["c_dot_u"] * s ** out["alpha"], rel=1e-5)
@@ -356,9 +347,8 @@ def test_classify_suite_reads_what_the_public_functions_compute(tmp_path, doc_na
     assert results["classification"] == cli._jsonable(verdict)
     assert results["fitted_exponents"] == cli._jsonable(estimate_exponents(spec))
     if verdict.hypothesis_A:
-        u = spec.spectral().u
         for k, z in enumerate(probe_states(spec)):
-            assert verdict.ratio_values[k] == growth_ratio(spec, u, z)  # bit for bit
+            assert verdict.ratio_values[k] == growth_ratio(spec, z)  # bit for bit
 
 
 def test_classify_suite_without_perron_data(tmp_path, pure_death_spec):
@@ -373,6 +363,21 @@ def test_classify_suite_without_perron_data(tmp_path, pure_death_spec):
     assert (verdict.verdict, verdict.condition) == ("inconclusive", "not-critical")
     assert results["classification"] == cli._jsonable(verdict)
     assert results["fitted_exponents"] is None
+
+
+@pytest.mark.parametrize("doc_name", SHIPPED)
+def test_the_verdict_carries_the_exponents(doc_name):
+    # read from the verdict's own ray wherever the mean matrix has Perron
+    # data, critical or not (small_support's rho is 1.227); pure_death's
+    # has none
+    spec = load_spec(spec_path(doc_name))
+    exponents = classify_growth(spec).exponents
+    if doc_name == "pure_death":
+        with pytest.raises(ValueError):
+            spec.spectral()
+        assert exponents is None
+    else:
+        assert exponents == estimate_exponents(spec)
 
 
 @pytest.mark.parametrize("doc_name", _EXPECTED_VERDICT_DOCS + ["small_support", "pure_death"])

@@ -393,10 +393,55 @@ def test_malformed_document_extras_exit_two(tmp_path, capsys, monkeypatch, suite
     doc[key] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    for name in ("run_ensemble", "moment_check", "_probe_ray"):
+    for name in ("run_ensemble", "moment_check", "classify_growth"):
         monkeypatch.setattr(cli, name, _nothing_runs)
     code = main(["--spec", str(bad), "--suite", suite,
                  "--n", "20", "--reps", "50", "--out", str(tmp_path / "rep")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "rep").exists()
+
+
+_PAST_INT64 = 2**70
+
+
+def _set(path, value):
+    """An edit of a document: the value at path (keys and indices) set to value."""
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, argv, message", [
+    (_set(("initial", "state"), [1e30, 1]), [],
+     "initial: expected an integer within int64, got 1e+30"),
+    (_set(("initial", "state"), [2**63, 1]), [],
+     "initial: expected an integer within int64, got 9223372036854775808"),
+    (_set(("migration", 1, "immigration"), {"family": "deterministic", "value": 1e30}), [],
+     "migration[1].immigration: expected an integer within int64, got 1e+30"),
+    (_set(("migration", 1, "immigration"), {"family": "table", "values": [1e30], "probs": [1]}),
+     [], "migration[1].immigration: expected an integer within int64, got 1e+30"),
+    (_set(("offspring", 0, "components", 0),
+          {"family": "table", "values": [0, _PAST_INT64], "probs": [0.5, 0.5]}), [],
+     f"offspring[0].components[0]: expected an integer within int64, got {_PAST_INT64}"),
+    (_set(("initial",), {"kind": "table", "states": [[_PAST_INT64, 1]], "probs": [1]}), [],
+     f"initial: expected an integer within int64, got {_PAST_INT64}"),
+    (_set(("reference_state",), [_PAST_INT64, 1]), [],
+     f"reference_state: expected an integer within int64, got {_PAST_INT64}"),
+    (_set(("reference_state",), [50, 30]), ["--state", f"{_PAST_INT64},1"],
+     f"--state: expected an integer within int64, got {_PAST_INT64}"),
+], ids=["initial-state-float", "initial-state-2^63", "deterministic-immigration",
+        "table-immigration", "table-offspring", "table-initial", "reference-state", "state-option"])
+def test_integers_past_int64_exit_two(tmp_path, capsys, monkeypatch, edit, argv, message):
+    # one reader takes every integer field, and refuses what int64 cannot hold
+    doc = json.load(open(spec_path("two_type_mixed")))
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    monkeypatch.setattr(cli, "moment_check", _nothing_runs)
+    code = main(["--spec", str(bad), "--suite", "moments", *argv, "--out", str(tmp_path / "rep")])
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "rep").exists()

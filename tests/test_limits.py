@@ -164,7 +164,7 @@ def test_derived_constants_agree_with_the_exact_moments_far_out(doc_name):
     s = float(spectral.u @ z)
     uh = float(spectral.u @ migration_mean(spec, z))
     assert uh == pytest.approx(params.c_dot_u * s**params.alpha, rel=1e-5)
-    assert sigma2(spec, spectral.u, z) == pytest.approx(params.nu * s**params.beta, rel=1e-5)
+    assert sigma2(spec, z) == pytest.approx(params.nu * s**params.beta, rel=1e-5)
 
 
 def test_derived_constants_are_exact_where_the_slope_fit_was_not(sqrt_spec):

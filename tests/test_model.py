@@ -654,11 +654,10 @@ def test_emigration_laws_see_only_positive_counts(tmp_path, monkeypatch):
                  four_emigrations_spec()):
         paths = run_ensemble(spec, 30, 200, 5, steps=range(31), workers=1).states
         assert (paths == 0).any()  # rows reach 0
-        u = spec.spectral().u
         for z in ([0] * spec.dim, [0, 4, 0, 9][:spec.dim], [5, 0, 2, 0][:spec.dim]):
             z = np.array(z)
             cond_var(spec, z)
-            sigma2(spec, u, z)
+            sigma2(spec, z)
             for i in range(spec.dim):
                 migration_atoms(spec, i, z)
     for name in SHIPPED:

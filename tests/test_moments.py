@@ -64,7 +64,7 @@ def test_hand_computed_single_type_moments(drift_const_spec):
     assert abs(varm[0, 0] - 1.6875) < 1e-15
     assert abs(cond_mean(drift_const_spec, z)[0] - 100.75) < 1e-12
     assert abs(cond_var(drift_const_spec, z)[0, 0] - 102.4375) < 1e-12
-    assert abs(sigma2(drift_const_spec, [1.0], z) - 102.4375) < 1e-12
+    assert abs(sigma2(drift_const_spec, z) - 102.4375) < 1e-12
 
 
 def test_migration_moments_match_enumeration(two_type_spec):
@@ -154,30 +154,30 @@ def test_sigma2_consistent_with_cond_var(two_type_spec):
     # computed either from the conditional covariance or directly.
     u = two_type_spec.spectral().u
     for z in [np.array([50, 30]), np.array([5, 0]), np.array([1, 1])]:
-        direct = sigma2(two_type_spec, u, z)
+        direct = sigma2(two_type_spec, z)
         via_cov = float(u @ cond_var(two_type_spec, z) @ u)
         assert abs(direct - via_cov) < 1e-10 * max(1.0, direct)
 
 
-def test_weights_scale_only_the_next_state(sqrt_spec):
-    # sqrt_drift's immigration mean reads the model's own size, s = z (u = 1).
-    # Weights passed in weight Z' only: h(100) stays sqrt(100) = 10 under
-    # u = 1/4, where resizing the migration to s = 25 would give 5.
-    z = np.array([100])
-    rep = moment_report(sqrt_spec, z, u=[0.25])
-    assert rep.h.tolist() == [10.0]
-    assert np.array_equal(rep.cond_mean, sqrt_spec.mean_matrix() @ (z + rep.h))
-    assert rep.sigma2 == sigma2(sqrt_spec, [1.0], z) / 16
-    assert sigma2(sqrt_spec, [0.25], z) == sigma2(sqrt_spec, [1.0], z) / 16
-
-
-def test_moment_report_bundles_everything(two_type_spec):
+def test_moment_report_bundles_everything(two_type_spec, sqrt_spec):
     rep = moment_report(two_type_spec, [50, 30])
     assert rep.z.tolist() == [50, 30]
     assert np.allclose(rep.cond_mean, cond_mean(two_type_spec, [50, 30]))
-    assert rep.sigma2 > 0
+    assert rep.sigma2 == sigma2(two_type_spec, [50, 30]) > 0
     d = cli._jsonable(rep)
     assert set(d) == {"z", "h", "cond_mean", "cond_cov", "varM", "sigma2", "kappa"}
+    # sqrt_drift's immigration mean reads the model's own size: h(100) = sqrt(100)
+    assert moment_report(sqrt_spec, [100]).h.tolist() == [10.0]
+
+
+def test_moment_report_needs_perron_weights(pure_death_spec):
+    # pure_death's mean matrix is not primitive: sigma2, and so the bundle,
+    # refuses it instead of weighting the types equally
+    with pytest.raises(ValueError) as sigma2_error:
+        sigma2(pure_death_spec, [3])
+    with pytest.raises(ValueError) as report_error:
+        moment_report(pure_death_spec, [3])
+    assert str(report_error.value) == str(sigma2_error.value)
 
 
 def test_moments_match_simulation(two_type_spec, sqrt_spec):

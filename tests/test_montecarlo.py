@@ -251,6 +251,20 @@ def test_estimate_explosion_validation(gamma_spec):
         estimate_explosion(ens, K=-1.0)
 
 
+def test_estimate_explosion_refuses_a_nan_threshold(gamma_spec):
+    # nan < 0 is false as well as nan >= 0: only the latter refuses it
+    ens = run_ensemble(gamma_spec, n=10, R=10, master_seed=5)
+    with pytest.raises(ValueError, match="threshold K must be >= 0, got nan"):
+        estimate_explosion(ens, K=float("nan"))
+
+
+@pytest.mark.parametrize("successes", [11, -1])
+def test_wilson_interval_refuses_successes_outside_the_trials(successes):
+    # outside [0, trials] the score interval's p (1 - p) is negative
+    with pytest.raises(ValueError, match=rf"successes must lie in \[0, trials = 10\], got {successes}"):
+        wilson_interval(successes, 10)
+
+
 def test_wilson_interval_hand_values():
     low, high = wilson_interval(5, 10)
     assert low == pytest.approx(0.2366, abs=2e-4)
@@ -624,16 +638,19 @@ def test_moment_check_statistics_are_exact(two_type_spec, N):
 def test_moment_check_does_not_depend_on_the_blas_kernel(two_type_spec):
     # OpenBLAS picks its kernels by CPU; the Haswell ones round products of
     # floats differently from the AVX-512 ones, which moved the last bit of
-    # a covariance before the statistics were formed from exact sums
+    # a covariance before the statistics were formed from exact sums.  At
+    # (3e6, 2e6) the Gram entries of the unshifted counts pass 2**53
+    states = [[50, 30], [3_000_000, 2_000_000]]
     code = ("import numpy as np; from mbpm import load_spec, moment_check; "
-            f"rep = moment_check(load_spec({spec_path('two_type_mixed')!r}), "
-            "np.array([50, 30]), N=1_000_000, seed=1); "
-            "print([a.tobytes().hex() for a in "
-            "(rep.mean_empirical, rep.cov_empirical, rep.cov_se)])")
+            f"spec = load_spec({spec_path('two_type_mixed')!r}); "
+            f"reps = [moment_check(spec, np.array(z), N=1_000_000, seed=1) for z in {states!r}]; "
+            "print([[a.tobytes().hex() for a in "
+            "(rep.mean_empirical, rep.cov_empirical, rep.cov_se)] for rep in reps])")
     proc = run_fresh(["-c", code], env={"OPENBLAS_CORETYPE": "Haswell"}, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    rep = moment_check(two_type_spec, np.array([50, 30]), N=1_000_000, seed=1)
-    here = [a.tobytes().hex() for a in (rep.mean_empirical, rep.cov_empirical, rep.cov_se)]
+    reps = [moment_check(two_type_spec, np.array(z), N=1_000_000, seed=1) for z in states]
+    here = [[a.tobytes().hex() for a in (rep.mean_empirical, rep.cov_empirical, rep.cov_se)]
+            for rep in reps]
     assert proc.stdout.strip() == str(here)
 
 

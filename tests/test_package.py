@@ -1,5 +1,7 @@
 """The package's exports and the submodules a fresh interpreter loads."""
+import ast
 import json
+import os
 import textwrap
 
 import pytest
@@ -88,3 +90,15 @@ def test_public_namespace_is_the_exports_alone():
     # in a fresh interpreter, before any submodule has loaded
     code = "import json, mbpm; print(json.dumps([n for n in dir(mbpm) if n[0] != '_']))"
     assert json.loads(run_python(code)) == EXPORTED
+
+
+def test_cli_imports_no_private_classify_name():
+    # the classify suite calls classify_growth: the CLI must not rebuild the
+    # classifier from its private parts
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "src", "mbpm", "cli.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module in ("classify", "mbpm.classify")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
