@@ -93,7 +93,6 @@ _EXPORTS = {
         "GoFReport",
         "MomentCheckReport",
         "ProbabilityEstimate",
-        "ecdf",
         "estimate_explosion",
         "gamma_cdf",
         "gamma_quantile",

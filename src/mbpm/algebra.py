@@ -11,10 +11,10 @@ eigendata of the wrong eigenvalue.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
-_POWER_TOL = 1e-12
 _POWER_MAXIT = 100_000
 # Distance from 1 within which a Perron root counts as critical.
 _CRITICAL_TOL = 1e-9
@@ -28,14 +28,43 @@ def odot(z, mats):
     """
     z = np.asarray(z, dtype=float)
     mats = np.asarray(mats, dtype=float)
-    if z.ndim != 1:
-        raise ValueError("odot expects a vector of weights")
-    if mats.ndim != 3 or mats.shape[0] != z.shape[0]:
-        raise ValueError(
-            "odot expects one square matrix per vector component, got "
-            f"weights of length {z.shape[0]} and matrix block {mats.shape}"
-        )
-    return np.tensordot(z, mats, axes=(0, 0))
+    if z.ndim != 1 or mats.ndim != 3 or mats.shape[0] != len(z):
+        raise ValueError("odot expects one square matrix per entry of a vector of weights, "
+                         f"got weights of shape {z.shape} and matrix block {mats.shape}")
+    return np.array([[dot(z, mats[:, j, k]) for k in range(mats.shape[2])]
+                     for j in range(mats.shape[1])])
+
+
+def dot(x, y) -> float:
+    """sum_k x[k] y[k], correctly rounded, so the same bits on every host,
+    which a BLAS product does not promise: each factor (below 1e300 in
+    magnitude) is split into two halves of 26 bits (``_halves``), whose
+    four products are exact, and ``math.fsum`` rounds their sum once."""
+    xs, ys = (np.asarray(v, dtype=float).tolist() for v in (x, y))
+    return math.fsum(h * k for a, b in zip(xs, ys) for h in _halves(a) for k in _halves(b))
+
+
+def _halves(a: float) -> tuple:
+    """a as hi + lo, each of at most 26 significant bits (Veltkamp's split)."""
+    hi = 134217729.0 * a  # (2**27 + 1) a
+    hi -= hi - a
+    return hi, a - hi
+
+
+def weigh(z, u):
+    """The sums z @ u over the last axis of z, formed by numpy's elementwise
+    products and sums, which round alike on every host, where a BLAS
+    product may fuse them as its kernel chooses."""
+    z = np.asarray(z)
+    out = z[..., 0] * u[0]
+    for k in range(1, len(u)):
+        out = out + z[..., k] * u[k]
+    return out
+
+
+def form(u, a) -> float:
+    """The quadratic form u^T a u, as (u^T a) u, by ``dot``."""
+    return dot([dot(u, col) for col in np.asarray(a, dtype=float).T], u)
 
 
 def is_primitive(m) -> bool:
@@ -50,20 +79,13 @@ def is_primitive(m) -> bool:
         raise ValueError("is_primitive expects a square matrix")
     if (m < 0).any():
         raise ValueError("is_primitive expects a nonnegative matrix")
-    p = m.shape[0]
-    b = m > 0
-    if p == 1:
-        return bool(b[0, 0])
-    target = (p - 1) ** 2 + 1
-    # Square-and-multiply on the boolean semiring.
-    result = np.eye(p, dtype=bool)
-    base = b
-    k = target
+    # square-and-multiply: a product of boolean matrices is one on the
+    # boolean semiring, so nothing overflows
+    result, base, k = np.eye(len(m), dtype=bool), m > 0, (len(m) - 1) ** 2 + 1
     while k:
         if k & 1:
-            result = (result.astype(np.uint8) @ base.astype(np.uint8)) > 0
-        base = (base.astype(np.uint8) @ base.astype(np.uint8)) > 0
-        k >>= 1
+            result = result @ base
+        base, k = base @ base, k >> 1
     return bool(result.all())
 
 
@@ -84,34 +106,35 @@ def perron(m) -> SpectralData:
     """Perron root and eigenvector pair of a primitive matrix.
 
     Power iteration on m^T (for ``u``) and m (for ``v``); primitivity
-    guarantees convergence and the iterates stay positive.
+    guarantees convergence and the iterates stay positive.  Each step is
+    formed by ``dot``, and the iteration runs until the iterate repeats an
+    earlier one (a fixed point, or a cycle of floats a few ulps wide), not
+    to a tolerance, so the result is the same to the last bit on every host.
     """
     m = np.asarray(m, dtype=float)
     if not is_primitive(m):
         raise ValueError("perron requires a primitive nonnegative matrix")
-    p = m.shape[0]
 
     def _iterate(a):
-        x = np.full(p, 1.0 / p)
-        lam = 1.0
+        rows = a.tolist()
+        x = (1.0 / len(rows),) * len(rows)
+        seen = {x}
         for _ in range(_POWER_MAXIT):
-            y = a @ x
-            lam_new = y.sum()
-            if lam_new <= 0:
+            y = [dot(row, x) for row in rows]
+            lam = math.fsum(y)
+            if lam <= 0:
                 raise ValueError("power iteration collapsed; matrix is degenerate")
-            y /= lam_new
-            if (np.abs(y - x).max() < _POWER_TOL
-                    and abs(lam_new - lam) < _POWER_TOL * max(1.0, lam)):
-                return lam_new, y
-            x, lam = y, lam_new
+            x = tuple(y_k / lam for y_k in y)
+            if x in seen:
+                return lam, x
+            seen.add(x)
         raise ValueError(f"power iteration did not converge in {_POWER_MAXIT} steps")
 
     rho_u, u = _iterate(m.T)
     rho_v, v = _iterate(m)
-    rho = 0.5 * (rho_u + rho_v)
-    u = u / u.sum()
-    v = v / float(u @ v)
-    return SpectralData(rho=float(rho), u=u, v=v)
+    u = np.array(u) / math.fsum(u)
+    v = np.array(v) / dot(u, v)
+    return SpectralData(rho=0.5 * (rho_u + rho_v), u=u, v=v)
 
 
 def is_critical(rho: float) -> bool:

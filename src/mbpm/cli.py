@@ -48,7 +48,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import is_critical
+from .algebra import is_critical, weigh
 from .classify import VERDICTS, CriteriaConfig, classify_growth
 from .limits import a_seq, feller_params, lambda_n, params_from_spec
 from .model import (
@@ -266,10 +266,7 @@ def _counts(z, dim: int, path: str) -> np.ndarray:
         raise SpecFormatError(path, f"expected a list of counts, got {z!r}")
     if len(z) != dim:
         raise SpecFormatError(path, f"expected {dim} components")
-    try:
-        counts = np.array([_integer(x) for x in z], dtype=np.int64)
-    except ValueError as exc:
-        raise SpecFormatError(path, str(exc)) from None
+    counts = np.array([_integer(x, f"{path}[{j}]") for j, x in enumerate(z)], dtype=np.int64)
     if (counts < 0).any():
         raise SpecFormatError(path, f"counts must be nonnegative, got {list(z)}")
     return counts
@@ -427,7 +424,7 @@ def _suite_limit(spec: ModelSpec, doc: dict, config: ExperimentConfig):
         transform, gate, extra = _LIMIT_LAWS[config.suite](params, config.n, a_n)
     _check_limit_block(claimed, params)
     ens = run_ensemble(spec, config.n, config.reps, config.seed, workers=config.workers)
-    weighted = ens.terminal @ u
+    weighted = weigh(ens.terminal, u)
     keep = weighted > _SURVIVAL_EPS * a_n
     passed, payload, files = gate(transform(weighted[keep]), config)
     payload.update(
@@ -468,8 +465,8 @@ def _suite_feller(spec: ModelSpec, doc: dict, config: ExperimentConfig):
     idx = np.arange(101) * config.n // 100  # [n t] exactly; a float n t may fall below it
     steps = np.unique(idx)
     ens = run_ensemble(spec, config.n, config.reps, config.seed, steps, config.workers)
-    passed, payload, files = _gamma_gate(shape, scale)(ens.terminal @ u / config.n, config)
-    weighted = (ens.states @ u)[:, np.searchsorted(steps, idx)]
+    passed, payload, files = _gamma_gate(shape, scale)(weigh(ens.terminal, u) / config.n, config)
+    weighted = weigh(ens.states, u)[:, np.searchsorted(steps, idx)]
     emp_q = np.quantile(weighted / config.n, _FAN_QUANTILES, axis=0)
     ref_q = np.outer(gamma_quantile(_FAN_QUANTILES, shape, scale), grid)
     header = (

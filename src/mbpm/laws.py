@@ -27,10 +27,10 @@ Each state function and migration law states its large-size form once:
 f(s) = coeff * s**exponent * (1 + o(1)) as s -> inf, and (0, 0) for a
 function that is eventually 0.  ``abs_leading(q)`` of every migration law
 gives the growth of its central q-th absolute moment in the same form, up
-to its coefficient.  ``limit_of``, ``exponent_of`` and ``product_of``
-read that pair; model validation, the classifier's hypotheses, order
-checks and exponents, the Feller parameters and the limit constants all
-go through them instead of guessing from samples.
+to its coefficient.  ``limit_of``, ``exponent_of``, ``product_of`` and
+``remainder_of`` read that pair; model validation, the classifier's
+hypotheses, order checks and exponents, the Feller parameters and the
+limit constants all go through them instead of guessing from samples.
 """
 from __future__ import annotations
 
@@ -41,12 +41,15 @@ from typing import Optional
 
 import numpy as np
 
+from .algebra import dot
+
 # Tail mass permitted to be dropped when enumerating an infinite support.
 DEFAULT_ATOM_TAIL = 1e-12
 # Largest Poisson window an enumeration builds.
 _ENUM_LIMIT = 1 << 20
 # Argument from which the harmonic sums switch to Euler-Maclaurin.
 _EM_START = 64
+_PROB_TOL = 1e-12  # a probability this far past a bound is taken as at it
 
 _ZETA2 = math.pi**2 / 6.0
 _ZETA3 = 1.2020569031595942854
@@ -220,6 +223,15 @@ def product_of(*leads) -> tuple:
             return (0.0, 0.0)
         coeff, exponent = coeff * c, exponent + e
     return (coeff, exponent)
+
+
+def remainder_of(q: tuple, r: tuple) -> tuple:
+    """The leading form of 1 - (q + r) for branch probabilities of leading
+    forms q and r: (K, 0), K = 1 - (lim q + lim r), where K > _PROB_TOL,
+    else (0, 0): a state function of the closed set reaches the bound it
+    tends to, so a remainder that tends to 0 is eventually 0."""
+    rest = 1.0 - (limit_of(q) + limit_of(r))
+    return (rest, 0.0) if rest > _PROB_TOL else (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +440,10 @@ class TableOffspring:
 
     @property
     def mean(self) -> float:
-        return float(np.dot(self.values, self.probs))
+        return dot(self.values, self.probs)
 
     def var(self) -> float:
-        v = np.asarray(self.values, dtype=float)
-        return float(np.dot(v * v, self.probs) - self.mean**2)
+        return dot(np.square(self.values, dtype=float), self.probs) - self.mean**2
 
     def prob_zero(self) -> float:
         v = np.asarray(self.values)
@@ -535,13 +546,11 @@ class FiniteOffspring:
         return np.asarray(self.vectors).shape[1]
 
     def mean_vec(self):
-        return np.asarray(self.probs, dtype=float) @ np.asarray(self.vectors, dtype=float)
+        return np.array([dot(self.probs, col) for col in np.asarray(self.vectors).T])
 
     def cov(self):
-        v = np.asarray(self.vectors, dtype=float)
-        p = np.asarray(self.probs, dtype=float)
-        mu = p @ v
-        return (v * p[:, None]).T @ v - np.outer(mu, mu)
+        cols, mu = np.asarray(self.vectors, dtype=float).T, self.mean_vec()
+        return np.array([[dot(self.probs, a * b) for b in cols] for a in cols]) - np.outer(mu, mu)
 
     def prob_zero(self) -> float:
         v = np.asarray(self.vectors)
@@ -684,7 +693,7 @@ class TableImmigration(_SpreadsLikeItsDeviation):
         return Constant(self.raw_moment(1))
 
     def raw_moment(self, k: int, s=None) -> float:
-        return float(np.dot(np.asarray(self.values, dtype=float) ** k, self.probs))
+        return dot(np.asarray(self.values, dtype=float) ** k, self.probs)
 
     @cached_property
     def _cdf(self):
@@ -704,7 +713,7 @@ class TableImmigration(_SpreadsLikeItsDeviation):
 
     def var_leading(self) -> tuple:
         spread = np.asarray(self.values, dtype=float) - self.raw_moment(1)
-        var = float(np.dot(spread * spread, self.probs))
+        var = dot(spread * spread, self.probs)
         return (var, 0.0) if var != 0.0 else (0.0, 0.0)
 
 

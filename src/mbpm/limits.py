@@ -216,7 +216,7 @@ def feller_params(spec: ModelSpec):
     if lims is None:
         raise ValueError("migration parameters do not converge at large sizes")
     drift_vec = lims["a"] * lims["q"] - lims["b"] * lims["r"]
-    return float(spectral.u @ drift_vec), offspring_diffusion(spec, spectral)
+    return algebra.dot(spectral.u, drift_vec), offspring_diffusion(spec, spectral)
 
 
 def euler_maruyama(

@@ -1,16 +1,16 @@
 """Model specification and sampling.
 
 A model couples three ingredients: per-type offspring laws, a per-type
-migration component (no change / immigration / emigration with
-state-dependent probabilities), and an initial law.  One step from state z
-draws the migration adjustment M, then sums z_i + M_i independent
-offspring vectors of each type i:
+migration component (immigration or emigration with state-dependent
+probabilities, no change with the rest), and an initial law.  One step
+from state z draws the migration adjustment M, then sums z_i + M_i
+independent offspring vectors of each type i:
 
     Z' = sum_i sum_{j <= z_i + M_i} X_{j,i}
 
-Emigration is only possible from types with a positive count (the branch
-is folded into "no migration" at z_i = 0, where removing is a no-op), so
-states never leave the nonnegative orthant.
+Emigration is only possible from types with a positive count (its
+probability is 0 at z_i = 0, where removing is a no-op, and "no
+migration" takes it), so states never leave the nonnegative orthant.
 
 The migration's state functions read one scalar of a state, its size
 s = u . z with u the left Perron weight vector.  ``ModelSpec.size`` is the
@@ -46,6 +46,7 @@ import numpy as np
 
 from . import algebra, laws
 from .laws import (
+    _PROB_TOL,
     EmigrationLaw,
     ImmigrationLaw,
     IndependentOffspring,
@@ -64,7 +65,6 @@ class SpecFormatError(ValueError):
         super().__init__(f"{field_path}: {message}")
 
 
-_PROB_TOL = 1e-12
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -166,9 +166,8 @@ class OffspringSpec:
 
 @dataclass(frozen=True)
 class MigrationComponent:
-    """Migration behaviour of one type: nothing / immigration / emigration."""
+    """Migration behaviour of one type: immigration, emigration, or nothing."""
 
-    prob_none: StateFunction
     prob_imm: StateFunction
     prob_em: StateFunction
     immigration: Optional[ImmigrationLaw] = None
@@ -181,35 +180,28 @@ class MigrationComponent:
         ``s`` and ``zi`` are one state's, or one per row of a stack of
         states (R,); each probability is then a scalar or one value per
         row.  ``s`` is None where no state function reads the size.  A
-        branch without a law is folded into "none", and so is emigration
+        branch without a law has probability 0, and so has emigration
         where the type's count is zero: there is nothing to remove, so the
         branch is a no-op there.  Only then do constant probabilities
         become per-row arrays.  The kernel calls this at every step, so the
         zero-count mask is built only where there is an emigration law.
+        No migration takes the remainder, 1 - (pi + pe).
 
         This fold, with the ``pe > 0`` mask of ``sample_migration``, is the
         one place the zero-count rule lives: the emigration laws are
         defined only on counts >= 1, and every caller (the kernel,
         ``moments`` and ``classify``) reaches them only where pe > 0.
         """
-        pn = self.prob_none(s)
-        pi = self.prob_imm(s)
-        pe = self.prob_em(s)
-        if self.emigration is None:
-            pn, pe = pn + pe, 0.0
-        else:
-            empty = zi <= 0
-            if np.count_nonzero(empty):
-                moved = pe * empty
-                pn, pe = pn + moved, pe - moved
-        if self.immigration is None:
-            pn, pi = pn + pi, 0.0
-        return pn, pi, pe
+        pi = 0.0 if self.immigration is None else self.prob_imm(s)
+        pe = 0.0 if self.emigration is None else self.prob_em(s)
+        if self.emigration is not None and np.count_nonzero(empty := zi <= 0):
+            pe = np.where(empty, 0.0, pe)
+        return 1.0 - (pi + pe), pi, pe
 
     def state_functions(self) -> tuple:
-        """The (none, immigration, emigration) probabilities, followed by
-        the immigration mean where there is an immigration law."""
-        fns = (self.prob_none, self.prob_imm, self.prob_em)
+        """The immigration and emigration probabilities, followed by the
+        immigration mean where there is an immigration law."""
+        fns = (self.prob_imm, self.prob_em)
         return fns if self.immigration is None else fns + (self.immigration.mean_fn,)
 
 
@@ -318,14 +310,12 @@ class ModelSpec:
         is found once, when the spec is built; a constant-only spec needs
         none, so its mean matrix need not be primitive.
         """
-        if self._u is None:
-            return None
-        if len(self._u) == 1:  # one product per row, no (R, 1) @ (1,) matmul
-            return np.asarray(z)[..., 0] * self._u[0]
-        return np.asarray(z, dtype=float) @ self._u
+        return None if self._u is None else algebra.weigh(z, self._u)
 
     def validate(self):
-        """Check the probability and immigration-mean invariants at every size.
+        """Check the probability and immigration-mean invariants at every size
+        (``_check_branches``), so that no migration, the remainder, is a
+        probability too.
 
         First at probe states: zero, the unit states and two more.  Then as
         functions of the size s: at every knee of a state function (a
@@ -337,10 +327,8 @@ class ModelSpec:
         function of its own.
         """
         p = self.dim
-        probes = [np.zeros(p, dtype=np.int64)]
-        probes.extend(np.eye(p, dtype=np.int64))
-        probes.append(np.full(p, 5, dtype=np.int64))
-        probes.append(np.arange(1, p + 1, dtype=np.int64) * 7)
+        probes = [np.zeros(p, dtype=np.int64), *np.eye(p, dtype=np.int64),
+                  np.full(p, 5, dtype=np.int64), np.arange(1, p + 1, dtype=np.int64) * 7]
         for i, comp in enumerate(self.migration.components):
             fns = comp.state_functions()
             for z in probes:
@@ -354,27 +342,22 @@ class ModelSpec:
 
 
 def _check_branches(i: int, comp: MigrationComponent, where: str, values, emigrates):
-    """Refuse migration component i's (none, immigration, emigration)
+    """Refuse migration component i's (immigration, emigration)
     probabilities, followed by its immigration mean if it has a law, at one
-    place, described by where."""
-    probs = values[:3]
-    for name, v in zip(("prob_none", "prob_imm", "prob_em"), probs):
+    place, described by where: each must lie in [0, 1], and their sum must
+    not pass 1, which leaves no migration a probability in [0, 1]."""
+    pi, pe = values[:2]
+    for key, name, v, law, fires in (("prob_imm", "immigration", pi, comp.immigration, True),
+                                     ("prob_em", "emigration", pe, comp.emigration, emigrates)):
         if not 0.0 <= v <= 1.0 + _PROB_TOL:
-            raise ValueError(f"migration[{i}].{name} = {v} at {where} is outside [0, 1]")
-    total = sum(probs)
-    if abs(total - 1.0) > _PROB_TOL:
-        raise ValueError(f"migration[{i}] branch probabilities sum to {total} at {where}")
-    if comp.immigration is None and probs[1] > 0.0:
-        raise ValueError(
-            f"migration[{i}] has immigration probability {probs[1]} at {where} "
-            "but no immigration law"
-        )
-    if comp.emigration is None and probs[2] > 0.0 and emigrates:
-        raise ValueError(
-            f"migration[{i}] has emigration probability {probs[2]} at {where} "
-            "but no emigration law"
-        )
-    for mean in values[3:]:
+            raise ValueError(f"migration[{i}].{key} = {v} at {where} is outside [0, 1]")
+        if law is None and v > 0.0 and fires:
+            raise ValueError(f"migration[{i}] has {name} probability {v} at {where} "
+                             f"but no {name} law")
+    if pi + pe > 1.0 + _PROB_TOL:
+        raise ValueError(f"migration[{i}] immigration and emigration probabilities sum to "
+                         f"{pi + pe} at {where}, past 1")
+    for mean in values[2:]:
         if not mean >= 1.0 - _PROB_TOL:
             raise ValueError(f"migration[{i}] immigration mean {mean} at {where} is below 1")
 
@@ -479,14 +462,14 @@ def _require(d, key: str, path: str):
     return d[key]
 
 
-def _integer(x) -> int:
+def _integer(x, path: str) -> int:
     """An integer field's value: an int, or an integral float such as 1.0,
     within int64."""
     integral = isinstance(x, (int, np.integer)) or isinstance(x, float) and x.is_integer()
     if not integral or isinstance(x, bool):
-        raise ValueError(f"expected an integer, got {x!r}")
+        raise SpecFormatError(path, f"expected an integer, got {x!r}")
     if not -_INT64_MAX - 1 <= x <= _INT64_MAX:
-        raise ValueError(f"expected an integer within int64, got {x!r}")
+        raise SpecFormatError(path, f"expected an integer within int64, got {x!r}")
     return int(x)
 
 
@@ -510,7 +493,7 @@ def _integers(xs, path: str) -> tuple:
     """A list field's integers, each read by ``_integer``."""
     if not isinstance(xs, (list, tuple)):
         raise SpecFormatError(path, f"expected a list of integers, got {xs!r}")
-    return tuple(_integer(x) for x in xs)
+    return tuple(_integer(x, f"{path}[{j}]") for j, x in enumerate(xs))
 
 
 def _integer_rows(rows, path: str) -> tuple:
@@ -598,7 +581,7 @@ def _each(block: _Block) -> _Conv:
 
 
 _FLOAT = _Conv(_number, lambda x: x)
-_INT = _Conv(lambda x, path: _integer(x), int)
+_INT = _Conv(_integer, int)
 _FLOATS = _Conv(lambda xs, path: tuple(_numbers(xs, path)), list)
 _INTS = _Conv(_integers, list)
 _INT_ROWS = _Conv(_integer_rows, lambda rows: [list(row) for row in rows])
@@ -636,7 +619,7 @@ _EMIGRATION = _Block("family", "emigration", {
     "deterministic": (laws.DeterministicEmigration, [("value", _INT)]),
 })
 _COMPONENT = _Block(None, "migration component", {None: (MigrationComponent, [
-    ("prob_none", _STATE), ("prob_imm", _STATE), ("prob_em", _STATE),
+    ("prob_imm", _STATE), ("prob_em", _STATE),
     _Field("immigration", _one(_IMMIGRATION), optional=True),
     _Field("emigration", _one(_EMIGRATION), optional=True),
 ])})
@@ -670,10 +653,7 @@ def spec_from_dict(doc: dict) -> ModelSpec:
     except ValueError as exc:
         raise SpecFormatError("offspring", str(exc)) from exc
     if "dim" in doc:
-        try:
-            dim = _integer(doc["dim"])
-        except ValueError as exc:
-            raise SpecFormatError("dim", str(exc)) from exc
+        dim = _integer(doc["dim"], "dim")
         if dim != offspring.dim:
             raise SpecFormatError(
                 "dim", f"{dim} does not match the {offspring.dim} per-type offspring laws"

@@ -13,8 +13,8 @@ closed-form; Monte Carlo appears only in tests, as the independent check
 of these formulas.
 
 Raw migration moments use that each component M_i is a three-way mixture:
-0 with the no-migration probability, +I_i with the immigration
-probability, -D_i with the emigration probability, so
++I_i with the immigration probability q_i, -D_i with the emigration
+probability r_i, and 0 with the remainder 1 - (q_i + r_i), so
 
     E[M_i^k] = q_i E[I_i^k] + (-1)^k r_i E[D_i^k].
 
@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import odot
-from .laws import exponent_of, product_of
+from .algebra import dot, form, odot
+from .laws import exponent_of, product_of, remainder_of
 from .model import ModelSpec
 
 _CANCEL_TOL = 1e-12  # top mean terms whose sum is this small a share of their sizes cancel
@@ -134,7 +134,7 @@ def sigma2(spec: ModelSpec, z) -> float:
     u = spec.spectral().u
     z = np.asarray(z, dtype=np.int64)
     inner = odot(z + migration_mean(spec, z), spec.cov_tensor()) + migration_var(spec, z)
-    return float(u @ inner @ u)
+    return form(u, inner)
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,8 @@ def migration_leads(comp, vi: float = 1.0) -> dict:
     probabilities, "a" and "b" the immigration and emigration law means,
     and "var_a" and "var_b" their variances.  An emigration law reads the
     count, so its coefficient is scaled by vi**exponent.  A missing law's
-    probability, mean and variance are (0, 0).
+    probability, mean and variance are (0, 0), and "p", the remainder
+    1 - (q + r), reads its form from those of q and r (``remainder_of``).
     """
     nothing = (0.0, 0.0)
     imm, em = comp.immigration, comp.emigration
@@ -187,10 +188,12 @@ def migration_leads(comp, vi: float = 1.0) -> dict:
     def at_count(lead):
         return (lead[0] * vi ** lead[1], lead[1])
 
+    q = nothing if imm is None else comp.prob_imm.leading()
+    r = nothing if em is None else comp.prob_em.leading()
     return {
-        "p": comp.prob_none.leading(),
-        "q": nothing if imm is None else comp.prob_imm.leading(),
-        "r": nothing if em is None else comp.prob_em.leading(),
+        "p": remainder_of(q, r),
+        "q": q,
+        "r": r,
         "a": nothing if imm is None else imm.mean_fn.leading(),
         "b": nothing if em is None else at_count(em.mean_leading()),
         "var_a": nothing if imm is None else imm.var_leading(),
@@ -230,7 +233,7 @@ def offspring_diffusion(spec: ModelSpec, spectral) -> float:
     Feller diffusion coefficient, and the offspring part of sigma2(s v) per
     unit size."""
     u, v = spectral.u, spectral.v
-    return float(u @ odot(v, spec.cov_tensor()) @ u)
+    return form(u, odot(v, spec.cov_tensor()))
 
 
 def leading_moments(spec: ModelSpec) -> dict:
@@ -254,7 +257,7 @@ def leading_moments(spec: ModelSpec) -> dict:
     """
     spectral = spec.spectral()
     u, v = spectral.u, spectral.v
-    weights = [float(u @ cov @ u) for cov in spec.cov_tensor()]  # u^T Sigma_i u
+    weights = [form(u, cov) for cov in spec.cov_tensor()]  # u^T Sigma_i u
     means = []
     variances = [(offspring_diffusion(spec, spectral), 1.0)]
     for i, comp in enumerate(spec.migration.components):
@@ -274,7 +277,7 @@ def leading_moments(spec: ModelSpec) -> dict:
     alpha = _top(term for pair in means for term in pair)[1]
     tops = [[coeff for coeff, e in pair if coeff != 0.0 and e == alpha] for pair in means]
     c = np.array([sum(top) for top in tops], dtype=float)
-    c_dot_u = float(u @ c)
+    c_dot_u = dot(u, c)
     scale = sum(u_i * abs(coeff) for u_i, top in zip(u, tops) for coeff in top)
     nu, beta = _top(variances)
     return {"alpha": alpha, "c": c, "c_dot_u": c_dot_u, "nu": float(nu), "beta": beta,

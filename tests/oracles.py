@@ -174,19 +174,18 @@ def _emigration_pmf(doc, zi):
 
 
 def component_adjustment_pmf(comp_doc, zi, z_sum):
-    """pmf of M_i: 0 with the stay probability, +I or -D otherwise.
+    """pmf of M_i: +I or -D with the document's probabilities, 0 otherwise.
 
-    The emigration branch folds into "no change" when the count is zero,
-    matching the model definition.
+    A branch without a law never fires, and neither does emigration when
+    the count is zero, matching the model definition; "no change" holds
+    the rest of the mass.
     """
-    p_none = _statefn_value(comp_doc["prob_none"], z_sum)
-    p_imm = _statefn_value(comp_doc["prob_imm"], z_sum)
-    p_em = _statefn_value(comp_doc["prob_em"], z_sum)
-    if comp_doc.get("immigration") is None:
-        p_none, p_imm = p_none + p_imm, 0.0
-    if comp_doc.get("emigration") is None or zi <= 0:
-        p_none, p_em = p_none + p_em, 0.0
-    pmf = {0: p_none}
+    p_imm = p_em = 0.0
+    if comp_doc.get("immigration") is not None:
+        p_imm = _statefn_value(comp_doc["prob_imm"], z_sum)
+    if comp_doc.get("emigration") is not None and zi > 0:
+        p_em = _statefn_value(comp_doc["prob_em"], z_sum)
+    pmf = {0: 1.0 - p_imm - p_em}
     if p_imm > 0.0:
         for v, q in _immigration_pmf(comp_doc["immigration"], z_sum).items():
             pmf[v] = pmf.get(v, 0.0) + p_imm * q
@@ -357,7 +356,7 @@ def multi_step_law(doc, n):
     if doc["initial"]["kind"] != "deterministic":
         raise ValueError("the dense-grid oracle starts from a deterministic state")
     for comp in doc["migration"]:
-        fns = [comp["prob_none"], comp["prob_imm"], comp["prob_em"]]
+        fns = [comp["prob_imm"], comp["prob_em"]]
         fns += [comp["immigration"]["mean"]] if "mean" in (comp.get("immigration") or {}) else []
         if any(fn["kind"] != "constant" for fn in fns):
             raise ValueError("the dense-grid oracle handles state-independent migration")

@@ -4,7 +4,8 @@ import itertools
 import numpy as np
 import pytest
 
-from mbpm import SpectralData, criticality, is_primitive, odot, perron
+from conftest import SHIPPED, spec_path
+from mbpm import SpectralData, criticality, is_primitive, load_spec, odot, params_from_spec, perron
 
 
 def brute_primitive(m):
@@ -69,6 +70,38 @@ def test_perron_residuals_random_matrices():
         assert (sd.u > 0).all() and (sd.v > 0).all()
 
 
+def test_perron_iterates_to_a_repeat_not_to_a_tolerance():
+    # a stop at a step below 1e-12 left v 4.5e-13 short of (8/7, 6/7) here,
+    # and with it nu = 0.49999999999999994 and the gamma shape 4.000000000000001
+    spec = load_spec(spec_path("two_type_coupled"))
+    assert spec.spectral().v.tolist() == [8 / 7, 6 / 7]
+    params = params_from_spec(spec)
+    assert (params.nu, params.gamma_shape, params.gamma_scale) == (0.5, 4.0, 0.25)
+
+
+# rho, u and v of every shipped document with Perron data, to the last bit
+PERRON_DATA = {
+    "gamma_single_type": (1.0, [1.0], [1.0]),
+    "pure_emigration": (1.0, [0.5, 0.5], [1.0, 1.0]),
+    "small_support": (1.2274917217635375, [0.5687293044088437, 0.43127069559115633],
+                      [1.2284927963857741, 0.6986798535597566]),
+    "sqrt_drift_single_type": (1.0, [1.0], [1.0]),
+    "two_type_coupled": (1.0, [0.5, 0.5], [8 / 7, 6 / 7]),
+    "two_type_mixed": (1.0, [0.5, 0.5], [1.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_perron_data_is_pinned(name):
+    spec = load_spec(spec_path(name))
+    if name not in PERRON_DATA:
+        with pytest.raises(ValueError, match="primitive"):
+            spec.spectral()
+        return
+    sd = spec.spectral()
+    assert (sd.rho, sd.u.tolist(), sd.v.tolist()) == PERRON_DATA[name]
+
+
 def test_perron_rejects_imprimitive():
     with pytest.raises(ValueError):
         perron([[0.0, 1.0], [1.0, 0.0]])
@@ -95,6 +128,11 @@ def test_is_primitive_exhaustive_small(p):
     for bits in itertools.product([0.0, 1.0], repeat=p * p):
         m = np.array(bits).reshape(p, p)
         assert is_primitive(m) == brute_primitive(m), m
+
+
+def test_is_primitive_past_255_types():
+    # products of uint8 adjacency matrices wrapped a count of 256 paths to 0
+    assert is_primitive(np.ones((256, 256)))
 
 
 def test_is_primitive_random_dim4():

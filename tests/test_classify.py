@@ -49,7 +49,6 @@ def drift_const_spec():
         laws=(IndependentOffspring(components=(PoissonOffspring(mean=1.0),)),)
     )
     comp = MigrationComponent(
-        prob_none=Constant(0.25),
         prob_imm=Constant(0.5),
         prob_em=Constant(0.25),
         immigration=DeterministicImmigration(value=2),
@@ -108,7 +107,6 @@ def test_hypothesis_B_sees_a_clamp_bound_take_over(tmp_path):
     # prob_em * E[D] is bounded, and the probe ratios fall like 1/s
     doc = load_doc("gamma_single_type")
     doc["migration"][0].update(
-        prob_none={"kind": "constant", "value": 0.3},
         prob_imm={"kind": "constant", "value": 0.5},
         prob_em={"kind": "clamp", "lo": 0.2,
                  "inner": {"kind": "power", "coeff": -1.0, "exponent": 1.0}},
@@ -134,7 +132,6 @@ def test_hypothesis_B_skips_a_term_whose_probability_ends_at_zero():
     # probability, its term has no exponent
     doc = load_doc("gamma_single_type")
     doc["migration"][0].update(
-        prob_none={"kind": "table", "breaks": [1.0, 100.0], "values": [0.0, 1.0]},
         prob_imm={"kind": "table", "breaks": [1.0, 100.0], "values": [1.0, 0.0]},
     )
     verdict = classify_growth(spec_from_dict(doc).validate())
@@ -299,7 +296,7 @@ def test_abs_moment_exponents_of_a_heavy_tail():
     assert [law.abs_leading(q) for q in (1.5, 2.0, 3.0)] == [(1.0, 0.0), (math.inf, 0.0),
                                                               (1.0, 1.0)]
     comp = MigrationComponent(
-        prob_none=Constant(0.5), prob_imm=Constant(0.5), prob_em=Power(1.0, -1.0),
+        prob_imm=Constant(0.5), prob_em=Power(1.0, -1.0),
         immigration=DeterministicImmigration(value=1), emigration=law,
     )
     assert [abs_exponent(comp, q) for q in (1.5, 3.0)] == [0.0, 0.0]
@@ -409,27 +406,25 @@ def _theta_family(theta, uniform):
     With ``uniform`` the emigrant count is uniform on {1, ..., z} at the
     decaying probability 2b/s (b where that exceeds b): its mean removal
     b (1 + 1/z) tends to b, while its tail keeps a moment of every order q
-    growing like s^(q-1).  No state function of the closed set is
-    1 - a - 2b/s, so this model is built without ``validate``, with the
-    no-migration probability held at 1 - a - b.
+    growing like s^(q-1).
     """
     b = _GUARD_EMIGRATION
     k = 1 + math.floor(theta / 2.0)
     a = (theta / 2.0 + b) / k
     if uniform:
-        prob_em, emigration = Clamp(Power(2.0 * b, -1.0), hi=b), UniformEmigration()
+        prob_em = {"kind": "clamp", "inner": {"kind": "power", "coeff": 2.0 * b, "exponent": -1.0},
+                   "hi": b}
+        emigration = {"family": "uniform"}
     else:
-        prob_em, emigration = Constant(b), DeterministicEmigration(value=1)
-    comp = MigrationComponent(
-        prob_none=Constant(1.0 - a - b), prob_imm=Constant(a), prob_em=prob_em,
-        immigration=DeterministicImmigration(value=k), emigration=emigration,
-    )
-    offspring = OffspringSpec(
-        laws=(IndependentOffspring(components=(PoissonOffspring(mean=1.0),)),)
-    )
-    spec = ModelSpec(offspring, MigrationSpec(components=(comp,)),
-                     DeterministicInitial(state=(1,)))
-    return spec if uniform else spec.validate()
+        prob_em = {"kind": "constant", "value": b}
+        emigration = {"family": "deterministic", "value": 1}
+    return spec_from_dict({
+        "offspring": [{"kind": "independent", "components": [{"family": "poisson", "mean": 1.0}]}],
+        "migration": [{"prob_imm": {"kind": "constant", "value": a}, "prob_em": prob_em,
+                       "immigration": {"family": "deterministic", "value": k},
+                       "emigration": emigration}],
+        "initial": {"kind": "deterministic", "state": [1]},
+    })
 
 
 # (verdict, condition) of classify_growth, recorded on the slope-fit

@@ -10,7 +10,7 @@ import pytest
 import scipy.stats
 
 from conftest import SHIPPED, run_fresh, spec_path
-from mbpm import (a_seq, cli, cond_mean, ecdf, gamma_cdf, ks_statistic, lambda_n, load_spec,
+from mbpm import (a_seq, cli, cond_mean, gamma_cdf, ks_statistic, lambda_n, load_spec,
                   normal_cdf, params_from_spec, run_ensemble)
 from mbpm.cli import _ks_check, _rank_cells, _write_tsv, main
 
@@ -108,7 +108,9 @@ def test_cdf_pairs_reference_equals_per_point_values():
     sample = np.random.default_rng(3).gamma(4.0, 0.5, size=500)
     xs = sorted(sample.tolist())
     config = cli.ExperimentConfig("doc.json", "gamma-limit", threshold_ks=1.0)
-    for cdf in (lambda x: gamma_cdf(x, 4.0, 0.5), normal_cdf, ecdf(sample[:100])):
+    step = np.sort(sample[:100])  # an empirical CDF as the reference
+    for cdf in (lambda x: gamma_cdf(x, 4.0, 0.5), normal_cdf,
+                lambda x: np.searchsorted(step, x, side="right") / step.size):
         _, _, files = _ks_check(sample, config, cdf, "reference", {})
         header, (x, emp, ref) = files["cdf_pairs.tsv"]
         assert header == ("x", "empirical", "reference")
@@ -281,8 +283,7 @@ def _as_shipped(doc):
 # block, which asserts the unedited ones, goes with them.
 def _starved_immigration(doc):
     # u.c = 0.2 * 1.25 = 0.25 < nu / 2 = 0.5
-    doc["migration"][0].update(prob_none={"kind": "constant", "value": 0.8},
-                               prob_imm={"kind": "constant", "value": 0.2})
+    doc["migration"][0]["prob_imm"] = {"kind": "constant", "value": 0.2}
     doc["migration"][0]["immigration"]["mean"]["value"] = 1.25
     del doc["limit"]
 
@@ -297,7 +298,6 @@ def _immigration_power(exponent):
 
 def _no_immigration(doc):
     doc["migration"][0]["prob_imm"]["value"] = 0.0
-    doc["migration"][0]["prob_none"]["value"] = 1.0
 
 
 def _one_child_each(doc):
@@ -380,7 +380,7 @@ def _nothing_runs(*args, **kwargs):
     ("moments", "small_support", "reference_state", [-3, 1],
      "reference_state: counts must be nonnegative, got [-3, 1]"),
     ("moments", "small_support", "reference_state", [2.5, 1],
-     "reference_state: expected an integer, got 2.5"),
+     "reference_state[0]: expected an integer, got 2.5"),
     ("classify", "two_type_mixed", "expected_verdict", "no growth",
      "expected_verdict: expected one of no-growth, growth-possible, inconclusive, "
      "got 'no growth'"),
@@ -416,22 +416,22 @@ def _set(path, value):
 
 @pytest.mark.parametrize("edit, argv, message", [
     (_set(("initial", "state"), [1e30, 1]), [],
-     "initial: expected an integer within int64, got 1e+30"),
+     "initial.state[0]: expected an integer within int64, got 1e+30"),
     (_set(("initial", "state"), [2**63, 1]), [],
-     "initial: expected an integer within int64, got 9223372036854775808"),
+     "initial.state[0]: expected an integer within int64, got 9223372036854775808"),
     (_set(("migration", 1, "immigration"), {"family": "deterministic", "value": 1e30}), [],
-     "migration[1].immigration: expected an integer within int64, got 1e+30"),
+     "migration[1].immigration.value: expected an integer within int64, got 1e+30"),
     (_set(("migration", 1, "immigration"), {"family": "table", "values": [1e30], "probs": [1]}),
-     [], "migration[1].immigration: expected an integer within int64, got 1e+30"),
+     [], "migration[1].immigration.values[0]: expected an integer within int64, got 1e+30"),
     (_set(("offspring", 0, "components", 0),
           {"family": "table", "values": [0, _PAST_INT64], "probs": [0.5, 0.5]}), [],
-     f"offspring[0].components[0]: expected an integer within int64, got {_PAST_INT64}"),
+     f"offspring[0].components[0].values[1]: expected an integer within int64, got {_PAST_INT64}"),
     (_set(("initial",), {"kind": "table", "states": [[_PAST_INT64, 1]], "probs": [1]}), [],
-     f"initial: expected an integer within int64, got {_PAST_INT64}"),
+     f"initial.states[0][0]: expected an integer within int64, got {_PAST_INT64}"),
     (_set(("reference_state",), [_PAST_INT64, 1]), [],
-     f"reference_state: expected an integer within int64, got {_PAST_INT64}"),
+     f"reference_state[0]: expected an integer within int64, got {_PAST_INT64}"),
     (_set(("reference_state",), [50, 30]), ["--state", f"{_PAST_INT64},1"],
-     f"--state: expected an integer within int64, got {_PAST_INT64}"),
+     f"--state[0]: expected an integer within int64, got {_PAST_INT64}"),
 ], ids=["initial-state-float", "initial-state-2^63", "deterministic-immigration",
         "table-immigration", "table-offspring", "table-initial", "reference-state", "state-option"])
 def test_integers_past_int64_exit_two(tmp_path, capsys, monkeypatch, edit, argv, message):

@@ -27,7 +27,7 @@ from mbpm import (
     UniformEmigration,
     spec_from_dict,
 )
-from mbpm.laws import _EM_START, _faulhaber, _h_sum, exponent_of, limit_of
+from mbpm.laws import _EM_START, _faulhaber, _h_sum, exponent_of, limit_of, remainder_of
 
 
 def empirical_pmf(draws):
@@ -66,6 +66,17 @@ def test_power_limits_at_zero_size_raise_no_warning():
         assert Power(3.0, -1.0)(0.0) == math.inf
         assert Power(3.0, -1.0)(np.array([0.0, 6.0])).tolist() == [math.inf, 0.5]
         assert Power(1.0, 0.5)(np.zeros(2)).tolist() == [0.0, 0.0]
+
+
+def test_remainder_of_two_branch_probabilities():
+    # 1 - (q + r) tends to K = 1 - (lim q + lim r): a constant where K is
+    # a probability, here with a decaying emigration probability ...
+    assert remainder_of((0.3, 0.0), (0.2, -1.0)) == (0.7, 0.0)
+    assert remainder_of((0.0, 0.0), (0.0, 0.0)) == (1.0, 0.0)
+    # ... and eventually 0 where K is 0 up to rounding, on either side
+    assert remainder_of((0.7, 0.0), (0.3, 0.0)) == (0.0, 0.0)
+    assert remainder_of((0.6, 0.0), (0.4 - 1e-13, 0.0)) == (0.0, 0.0)
+    assert remainder_of((0.6, 0.0), (0.4 + 1e-13, 0.0)) == (0.0, 0.0)
 
 
 def test_table_function_right_continuous():

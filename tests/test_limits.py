@@ -186,7 +186,7 @@ def _constant(value):
 
 def test_params_from_spec_refuses_cancelling_mean_terms():
     # 0.5 * E[I] = 0.5 * 2 against 0.5 * E[D] = 0.5 * 2: the drift's order is unknown
-    doc = _gamma_doc(prob_none=_constant(0.0), prob_imm=_constant(0.5), prob_em=_constant(0.5),
+    doc = _gamma_doc(prob_imm=_constant(0.5), prob_em=_constant(0.5),
                      emigration={"family": "deterministic", "value": 2})
     with pytest.raises(ValueError, match="leading mean migration terms cancel at exponent 0"):
         params_from_spec(spec_from_dict(doc))
@@ -195,8 +195,8 @@ def test_params_from_spec_refuses_cancelling_mean_terms():
 def test_params_from_spec_refuses_a_log_variance_on_top():
     # one child each: no offspring variance, so inverse-cube emigration's
     # log-growing variance is the top term
-    doc = _gamma_doc(prob_none=_constant(0.25), prob_imm=_constant(0.5),
-                     prob_em=_constant(0.25), emigration={"family": "inverse_cube"})
+    doc = _gamma_doc(prob_imm=_constant(0.5), prob_em=_constant(0.25),
+                     emigration={"family": "inverse_cube"})
     doc["offspring"][0]["components"][0] = {"family": "deterministic", "value": 1}
     with pytest.raises(ValueError, match="grows like a log at its top"):
         params_from_spec(spec_from_dict(doc))
@@ -210,8 +210,8 @@ def test_params_from_spec_weights_emigration_by_the_count():
     # a decaying emigration probability r = s^-1/2 (clamped below 1/2) times
     # uniform removals (z_i + 1) / 2: the term is s^1/2 / 2, below linear
     comp = MigrationComponent(
-        prob_none=Constant(0.5), prob_imm=Constant(0.0),
-        prob_em=Clamp(Power(1.0, -0.5), hi=0.5), emigration=UniformEmigration(),
+        prob_imm=Constant(0.0), prob_em=Clamp(Power(1.0, -0.5), hi=0.5),
+        emigration=UniformEmigration(),
     )
     assert migration_terms(migration_leads(comp)) == ((0.0, 0.0), (0.5, 0.5))
     assert migration_terms(migration_leads(comp, 4.0)) == ((0.0, 0.0), (2.0, 0.5))  # z_i = 4 s
@@ -314,7 +314,6 @@ def test_feller_params_two_type_hand_value():
     )
     comps = tuple(
         MigrationComponent(
-            prob_none=Constant(0.5),
             prob_imm=Constant(0.3),
             prob_em=Constant(0.2),
             immigration=DeterministicImmigration(value=1),

@@ -51,12 +51,11 @@ from mbpm import (
 from mbpm.model import _PROB_TOL
 
 
-def single_type_spec(prob_none=0.5, prob_imm=0.5, prob_em=0.0, immigration=None):
+def single_type_spec(prob_imm=0.5, prob_em=0.0, immigration=None):
     offspring = OffspringSpec(
         laws=(IndependentOffspring(components=(PoissonOffspring(mean=1.0),)),)
     )
     comp = MigrationComponent(
-        prob_none=Constant(prob_none),
         prob_imm=Constant(prob_imm),
         prob_em=Constant(prob_em),
         immigration=immigration,
@@ -73,10 +72,10 @@ def test_dimension_mismatch_rejected(two_type_spec):
 
 
 def test_branch_probs_fold_missing_laws():
-    spec = single_type_spec(prob_none=0.4, prob_imm=0.0, prob_em=0.6)
+    spec = single_type_spec(prob_imm=0.4, prob_em=0.6)
     comp = spec.migration.components[0]
     pn, pi, pe = comp.branch_probs(spec.size([5]), 5)
-    assert (pn, pi, pe) == (1.0, 0.0, 0.0)  # no emigration law: branch folds
+    assert (pn, pi, pe) == (1.0, 0.0, 0.0)  # no law: neither branch fires
 
 
 def test_branch_probs_fold_at_zero_count(emigration_spec):
@@ -100,15 +99,8 @@ def test_validate_passes_shipped_documents():
         load_spec(spec_path(name)).validate()
 
 
-def test_validate_rejects_bad_probability_sum():
-    spec = single_type_spec(prob_none=0.7, prob_imm=0.5,
-                            immigration=DeterministicImmigration(value=1))
-    with pytest.raises(ValueError, match="sum"):
-        spec.validate()
-
-
 def test_validate_rejects_missing_immigration_law():
-    spec = single_type_spec(prob_none=0.5, prob_imm=0.5, immigration=None)
+    spec = single_type_spec(prob_imm=0.5, immigration=None)
     with pytest.raises(ValueError, match="no immigration law"):
         spec.validate()
 
@@ -137,15 +129,33 @@ def _power(coeff, exponent):
     return {"kind": "power", "coeff": coeff, "exponent": exponent}
 
 
+_EMIGRANT = {"family": "deterministic", "value": 1}
+
 _PROBE_GAPS = {
     # refused at the first probe already, by the component and the state
     "mean-constant": (
         {"immigration": {"family": "shifted_poisson", "mean": {"kind": "constant", "value": 0.5}}},
         "spec: migration[0] immigration mean 0.5 at z=[0] is below 1"),
-    # sums to 0.8 from size 100 on, past every probe state
-    "table-break": (
-        {"prob_imm": _table([0, 100], [0.5, 0.8]), "prob_none": _table([0, 100], [0.5, 0])},
-        "spec: migration[0] branch probabilities sum to 0.8 at size u.z = 100.0"),
+    # immigration and emigration leave no migration -0.1 at every size
+    "sum-at-a-probe": (
+        {"prob_imm": {"kind": "constant", "value": 0.6},
+         "prob_em": {"kind": "constant", "value": 0.5}, "emigration": _EMIGRANT},
+        "spec: migration[0] immigration and emigration probabilities sum to 1.1 at z=[0], "
+        "past 1"),
+    # ... only from size 100 on, past every probe state
+    "sum-at-a-table-knee": (
+        {"prob_imm": _table([0, 100], [0.5, 0.8]), "prob_em": _table([0, 100], [0.5, 0.3]),
+         "emigration": _EMIGRANT},
+        "spec: migration[0] immigration and emigration probabilities sum to 1.1 at size "
+        "u.z = 100.0, past 1"),
+    # ... only in the limit, where each clamped power reaches its bound
+    # beyond every float size
+    "sum-in-the-limit": (
+        {"prob_imm": {"kind": "clamp", "inner": _power(1e-300, 1e-3), "hi": 0.6},
+         "prob_em": {"kind": "clamp", "inner": _power(1e-300, 1e-3), "hi": 0.6},
+         "emigration": _EMIGRANT},
+        "spec: migration[0] immigration and emigration probabilities sum to 1.2 at the limit "
+        "of large sizes, past 1"),
     # max(0.01 s, 1) is 1 up to s = 100 and then grows without bound
     "unclamped-power": (
         {"prob_imm": {"kind": "clamp", "inner": _power(0.01, 1.0), "lo": 1.0}},
@@ -188,21 +198,22 @@ def test_size_is_formed_by_the_spec():
     assert spec.size([7]) == 7.0 and np.ndim(spec.size([7])) == 0
     assert spec.size(np.array([[7], [0], [3]])).tolist() == [7.0, 0.0, 3.0]
     # two types weigh their counts by u, the null state included, and each
-    # row of a stack has the size of its state alone
+    # row of a stack has the size of its state alone, to the bit: no BLAS
+    # product forms them
     spec = spec_from_dict(table_branches_doc())
     u = spec.spectral().u
     Z = np.array([[2, 3], [0, 0], [4, 0]])
     alone = [spec.size(z) for z in Z]
-    assert alone == [float(u @ z) for z in Z]
-    assert spec.size(Z).tolist() == pytest.approx(alone, rel=1e-15)
+    assert alone == [z[0] * u[0] + z[1] * u[1] for z in Z]
+    assert spec.size(Z).tolist() == alone
     assert spec.size([0, 0]) == 0.0
     # constant-only migration forms no size, even on a mean matrix that is
     # not primitive; size-dependent migration is refused there
     assert load_spec(spec_path("two_type_mixed")).size(Z) is None
     assert load_spec(spec_path("pure_death")).size([5]) is None
     doc = load_doc("pure_death")
-    doc["migration"][0]["prob_none"] = {"kind": "table", "breaks": [0.0, 10.0],
-                                        "values": [1.0, 1.0]}
+    doc["migration"][0]["prob_em"] = {"kind": "table", "breaks": [0.0, 10.0],
+                                      "values": [0.0, 0.0]}
     with pytest.raises(SpecFormatError) as err:
         spec_from_dict(doc)
     assert str(err.value) == (
@@ -435,15 +446,16 @@ def reference_kernel(spec, Z, rng):
 def table_branches_doc():
     """small_support with size-dependent branch probabilities.
 
-    Type 0 has table prob_none and prob_imm with a table immigration law;
-    type 1 has table prob_imm and prob_em, so its emigration mask is per row.
+    Type 0 has table prob_imm with a table immigration law, so its
+    remainder, no migration, is a table too; type 1 has table prob_imm and
+    prob_em, so its emigration mask is per row.
     """
     def table(values):
         return {"kind": "table", "breaks": [0.0, 3.0], "values": values}
 
     doc = copy.deepcopy(load_doc("small_support"))
     m0, m1 = doc["migration"]
-    m0["prob_none"], m0["prob_imm"] = table([0.5, 0.2]), table([0.3, 0.6])
+    m0["prob_imm"] = table([0.3, 0.6])
     m1["prob_imm"], m1["prob_em"] = table([0.2, 0.1]), table([0.2, 0.3])
     return doc
 
@@ -459,11 +471,11 @@ def test_state_functions_stay_valid_on_a_dense_grid_of_sizes(name):
     # with one vectorised call per state function
     spec = kernel_spec(name)
     for comp in spec.migration.components:
-        pn, pi, pe, *mean = (np.broadcast_to(f(DENSE_SIZES), DENSE_SIZES.shape)
-                             for f in comp.state_functions())
-        for prob in (pn, pi, pe):
+        pi, pe, *mean = (np.broadcast_to(f(DENSE_SIZES), DENSE_SIZES.shape)
+                         for f in comp.state_functions())
+        for prob in (pi, pe):
             assert ((prob >= 0.0) & (prob <= 1.0)).all()
-        assert (np.abs(pn + pi + pe - 1.0) <= _PROB_TOL).all()
+        assert (pi + pe <= 1.0 + _PROB_TOL).all()
         for a in mean:
             assert (a >= 1.0 - _PROB_TOL).all()
 
@@ -620,8 +632,8 @@ def four_emigrations_spec():
     offspring = OffspringSpec(laws=tuple(
         IndependentOffspring(components=(PoissonOffspring(mean=0.25),) * 4) for _ in range(4)))
     comps = tuple(
-        MigrationComponent(prob_none=Constant(0.5), prob_imm=Constant(0.25),
-                           prob_em=Constant(0.25), immigration=DeterministicImmigration(value=1),
+        MigrationComponent(prob_imm=Constant(0.25), prob_em=Constant(0.25),
+                           immigration=DeterministicImmigration(value=1),
                            emigration=law)
         for law in (UniformEmigration(), TruncatedGeometricEmigration(ratio=0.5),
                     InverseCubeEmigration(), DeterministicEmigration(value=2)))
@@ -682,7 +694,7 @@ def test_clamped_constant_immigration_mean_reads_no_size():
     # forms none, and the masked immigration branch draws as the bare one
     doc = load_doc("gamma_single_type")
     comp = doc["migration"][0]
-    comp["prob_none"]["value"], comp["prob_imm"]["value"] = 0.5, 0.5
+    comp["prob_imm"]["value"] = 0.5
     bare = spec_from_dict(doc)
     comp["immigration"]["mean"] = {"kind": "clamp", "inner": comp["immigration"]["mean"],
                                    "lo": 1.0}
@@ -707,8 +719,7 @@ def test_geometric_offspring_past_numpy_limit_are_named():
     # numpy's own refusal reads "n too large or p too small"
     doc = load_doc("gamma_single_type")
     doc["offspring"][0]["components"][0] = {"family": "geometric", "mean": 1e6}
-    doc["migration"][0] = {"prob_none": {"kind": "constant", "value": 1.0},
-                           "prob_imm": {"kind": "constant", "value": 0.0},
+    doc["migration"][0] = {"prob_imm": {"kind": "constant", "value": 0.0},
                            "prob_em": {"kind": "constant", "value": 0.0}}
     doc["initial"]["state"] = [10**13]
     spec = spec_from_dict(doc)
@@ -779,19 +790,28 @@ def test_bad_offspring_family_is_named():
 # The digest of each shipped document.  Reports carry it, so any change in
 # what spec_to_dict writes shows here.
 SHIPPED_DIGESTS = {
-    "gamma_single_type": "f871bb125ea2cf331fb6fc2c1a737e5f76d5de64fdf86ffa391cb405be673a7f",
-    "sqrt_drift_single_type": "b030aba7b15f54fa519f5a2a0830f103ab68e8c47d117a6e717a30c21518b2c2",
-    "two_type_mixed": "1e436b4d9b7ee5dbcc8f3080e9ebaed5f805a0bcf1553d2623ea4582e7a873de",
-    "pure_emigration": "0eb16a9088f385a513273ee19dd44fa678e8b12ef770bdff8d8690ffae84350d",
-    "small_support": "0da01724cb0f95f1e15373e299300def25ff2afd911b4a2de1d849403413754e",
-    "pure_death": "7c5923fa65a63b127701885ce2960a157d9bf30cb82c9528216b31d75047fe16",
-    "two_type_coupled": "7de07e8bb039afa5e0bcc836d55f4d15964648eba4fe244bb928085f551ea9c5",
+    "gamma_single_type": "df1eca33886ece0913f30d1de12e57e67370826ee353c02b292ad52b58a13f2e",
+    "sqrt_drift_single_type": "4e9ad57a02ec0017bc2fc971bf3faec534ffde1eca2cdd7b0d278384c83a4224",
+    "two_type_mixed": "5937ae65030edd3dba1449fe10a1a4d43ef91091b4e7de8721cd0a01a1837161",
+    "pure_emigration": "58c296098d318ebafe2cf3be5f6f569e5318e3b57c223771c81dd08c305d92ac",
+    "small_support": "8f82308b788cbaee618f1801c0f59fd3e559beabf65c88876faef661a146e27e",
+    "pure_death": "3c08eabc646b2d0a197d0e94e8adfe92e1335757060ea9d190be629f0b4d0b49",
+    "two_type_coupled": "b61f749c782c23efc631785232f039b407cf57214c56a7d5df3fca157bcd26bb",
 }
 
 
 @pytest.mark.parametrize("name", SHIPPED)
 def test_shipped_digests_are_pinned(name):
     assert spec_digest(load_spec(spec_path(name))) == SHIPPED_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_documents_are_canonical(name):
+    # the shipped documents are edited by hand: each model block must be
+    # what spec_to_dict writes, so a stray or missing field shows by name
+    doc = load_doc(name)
+    for key, block in spec_to_dict(load_spec(spec_path(name))).items():
+        assert doc[key] == block, key
 
 
 def _const(v):
@@ -820,22 +840,20 @@ ALL_FAMILIES = {
             {"family": "poisson", "mean": 0.1}, {"family": "poisson", "mean": 0.5}]},
     ],
     "migration": [
-        {"prob_none": {"kind": "power", "coeff": 0.5, "exponent": 0.0},
-         "prob_imm": {"kind": "table", "breaks": [0.0, 10.0], "values": [0.3, 0.2]},
+        {"prob_imm": {"kind": "table", "breaks": [0.0, 10.0], "values": [0.3, 0.2]},
          "prob_em": {"kind": "table", "breaks": [0.0, 10.0], "values": [0.2, 0.3]},
          "immigration": {"family": "shifted_poisson", "mean": {
              "kind": "clamp", "inner": {"kind": "power", "coeff": 1.0, "exponent": 0.5},
              "lo": 1.0}},
          "emigration": {"family": "uniform"}},
-        {"prob_none": _const(0.6),
-         "prob_imm": {"kind": "clamp", "inner": _const(0.3), "hi": 0.2},
+        {"prob_imm": {"kind": "clamp", "inner": _const(0.3), "hi": 0.2},
          "prob_em": _const(0.2),
          "immigration": {"family": "deterministic", "value": 2},
          "emigration": {"family": "truncated_geometric", "ratio": 0.5}},
-        {"prob_none": _const(0.5), "prob_imm": _const(0.3), "prob_em": _const(0.2),
+        {"prob_imm": _const(0.3), "prob_em": _const(0.2),
          "immigration": {"family": "table", "values": [1, 3], "probs": [0.5, 0.5]},
          "emigration": {"family": "inverse_cube"}},
-        {"prob_none": _const(0.7), "prob_imm": _const(0.0), "prob_em": _const(0.3),
+        {"prob_imm": _const(0.0), "prob_em": {"kind": "power", "coeff": 0.3, "exponent": 0.0},
          "emigration": {"family": "deterministic", "value": 1}},
     ],
     "initial": {"kind": "table", "states": [[1, 0, 0, 0], [0, 1, 1, 1]], "probs": [0.5, 0.5]},
@@ -845,9 +863,9 @@ ALL_FAMILIES_DETERMINISTIC = dict(ALL_FAMILIES,
 
 
 @pytest.mark.parametrize("doc, digest", [
-    (ALL_FAMILIES, "726431708d7c70c3a6fa61a5fb9ddd394bc36b0aa701a56e3a2083ef4902fae0"),
+    (ALL_FAMILIES, "fd154e986ead71d9b84ba035576d05b5550a5d61860e807979151eb979893120"),
     (ALL_FAMILIES_DETERMINISTIC,
-     "a0b7c92f4aa406b43fc0f3d11366d0b638b8eae1b5127ac6d8df317daa9eb915"),
+     "1262a7407795740261c8bb5726f91aa7ef67e23a4512a734c967552536c17d7a"),
 ], ids=["table-initial", "deterministic-initial"])
 def test_every_kind_and_family_round_trips(doc, digest):
     spec = spec_from_dict(copy.deepcopy(doc))
@@ -878,8 +896,8 @@ def _edited(doc, keys, value):
 
 @pytest.mark.parametrize("keys, value, message", [
     # an unknown kind or family in every block
-    (("migration", 0, "prob_none", "kind"), "x",
-     "migration[0].prob_none.kind: unknown state function kind 'x'"),
+    (("migration", 3, "prob_em", "kind"), "x",
+     "migration[3].prob_em.kind: unknown state function kind 'x'"),
     (("migration", 0, "immigration", "mean", "inner", "kind"), "x",
      "migration[0].immigration.mean.inner.kind: unknown state function kind 'x'"),
     (("offspring", 0, "components", 2, "family"), "x",
@@ -895,8 +913,8 @@ def _edited(doc, keys, value):
     # a missing required field in every kind and family that has one
     (("migration", 1, "prob_em", "value"), _DELETE,
      "migration[1].prob_em.value: missing required field"),
-    (("migration", 0, "prob_none", "exponent"), _DELETE,
-     "migration[0].prob_none.exponent: missing required field"),
+    (("migration", 3, "prob_em", "exponent"), _DELETE,
+     "migration[3].prob_em.exponent: missing required field"),
     (("migration", 0, "prob_imm", "breaks"), _DELETE,
      "migration[0].prob_imm.breaks: missing required field"),
     (("migration", 1, "prob_imm", "inner"), _DELETE,
@@ -931,7 +949,7 @@ def _edited(doc, keys, value):
     (("initial", "kind"), _DELETE, "initial.kind: missing required field"),
     (("initial",), _DELETE, "initial: missing required field"),
     # a block that is not a mapping
-    (("migration", 0, "prob_none"), 0.5, "migration[0].prob_none: expected a mapping, got float"),
+    (("migration", 0, "prob_imm"), 0.5, "migration[0].prob_imm: expected a mapping, got float"),
     (("migration", 0, "immigration", "mean"), 2.0,
      "migration[0].immigration.mean: expected a mapping, got float"),
     (("offspring", 0, "components", 0), "poisson",
@@ -965,6 +983,8 @@ def _edited(doc, keys, value):
     (("migration", 2, "emigration", "ratio"), 0.5, "migration[2].emigration.ratio: unknown field"),
     (("migration", 1, "immigration", "values"), [1], "migration[1].immigration.values: unknown field"),
     (("initial", "state"), [1, 0, 0, 0], "initial.state: unknown field"),
+    # no migration is the remainder of the other two branches, never a field
+    (("migration", 2, "prob_none"), _const(0.5), "migration[2].prob_none: unknown field"),
 ])
 def test_format_errors_name_their_field(keys, value, message):
     with pytest.raises(SpecFormatError) as err:
@@ -978,23 +998,27 @@ def test_dim_may_be_left_out_or_integral():
         assert spec_digest(spec_from_dict(_edited(ALL_FAMILIES, ("dim",), value))) == digest
 
 
+def _field_path(keys) -> str:
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
+
+
 _INTEGER_FIELDS = [
-    (("initial", "state", 0), "initial"),
-    (("migration", 1, "immigration", "value"), "migration[1].immigration"),
-    (("migration", 3, "emigration", "value"), "migration[3].emigration"),
-    (("offspring", 0, "components", 3, "value"), "offspring[0].components[3]"),
-    (("offspring", 2, "components", 0, "values", 1), "offspring[2].components[0]"),
-    (("offspring", 1, "vectors", 0, 0), "offspring[1]"),
+    ("initial", "state", 0),
+    ("migration", 1, "immigration", "value"),
+    ("migration", 3, "emigration", "value"),
+    ("offspring", 0, "components", 3, "value"),
+    ("offspring", 2, "components", 0, "values", 1),
+    ("offspring", 1, "vectors", 0, 0),
 ]
-_INTEGER_IDS = [".".join(map(str, keys)) for keys, _ in _INTEGER_FIELDS]
 
 
 @pytest.mark.parametrize("value", [1.7, True, "1"], ids=["fraction", "bool", "string"])
-@pytest.mark.parametrize("keys, path", _INTEGER_FIELDS, ids=_INTEGER_IDS)
-def test_integer_fields_refuse_non_integers(keys, path, value):
+@pytest.mark.parametrize("keys", _INTEGER_FIELDS, ids=_field_path)
+def test_integer_fields_refuse_non_integers(keys, value):
+    # each refusal names the entry itself, as the real-number fields' do
     with pytest.raises(SpecFormatError) as err:
         spec_from_dict(_edited(ALL_FAMILIES_DETERMINISTIC, keys, value))
-    assert str(err.value) == f"{path}: expected an integer, got {value!r}"
+    assert str(err.value) == f"{_field_path(keys)}: expected an integer, got {value!r}"
 
 
 @pytest.mark.parametrize("doc, keys, value, message", [
@@ -1016,8 +1040,8 @@ def test_integer_list_fields_refuse_non_lists(doc, keys, value, message):
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("keys, path", _INTEGER_FIELDS, ids=_INTEGER_IDS)
-def test_integer_fields_accept_integral_floats(keys, path):
+@pytest.mark.parametrize("keys", _INTEGER_FIELDS, ids=_field_path)
+def test_integer_fields_accept_integral_floats(keys):
     doc = ALL_FAMILIES_DETERMINISTIC
     target = doc
     for k in keys:
@@ -1033,21 +1057,17 @@ _REAL_FIELDS = [
     ("offspring", 0, "components", 2, "mean"),
     ("offspring", 1, "probs", 0),
     ("offspring", 2, "components", 0, "probs", 1),
-    ("migration", 0, "prob_none", "coeff"),
-    ("migration", 0, "prob_none", "exponent"),
+    ("migration", 3, "prob_em", "coeff"),
+    ("migration", 3, "prob_em", "exponent"),
     ("migration", 0, "prob_imm", "breaks", 1),
     ("migration", 0, "prob_imm", "values", 0),
     ("migration", 0, "immigration", "mean", "lo"),
     ("migration", 1, "prob_imm", "hi"),
-    ("migration", 1, "prob_none", "value"),
+    ("migration", 1, "prob_em", "value"),
     ("migration", 1, "emigration", "ratio"),
     ("migration", 2, "immigration", "probs", 0),
     ("initial", "probs", 1),
 ]
-
-
-def _field_path(keys) -> str:
-    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, True, "0.5"],

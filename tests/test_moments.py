@@ -38,7 +38,6 @@ def drift_const_spec():
         laws=(IndependentOffspring(components=(PoissonOffspring(mean=1.0),)),)
     )
     comp = MigrationComponent(
-        prob_none=Constant(0.25),
         prob_imm=Constant(0.5),
         prob_em=Constant(0.25),
         immigration=DeterministicImmigration(value=2),
