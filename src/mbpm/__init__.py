@@ -93,6 +93,7 @@ _EXPORTS = {
         "GoFReport",
         "MomentCheckReport",
         "ProbabilityEstimate",
+        "ecdf",
         "estimate_explosion",
         "gamma_cdf",
         "gamma_quantile",

@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+_POWER_TOL = 1e-12
 _POWER_MAXIT = 100_000
 # Distance from 1 within which a Perron root counts as critical.
 _CRITICAL_TOL = 1e-9
@@ -24,37 +25,49 @@ def odot(z, mats):
     """Weighted sum ``sum_i z[i] * mats[i]`` of per-type matrices.
 
     ``mats`` has shape (p, p, p): ``mats[i]`` is the matrix attached to
-    type ``i``.  Returns a (p, p) matrix.
+    type ``i``.  Returns a (p, p) matrix, each entry formed by ``dot``.
     """
     z = np.asarray(z, dtype=float)
     mats = np.asarray(mats, dtype=float)
-    if z.ndim != 1 or mats.ndim != 3 or mats.shape[0] != len(z):
-        raise ValueError("odot expects one square matrix per entry of a vector of weights, "
-                         f"got weights of shape {z.shape} and matrix block {mats.shape}")
-    return np.array([[dot(z, mats[:, j, k]) for k in range(mats.shape[2])]
-                     for j in range(mats.shape[1])])
+    if z.ndim != 1:
+        raise ValueError("odot expects a vector of weights")
+    if mats.ndim != 3 or mats.shape[0] != z.shape[0]:
+        raise ValueError(
+            "odot expects one square matrix per vector component, got "
+            f"weights of length {z.shape[0]} and matrix block {mats.shape}"
+        )
+    return dot(np.moveaxis(mats, 0, -1), z)
 
 
-def dot(x, y) -> float:
-    """sum_k x[k] y[k], correctly rounded, so the same bits on every host,
-    which a BLAS product does not promise: each factor (below 1e300 in
-    magnitude) is split into two halves of 26 bits (``_halves``), whose
-    four products are exact, and ``math.fsum`` rounds their sum once."""
-    xs, ys = (np.asarray(v, dtype=float).tolist() for v in (x, y))
-    return math.fsum(h * k for a, b in zip(xs, ys) for h in _halves(a) for k in _halves(b))
+def dot(a, x):
+    """The sums a @ x over the last axis, each correctly rounded, so the
+    same bits on every host, which a BLAS product does not promise: each
+    product is the rounded product and its rounding error, which Dekker's
+    product finds exactly from the factors' halves (``_halves``; factors
+    below 1e300 in magnitude), and ``math.fsum`` rounds each sum of these
+    once.  A float where a is a vector, else an array of a's shape without
+    its last axis."""
+    a, x = np.asarray(a, dtype=float), np.asarray(x, dtype=float)
+    (a_hi, a_lo), (x_hi, x_lo) = _halves(a), _halves(x)
+    prod = a * x
+    err = a_lo * x_lo - (((prod - a_hi * x_hi) - a_lo * x_hi) - a_hi * x_lo)
+    terms = np.concatenate((prod, err), axis=-1)
+    sums = [math.fsum(row) for row in terms.reshape(-1, terms.shape[-1]).tolist()]
+    return sums[0] if terms.ndim == 1 else np.reshape(sums, terms.shape[:-1])
 
 
-def _halves(a: float) -> tuple:
+def _halves(a):
     """a as hi + lo, each of at most 26 significant bits (Veltkamp's split)."""
     hi = 134217729.0 * a  # (2**27 + 1) a
-    hi -= hi - a
+    hi = hi - (hi - a)
     return hi, a - hi
 
 
 def weigh(z, u):
     """The sums z @ u over the last axis of z, formed by numpy's elementwise
     products and sums, which round alike on every host, where a BLAS
-    product may fuse them as its kernel chooses."""
+    product may fuse them as its kernel chooses.  The one rule for a
+    Perron-weighted sum u . z, of one state or of a stack of them."""
     z = np.asarray(z)
     out = z[..., 0] * u[0]
     for k in range(1, len(u)):
@@ -64,7 +77,7 @@ def weigh(z, u):
 
 def form(u, a) -> float:
     """The quadratic form u^T a u, as (u^T a) u, by ``dot``."""
-    return dot([dot(u, col) for col in np.asarray(a, dtype=float).T], u)
+    return dot(dot(np.asarray(a, dtype=float).T, u), u)
 
 
 def is_primitive(m) -> bool:
@@ -79,13 +92,20 @@ def is_primitive(m) -> bool:
         raise ValueError("is_primitive expects a square matrix")
     if (m < 0).any():
         raise ValueError("is_primitive expects a nonnegative matrix")
-    # square-and-multiply: a product of boolean matrices is one on the
-    # boolean semiring, so nothing overflows
-    result, base, k = np.eye(len(m), dtype=bool), m > 0, (len(m) - 1) ** 2 + 1
+    p = m.shape[0]
+    b = m > 0
+    if p == 1:
+        return bool(b[0, 0])
+    target = (p - 1) ** 2 + 1
+    # Square-and-multiply on the boolean semiring.
+    result = np.eye(p, dtype=bool)
+    base = b
+    k = target
     while k:
         if k & 1:
-            result = result @ base
-        base, k = base @ base, k >> 1
+            result = (result.astype(np.uint8) @ base.astype(np.uint8)) > 0
+        base = (base.astype(np.uint8) @ base.astype(np.uint8)) > 0
+        k >>= 1
     return bool(result.all())
 
 
@@ -107,33 +127,48 @@ def perron(m) -> SpectralData:
 
     Power iteration on m^T (for ``u``) and m (for ``v``); primitivity
     guarantees convergence and the iterates stay positive.  Each step is
-    formed by ``dot``, and the iteration runs until the iterate repeats an
-    earlier one (a fixed point, or a cycle of floats a few ulps wide), not
-    to a tolerance, so the result is the same to the last bit on every host.
+    formed by ``dot``, so every iterate is the same to the last bit on
+    every host.  Once a step moves less than ``_POWER_TOL`` the iteration
+    has converged, and it goes on until the iterate repeats an earlier one
+    (a fixed point, or a cycle of floats a few ulps wide), or for at most
+    ``_POWER_MAXIT`` more steps, so the result is a point the iteration
+    returns to, not wherever the tolerance happened to stop it.
     """
     m = np.asarray(m, dtype=float)
     if not is_primitive(m):
         raise ValueError("perron requires a primitive nonnegative matrix")
 
+    def _step(a, x):
+        y = dot(a, x)
+        lam = math.fsum(y)
+        if lam <= 0:
+            raise ValueError("power iteration collapsed; matrix is degenerate")
+        return lam, y / lam
+
     def _iterate(a):
-        rows = a.tolist()
-        x = (1.0 / len(rows),) * len(rows)
-        seen = {x}
+        x = np.full(len(a), 1.0 / len(a))
+        lam = 1.0
         for _ in range(_POWER_MAXIT):
-            y = [dot(row, x) for row in rows]
-            lam = math.fsum(y)
-            if lam <= 0:
-                raise ValueError("power iteration collapsed; matrix is degenerate")
-            x = tuple(y_k / lam for y_k in y)
-            if x in seen:
-                return lam, x
-            seen.add(x)
-        raise ValueError(f"power iteration did not converge in {_POWER_MAXIT} steps")
+            lam_new, y = _step(a, x)
+            converged = (np.abs(y - x).max() < _POWER_TOL
+                         and abs(lam_new - lam) < _POWER_TOL * max(1.0, lam))
+            x, lam = y, lam_new
+            if converged:
+                break
+        else:
+            raise ValueError(f"power iteration did not converge in {_POWER_MAXIT} steps")
+        seen = {x.tobytes()}
+        for _ in range(_POWER_MAXIT):
+            lam, x = _step(a, x)
+            if x.tobytes() in seen:
+                break
+            seen.add(x.tobytes())
+        return lam, x
 
     rho_u, u = _iterate(m.T)
     rho_v, v = _iterate(m)
-    u = np.array(u) / math.fsum(u)
-    v = np.array(v) / dot(u, v)
+    u = u / math.fsum(u)
+    v = v / dot(u, v)
     return SpectralData(rho=0.5 * (rho_u + rho_v), u=u, v=v)
 
 

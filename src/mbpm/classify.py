@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import dot, is_critical
+from .algebra import is_critical, weigh
 from .laws import exponent_of, limit_of
 from .model import ModelSpec
 from .moments import (
@@ -151,7 +151,7 @@ def growth_ratio(spec: ModelSpec, z) -> float:
     s2 = sigma2(spec, z)
     if s2 <= 0.0:
         raise ValueError("one-step variance vanishes at this state (deterministic model)")
-    return 2.0 * dot(u, z) * dot(u, migration_mean(spec, z)) / s2
+    return 2.0 * float(weigh(z, u)) * float(weigh(migration_mean(spec, z), u)) / s2
 
 
 def check_growth_support(spec: ModelSpec, z) -> bool:
@@ -188,9 +188,9 @@ def _probe_ray(spec: ModelSpec, config: CriteriaConfig) -> _Ray:
     h_list = [migration_mean(spec, z) for z in probes]
     return _Ray(
         probes=probes,
-        sizes=np.array([dot(u, z) for z in probes]),
+        sizes=weigh(np.array(probes), u),
         h=h_list,
-        uh=np.array([dot(u, h) for h in h_list]),
+        uh=weigh(np.array(h_list), u),
         s2=np.array([sigma2(spec, z) for z in probes]),
     )
 

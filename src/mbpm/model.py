@@ -317,7 +317,9 @@ class ModelSpec:
         (``_check_branches``), so that no migration, the remainder, is a
         probability too.
 
-        First at probe states: zero, the unit states and two more.  Then as
+        First at probe states: zero, the unit states and two more; where a
+        probe leaves the type empty, its emigration probability is 0, as
+        ``branch_probs`` gives it, whatever the state function reads.  Then as
         functions of the size s: at every knee of a state function (a
         ``Table`` break, a size where the inner function of a ``Clamp``
         meets a bound) and in the limit of large sizes.  Between two knees,
@@ -327,8 +329,10 @@ class ModelSpec:
         function of its own.
         """
         p = self.dim
-        probes = [np.zeros(p, dtype=np.int64), *np.eye(p, dtype=np.int64),
-                  np.full(p, 5, dtype=np.int64), np.arange(1, p + 1, dtype=np.int64) * 7]
+        probes = [np.zeros(p, dtype=np.int64)]
+        probes.extend(np.eye(p, dtype=np.int64))
+        probes.append(np.full(p, 5, dtype=np.int64))
+        probes.append(np.arange(1, p + 1, dtype=np.int64) * 7)
         for i, comp in enumerate(self.migration.components):
             fns = comp.state_functions()
             for z in probes:
@@ -345,15 +349,27 @@ def _check_branches(i: int, comp: MigrationComponent, where: str, values, emigra
     """Refuse migration component i's (immigration, emigration)
     probabilities, followed by its immigration mean if it has a law, at one
     place, described by where: each must lie in [0, 1], and their sum must
-    not pass 1, which leaves no migration a probability in [0, 1]."""
+    not pass 1, which leaves no migration a probability in [0, 1].  Where
+    the type's count is 0 (``emigrates`` false), emigration has
+    probability 0, as ``branch_probs`` gives it, and its state function is
+    not read there."""
     pi, pe = values[:2]
-    for key, name, v, law, fires in (("prob_imm", "immigration", pi, comp.immigration, True),
-                                     ("prob_em", "emigration", pe, comp.emigration, emigrates)):
-        if not 0.0 <= v <= 1.0 + _PROB_TOL:
-            raise ValueError(f"migration[{i}].{key} = {v} at {where} is outside [0, 1]")
-        if law is None and v > 0.0 and fires:
-            raise ValueError(f"migration[{i}] has {name} probability {v} at {where} "
-                             f"but no {name} law")
+    if not emigrates:
+        pe = 0.0
+    if not 0.0 <= pi <= 1.0 + _PROB_TOL:
+        raise ValueError(f"migration[{i}].prob_imm = {pi} at {where} is outside [0, 1]")
+    if comp.immigration is None and pi > 0.0:
+        raise ValueError(
+            f"migration[{i}] has immigration probability {pi} at {where} "
+            "but no immigration law"
+        )
+    if not 0.0 <= pe <= 1.0 + _PROB_TOL:
+        raise ValueError(f"migration[{i}].prob_em = {pe} at {where} is outside [0, 1]")
+    if comp.emigration is None and pe > 0.0:
+        raise ValueError(
+            f"migration[{i}] has emigration probability {pe} at {where} "
+            "but no emigration law"
+        )
     if pi + pe > 1.0 + _PROB_TOL:
         raise ValueError(f"migration[{i}] immigration and emigration probabilities sum to "
                          f"{pi + pe} at {where}, past 1")

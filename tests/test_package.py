@@ -19,7 +19,7 @@ EXPORTED = [
     "SpectralData", "Table", "TableImmigration", "TableInitial", "TableOffspring",
     "TruncatedGeometricEmigration", "UniformEmigration", "a_asymptotic",
     "a_seq", "advance", "algebra", "check_growth_support", "check_hypothesis_C", "classify",
-    "classify_growth", "cond_mean", "cond_var", "criticality", "estimate_explosion",
+    "classify_growth", "cond_mean", "cond_var", "criticality", "ecdf", "estimate_explosion",
     "estimate_exponents", "euler_maruyama", "feller_params", "gamma_cdf", "gamma_quantile",
     "gof_report", "growth_ratio", "is_primitive", "ks_statistic", "lambda_n", "laws",
     "limits", "load_spec", "migration_atoms", "migration_kappa",
