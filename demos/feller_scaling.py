@@ -21,7 +21,7 @@ from mbpm import (
     feller_params,
     gamma_cdf,
     gamma_quantile,
-    ks_statistic,
+    gof_report,
     load_spec,
     run_ensemble,
 )
@@ -56,7 +56,8 @@ print(f"\nmodel endpoint:     mean {w_model.mean():.4f}, std {w_model.std(ddof=1
 print(f"diffusion endpoint: mean {shape * scale:.4f}, std {np.sqrt(shape) * scale:.4f}"
       f" (Gamma({shape:g}, {scale:g}))")
 
-ks = ks_statistic(w_model, lambda x: gamma_cdf(x, shape, scale))
+ks = gof_report(w_model, lambda x: gamma_cdf(x, shape, scale), "gamma",
+                {"shape": shape, "scale": scale}, threshold=0.10).value
 print(f"one-sample KS distance: {ks:.4f}")
 
 # quantiles of the model endpoints against the Gamma law's

@@ -11,9 +11,8 @@ simulates an ensemble, and tests the standardized terminal values
 against the normal reference.
 """
 from mbpm import (
-    a_asymptotic,
     a_seq,
-    ks_statistic,
+    gof_report,
     lambda_n,
     load_spec,
     normal_cdf,
@@ -25,13 +24,15 @@ spec = load_spec("specs/sqrt_drift_single_type.json")
 
 # ---------------------------------------------------------------------------
 # deterministic profile: exact recursion versus closed-form asymptote
+# l1_constant * n^{1/(1-alpha)}
 # ---------------------------------------------------------------------------
 
-profile = a_seq(1.0, 0.5, 100_000)  # expected surplus sqrt(s) at size s
+params = params_from_spec(spec)
+profile = a_seq(params.c_dot_u, params.alpha, 100_000)  # expected surplus sqrt(s) at size s
 print("growth profile under drift sqrt(s):")
 print(f"{'n':>8} {'a_n':>14} {'asymptote':>14} {'ratio':>8}")
 for k in (10, 100, 1000, 10_000, 100_000):
-    asym = a_asymptotic(1.0, 0.5, k)
+    asym = params.l1_constant * k ** (1 / (1 - params.alpha))
     print(f"{k:8d} {profile[k]:14.2f} {asym:14.2f} {profile[k] / asym:8.5f}")
 
 # ---------------------------------------------------------------------------
@@ -39,7 +40,6 @@ for k in (10, 100, 1000, 10_000, 100_000):
 # puts the model in the power branch where lambda_n = n exactly
 # ---------------------------------------------------------------------------
 
-params = params_from_spec(spec)
 n = 800
 lam = lambda_n(params, n)
 a_n = float(profile[n])
@@ -55,7 +55,7 @@ ens = run_ensemble(spec, n=n, R=R, master_seed=14142)
 w = (ens.terminal[:, 0] - a_n) / lam
 print(f"standardized mean = {w.mean():+.4f}, standard deviation = {w.std(ddof=1):.4f}")
 
-ks = ks_statistic(w, normal_cdf)
+ks = gof_report(w, normal_cdf, "standard normal", {}, threshold=0.10).value
 print(f"KS distance to N(0, 1): {ks:.4f}")
 
 print(f"\n{'x':>6} {'empirical P(W <= x)':>20} {'normal':>8}")

@@ -77,11 +77,9 @@ _EXPORTS = {
         "classify_growth",
         "estimate_exponents",
         "growth_ratio",
-        "probe_states",
     ),
     "limits": (
         "LimitParams",
-        "a_asymptotic",
         "a_seq",
         "euler_maruyama",
         "feller_params",
@@ -93,7 +91,6 @@ _EXPORTS = {
         "GoFReport",
         "MomentCheckReport",
         "ProbabilityEstimate",
-        "ecdf",
         "estimate_explosion",
         "gamma_cdf",
         "gamma_quantile",

@@ -97,14 +97,15 @@ def is_primitive(m) -> bool:
     if p == 1:
         return bool(b[0, 0])
     target = (p - 1) ** 2 + 1
-    # Square-and-multiply on the boolean semiring.
+    # Square-and-multiply on the boolean semiring: numpy's matmul of
+    # boolean matrices is its (or, and) product, and no count can wrap.
     result = np.eye(p, dtype=bool)
     base = b
     k = target
     while k:
         if k & 1:
-            result = (result.astype(np.uint8) @ base.astype(np.uint8)) > 0
-        base = (base.astype(np.uint8) @ base.astype(np.uint8)) > 0
+            result = result @ base
+        base = base @ base
         k >>= 1
     return bool(result.all())
 

@@ -16,8 +16,8 @@ states its large-size form (see laws), so they compare exact growth
 exponents along the ray (moments.leading_moments and
 moments.abs_exponent); nothing is fitted.  The order checks form one
 table, {shifted, centered} x {sigma, drift_log, drift}.  classify_growth
-reads its verdict and the exponents of estimate_exponents, which it
-carries on the verdict, from one ray.
+reads its verdict and the growth exponents, which it carries on the
+verdict, from one ray.
 
 Standing assumptions referenced throughout: (A) the offspring mean matrix
 is primitive with Perron root 1; (B) mean migration is o(||z||); (C) the
@@ -81,24 +81,9 @@ class GrowthVerdict:
     support_ok: Optional[bool]
     order_checks: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
-    # estimate_exponents' dict, None without Perron data; outside the repr, so
+    # _fitted_exponents' dict, None without Perron data; outside the repr, so
     # the report's classification block does not show it
     exponents: Optional[dict] = field(default=None, repr=False)
-
-
-def probe_states(spec: ModelSpec, config: CriteriaConfig = CriteriaConfig()):
-    """Integer states along the probe ray, one per configured magnitude."""
-    direction = spec.spectral().v
-    out = []
-    for mag in config.ray_points:
-        z = np.rint(mag * direction)
-        if not z.max() < _INT64_BOUND:
-            raise ValueError(f"the probe state at magnitude {mag:g} does not fit int64")
-        z = z.astype(np.int64)
-        if not z.any():
-            z = np.ones(spec.dim, dtype=np.int64)
-        out.append(z)
-    return out
 
 
 def _hypothesis_B(ray, exps: dict) -> tuple:
@@ -182,9 +167,18 @@ class _Ray:
 
 
 def _probe_ray(spec: ModelSpec, config: CriteriaConfig) -> _Ray:
-    """Evaluate the probe ray: one migration mean and one sigma2 per probe."""
-    u = spec.spectral().u
-    probes = probe_states(spec, config)
+    """Evaluate the probe ray: one integer state per configured magnitude
+    along the right Perron vector, and one migration mean and one sigma2
+    per probe."""
+    spectral = spec.spectral()
+    u = spectral.u
+    probes = []
+    for mag in config.ray_points:
+        z = np.rint(mag * spectral.v)
+        if not z.max() < _INT64_BOUND:
+            raise ValueError(f"the probe state at magnitude {mag:g} does not fit int64")
+        z = z.astype(np.int64)
+        probes.append(z if z.any() else np.ones(spec.dim, dtype=np.int64))
     h_list = [migration_mean(spec, z) for z in probes]
     return _Ray(
         probes=probes,
@@ -202,7 +196,7 @@ def _finite(x):
 
 def _exponents(spec: ModelSpec) -> dict:
     """The exact growth exponents along the ray that the order checks and
-    estimate_exponents compare: moments.leading_moments, and per type the
+    _fitted_exponents compare: moments.leading_moments, and per type the
     shifted moment E|z_i + M_i|^(1 + delta/2), the centered moment
     E|M_i - h_i|^(2 + delta) and the terms q_i E[I_i] and r_i E[D_i] of
     h_i (-inf where 0); and the surrogate, the larger of z_i + h_i (a
@@ -256,9 +250,9 @@ def classify_growth(spec: ModelSpec, config: CriteriaConfig = CriteriaConfig()) 
     emigration-dominates condition is meaningful and corroborated by
     simulation even for linearly shrinking drifts.
 
-    The verdict carries the exponents of estimate_exponents, read from the
-    same probe ray and exact exponents, wherever the mean matrix has
-    Perron data (critical or not); None where it has none.
+    The verdict carries the growth exponents (_fitted_exponents), read
+    from the same probe ray and exact exponents, wherever the mean matrix
+    has Perron data (critical or not); None where it has none.
     """
     try:
         rho = spec.spectral().rho
@@ -326,8 +320,17 @@ def classify_growth(spec: ModelSpec, config: CriteriaConfig = CriteriaConfig()) 
 
 
 def _fitted_exponents(ray: _Ray, exps: dict) -> dict:
-    """The exponents of estimate_exponents, read from _exponents; the ray
-    gives the probe sizes and the sign of u.h."""
+    """Exact growth exponents of the drift and variance along the ray, read
+    from _exponents; the ray gives the probe sizes and the sign of u.h.
+
+    Reports alpha and u.c of the drift u.h ~ (u.c) s^alpha, beta and nu
+    of sigma2 ~ nu s^beta (as params_from_spec derives them), and the
+    fluctuation exponent surrogates delta1 (growth of max_i |h_i|) and
+    delta2 (growth of the alpha_tilde-moment surrogate, divided by
+    alpha_tilde).  alpha and u.c are None where u.h is nonpositive
+    somewhere on the ray or its leading terms cancel, nu where a log tops
+    sigma2, and delta1 where h is eventually 0.
+    """
     drift = (ray.uh > 0.0).all() and not exps["cancels"]
     out = {
         "sizes": ray.sizes.tolist(),
@@ -346,14 +349,6 @@ def _fitted_exponents(ray: _Ray, exps: dict) -> dict:
 
 
 def estimate_exponents(spec: ModelSpec, config: CriteriaConfig = CriteriaConfig()) -> dict:
-    """Exact growth exponents of the drift and variance along the ray.
-
-    Reports alpha and u.c of the drift u.h ~ (u.c) s^alpha, beta and nu
-    of sigma2 ~ nu s^beta (as params_from_spec derives them), and the
-    fluctuation exponent surrogates delta1 (growth of max_i |h_i|) and
-    delta2 (growth of the alpha_tilde-moment surrogate, divided by
-    alpha_tilde).  alpha and u.c are None where u.h is nonpositive
-    somewhere on the ray or its leading terms cancel, nu where a log tops
-    sigma2, and delta1 where h is eventually 0.
-    """
+    """classify_growth(spec, config).exponents, without the verdict; kept
+    while the benchmark tracer (bench/tracer.py) names it."""
     return _fitted_exponents(_probe_ray(spec, config), _exponents(spec))

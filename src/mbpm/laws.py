@@ -318,9 +318,9 @@ def poisson_draws(rng, rates, size=None, law="offspring", rows=None):
     for an array of rates, the offending entry's row (and child type),
     instead of numpy's bare "lam value too large".  The row is the entry's
     index in ``rates``, or, where ``rates`` holds the rows of the states
-    that ``rows`` selects (an index array or a boolean mask), the row of
-    the states.  numpy checks every rate before it draws, so the search for
-    the offending one runs only after its refusal.
+    whose indices ``rows`` lists, the row of the states.  numpy checks
+    every rate before it draws, so the search for the offending one runs
+    only after its refusal.
     """
     try:
         return rng.poisson(rates, size)
@@ -330,10 +330,7 @@ def poisson_draws(rng, rates, size=None, law="offspring", rows=None):
     where = np.unravel_index(np.argmax(rates), np.shape(rates))
     at = ""
     if where:
-        row = where[0]
-        if rows is not None:
-            rows = np.asarray(rows)
-            row = (np.flatnonzero(rows) if rows.dtype == bool else rows)[row]
+        row = where[0] if rows is None else rows[where[0]]
         at = f" at row {row}" + (f", child type {where[1]}" if len(where) > 1 else "")
     raise ValueError(
         f"Poisson {law} rate {np.max(rates):.10g}{at} is past numpy's "
@@ -628,9 +625,8 @@ class ShiftedPoissonImmigration(_SpreadsLikeItsDeviation):
         return None if reads_size(self.mean_fn) else self._rate(None)
 
     def sample_batch(self, rng, n, s=None, rows=None):
-        """``n`` draws, one per row of the sizes s (R,) that rows selects
-        (an index array or a boolean mask; every row if None), each at its
-        row's mean.
+        """``n`` draws, one per row of the sizes s (R,) whose indices rows
+        lists (every row if None), each at its row's mean.
 
         A constant mean does not read the sizes, so they are not gathered.
         """

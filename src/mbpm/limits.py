@@ -95,7 +95,10 @@ class LimitParams:
 
     @property
     def l1_constant(self) -> float:
-        """Constant of the mean-normalized a.s./L1 limit: ((u.c)(1-alpha))^{1/(1-alpha)}."""
+        """Constant of the mean-normalized a.s./L1 limit: ((u.c)(1-alpha))^{1/(1-alpha)}.
+
+        Times n^{1/(1-alpha)}, it is the closed-form large-n equivalent of a_n.
+        """
         return (self.c_dot_u * (1.0 - self.alpha)) ** (1.0 / (1.0 - self.alpha))
 
     def to_dict(self) -> dict:
@@ -159,15 +162,6 @@ def a_seq(c_dot_u: float, alpha: float, n: int):
         x += step
         a[k + 1] = x
     return a
-
-
-def a_asymptotic(c_dot_u: float, alpha: float, n: int) -> float:
-    """Closed-form large-n equivalent ((u.c)(1-alpha) n)^{1/(1-alpha)} of a_n."""
-    if alpha >= 1.0:
-        raise ValueError("alpha must be < 1")
-    if c_dot_u <= 0.0:
-        raise ValueError("u . c must be positive")
-    return (c_dot_u * (1.0 - alpha) * n) ** (1.0 / (1.0 - alpha))
 
 
 def lambda_n(params: LimitParams, n: int) -> float:

@@ -147,7 +147,6 @@ class MomentReport:
     cond_cov: np.ndarray
     varM: np.ndarray
     sigma2: float
-    kappa: np.ndarray
 
 
 def moment_report(spec: ModelSpec, z) -> MomentReport:
@@ -161,7 +160,6 @@ def moment_report(spec: ModelSpec, z) -> MomentReport:
         cond_cov=cond_var(spec, z),
         varM=migration_var(spec, z),
         sigma2=sigma2(spec, z),
-        kappa=migration_kappa(spec, z),
     )
 
 

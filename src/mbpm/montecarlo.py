@@ -13,10 +13,10 @@ mostly fixed per numpy call, so wider blocks cost less per row-step
 with two workers the three acceptance ensembles took 1.7 s at 2048 rows
 against 2.6 s at 256, 1.9 s at 1024 and 2.1 s at 4096.
 On top of the ensembles sit the estimators the suites share: explosion
-probabilities with binomial confidence intervals, empirical CDFs, the
-Kolmogorov-Smirnov sup-distance, reference gamma and normal CDFs accurate
-to 1e-10, and a one-step moment checker that compares empirical means
-and covariances against the exact formulas.  The checker draws in
+probabilities with binomial confidence intervals, the Kolmogorov-Smirnov
+sup-distance to a reference law (gof_report), reference gamma and normal
+CDFs accurate to 1e-10, and a one-step moment checker that compares
+empirical means and covariances against the exact formulas.  The checker draws in
 chunks too, of whole batches and about ROWS = 2**16 rows: chunk c from
 stream_for(seed, c).  It keeps only each batch's sums and Gram matrix,
 exact integers, and totals them in Python ints, so its memory does not
@@ -254,18 +254,6 @@ def estimate_explosion(ensemble: Ensemble, K: float) -> ProbabilityEstimate:
         trials=ensemble.replicates,
         threshold=float(K),
     )
-
-
-def ecdf(sample) -> Callable:
-    """Right-continuous empirical CDF of the sample, usable as a reference law."""
-    xs = np.sort(np.asarray(sample, dtype=float))
-    if xs.size == 0:
-        raise ValueError("empty sample")
-
-    def F(x):
-        return np.searchsorted(xs, x, side="right") / xs.size
-
-    return F
 
 
 def _run_starts(x):

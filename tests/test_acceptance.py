@@ -15,12 +15,11 @@ import oracles
 from conftest import load_doc
 from mbpm import (
     LimitParams,
-    a_asymptotic,
     a_seq,
     classify_growth,
     feller_params,
     gamma_cdf,
-    ks_statistic,
+    gof_report,
     lambda_n,
     moment_check,
     normal_cdf,
@@ -82,7 +81,8 @@ def test_criterion_3_gamma_limit(gamma_ensemble):
     budget = 300.0
     t0 = time.perf_counter()
     w = gamma_ensemble.terminal[:, 0] / gamma_ensemble.n
-    d = ks_statistic(w, lambda x: gamma_cdf(x, 4.0, 0.5))
+    d = gof_report(w, lambda x: gamma_cdf(x, 4.0, 0.5), "gamma", {"shape": 4.0, "scale": 0.5},
+                   threshold=0.05).value
     elapsed = time.perf_counter() - t0 + conftest.BUILD_SECONDS["gamma_ensemble"]
     record(3, d <= 0.05,
            f"Z_n/n vs gamma(shape 4, scale 0.5): KS {d:.4f} <= 0.05 "
@@ -112,7 +112,7 @@ def test_criterion_5_normal_fluctuations(sqrt_ensemble):
     params = LimitParams(alpha=0.5, c=np.array([1.0]), c_dot_u=1.0, beta=1.0, nu=1.0)
     lam = lambda_n(params, n)
     w = (sqrt_ensemble.terminal[:, 0] - a_n) / lam
-    d = ks_statistic(w, normal_cdf)
+    d = gof_report(w, normal_cdf, "standard normal", {}, threshold=0.07).value
     elapsed = time.perf_counter() - t0 + conftest.BUILD_SECONDS["sqrt_ensemble"]
     record(5, d <= 0.07,
            f"(Z_n - a_n)/Lambda_n vs standard normal: KS {d:.4f} <= 0.07 "
@@ -127,7 +127,9 @@ def test_criterion_6_diffusion_limit(gamma_spec, gamma_ensemble):
     assert drift == 2.0 and diffusion == 1.0
     w_emp = gamma_ensemble.states[:2000, gamma_ensemble.steps.index(500), 0] / 500.0
     # the diffusion started at 0 is exactly Gamma(2 drift / diffusion, diffusion / 2) at t = 1
-    d = ks_statistic(w_emp, lambda x: gamma_cdf(x, 2.0 * drift / diffusion, diffusion / 2.0))
+    shape, scale = 2.0 * drift / diffusion, diffusion / 2.0
+    d = gof_report(w_emp, lambda x: gamma_cdf(x, shape, scale), "gamma",
+                   {"shape": shape, "scale": scale}, threshold=0.05).value
     elapsed = time.perf_counter() - t0 + conftest.BUILD_SECONDS["gamma_ensemble"]
     record(6, d <= 0.05,
            f"Z_[n]/n at n=500 vs the diffusion's exact law Gamma(4, 0.5) "
@@ -159,8 +161,9 @@ def test_criterion_8_exact_sequences():
     for c in [2.0, 0.5]:
         a = a_seq(c, 0.0, n_big)
         ok = ok and np.array_equal(a, 1.0 + c * np.arange(n_big + 1))
-    ratio = (a_seq(1.0, 0.5, 100_000)[-1]
-             / a_asymptotic(1.0, 0.5, 100_000))
+    sqrt_params = LimitParams(alpha=0.5, c=np.array([1.0]), c_dot_u=1.0, beta=1.0, nu=1.0)
+    asymptote = sqrt_params.l1_constant * 100_000 ** (1.0 / (1.0 - sqrt_params.alpha))
+    ratio = a_seq(1.0, 0.5, 100_000)[-1] / asymptote
     ok = ok and abs(ratio - 1.0) <= 0.05
     params = LimitParams(alpha=0.0, c=np.array([2.0]), c_dot_u=2.0, beta=1.0, nu=1.0)
     lam_exact = all(lambda_n(params, n) == float(n)

@@ -116,6 +116,12 @@ def test_is_primitive_known_cases():
     assert not is_primitive(np.triu(np.ones((3, 3))))  # reducible
 
 
+def test_is_primitive_at_256_types():
+    # 256 paths between two types must not count as none: a uint8 product wraps there
+    assert is_primitive(np.ones((256, 256)))
+    assert not is_primitive(np.roll(np.eye(256), 1, axis=0))  # a 256-cycle has period 256
+
+
 def test_is_primitive_input_validation():
     with pytest.raises(ValueError):
         is_primitive(np.ones((2, 3)))

@@ -35,10 +35,10 @@ from mbpm import (
     growth_ratio,
     load_spec,
     params_from_spec,
-    probe_states,
     sigma2,
     spec_from_dict,
 )
+from mbpm.classify import _probe_ray
 from mbpm.laws import exponent_of, limit_of
 from mbpm.moments import abs_exponent
 
@@ -73,11 +73,11 @@ def test_criteria_config_validation():
 def test_probe_state_past_int64_is_named(small_support_spec):
     # v = (1.23, 0.70): 9e18 fits the config's bound, but not the state 1.1e19
     with pytest.raises(ValueError, match="probe state at magnitude 9e\\+18 does not fit int64"):
-        probe_states(small_support_spec, CriteriaConfig(ray_points=(10.0, 9e18)))
+        classify_growth(small_support_spec, CriteriaConfig(ray_points=(10.0, 9e18)))
 
 
 def test_probe_states_follow_direction(two_type_spec):
-    probes = probe_states(two_type_spec, CriteriaConfig(ray_points=(100.0, 1000.0)))
+    probes = _probe_ray(two_type_spec, CriteriaConfig(ray_points=(100.0, 1000.0))).probes
     assert len(probes) == 2
     for z, target in zip(probes, (100.0, 1000.0)):
         assert z.dtype == np.int64
@@ -206,7 +206,7 @@ def test_growth_support(gamma_spec, emigration_spec):
 
 def test_estimate_exponents_gamma(gamma_spec):
     # constant drift 2 and sigma2 = s + 1: the ratio tends to 2 * 2 / 1
-    out = estimate_exponents(gamma_spec)
+    out = classify_growth(gamma_spec).exponents
     assert (out["alpha"], out["c_dot_u"], out["beta"], out["nu"]) == (0.0, 2.0, 1.0, 1.0)
     assert (out["delta1"], out["delta2"], out["ratio_limit"]) == (0.0, 0.5, 4.0)
 
@@ -214,7 +214,7 @@ def test_estimate_exponents_gamma(gamma_spec):
 def test_estimate_exponents_sqrt(sqrt_spec):
     # sigma2 = s + 2 sqrt(s) - 1: three-probe slope fits gave beta = 0.988
     # and nu = 1.152 here
-    out = estimate_exponents(sqrt_spec)
+    out = classify_growth(sqrt_spec).exponents
     assert (out["alpha"], out["c_dot_u"], out["beta"], out["nu"]) == (0.5, 1.0, 1.0, 1.0)
     assert out["ratio_limit"] == math.inf  # beta < 1 + alpha: the ratio grows without bound
 
@@ -224,7 +224,7 @@ def test_estimate_exponents_sqrt(sqrt_spec):
 def test_estimate_exponents_equal_the_limit_constants(doc_name):
     # wherever params_from_spec derives them (small_support is not critical)
     spec = load_spec(spec_path(doc_name))
-    out, params = estimate_exponents(spec), params_from_spec(spec)
+    out, params = classify_growth(spec).exponents, params_from_spec(spec)
     assert (out["alpha"], out["c_dot_u"], out["beta"], out["nu"]) == (
         params.alpha, params.c_dot_u, params.beta, params.nu)
 
@@ -232,7 +232,7 @@ def test_estimate_exponents_equal_the_limit_constants(doc_name):
 def test_estimate_exponents_where_the_limit_constants_are_refused(two_type_spec):
     # uniform emigration: drift -0.05 s and a variance ~ s^2 (slope fits
     # reported beta = 1.99); alpha = 1, so params_from_spec refuses
-    out = estimate_exponents(two_type_spec)
+    out = classify_growth(two_type_spec).exponents
     assert (out["alpha"], out["c_dot_u"]) == (None, None)  # u.h < 0 on the ray
     assert (out["beta"], out["delta1"], out["delta2"]) == (2.0, 1.0, 1.0)
     with pytest.raises(ValueError, match="alpha must be < 1"):
@@ -263,7 +263,7 @@ def test_estimate_exponents_agree_with_the_exact_moments_far_out(doc_name):
         spec = spec_from_dict(_linear_immigration_doc())
     else:
         spec = load_spec(spec_path(doc_name))
-    out = estimate_exponents(spec)
+    out = classify_growth(spec).exponents
     spectral = spec.spectral()
     z = np.rint(1e12 * spectral.v).astype(np.int64)
     s = float(spectral.u @ z)
@@ -342,9 +342,9 @@ def test_classify_suite_reads_what_the_public_functions_compute(tmp_path, doc_na
     spec = load_spec(spec_path(doc_name))
     verdict = classify_growth(spec)
     assert results["classification"] == cli._jsonable(verdict)
-    assert results["fitted_exponents"] == cli._jsonable(estimate_exponents(spec))
+    assert results["fitted_exponents"] == cli._jsonable(verdict.exponents)
     if verdict.hypothesis_A:
-        for k, z in enumerate(probe_states(spec)):
+        for k, z in enumerate(_probe_ray(spec, CriteriaConfig()).probes):
             assert verdict.ratio_values[k] == growth_ratio(spec, z)  # bit for bit
 
 

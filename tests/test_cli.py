@@ -10,7 +10,7 @@ import pytest
 import scipy.stats
 
 from conftest import SHIPPED, run_fresh, spec_path
-from mbpm import (a_seq, cli, cond_mean, ecdf, gamma_cdf, ks_statistic, lambda_n, load_spec,
+from mbpm import (a_seq, cli, cond_mean, gamma_cdf, gof_report, lambda_n, load_spec,
                   normal_cdf, params_from_spec, run_ensemble)
 from mbpm.cli import _ks_check, _rank_cells, _write_tsv, main
 
@@ -108,7 +108,9 @@ def test_cdf_pairs_reference_equals_per_point_values():
     sample = np.random.default_rng(3).gamma(4.0, 0.5, size=500)
     xs = sorted(sample.tolist())
     config = cli.ExperimentConfig("doc.json", "gamma-limit", threshold_ks=1.0)
-    for cdf in (lambda x: gamma_cdf(x, 4.0, 0.5), normal_cdf, ecdf(sample[:100])):
+    head = np.sort(sample[:100])  # its right-continuous step function is one reference
+    for cdf in (lambda x: gamma_cdf(x, 4.0, 0.5), normal_cdf,
+                lambda x: np.searchsorted(head, x, side="right") / head.size):
         _, _, files = _ks_check(sample, config, cdf, "reference", {})
         header, (x, emp, ref) = files["cdf_pairs.tsv"]
         assert header == ("x", "empirical", "reference")
@@ -689,7 +691,8 @@ def test_feller_suite_small_scale(tmp_path):
     x, _, reference = np.loadtxt(os.path.join(out, "cdf_pairs.tsv"), skiprows=1).T
     assert x.size == 200 and np.all(np.diff(x) >= 0)
     np.testing.assert_allclose(reference, gamma_cdf(x, 4.0, 0.5), rtol=1e-9, atol=0)
-    assert gof["value"] == pytest.approx(ks_statistic(x, lambda v: gamma_cdf(v, 4.0, 0.5)))
+    recomputed = gof_report(x, lambda v: gamma_cdf(v, 4.0, 0.5), "gamma", {}, threshold=1.0)
+    assert gof["value"] == pytest.approx(recomputed.value)
     # the fan's reference quantiles at time t are t times those at t = 1
     fan = np.loadtxt(os.path.join(out, "quantile_fan.tsv"), skiprows=1)
     ppf = scipy.stats.gamma.ppf([0.05, 0.25, 0.5, 0.75, 0.95], 4.0, scale=0.5)

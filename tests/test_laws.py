@@ -361,14 +361,11 @@ def test_poisson_offspring_rate_past_numpy_limit_is_named():
 
 
 def test_immigration_rate_past_numpy_limit_names_the_row_of_the_states():
-    # the mask selects rows 2 and 3; the second selected row is row 3 of Z
+    # rows 2 and 3 are selected; the second selected row is row 3 of Z
     law = ShiftedPoissonImmigration(mean_fn=Power(coeff=1e17, exponent=1.0))
     s = np.array([1.0, 2.0, 3.0, 500.0])
-    rows = np.array([False, False, True, True])
     with pytest.raises(ValueError, match=r"immigration rate 5e\+19 at row 3 is past"):
-        law.sample_batch(np.random.default_rng(0), 2, s, rows)
-    with pytest.raises(ValueError, match=r"immigration rate 5e\+19 at row 3 is past"):
-        law.sample_batch(np.random.default_rng(0), 2, s, np.flatnonzero(rows))
+        law.sample_batch(np.random.default_rng(0), 2, s, np.array([2, 3]))
     with pytest.raises(ValueError, match=r"immigration rate 5e\+19 at row 3 is past"):
         law.sample_batch(np.random.default_rng(0), 4, s)
 
@@ -591,26 +588,26 @@ class _NoGather(np.ndarray):
         "shifted-poisson-power"])
 def test_immigration_draws_only_at_the_selected_rows(law, reads_sizes):
     s = np.arange(0, 600, 3, dtype=float)
-    rows = np.random.default_rng(17).random(len(s)) < 0.4
-    k = int(rows.sum())
+    rows = np.flatnonzero(np.random.default_rng(17).random(len(s)) < 0.4)
+    k = rows.size
     # the draws equal those of the selected rows alone, from the same stream
-    masked = law.sample_batch(np.random.default_rng(18), k, s, rows)
-    alone = law.sample_batch(np.random.default_rng(18), k, s[rows], np.ones(k, bool))
-    assert masked.shape == (k,)
-    assert masked.tolist() == alone.tolist()
+    selected = law.sample_batch(np.random.default_rng(18), k, s, rows)
+    alone = law.sample_batch(np.random.default_rng(18), k, s[rows], np.arange(k))
+    assert selected.shape == (k,)
+    assert selected.tolist() == alone.tolist()
     # rows=None selects every row
     every = law.sample_batch(np.random.default_rng(18), len(s), s)
     assert every.tolist() == law.sample_batch(
-        np.random.default_rng(18), len(s), s, np.ones(len(s), bool)).tolist()
+        np.random.default_rng(18), len(s), s, np.arange(len(s))).tolist()
     if reads_sizes:
         with pytest.raises(AssertionError, match="gathered"):
             law.sample_batch(np.random.default_rng(18), k, s.view(_NoGather), rows)
     else:
         draws = law.sample_batch(np.random.default_rng(18), k, s.view(_NoGather), rows)
-        assert np.asarray(draws).tolist() == masked.tolist()
+        assert np.asarray(draws).tolist() == selected.tolist()
         # a spec whose state functions read no size forms none
         draws = law.sample_batch(np.random.default_rng(18), k, None, rows)
-        assert np.asarray(draws).tolist() == masked.tolist()
+        assert np.asarray(draws).tolist() == selected.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from mbpm import (
     PoissonOffspring,
     Power,
     UniformEmigration,
-    a_asymptotic,
     a_seq,
     euler_maruyama,
     feller_params,
@@ -237,14 +236,10 @@ def test_a_seq_rejects_nonpositive_drift():
         a_seq(-1.0, 0.0, 5)
 
 
-def test_a_asymptotic_values():
-    assert a_asymptotic(2.0, 0.0, 10) == pytest.approx(20.0)
-    assert a_asymptotic(1.0, 0.5, 100) == pytest.approx(2500.0)
-
-
 def test_a_seq_approaches_asymptote():
+    # the closed form l1_constant n^{1/(1-alpha)}
     a = a_seq(1.0, 0.5, 10_000)
-    ratio = a[-1] / a_asymptotic(1.0, 0.5, 10_000)
+    ratio = a[-1] / (_params(0.5, 1.0, c=1.0).l1_constant * 10_000 ** (1.0 / (1.0 - 0.5)))
     assert abs(ratio - 1.0) < 0.05
 
 

@@ -164,7 +164,7 @@ def test_moment_report_bundles_everything(two_type_spec, sqrt_spec):
     assert np.allclose(rep.cond_mean, cond_mean(two_type_spec, [50, 30]))
     assert rep.sigma2 == sigma2(two_type_spec, [50, 30]) > 0
     d = cli._jsonable(rep)
-    assert set(d) == {"z", "h", "cond_mean", "cond_cov", "varM", "sigma2", "kappa"}
+    assert set(d) == {"z", "h", "cond_mean", "cond_cov", "varM", "sigma2"}
     # sqrt_drift's immigration mean reads the model's own size: h(100) = sqrt(100)
     assert moment_report(sqrt_spec, [100]).h.tolist() == [10.0]
 

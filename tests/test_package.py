@@ -17,14 +17,14 @@ EXPORTED = [
     "ModelSpec", "MomentCheckReport", "MomentReport", "OffspringSpec", "PoissonOffspring",
     "Power", "ProbabilityEstimate", "ShiftedPoissonImmigration", "SpecFormatError",
     "SpectralData", "Table", "TableImmigration", "TableInitial", "TableOffspring",
-    "TruncatedGeometricEmigration", "UniformEmigration", "a_asymptotic",
-    "a_seq", "advance", "algebra", "check_growth_support", "check_hypothesis_C", "classify",
-    "classify_growth", "cond_mean", "cond_var", "criticality", "ecdf", "estimate_explosion",
+    "TruncatedGeometricEmigration", "UniformEmigration", "a_seq", "advance", "algebra",
+    "check_growth_support", "check_hypothesis_C", "classify",
+    "classify_growth", "cond_mean", "cond_var", "criticality", "estimate_explosion",
     "estimate_exponents", "euler_maruyama", "feller_params", "gamma_cdf", "gamma_quantile",
     "gof_report", "growth_ratio", "is_primitive", "ks_statistic", "lambda_n", "laws",
     "limits", "load_spec", "migration_atoms", "migration_kappa",
     "migration_mean", "migration_var", "model", "moment_check", "moment_report", "moments",
-    "montecarlo", "normal_cdf", "odot", "params_from_spec", "perron", "probe_states",
+    "montecarlo", "normal_cdf", "odot", "params_from_spec", "perron",
     "run_ensemble", "sample_migration", "sample_step_batch", "sigma2", "simulate_path",
     "spec_digest", "spec_from_dict", "spec_to_dict", "stream_for",
     "wilson_interval",
@@ -102,3 +102,30 @@ def test_cli_imports_no_private_classify_name():
                if isinstance(node, ast.ImportFrom) and node.module in ("classify", "mbpm.classify")
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+# Names the benchmark tracer still pins (bench/tracer.py); the demos reach
+# each job through its one entry point instead: gof_report for KS,
+# classify_growth for the growth exponents, run_ensemble for paths,
+# moment_report for the exact moments.
+TRACER_ONLY = {"ks_statistic", "estimate_exponents", "simulate_path", "euler_maruyama",
+               "migration_atoms", "migration_kappa"}
+
+
+def test_demos_use_no_tracer_only_name():
+    demos = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
+    used = []
+    for script in sorted(os.listdir(demos)):
+        if not script.endswith(".py"):
+            continue
+        with open(os.path.join(demos, script), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            used += [(script, name) for name in names if name in TRACER_ONLY]
+    assert used == []
