@@ -44,14 +44,13 @@ _EXPORTS = {
     "model": (
         "DeterministicInitial",
         "MigrationComponent",
-        "MigrationSpec",
         "ModelSpec",
-        "OffspringSpec",
         "SpecFormatError",
         "TableInitial",
         "advance",
         "load_spec",
         "sample_migration",
+        "sample_offspring",
         "sample_step_batch",
         "simulate_path",
         "spec_digest",

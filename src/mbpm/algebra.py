@@ -15,7 +15,6 @@ import math
 
 import numpy as np
 
-_POWER_TOL = 1e-12
 _POWER_MAXIT = 100_000
 # Distance from 1 within which a Perron root counts as critical.
 _CRITICAL_TOL = 1e-9
@@ -129,11 +128,10 @@ def perron(m) -> SpectralData:
     Power iteration on m^T (for ``u``) and m (for ``v``); primitivity
     guarantees convergence and the iterates stay positive.  Each step is
     formed by ``dot``, so every iterate is the same to the last bit on
-    every host.  Once a step moves less than ``_POWER_TOL`` the iteration
-    has converged, and it goes on until the iterate repeats an earlier one
-    (a fixed point, or a cycle of floats a few ulps wide), or for at most
-    ``_POWER_MAXIT`` more steps, so the result is a point the iteration
-    returns to, not wherever the tolerance happened to stop it.
+    every host.  The iteration stops at the first iterate that repeats an
+    earlier one (a fixed point, or a cycle of floats a few ulps wide), so
+    the result is a point the iteration returns to, not wherever a
+    tolerance happened to stop it; it refuses after ``_POWER_MAXIT`` steps.
     """
     m = np.asarray(m, dtype=float)
     if not is_primitive(m):
@@ -148,23 +146,13 @@ def perron(m) -> SpectralData:
 
     def _iterate(a):
         x = np.full(len(a), 1.0 / len(a))
-        lam = 1.0
-        for _ in range(_POWER_MAXIT):
-            lam_new, y = _step(a, x)
-            converged = (np.abs(y - x).max() < _POWER_TOL
-                         and abs(lam_new - lam) < _POWER_TOL * max(1.0, lam))
-            x, lam = y, lam_new
-            if converged:
-                break
-        else:
-            raise ValueError(f"power iteration did not converge in {_POWER_MAXIT} steps")
-        seen = {x.tobytes()}
+        seen = set()
         for _ in range(_POWER_MAXIT):
             lam, x = _step(a, x)
             if x.tobytes() in seen:
-                break
+                return lam, x
             seen.add(x.tobytes())
-        return lam, x
+        raise ValueError(f"power iteration did not repeat an iterate in {_POWER_MAXIT} steps")
 
     rho_u, u = _iterate(m.T)
     rho_v, v = _iterate(m)

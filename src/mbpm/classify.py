@@ -119,7 +119,7 @@ def check_hypothesis_C(spec: ModelSpec) -> Optional[dict]:
     law's probability and mean count as 0.
     """
     limits = {key: [] for key in "pqrab"}
-    for comp in spec.migration.components:
+    for comp in spec.migration:
         leads = migration_leads(comp)
         for key in limits:
             limits[key].append(limit_of(leads[key]))
@@ -140,17 +140,18 @@ def growth_ratio(spec: ModelSpec, z) -> float:
 
 
 def check_growth_support(spec: ModelSpec, z) -> bool:
-    """Can every occupied type both receive immigrants and reproduce at z?"""
+    """Can every occupied type both receive immigrants and reproduce at z?
+
+    A type can reproduce where its parents' mean children vector is not 0:
+    counts are nonnegative, so a zero mean is a law with no children."""
     z = np.asarray(z, dtype=np.int64)
     if not z.any():
         raise ValueError("support condition is defined for non-null states")
     s = spec.size(z)
+    m = spec.mean_matrix()
     for i in np.flatnonzero(z > 0):
-        comp = spec.migration.components[i]
-        _, pi, _ = comp.branch_probs(s, int(z[i]))
-        if pi <= 0.0:
-            return False
-        if spec.offspring.laws[i].prob_zero() >= 1.0:
+        _, pi, _ = spec.migration[i].branch_probs(s, int(z[i]))
+        if pi <= 0.0 or not m[:, i].any():
             return False
     return True
 
@@ -201,7 +202,7 @@ def _exponents(spec: ModelSpec) -> dict:
     E|M_i - h_i|^(2 + delta) and the terms q_i E[I_i] and r_i E[D_i] of
     h_i (-inf where 0); and the surrogate, the larger of z_i + h_i (a
     count: linear) and E|M_i - h_i|^alpha_tilde over all types."""
-    comps = spec.migration.components
+    comps = spec.migration
     out = leading_moments(spec)
     out["shifted"] = [abs_exponent(c, 1.0 + DELTA / 2.0, shifted=True) for c in comps]
     out["centered"] = [abs_exponent(c, 2.0 + DELTA) for c in comps]

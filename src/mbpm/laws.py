@@ -349,9 +349,6 @@ class PoissonOffspring:
     def var(self) -> float:
         return self.mean
 
-    def prob_zero(self) -> float:
-        return math.exp(-self.mean)
-
     def largest(self) -> Optional[int]:
         return None  # no largest count
 
@@ -373,9 +370,6 @@ class BernoulliOffspring:
 
     def var(self) -> float:
         return self.prob * (1.0 - self.prob)
-
-    def prob_zero(self) -> float:
-        return 1.0 - self.prob
 
     def largest(self) -> int:
         return 1
@@ -401,9 +395,6 @@ class GeometricOffspring:
 
     def var(self) -> float:
         return self.mean * (1.0 + self.mean)
-
-    def prob_zero(self) -> float:
-        return 1.0 / (1.0 + self.mean)
 
     def largest(self) -> Optional[int]:
         return None  # no largest count
@@ -441,10 +432,6 @@ class TableOffspring:
 
     def var(self) -> float:
         return dot(np.square(self.values, dtype=float), self.probs) - self.mean**2
-
-    def prob_zero(self) -> float:
-        v = np.asarray(self.values)
-        return float(np.asarray(self.probs, dtype=float)[v == 0].sum())
 
     def largest(self) -> int:
         return int(max(self.values))
@@ -512,12 +499,6 @@ class IndependentOffspring:
     def cov(self):
         return np.diag([c.var() for c in self.components]).astype(float)
 
-    def prob_zero(self) -> float:
-        out = 1.0
-        for c in self.components:
-            out *= c.prob_zero()
-        return out
-
     def largest_vec(self) -> list:
         """The largest count of each child type, 0 where its law has none."""
         return [c.largest() or 0 for c in self.components]
@@ -548,11 +529,6 @@ class FiniteOffspring:
     def cov(self):
         cols, mu = np.asarray(self.vectors, dtype=float).T, self.mean_vec()
         return np.array([[dot(self.probs, a * b) for b in cols] for a in cols]) - np.outer(mu, mu)
-
-    def prob_zero(self) -> float:
-        v = np.asarray(self.vectors)
-        mask = (v == 0).all(axis=1)
-        return float(np.asarray(self.probs, dtype=float)[mask].sum())
 
     def largest_vec(self) -> list:
         """The largest count of each child type."""

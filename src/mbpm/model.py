@@ -18,14 +18,18 @@ one place a size is formed, and it forms none where every state function
 is constant; everything downstream (``branch_probs``, the immigration
 laws, the migration moments) reads s, never u.
 
+``ModelSpec`` holds the per-type parts as tuples, ``spec.offspring[i]``
+and ``spec.migration[i]``, and counts the types once, when it is built.
+
 One kernel, ``advance``, draws every transition: it steps an (R, p) array
-of states with a fixed sequence of numpy calls, per type for migration and
-per parent type for offspring.  Migration forms the rows' sizes once per
-step and reads each component's branch probabilities at them
-(``branch_probs``), so constant and state-dependent documents take the
-same path.  When every offspring count is Poisson the offspring take one
-call: the children of type j from all parents are a sum of independent
-Poissons, hence Poisson with the summed rate.
+of states with a fixed sequence of numpy calls in two half-steps, each a
+module function of the spec.  ``sample_migration`` draws per type: it
+forms the rows' sizes once per step and reads each component's branch
+probabilities at them (``branch_probs``), so constant and state-dependent
+documents take the same path.  ``sample_offspring`` draws per parent
+type, or, when every offspring count is Poisson, in one call: the
+children of type j from all parents are a sum of independent Poissons,
+hence Poisson with the summed rate.
 ``simulate_path`` runs the kernel on a single row, ``sample_step_batch``
 on one state broadcast to many rows, and the ensembles in ``montecarlo``
 on blocks of replicates.
@@ -66,102 +70,6 @@ class SpecFormatError(ValueError):
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
-
-
-@dataclass(frozen=True)
-class OffspringSpec:
-    """One joint offspring law per parent type."""
-
-    laws: tuple
-
-    def __post_init__(self):
-        p = len(self.laws)
-        if p == 0:
-            raise ValueError("offspring spec needs at least one type")
-        for i, law in enumerate(self.laws):
-            if law.dim != p:
-                raise ValueError(
-                    f"offspring law for type {i} produces {law.dim}-vectors "
-                    f"in a {p}-type model"
-                )
-
-    @property
-    def dim(self) -> int:
-        return len(self.laws)
-
-    def mean_matrix(self):
-        # column j = mean children vector of a type-j parent
-        return np.stack([law.mean_vec() for law in self.laws], axis=1)
-
-    def cov_tensor(self):
-        # cov_tensor()[i] = covariance of the children vector of a type-i parent
-        return np.stack([law.cov() for law in self.laws], axis=0)
-
-    @cached_property
-    def poisson_means(self):
-        """The mean matrix if every child count of every parent is Poisson, else None."""
-        if all(
-            isinstance(law, IndependentOffspring)
-            and all(isinstance(c, PoissonOffspring) for c in law.components)
-            for law in self.laws
-        ):
-            return self.mean_matrix()
-        return None
-
-    @cached_property
-    def _largest(self):
-        """(largest, widest): largest[i, j] is the largest count of child type
-        j from one parent of type i, 0 where the law has none, and widest the
-        largest column sum; None if no law has a largest count."""
-        largest = np.array([law.largest_vec() for law in self.laws], dtype=object)
-        widest = int(largest.sum(axis=0).max())
-        return (largest, widest) if widest else None
-
-    def _check_int64(self, counts):
-        """Refuse a row whose parents could have more children of one type
-        than int64 holds, naming the row and the child type.
-
-        One max reduction decides whether any row can come near; only then
-        are the rows' bounds summed, exactly, in Python integers.
-        """
-        if self._largest is None:
-            return
-        largest, widest = self._largest
-        if int(counts.max(initial=0)) * widest <= _INT64_MAX:
-            return
-        bounds = counts.astype(object) @ largest
-        for r, j in np.argwhere(bounds > _INT64_MAX)[:1]:
-            raise ValueError(
-                f"the parents of row {r} could have {bounds[r, j]} children of type {j}, "
-                f"past int64 ({_INT64_MAX})"
-            )
-
-    def sample_sum_batch(self, rng, counts):
-        """Children (R, p) of the parent counts (R, p), summed over all parents.
-
-        All-Poisson laws draw once per row and child type, at the rate
-        (counts @ m.T)[r, j].  The rates are summed parent by parent rather
-        than by a BLAS product, whose fused multiply-adds vary by CPU: the
-        draws must not.  They are formed type-major, a (p, R) array from
-        the rows of counts.T (contiguous where counts is the transpose of
-        ``sample_migration``'s buffer), and drawn through its transpose in
-        the C order of (R, p).  With one type the rate is counts * mean, as
-        in ``PoissonOffspring``.  Other laws draw parent type by parent
-        type, after ``_check_int64``: numpy would wrap a sum past int64
-        silently.  Either way the children come back C-ordered.
-        """
-        m = self.poisson_means
-        if m is not None:
-            c = counts.T
-            rates = c[0] * m[:, :1]
-            for i in range(1, self.dim):
-                rates += c[i] * m[:, i, None]
-            return poisson_draws(rng, rates.T)
-        self._check_int64(counts)
-        out = np.zeros(counts.shape, dtype=np.int64)
-        for i, law in enumerate(self.laws):
-            law.sample_sum_batch(rng, counts[:, i], out)
-        return out
 
 
 @dataclass(frozen=True)
@@ -206,20 +114,6 @@ class MigrationComponent:
 
 
 @dataclass(frozen=True)
-class MigrationSpec:
-    components: tuple
-
-    @property
-    def dim(self) -> int:
-        return len(self.components)
-
-    def needs_size(self) -> bool:
-        """Whether any state function here depends on the scalar size u . z."""
-        return any(laws.reads_size(f) for comp in self.components
-                   for f in comp.state_functions())
-
-
-@dataclass(frozen=True)
 class DeterministicInitial:
     state: tuple
 
@@ -259,24 +153,29 @@ InitialLaw = DeterministicInitial | TableInitial
 
 
 class ModelSpec:
-    """Offspring + migration + initial law, with cached spectral data."""
+    """One joint offspring law and one migration component per type, and
+    an initial law, with cached spectral data."""
 
-    def __init__(self, offspring: OffspringSpec, migration: MigrationSpec, initial: InitialLaw):
-        if offspring.dim != migration.dim:
-            raise ValueError(
-                f"offspring describes {offspring.dim} types but migration "
-                f"describes {migration.dim}"
-            )
-        if initial.dim != offspring.dim:
-            raise ValueError(
-                f"initial law produces {initial.dim}-vectors in a {offspring.dim}-type model"
-            )
-        self.offspring = offspring
-        self.migration = migration
+    def __init__(self, offspring, migration, initial: InitialLaw):
+        self.offspring = offspring = tuple(offspring)
+        self.migration = migration = tuple(migration)
         self.initial = initial
+        p = len(offspring)
+        if p == 0:
+            raise SpecFormatError("offspring", "offspring spec needs at least one type")
+        for i, law in enumerate(offspring):
+            if law.dim != p:
+                raise SpecFormatError(
+                    "offspring", f"offspring law for type {i} produces {law.dim}-vectors "
+                    f"in a {p}-type model"
+                )
+        if len(migration) != p:
+            raise SpecFormatError("migration", f"{len(migration)} components for {p} types")
+        if initial.dim != p:
+            raise ValueError(f"initial law produces {initial.dim}-vectors in a {p}-type model")
         self._spectral = None
         self._u = None  # the weights of the size, where the migration reads it
-        if migration.needs_size():
+        if any(laws.reads_size(f) for comp in migration for f in comp.state_functions()):
             try:
                 self._u = self.spectral().u
             except ValueError as exc:
@@ -288,13 +187,35 @@ class ModelSpec:
 
     @property
     def dim(self) -> int:
-        return self.offspring.dim
+        return len(self.offspring)
 
     def mean_matrix(self):
-        return self.offspring.mean_matrix()
+        # column j = mean children vector of a type-j parent
+        return np.stack([law.mean_vec() for law in self.offspring], axis=1)
 
     def cov_tensor(self):
-        return self.offspring.cov_tensor()
+        # cov_tensor()[i] = covariance of the children vector of a type-i parent
+        return np.stack([law.cov() for law in self.offspring], axis=0)
+
+    @cached_property
+    def poisson_means(self):
+        """The mean matrix if every child count of every parent is Poisson, else None."""
+        if all(
+            isinstance(law, IndependentOffspring)
+            and all(isinstance(c, PoissonOffspring) for c in law.components)
+            for law in self.offspring
+        ):
+            return self.mean_matrix()
+        return None
+
+    @cached_property
+    def _largest(self):
+        """(largest, widest): largest[i, j] is the largest count of child type
+        j from one parent of type i, 0 where the law has none, and widest the
+        largest column sum; None if no law has a largest count."""
+        largest = np.array([law.largest_vec() for law in self.offspring], dtype=object)
+        widest = int(largest.sum(axis=0).max())
+        return (largest, widest) if widest else None
 
     def spectral(self) -> algebra.SpectralData:
         if self._spectral is None:
@@ -333,7 +254,7 @@ class ModelSpec:
         probes.extend(np.eye(p, dtype=np.int64))
         probes.append(np.full(p, 5, dtype=np.int64))
         probes.append(np.arange(1, p + 1, dtype=np.int64) * 7)
-        for i, comp in enumerate(self.migration.components):
+        for i, comp in enumerate(self.migration):
             fns = comp.state_functions()
             for z in probes:
                 s = self.size(z)
@@ -404,12 +325,12 @@ def sample_migration(spec: ModelSpec, Z, rng):
 
     The adjustments are written type-major, one contiguous row of a (p, R)
     buffer per type, and returned as its transpose: an F-ordered (R, p)
-    view, whose columns ``OffspringSpec.sample_sum_batch`` reads as rows.
+    view, whose columns ``sample_offspring`` reads as rows.
     """
     s = spec.size(Z)
     R = len(Z)
     out = np.zeros((spec.dim, R), dtype=np.int64)
-    for i, comp in enumerate(spec.migration.components):
+    for i, comp in enumerate(spec.migration):
         zi, row = Z[:, i], out[i]
         pn, pi, pe = comp.branch_probs(s, zi)
         hi = pn + pi
@@ -426,19 +347,67 @@ def sample_migration(spec: ModelSpec, Z, rng):
     return out.T
 
 
+def _check_int64(spec: ModelSpec, counts):
+    """Refuse a row whose parents could have more children of one type
+    than int64 holds, naming the row and the child type.
+
+    One max reduction decides whether any row can come near; only then
+    are the rows' bounds summed, exactly, in Python integers.
+    """
+    if spec._largest is None:
+        return
+    largest, widest = spec._largest
+    if int(counts.max(initial=0)) * widest <= _INT64_MAX:
+        return
+    bounds = counts.astype(object) @ largest
+    for r, j in np.argwhere(bounds > _INT64_MAX)[:1]:
+        raise ValueError(
+            f"the parents of row {r} could have {bounds[r, j]} children of type {j}, "
+            f"past int64 ({_INT64_MAX})"
+        )
+
+
+def sample_offspring(spec: ModelSpec, counts, rng):
+    """Children (R, p) of the parent counts (R, p), summed over all parents.
+
+    All-Poisson laws draw once per row and child type, at the rate
+    (counts @ m.T)[r, j].  The rates are summed parent by parent rather
+    than by a BLAS product, whose fused multiply-adds vary by CPU: the
+    draws must not.  They are formed type-major, a (p, R) array from
+    the rows of counts.T (contiguous where counts is the transpose of
+    ``sample_migration``'s buffer), and drawn through its transpose in
+    the C order of (R, p).  With one type the rate is counts * mean, as
+    in ``PoissonOffspring``.  Other laws draw parent type by parent
+    type, after ``_check_int64``: numpy would wrap a sum past int64
+    silently.  Either way the children come back C-ordered.
+    """
+    m = spec.poisson_means
+    if m is not None:
+        c = counts.T
+        rates = c[0] * m[:, :1]
+        for i in range(1, spec.dim):
+            rates += c[i] * m[:, i, None]
+        return poisson_draws(rng, rates.T)
+    _check_int64(spec, counts)
+    out = np.zeros(counts.shape, dtype=np.int64)
+    for i, law in enumerate(spec.offspring):
+        law.sample_sum_batch(rng, counts[:, i], out)
+    return out
+
+
 def advance(spec: ModelSpec, Z, rng):
     """The next generation of every row of the int64 states Z (R, p).
 
     Migration first (``sample_migration``, at the rows' sizes), then every
-    parent present sums its offspring
-    (``OffspringSpec.sample_sum_batch``).  The draws are a fixed sequence
-    of numpy calls, so the same rows from the same stream give the same
-    result.  ``Z`` may be a read-only view, such as one state broadcast to
-    R rows, or F-ordered; the next generation is C-ordered either way.
+    parent present sums its offspring (``sample_offspring``).  The draws
+    are a fixed sequence of numpy calls, so the same rows from the same
+    stream give the same result.  ``Z`` may be a read-only view, such as
+    one state broadcast to R rows, or F-ordered; the next generation is
+    C-ordered either way.
     """
     counts = sample_migration(spec, Z, rng)
     counts += Z
-    return spec.offspring.sample_sum_batch(rng, counts)
+    return sample_offspring(spec, counts, rng)
 
 
 def simulate_path(spec: ModelSpec, n: int, rng) -> np.ndarray:
@@ -590,10 +559,12 @@ def _one(block: _Block) -> _Conv:
 
 
 def _each(block: _Block) -> _Conv:
-    return _Conv(
-        lambda ds, path: tuple(_read(block, d, f"{path}[{j}]") for j, d in enumerate(ds)),
-        lambda objs: [_write(block, obj) for obj in objs],
-    )
+    def read(ds, path: str) -> tuple:
+        if not isinstance(ds, (list, tuple)):
+            raise SpecFormatError(path, f"expected a list of mappings, got {ds!r}")
+        return tuple(_read(block, d, f"{path}[{j}]") for j, d in enumerate(ds))
+
+    return _Conv(read, lambda objs: [_write(block, obj) for obj in objs])
 
 
 _FLOAT = _Conv(_number, lambda x: x)
@@ -660,31 +631,15 @@ def spec_from_dict(doc: dict) -> ModelSpec:
     for key in _mapping(doc, ""):
         if key not in _DOCUMENT_KEYS:
             raise SpecFormatError(key, "unknown field")
-    offspring_doc = _require(doc, "offspring", "")
-    if not isinstance(offspring_doc, (list, tuple)):
-        raise SpecFormatError("offspring", "expected a list of per-type offspring laws")
-    laws = _each(_OFFSPRING).read(offspring_doc, "offspring")
-    try:
-        offspring = OffspringSpec(laws)
-    except ValueError as exc:
-        raise SpecFormatError("offspring", str(exc)) from exc
-    if "dim" in doc:
-        dim = _integer(doc["dim"], "dim")
-        if dim != offspring.dim:
-            raise SpecFormatError(
-                "dim", f"{dim} does not match the {offspring.dim} per-type offspring laws"
-            )
-    migration_doc = _require(doc, "migration", "")
-    if not isinstance(migration_doc, (list, tuple)):
-        raise SpecFormatError("migration", "expected a list of per-type components")
-    if len(migration_doc) != offspring.dim:
-        raise SpecFormatError(
-            "migration", f"{len(migration_doc)} components for {offspring.dim} types"
-        )
-    migration = MigrationSpec(_each(_COMPONENT).read(migration_doc, "migration"))
+    offspring = _each(_OFFSPRING).read(_require(doc, "offspring", ""), "offspring")
+    migration = _each(_COMPONENT).read(_require(doc, "migration", ""), "migration")
     initial = _read(_INITIAL, _require(doc, "initial", ""), "initial")
     try:
         spec = ModelSpec(offspring, migration, initial)
+        if "dim" in doc and (dim := _integer(doc["dim"], "dim")) != spec.dim:
+            raise SpecFormatError(
+                "dim", f"{dim} does not match the {spec.dim} per-type offspring laws"
+            )
         spec.validate()
     except SpecFormatError:
         raise
@@ -696,8 +651,8 @@ def spec_from_dict(doc: dict) -> ModelSpec:
 def spec_to_dict(spec: ModelSpec) -> dict:
     return {
         "dim": spec.dim,
-        "offspring": _each(_OFFSPRING).write(spec.offspring.laws),
-        "migration": _each(_COMPONENT).write(spec.migration.components),
+        "offspring": _each(_OFFSPRING).write(spec.offspring),
+        "migration": _each(_COMPONENT).write(spec.migration),
         "initial": _write(_INITIAL, spec.initial),
     }
 

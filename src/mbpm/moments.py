@@ -63,7 +63,7 @@ def _per_type_raws(spec: ModelSpec, k: int, z) -> list:
     z = np.asarray(z, dtype=np.int64)
     s = spec.size(z)
     return [_component_raws(comp, k, s, int(z[i]))
-            for i, comp in enumerate(spec.migration.components)]
+            for i, comp in enumerate(spec.migration)]
 
 
 def migration_mean(spec: ModelSpec, z):
@@ -95,7 +95,7 @@ def migration_atoms(spec: ModelSpec, i: int, z):
     laws against it.
     """
     z = np.asarray(z, dtype=np.int64)
-    comp, s, zi = spec.migration.components[i], spec.size(z), int(z[i])
+    comp, s, zi = spec.migration[i], spec.size(z), int(z[i])
     pn, pi, pe = comp.branch_probs(s, zi)
     values = [np.zeros(1)]
     probs = [np.array([pn])]
@@ -258,7 +258,7 @@ def leading_moments(spec: ModelSpec) -> dict:
     weights = [form(u, cov) for cov in spec.cov_tensor()]  # u^T Sigma_i u
     means = []
     variances = [(offspring_diffusion(spec, spectral), 1.0)]
-    for i, comp in enumerate(spec.migration.components):
+    for i, comp in enumerate(spec.migration):
         lead = migration_leads(comp, v[i])
         imm, em = migration_terms(lead)
         means.append((imm, (-em[0], em[1])))

@@ -5,7 +5,6 @@ and enforces both the tolerance and the runtime budget.  Shared ensembles
 come from session fixtures; their build time is charged to every
 criterion that consumes them, which keeps the accounting conservative.
 """
-import json
 import time
 
 import numpy as np

@@ -22,9 +22,7 @@ from mbpm import (
     IndependentOffspring,
     InverseCubeEmigration,
     MigrationComponent,
-    MigrationSpec,
     ModelSpec,
-    OffspringSpec,
     PoissonOffspring,
     Power,
     UniformEmigration,
@@ -45,16 +43,14 @@ from mbpm.moments import abs_exponent
 
 @pytest.fixture(scope="module")
 def drift_const_spec():
-    offspring = OffspringSpec(
-        laws=(IndependentOffspring(components=(PoissonOffspring(mean=1.0),)),)
-    )
+    offspring = (IndependentOffspring(components=(PoissonOffspring(mean=1.0),)),)
     comp = MigrationComponent(
         prob_imm=Constant(0.5),
         prob_em=Constant(0.25),
         immigration=DeterministicImmigration(value=2),
         emigration=DeterministicEmigration(value=1),
     )
-    return ModelSpec(offspring, MigrationSpec(components=(comp,)),
+    return ModelSpec(offspring, (comp,),
                      DeterministicInitial(state=(1,)))
 
 
@@ -202,6 +198,21 @@ def test_classify_requires_criticality(small_support_spec):
 def test_growth_support(gamma_spec, emigration_spec):
     assert check_growth_support(gamma_spec, np.array([5]))
     assert not check_growth_support(emigration_spec, np.array([5, 5]))
+
+
+def test_growth_support_reads_reproduction_from_the_mean():
+    # type-1 parents have Poisson(1e-17) children of each type: exp(-2e-17)
+    # rounds to 1, but a positive mean is a positive chance of a child
+    def law(mean):
+        return {"kind": "independent", "components": [{"family": "poisson", "mean": mean}] * 2}
+
+    comp = load_doc("gamma_single_type")["migration"][0]
+    spec = spec_from_dict({"offspring": [law(1.0), law(1e-17)], "migration": [comp, comp],
+                           "initial": {"kind": "deterministic", "state": [1, 1]}})
+    assert check_growth_support(spec, np.array([5, 5]))
+    verdict = classify_growth(spec)
+    assert (verdict.verdict, verdict.condition, verdict.support_ok) == (
+        "growth-possible", "ratio-above-one", True)
 
 
 def test_estimate_exponents_gamma(gamma_spec):

@@ -14,9 +14,7 @@ from mbpm import (
     IndependentOffspring,
     LimitParams,
     MigrationComponent,
-    MigrationSpec,
     ModelSpec,
-    OffspringSpec,
     PoissonOffspring,
     Power,
     UniformEmigration,
@@ -299,13 +297,11 @@ def test_feller_params_single_type(gamma_spec):
 def test_feller_params_two_type_hand_value():
     # Poisson(0.5) offspring everywhere; constant migration with I = D = 1:
     # drift = u . (q - r) and diffusion = sum_i v_i sum_j u_j^2 Var X_ij = 0.5
-    offspring = OffspringSpec(
-        laws=tuple(
-            IndependentOffspring(
-                components=(PoissonOffspring(mean=0.5), PoissonOffspring(mean=0.5))
-            )
-            for _ in range(2)
+    offspring = tuple(
+        IndependentOffspring(
+            components=(PoissonOffspring(mean=0.5), PoissonOffspring(mean=0.5))
         )
+        for _ in range(2)
     )
     comps = tuple(
         MigrationComponent(
@@ -316,7 +312,7 @@ def test_feller_params_two_type_hand_value():
         )
         for _ in range(2)
     )
-    spec = ModelSpec(offspring, MigrationSpec(components=comps),
+    spec = ModelSpec(offspring, comps,
                      DeterministicInitial(state=(1, 1)))
     drift, diffusion = feller_params(spec)
     assert drift == pytest.approx(0.3 - 0.2)

@@ -19,9 +19,7 @@ from mbpm import (
     GeometricOffspring,
     InverseCubeEmigration,
     MigrationComponent,
-    MigrationSpec,
     ModelSpec,
-    OffspringSpec,
     PoissonOffspring,
     IndependentOffspring,
     Power,
@@ -40,6 +38,7 @@ from mbpm import (
     migration_atoms,
     run_ensemble,
     sample_migration,
+    sample_offspring,
     sample_step_batch,
     sigma2,
     simulate_path,
@@ -52,34 +51,40 @@ from mbpm.model import _PROB_TOL
 
 
 def single_type_spec(prob_imm=0.5, prob_em=0.0, immigration=None):
-    offspring = OffspringSpec(
-        laws=(IndependentOffspring(components=(PoissonOffspring(mean=1.0),)),)
-    )
+    offspring = (IndependentOffspring(components=(PoissonOffspring(mean=1.0),)),)
     comp = MigrationComponent(
         prob_imm=Constant(prob_imm),
         prob_em=Constant(prob_em),
         immigration=immigration,
         emigration=None,
     )
-    return ModelSpec(offspring, MigrationSpec(components=(comp,)),
+    return ModelSpec(offspring, (comp,),
                      DeterministicInitial(state=(1,)))
+
+
+def offspring_only(*laws):
+    """A model of these offspring laws, one per type, without migration."""
+    still = MigrationComponent(prob_imm=Constant(0.0), prob_em=Constant(0.0))
+    return ModelSpec(laws, [still] * len(laws), DeterministicInitial((0,) * len(laws)))
 
 
 def test_dimension_mismatch_rejected(two_type_spec):
     with pytest.raises(ValueError):
         ModelSpec(two_type_spec.offspring, two_type_spec.migration,
                   DeterministicInitial(state=(1, 2, 3)))
+    with pytest.raises(SpecFormatError, match=r"^migration: 1 components for 2 types$"):
+        ModelSpec(two_type_spec.offspring, two_type_spec.migration[:1], two_type_spec.initial)
 
 
 def test_branch_probs_fold_missing_laws():
     spec = single_type_spec(prob_imm=0.4, prob_em=0.6)
-    comp = spec.migration.components[0]
+    comp = spec.migration[0]
     pn, pi, pe = comp.branch_probs(spec.size([5]), 5)
     assert (pn, pi, pe) == (1.0, 0.0, 0.0)  # no law: neither branch fires
 
 
 def test_branch_probs_fold_at_zero_count(emigration_spec):
-    comp = emigration_spec.migration.components[0]
+    comp = emigration_spec.migration[0]
     size = emigration_spec.size
     pn, pi, pe = comp.branch_probs(size([0, 4]), 0)
     assert pe == 0.0 and abs(pn - 1.0) < 1e-12
@@ -190,7 +195,7 @@ def test_decaying_emigration_needs_no_clamp():
     doc["migration"][0].update(prob_imm={"kind": "constant", "value": 0.5},
                                prob_em=_power(0.1, -1.0), emigration=_EMIGRANT)
     spec = spec_from_dict(doc)
-    comp = spec.migration.components[0]
+    comp = spec.migration[0]
     pn, pi, pe = comp.branch_probs(spec.size([0]), 0)
     assert (pn, pi, pe) == (0.5, 0.5, 0.0)
     assert comp.branch_probs(spec.size([4]), 4) == (0.475, 0.5, 0.025)
@@ -326,7 +331,7 @@ def reference_advance(spec, Z, rng):
     """The kernel with every parent type drawing its own children."""
     counts = sample_migration(spec, Z, rng) + Z
     out = np.zeros_like(counts)
-    for i, law in enumerate(spec.offspring.laws):
+    for i, law in enumerate(spec.offspring):
         law.sample_sum_batch(rng, counts[:, i], out)
     return out
 
@@ -334,17 +339,17 @@ def reference_advance(spec, Z, rng):
 def test_poisson_documents_pool_their_offspring():
     for name in ["gamma_single_type", "sqrt_drift_single_type", "two_type_mixed",
                  "pure_emigration", "two_type_coupled"]:
-        offspring = load_spec(spec_path(name)).offspring
-        assert np.array_equal(offspring.poisson_means, offspring.mean_matrix())
+        spec = load_spec(spec_path(name))
+        assert np.array_equal(spec.poisson_means, spec.mean_matrix())
     for name in ["small_support", "pure_death"]:
-        assert load_spec(spec_path(name)).offspring.poisson_means is None
-    assert mixed_family_spec().offspring.poisson_means is None
+        assert load_spec(spec_path(name)).poisson_means is None
+    assert mixed_family_spec().poisson_means is None
 
 
 def test_pooled_one_step_pmf_matches_enumeration():
     doc = pooled_small_support_doc()
     spec = spec_from_dict(doc)
-    assert spec.offspring.poisson_means is not None
+    assert spec.poisson_means is not None
     assert_step_law_matches_enumeration(doc, spec, (1, 1))
 
 
@@ -372,33 +377,33 @@ def test_mixed_family_draws_parent_by_parent():
 
 @pytest.mark.parametrize("name", ["two_type_mixed", "small_support"])
 def test_zero_count_rows_have_no_children(name):
-    offspring = load_spec(spec_path(name)).offspring
+    spec = load_spec(spec_path(name))
     counts = np.array([[0, 0], [40, 0], [0, 0], [0, 40], [0, 0]], dtype=np.int64)
-    kids = offspring.sample_sum_batch(np.random.default_rng(9), counts)
+    kids = sample_offspring(spec, counts, np.random.default_rng(9))
     assert kids.shape == counts.shape and kids.dtype == np.int64
     assert (kids[[0, 2, 4]] == 0).all()
     assert kids[[1, 3]].sum() > 0
-    empty = offspring.sample_sum_batch(np.random.default_rng(9), counts[:0])
+    empty = sample_offspring(spec, counts[:0], np.random.default_rng(9))
     assert empty.shape == (0, 2)
 
 
 def test_pooled_rate_past_numpy_limit_is_named():
     # each parent's rate 2^62 is fine, their pooled sum 2^63 is not
     unit = IndependentOffspring(components=(PoissonOffspring(1.0), PoissonOffspring(1.0)))
-    offspring = OffspringSpec(laws=(unit, unit))
+    spec = offspring_only(unit, unit)
     counts = np.array([[1, 1], [2**62, 2**62]], dtype=np.int64)
     with pytest.raises(ValueError, match=r"rate 9\.223372037e\+18 at row 1, child type 0 is "
                                          r"past numpy's Poisson limit 9\.223372006e\+18"):
-        offspring.sample_sum_batch(np.random.default_rng(0), counts)
+        sample_offspring(spec, counts, np.random.default_rng(0))
     # asymmetric means: only child type 1 of row 2 passes the limit, and the
     # rates, formed type-major, are still named by row and child type
     skew = IndependentOffspring(components=(PoissonOffspring(1.0), PoissonOffspring(2.0)))
-    offspring = OffspringSpec(laws=(skew, skew))
+    spec = offspring_only(skew, skew)
     counts = np.array([[1, 1], [2**60, 2**60], [2**61, 2**61]], dtype=np.int64)
     with pytest.raises(ValueError, match=r"rate 9\.223372037e\+18 at row 2, child type 1 is "):
-        offspring.sample_sum_batch(np.random.default_rng(0), counts)
+        sample_offspring(spec, counts, np.random.default_rng(0))
     with pytest.raises(ValueError, match=r"at row 2, child type 1 is "):
-        offspring.sample_sum_batch(np.random.default_rng(0), np.asfortranarray(counts))
+        sample_offspring(spec, np.asfortranarray(counts), np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("law", [
@@ -409,15 +414,15 @@ def test_pooled_rate_past_numpy_limit_is_named():
 def test_children_past_int64_are_refused_before_the_draw(law):
     # a parent of either type has at most 3 children of type 0, so the rows'
     # bounds are 3 (z_0 + z_1): exactly 2^63 - 2 in row 0, 2^63 + 1 in row 1
-    offspring = OffspringSpec(laws=(law, law))
+    spec = offspring_only(law, law)
     edge = (2**63 - 1) // 3
     counts = np.array([[edge, 0], [edge, 1], [2**62, 0]], dtype=np.int64)
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match=rf"^the parents of row 1 could have {3 * edge + 3} "
                                          r"children of type 0, past int64"):
-        offspring.sample_sum_batch(rng, counts)
+        sample_offspring(spec, counts, rng)
     assert rng.random() == np.random.default_rng(0).random()  # nothing was drawn
-    assert offspring.sample_sum_batch(rng, counts[:1]).shape == (1, 2)
+    assert sample_offspring(spec, counts[:1], rng).shape == (1, 2)
 
 
 def test_supercritical_ensemble_stops_before_int64_wraps(small_support_spec):
@@ -440,7 +445,7 @@ def reference_migration(spec, Z, rng):
     step, and every branch drawn through a mask."""
     s = spec.size(Z)
     out = np.zeros(Z.shape, dtype=np.int64)
-    for i, comp in enumerate(spec.migration.components):
+    for i, comp in enumerate(spec.migration):
         zi = Z[:, i]
         pn, pi, pe = comp.branch_probs(s, zi)
         x = rng.random(len(Z))
@@ -456,7 +461,7 @@ def reference_migration(spec, Z, rng):
 def reference_kernel(spec, Z, rng):
     """``advance`` with ``reference_migration``."""
     counts = reference_migration(spec, Z, rng) + Z
-    return spec.offspring.sample_sum_batch(rng, counts)
+    return sample_offspring(spec, counts, rng)
 
 
 def table_branches_doc():
@@ -486,7 +491,7 @@ def test_state_functions_stay_valid_on_a_dense_grid_of_sizes(name):
     # validation checks probes, knees and the limit; this checks between them,
     # with one vectorised call per state function
     spec = kernel_spec(name)
-    for comp in spec.migration.components:
+    for comp in spec.migration:
         pi, pe, *mean = (np.broadcast_to(f(DENSE_SIZES), DENSE_SIZES.shape)
                          for f in comp.state_functions())
         for prob in (pi, pe):
@@ -571,7 +576,7 @@ def test_kernel_stream_is_pinned(name, R):
 def test_kernel_equals_reference_kernel(name, R):
     spec = kernel_spec(name)
     if name == "table_branches":
-        assert not any(isinstance(c.prob_imm, Constant) for c in spec.migration.components)
+        assert not any(isinstance(c.prob_imm, Constant) for c in spec.migration)
     rng_a, rng_b = stream_for(61, R), stream_for(61, R)
     Z = spec.initial.sample(rng_a, R)
     assert np.array_equal(Z, spec.initial.sample(rng_b, R))
@@ -615,7 +620,7 @@ def test_advance_reads_any_layout_of_the_states(name):
 
 def test_branch_probs_fold_missing_laws_and_empty_rows():
     def components(name):
-        return load_spec(spec_path(name)).migration.components
+        return load_spec(spec_path(name)).migration
 
     rows = np.array([3, 0, 1])  # one empty row
     (gamma,) = components("gamma_single_type")
@@ -645,15 +650,15 @@ EMIGRATION_LAWS = (UniformEmigration, TruncatedGeometricEmigration, InverseCubeE
 def four_emigrations_spec():
     """Four types, one per emigration law, each with Poisson(1/4) children
     of every type (critical) and +1 or -D with probability 1/4 each."""
-    offspring = OffspringSpec(laws=tuple(
-        IndependentOffspring(components=(PoissonOffspring(mean=0.25),) * 4) for _ in range(4)))
+    offspring = tuple(
+        IndependentOffspring(components=(PoissonOffspring(mean=0.25),) * 4) for _ in range(4))
     comps = tuple(
         MigrationComponent(prob_imm=Constant(0.25), prob_em=Constant(0.25),
                            immigration=DeterministicImmigration(value=1),
                            emigration=law)
         for law in (UniformEmigration(), TruncatedGeometricEmigration(ratio=0.5),
                     InverseCubeEmigration(), DeterministicEmigration(value=2)))
-    return ModelSpec(offspring, MigrationSpec(components=comps),
+    return ModelSpec(offspring, comps,
                      DeterministicInitial(state=(1, 1, 1, 1)))
 
 
@@ -980,10 +985,19 @@ def _edited(doc, keys, value):
     (("migration", 1, "prob_imm", "lo"), 0.5, "migration[1].prob_imm: clamp bounds are inverted"),
     (("offspring", 0, "components", 0, "mean"), "abc",
      "offspring[0].components[0].mean: expected a finite number, got 'abc'"),
-    (("offspring", 0, "components"), 3, "offspring[0]: 'int' object is not iterable"),
+    # a list of blocks that is not a list
+    (("offspring", 0, "components"), 3,
+     "offspring[0].components: expected a list of mappings, got 3"),
+    (("offspring", 0, "components"), "ab",
+     "offspring[0].components: expected a list of mappings, got 'ab'"),
+    (("offspring",), 5, "offspring: expected a list of mappings, got 5"),
+    (("migration",), {"prob_imm": 0.5},
+     "migration: expected a list of mappings, got {'prob_imm': 0.5}"),
+    # the model counts its types once, when it is built
     (("offspring",), [], "offspring: offspring spec needs at least one type"),
     (("offspring", 0, "components"), [{"family": "poisson", "mean": 0.3}],
      "offspring: offspring law for type 0 produces 1-vectors in a 4-type model"),
+    (("migration",), ALL_FAMILIES["migration"][:3], "migration: 3 components for 4 types"),
     # dim, where given, is an integer equal to the number of types
     (("dim",), 7, "dim: 7 does not match the 4 per-type offspring laws"),
     (("dim",), "x", "dim: expected an integer, got 'x'"),

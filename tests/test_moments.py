@@ -4,20 +4,16 @@ import pytest
 
 import oracles
 from conftest import emigration_atoms, load_doc, spec_path
-from mbpm import cli, model
+from mbpm import cli
 from mbpm import (
     Constant,
     DeterministicEmigration,
     DeterministicImmigration,
     DeterministicInitial,
     IndependentOffspring,
-    InverseCubeEmigration,
     MigrationComponent,
-    MigrationSpec,
     ModelSpec,
-    OffspringSpec,
     PoissonOffspring,
-    UniformEmigration,
     cond_mean,
     cond_var,
     load_spec,
@@ -34,21 +30,19 @@ from mbpm import (
 @pytest.fixture(scope="module")
 def drift_const_spec():
     """Single type, unit-mean offspring, +2 w.p. 1/2, -1 w.p. 1/4."""
-    offspring = OffspringSpec(
-        laws=(IndependentOffspring(components=(PoissonOffspring(mean=1.0),)),)
-    )
+    offspring = (IndependentOffspring(components=(PoissonOffspring(mean=1.0),)),)
     comp = MigrationComponent(
         prob_imm=Constant(0.5),
         prob_em=Constant(0.25),
         immigration=DeterministicImmigration(value=2),
         emigration=DeterministicEmigration(value=1),
     )
-    return ModelSpec(offspring, MigrationSpec(components=(comp,)),
+    return ModelSpec(offspring, (comp,),
                      DeterministicInitial(state=(1,)))
 
 
 def test_offspring_moments_two_type(two_type_spec):
-    m, cov = two_type_spec.offspring.mean_matrix(), two_type_spec.offspring.cov_tensor()
+    m, cov = two_type_spec.mean_matrix(), two_type_spec.cov_tensor()
     assert np.allclose(m, 0.5)
     assert cov.shape == (2, 2, 2)
     for i in range(2):
@@ -101,7 +95,7 @@ def all_atoms(spec, i, z):
     """migration_atoms with the emigration branch it leaves out, that of a
     law whose support grows with the count, added from the oracle atoms."""
     vals, probs, pe = migration_atoms(spec, i, z)
-    comp = spec.migration.components[i]
+    comp = spec.migration[i]
     zi = int(z[i])
     if pe == 0.0 or hasattr(comp.emigration, "atoms"):
         return vals, probs

@@ -15,9 +15,7 @@ from mbpm import (
     DeterministicInitial,
     IndependentOffspring,
     MigrationComponent,
-    MigrationSpec,
     ModelSpec,
-    OffspringSpec,
     PoissonOffspring,
     TableOffspring,
     advance,
@@ -43,16 +41,14 @@ from conftest import load_doc, run_fresh, run_python, spec_path
 
 def deterministic_spec():
     """Each individual has exactly one child; +1 immigration every step."""
-    offspring = OffspringSpec(
-        laws=(IndependentOffspring(components=(TableOffspring(values=(1,), probs=(1.0,)),)),)
-    )
+    offspring = (IndependentOffspring(components=(TableOffspring(values=(1,), probs=(1.0,)),)),)
     comp = MigrationComponent(
         prob_imm=Constant(1.0),
         prob_em=Constant(0.0),
         immigration=DeterministicImmigration(value=1),
         emigration=None,
     )
-    return ModelSpec(offspring, MigrationSpec(components=(comp,)),
+    return ModelSpec(offspring, (comp,),
                      DeterministicInitial(state=(1,)))
 
 
@@ -150,9 +146,9 @@ def test_ensemble_within_256_replicates_is_unchanged(gamma_spec):
 
 def test_kernel_error_in_an_ensemble_names_the_step_and_the_block():
     # Poisson(1e9) children: rates 1e9 and ~1e18 pass, the ~1e27 of step 3 does not
-    offspring = OffspringSpec(laws=(IndependentOffspring(components=(PoissonOffspring(1e9),)),))
+    offspring = (IndependentOffspring(components=(PoissonOffspring(1e9),)),)
     stay = MigrationComponent(prob_imm=Constant(0.0), prob_em=Constant(0.0))
-    spec = ModelSpec(offspring, MigrationSpec(components=(stay,)), DeterministicInitial((1,)))
+    spec = ModelSpec(offspring, (stay,), DeterministicInitial((1,)))
     with pytest.raises(ValueError, match=r"^step 3 of 5, block from replicate 0 \(row r is "
                                          r"replicate 0 \+ r\): Poisson offspring rate .* at row [012], "):
         run_ensemble(spec, n=5, R=3, master_seed=1)

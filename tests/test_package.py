@@ -13,8 +13,8 @@ EXPORTED = [
     "BernoulliOffspring", "Clamp", "Constant", "CriteriaConfig", "DeterministicEmigration",
     "DeterministicImmigration", "DeterministicInitial", "Ensemble", "FiniteOffspring",
     "GeometricOffspring", "GoFReport", "GrowthVerdict", "IndependentOffspring",
-    "InverseCubeEmigration", "LimitParams", "MigrationComponent", "MigrationSpec",
-    "ModelSpec", "MomentCheckReport", "MomentReport", "OffspringSpec", "PoissonOffspring",
+    "InverseCubeEmigration", "LimitParams", "MigrationComponent",
+    "ModelSpec", "MomentCheckReport", "MomentReport", "PoissonOffspring",
     "Power", "ProbabilityEstimate", "ShiftedPoissonImmigration", "SpecFormatError",
     "SpectralData", "Table", "TableImmigration", "TableInitial", "TableOffspring",
     "TruncatedGeometricEmigration", "UniformEmigration", "a_seq", "advance", "algebra",
@@ -25,8 +25,8 @@ EXPORTED = [
     "limits", "load_spec", "migration_atoms", "migration_kappa",
     "migration_mean", "migration_var", "model", "moment_check", "moment_report", "moments",
     "montecarlo", "normal_cdf", "odot", "params_from_spec", "perron",
-    "run_ensemble", "sample_migration", "sample_step_batch", "sigma2", "simulate_path",
-    "spec_digest", "spec_from_dict", "spec_to_dict", "stream_for",
+    "run_ensemble", "sample_migration", "sample_offspring", "sample_step_batch", "sigma2",
+    "simulate_path", "spec_digest", "spec_from_dict", "spec_to_dict", "stream_for",
     "wilson_interval",
 ]
 SUBMODULES = ["algebra", "classify", "laws", "limits", "model", "moments", "montecarlo"]
@@ -129,3 +129,36 @@ def test_demos_use_no_tracer_only_name():
                 continue
             used += [(script, name) for name in names if name in TRACER_ONLY]
     assert used == []
+
+
+def _python_files():
+    """The package's modules but its export table, the tests and the demos."""
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    for folder in (os.path.join("src", "mbpm"), "tests", "demos"):
+        for name in sorted(os.listdir(os.path.join(root, folder))):
+            if name.endswith(".py") and (folder, name) != (os.path.join("src", "mbpm"),
+                                                           "__init__.py"):
+                yield os.path.join(folder, name), os.path.join(root, folder, name)
+
+
+def test_every_imported_name_is_read():
+    # an import whose name nothing reads is dead; "# noqa: F401" marks one
+    # kept for its side effect
+    unread = []
+    for label, path in _python_files():
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [(a, (a.asname or a.name).split(".")[0]) for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [(a, a.asname or a.name) for a in node.names]
+            else:
+                continue
+            unread += [f"{label}:{a.lineno} {name}" for a, name in bound
+                       if name not in read and "# noqa: F401" not in lines[a.lineno - 1]]
+    assert unread == []
