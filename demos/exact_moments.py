@@ -14,8 +14,8 @@ from mbpm import (
     cond_mean,
     cond_var,
     load_spec,
+    migration_mean,
     moment_check,
-    moment_report,
     sigma2,
 )
 
@@ -34,19 +34,19 @@ print(f"right weights v = {sd.v}")
 # closed-form moments at z = (50, 30)
 # ---------------------------------------------------------------------------
 
-report = moment_report(spec, z)
+direct = sigma2(spec, z)
+cov = cond_var(spec, z)
 print(f"\nstate z = {z.tolist()}")
-print(f"migration drift h(z)       = {report.h}")
-print(f"conditional mean m(z + h)  = {report.cond_mean}")
+print(f"migration drift h(z)       = {migration_mean(spec, z)}")
+print(f"conditional mean m(z + h)  = {cond_mean(spec, z)}")
 print("conditional covariance:")
-print(report.cond_cov)
-print(f"size variance sigma^2(z)   = {report.sigma2:.6f}")
+print(cov)
+print(f"size variance sigma^2(z)   = {direct:.6f}")
 
 # consistency: at criticality the variance of the size u.Z' (u the left
 # weights, which sigma2 reads from the model) can also be read off the
 # conditional covariance matrix
-direct = sigma2(spec, z)
-via_cov = float(sd.u @ cond_var(spec, z) @ sd.u)
+via_cov = float(sd.u @ cov @ sd.u)
 print(f"sigma^2 via covariance     = {via_cov:.6f} (diff {abs(direct - via_cov):.2e})")
 
 # ---------------------------------------------------------------------------
@@ -58,4 +58,3 @@ check = moment_check(spec, z, N=200_000, seed=12345)
 print(f"max |mean error|      = {check.max_mean_sigmas:.2f} standard errors")
 print(f"max |covariance error| = {check.max_cov_sigmas:.2f} standard errors")
 print("PASS" if check.passed else "FAIL")
-assert np.allclose(report.cond_mean, cond_mean(spec, z))

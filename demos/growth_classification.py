@@ -19,13 +19,7 @@ Four calibrated models illustrate the regimes:
 """
 import numpy as np
 
-from mbpm import (
-    classify_growth,
-    growth_ratio,
-    load_spec,
-    migration_mean,
-    sigma2,
-)
+from mbpm import CriteriaConfig, classify_growth, load_spec
 
 cases = [
     ("constant surplus", "specs/gamma_single_type.json"),
@@ -56,11 +50,9 @@ for name, path in cases:
 # ---------------------------------------------------------------------------
 
 spec = load_spec("specs/gamma_single_type.json")
-sd = spec.spectral()
+verdict = classify_growth(spec, CriteriaConfig(ray_points=(10, 100, 1000, 10000)))
 print("constant-surplus model along the growth ray:")
 print(f"{'size':>8} {'u.h(z)':>10} {'sigma^2(z)':>12} {'ratio':>8}")
-for size in (10, 100, 1000, 10000):
-    z = np.round(size * sd.v).astype(np.int64)
-    drift = float(sd.u @ migration_mean(spec, z))
-    fluct = sigma2(spec, z)
-    print(f"{size:8d} {drift:10.4f} {fluct:12.2f} {growth_ratio(spec, z):8.3f}")
+drift, fluct = verdict.diagnostics["u_dot_h_at_probes"], verdict.diagnostics["sigma2_at_probes"]
+for size, uh, s2, ratio in zip(verdict.probe_sizes, drift, fluct, verdict.ratio_values):
+    print(f"{size:8.0f} {uh:10.4f} {s2:12.2f} {ratio:8.3f}")

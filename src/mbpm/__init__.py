@@ -58,14 +58,12 @@ _EXPORTS = {
         "spec_to_dict",
     ),
     "moments": (
-        "MomentReport",
         "cond_mean",
         "cond_var",
         "migration_atoms",
         "migration_kappa",
         "migration_mean",
         "migration_var",
-        "moment_report",
         "sigma2",
     ),
     "classify": (
@@ -75,7 +73,6 @@ _EXPORTS = {
         "check_hypothesis_C",
         "classify_growth",
         "estimate_exponents",
-        "growth_ratio",
     ),
     "limits": (
         "LimitParams",

@@ -91,22 +91,10 @@ def is_primitive(m) -> bool:
         raise ValueError("is_primitive expects a square matrix")
     if (m < 0).any():
         raise ValueError("is_primitive expects a nonnegative matrix")
+    # numpy's matmul of boolean matrices is the (or, and) product, which
+    # cannot wrap as a count would
     p = m.shape[0]
-    b = m > 0
-    if p == 1:
-        return bool(b[0, 0])
-    target = (p - 1) ** 2 + 1
-    # Square-and-multiply on the boolean semiring: numpy's matmul of
-    # boolean matrices is its (or, and) product, and no count can wrap.
-    result = np.eye(p, dtype=bool)
-    base = b
-    k = target
-    while k:
-        if k & 1:
-            result = result @ base
-        base = base @ base
-        k >>= 1
-    return bool(result.all())
+    return bool(np.linalg.matrix_power(m > 0, (p - 1) ** 2 + 1).all())
 
 
 @dataclasses.dataclass(frozen=True)

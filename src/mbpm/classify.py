@@ -128,17 +128,6 @@ def check_hypothesis_C(spec: ModelSpec) -> Optional[dict]:
     return {key: np.array(values) for key, values in limits.items()}
 
 
-def growth_ratio(spec: ModelSpec, z) -> float:
-    """The drift-to-fluctuation ratio 2 (u.z)(u.h(z)) / sigma2(z), u the
-    left Perron weights."""
-    u = spec.spectral().u
-    z = np.asarray(z, dtype=np.int64)
-    s2 = sigma2(spec, z)
-    if s2 <= 0.0:
-        raise ValueError("one-step variance vanishes at this state (deterministic model)")
-    return 2.0 * float(weigh(z, u)) * float(weigh(migration_mean(spec, z), u)) / s2
-
-
 def check_growth_support(spec: ModelSpec, z) -> bool:
     """Can every occupied type both receive immigrants and reproduce at z?
 

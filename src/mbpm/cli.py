@@ -484,7 +484,7 @@ def _suite_explosion(spec: ModelSpec, doc: dict, config: ExperimentConfig):
     ens = run_ensemble(spec, config.n, config.reps, config.seed, workers=config.workers)
     est = estimate_explosion(ens, config.explosion_k)
     passed = bounds is None or bounds[0] <= est.value <= bounds[1]
-    norms = np.abs(ens.terminal).sum(axis=1).astype(float)
+    norms = ens.norms.astype(float)
     payload = {
         "explosion": est.to_dict(),
         "bounds": bounds,

@@ -313,7 +313,7 @@ def sample_migration(spec: ModelSpec, Z, rng):
     [pn, pn + pi), emigration on [pn + pi, 1) where pe > 0.  One uniform
     per row chooses the row's branch; immigration and emigration then draw
     only for the rows in their branch, at those rows' sizes and counts,
-    which they reach through index arrays (``np.flatnonzero``): at tens of
+    which they reach through index arrays (``mask.nonzero()[0]``): at tens of
     thousands of rows numpy scatters and gathers by index several times
     faster than by boolean mask.  The pe > 0 mask, with the fold in
     ``branch_probs``, is the one place the zero-count rule lives: at a
@@ -338,10 +338,10 @@ def sample_migration(spec: ModelSpec, Z, rng):
         if isinstance(hi, float) and pn <= 0.0 and hi >= 1.0 and R:  # zero rows draw nothing
             row[:] = comp.immigration.sample_batch(rng, R, s)
             continue
-        imm = np.flatnonzero((x >= pn) & (x < hi))
+        imm = ((x >= pn) & (x < hi)).nonzero()[0]
         if imm.size:
             row[imm] = comp.immigration.sample_batch(rng, imm.size, s, imm)
-        em = np.flatnonzero((x >= hi) & (pe > 0.0))
+        em = ((x >= hi) & (pe > 0.0)).nonzero()[0]
         if em.size:
             row[em] = -comp.emigration.sample_batch(rng, zi[em])
     return out.T

@@ -28,7 +28,6 @@ classifier read both, so nothing is fitted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,32 +134,6 @@ def sigma2(spec: ModelSpec, z) -> float:
     z = np.asarray(z, dtype=np.int64)
     inner = odot(z + migration_mean(spec, z), spec.cov_tensor()) + migration_var(spec, z)
     return form(u, inner)
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """Exact one-step moment summary at a state."""
-
-    z: np.ndarray
-    h: np.ndarray
-    cond_mean: np.ndarray
-    cond_cov: np.ndarray
-    varM: np.ndarray
-    sigma2: float
-
-
-def moment_report(spec: ModelSpec, z) -> MomentReport:
-    """All exact moment quantities at z in one bundle; sigma2 refuses a
-    mean matrix without left Perron weights."""
-    z = np.asarray(z, dtype=np.int64)
-    return MomentReport(
-        z=z.copy(),
-        h=migration_mean(spec, z),
-        cond_mean=cond_mean(spec, z),
-        cond_cov=cond_var(spec, z),
-        varM=migration_var(spec, z),
-        sigma2=sigma2(spec, z),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -105,8 +106,13 @@ class Ensemble:
         """The (R, p) states at step n."""
         return self.states[:, -1]
 
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """The (R,) l1 norms of the terminal states, formed once."""
+        return np.abs(self.terminal).sum(axis=1)
+
     def summary(self) -> dict:
-        norms = np.abs(self.terminal).sum(axis=1)
+        norms = self.norms
         return {
             "spec_digest": self.spec_digest,
             "n": self.n,
@@ -243,8 +249,7 @@ def estimate_explosion(ensemble: Ensemble, K: float) -> ProbabilityEstimate:
     """Fraction of replicates whose terminal l1 norm exceeds K."""
     if not K >= 0:  # refuses nan too
         raise ValueError(f"threshold K must be >= 0, got {K!r}")
-    norms = np.abs(ensemble.terminal).sum(axis=1)
-    hits = int((norms > K).sum())
+    hits = int((ensemble.norms > K).sum())
     low, high = wilson_interval(hits, ensemble.replicates)
     return ProbabilityEstimate(
         value=hits / ensemble.replicates,
@@ -308,7 +313,7 @@ def ks_statistic(sample, cdf: Callable) -> float:
 def normal_cdf(x) -> float:
     """Standard normal distribution function via the complementary error function."""
     x = np.asarray(x, dtype=float)
-    out = 0.5 * np.vectorize(math.erfc)(-x / math.sqrt(2.0))
+    out = 0.5 * np.vectorize(math.erfc, otypes=[float])(-x / math.sqrt(2.0))
     return float(out) if out.ndim == 0 else out
 
 
@@ -397,10 +402,15 @@ def gamma_quantile(q, shape: float, scale: float):
 
     Newton steps on P(shape, e^s) = q in s = log(t), from the mean
     t = shape in units of scale: a step multiplies t by at most e, so t
-    stays positive.  Every evaluation narrows a bracket [lo, hi] of each
-    root, and a step that leaves it is replaced by the bracket's midpoint,
-    or by doubling t while no upper end is known.  Plain bisection would
-    need about 60 evaluations of the incomplete gamma; Newton needs a few.
+    stays positive.  Where P exceeds 1e3 q the step is on log P instead,
+    with shape for its slope d log P / ds, which is below shape at every t
+    and tends to it as t -> 0: the step never passes the root, and far
+    below the mean it lands next to it, where a step on P would move s by
+    only about -1/shape.  A root below the float range reads 0.  Every
+    evaluation narrows a bracket [lo, hi] of each root, and a step that
+    leaves it is replaced by the bracket's midpoint, or by doubling t while
+    no upper end is known.  Plain bisection would need about 60
+    evaluations of the incomplete gamma; Newton needs a few.
     """
     q = np.asarray(q, dtype=float)
     if not np.all((q > 0.0) & (q < 1.0)):
@@ -415,9 +425,10 @@ def gamma_quantile(q, shape: float, scale: float):
         lo, hi = np.where(below, t, lo), np.where(below, hi, t)
         slope = np.exp(shape * np.log(t) - t - math.lgamma(shape))  # dP / d log(t)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = t * np.exp(np.minimum((q - cdf) / slope, 1.0))
+            ds = np.where(cdf > 1e3 * q, np.log(q / cdf) / shape, (q - cdf) / slope)
+            step = t * np.exp(np.minimum(ds, 1.0))
         # a Newton step below 1e-12 of t leaves an error at the CDF's own noise
-        done = np.abs(step - t) <= 1e-12 * t
+        done = (np.abs(step - t) <= 1e-12 * t) | (step == 0.0)
         if done.all():
             return scale * step
         fallback = np.where(hi == np.inf, 2.0 * t, 0.5 * (lo + hi))

@@ -30,12 +30,13 @@ from mbpm import (
     check_hypothesis_C,
     classify_growth,
     estimate_exponents,
-    growth_ratio,
     load_spec,
+    migration_mean,
     params_from_spec,
     sigma2,
     spec_from_dict,
 )
+from mbpm.algebra import weigh
 from mbpm.classify import _probe_ray
 from mbpm.laws import exponent_of, limit_of
 from mbpm.moments import abs_exponent
@@ -83,9 +84,9 @@ def test_probe_states_follow_direction(two_type_spec):
 
 
 def test_growth_ratio_hand_value(drift_const_spec):
-    # drift 0.75, variance 100.75 * 1 + 1.6875 at z = 100
-    val = growth_ratio(drift_const_spec, [100])
-    assert abs(val - 150.0 / 102.4375) < 1e-12
+    # drift 0.75, variance 100.75 * 1 + 1.6875 at z = 100, the first probe
+    verdict = classify_growth(drift_const_spec, CriteriaConfig(ray_points=(100, 1000)))
+    assert abs(verdict.ratio_values[0] - 150.0 / 102.4375) < 1e-12
 
 
 def test_hypothesis_B(gamma_spec, sqrt_spec, two_type_spec):
@@ -355,8 +356,10 @@ def test_classify_suite_reads_what_the_public_functions_compute(tmp_path, doc_na
     assert results["classification"] == cli._jsonable(verdict)
     assert results["fitted_exponents"] == cli._jsonable(verdict.exponents)
     if verdict.hypothesis_A:
+        u = spec.spectral().u
         for k, z in enumerate(_probe_ray(spec, CriteriaConfig()).probes):
-            assert verdict.ratio_values[k] == growth_ratio(spec, z)  # bit for bit
+            ratio = 2 * weigh(z, u) * weigh(migration_mean(spec, z), u) / sigma2(spec, z)
+            assert verdict.ratio_values[k] == ratio  # bit for bit
 
 
 def test_classify_suite_without_perron_data(tmp_path, pure_death_spec):

@@ -4,7 +4,6 @@ import pytest
 
 import oracles
 from conftest import emigration_atoms, load_doc, spec_path
-from mbpm import cli
 from mbpm import (
     Constant,
     DeterministicEmigration,
@@ -22,7 +21,6 @@ from mbpm import (
     migration_mean,
     migration_var,
     moment_check,
-    moment_report,
     sigma2,
 )
 
@@ -152,25 +150,16 @@ def test_sigma2_consistent_with_cond_var(two_type_spec):
         assert abs(direct - via_cov) < 1e-10 * max(1.0, direct)
 
 
-def test_moment_report_bundles_everything(two_type_spec, sqrt_spec):
-    rep = moment_report(two_type_spec, [50, 30])
-    assert rep.z.tolist() == [50, 30]
-    assert np.allclose(rep.cond_mean, cond_mean(two_type_spec, [50, 30]))
-    assert rep.sigma2 == sigma2(two_type_spec, [50, 30]) > 0
-    d = cli._jsonable(rep)
-    assert set(d) == {"z", "h", "cond_mean", "cond_cov", "varM", "sigma2"}
+def test_migration_mean_reads_the_models_own_size(sqrt_spec):
     # sqrt_drift's immigration mean reads the model's own size: h(100) = sqrt(100)
-    assert moment_report(sqrt_spec, [100]).h.tolist() == [10.0]
+    assert migration_mean(sqrt_spec, [100]).tolist() == [10.0]
 
 
-def test_moment_report_needs_perron_weights(pure_death_spec):
-    # pure_death's mean matrix is not primitive: sigma2, and so the bundle,
-    # refuses it instead of weighting the types equally
-    with pytest.raises(ValueError) as sigma2_error:
+def test_sigma2_needs_perron_weights(pure_death_spec):
+    # pure_death's mean matrix is not primitive: sigma2 refuses it instead
+    # of weighting the types equally
+    with pytest.raises(ValueError):
         sigma2(pure_death_spec, [3])
-    with pytest.raises(ValueError) as report_error:
-        moment_report(pure_death_spec, [3])
-    assert str(report_error.value) == str(sigma2_error.value)
 
 
 def test_moments_match_simulation(two_type_spec, sqrt_spec):

@@ -325,6 +325,7 @@ def test_normal_cdf_values():
     assert normal_cdf(1.959963984540054) == pytest.approx(0.975, abs=1e-9)
     grid = np.linspace(-8.0, 8.0, 401)
     assert np.abs(normal_cdf(grid) - scipy.stats.norm.cdf(grid)).max() < 1e-12
+    assert normal_cdf(np.array([])).shape == (0,)
 
 
 def test_gamma_cdf_special_cases():
@@ -352,6 +353,15 @@ def test_gamma_quantile_against_scipy(shape):
     for scale in (0.5, 2.0):
         theirs = scipy.stats.gamma.ppf(qs, shape, scale=scale)
         assert np.abs(gamma_quantile(qs, shape, scale) / theirs - 1.0).max() <= 1e-12
+    # far below the mean, where a Newton step on P moves log t by only about
+    # -1/shape; at shape 0.3 both quantiles lie below the float range
+    for q in (1e-100, 1e-300):
+        theirs = scipy.stats.gamma.ppf(q, shape, scale=0.5)
+        ours = gamma_quantile(q, shape, 0.5)
+        if theirs == 0.0:
+            assert ours == 0.0
+        else:
+            assert abs(ours / theirs - 1.0) <= 1e-12
 
 
 def test_gamma_quantile_refuses_probabilities_outside_the_open_unit_interval():

@@ -14,16 +14,16 @@ EXPORTED = [
     "DeterministicImmigration", "DeterministicInitial", "Ensemble", "FiniteOffspring",
     "GeometricOffspring", "GoFReport", "GrowthVerdict", "IndependentOffspring",
     "InverseCubeEmigration", "LimitParams", "MigrationComponent",
-    "ModelSpec", "MomentCheckReport", "MomentReport", "PoissonOffspring",
+    "ModelSpec", "MomentCheckReport", "PoissonOffspring",
     "Power", "ProbabilityEstimate", "ShiftedPoissonImmigration", "SpecFormatError",
     "SpectralData", "Table", "TableImmigration", "TableInitial", "TableOffspring",
     "TruncatedGeometricEmigration", "UniformEmigration", "a_seq", "advance", "algebra",
     "check_growth_support", "check_hypothesis_C", "classify",
     "classify_growth", "cond_mean", "cond_var", "criticality", "estimate_explosion",
     "estimate_exponents", "euler_maruyama", "feller_params", "gamma_cdf", "gamma_quantile",
-    "gof_report", "growth_ratio", "is_primitive", "ks_statistic", "lambda_n", "laws",
+    "gof_report", "is_primitive", "ks_statistic", "lambda_n", "laws",
     "limits", "load_spec", "migration_atoms", "migration_kappa",
-    "migration_mean", "migration_var", "model", "moment_check", "moment_report", "moments",
+    "migration_mean", "migration_var", "model", "moment_check", "moments",
     "montecarlo", "normal_cdf", "odot", "params_from_spec", "perron",
     "run_ensemble", "sample_migration", "sample_offspring", "sample_step_batch", "sigma2",
     "simulate_path", "spec_digest", "spec_from_dict", "spec_to_dict", "stream_for",
@@ -107,7 +107,7 @@ def test_cli_imports_no_private_classify_name():
 # Names the benchmark tracer still pins (bench/tracer.py); the demos reach
 # each job through its one entry point instead: gof_report for KS,
 # classify_growth for the growth exponents, run_ensemble for paths,
-# moment_report for the exact moments.
+# cond_mean and cond_var for the exact moments.
 TRACER_ONLY = {"ks_statistic", "estimate_exponents", "simulate_path", "euler_maruyama",
                "migration_atoms", "migration_kappa"}
 
