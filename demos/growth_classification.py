@@ -4,12 +4,13 @@
 At criticality the branching mechanism alone cannot sustain growth; what
 decides the long-run behaviour is the balance between the migration
 drift h(z) and the size fluctuation sigma^2(z) at large population
-sizes.  The classifier probes both along a ray of growing states and
-compares the ratio 2 (u.z)(u.h(z)) / sigma^2(z), u the left Perron
-weights, against the threshold 1: ratios settling above it support
-unbounded growth, ratios below it force eventual collapse to the
-absorption region.  The verdict carries the exact growth exponents of
-the drift and the fluctuation along the same ray.
+sizes.  The classifier compares the limit theta of the ratio
+2 (u.z)(u.h(z)) / sigma^2(z) along a ray of growing states, u the left
+Perron weights, against the threshold 1: theta above it supports
+unbounded growth, theta below it forces eventual collapse to the
+absorption region.  theta is exact, from the laws' large-size forms; the
+verdict carries it with the growth exponents of the drift and the
+fluctuation, and the ratio itself at probe states on the ray.
 
 Four calibrated models illustrate the regimes:
   * constant immigration surplus  -> growth (ratio tends to 4)
@@ -42,6 +43,7 @@ for name, path in cases:
             f"u.c = {exponents['c_dot_u']:.3f}; "
             f"fluctuation sigma^2 ~ nu*s^beta with beta = {exponents['beta']:.3f}"
         )
+        print(f"ratio limit theta = {exponents['ratio_limit']:.3f}")
     print()
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,14 @@ u the left Perron weights, everything hinges on the ratio
 
     2 (u . z) (u . h(z)) / sigma2(z)
 
-along rays to infinity: staying below 1 forbids unbounded growth and
-exceeding 1 permits it, under side conditions bounding higher moments of
-one transition.  The ratio is read at probe states on the ray (``_Ray``:
-h and sigma2 once per probe), with a 10% safety margin around the
-critical ratio 1 inside which the verdict is "inconclusive".
+along rays to infinity, through its limit theta (Lamperti's test): theta
+below 1 forbids unbounded growth and theta above 1 permits it, under side
+conditions bounding higher moments of one transition; theta within
+moments.EXACT_TOL of 1, or without a limit the laws state, decides
+nothing.  theta is exact (moments.ratio_limit).  The ratio is also read at
+probe states on the ray (``_Ray``: h and sigma2 once per probe), for the
+report and for the emigration-dominates and support conditions, which
+read the probes.
 
 The side conditions are little-o comparisons of growth rates.  Every law
 states its large-size form (see laws), so they compare exact growth
@@ -35,16 +38,16 @@ from .algebra import is_critical, weigh
 from .laws import exponent_of, limit_of
 from .model import ModelSpec
 from .moments import (
+    EXACT_TOL,
     abs_exponent,
     leading_moments,
     migration_leads,
     migration_mean,
     migration_terms,
+    ratio_limit,
     sigma2,
 )
 
-_RATIO_MARGIN = 0.10  # safety band around the critical ratio 1
-_SLOPE_SLACK = 0.05  # an exponent must undershoot its target's by this
 DELTA = 1.0  # the moment orders are 1 + delta/2 and 2 + delta
 ALPHA_TILDE = 2.0  # moment order of the delta2 surrogate
 VERDICTS = ("no-growth", "growth-possible", "inconclusive")
@@ -185,14 +188,18 @@ def _finite(x):
 
 
 def _exponents(spec: ModelSpec) -> dict:
-    """The exact growth exponents along the ray that the order checks and
-    _fitted_exponents compare: moments.leading_moments, and per type the
+    """The exact growth exponents along the ray that the verdict, the order
+    checks and _fitted_exponents compare: moments.leading_moments with its
+    ratio limit "theta" and "rising", that u.h is eventually positive (its
+    top terms do not cancel and u.c > 0), and per type the
     shifted moment E|z_i + M_i|^(1 + delta/2), the centered moment
     E|M_i - h_i|^(2 + delta) and the terms q_i E[I_i] and r_i E[D_i] of
     h_i (-inf where 0); and the surrogate, the larger of z_i + h_i (a
     count: linear) and E|M_i - h_i|^alpha_tilde over all types."""
     comps = spec.migration
     out = leading_moments(spec)
+    out["theta"] = ratio_limit(out["alpha"], out["c_dot_u"], out["beta"], out["nu"], out["cancels"])
+    out["rising"] = out["c_dot_u"] > 0.0 and not out["cancels"]
     out["shifted"] = [abs_exponent(c, 1.0 + DELTA / 2.0, shifted=True) for c in comps]
     out["centered"] = [abs_exponent(c, 2.0 + DELTA) for c in comps]
     out["surrogate"] = max(1.0, *(abs_exponent(c, ALPHA_TILDE) for c in comps))
@@ -200,15 +207,15 @@ def _exponents(spec: ModelSpec) -> dict:
     return out
 
 
-def _order_checks(ray: _Ray, exps: dict) -> dict:
+def _order_checks(exps: dict) -> dict:
     """The little-o checks {shifted, centered} x {sigma, drift_log, drift},
-    keyed "<lhs>_vs_<rhs>": each holds when every type's exponent
-    undershoots the target's by the slack.  The targets are s^(1 + delta)
+    keyed "<lhs>_vs_<rhs>": each holds when every type's exponent is below
+    the target's by more than EXACT_TOL.  The targets are s^(1 + delta)
     sigma2, s^(1 + delta) u.h / log(s)^2 and s^(2 + delta) u.h; a log
-    factor moves no exponent.  The drift targets exist only where u.h > 0
-    along the whole ray and its leading terms do not cancel."""
+    factor moves no exponent.  The drift targets exist only where u.h is
+    eventually positive ("rising")."""
     targets = {"sigma": 1.0 + DELTA + exps["beta"]}
-    if (ray.uh > 0.0).all() and not exps["cancels"]:
+    if exps["rising"]:
         targets["drift_log"] = 1.0 + DELTA + exps["alpha"]
         targets["drift"] = 2.0 + DELTA + exps["alpha"]
     checks = {}
@@ -217,7 +224,7 @@ def _order_checks(ray: _Ray, exps: dict) -> dict:
             name = f"{lhs}_vs_{rhs}"
             checks[name] = {
                 "name": name,
-                "ok": all(e <= rhs_exponent - _SLOPE_SLACK for e in exps[lhs]),
+                "ok": all(e < rhs_exponent - EXACT_TOL for e in exps[lhs]),
                 "applicable": True,
                 "lhs_slopes": [_finite(e) for e in exps[lhs]],
                 "rhs_slope": rhs_exponent,
@@ -226,15 +233,19 @@ def _order_checks(ray: _Ray, exps: dict) -> dict:
 
 
 def classify_growth(spec: ModelSpec, config: CriteriaConfig = CriteriaConfig()) -> GrowthVerdict:
-    """Decide no-growth / growth-possible / inconclusive from probe states.
+    """Decide no-growth / growth-possible / inconclusive from the ratio's
+    exact limit theta (moments.ratio_limit).
 
     No-growth fires when (a) every mean adjustment component is
-    nonpositive at all probes (emigration dominates), or (b) the ratio
-    stays below 1 - margin and the transition moments are dominated in the
-    little-o sense.  Growth-possible needs the support condition, ratio
-    above 1 + margin, and the log-damped moment dominations.  Anything
-    else, including ratios inside the margin, is inconclusive; a mean
-    matrix without hypothesis (A) gives inconclusive / not-critical.
+    nonpositive at all probes (emigration dominates), or (b) theta < 1 and
+    the transition moments are dominated in the little-o sense.
+    Growth-possible needs the support condition at the probes, theta > 1,
+    and the log-damped moment dominations.  Anything else, including theta
+    within moments.EXACT_TOL of 1 and a theta the laws do not state, is
+    inconclusive; a mean matrix without hypothesis (A) gives inconclusive
+    / not-critical.  The probes do not enter the ratio test: they are
+    reported (ratio_values, diagnostics), and condition (a) and the
+    support condition read them.
 
     The sublinear-drift hypothesis (B) is reported, not enforced: the
     emigration-dominates condition is meaningful and corroborated by
@@ -269,7 +280,7 @@ def classify_growth(spec: ModelSpec, config: CriteriaConfig = CriteriaConfig()) 
         raise ValueError("one-step variance vanishes at this state (deterministic model)")
     ratios = 2.0 * ray.sizes * ray.uh / ray.s2
     hyp_b, b_evidence = _hypothesis_B(ray, exps)
-    checks = _order_checks(ray, exps)
+    checks = _order_checks(exps)
 
     def dominated(rhs: str) -> bool:
         return all(checks.get(f"{lhs}_vs_{rhs}", {}).get("ok") for lhs in ("shifted", "centered"))
@@ -287,12 +298,13 @@ def classify_growth(spec: ModelSpec, config: CriteriaConfig = CriteriaConfig()) 
         "u_dot_h_at_probes": ray.uh.tolist(),
     }
 
+    theta = 1.0 if exps["theta"] is None else exps["theta"]  # no stated limit decides nothing
     verdict, condition = "inconclusive", None
     if all((h <= 1e-12).all() for h in ray.h):
         verdict, condition = "no-growth", "emigration-dominates"
-    elif ratios.max() < 1.0 - _RATIO_MARGIN and (dominated("sigma") or dominated("drift")):
+    elif theta < 1.0 - EXACT_TOL and (dominated("sigma") or dominated("drift")):
         verdict, condition = "no-growth", "ratio-below-one"
-    elif support_ok and ratios.min() > 1.0 + _RATIO_MARGIN and dominated("drift_log"):
+    elif support_ok and theta > 1.0 + EXACT_TOL and dominated("drift_log"):
         verdict, condition = "growth-possible", "ratio-above-one"
 
     return GrowthVerdict(
@@ -311,18 +323,19 @@ def classify_growth(spec: ModelSpec, config: CriteriaConfig = CriteriaConfig()) 
 
 def _fitted_exponents(ray: _Ray, exps: dict) -> dict:
     """Exact growth exponents of the drift and variance along the ray, read
-    from _exponents; the ray gives the probe sizes and the sign of u.h.
+    from _exponents; the ray gives the probe sizes.
 
     Reports alpha and u.c of the drift u.h ~ (u.c) s^alpha, beta and nu
-    of sigma2 ~ nu s^beta (as params_from_spec derives them), and the
-    fluctuation exponent surrogates delta1 (growth of max_i |h_i|) and
-    delta2 (growth of the alpha_tilde-moment surrogate, divided by
-    alpha_tilde).  alpha and u.c are None where u.h is nonpositive
-    somewhere on the ray or its leading terms cancel, nu where a log tops
-    sigma2, and delta1 where h is eventually 0.
+    of sigma2 ~ nu s^beta (as params_from_spec derives them), the ratio's
+    limit theta as ratio_limit, and the fluctuation exponent surrogates
+    delta1 (growth of max_i |h_i|) and delta2 (growth of the
+    alpha_tilde-moment surrogate, divided by alpha_tilde).  alpha, u.c
+    and ratio_limit are None where u.h is not eventually positive, nu and
+    ratio_limit where a log tops sigma2, and delta1 where h is eventually
+    0.
     """
-    drift = (ray.uh > 0.0).all() and not exps["cancels"]
-    out = {
+    drift = exps["rising"]
+    return {
         "sizes": ray.sizes.tolist(),
         "alpha": exps["alpha"] if drift else None,
         "c_dot_u": exps["c_dot_u"] if drift else None,
@@ -330,12 +343,8 @@ def _fitted_exponents(ray: _Ray, exps: dict) -> dict:
         "nu": _finite(exps["nu"]),
         "delta1": _finite(max(max(pair) for pair in exps["terms"])),
         "delta2": exps["surrogate"] / ALPHA_TILDE,
-        "ratio_limit": None,
+        "ratio_limit": exps["theta"] if drift else None,
     }
-    if drift and out["nu"]:
-        matched = abs(exps["beta"] - (exps["alpha"] + 1.0)) < 0.05
-        out["ratio_limit"] = 2.0 * exps["c_dot_u"] / out["nu"] if matched else math.inf
-    return out
 
 
 def estimate_exponents(spec: ModelSpec, config: CriteriaConfig = CriteriaConfig()) -> dict:

@@ -4,7 +4,8 @@ When growth is possible, the deterministic recursion a_{k+1} = a_k +
 (u.c) a_k^alpha tracks the typical size of u . Z_k.  Around it live three
 limit statements this module parameterizes:
 
-  * gamma regime (variance exponent beta = 1 + alpha, nu < 2 u.c): the
+  * gamma regime (variance exponent beta = 1 + alpha, and the growth
+    ratio's limit theta = 2 u.c / nu above 1, as classify reads it): the
     (1 - alpha) power of the weighted size, normalized by n, is
     asymptotically gamma distributed;
   * normal fluctuations (3 alpha - 1 <= beta < 1 + alpha): the size
@@ -38,9 +39,7 @@ import numpy as np
 from . import algebra
 from .classify import ALPHA_TILDE, DELTA, check_hypothesis_C
 from .model import ModelSpec
-from .moments import leading_moments, offspring_diffusion
-
-_BETA_TOL = 1e-9
+from .moments import EXACT_TOL, leading_moments, offspring_diffusion, ratio_limit
 
 
 @dataclass(frozen=True)
@@ -68,16 +67,17 @@ class LimitParams:
             raise ValueError("alpha must be < 1")
         if self.c_dot_u <= 0.0:
             raise ValueError("u . c must be positive")
-        if self.nu <= 0.0:
-            raise ValueError("nu must be positive")
-        if self.beta > 1.0 + self.alpha + _BETA_TOL:
+        if not 0.0 < self.nu < math.inf:
+            raise ValueError("nu must be positive and finite")
+        if self.beta > 1.0 + self.alpha + EXACT_TOL:
             raise ValueError("beta must be <= 1 + alpha")
 
     @property
     def _gamma_regime(self) -> bool:
-        """beta = 1 + alpha and nu < 2 u.c: growth has positive probability
-        and the gamma limit exists."""
-        return abs(self.beta - (1.0 + self.alpha)) <= _BETA_TOL and self.nu < 2.0 * self.c_dot_u
+        """beta = 1 + alpha and theta = 2 u.c / nu > 1 (moments.ratio_limit,
+        the growth classifier's test): growth has positive probability and
+        the gamma limit exists.  beta < 1 + alpha gives an infinite theta."""
+        return 1.0 + EXACT_TOL < ratio_limit(self.alpha, self.c_dot_u, self.beta, self.nu) < math.inf
 
     @property
     def gamma_shape(self) -> Optional[float]:
@@ -179,12 +179,12 @@ def lambda_n(params: LimitParams, n: int) -> float:
             ((1-alpha) n)^{(beta - alpha + 1)/(1-alpha)})^{1/2}.
     """
     alpha, beta, nu, cu = params.alpha, params.beta, params.nu, params.c_dot_u
-    if beta < 3.0 * alpha - 1.0 - _BETA_TOL or beta > alpha + 1.0 + _BETA_TOL:
+    if beta < 3.0 * alpha - 1.0 - EXACT_TOL or beta > alpha + 1.0 + EXACT_TOL:
         raise ValueError("beta must lie in [3 alpha - 1, alpha + 1]")
     if n < 2:
         raise ValueError("n must be >= 2")
     one = 1.0 - alpha
-    if abs(beta - (3.0 * alpha - 1.0)) <= _BETA_TOL:
+    if abs(beta - (3.0 * alpha - 1.0)) <= EXACT_TOL:
         return (
             math.sqrt(nu)
             * (cu * one) ** ((3.0 * alpha - 1.0) / (2.0 * one))

@@ -22,12 +22,15 @@ The same mixture states the large-size forms along the ray z = s v (v
 the right Perron vector, u . v = 1, so u . z = s): from the laws'
 leading forms (see laws), ``leading_moments`` gives the top term of
 u . h(s v) and of sigma2(s v), and ``abs_exponent`` the growth exponent
-of an absolute moment E|M_i - a|^q.  The limit constants and the growth
-classifier read both, so nothing is fitted.
+of an absolute moment E|M_i - a|^q.  From the top terms, ``ratio_limit``
+forms the limit theta of the growth ratio 2 s u . h(s v) / sigma2(s v).
+The limit constants and the growth classifier read all three, so nothing
+is fitted.
 """
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -36,6 +39,7 @@ from .laws import exponent_of, product_of, remainder_of
 from .model import ModelSpec
 
 _CANCEL_TOL = 1e-12  # top mean terms whose sum is this small a share of their sizes cancel
+EXACT_TOL = 1e-9  # exponents, and ratio limits, this close are equal
 
 
 def _component_raws(comp, k: int, s, zi: int) -> list:
@@ -253,6 +257,28 @@ def leading_moments(spec: ModelSpec) -> dict:
     nu, beta = _top(variances)
     return {"alpha": alpha, "c": c, "c_dot_u": c_dot_u, "nu": float(nu), "beta": beta,
             "cancels": bool(scale > 0.0 and abs(c_dot_u) <= _CANCEL_TOL * scale)}
+
+
+def ratio_limit(alpha: float, c_dot_u: float, beta: float, nu: float,
+                cancels: bool = False) -> Optional[float]:
+    """The limit theta of the growth ratio 2 s u . h(s v) / sigma2(s v)
+    along the ray, from the top terms u . h ~ (u . c) s^alpha and sigma2 ~
+    nu s^beta (leading_moments).
+
+    2 u.c / nu where beta = alpha + 1 within EXACT_TOL; where beta is
+    below, the ratio grows like s^(alpha + 1 - beta), so +-inf by the sign
+    of the drift (0 where every mean term is eventually 0); where beta is
+    above, it shrinks to 0.  None where the top mean terms cancel, or
+    where sigma2 has no power for its top (a log on top, or eventually 0).
+    """
+    if cancels or not 0.0 < nu < math.inf:
+        return None
+    gap = alpha + 1.0 - beta
+    if abs(gap) <= EXACT_TOL:
+        return 2.0 * c_dot_u / nu
+    if gap < 0.0 or c_dot_u == 0.0:
+        return 0.0
+    return math.copysign(math.inf, c_dot_u)
 
 
 def abs_exponent(comp, q: float, shifted: bool = False) -> float:

@@ -372,28 +372,39 @@ def _gamma_fraction(a: float, x):
     return out
 
 
-def gamma_cdf(x, shape: float, scale: float):
-    """Gamma distribution function: regularized lower incomplete gamma of x/scale.
+def _gamma_tails(t, shape: float):
+    """The regularized incomplete gammas P(shape, t) and Q(shape, t) =
+    1 - P at each t >= 0 (nan stays nan), as two arrays of t's shape.
 
-    Points below shape + 1 (in units of scale) take the ascending series,
-    the others the continued fraction; both run on whole arrays.  The
-    factor exp(-t) t^shape / Gamma(shape) is taken from libm point by
-    point: numpy's SIMD exp and log can differ from it in the last bit,
-    depending on the CPU, and reports must not.
+    Points below shape + 1 take the ascending series for P, the others the
+    continued fraction for Q, and the other tail is one minus it; both run
+    on whole arrays.  The factor exp(-t) t^shape / Gamma(shape) is taken
+    from libm point by point: numpy's SIMD exp and log can differ from it
+    in the last bit, depending on the CPU, and reports must not.
     """
-    if shape <= 0.0 or scale <= 0.0:
-        raise ValueError("shape and scale must be positive")
-    x = np.asarray(x, dtype=float)
-    t = np.clip(x, 0.0, None) / scale
-    out = np.where(np.isnan(x), np.nan, np.where(t == np.inf, 1.0, 0.0))
-    pos = np.flatnonzero((t > 0.0) & (t < np.inf))
-    tp = t.ravel()[pos]
+    flat = t.ravel()
+    lower = np.where(np.isnan(flat), np.nan, np.where(flat == np.inf, 1.0, 0.0))
+    upper = 1.0 - lower
+    pos = np.flatnonzero((flat > 0.0) & (flat < np.inf))
+    tp = flat[pos]
     log_t = np.array(list(map(math.log, tp.tolist())))
     prefactor = np.array(list(map(math.exp, (-tp + shape * log_t - math.lgamma(shape)).tolist())))
     low = tp < shape + 1.0
-    flat = out.reshape(-1)
-    flat[pos[low]] = np.minimum(1.0, _gamma_series(shape, tp[low]) * prefactor[low])
-    flat[pos[~low]] = np.clip(1.0 - prefactor[~low] * _gamma_fraction(shape, tp[~low]), 0.0, 1.0)
+    series = np.minimum(1.0, _gamma_series(shape, tp[low]) * prefactor[low])
+    fraction = prefactor[~low] * _gamma_fraction(shape, tp[~low])
+    for out, here, there in ((lower, series, 1.0 - fraction), (upper, 1.0 - series, fraction)):
+        out[pos[low]] = here
+        out[pos[~low]] = np.clip(there, 0.0, 1.0)
+    return lower.reshape(t.shape), upper.reshape(t.shape)
+
+
+def gamma_cdf(x, shape: float, scale: float):
+    """Gamma distribution function: regularized lower incomplete gamma of
+    x/scale (_gamma_tails)."""
+    if shape <= 0.0 or scale <= 0.0:
+        raise ValueError("shape and scale must be positive")
+    x = np.asarray(x, dtype=float)
+    out = _gamma_tails(np.clip(x, 0.0, None) / scale, shape)[0]
     return float(out) if out.ndim == 0 else out
 
 
@@ -402,15 +413,19 @@ def gamma_quantile(q, shape: float, scale: float):
 
     Newton steps on P(shape, e^s) = q in s = log(t), from the mean
     t = shape in units of scale: a step multiplies t by at most e, so t
-    stays positive.  Where P exceeds 1e3 q the step is on log P instead,
-    with shape for its slope d log P / ds, which is below shape at every t
-    and tends to it as t -> 0: the step never passes the root, and far
-    below the mean it lands next to it, where a step on P would move s by
-    only about -1/shape.  A root below the float range reads 0.  Every
-    evaluation narrows a bracket [lo, hi] of each root, and a step that
-    leaves it is replaced by the bracket's midpoint, or by doubling t while
-    no upper end is known.  Plain bisection would need about 60
-    evaluations of the incomplete gamma; Newton needs a few.
+    stays positive.  Where q > 1/2 the steps are on the upper tail,
+    Q(shape, e^s) = 1 - q (exact for such q), with Q from the continued
+    fraction: P = 1 - Q near 1 carries Q's absolute rounding, which is
+    its whole size at q = 1 - 2^-52.  Where P exceeds 1e3 q the step is
+    on log P instead, with shape for its slope d log P / ds, which is
+    below shape at every t and tends to it as t -> 0: the step never
+    passes the root, and far below the mean it lands next to it, where a
+    step on P would move s by only about -1/shape.  A root below the
+    float range reads 0.  Every evaluation narrows a bracket [lo, hi] of
+    each root, and a step that leaves it is replaced by the bracket's
+    midpoint, or by doubling t while no upper end is known.  Plain
+    bisection would need about 60 evaluations of the incomplete gamma;
+    Newton needs a few.
     """
     q = np.asarray(q, dtype=float)
     if not np.all((q > 0.0) & (q < 1.0)):
@@ -418,14 +433,16 @@ def gamma_quantile(q, shape: float, scale: float):
     if shape <= 0.0 or scale <= 0.0:
         raise ValueError("shape and scale must be positive")
     t = np.full(q.shape, float(shape))
+    upper = q > 0.5
     lo, hi = np.zeros(q.shape), np.full(q.shape, np.inf)
     for _ in range(200):
-        cdf = gamma_cdf(t, shape, 1.0)
-        below = cdf < q
+        cdf, tail = _gamma_tails(t, shape)
+        gap = np.where(upper, tail - (1.0 - q), q - cdf)  # positive below the root
+        below = gap > 0.0
         lo, hi = np.where(below, t, lo), np.where(below, hi, t)
         slope = np.exp(shape * np.log(t) - t - math.lgamma(shape))  # dP / d log(t)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ds = np.where(cdf > 1e3 * q, np.log(q / cdf) / shape, (q - cdf) / slope)
+            ds = np.where(cdf > 1e3 * q, np.log(q / cdf) / shape, gap / slope)
             step = t * np.exp(np.minimum(ds, 1.0))
         # a Newton step below 1e-12 of t leaves an error at the CDF's own noise
         done = (np.abs(step - t) <= 1e-12 * t) | (step == 0.0)

@@ -267,12 +267,33 @@ def _linear_immigration_doc():
     return doc
 
 
-@pytest.mark.parametrize("doc_name", _EXPECTED_VERDICT_DOCS + ["linear_immigration"])
+def _past_the_matched_variance_doc():
+    """One type, Poisson(1) offspring, one 1 + Poisson(s^1.5 - 1) batch of
+    immigrants at probability min(1, 1/s): alpha = 1/2 and beta = 2 > 1 +
+    alpha, so the ratio shrinks like s^(-1/2)."""
+    return {
+        "offspring": [{"kind": "independent", "components": [{"family": "poisson", "mean": 1.0}]}],
+        "migration": [{
+            "prob_imm": {"kind": "clamp", "hi": 1.0,
+                         "inner": {"kind": "power", "coeff": 1.0, "exponent": -1.0}},
+            "prob_em": {"kind": "constant", "value": 0.0},
+            "immigration": {"family": "shifted_poisson", "mean": {
+                "kind": "clamp", "lo": 1.0,
+                "inner": {"kind": "power", "coeff": 1.0, "exponent": 1.5}}}}],
+        "initial": {"kind": "deterministic", "state": [1]},
+    }
+
+
+_BUILT_DOCS = {"linear_immigration": _linear_immigration_doc,
+               "past_the_matched_variance": _past_the_matched_variance_doc}
+
+
+@pytest.mark.parametrize("doc_name", _EXPECTED_VERDICT_DOCS + sorted(_BUILT_DOCS))
 def test_estimate_exponents_agree_with_the_exact_moments_far_out(doc_name):
     # along z = s v at s = 1e12: sigma2(z) ~ nu s^beta, and u.h(z) ~ (u.c)
     # s^alpha where u.h > 0, also where alpha >= 1 keeps params_from_spec out
-    if doc_name == "linear_immigration":
-        spec = spec_from_dict(_linear_immigration_doc())
+    if doc_name in _BUILT_DOCS:
+        spec = spec_from_dict(_BUILT_DOCS[doc_name]())
     else:
         spec = load_spec(spec_path(doc_name))
     out = classify_growth(spec).exponents
@@ -285,6 +306,46 @@ def test_estimate_exponents_agree_with_the_exact_moments_far_out(doc_name):
         assert uh == pytest.approx(out["c_dot_u"] * s ** out["alpha"], rel=1e-5)
     if doc_name == "linear_immigration":
         assert (out["alpha"], out["c_dot_u"], out["beta"], out["nu"]) == (1.0, 0.5, 1.0, 2.0)
+    # the ratio's limit theta, reported where u.h is eventually positive:
+    # the probe ratio at s = 1e9 is within 1e-6 of a finite theta, and
+    # shrinks or grows along the ray where theta is 0 or infinite
+    theta = mbpm.classify._exponents(spec)["theta"]  # moments.ratio_limit
+    assert out["ratio_limit"] == (theta if out["alpha"] is not None else None)
+    ratios = classify_growth(spec, CriteriaConfig(ray_points=(1e7, 1e8, 1e9))).ratio_values
+    if math.isfinite(theta) and theta != 0.0:
+        assert ratios[-1] == pytest.approx(theta, rel=1e-6)
+    else:
+        steps = np.diff(np.abs(ratios))
+        assert (steps > 0.0).all() if math.isinf(theta) else (steps < 0.0).all()
+
+
+def test_the_ratio_limit_is_zero_where_the_variance_outgrows_the_drift():
+    verdict = classify_growth(spec_from_dict(_past_the_matched_variance_doc()))
+    out = verdict.exponents
+    assert (out["alpha"], out["beta"], out["ratio_limit"]) == (0.5, 2.0, 0.0)
+    assert (verdict.verdict, verdict.condition) == ("no-growth", "ratio-below-one")
+    assert (np.diff(verdict.ratio_values) < 0.0).all()  # 0.063, 0.020, 0.0063
+
+
+def _step_table_doc():
+    """One type, Poisson(1) offspring, one immigrant at probability 0.3
+    below the size 1e5 and 0.8 from there on: theta = 2 * 0.8 = 1.6, while
+    the ratio reads about 0.6 at every probe below 1e5."""
+    return spec_from_dict({
+        "offspring": [{"kind": "independent", "components": [{"family": "poisson", "mean": 1.0}]}],
+        "migration": [{
+            "prob_imm": {"kind": "table", "breaks": [0.0, 1e5], "values": [0.3, 0.8]},
+            "prob_em": {"kind": "constant", "value": 0.0},
+            "immigration": {"family": "deterministic", "value": 1}}],
+        "initial": {"kind": "deterministic", "state": [1]},
+    })
+
+
+@pytest.mark.parametrize("ray_points", [(1e3, 1e4), (1e3, 1e4, 1e5), (1e6, 1e7)])
+def test_the_probes_do_not_move_the_verdict(ray_points):
+    verdict = classify_growth(_step_table_doc(), CriteriaConfig(ray_points=ray_points))
+    assert verdict.exponents["ratio_limit"] == 1.6
+    assert (verdict.verdict, verdict.condition) == ("growth-possible", "ratio-above-one")
 
 
 @pytest.mark.parametrize("doc_name, shifted, centered", [
@@ -442,7 +503,9 @@ def _theta_family(theta, uniform):
 
 
 # (verdict, condition) of classify_growth, recorded on the slope-fit
-# classifier that the exact exponents replaced
+# classifier that the exact exponents replaced; the entries at theta = 0.95,
+# 1 and 1.05 (uniform: the ratio's limit is theta / (1 + 2b/3), 0.984 at
+# 1.05) were inside its 10% band around 1, and are decided by the limit
 _GUARDED_VERDICTS = {
     "gamma_single_type": ("growth-possible", "ratio-above-one"),
     "sqrt_drift_single_type": ("growth-possible", "ratio-above-one"),
@@ -452,11 +515,15 @@ _GUARDED_VERDICTS = {
     "pure_death": ("inconclusive", "not-critical"),
     "deterministic-0.5": ("no-growth", "ratio-below-one"),
     "deterministic-0.8": ("no-growth", "ratio-below-one"),
+    "deterministic-0.95": ("no-growth", "ratio-below-one"),
+    "deterministic-1": ("inconclusive", None),
+    "deterministic-1.05": ("growth-possible", "ratio-above-one"),
     "deterministic-1.25": ("growth-possible", "ratio-above-one"),
     "deterministic-2": ("growth-possible", "ratio-above-one"),
     "deterministic-4": ("growth-possible", "ratio-above-one"),
     "uniform-0.5": ("no-growth", "ratio-below-one"),
     "uniform-0.8": ("no-growth", "ratio-below-one"),
+    "uniform-1.05": ("no-growth", "ratio-below-one"),
     # the uniform tail: E|M - h|^3 grows like s^2, which the log-damped
     # drift target s^2 u.h / log^2 s does not dominate
     "uniform-1.25": ("inconclusive", None),

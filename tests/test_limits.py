@@ -29,7 +29,7 @@ from mbpm import (
     spec_from_dict,
     stream_for,
 )
-from mbpm.moments import migration_leads, migration_terms
+from mbpm.moments import migration_leads, migration_terms, ratio_limit
 
 
 def _params(alpha, beta, nu=1.0, c=2.0):
@@ -102,6 +102,28 @@ def test_params_from_spec_derives_the_shipped_limit_blocks(doc_name, gamma_shape
         assert np.asarray(getattr(params, key)).tolist() == value  # bit for bit
     assert params.c_dot_u == doc["limit"]["c"][0]
     assert params.gamma_shape == gamma_shape
+
+
+@pytest.mark.parametrize("doc_name, law", [
+    ("gamma_single_type", (4.0, 0.5, 2.0)),
+    ("two_type_coupled", (4.0, 0.25, 1.0)),
+])
+def test_the_three_limit_statements_name_one_law(doc_name, law):
+    # gamma-limit's Gamma(shape, scale), feller's Gamma(2 delta / sigma,
+    # sigma / 2) at t = 1 and l1-limit's constant, its mean, from one
+    # document: the shape is also (theta - alpha) / (1 - alpha), theta the
+    # limit of the growth ratio that classify reads
+    spec = load_spec(spec_path(doc_name))
+    params = params_from_spec(spec)
+    drift, diffusion = feller_params(spec)
+    theta = ratio_limit(params.alpha, params.c_dot_u, params.beta, params.nu)
+    shape, scale = params.gamma_shape, params.gamma_scale
+    assert (shape, scale, params.l1_constant) == law
+    for ours, theirs in ((shape, 2.0 * drift / diffusion),
+                         (shape, (theta - params.alpha) / (1.0 - params.alpha)),
+                         (scale, diffusion / 2.0),
+                         (params.l1_constant, shape * scale)):
+        assert ours == pytest.approx(theirs, rel=1e-15, abs=0.0)
 
 
 def test_params_from_spec_attaches_the_feller_coefficients(gamma_spec):

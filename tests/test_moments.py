@@ -1,4 +1,6 @@
 """Exact one-step moments against direct-enumeration oracles."""
+import math
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from mbpm import (
     moment_check,
     sigma2,
 )
+from mbpm.moments import EXACT_TOL, ratio_limit
 
 
 @pytest.fixture(scope="module")
@@ -173,3 +176,19 @@ def test_moments_match_simulation(two_type_spec, sqrt_spec):
 def test_moments_match_simulation_small_support(small_support_spec):
     report = moment_check(small_support_spec, np.array([2, 1]), N=200_000, seed=5)
     assert report.passed, report
+
+
+@pytest.mark.parametrize("alpha, c_dot_u, beta, nu, cancels, theta", [
+    (0.0, 2.0, 1.0, 1.0, False, 4.0),  # beta = alpha + 1: 2 u.c / nu
+    (0.0, 0.5, 1.0 + EXACT_TOL / 2, 1.0, False, 1.0),  # matched within the tolerance
+    (0.5, 1.0, 1.0, 1.0, False, math.inf),  # beta below: the ratio grows like s^(1/2)
+    (0.5, -1.0, 1.0, 1.0, False, -math.inf),  # ... with the drift's sign
+    (0.5, 1.0, 2.0, 1.0, False, 0.0),  # beta above: it shrinks like s^(-1/2)
+    (0.5, -1.0, 2.0, 1.0, False, 0.0),
+    (0.0, 0.0, 0.5, 1.0, False, 0.0),  # no mean term survives
+    (0.0, 1e-20, 1.0, 1.0, True, None),  # top mean terms cancel
+    (0.0, 2.0, 1.0, math.inf, False, None),  # a log tops sigma2
+    (0.0, 2.0, 0.0, 0.0, False, None),  # sigma2 eventually 0
+])
+def test_ratio_limit(alpha, c_dot_u, beta, nu, cancels, theta):
+    assert ratio_limit(alpha, c_dot_u, beta, nu, cancels) == theta

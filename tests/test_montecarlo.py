@@ -346,7 +346,7 @@ def test_gamma_cdf_against_scipy():
             assert np.abs(ours - theirs).max() < 1e-10, (a, s)
 
 
-@pytest.mark.parametrize("shape", [0.3, 4.0, 50.0])
+@pytest.mark.parametrize("shape", [0.01, 0.3, 0.5, 4.0, 50.0, 1e4])
 def test_gamma_quantile_against_scipy(shape):
     # the feller suite's fan: five quantiles at t = 1, scale diffusion / 2
     qs = (0.05, 0.25, 0.5, 0.75, 0.95)
@@ -354,7 +354,7 @@ def test_gamma_quantile_against_scipy(shape):
         theirs = scipy.stats.gamma.ppf(qs, shape, scale=scale)
         assert np.abs(gamma_quantile(qs, shape, scale) / theirs - 1.0).max() <= 1e-12
     # far below the mean, where a Newton step on P moves log t by only about
-    # -1/shape; at shape 0.3 both quantiles lie below the float range
+    # -1/shape; at shapes 0.01 and 0.3 both quantiles lie below the float range
     for q in (1e-100, 1e-300):
         theirs = scipy.stats.gamma.ppf(q, shape, scale=0.5)
         ours = gamma_quantile(q, shape, 0.5)
@@ -362,6 +362,12 @@ def test_gamma_quantile_against_scipy(shape):
             assert ours == 0.0
         else:
             assert abs(ours / theirs - 1.0) <= 1e-12
+    # near 1, on the upper tail Q = 1 - q from the continued fraction: P =
+    # 1 - Q would carry Q's absolute rounding, its whole size at 1 - 2^-52
+    # (scipy agrees with mpmath at 50 digits here to 7e-16)
+    qs = (1 - 1e-6, 1 - 1e-12, 1 - 2.0**-52)
+    theirs = scipy.stats.gamma.ppf(qs, shape, scale=0.5)
+    assert np.abs(gamma_quantile(qs, shape, 0.5) / theirs - 1.0).max() <= 1e-12
 
 
 def test_gamma_quantile_refuses_probabilities_outside_the_open_unit_interval():
