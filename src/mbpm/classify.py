@@ -9,10 +9,10 @@ along rays to infinity, through its limit theta (Lamperti's test): theta
 below 1 forbids unbounded growth and theta above 1 permits it, under side
 conditions bounding higher moments of one transition; theta within
 moments.EXACT_TOL of 1, or without a limit the laws state, decides
-nothing.  theta is exact (moments.ratio_limit).  The ratio is also read at
-probe states on the ray (``_Ray``: h and sigma2 once per probe), for the
-report and for the emigration-dominates and support conditions, which
-read the probes.
+nothing.  theta is exact (moments.ratio_limit), and so are the
+emigration-dominates and support conditions (classify_growth).  The
+ratio is also read at probe states on the ray (``_Ray``: h and sigma2
+once per probe), for the report only.
 
 The side conditions are little-o comparisons of growth rates.  Every law
 states its large-size form (see laws), so they compare exact growth
@@ -43,7 +43,6 @@ from .moments import (
     leading_moments,
     migration_leads,
     migration_mean,
-    migration_terms,
     ratio_limit,
     sigma2,
 )
@@ -56,8 +55,8 @@ _INT64_BOUND = 2.0**63  # the least float past int64
 
 @dataclass(frozen=True)
 class CriteriaConfig:
-    """The probe ray: magnitudes of u . z at which the criteria probe the
-    model, along the right Perron vector v.
+    """The probe ray: magnitudes of u . z at which the report reads the
+    ratio, along the right Perron vector v.
 
     u sums to 1 and u . v = 1, so some entry of v is at least 1: a
     magnitude of 2^63 or more has a probe state past int64 in every model.
@@ -95,13 +94,14 @@ def _hypothesis_B(ray, exps: dict) -> tuple:
 
     Decided structurally on the closed state-function set: each of the
     immigration term a_i q_i and emigration term b_i r_i gets the growth
-    exponent of its leading form (_exponents; uniform emigration removes a
-    linear fraction of the count, hence exponent 1), 0 for a bounded term,
+    exponent of its leading form (uniform emigration removes a linear
+    fraction of the count, hence exponent 1), 0 for a bounded term,
     and the hypothesis holds when every exponent is strictly below 1.  A
     term that never fires has exponent -inf.  Probe ratios max_i |h_i(z)|
     / ||z|| on the ray are recorded as numeric evidence only.
     """
-    exponents = [[e if math.isinf(e) else max(e, 0.0) for e in pair] for pair in exps["terms"]]
+    exponents = [[e if math.isinf(e) else max(e, 0.0) for e in map(exponent_of, pair)]
+                 for pair in exps["terms"]]
     ratios = [float(np.max(np.abs(h))) / float(np.sum(z)) for z, h in zip(ray.probes, ray.h)]
     worst = max(max(pair) for pair in exponents)
     evidence = {
@@ -131,23 +131,6 @@ def check_hypothesis_C(spec: ModelSpec) -> Optional[dict]:
     return {key: np.array(values) for key, values in limits.items()}
 
 
-def check_growth_support(spec: ModelSpec, z) -> bool:
-    """Can every occupied type both receive immigrants and reproduce at z?
-
-    A type can reproduce where its parents' mean children vector is not 0:
-    counts are nonnegative, so a zero mean is a law with no children."""
-    z = np.asarray(z, dtype=np.int64)
-    if not z.any():
-        raise ValueError("support condition is defined for non-null states")
-    s = spec.size(z)
-    m = spec.mean_matrix()
-    for i in np.flatnonzero(z > 0):
-        _, pi, _ = spec.migration[i].branch_probs(s, int(z[i]))
-        if pi <= 0.0 or not m[:, i].any():
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class _Ray:
     """The ratio's ingredients along the probe ray, evaluated once."""
@@ -170,8 +153,7 @@ def _probe_ray(spec: ModelSpec, config: CriteriaConfig) -> _Ray:
         z = np.rint(mag * spectral.v)
         if not z.max() < _INT64_BOUND:
             raise ValueError(f"the probe state at magnitude {mag:g} does not fit int64")
-        z = z.astype(np.int64)
-        probes.append(z if z.any() else np.ones(spec.dim, dtype=np.int64))
+        probes.append(z.astype(np.int64))
     h_list = [migration_mean(spec, z) for z in probes]
     return _Ray(
         probes=probes,
@@ -191,11 +173,10 @@ def _exponents(spec: ModelSpec) -> dict:
     """The exact growth exponents along the ray that the verdict, the order
     checks and _fitted_exponents compare: moments.leading_moments with its
     ratio limit "theta" and "rising", that u.h is eventually positive (its
-    top terms do not cancel and u.c > 0), and per type the
-    shifted moment E|z_i + M_i|^(1 + delta/2), the centered moment
-    E|M_i - h_i|^(2 + delta) and the terms q_i E[I_i] and r_i E[D_i] of
-    h_i (-inf where 0); and the surrogate, the larger of z_i + h_i (a
-    count: linear) and E|M_i - h_i|^alpha_tilde over all types."""
+    top terms do not cancel and u.c > 0), and per type the shifted moment
+    E|z_i + M_i|^(1 + delta/2) and the centered moment
+    E|M_i - h_i|^(2 + delta); and the surrogate, the larger of z_i + h_i
+    (a count: linear) and E|M_i - h_i|^alpha_tilde over all types."""
     comps = spec.migration
     out = leading_moments(spec)
     out["theta"] = ratio_limit(out["alpha"], out["c_dot_u"], out["beta"], out["nu"], out["cancels"])
@@ -203,7 +184,6 @@ def _exponents(spec: ModelSpec) -> dict:
     out["shifted"] = [abs_exponent(c, 1.0 + DELTA / 2.0, shifted=True) for c in comps]
     out["centered"] = [abs_exponent(c, 2.0 + DELTA) for c in comps]
     out["surrogate"] = max(1.0, *(abs_exponent(c, ALPHA_TILDE) for c in comps))
-    out["terms"] = [[exponent_of(t) for t in migration_terms(migration_leads(c))] for c in comps]
     return out
 
 
@@ -236,16 +216,20 @@ def classify_growth(spec: ModelSpec, config: CriteriaConfig = CriteriaConfig()) 
     """Decide no-growth / growth-possible / inconclusive from the ratio's
     exact limit theta (moments.ratio_limit).
 
-    No-growth fires when (a) every mean adjustment component is
-    nonpositive at all probes (emigration dominates), or (b) theta < 1 and
-    the transition moments are dominated in the little-o sense.
-    Growth-possible needs the support condition at the probes, theta > 1,
-    and the log-damped moment dominations.  Anything else, including theta
-    within moments.EXACT_TOL of 1 and a theta the laws do not state, is
-    inconclusive; a mean matrix without hypothesis (A) gives inconclusive
-    / not-critical.  The probes do not enter the ratio test: they are
-    reported (ratio_values, diagnostics), and condition (a) and the
-    support condition read them.
+    No-growth fires when (a) every h_i is eventually <= 0 (emigration
+    dominates: of the leading forms of q_i E[I_i] and r_i E[D_i], the
+    first is 0, or the second has the larger exponent, or the same and a
+    coefficient as large within moments' cancel tolerance), or (b) theta <
+    1 and the transition moments are dominated in the little-o sense.
+    Growth-possible needs the support condition, theta > 1, and the
+    log-damped moment dominations.  The support condition: every type's
+    immigration probability has a nonzero leading coefficient (a batch
+    has an immigrant, so q_i E[I_i] is not eventually 0); every type can
+    reproduce by hypothesis (A), as a primitive mean matrix has no zero
+    column.  Anything else, including theta within moments.EXACT_TOL of 1
+    and a theta the laws do not state, is inconclusive; a mean matrix
+    without hypothesis (A) gives inconclusive / not-critical.  The probes
+    enter no condition: they are only reported (ratio_values, diagnostics).
 
     The sublinear-drift hypothesis (B) is reported, not enforced: the
     emigration-dominates condition is meaningful and corroborated by
@@ -285,11 +269,7 @@ def classify_growth(spec: ModelSpec, config: CriteriaConfig = CriteriaConfig()) 
     def dominated(rhs: str) -> bool:
         return all(checks.get(f"{lhs}_vs_{rhs}", {}).get("ok") for lhs in ("shifted", "centered"))
 
-    try:
-        ones = np.ones(spec.dim, dtype=np.int64)
-        support_ok = all(check_growth_support(spec, z) for z in [*ray.probes, ones])
-    except ValueError:
-        support_ok = False
+    support_ok = all(imm[0] != 0.0 for imm, _ in exps["terms"])
 
     diagnostics = {
         "hypothesis_B_evidence": b_evidence,
@@ -300,7 +280,7 @@ def classify_growth(spec: ModelSpec, config: CriteriaConfig = CriteriaConfig()) 
 
     theta = 1.0 if exps["theta"] is None else exps["theta"]  # no stated limit decides nothing
     verdict, condition = "inconclusive", None
-    if all((h <= 1e-12).all() for h in ray.h):
+    if exps["falls"]:
         verdict, condition = "no-growth", "emigration-dominates"
     elif theta < 1.0 - EXACT_TOL and (dominated("sigma") or dominated("drift")):
         verdict, condition = "no-growth", "ratio-below-one"
@@ -330,18 +310,18 @@ def _fitted_exponents(ray: _Ray, exps: dict) -> dict:
     limit theta as ratio_limit, and the fluctuation exponent surrogates
     delta1 (growth of max_i |h_i|) and delta2 (growth of the
     alpha_tilde-moment surrogate, divided by alpha_tilde).  alpha, u.c
-    and ratio_limit are None where u.h is not eventually positive, nu and
+    and ratio_limit are None where the top mean terms cancel, nu and
     ratio_limit where a log tops sigma2, and delta1 where h is eventually
     0.
     """
-    drift = exps["rising"]
+    drift = not exps["cancels"]
     return {
         "sizes": ray.sizes.tolist(),
         "alpha": exps["alpha"] if drift else None,
         "c_dot_u": exps["c_dot_u"] if drift else None,
         "beta": exps["beta"],
         "nu": _finite(exps["nu"]),
-        "delta1": _finite(max(max(pair) for pair in exps["terms"])),
+        "delta1": _finite(max(exponent_of(t) for pair in exps["terms"] for t in pair)),
         "delta2": exps["surrogate"] / ALPHA_TILDE,
         "ratio_limit": exps["theta"] if drift else None,
     }

@@ -131,7 +131,7 @@ def params_from_spec(spec: ModelSpec) -> LimitParams:
     exist.
     """
     constants = leading_moments(spec)
-    if constants.pop("cancels"):
+    if constants["cancels"]:
         raise ValueError(
             f"the leading mean migration terms cancel at exponent {constants['alpha']:g}, "
             "so the drift's order is not stated by the laws' leading forms"
@@ -146,7 +146,8 @@ def params_from_spec(spec: ModelSpec) -> LimitParams:
         drift, diffusion = feller_params(spec)
     except ValueError:
         pass
-    return LimitParams(**constants, feller_drift=drift, feller_diffusion=diffusion)
+    growth = {key: constants[key] for key in ("alpha", "c", "c_dot_u", "beta", "nu")}
+    return LimitParams(**growth, feller_drift=drift, feller_diffusion=diffusion)
 
 
 def a_seq(c_dot_u: float, alpha: float, n: int):

@@ -195,6 +195,12 @@ def _top(terms) -> tuple:
     return (sum(c for c, e in live if e == exponent), exponent)
 
 
+def _falls(pair) -> bool:
+    """Is the sum of these leading forms eventually <= 0 (a tie within _CANCEL_TOL is 0)?"""
+    coeff, exponent = _top(pair)
+    return coeff <= _CANCEL_TOL * sum(abs(c) for c, e in pair if c != 0.0 and e == exponent)
+
+
 def _spread(lead) -> tuple:
     """The leading form of p (1 - p) for a probability p of leading form
     lead: an eventually constant p gives the constant p (1 - p), and a
@@ -215,10 +221,11 @@ def leading_moments(spec: ModelSpec) -> dict:
     """The top terms of u . h(s v) and sigma2(s v), exact from the laws.
 
     Mean side: h_i(s v) = q_i E[I_i] - r_i E[D_i], each term a product of
-    leading forms (migration_terms): "alpha" is the top exponent over all
-    types, "c" each type's coefficient there and "c_dot_u" = u . c;
-    "cancels" says that the top terms cancel in u . c, so that the drift's
-    order is below what the leading forms state.
+    leading forms (migration_terms; "terms" holds the pairs): "alpha" is
+    the top exponent over all types, "c" each type's coefficient there and
+    "c_dot_u" = u . c; "cancels" says that the top terms cancel in u . c,
+    so that the drift's order is below what the leading forms state;
+    "falls" says that every h_i is eventually <= 0.
 
     Variance side: sigma2(s v) = u^T ((s v + h) odot Sigma) u
     + sum_i u_i^2 Var M_i, where s v + h is a count and each
@@ -256,7 +263,8 @@ def leading_moments(spec: ModelSpec) -> dict:
     scale = sum(u_i * abs(coeff) for u_i, top in zip(u, tops) for coeff in top)
     nu, beta = _top(variances)
     return {"alpha": alpha, "c": c, "c_dot_u": c_dot_u, "nu": float(nu), "beta": beta,
-            "cancels": bool(scale > 0.0 and abs(c_dot_u) <= _CANCEL_TOL * scale)}
+            "cancels": bool(scale > 0.0 and abs(c_dot_u) <= _CANCEL_TOL * scale),
+            "terms": means, "falls": all(map(_falls, means))}
 
 
 def ratio_limit(alpha: float, c_dot_u: float, beta: float, nu: float,

@@ -26,7 +26,6 @@ from mbpm import (
     PoissonOffspring,
     Power,
     UniformEmigration,
-    check_growth_support,
     check_hypothesis_C,
     classify_growth,
     estimate_exponents,
@@ -196,9 +195,35 @@ def test_classify_requires_criticality(small_support_spec):
     assert not verdict.hypothesis_A
 
 
-def test_growth_support(gamma_spec, emigration_spec):
-    assert check_growth_support(gamma_spec, np.array([5]))
-    assert not check_growth_support(emigration_spec, np.array([5, 5]))
+def test_growth_support(gamma_spec, emigration_spec, pure_death_spec):
+    assert classify_growth(gamma_spec).support_ok
+    assert not classify_growth(emigration_spec).support_ok  # no type receives immigrants
+    # immigrants enter type 0 only; type 1 receives its descendants
+    assert not classify_growth(load_spec(spec_path("two_type_coupled"))).support_ok
+    # a zero mean column is not primitive: hypothesis (A) fails first
+    assert classify_growth(pure_death_spec).support_ok is None
+
+
+def test_growth_support_reads_the_large_size_forms():
+    # immigration stops at size 100: its term is eventually 0, so the
+    # support condition fails and emigration, the zero term, dominates
+    # however large the probes are
+    doc = load_doc("gamma_single_type")
+    doc["migration"][0].update(
+        prob_imm={"kind": "table", "breaks": [1.0, 100.0], "values": [1.0, 0.0]},
+    )
+    for ray_points in [(10.0, 50.0), (1e3, 1e4)]:
+        verdict = classify_growth(spec_from_dict(doc).validate(),
+                                  CriteriaConfig(ray_points=ray_points))
+        assert (verdict.verdict, verdict.condition, verdict.support_ok) == (
+            "no-growth", "emigration-dominates", False)
+    # a decaying immigration probability 1/s still has a nonzero leading
+    # coefficient: immigrants keep arriving, and theta = 0
+    doc["migration"][0]["prob_imm"] = {
+        "kind": "clamp", "hi": 1.0, "inner": {"kind": "power", "coeff": 1.0, "exponent": -1.0}}
+    verdict = classify_growth(spec_from_dict(doc).validate())
+    assert (verdict.verdict, verdict.condition, verdict.support_ok) == (
+        "no-growth", "ratio-below-one", True)
 
 
 def test_growth_support_reads_reproduction_from_the_mean():
@@ -210,7 +235,6 @@ def test_growth_support_reads_reproduction_from_the_mean():
     comp = load_doc("gamma_single_type")["migration"][0]
     spec = spec_from_dict({"offspring": [law(1.0), law(1e-17)], "migration": [comp, comp],
                            "initial": {"kind": "deterministic", "state": [1, 1]}})
-    assert check_growth_support(spec, np.array([5, 5]))
     verdict = classify_growth(spec)
     assert (verdict.verdict, verdict.condition, verdict.support_ok) == (
         "growth-possible", "ratio-above-one", True)
@@ -245,7 +269,8 @@ def test_estimate_exponents_where_the_limit_constants_are_refused(two_type_spec)
     # uniform emigration: drift -0.05 s and a variance ~ s^2 (slope fits
     # reported beta = 1.99); alpha = 1, so params_from_spec refuses
     out = classify_growth(two_type_spec).exponents
-    assert (out["alpha"], out["c_dot_u"]) == (None, None)  # u.h < 0 on the ray
+    assert (out["alpha"], out["c_dot_u"]) == (1.0, -0.05)  # u.h < 0 on the ray
+    assert out["ratio_limit"] == pytest.approx(-120.0 / 17.0, rel=1e-15)  # 2 u.c / nu
     assert (out["beta"], out["delta1"], out["delta2"]) == (2.0, 1.0, 1.0)
     with pytest.raises(ValueError, match="alpha must be < 1"):
         params_from_spec(two_type_spec)
@@ -327,25 +352,49 @@ def test_the_ratio_limit_is_zero_where_the_variance_outgrows_the_drift():
     assert (np.diff(verdict.ratio_values) < 0.0).all()  # 0.063, 0.020, 0.0063
 
 
-def _step_table_doc():
-    """One type, Poisson(1) offspring, one immigrant at probability 0.3
-    below the size 1e5 and 0.8 from there on: theta = 2 * 0.8 = 1.6, while
-    the ratio reads about 0.6 at every probe below 1e5."""
+def _table_immigration_doc(breaks, values, immigrants=1, emigration=0.0):
+    """One type, Poisson(1) offspring, a batch of ``immigrants`` at the
+    probability Table(breaks, values) of the size, and one emigrant at
+    the probability ``emigration``: theta = 2 (immigrants values[-1] -
+    emigration)."""
+    migration = {"prob_imm": {"kind": "table", "breaks": breaks, "values": values},
+                 "prob_em": {"kind": "constant", "value": emigration},
+                 "immigration": {"family": "deterministic", "value": immigrants}}
+    if emigration:
+        migration["emigration"] = {"family": "deterministic", "value": 1}
     return spec_from_dict({
         "offspring": [{"kind": "independent", "components": [{"family": "poisson", "mean": 1.0}]}],
-        "migration": [{
-            "prob_imm": {"kind": "table", "breaks": [0.0, 1e5], "values": [0.3, 0.8]},
-            "prob_em": {"kind": "constant", "value": 0.0},
-            "immigration": {"family": "deterministic", "value": 1}}],
+        "migration": [migration],
         "initial": {"kind": "deterministic", "state": [1]},
-    })
+    }).validate()
 
 
-@pytest.mark.parametrize("ray_points", [(1e3, 1e4), (1e3, 1e4, 1e5), (1e6, 1e7)])
-def test_the_probes_do_not_move_the_verdict(ray_points):
-    verdict = classify_growth(_step_table_doc(), CriteriaConfig(ray_points=ray_points))
-    assert verdict.exponents["ratio_limit"] == 1.6
-    assert (verdict.verdict, verdict.condition) == ("growth-possible", "ratio-above-one")
+# documents whose probes once moved the verdict: (table breaks, values,
+# immigrants, emigration probability) and theta
+_PROBE_DOCS = {
+    # the ratio reads about 0.6 at every probe below 1e5
+    "step": (([0.0, 1e5], [0.3, 0.8]), 1.6),
+    # no immigrants below 5e4: h = -0.3 at the probes there, which read
+    # emigration-dominates
+    "late_immigration": (([0.0, 5e4], [0.0, 0.5], 3, 0.3), 2.4),
+    # no immigrants on [1e4, 1e5): a probe there failed the support check
+    "immigration_gap": (([0.0, 1e4, 1e5], [0.8, 0.0, 0.8]), 1.6),
+    # no immigrants at the size 1: the state (1) failed the support check
+    # at every probe set, yet from z0 = 10 (R = 4000) about 0.64 of the
+    # paths have Z_n > n/4 at n = 250, 500 and 1000
+    "no_immigration_at_one": (([0.0, 2.0], [0.0, 0.8]), 1.6),
+}
+
+
+@pytest.mark.parametrize("doc_name", sorted(_PROBE_DOCS))
+def test_the_probes_do_not_move_the_verdict(doc_name):
+    args, theta = _PROBE_DOCS[doc_name]
+    spec = _table_immigration_doc(*args)
+    for ray_points in [(1e3, 1e4), CriteriaConfig().ray_points, (1e5, 1e6)]:
+        verdict = classify_growth(spec, CriteriaConfig(ray_points=ray_points))
+        assert verdict.exponents["ratio_limit"] == theta
+        assert (verdict.verdict, verdict.condition, verdict.support_ok) == (
+            "growth-possible", "ratio-above-one", True)
 
 
 @pytest.mark.parametrize("doc_name, shifted, centered", [

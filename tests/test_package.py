@@ -18,7 +18,7 @@ EXPORTED = [
     "Power", "ProbabilityEstimate", "ShiftedPoissonImmigration", "SpecFormatError",
     "SpectralData", "Table", "TableImmigration", "TableInitial", "TableOffspring",
     "TruncatedGeometricEmigration", "UniformEmigration", "a_seq", "advance", "algebra",
-    "check_growth_support", "check_hypothesis_C", "classify",
+    "check_hypothesis_C", "classify",
     "classify_growth", "cond_mean", "cond_var", "criticality", "estimate_explosion",
     "estimate_exponents", "euler_maruyama", "feller_params", "gamma_cdf", "gamma_quantile",
     "gof_report", "is_primitive", "ks_statistic", "lambda_n", "laws",

@@ -24,7 +24,10 @@ l1-limit and feller on two_type_coupled, whose v is now (8/7, 6/7) to the
 last bit.  Every run
 that writes a report was recorded again when the no-migration
 probability left the document schema, as the report carries the spec
-digest; nothing else in those outputs moved.
+digest; nothing else in those outputs moved.  Classify on two_type_mixed
+and pure_emigration was recorded again when the growth exponents came
+to report alpha, u.c and the ratio's limit theta where u.h is not
+eventually positive (they were null there).
 ``test_suite_outputs_do_not_depend_on_the_blas_kernel`` runs every case
 again under two other OpenBLAS kernels.
 
@@ -67,9 +70,9 @@ DIGESTS = {
     ("classify", "sqrt_drift_single_type"):
         "016da3840d7d481c8c9220974837dc5cf6de42fcbe6d1a47d4c205a587894c1d",
     ("classify", "two_type_mixed"):
-        "015fab249dc159e65d13c45f50eb0de74e214aa37d4155a4263217367e49ee87",
+        "3520c278ba8679a5796f6eeecb4b20467449d55727353ef39c5bba35cf6e31fe",
     ("classify", "pure_emigration"):
-        "5e3b72dd8245dfb0747d3bcb1dd040ab82679aad051ae40ab8ea6c952a2750ae",
+        "ef9a58a0340943034276ff1d0cc6b49d7d39d50d51b0c43e74ad0beea7f75599",
     ("classify", "small_support"):
         "50dff1e3024ed850835a635289e6190ba4229578a405e98dc4f88584a2c39365",
     ("classify", "pure_death"):
