@@ -597,7 +597,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--reps", type=_at_least(int, 1),
-        help="replicates, or sample count for the moments suite (default %(default)s)",
+        help="replicates, or sample count for the moments suite, which draws at least "
+        "10000 (default %(default)s)",
     )
     parser.add_argument(
         "--seed", type=_at_least(int, 0, 2**64), help="master seed (default %(default)s)"

@@ -30,9 +30,9 @@ documents take the same path.  ``sample_offspring`` draws per parent
 type, or, when every offspring count is Poisson, in one call: the
 children of type j from all parents are a sum of independent Poissons,
 hence Poisson with the summed rate.
-``simulate_path`` runs the kernel on a single row, ``sample_step_batch``
-on one state broadcast to many rows, and the ensembles in ``montecarlo``
-on blocks of replicates.
+``sample_step_batch`` steps one state broadcast to many rows.  Every
+trajectory runs through one loop, ``_trajectories``: ``simulate_path``
+on a single row, the ensembles in ``montecarlo`` once per block.
 
 The mean matrix convention is column-per-parent: mean_matrix()[i, j] is
 the expected number of type-i children of one type-j parent, and the
@@ -410,18 +410,37 @@ def advance(spec: ModelSpec, Z, rng):
     return sample_offspring(spec, counts, rng)
 
 
+def _trajectories(spec: ModelSpec, n: int, steps, rng, out, first: int = 0):
+    """out, int64 (rows, len(steps), p), filled with len(out) rows drawn
+    from the initial law and advanced n steps, kept at steps: increasing
+    ints in [0, n] ending at n.  A ValueError from the kernel is raised
+    again with the step and the first replicate of the block, whose row r
+    is replicate first + r.
+    """
+    Z = spec.initial.sample(rng, len(out))
+    j = 0
+    try:
+        for k in range(n):
+            if k == steps[j]:
+                out[:, j] = Z
+                j += 1
+            Z = advance(spec, Z, rng)
+    except ValueError as exc:
+        raise ValueError(
+            f"step {k + 1} of {n}, block from replicate {first} (row r is "
+            f"replicate {first} + r): {exc}"
+        ) from exc
+    out[:, j] = Z  # steps[j] == n
+    return out
+
+
 def simulate_path(spec: ModelSpec, n: int, rng) -> np.ndarray:
-    """The (n + 1, p) int64 states of n steps from the initial law:
-    ``advance`` on a single row."""
+    """The (n + 1, p) int64 states of n steps from the initial law: the
+    trajectory loop on a single row, every step kept."""
     if n < 0:
         raise ValueError("horizon must be nonnegative")
-    states = np.empty((n + 1, spec.dim), dtype=np.int64)
-    Z = spec.initial.sample(rng, 1)
-    states[0] = Z[0]
-    for k in range(n):
-        Z = advance(spec, Z, rng)
-        states[k + 1] = Z[0]
-    return states
+    states = np.empty((1, n + 1, spec.dim), dtype=np.int64)
+    return _trajectories(spec, n, range(n + 1), rng, states)[0]
 
 
 def sample_step_batch(spec: ModelSpec, z, size: int, rng):

@@ -5,10 +5,12 @@ only at the steps its caller names.  It runs in fixed blocks of
 BLOCK = 2048 rows: block b holds replicates [b BLOCK, (b+1) BLOCK) and
 draws from its own stream, stream_for(master_seed, b) (an SFC64 generator
 seeded by numpy's SeedSequence hash of master_seed and b; see there).
-Workers receive whole blocks, so results are bit-identical for any worker
-count, and an ensemble of at most BLOCK replicates runs in one process.  The
-size was chosen by measurement on a shared 2-vCPU host: a step's cost is
-mostly fixed per numpy call, so wider blocks cost less per row-step
+A block is one run of the model's trajectory loop: in one process it
+writes into the ensemble's own array, in a worker pool it is one job
+whose states are copied in.  So results are bit-identical for any worker
+count, and an ensemble of at most BLOCK replicates runs in one process.
+The size was chosen by measurement on a shared 2-vCPU host: a step's
+cost is mostly fixed per numpy call, so wider blocks cost less per row-step
 (1.5-2.8x less at 2048 rows than at 256, for R = 4096 and n = 800), and
 with two workers the three acceptance ensembles took 1.7 s at 2048 rows
 against 2.6 s at 256, 1.9 s at 1024 and 2.1 s at 4096.
@@ -46,12 +48,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .model import ModelSpec, advance, spec_digest
+from .model import ModelSpec, _trajectories, spec_digest
 from .moments import cond_mean, cond_var
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -125,34 +127,10 @@ class Ensemble:
         }
 
 
-def _simulate_blocks(args):
-    """Replicates [lo, hi), whole blocks, each advanced n steps in lockstep.
-
-    Returns lo and the (hi - lo, len(steps), p) states at the kept steps.
-    A ValueError from the kernel is raised again with the step and the
-    block's first replicate, so that its "row r" is replicate start + r.
-    """
-    spec, n, steps, master_seed, lo, hi = args
-    states = np.empty((hi - lo, len(steps), spec.dim), dtype=np.int64)
-    for start in range(lo, hi, BLOCK):
-        stop = min(start + BLOCK, hi)
-        rows = slice(start - lo, stop - lo)
-        rng = stream_for(master_seed, start // BLOCK)
-        Z = spec.initial.sample(rng, stop - start)
-        j = 0
-        try:
-            for k in range(n):
-                if k == steps[j]:
-                    states[rows, j] = Z
-                    j += 1
-                Z = advance(spec, Z, rng)
-        except ValueError as exc:
-            raise ValueError(
-                f"step {k + 1} of {n}, block from replicate {start} (row r is "
-                f"replicate {start} + r): {exc}"
-            ) from exc
-        states[rows, j] = Z  # steps[j] == n
-    return lo, states
+def _block(spec: ModelSpec, n: int, steps: tuple, master_seed: int, R: int, start: int):
+    """A pool job: the kept states of the block from replicate start, in a new array."""
+    out = np.empty((min(BLOCK, R - start), len(steps), spec.dim), dtype=np.int64)
+    return _trajectories(spec, n, steps, stream_for(master_seed, start // BLOCK), out, start)
 
 
 def run_ensemble(
@@ -163,13 +141,14 @@ def run_ensemble(
     steps: Optional[Sequence[int]] = None,
     workers: Optional[int] = None,
 ) -> Ensemble:
-    """R independent trajectories of length n, merged by replicate index.
+    """R independent trajectories of length n, block by block.
 
     The ensemble keeps the states at steps, strictly increasing integers
     in [0, n] that end at n; left out, it keeps only (n,), the terminal
     states.  Other steps are refused before any draw.  workers defaults
-    to the MBPM_WORKERS environment variable (1 when unset).  Any worker
-    count yields the same ensemble bit for bit.
+    to the MBPM_WORKERS environment variable (1 when unset); no more
+    workers start than there are blocks.  Any worker count yields the
+    same ensemble bit for bit.
     """
     if R < 1:
         raise ValueError("need at least one replicate")
@@ -182,22 +161,22 @@ def run_ensemble(
         raise ValueError(f"steps must be strictly increasing integers in [0, {n}] ending at {n}")
     if workers is None:
         workers = int(os.environ.get("MBPM_WORKERS", "1"))
-    blocks = -(-R // BLOCK)
-    workers = max(1, min(workers, blocks))
-    bounds = np.minimum(np.linspace(0, blocks, workers + 1).astype(int) * BLOCK, R)
-    spans = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    starts = range(0, R, BLOCK)
+    workers = max(1, min(workers, len(starts)))
     states = np.empty((R, len(steps), spec.dim), dtype=np.int64)
-    jobs = [(spec, n, steps, master_seed, lo, hi) for lo, hi in spans]
-    if len(jobs) == 1:
-        results = [_simulate_blocks(jobs[0])]
+    if workers == 1:
+        for start in starts:
+            _trajectories(spec, n, steps, stream_for(master_seed, start // BLOCK),
+                          states[start : start + BLOCK], start)
     else:
         # imported here: the pool's modules weigh on every import of mbpm
         from concurrent.futures import ProcessPoolExecutor
 
+        job = partial(_block, spec, n, steps, master_seed, R)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_simulate_blocks, jobs))
-    for lo, block in results:
-        states[lo : lo + block.shape[0]] = block
+            done = pool.map(job, starts, chunksize=-(-len(starts) // workers))
+            for start, block in zip(starts, done):
+                states[start : start + BLOCK] = block
 
     return Ensemble(
         spec_digest=spec_digest(spec),

@@ -42,6 +42,16 @@ def test_moments_suite_state_override(tmp_path):
     assert read_report(out)["results"]["moment_check"]["z"] == [12, 8]
 
 
+def test_moments_suite_draws_at_least_ten_thousand(tmp_path):
+    # the report keeps --reps as given beside the samples actually drawn
+    out = str(tmp_path / "rep")
+    assert main(["--spec", spec_path("two_type_mixed"), "--suite", "moments",
+                 "--reps", "5", "--seed", "7", "--out", out]) == 0
+    report = read_report(out)
+    assert report["replicates"] == 5
+    assert report["results"]["moment_check"]["n_samples"] == 10_000
+
+
 def test_classify_suite_checks_expectation(tmp_path):
     out = str(tmp_path / "rep")
     code = main(["--spec", spec_path("two_type_mixed"), "--suite", "classify",

@@ -270,6 +270,17 @@ def test_simulate_path_shape_and_stream(two_type_spec):
     assert np.array_equal(states, again)
 
 
+def test_kernel_error_in_a_path_names_the_step():
+    # Poisson(1e9) children: rates 1e9 and ~1e18 pass, the ~1e27 of step 3 does not
+    offspring = (IndependentOffspring(components=(PoissonOffspring(1e9),)),)
+    stay = MigrationComponent(prob_imm=Constant(0.0), prob_em=Constant(0.0))
+    spec = ModelSpec(offspring, (stay,), DeterministicInitial((1,)))
+    with pytest.raises(ValueError, match=r"^step 3 of 5, block from replicate 0 \(row r is "
+                                         r"replicate 0 \+ r\): Poisson offspring rate .* "
+                                         r"at row 0, "):
+        simulate_path(spec, 5, stream_for(1, 0))
+
+
 def test_pure_death_absorbs(pure_death_spec):
     states = simulate_path(pure_death_spec, 10, np.random.default_rng(2))
     assert (states[1:] == 0).all()

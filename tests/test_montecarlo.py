@@ -33,7 +33,8 @@ from mbpm import (
     stream_for,
     wilson_interval,
 )
-from mbpm.montecarlo import BLOCK, MOMENT_BATCHES, ROWS, _run_starts, _simulate_blocks
+from mbpm.model import _trajectories
+from mbpm.montecarlo import BLOCK, MOMENT_BATCHES, ROWS, _run_starts
 
 import oracles
 from conftest import load_doc, run_fresh, run_python, spec_path
@@ -154,7 +155,21 @@ def test_kernel_error_in_an_ensemble_names_the_step_and_the_block():
         run_ensemble(spec, n=5, R=3, master_seed=1)
     with pytest.raises(ValueError, match=rf"^step 3 of 5, block from replicate {BLOCK} \(row r "
                                          rf"is replicate {BLOCK} \+ r\): Poisson offspring "):
-        _simulate_blocks((spec, 5, (5,), 1, BLOCK, BLOCK + 3))
+        _trajectories(spec, 5, (5,), stream_for(1, 1), np.empty((3, 1, 1), dtype=np.int64), BLOCK)
+
+
+def test_ensemble_keeps_its_states_once(emigration_spec):
+    # criterion 7's shape, every step kept: in one process each block is
+    # written into the ensemble's own array, so the kept states are held once
+    run_ensemble(emigration_spec, n=5, R=10, master_seed=1, workers=1)  # warm caches
+    tracemalloc.start()
+    try:
+        ens = run_ensemble(emigration_spec, n=500, R=2000, master_seed=16180,
+                           steps=range(501), workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * ens.states.nbytes, (peak, ens.states.nbytes)
 
 
 def test_ensemble_paths_consistent(gamma_spec):
@@ -173,7 +188,7 @@ def test_ensemble_refuses_steps_before_any_draw(gamma_spec, monkeypatch, steps):
     def no_draw(*args):
         raise AssertionError("a draw before the steps were checked")
 
-    monkeypatch.setattr("mbpm.montecarlo.advance", no_draw)
+    monkeypatch.setattr("mbpm.model.advance", no_draw)
     monkeypatch.setattr("mbpm.montecarlo.stream_for", no_draw)
     with pytest.raises(ValueError, match=r"^steps must be strictly increasing integers in "
                                          r"\[0, 5\] ending at 5$"):
