@@ -69,7 +69,6 @@ _EXPORTS = {
     "classify": (
         "CriteriaConfig",
         "GrowthVerdict",
-        "check_hypothesis_C",
         "classify_growth",
         "estimate_exponents",
     ),

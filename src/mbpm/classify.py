@@ -24,7 +24,9 @@ verdict, from one ray.
 
 Standing assumptions referenced throughout: (A) the offspring mean matrix
 is primitive with Perron root 1; (B) mean migration is o(||z||); (C) the
-migration parameters a, b, q, r converge at large sizes.
+migration parameters a, b, q, r converge at large sizes, which the record
+moments.leading_moments states as "converges" (the Feller pair,
+limits.feller_params, needs it; no verdict reads it).
 """
 from __future__ import annotations
 
@@ -35,15 +37,13 @@ from typing import Optional
 import numpy as np
 
 from .algebra import is_critical, weigh
-from .laws import exponent_of, limit_of
+from .laws import exponent_of
 from .model import ModelSpec
 from .moments import (
     EXACT_TOL,
     abs_exponent,
     leading_moments,
-    migration_leads,
     migration_mean,
-    ratio_limit,
     sigma2,
 )
 
@@ -114,23 +114,6 @@ def _hypothesis_B(ray, exps: dict) -> tuple:
     return worst < 1.0, evidence
 
 
-def check_hypothesis_C(spec: ModelSpec) -> Optional[dict]:
-    """Large-size limits of the migration parameters, or None if any diverges.
-
-    Returns {"p": ..., "q": ..., "r": ..., "a": ..., "b": ...} as float
-    arrays when every state function and law mean converges.  A missing
-    law's probability and mean count as 0.
-    """
-    limits = {key: [] for key in "pqrab"}
-    for comp in spec.migration:
-        leads = migration_leads(comp)
-        for key in limits:
-            limits[key].append(limit_of(leads[key]))
-    if not all(math.isfinite(v) for values in limits.values() for v in values):
-        return None
-    return {key: np.array(values) for key, values in limits.items()}
-
-
 @dataclass(frozen=True)
 class _Ray:
     """The ratio's ingredients along the probe ray, evaluated once."""
@@ -171,19 +154,19 @@ def _finite(x):
 
 def _exponents(spec: ModelSpec) -> dict:
     """The exact growth exponents along the ray that the verdict, the order
-    checks and _fitted_exponents compare: moments.leading_moments with its
-    ratio limit "theta" and "rising", that u.h is eventually positive (its
-    top terms do not cancel and u.c > 0), and per type the shifted moment
-    E|z_i + M_i|^(1 + delta/2) and the centered moment
+    checks and _fitted_exponents compare: the record moments.leading_moments,
+    with its ratio limit "theta", plus "rising", that u.h is eventually
+    positive (its top terms do not cancel and u.c > 0), and per type the
+    shifted moment E|z_i + M_i|^(1 + delta/2) and the centered moment
     E|M_i - h_i|^(2 + delta); and the surrogate, the larger of z_i + h_i
-    (a count: linear) and E|M_i - h_i|^alpha_tilde over all types."""
-    comps = spec.migration
+    (a count: linear) and E|M_i - h_i|^alpha_tilde over all types.  The
+    moments read each type's leads from the record."""
     out = leading_moments(spec)
-    out["theta"] = ratio_limit(out["alpha"], out["c_dot_u"], out["beta"], out["nu"], out["cancels"])
+    types = list(zip(spec.migration, out["leads"]))
     out["rising"] = out["c_dot_u"] > 0.0 and not out["cancels"]
-    out["shifted"] = [abs_exponent(c, 1.0 + DELTA / 2.0, shifted=True) for c in comps]
-    out["centered"] = [abs_exponent(c, 2.0 + DELTA) for c in comps]
-    out["surrogate"] = max(1.0, *(abs_exponent(c, ALPHA_TILDE) for c in comps))
+    out["shifted"] = [abs_exponent(c, lead, 1.0 + DELTA / 2.0, shifted=True) for c, lead in types]
+    out["centered"] = [abs_exponent(c, lead, 2.0 + DELTA) for c, lead in types]
+    out["surrogate"] = max(1.0, *(abs_exponent(c, lead, ALPHA_TILDE) for c, lead in types))
     return out
 
 

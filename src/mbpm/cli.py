@@ -547,6 +547,9 @@ def _parse_ints(text: str):
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
+_parse_ints.__name__ = "int"  # argparse names the type in "invalid int value"
+
+
 def _at_least(convert, lo, below=None):
     """An option type: a value read by ``convert`` that is >= lo, and < below
     where that is given (NaN is refused)."""

@@ -12,8 +12,8 @@ limit statements this module parameterizes:
     recentred at a_n and scaled by Lambda_n is asymptotically standard
     normal on the survival event;
   * diffusion scaling: with migration parameters converging at large
-    sizes, n^{-1} Z_{floor(nt)} converges weakly to a square-root
-    diffusion in the Perron direction.
+    sizes (hypothesis (C)), n^{-1} Z_{floor(nt)} converges weakly to a
+    square-root diffusion in the Perron direction.
 
 LimitParams holds the growth constants alpha, u.c, beta and nu and
 derives the gamma and L1 constants from them; a_seq, lambda_n and those
@@ -23,10 +23,10 @@ so integer cases come out exact in floating point.
 params_from_spec reads the four constants off the document's laws along
 the ray z = s v (v the right Perron vector, u . v = 1, so u . z = s): the
 top term of u . h(s v) gives alpha and u . c, and the top term of
-sigma2(s v) gives beta and nu (moments.leading_moments, which the growth
-classifier reads too).  Every law states its large-size form as a
-(coeff, exponent) pair (see laws), so the constants are exact; nothing is
-fitted.
+sigma2(s v) gives beta and nu (moments.leading_moments, the record the
+growth classifier and feller_params read too).  Every law states its
+large-size form as a (coeff, exponent) pair (see laws), so the constants
+are exact; nothing is fitted.
 """
 from __future__ import annotations
 
@@ -37,9 +37,9 @@ from typing import Optional
 import numpy as np
 
 from . import algebra
-from .classify import ALPHA_TILDE, DELTA, check_hypothesis_C
+from .classify import ALPHA_TILDE, DELTA
 from .model import ModelSpec
-from .moments import EXACT_TOL, leading_moments, offspring_diffusion, ratio_limit
+from .moments import EXACT_TOL, leading_moments, ratio_limit
 
 
 @dataclass(frozen=True)
@@ -126,9 +126,8 @@ def params_from_spec(spec: ModelSpec) -> LimitParams:
     The growth constants are the top terms of moments.leading_moments; a
     ValueError names a model whose constants do not exist or lie outside
     the theory: top mean terms that cancel in u . c, a variance that grows
-    like a log at its top, or a LimitParams refusal.  The diffusion
-    coefficients are attached whenever the large-size migration limits
-    exist.
+    like a log at its top, or a LimitParams refusal.  The same record
+    gives the Feller pair wherever feller_params gives it.
     """
     constants = leading_moments(spec)
     if constants["cancels"]:
@@ -142,10 +141,8 @@ def params_from_spec(spec: ModelSpec) -> LimitParams:
             "emigration), so no power nu s^beta states it"
         )
     drift = diffusion = None
-    try:
-        drift, diffusion = feller_params(spec)
-    except ValueError:
-        pass
+    if constants["converges"] and algebra.is_critical(spec.spectral().rho):
+        drift, diffusion = _feller_pair(constants)
     growth = {key: constants[key] for key in ("alpha", "c", "c_dot_u", "beta", "nu")}
     return LimitParams(**growth, feller_drift=drift, feller_diffusion=diffusion)
 
@@ -201,17 +198,23 @@ def feller_params(spec: ModelSpec):
     """Drift and diffusion coefficient of the scaling-limit SDE.
 
     Requires a critical primitive mean matrix and converging migration
-    parameters; then drift = u . (a q - b r) at the limits and diffusion
-    = u^T (v odot Sigma) u with Sigma the offspring covariance block.
+    parameters (moments.leading_moments' "converges"); then the record
+    gives the pair (_feller_pair).
     """
-    spectral = spec.spectral()
-    if not algebra.is_critical(spectral.rho):
+    if not algebra.is_critical(spec.spectral().rho):
         raise ValueError("diffusion scaling limit requires a critical mean matrix")
-    lims = check_hypothesis_C(spec)
-    if lims is None:
+    record = leading_moments(spec)
+    if not record["converges"]:
         raise ValueError("migration parameters do not converge at large sizes")
-    drift_vec = lims["a"] * lims["q"] - lims["b"] * lims["r"]
-    return algebra.dot(spectral.u, drift_vec), offspring_diffusion(spec, spectral)
+    return _feller_pair(record)
+
+
+def _feller_pair(record: dict) -> tuple:
+    """drift = u . (a q - b r) at the limits and diffusion = u^T (v odot
+    Sigma) u, Sigma the offspring covariance block, from a converging
+    leading_moments record: its exponents are <= 0, so the drift is u . c
+    where alpha = 0 and 0 where every mean term decays (alpha < 0)."""
+    return (record["c_dot_u"] if record["alpha"] == 0.0 else 0.0, record["diffusion"])
 
 
 def euler_maruyama(

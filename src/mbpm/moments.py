@@ -19,13 +19,12 @@ probability r_i, and 0 with the remainder 1 - (q_i + r_i), so
     E[M_i^k] = q_i E[I_i^k] + (-1)^k r_i E[D_i^k].
 
 The same mixture states the large-size forms along the ray z = s v (v
-the right Perron vector, u . v = 1, so u . z = s): from the laws'
-leading forms (see laws), ``leading_moments`` gives the top term of
-u . h(s v) and of sigma2(s v), and ``abs_exponent`` the growth exponent
-of an absolute moment E|M_i - a|^q.  From the top terms, ``ratio_limit``
-forms the limit theta of the growth ratio 2 s u . h(s v) / sigma2(s v).
-The limit constants and the growth classifier read all three, so nothing
-is fitted.
+the right Perron vector, u . v = 1, so u . z = s): ``leading_moments``
+is the one record of the laws' leading forms (see laws) that the growth
+classifier, the limit constants and the Feller pair read, with the top
+terms of u . h(s v) and sigma2(s v) and, by ``ratio_limit``, the limit
+theta of the growth ratio 2 s u . h(s v) / sigma2(s v); ``abs_exponent``
+reads a type's leads there for the exponent of E|M_i - a|^q.
 """
 from __future__ import annotations
 
@@ -35,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import dot, form, odot
-from .laws import exponent_of, product_of, remainder_of
+from .laws import exponent_of, limit_of, product_of, remainder_of
 from .model import ModelSpec
 
 _CANCEL_TOL = 1e-12  # top mean terms whose sum is this small a share of their sizes cancel
@@ -209,16 +208,10 @@ def _spread(lead) -> tuple:
     return lead if exponent < 0.0 else (coeff * (1.0 - coeff), 0.0)
 
 
-def offspring_diffusion(spec: ModelSpec, spectral) -> float:
-    """u^T (v odot Sigma) u, with Sigma the offspring covariance block: the
-    Feller diffusion coefficient, and the offspring part of sigma2(s v) per
-    unit size."""
-    u, v = spectral.u, spectral.v
-    return form(u, odot(v, spec.cov_tensor()))
-
-
 def leading_moments(spec: ModelSpec) -> dict:
-    """The top terms of u . h(s v) and sigma2(s v), exact from the laws.
+    """The laws' large-size forms along the ray z = s v, exact: "leads"
+    holds each type's migration_leads(comp, v_i), and "converges" is
+    hypothesis (C), that every q_i, r_i, a_i and b_i has a finite limit.
 
     Mean side: h_i(s v) = q_i E[I_i] - r_i E[D_i], each term a product of
     leading forms (migration_terms; "terms" holds the pairs): "alpha" is
@@ -235,15 +228,18 @@ def leading_moments(spec: ModelSpec) -> dict:
 
     is a sum of nonnegative terms, so nothing cancels: "beta" is the top
     exponent and "nu" the sum of the coefficients there, infinite where a
-    log (inverse-cube emigration) tops it.
+    log (inverse-cube emigration) tops it.  "diffusion", the offspring
+    part per unit size u^T (v odot Sigma) u, is the Feller diffusion
+    coefficient, and "theta" the ratio_limit of the top terms.
     """
     spectral = spec.spectral()
     u, v = spectral.u, spectral.v
+    diffusion = form(u, odot(v, spec.cov_tensor()))
     weights = [form(u, cov) for cov in spec.cov_tensor()]  # u^T Sigma_i u
+    leads = [migration_leads(comp, v[i]) for i, comp in enumerate(spec.migration)]
     means = []
-    variances = [(offspring_diffusion(spec, spectral), 1.0)]
-    for i, comp in enumerate(spec.migration):
-        lead = migration_leads(comp, v[i])
+    variances = [(diffusion, 1.0)]
+    for i, lead in enumerate(leads):
         imm, em = migration_terms(lead)
         means.append((imm, (-em[0], em[1])))
         q, r, a, b = lead["q"], lead["r"], lead["a"], lead["b"]
@@ -261,10 +257,13 @@ def leading_moments(spec: ModelSpec) -> dict:
     c = np.array([sum(top) for top in tops], dtype=float)
     c_dot_u = dot(u, c)
     scale = sum(u_i * abs(coeff) for u_i, top in zip(u, tops) for coeff in top)
-    nu, beta = _top(variances)
-    return {"alpha": alpha, "c": c, "c_dot_u": c_dot_u, "nu": float(nu), "beta": beta,
-            "cancels": bool(scale > 0.0 and abs(c_dot_u) <= _CANCEL_TOL * scale),
-            "terms": means, "falls": all(map(_falls, means))}
+    cancels = bool(scale > 0.0 and abs(c_dot_u) <= _CANCEL_TOL * scale)
+    nu, beta = map(float, _top(variances))
+    return {"alpha": alpha, "c": c, "c_dot_u": c_dot_u, "nu": nu, "beta": beta,
+            "cancels": cancels, "terms": means, "falls": all(map(_falls, means)),
+            "theta": ratio_limit(alpha, c_dot_u, beta, nu, cancels), "diffusion": diffusion,
+            "leads": leads, "converges": all(math.isfinite(limit_of(lead[key]))
+                                             for lead in leads for key in "qrab")}
 
 
 def ratio_limit(alpha: float, c_dot_u: float, beta: float, nu: float,
@@ -289,10 +288,11 @@ def ratio_limit(alpha: float, c_dot_u: float, beta: float, nu: float,
     return math.copysign(math.inf, c_dot_u)
 
 
-def abs_exponent(comp, q: float, shifted: bool = False) -> float:
+def abs_exponent(comp, leads: dict, q: float, shifted: bool = False) -> float:
     """The growth exponent along the ray of E|M_i - a|^q for one migration
-    component, where a = h_i, or a = -z_i where ``shifted``; -inf where
-    the moment is eventually 0.
+    component of migration_leads ``leads``, where a = h_i, or a = -z_i
+    where ``shifted``; -inf where the moment is eventually 0.  It reads
+    the leads' exponents and zeros only, which no count scale v_i changes.
 
     A branch (none: 0, immigration: +I, emigration: -D) whose probability
     has the leading form (c, e), c != 0, adds e plus the larger of its
@@ -306,7 +306,6 @@ def abs_exponent(comp, q: float, shifted: bool = False) -> float:
     check, so the verdict turns inconclusive, never wrong.  The gap to
     -z_i, mu_b + z_i, grows like z_i or mu_b: a removal is at most the count.
     """
-    leads = migration_leads(comp)
     branches = [(leads["p"], (0.0, 0.0), (0.0, 0.0))]
     if comp.immigration is not None:
         branches.append((leads["q"], leads["a"], comp.immigration.abs_leading(q)))

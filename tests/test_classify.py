@@ -26,7 +26,6 @@ from mbpm import (
     PoissonOffspring,
     Power,
     UniformEmigration,
-    check_hypothesis_C,
     classify_growth,
     estimate_exponents,
     load_spec,
@@ -38,7 +37,7 @@ from mbpm import (
 from mbpm.algebra import weigh
 from mbpm.classify import _probe_ray
 from mbpm.laws import exponent_of, limit_of
-from mbpm.moments import abs_exponent
+from mbpm.moments import abs_exponent, leading_moments, migration_leads
 
 
 @pytest.fixture(scope="module")
@@ -146,13 +145,11 @@ def test_clamp_bound_that_never_binds_keeps_the_divergence():
 
 
 def test_hypothesis_C(gamma_spec, sqrt_spec, two_type_spec):
-    limits = check_hypothesis_C(gamma_spec)
-    assert limits is not None
-    assert abs(limits["q"][0] - 1.0) < 1e-12
-    assert abs(limits["a"][0] - 2.0) < 1e-12
-    assert abs(limits["b"][0] - 0.0) < 1e-12
-    assert check_hypothesis_C(sqrt_spec) is None  # immigration mean diverges
-    assert check_hypothesis_C(two_type_spec) is None  # uniform emigration
+    record = leading_moments(gamma_spec)
+    assert record["converges"]
+    assert [limit_of(record["leads"][0][key]) for key in "qab"] == [1.0, 2.0, 0.0]
+    assert not leading_moments(sqrt_spec)["converges"]  # immigration mean diverges
+    assert not leading_moments(two_type_spec)["converges"]  # uniform emigration
 
 
 def test_classify_two_type_no_growth(two_type_spec):
@@ -421,10 +418,10 @@ def test_abs_moment_exponents_of_a_heavy_tail():
         prob_imm=Constant(0.5), prob_em=Power(1.0, -1.0),
         immigration=DeterministicImmigration(value=1), emigration=law,
     )
-    assert [abs_exponent(comp, q) for q in (1.5, 3.0)] == [0.0, 0.0]
-    assert abs_exponent(comp, 1.5, shifted=True) == 1.5
+    assert [abs_exponent(comp, migration_leads(comp), q) for q in (1.5, 3.0)] == [0.0, 0.0]
+    assert abs_exponent(comp, migration_leads(comp), 1.5, shifted=True) == 1.5
     uniform = dataclasses.replace(comp, emigration=UniformEmigration())
-    assert [abs_exponent(uniform, q) for q in (1.5, 3.0)] == [0.5, 2.0]
+    assert [abs_exponent(uniform, migration_leads(uniform), q) for q in (1.5, 3.0)] == [0.5, 2.0]
 
 
 def _count_calls(monkeypatch, module, name, calls):

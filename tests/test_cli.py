@@ -609,11 +609,13 @@ def test_limit_suites_refuse_a_supercritical_mean_matrix(tmp_path, capsys, suite
     ("gamma-limit", "--threshold-ks", "1", "argument --threshold-ks: must be < 1, got 1"),
     ("gamma-limit", "--threshold-ks", "inf", "argument --threshold-ks: must be < 1, got inf"),
     ("l1-limit", "--threshold-rel", "inf", "argument --threshold-rel: must be < inf, got inf"),
+    ("moments", "--state", "a,b", "argument --state: invalid int value: 'a,b'"),
 ], ids=["reps-0", "one-probe-magnitude", "negative-explosion-k", "negative-n",
         "probe-magnitude-1e300", "probe-magnitude-nan", "probe-magnitude-inf",
         "workers-0", "negative-workers", "seed-negative", "classify-seed-negative", "seed-2**64",
         "negative-threshold-ks", "threshold-ks-nan", "negative-threshold-rel",
-        "threshold-rel-nan", "threshold-ks-1", "threshold-ks-inf", "threshold-rel-inf"])
+        "threshold-rel-nan", "threshold-ks-1", "threshold-ks-inf", "threshold-rel-inf",
+        "state-not-ints"])
 def test_invalid_option_values_are_usage_errors(tmp_path, capsys, monkeypatch, suite, option,
                                                 value, message):
     monkeypatch.setattr(cli, "run_ensemble", _no_ensemble)

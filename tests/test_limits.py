@@ -1,9 +1,13 @@
 """Limit-law parameters, size recursions, and the diffusion approximation."""
+import collections
 import math
 
 import numpy as np
 import pytest
 
+import mbpm.classify
+import mbpm.limits
+import mbpm.moments
 from conftest import SHIPPED, load_doc, spec_path
 from mbpm import (
     Clamp,
@@ -11,14 +15,18 @@ from mbpm import (
     DeterministicEmigration,
     DeterministicImmigration,
     DeterministicInitial,
+    FiniteOffspring,
     IndependentOffspring,
+    InverseCubeEmigration,
     LimitParams,
     MigrationComponent,
     ModelSpec,
     PoissonOffspring,
     Power,
+    TruncatedGeometricEmigration,
     UniformEmigration,
     a_seq,
+    classify_growth,
     euler_maruyama,
     feller_params,
     lambda_n,
@@ -349,6 +357,79 @@ def test_feller_params_requires_criticality(small_support_spec):
 def test_feller_params_requires_convergent_migration(two_type_spec):
     with pytest.raises(ValueError, match="converge"):
         feller_params(two_type_spec)
+
+
+def _refused_as_none(fn, spec):
+    try:
+        return fn(spec)
+    except ValueError:
+        return None
+
+
+def test_params_from_spec_attaches_what_feller_params_gives():
+    both = []
+    for doc_name in SHIPPED:
+        spec = load_spec(spec_path(doc_name))
+        params, pair = _refused_as_none(params_from_spec, spec), _refused_as_none(feller_params, spec)
+        if params is None:
+            continue
+        attached = (params.feller_drift, params.feller_diffusion)
+        if pair is None:
+            assert attached == (None, None), doc_name
+        else:
+            assert [x.hex() for x in attached] == [x.hex() for x in pair], doc_name  # bit for bit
+            both.append(doc_name)
+    assert both == ["gamma_single_type", "two_type_coupled"]
+
+
+def _one_type(offspring, immigration, emigration, prob_imm, prob_em):
+    comp = MigrationComponent(prob_imm=Constant(prob_imm), prob_em=Constant(prob_em),
+                              immigration=immigration, emigration=emigration)
+    return ModelSpec((offspring,), (comp,), DeterministicInitial(state=(1,)))
+
+
+def test_feller_pair_with_inverse_cube_emigration():
+    # the drift is 0.5 * 2 - 0.25 E[D] at the limit, E[D] = zeta(2) / zeta(3);
+    # the inverse-cube variance grows like a log, which the pair never reads
+    spec = _one_type(IndependentOffspring(components=(PoissonOffspring(mean=1.0),)),
+                     DeterministicImmigration(value=2), InverseCubeEmigration(), 0.5, 0.25)
+    assert feller_params(spec) == (0.6578918055949485, 1.0)
+
+
+def test_feller_diffusion_is_the_offspring_part_not_nu():
+    # deterministic offspring: no diffusion, though migration gives the
+    # one-step variance a constant top term nu = 3.25 (beta = 0)
+    spec = _one_type(FiniteOffspring(vectors=((1,),), probs=(1.0,)),
+                     DeterministicImmigration(value=2), TruncatedGeometricEmigration(ratio=0.5),
+                     0.5, 0.25)
+    assert feller_params(spec) == (0.5, 0.0)
+    params = params_from_spec(spec)
+    assert (params.feller_drift, params.feller_diffusion) == (0.5, 0.0)
+    assert (params.nu, params.beta) == (3.25, 0.0)
+
+
+@pytest.mark.parametrize("doc_name", ["gamma_single_type", "pure_emigration",
+                                      "sqrt_drift_single_type", "two_type_coupled",
+                                      "two_type_mixed"])
+def test_the_laws_large_size_forms_are_walked_once(monkeypatch, doc_name):
+    # every critical shipped document: the classifier, the limit constants and
+    # the Feller pair each read one leading_moments record, one walk of the
+    # types' leading forms, refused or not
+    spec = load_spec(spec_path(doc_name))
+    calls = collections.Counter()
+    for module, name in [(mbpm.moments, "migration_leads"), (mbpm.classify, "leading_moments"),
+                         (mbpm.limits, "leading_moments")]:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    for fn in (classify_growth, params_from_spec, feller_params):
+        calls.clear()
+        _refused_as_none(fn, spec)
+        assert calls == {"migration_leads": spec.dim, "leading_moments": 1}, fn.__name__
 
 
 def test_euler_maruyama_zero_diffusion_is_exact_ode():

@@ -18,8 +18,7 @@ EXPORTED = [
     "Power", "ProbabilityEstimate", "ShiftedPoissonImmigration", "SpecFormatError",
     "SpectralData", "Table", "TableImmigration", "TableInitial", "TableOffspring",
     "TruncatedGeometricEmigration", "UniformEmigration", "a_seq", "advance", "algebra",
-    "check_hypothesis_C", "classify",
-    "classify_growth", "cond_mean", "cond_var", "criticality", "estimate_explosion",
+    "classify", "classify_growth", "cond_mean", "cond_var", "criticality", "estimate_explosion",
     "estimate_exponents", "euler_maruyama", "feller_params", "gamma_cdf", "gamma_quantile",
     "gof_report", "is_primitive", "ks_statistic", "lambda_n", "laws",
     "limits", "load_spec", "migration_atoms", "migration_kappa",
