@@ -20,7 +20,7 @@ Four calibrated models illustrate the regimes:
 """
 import numpy as np
 
-from mbpm import CriteriaConfig, classify_growth, load_spec
+from mbpm import classify_growth, load_spec, migration_mean, sigma2
 
 cases = [
     ("constant surplus", "specs/gamma_single_type.json"),
@@ -52,9 +52,10 @@ for name, path in cases:
 # ---------------------------------------------------------------------------
 
 spec = load_spec("specs/gamma_single_type.json")
-verdict = classify_growth(spec, CriteriaConfig(ray_points=(10, 100, 1000, 10000)))
+spectral = spec.spectral()
 print("constant-surplus model along the growth ray:")
 print(f"{'size':>8} {'u.h(z)':>10} {'sigma^2(z)':>12} {'ratio':>8}")
-drift, fluct = verdict.diagnostics["u_dot_h_at_probes"], verdict.diagnostics["sigma2_at_probes"]
-for size, uh, s2, ratio in zip(verdict.probe_sizes, drift, fluct, verdict.ratio_values):
-    print(f"{size:8.0f} {uh:10.4f} {s2:12.2f} {ratio:8.3f}")
+for m in (10, 100, 1000, 10000):
+    z = np.rint(m * spectral.v).astype(np.int64)
+    size, uh, s2 = spectral.u @ z, spectral.u @ migration_mean(spec, z), sigma2(spec, z)
+    print(f"{size:8.0f} {uh:10.4f} {s2:12.2f} {2.0 * size * uh / s2:8.3f}")

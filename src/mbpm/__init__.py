@@ -67,7 +67,6 @@ _EXPORTS = {
         "sigma2",
     ),
     "classify": (
-        "CriteriaConfig",
         "GrowthVerdict",
         "classify_growth",
         "estimate_exponents",

@@ -12,7 +12,8 @@ moments.EXACT_TOL of 1, or without a limit the laws state, decides
 nothing.  theta is exact (moments.ratio_limit), and so are the
 emigration-dominates and support conditions (classify_growth).  The
 ratio is also read at probe states on the ray (``_Ray``: h and sigma2
-once per probe), for the report only.
+once per probe), for the report only: the integer states nearest m v for
+each magnitude m of RAY_POINTS, a constant, as no verdict reads them.
 
 The side conditions are little-o comparisons of growth rates.  Every law
 states its large-size form (see laws), so they compare exact growth
@@ -49,27 +50,9 @@ from .moments import (
 
 DELTA = 1.0  # the moment orders are 1 + delta/2 and 2 + delta
 ALPHA_TILDE = 2.0  # moment order of the delta2 surrogate
+RAY_POINTS = (1e3, 1e4, 1e5)  # magnitudes u.z of the report's probe states
 VERDICTS = ("no-growth", "growth-possible", "inconclusive")
 _INT64_BOUND = 2.0**63  # the least float past int64
-
-
-@dataclass(frozen=True)
-class CriteriaConfig:
-    """The probe ray: magnitudes of u . z at which the report reads the
-    ratio, along the right Perron vector v.
-
-    u sums to 1 and u . v = 1, so some entry of v is at least 1: a
-    magnitude of 2^63 or more has a probe state past int64 in every model.
-    """
-
-    ray_points: tuple = (1e3, 1e4, 1e5)
-
-    def __post_init__(self):
-        pts = tuple(float(x) for x in self.ray_points)
-        if not all(x < _INT64_BOUND for x in pts):  # refuses nan too
-            raise ValueError("need finite magnitudes below 2^63")
-        if len(pts) < 2 or any(b <= a for a, b in zip(pts, pts[1:])) or pts[0] < 10:
-            raise ValueError("need two or more increasing magnitudes >= 10")
 
 
 @dataclass
@@ -125,14 +108,16 @@ class _Ray:
     s2: np.ndarray  # sigma2(z) per probe
 
 
-def _probe_ray(spec: ModelSpec, config: CriteriaConfig) -> _Ray:
-    """Evaluate the probe ray: one integer state per configured magnitude
-    along the right Perron vector, and one migration mean and one sigma2
-    per probe."""
+def _probe_ray(spec: ModelSpec) -> _Ray:
+    """Evaluate the probe ray: one integer state per magnitude of
+    RAY_POINTS along the right Perron vector, and one migration mean and
+    one sigma2 per probe.  A state past int64 is refused by name: u sums
+    to 1 and u . v = 1, which leaves v unbounded (where v = (1, 1e14), the
+    state at 1e5 is past int64)."""
     spectral = spec.spectral()
     u = spectral.u
     probes = []
-    for mag in config.ray_points:
+    for mag in RAY_POINTS:
         z = np.rint(mag * spectral.v)
         if not z.max() < _INT64_BOUND:
             raise ValueError(f"the probe state at magnitude {mag:g} does not fit int64")
@@ -195,7 +180,7 @@ def _order_checks(exps: dict) -> dict:
     return checks
 
 
-def classify_growth(spec: ModelSpec, config: CriteriaConfig = CriteriaConfig()) -> GrowthVerdict:
+def classify_growth(spec: ModelSpec) -> GrowthVerdict:
     """Decide no-growth / growth-possible / inconclusive from the ratio's
     exact limit theta (moments.ratio_limit).
 
@@ -228,7 +213,7 @@ def classify_growth(spec: ModelSpec, config: CriteriaConfig = CriteriaConfig()) 
         rho = None
     exponents = None
     if rho is not None:
-        ray, exps = _probe_ray(spec, config), _exponents(spec)
+        ray, exps = _probe_ray(spec), _exponents(spec)
         exponents = _fitted_exponents(ray, exps)
     if rho is None or not is_critical(rho):
         return GrowthVerdict(
@@ -310,7 +295,7 @@ def _fitted_exponents(ray: _Ray, exps: dict) -> dict:
     }
 
 
-def estimate_exponents(spec: ModelSpec, config: CriteriaConfig = CriteriaConfig()) -> dict:
-    """classify_growth(spec, config).exponents, without the verdict; kept
-    while the benchmark tracer (bench/tracer.py) names it."""
-    return _fitted_exponents(_probe_ray(spec, config), _exponents(spec))
+def estimate_exponents(spec: ModelSpec) -> dict:
+    """classify_growth(spec).exponents, without the verdict; kept while the
+    benchmark tracer (bench/tracer.py) names it."""
+    return _fitted_exponents(_probe_ray(spec), _exponents(spec))

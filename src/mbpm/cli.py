@@ -16,7 +16,9 @@ derived constants, then keeps the replicates with u.Z_n > eps * a_n and
 gates their transformed sizes.
 The feller suite gates the endpoints u.Z_n / n through the same gamma KS gate: its
 diffusion limit has an exact Gamma law at every time, so no reference is
-simulated.  Option defaults are the field defaults of ``ExperimentConfig``.
+simulated.  The classify suite takes no option of its own: its probe
+states lie at the fixed magnitudes classify.RAY_POINTS, which shape only the
+report.  Option defaults are the field defaults of ``ExperimentConfig``.
 
 Each suite returns its plot data as named tables, a header plus one
 sequence per column, and ``_write_tsv`` writes each one by whole columns in
@@ -49,7 +51,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import is_critical, weigh
-from .classify import VERDICTS, CriteriaConfig, classify_growth
+from .classify import VERDICTS, classify_growth
 from .limits import a_seq, feller_params, lambda_n, params_from_spec
 from .model import (
     ModelSpec,
@@ -106,7 +108,6 @@ class ExperimentConfig:
     out: str = "reports"
     threshold_ks: Optional[float] = None
     threshold_rel: float = 0.10
-    probe_magnitudes: tuple = (1e3, 1e4, 1e5)
     explosion_k: float = 1e3
     state: Optional[tuple] = None
     workers: Optional[int] = None
@@ -345,7 +346,7 @@ def _suite_classify(spec: ModelSpec, doc: dict, config: ExperimentConfig):
     a model without Perron data)."""
     expected = _expected_verdict(doc.get("expected_verdict"))
     with _applicable("classify"):
-        verdict = classify_growth(spec, CriteriaConfig(ray_points=config.probe_magnitudes))
+        verdict = classify_growth(spec)
     passed = True if expected is None else (verdict.verdict == expected)
     columns = [np.asarray(verdict.probe_sizes, dtype=float),
                np.asarray(verdict.ratio_values, dtype=float)]
@@ -566,19 +567,6 @@ def _at_least(convert, lo, below=None):
     return parse
 
 
-def _probe_magnitudes(text: str):
-    """Probe magnitudes by CriteriaConfig's own rules, refused with its message."""
-    try:
-        magnitudes = tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        magnitudes = ()  # refused below as too few magnitudes
-    try:
-        CriteriaConfig(ray_points=magnitudes)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{exc}, got {text}") from None
-    return magnitudes
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The command line; option defaults are those of ExperimentConfig."""
     defaults = {f.name: f.default for f in fields(ExperimentConfig) if f.default is not MISSING}
@@ -614,11 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--threshold-rel", type=_at_least(float, 0, math.inf),
         help="relative-error threshold for l1-limit (default %(default)g)",
-    )
-    parser.add_argument(
-        "--probe-magnitudes", type=_probe_magnitudes, metavar="M1,M2,...",
-        help="classify probe sizes (default "
-        + ",".join(f"{m:g}" for m in defaults["probe_magnitudes"]) + ")",
     )
     parser.add_argument(
         "--explosion-k", type=_at_least(float, 0),

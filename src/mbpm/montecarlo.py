@@ -404,32 +404,37 @@ def gamma_quantile(q, shape: float, scale: float):
     each root, and a step that leaves it is replaced by the bracket's
     midpoint, or by doubling t while no upper end is known.  Plain
     bisection would need about 60 evaluations of the incomplete gamma;
-    Newton needs a few.
+    Newton needs a few.  Every element stops on its own test and leaves
+    the working arrays, so its quantile does not depend on the others.
     """
     q = np.asarray(q, dtype=float)
     if not np.all((q > 0.0) & (q < 1.0)):
         raise ValueError("probabilities must lie in (0, 1)")
     if shape <= 0.0 or scale <= 0.0:
         raise ValueError("shape and scale must be positive")
-    t = np.full(q.shape, float(shape))
-    upper = q > 0.5
-    lo, hi = np.zeros(q.shape), np.full(q.shape, np.inf)
+    out = np.empty(q.size)
+    live, p = np.arange(q.size), q.ravel()
+    t = np.full(p.shape, float(shape))
+    lo, hi = np.zeros(p.shape), np.full(p.shape, np.inf)
     for _ in range(200):
         cdf, tail = _gamma_tails(t, shape)
-        gap = np.where(upper, tail - (1.0 - q), q - cdf)  # positive below the root
+        gap = np.where(p > 0.5, tail - (1.0 - p), p - cdf)  # positive below the root
         below = gap > 0.0
         lo, hi = np.where(below, t, lo), np.where(below, hi, t)
         slope = np.exp(shape * np.log(t) - t - math.lgamma(shape))  # dP / d log(t)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ds = np.where(cdf > 1e3 * q, np.log(q / cdf) / shape, gap / slope)
+            ds = np.where(cdf > 1e3 * p, np.log(p / cdf) / shape, gap / slope)
             step = t * np.exp(np.minimum(ds, 1.0))
         # a Newton step below 1e-12 of t leaves an error at the CDF's own noise
         done = (np.abs(step - t) <= 1e-12 * t) | (step == 0.0)
-        if done.all():
-            return scale * step
+        out[live[done]] = step[done]
         fallback = np.where(hi == np.inf, 2.0 * t, 0.5 * (lo + hi))
-        t = np.where(done | ((lo < step) & (step <= hi)), step, fallback)  # nan falls back
-    raise ArithmeticError(f"gamma quantiles at {q} did not converge")
+        keep = ~done
+        t = np.where((lo < step) & (step <= hi), step, fallback)[keep]  # nan falls back
+        live, p, lo, hi = live[keep], p[keep], lo[keep], hi[keep]
+        if not live.size:
+            return scale * out.reshape(q.shape)
+    raise ArithmeticError(f"gamma quantiles at {p} did not converge")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from mbpm import cli
 from mbpm import (
     Clamp,
     Constant,
-    CriteriaConfig,
     DeterministicEmigration,
     DeterministicImmigration,
     DeterministicInitial,
@@ -53,26 +52,33 @@ def drift_const_spec():
                      DeterministicInitial(state=(1,)))
 
 
-def test_criteria_config_validation():
-    with pytest.raises(ValueError):
-        CriteriaConfig(ray_points=(100.0,))
-    with pytest.raises(ValueError):
-        CriteriaConfig(ray_points=(1000.0, 100.0))
-    with pytest.raises(ValueError):
-        CriteriaConfig(ray_points=(5.0, 100.0))
-    for top in (1e300, float("nan"), float("inf"), 2.0**63):  # no probe state fits int64
-        with pytest.raises(ValueError, match=r"need finite magnitudes below 2\^63"):
-            CriteriaConfig(ray_points=(10.0, top))
+def test_probe_state_past_int64_is_named(tmp_path, capsys):
+    # a critical mean matrix with v = (1, 1e14): the probe state at 1e5 is
+    # (1e5, 1e19), past int64
+    def law(means):
+        return {"kind": "independent",
+                "components": [{"family": "poisson", "mean": m} for m in means]}
+
+    comp = {"prob_imm": {"kind": "constant", "value": 1.0},
+            "prob_em": {"kind": "constant", "value": 0.0},
+            "immigration": {"family": "deterministic", "value": 1}}
+    doc = {"offspring": [law([1 - 1e-14, 5e13]), law([1e-28, 0.5])], "migration": [comp, comp],
+           "initial": {"kind": "deterministic", "state": [1, 1]}}
+    spec = spec_from_dict(doc).validate()
+    assert spec.spectral().v.tolist() == pytest.approx([1.0, 1e14])
+    message = "the probe state at magnitude 100000 does not fit int64"
+    with pytest.raises(ValueError, match=message):
+        classify_growth(spec)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["--spec", str(path), "--suite", "classify", "--out", str(tmp_path / "rep")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: classify is infeasible for this model: {message}\n"
 
 
-def test_probe_state_past_int64_is_named(small_support_spec):
-    # v = (1.23, 0.70): 9e18 fits the config's bound, but not the state 1.1e19
-    with pytest.raises(ValueError, match="probe state at magnitude 9e\\+18 does not fit int64"):
-        classify_growth(small_support_spec, CriteriaConfig(ray_points=(10.0, 9e18)))
-
-
-def test_probe_states_follow_direction(two_type_spec):
-    probes = _probe_ray(two_type_spec, CriteriaConfig(ray_points=(100.0, 1000.0))).probes
+def test_probe_states_follow_direction(two_type_spec, monkeypatch):
+    monkeypatch.setattr(mbpm.classify, "RAY_POINTS", (100.0, 1000.0))
+    probes = _probe_ray(two_type_spec).probes
     assert len(probes) == 2
     for z, target in zip(probes, (100.0, 1000.0)):
         assert z.dtype == np.int64
@@ -81,9 +87,10 @@ def test_probe_states_follow_direction(two_type_spec):
         assert abs(float(u @ z) - target) / target < 0.05
 
 
-def test_growth_ratio_hand_value(drift_const_spec):
+def test_growth_ratio_hand_value(drift_const_spec, monkeypatch):
     # drift 0.75, variance 100.75 * 1 + 1.6875 at z = 100, the first probe
-    verdict = classify_growth(drift_const_spec, CriteriaConfig(ray_points=(100, 1000)))
+    monkeypatch.setattr(mbpm.classify, "RAY_POINTS", (100, 1000))
+    verdict = classify_growth(drift_const_spec)
     assert abs(verdict.ratio_values[0] - 150.0 / 102.4375) < 1e-12
 
 
@@ -201,7 +208,7 @@ def test_growth_support(gamma_spec, emigration_spec, pure_death_spec):
     assert classify_growth(pure_death_spec).support_ok is None
 
 
-def test_growth_support_reads_the_large_size_forms():
+def test_growth_support_reads_the_large_size_forms(monkeypatch):
     # immigration stops at size 100: its term is eventually 0, so the
     # support condition fails and emigration, the zero term, dominates
     # however large the probes are
@@ -210,8 +217,8 @@ def test_growth_support_reads_the_large_size_forms():
         prob_imm={"kind": "table", "breaks": [1.0, 100.0], "values": [1.0, 0.0]},
     )
     for ray_points in [(10.0, 50.0), (1e3, 1e4)]:
-        verdict = classify_growth(spec_from_dict(doc).validate(),
-                                  CriteriaConfig(ray_points=ray_points))
+        monkeypatch.setattr(mbpm.classify, "RAY_POINTS", ray_points)
+        verdict = classify_growth(spec_from_dict(doc).validate())
         assert (verdict.verdict, verdict.condition, verdict.support_ok) == (
             "no-growth", "emigration-dominates", False)
     # a decaying immigration probability 1/s still has a nonzero leading
@@ -311,7 +318,7 @@ _BUILT_DOCS = {"linear_immigration": _linear_immigration_doc,
 
 
 @pytest.mark.parametrize("doc_name", _EXPECTED_VERDICT_DOCS + sorted(_BUILT_DOCS))
-def test_estimate_exponents_agree_with_the_exact_moments_far_out(doc_name):
+def test_estimate_exponents_agree_with_the_exact_moments_far_out(doc_name, monkeypatch):
     # along z = s v at s = 1e12: sigma2(z) ~ nu s^beta, and u.h(z) ~ (u.c)
     # s^alpha where u.h > 0, also where alpha >= 1 keeps params_from_spec out
     if doc_name in _BUILT_DOCS:
@@ -333,7 +340,8 @@ def test_estimate_exponents_agree_with_the_exact_moments_far_out(doc_name):
     # shrinks or grows along the ray where theta is 0 or infinite
     theta = mbpm.classify._exponents(spec)["theta"]  # moments.ratio_limit
     assert out["ratio_limit"] == (theta if out["alpha"] is not None else None)
-    ratios = classify_growth(spec, CriteriaConfig(ray_points=(1e7, 1e8, 1e9))).ratio_values
+    monkeypatch.setattr(mbpm.classify, "RAY_POINTS", (1e7, 1e8, 1e9))
+    ratios = classify_growth(spec).ratio_values
     if math.isfinite(theta) and theta != 0.0:
         assert ratios[-1] == pytest.approx(theta, rel=1e-6)
     else:
@@ -384,11 +392,12 @@ _PROBE_DOCS = {
 
 
 @pytest.mark.parametrize("doc_name", sorted(_PROBE_DOCS))
-def test_the_probes_do_not_move_the_verdict(doc_name):
+def test_the_probes_do_not_move_the_verdict(doc_name, monkeypatch):
     args, theta = _PROBE_DOCS[doc_name]
     spec = _table_immigration_doc(*args)
-    for ray_points in [(1e3, 1e4), CriteriaConfig().ray_points, (1e5, 1e6)]:
-        verdict = classify_growth(spec, CriteriaConfig(ray_points=ray_points))
+    for ray_points in [(1e3, 1e4), mbpm.classify.RAY_POINTS, (1e5, 1e6)]:
+        monkeypatch.setattr(mbpm.classify, "RAY_POINTS", ray_points)
+        verdict = classify_growth(spec)
         assert verdict.exponents["ratio_limit"] == theta
         assert (verdict.verdict, verdict.condition, verdict.support_ok) == (
             "growth-possible", "ratio-above-one", True)
@@ -444,7 +453,7 @@ def test_classify_suite_evaluates_each_probe_once(tmp_path, monkeypatch, doc_nam
     code = cli.main(["--spec", spec_path(doc_name), "--suite", "classify",
                      "--out", str(tmp_path / "rep")])
     assert code == 0
-    probes = len(CriteriaConfig().ray_points)
+    probes = len(mbpm.classify.RAY_POINTS)
     assert calls["leading_moments"] == 1  # one set of exponents for verdict and report
     assert calls["sigma2"] == probes
     assert calls["migration_var"] == probes
@@ -464,7 +473,7 @@ def test_classify_suite_reads_what_the_public_functions_compute(tmp_path, doc_na
     assert results["fitted_exponents"] == cli._jsonable(verdict.exponents)
     if verdict.hypothesis_A:
         u = spec.spectral().u
-        for k, z in enumerate(_probe_ray(spec, CriteriaConfig()).probes):
+        for k, z in enumerate(_probe_ray(spec).probes):
             ratio = 2 * weigh(z, u) * weigh(migration_mean(spec, z), u) / sigma2(spec, z)
             assert verdict.ratio_values[k] == ratio  # bit for bit
 

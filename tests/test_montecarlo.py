@@ -391,6 +391,31 @@ def test_gamma_quantile_refuses_probabilities_outside_the_open_unit_interval():
             gamma_quantile([0.5, q], 4.0, 0.5)
 
 
+_FAN = (0.05, 0.25, 0.5, 0.75, 0.95)
+
+
+def test_gamma_quantile_is_point_wise():
+    # every quantile stops on its own test, so the fan's entries are their
+    # one-entry calls bit for bit
+    for shape in np.geomspace(0.01, 1e5, 29):
+        fan = gamma_quantile(_FAN, shape, 0.5)
+        assert fan.tolist() == [float(gamma_quantile(q, shape, 0.5)) for q in _FAN], shape
+
+
+def test_gamma_quantile_fan_at_a_large_shape():
+    # the fan's entries, each converged on its own within 7 steps, failed to
+    # converge together when the converged ones were stepped again
+    fan = gamma_quantile(_FAN, 9e5, 0.5)
+    assert np.abs(gamma_cdf(fan, 9e5, 0.5) - np.array(_FAN)).max() <= 1e-9
+
+
+def test_gamma_quantile_below_the_float_range_is_not_stepped_again():
+    # at shape 1e-3 the 0.05 and 0.25 quantiles read 0; a further step would
+    # take log(0) (a RuntimeWarning, which the test settings make an error)
+    fan = gamma_quantile(_FAN, 1e-3, 0.5)
+    assert (fan[:2] == 0.0).all() and (fan[2:] > 0.0).all()
+
+
 def reference_gamma_cdf(t: float, a: float) -> float:
     """P(a, t) point by point in plain floats (Numerical Recipes 6.2): the
     ascending series below a + 1, the modified-Lentz fraction above."""

@@ -10,7 +10,7 @@ import mbpm
 from conftest import run_python, spec_path
 
 EXPORTED = [
-    "BernoulliOffspring", "Clamp", "Constant", "CriteriaConfig", "DeterministicEmigration",
+    "BernoulliOffspring", "Clamp", "Constant", "DeterministicEmigration",
     "DeterministicImmigration", "DeterministicInitial", "Ensemble", "FiniteOffspring",
     "GeometricOffspring", "GoFReport", "GrowthVerdict", "IndependentOffspring",
     "InverseCubeEmigration", "LimitParams", "MigrationComponent",
