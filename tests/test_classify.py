@@ -76,6 +76,26 @@ def test_probe_state_past_int64_is_named(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: classify is infeasible for this model: {message}\n"
 
 
+def test_ray_points_are_increasing_magnitudes_that_fit_int64():
+    # two or more points for the ratio curve, increasing, at least 10 so that
+    # every probe state has a nonzero entry (max v >= 1), finite and below 2^63
+    points = mbpm.classify.RAY_POINTS
+    assert len(points) >= 2
+    assert all(a < b for a, b in zip(points, points[1:]))
+    assert all(10 <= m < 2.0**63 for m in points)
+
+
+def test_default_probes_on_the_shipped_documents():
+    # pure_death's mean matrix is 0, which has no Perron vectors
+    for name in [name for name in SHIPPED if name != "pure_death"]:
+        spec = load_spec(spec_path(name))
+        ray = _probe_ray(spec)
+        assert len(ray.probes) == len(mbpm.classify.RAY_POINTS)
+        for z in ray.probes:
+            assert z.dtype == np.int64 and z.min() >= 0 and z.any()
+        assert ray.sizes.tolist() == pytest.approx(list(mbpm.classify.RAY_POINTS), rel=1e-3)
+
+
 def test_probe_states_follow_direction(two_type_spec, monkeypatch):
     monkeypatch.setattr(mbpm.classify, "RAY_POINTS", (100.0, 1000.0))
     probes = _probe_ray(two_type_spec).probes
