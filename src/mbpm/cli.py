@@ -16,9 +16,9 @@ derived constants, then keeps the replicates with u.Z_n > eps * a_n and
 gates their transformed sizes.
 The feller suite gates the endpoints u.Z_n / n through the same gamma KS gate: its
 diffusion limit has an exact Gamma law at every time, so no reference is
-simulated.  The classify suite takes no option of its own: its probe
-states lie at the fixed magnitudes classify.RAY_POINTS, which shape only the
-report.  Option defaults are the field defaults of ``ExperimentConfig``.
+simulated.  Classify, moments and explosion take no option of their own: they read
+classify.RAY_POINTS, the document's reference_state and _EXPLOSION_K = 10^3.
+Option defaults are the field defaults of ``ExperimentConfig``.
 
 Each suite returns its plot data as named tables, a header plus one
 sequence per column, and ``_write_tsv`` writes each one by whole columns in
@@ -39,10 +39,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from functools import cache, partial
 from pathlib import Path
@@ -65,6 +64,7 @@ from .model import (
 )
 from .montecarlo import (
     _run_starts,
+    _worker_count,
     estimate_explosion,
     gamma_cdf,
     gamma_quantile,
@@ -77,6 +77,7 @@ from .montecarlo import (
 SUITES = ("moments", "classify", "gamma-limit", "normal-limit", "l1-limit", "feller", "explosion")
 
 _SURVIVAL_EPS = 0.01  # conditioning event: u.Z_n > eps * a_n
+_EXPLOSION_K = 1e3  # a document's explosion_bounds bound P(||Z_n||_1 > 10^3)
 _FAN_QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
 
 
@@ -108,8 +109,6 @@ class ExperimentConfig:
     out: str = "reports"
     threshold_ks: Optional[float] = None
     threshold_rel: float = 0.10
-    explosion_k: float = 1e3
-    state: Optional[tuple] = None
     workers: Optional[int] = None
 
     def ks_threshold(self) -> float:
@@ -323,11 +322,7 @@ def _explosion_bounds(bounds) -> Optional[list]:
 
 
 def _suite_moments(spec: ModelSpec, doc: dict, config: ExperimentConfig):
-    if config.state is not None:
-        z, source = config.state, "--state"
-    else:
-        z, source = doc.get("reference_state", [10] * spec.dim), "reference_state"
-    z = _counts(z, spec.dim, source)
+    z = _counts(doc.get("reference_state", [10] * spec.dim), spec.dim, "reference_state")
     report = moment_check(spec, z, N=max(config.reps, 10_000), seed=config.seed)
     p = range(spec.dim)
     labels = [f"mean[{i}]" for i in p] + [f"cov[{i},{j}]" for i in p for j in p]
@@ -483,7 +478,7 @@ def _suite_feller(spec: ModelSpec, doc: dict, config: ExperimentConfig):
 def _suite_explosion(spec: ModelSpec, doc: dict, config: ExperimentConfig):
     bounds = _explosion_bounds(doc.get("explosion_bounds"))
     ens = run_ensemble(spec, config.n, config.reps, config.seed, workers=config.workers)
-    est = estimate_explosion(ens, config.explosion_k)
+    est = estimate_explosion(ens, _EXPLOSION_K)
     passed = bounds is None or bounds[0] <= est.value <= bounds[1]
     norms = ens.norms.astype(float)
     payload = {
@@ -511,8 +506,8 @@ def run(config: ExperimentConfig) -> int:
     except FileNotFoundError:
         raise SpecFormatError("document", f"no such file: {config.spec_path}") from None
     spec = spec_from_dict(doc)
-    runner = _SUITE_RUNNERS[config.suite]
-    passed, payload, files = runner(spec, doc, config)
+    config = replace(config, workers=_worker_count(config.workers))  # suites and report
+    passed, payload, files = _SUITE_RUNNERS[config.suite](spec, doc, config)
 
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -527,9 +522,9 @@ def run(config: ExperimentConfig) -> int:
         "thresholds": {
             "ks": config.ks_threshold(),
             "relative_error": config.threshold_rel,
-            "explosion_norm": config.explosion_k,
+            "explosion_norm": _EXPLOSION_K,
         },
-        "workers": config.workers or int(os.environ.get("MBPM_WORKERS", "1")),
+        "workers": config.workers,
         "passed": bool(passed),
         "results": payload,
     }
@@ -542,13 +537,6 @@ def run(config: ExperimentConfig) -> int:
 
     print(f"{config.suite}: {'PASS' if passed else 'FAIL'} (report: {report_path})")
     return 0 if passed else 1
-
-
-def _parse_ints(text: str):
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
-
-
-_parse_ints.__name__ = "int"  # argparse names the type in "invalid int value"
 
 
 def _at_least(convert, lo, below=None):
@@ -602,14 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--threshold-rel", type=_at_least(float, 0, math.inf),
         help="relative-error threshold for l1-limit (default %(default)g)",
-    )
-    parser.add_argument(
-        "--explosion-k", type=_at_least(float, 0),
-        help="norm threshold for the explosion suite (default %(default)g)",
-    )
-    parser.add_argument(
-        "--state", type=_parse_ints, metavar="Z1,Z2,...",
-        help="probe state for the moments suite (default: document reference_state)",
     )
     parser.add_argument(
         "--workers", type=_at_least(int, 1),

@@ -33,11 +33,14 @@ def test_moments_suite_passes(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "moment_bands.tsv"))
 
 
-def test_moments_suite_state_override(tmp_path):
+def test_moments_suite_reads_the_reference_state(tmp_path):
+    doc = json.load(open(spec_path("two_type_mixed")))
+    doc["reference_state"] = [12, 8]
+    spec = tmp_path / "doc.json"
+    spec.write_text(json.dumps(doc))
     out = str(tmp_path / "rep")
-    code = main(["--spec", spec_path("two_type_mixed"), "--suite", "moments",
-                 "--reps", "10000", "--seed", "8", "--out", out,
-                 "--state", "12,8"])
+    code = main(["--spec", str(spec), "--suite", "moments",
+                 "--reps", "10000", "--seed", "8", "--out", out])
     assert code == 0
     assert read_report(out)["results"]["moment_check"]["z"] == [12, 8]
 
@@ -445,10 +448,8 @@ def _set(path, value):
      f"initial.states[0][0]: expected an integer within int64, got {_PAST_INT64}"),
     (_set(("reference_state",), [_PAST_INT64, 1]), [],
      f"reference_state[0]: expected an integer within int64, got {_PAST_INT64}"),
-    (_set(("reference_state",), [50, 30]), ["--state", f"{_PAST_INT64},1"],
-     f"--state[0]: expected an integer within int64, got {_PAST_INT64}"),
 ], ids=["initial-state-float", "initial-state-2^63", "deterministic-immigration",
-        "table-immigration", "table-offspring", "table-initial", "reference-state", "state-option"])
+        "table-immigration", "table-offspring", "table-initial", "reference-state"])
 def test_integers_past_int64_exit_two(tmp_path, capsys, monkeypatch, edit, argv, message):
     # one reader takes every integer field, and refuses what int64 cannot hold
     doc = json.load(open(spec_path("two_type_mixed")))
@@ -592,7 +593,7 @@ def test_limit_suites_refuse_a_supercritical_mean_matrix(tmp_path, capsys, suite
     ("explosion", "--reps", "0", "argument --reps: must be >= 1, got 0"),
     ("classify", "--probe-magnitudes", "1e3,1e4",
      "unrecognized arguments: --probe-magnitudes 1e3,1e4"),
-    ("explosion", "--explosion-k", "-1", "argument --explosion-k: must be >= 0, got -1"),
+    ("explosion", "--explosion-k", "1000", "unrecognized arguments: --explosion-k 1000"),
     ("explosion", "--n", "-3", "argument --n: must be >= 0, got -3"),
     ("explosion", "--workers", "0", "argument --workers: must be >= 1, got 0"),
     ("explosion", "--workers", "-3", "argument --workers: must be >= 1, got -3"),
@@ -608,12 +609,12 @@ def test_limit_suites_refuse_a_supercritical_mean_matrix(tmp_path, capsys, suite
     ("gamma-limit", "--threshold-ks", "1", "argument --threshold-ks: must be < 1, got 1"),
     ("gamma-limit", "--threshold-ks", "inf", "argument --threshold-ks: must be < 1, got inf"),
     ("l1-limit", "--threshold-rel", "inf", "argument --threshold-rel: must be < inf, got inf"),
-    ("moments", "--state", "a,b", "argument --state: invalid int value: 'a,b'"),
-], ids=["reps-0", "probe-magnitudes-unrecognized", "negative-explosion-k", "negative-n",
+    ("moments", "--state", "50,30", "unrecognized arguments: --state 50,30"),
+], ids=["reps-0", "probe-magnitudes-unrecognized", "explosion-k-unrecognized", "negative-n",
         "workers-0", "negative-workers", "seed-negative", "classify-seed-negative", "seed-2**64",
         "negative-threshold-ks", "threshold-ks-nan", "negative-threshold-rel",
         "threshold-rel-nan", "threshold-ks-1", "threshold-ks-inf", "threshold-rel-inf",
-        "state-not-ints"])
+        "state-unrecognized"])
 def test_invalid_option_values_are_usage_errors(tmp_path, capsys, monkeypatch, suite, option,
                                                 value, message):
     monkeypatch.setattr(cli, "run_ensemble", _no_ensemble)
@@ -625,11 +626,14 @@ def test_invalid_option_values_are_usage_errors(tmp_path, capsys, monkeypatch, s
     assert not (tmp_path / "rep").exists()
 
 
-def test_state_of_the_wrong_length_names_the_option(tmp_path, capsys):
-    code = main(["--spec", spec_path("gamma_single_type"), "--suite", "moments",
-                 "--state", "1,2", "--out", str(tmp_path / "rep")])
+def test_reference_state_of_the_wrong_length_is_named(tmp_path, capsys):
+    doc = json.load(open(spec_path("gamma_single_type")))
+    doc["reference_state"] = [1, 2]
+    spec = tmp_path / "doc.json"
+    spec.write_text(json.dumps(doc))
+    code = main(["--spec", str(spec), "--suite", "moments", "--out", str(tmp_path / "rep")])
     assert code == 2
-    assert capsys.readouterr().err == "error: --state: expected 1 components\n"
+    assert capsys.readouterr().err == "error: reference_state: expected 1 components\n"
 
 
 def test_parser_defaults_are_the_config_defaults():
@@ -662,6 +666,17 @@ def test_other_errors_are_not_reported_as_bad_input(tmp_path):
     assert proc.returncode == 1
     assert "Traceback" in proc.stderr
     assert "ValueError: invalid literal for int() with base 10: 'abc'" in proc.stderr
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_worker_count_below_one_from_the_environment_is_refused(tmp_path, monkeypatch, value):
+    # as --workers 0 is; the variable ran one worker and the report recorded it as given
+    monkeypatch.setenv("MBPM_WORKERS", value)
+    monkeypatch.setattr(cli, "run_ensemble", _no_ensemble)
+    with pytest.raises(ValueError, match=f"MBPM_WORKERS must be >= 1, got {value}"):
+        main(["--spec", spec_path("pure_emigration"), "--suite", "explosion",
+              "--n", "5", "--reps", "10", "--out", str(tmp_path / "rep")])
+    assert not (tmp_path / "rep").exists()
 
 
 def test_normal_suite_small_scale(tmp_path):

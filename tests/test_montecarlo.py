@@ -34,7 +34,7 @@ from mbpm import (
     wilson_interval,
 )
 from mbpm.model import _trajectories
-from mbpm.montecarlo import BLOCK, MOMENT_BATCHES, ROWS, _run_starts
+from mbpm.montecarlo import BLOCK, MOMENT_BATCHES, ROWS, _gamma_tails, _run_starts
 
 import oracles
 from conftest import load_doc, run_fresh, run_python, spec_path
@@ -213,6 +213,15 @@ def test_ensemble_refuses_a_negative_horizon(gamma_spec):
     with pytest.raises(ValueError, match="horizon must be nonnegative"):
         run_ensemble(gamma_spec, n=-3, R=5, master_seed=1)
     assert (run_ensemble(gamma_spec, n=0, R=5, master_seed=1).terminal == 1).all()
+
+
+def test_ensemble_refuses_a_worker_count_below_one_from_the_environment(gamma_spec,
+                                                                       monkeypatch):
+    # it was clamped to one worker without a word
+    monkeypatch.setenv("MBPM_WORKERS", "0")
+    with pytest.raises(ValueError, match="MBPM_WORKERS must be >= 1, got 0"):
+        run_ensemble(gamma_spec, n=3, R=5, master_seed=1)
+    assert run_ensemble(gamma_spec, n=3, R=5, master_seed=1, workers=1).terminal.shape == (5, 1)
 
 
 def test_ensemble_deterministic_model():
@@ -418,10 +427,19 @@ def test_gamma_quantile_below_the_float_range_is_not_stepped_again():
 
 def reference_gamma_cdf(t: float, a: float) -> float:
     """P(a, t) point by point in plain floats (Numerical Recipes 6.2): the
-    ascending series below a + 1, the modified-Lentz fraction above."""
+    ascending series below a + 1, the modified-Lentz fraction above.  From
+    shape 10 on, at t >= a / 2, the prefactor takes Stirling's form, as the
+    module's does."""
     if t <= 0.0:
         return 0.0
-    prefactor = math.exp(-t + a * math.log(t) - math.lgamma(a))
+    if a < 10.0 or t < 0.5 * a:
+        prefactor = math.exp(-t + a * math.log(t) - math.lgamma(a))
+    else:
+        eta = (t - a) / a
+        r = 1.0 / (a * a)
+        series = 1/12 - r * (1/360 - r * (1/1260 - r * (1/1680 - r * (1/1188 - r * 691/360360))))
+        log_f = 0.5 * math.log(a / (2.0 * math.pi)) - series / a + a * (math.log1p(eta) - eta)
+        prefactor = math.exp(log_f)
     if t < a + 1.0:
         term = total = 1.0 / a
         n = 0
@@ -475,6 +493,21 @@ def test_gamma_cdf_array_equals_scalar_calls(shape):
     assert (arr[x <= 0.0] == 0.0).all()
     theirs = scipy.special.gammainc(shape, np.clip(x, 0.0, None) / scale)
     assert np.abs(arr - theirs).max() < 1e-10
+
+
+@pytest.mark.parametrize("shape", [1e3, 1e4, 1e5, 1e6])
+def test_gamma_tails_against_mpmath_at_large_shapes(shape):
+    # -t + a log t - lgamma(a) cancels terms of size a: with the prefactor
+    # in that form the error reached 1.8e-13 at shape 1e3 and 3.4e-10 at 1e6
+    mpmath = pytest.importorskip("mpmath")
+    t = np.append(shape + np.arange(-2, 3) * math.sqrt(shape), [shape / 3, 5 * shape + 50])
+    lower, upper = _gamma_tails(t, shape)
+    with mpmath.workdps(50):
+        exact = [mpmath.gammainc(shape, x, mpmath.inf, regularized=True) for x in t.tolist()]
+        want_lower = np.array([float(1 - q) for q in exact])
+        want_upper = np.array([float(q) for q in exact])
+    assert np.abs(lower - want_lower).max() <= 1e-13
+    assert np.abs(upper - want_upper).max() <= 1e-13
 
 
 def test_gamma_cdf_non_finite_points():
