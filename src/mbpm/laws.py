@@ -302,7 +302,7 @@ def check_table(atoms, probs, noun: str, ndim: int = 1, least: int = 0):
         raise ValueError(f"{noun} needs one probability per atom")
     if not ((a >= least).all() and np.array_equal(a, a.astype(int))):
         raise ValueError(f"{noun} atoms must have integer entries >= {least}")
-    if not ((p >= 0.0).all() and abs(p.sum() - 1.0) <= 1e-12):
+    if not ((p >= 0.0).all() and abs(p.sum() - 1.0) <= _PROB_TOL):
         raise ValueError(f"{noun} probabilities must be nonnegative and sum to 1")
 
 
@@ -585,7 +585,7 @@ class ShiftedPoissonImmigration(_SpreadsLikeItsDeviation):
 
     def _rate(self, s):
         a = np.asarray(self.mean_fn(s))
-        if not a.min() >= 1.0 - 1e-12:
+        if not a.min() >= 1.0 - _PROB_TOL:
             raise ValueError(
                 f"immigration mean {a.min()} fell below 1; clamp the mean state function"
             )

@@ -36,7 +36,11 @@ call it once, on the distinct values of the sorted sample (its runs of
 equal bit patterns), and spread the result over the ties.  The limit
 suites' samples are normalised integer populations, so they sit on a
 lattice: on a single-type document, 10**4 replicates at n = 8 take fewer
-than a hundred distinct values.
+than a hundred distinct values.  The gamma CDF and quantile are computed
+point by point in plain floats, through libm (the math module), never
+through numpy's float64 exp and log: those take SIMD kernels picked by CPU,
+which round differently (on an AVX-512 host numpy's exp differs from
+math.exp on 4.6% of random arguments).
 
 KS thresholds are deliberately experiment-level constants rather than
 p-values: the sampled laws are only asymptotically the reference laws, so
@@ -302,98 +306,73 @@ def normal_cdf(x) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def _gamma_series(a: float, x):
-    """sum_n x^n / (a (a+1) ... (a+n)) for each x < a + 1 (Numerical Recipes 6.2).
-
-    Every element stops on its own test: its last term below 1e-16 of its
-    sum, or 10 000 terms.  Finished elements leave the working arrays.
-    """
-    out = np.empty(x.shape)
-    live = np.arange(x.size)
-    term = np.full(x.shape, 1.0 / a)
-    total = term.copy()
-    n = 0
-    while live.size:
-        n += 1
+def _gamma_series(a: float, x: float) -> float:
+    """sum_n x^n / (a (a+1) ... (a+n)) at x < a + 1 (Numerical Recipes 6.2), to its
+    last term below 1e-16 of the sum, or 10 000 terms."""
+    term = total = 1.0 / a
+    for n in range(1, 10_002):
         term *= x / (a + n)
         total += term
-        done = (np.abs(term) < np.abs(total) * 1e-16) | (n > 10_000)
-        out[live[done]] = total[done]
-        keep = ~done
-        live, x, term, total = live[keep], x[keep], term[keep], total[keep]
-    return out
+        if abs(term) < abs(total) * 1e-16:
+            break
+    return total
 
 
-def _gamma_fraction(a: float, x):
-    """Continued fraction of Q(a, x) e^x x^-a Gamma(a) for each x >= a + 1.
-
-    Modified Lentz (Numerical Recipes 6.2); every element stops on its own
-    test, |delta - 1| < 1e-16, or after 9 999 terms.
-    """
+def _gamma_fraction(a: float, x: float) -> float:
+    """Continued fraction of Q(a, x) e^x x^-a Gamma(a) at x >= a + 1: modified
+    Lentz (Numerical Recipes 6.2), to |delta - 1| < 1e-16, or 9 999 terms."""
     tiny = 1e-300
-    out = np.empty(x.shape)
-    live = np.arange(x.size)
     b = x + 1.0 - a
-    c = np.full(x.shape, 1.0 / tiny)
-    d = 1.0 / b
-    h = d.copy()
+    c, d = 1.0 / tiny, 1.0 / b
+    h = d
     for i in range(1, 10_000):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
-        d[np.abs(d) < tiny] = tiny
         c = b + an / c
-        c[np.abs(c) < tiny] = tiny
-        d = 1.0 / d
+        c = tiny if abs(c) < tiny else c
+        d = 1.0 / (tiny if abs(d) < tiny else d)
         delta = d * c
         h *= delta
-        done = np.abs(delta - 1.0) < 1e-16
-        out[live[done]] = h[done]
-        keep = ~done
-        live, b, c, d, h = live[keep], b[keep], c[keep], d[keep], h[keep]
-        if not live.size:
+        if abs(delta - 1.0) < 1e-16:
             break
-    out[live] = h
-    return out
+    return h
 
 
-def _gamma_prefactor(t, a: float):
-    """e^-t t^a / Gamma(a) = dP(a, t) / d log t at each finite t > 0, by libm point by
-    point (numpy's SIMD log and exp can differ by CPU).  From shape 10 on, at t >= a / 2,
-    Stirling's form, measured the more accurate: no a-sized terms cancel in it."""
-    log_f = -t + a * np.array(list(map(math.log, t.tolist()))) - math.lgamma(a)
-    if a >= 10.0:
-        near = t >= 0.5 * a
-        eta = (t[near] - a) / a
-        r = 1.0 / (a * a)  # s: Stirling's series of lgamma(a) through a^-11
-        s = 1/12 - r * (1/360 - r * (1/1260 - r * (1/1680 - r * (1/1188 - r * 691/360360))))
-        log1p = np.array(list(map(math.log1p, eta.tolist())))
-        log_f[near] = 0.5 * math.log(a / (2.0 * math.pi)) - s / a + a * (log1p - eta)
-    return np.array(list(map(math.exp, log_f.tolist())))
+def _gamma_prefactor(t: float, a: float) -> float:
+    """e^-t t^a / Gamma(a) = dP(a, t) / d log t at a finite t > 0.  From shape 10 on,
+    at t >= a / 2, Stirling's form, measured the more accurate: no a-sized terms
+    cancel in it."""
+    if a < 10.0 or t < 0.5 * a:
+        return math.exp(-t + a * math.log(t) - math.lgamma(a))
+    eta = (t - a) / a
+    r = 1.0 / (a * a)  # s: Stirling's series of lgamma(a) through a^-11
+    s = 1/12 - r * (1/360 - r * (1/1260 - r * (1/1680 - r * (1/1188 - r * 691/360360))))
+    return math.exp(0.5 * math.log(a / (2.0 * math.pi)) - s / a + a * (math.log1p(eta) - eta))
+
+
+def _gamma_pair(t: float, a: float):
+    """The regularized incomplete gammas (P(a, t), Q(a, t) = 1 - P) at one t >= 0
+    (nan stays nan).  Below a + 1 the series gives P, above it the continued
+    fraction Q, the other tail is one minus it, and both are within 1e-13
+    absolute up to shape 1e6 (1.2e-14 at most against mpmath at 50 digits)."""
+    if not 0.0 < t < math.inf:
+        p = t if math.isnan(t) else float(t == math.inf)
+        return p, 1.0 - p
+    f = _gamma_prefactor(t, a)
+    if t < a + 1.0:
+        p = min(1.0, _gamma_series(a, t) * f)
+        return p, 1.0 - p
+    q = f * _gamma_fraction(a, t)
+    return min(1.0, max(0.0, 1.0 - q)), min(1.0, max(0.0, q))
 
 
 def _gamma_tails(t, shape: float):
-    """The regularized incomplete gammas P(shape, t) and Q(shape, t) =
-    1 - P at each t >= 0 (nan stays nan), as two arrays of t's shape.
-
-    Points below shape + 1 take the ascending series for P, the others the
-    continued fraction for Q, and the other tail is one minus it; both run
-    on whole arrays, times _gamma_prefactor.  Both are within 1e-13 absolute
-    up to shape 1e6 (1.2e-14 at most against mpmath at 50 digits).
-    """
-    flat = t.ravel()
-    lower = np.where(np.isnan(flat), np.nan, np.where(flat == np.inf, 1.0, 0.0))
-    upper = 1.0 - lower
-    pos = np.flatnonzero((flat > 0.0) & (flat < np.inf))
-    tp = flat[pos]
-    prefactor = _gamma_prefactor(tp, shape)
-    low = tp < shape + 1.0
-    series = np.minimum(1.0, _gamma_series(shape, tp[low]) * prefactor[low])
-    fraction = prefactor[~low] * _gamma_fraction(shape, tp[~low])
-    for out, here, there in ((lower, series, 1.0 - fraction), (upper, 1.0 - series, fraction)):
-        out[pos[low]] = here
-        out[pos[~low]] = np.clip(there, 0.0, 1.0)
-    return lower.reshape(t.shape), upper.reshape(t.shape)
+    """P(shape, t) and Q(shape, t) at each point of the array t, as two arrays of
+    its shape (_gamma_pair point by point)."""
+    shape = float(shape)
+    pairs = np.array([_gamma_pair(v, shape) for v in t.ravel().tolist()]).reshape(*t.shape, 2)
+    return pairs[..., 0], pairs[..., 1]
 
 
 def gamma_cdf(x, shape: float, scale: float):
@@ -406,54 +385,55 @@ def gamma_cdf(x, shape: float, scale: float):
     return float(out) if out.ndim == 0 else out
 
 
-def gamma_quantile(q, shape: float, scale: float):
-    """Inverse of gamma_cdf at each probability in q, all in (0, 1).
+def _gamma_root(p: float, a: float) -> float:
+    """The t with P(a, t) = p, by gamma_quantile's steps."""
+    t, lo, hi = a, 0.0, math.inf
+    for _ in range(200):
+        cdf, tail = _gamma_pair(t, a)
+        gap = tail - (1.0 - p) if p > 0.5 else p - cdf  # positive below the root
+        lo, hi = (t, hi) if gap > 0.0 else (lo, t)
+        slope = _gamma_prefactor(t, a)  # dP / ds
+        if cdf < 1e-3 * p or slope == 0.0:
+            ds = math.nan  # bisect
+        elif cdf <= 1e3 * p:
+            ds = gap / slope
+        else:  # log P is concave in s: the step lands at or below the root
+            ds = math.log(p / cdf) * cdf / slope
+            if t * math.exp(ds) == 0.0:  # slope a bounds d log P / ds from above
+                ds = math.log(p / cdf) / a
+        step = t * math.exp(min(ds, 1.0))
+        # a Newton step below 1e-12 of t leaves an error at the CDF's own noise;
+        # a bracket that narrow is the tail's rounding (below shape 1e-3, p near 1)
+        if abs(step - t) <= 1e-12 * t or step == 0.0:
+            return step
+        if hi - lo <= 1e-12 * lo:
+            return t
+        if not lo < step <= hi:  # nan falls back too
+            step = 2.0 * t if hi == math.inf else 0.5 * (lo + hi)
+        t = step
+    raise ArithmeticError(f"the gamma quantile at {p} did not converge")
 
-    Newton steps on P(shape, e^s) = q in s = log(t), from the mean
-    t = shape in units of scale: a step multiplies t by at most e, so t
-    stays positive.  Where q > 1/2 the steps are on the upper tail,
-    Q(shape, e^s) = 1 - q (exact for such q), with Q from the continued
-    fraction: P = 1 - Q near 1 carries Q's absolute rounding, which is
-    its whole size at q = 1 - 2^-52.  Where P exceeds 1e3 q the step is
-    on log P instead, with shape for its slope d log P / ds, which is
-    below shape at every t and tends to it as t -> 0: the step never
-    passes the root, and far below the mean it lands next to it, where a
-    step on P would move s by only about -1/shape.  A root below the
-    float range reads 0.  Every evaluation narrows a bracket [lo, hi] of
-    each root, and a step that leaves it is replaced by the bracket's
-    midpoint, or by doubling t while no upper end is known.  Plain
-    bisection would need about 60 evaluations of the incomplete gamma;
-    Newton needs a few.  Every element stops on its own test and leaves
-    the working arrays, so its quantile does not depend on the others.
+
+def gamma_quantile(q, shape: float, scale: float):
+    """Inverse of gamma_cdf at each probability in q, all in (0, 1), each on its own.
+
+    Newton steps in s = log t from the mean, t = shape in units of scale, each
+    multiplying t by at most e: on P(shape, e^s) = q, or on the upper tail Q = 1 - q
+    where q > 1/2 (exact there, and Q from the continued fraction keeps its
+    relative precision up to q = 1 - 2^-52).  Where P > 1e3 q the step is on
+    log P, with slope (dP / ds) / P, and where that step reads 0 with slope
+    shape, which never passes the root: a root below the float range reads 0.
+    Every evaluation narrows a bracket of the root; a step that leaves it, or
+    one from P < 1e-3 q, is replaced by its midpoint (doubling t while it has
+    no upper end).  Plain bisection would need about 60 evaluations; Newton a few.
     """
     q = np.asarray(q, dtype=float)
     if not np.all((q > 0.0) & (q < 1.0)):
         raise ValueError("probabilities must lie in (0, 1)")
     if shape <= 0.0 or scale <= 0.0:
         raise ValueError("shape and scale must be positive")
-    out = np.empty(q.size)
-    live, p = np.arange(q.size), q.ravel()
-    t = np.full(p.shape, float(shape))
-    lo, hi = np.zeros(p.shape), np.full(p.shape, np.inf)
-    for _ in range(200):
-        cdf, tail = _gamma_tails(t, shape)
-        gap = np.where(p > 0.5, tail - (1.0 - p), p - cdf)  # positive below the root
-        below = gap > 0.0
-        lo, hi = np.where(below, t, lo), np.where(below, hi, t)
-        slope = _gamma_prefactor(t, shape)  # dP / d log(t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ds = np.where(cdf > 1e3 * p, np.log(p / cdf) / shape, gap / slope)
-            step = t * np.exp(np.minimum(ds, 1.0))
-        # a Newton step below 1e-12 of t leaves an error at the CDF's own noise
-        done = (np.abs(step - t) <= 1e-12 * t) | (step == 0.0)
-        out[live[done]] = step[done]
-        fallback = np.where(hi == np.inf, 2.0 * t, 0.5 * (lo + hi))
-        keep = ~done
-        t = np.where((lo < step) & (step <= hi), step, fallback)[keep]  # nan falls back
-        live, p, lo, hi = live[keep], p[keep], lo[keep], hi[keep]
-        if not live.size:
-            return scale * out.reshape(q.shape)
-    raise ArithmeticError(f"gamma quantiles at {p} did not converge")
+    roots = [_gamma_root(p, float(shape)) for p in q.ravel().tolist()]
+    return scale * np.array(roots).reshape(q.shape)
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,13 @@ def run_fresh(argv, env=None, **kwargs):
                           **kwargs)
 
 
+# numpy picks the SIMD kernels of its ufuncs (exp, log, power, log1p, ...)
+# by CPU, and they may round differently from one another; this environment
+# takes an x86-64 numpy down to its X86_V2 baseline.  A name numpy does not
+# dispatch is ignored (with an ImportWarning), so it runs on any host.
+NUMPY_BASELINE = {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
+
+
 def run_python(code):
     """Run ``code`` in a fresh interpreter; its stdout, once it has exited
     with status 0."""

@@ -34,10 +34,11 @@ from mbpm import (
     wilson_interval,
 )
 from mbpm.model import _trajectories
-from mbpm.montecarlo import BLOCK, MOMENT_BATCHES, ROWS, _gamma_tails, _run_starts
+from mbpm.montecarlo import (BLOCK, MOMENT_BATCHES, ROWS, _gamma_prefactor, _gamma_tails,
+                             _run_starts)
 
 import oracles
-from conftest import load_doc, run_fresh, run_python, spec_path
+from conftest import NUMPY_BASELINE, load_doc, run_fresh, run_python, spec_path
 
 
 def deterministic_spec():
@@ -423,6 +424,47 @@ def test_gamma_quantile_below_the_float_range_is_not_stepped_again():
     # take log(0) (a RuntimeWarning, which the test settings make an error)
     fan = gamma_quantile(_FAN, 1e-3, 0.5)
     assert (fan[:2] == 0.0).all() and (fan[2:] > 0.0).all()
+
+
+def test_gamma_quantile_converges_and_round_trips():
+    # 60 shapes from 1e-4 to 1e6, 40 probabilities from 5e-301 to 1/2 and 40
+    # from 1/2 to 1 - 2^-53, and the three that raised ArithmeticError when
+    # the step on log P took slope shape (q = 1e-7 at shape 1e6) and when the
+    # stop test was finer than the rounding of Q = 1 - P (q = 0.995 at 1e-4).
+    # Measured on these: the Newton step left at a quantile, |gap| over dP/ds,
+    # is at most 3.2e-13 where q <= 1/2 and 1.6e-11 where q > 1/2 (at shapes
+    # below 1e-3, where Q = 1 - P carries P's rounding, about 1e-15, and dP/ds
+    # is about the shape), and half a unit in the last place of a subnormal
+    # quantile.  856 quantiles read 0.
+    probs = ([0.5 * 10 ** (-300 * (39 - k) / 39) for k in range(40)]
+             + [1 - 0.5 * 10 ** (-15.5 * (39 - k) / 39) for k in range(40)])
+    cases = [(10 ** (-4 + 10 * i / 59), probs) for i in range(60)]
+    cases += [(1e6, [1e-7]), (4.6e5, [4e-7]), (1e-4, [0.995])]
+    for shape, qs in cases:
+        for q, x in zip(qs, gamma_quantile(qs, shape, 1.0).tolist()):
+            if x == 0.0:  # the root lies below the float range
+                assert _gamma_tails(np.array(5e-324), shape)[0] > q, (shape, q)
+                continue
+            lower, upper = _gamma_tails(np.array(x), shape)
+            gap = upper - (1.0 - q) if q > 0.5 else q - lower
+            tol = 1e-12 if q <= 0.5 else 3e-11
+            assert abs(gap) <= (tol + math.ulp(x) / x) * _gamma_prefactor(x, shape), (shape, q)
+    # a subnormal q, on whose way dP/ds underflows to 0
+    assert gamma_cdf(gamma_quantile(5e-324, 4.0, 1.0), 4.0, 1.0) == 5e-324
+
+
+def test_gamma_quantile_does_not_depend_on_numpy_simd_dispatch():
+    # numpy's float64 exp and log round differently by SIMD kernel; the
+    # quantile reads libm only.  The shapes are formed by Python floats, as
+    # np.geomspace would go through those kernels itself.
+    code = ("from mbpm import gamma_quantile\n"
+            "for i in range(60):\n"
+            "    shape = 10 ** (-3 + 9 * i / 59)\n"
+            "    print(gamma_quantile((0.05, 0.25, 0.5, 0.75, 0.95), shape, 0.5).tolist())\n")
+    proc = run_fresh(["-c", code], env=NUMPY_BASELINE, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    here = [gamma_quantile(_FAN, 10 ** (-3 + 9 * i / 59), 0.5).tolist() for i in range(60)]
+    assert proc.stdout == "".join(f"{fan}\n" for fan in here)
 
 
 def reference_gamma_cdf(t: float, a: float) -> float:

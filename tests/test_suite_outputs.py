@@ -29,7 +29,8 @@ and pure_emigration was recorded again when the growth exponents came
 to report alpha, u.c and the ratio's limit theta where u.h is not
 eventually positive (they were null there).
 ``test_suite_outputs_do_not_depend_on_the_blas_kernel`` runs every case
-again under two other OpenBLAS kernels.
+again under two other OpenBLAS kernels and under numpy's baseline SIMD
+kernels.
 
 Two more runs, gamma-limit and normal-limit at the size of the
 replicates-wide benchmark workload (``--n 8 --reps 10000``), pin
@@ -43,7 +44,7 @@ import os
 
 import pytest
 
-from conftest import run_fresh, spec_path
+from conftest import NUMPY_BASELINE, run_fresh, spec_path
 from mbpm.cli import SUITES, main
 
 DOCUMENTS = ["gamma_single_type", "sqrt_drift_single_type", "two_type_mixed",
@@ -191,12 +192,19 @@ def test_wide_suite_outputs_are_unchanged(tmp_path, capsys, suite, document):
     assert digest == WIDE_DIGESTS[suite, document]
 
 
-@pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge"])
-def test_suite_outputs_do_not_depend_on_the_blas_kernel(coretype):
+@pytest.mark.parametrize("env", [
+    pytest.param({"OPENBLAS_CORETYPE": "Haswell"}, id="Haswell"),
+    pytest.param({"OPENBLAS_CORETYPE": "Sandybridge"}, id="Sandybridge"),
+    pytest.param(NUMPY_BASELINE, id="numpy-baseline"),
+])
+def test_suite_outputs_do_not_depend_on_the_blas_kernel(env):
     # OpenBLAS picks its kernels by CPU, and they round products of floats
     # differently: the Perron data, and the products that weigh by it, were
-    # formed by BLAS products and moved six of the digests above
+    # formed by BLAS products and moved six of the digests above.  numpy's
+    # SIMD kernels are picked by CPU too, and the step kernel goes through
+    # np.power (Power state functions) and np.log1p / np.expm1 (truncated-
+    # geometric draws).
     proc = run_fresh(["-m", "pytest", "-q", "-p", "no:cacheprovider", os.path.basename(__file__),
-                      "-k", "outputs_are_unchanged"], env={"OPENBLAS_CORETYPE": coretype},
+                      "-k", "outputs_are_unchanged"], env=env,
                      cwd=os.path.dirname(__file__), timeout=300)
     assert proc.returncode == 0, proc.stdout[-3000:]
