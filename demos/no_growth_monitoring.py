@@ -54,6 +54,6 @@ for K in (25, 40, 100, 1000):
 
 # terminal-norm version of the same certificate, via the packaged helper
 est = estimate_explosion(ens, 1000)
-print(f"\nterminal norm > 1000: estimate {est.value:.4f}, upper bound {est.high:.4f}")
-assert est.value == 0.0 and est.high < 0.01
+print(f"\nterminal norm > 1000: estimate {est.value:.4f}, upper bound {est.ci95[1]:.4f}")
+assert est.value == 0.0 and est.ci95[1] < 0.01
 print("PASS: no growth, analytically and empirically")

@@ -482,7 +482,7 @@ def _suite_explosion(spec: ModelSpec, doc: dict, config: ExperimentConfig):
     passed = bounds is None or bounds[0] <= est.value <= bounds[1]
     norms = ens.norms.astype(float)
     payload = {
-        "explosion": est.to_dict(),
+        "explosion": est,
         "bounds": bounds,
         "ensemble": ens.summary(),
     }

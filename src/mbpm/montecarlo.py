@@ -36,11 +36,12 @@ call it once, on the distinct values of the sorted sample (its runs of
 equal bit patterns), and spread the result over the ties.  The limit
 suites' samples are normalised integer populations, so they sit on a
 lattice: on a single-type document, 10**4 replicates at n = 8 take fewer
-than a hundred distinct values.  The gamma CDF and quantile are computed
-point by point in plain floats, through libm (the math module), never
-through numpy's float64 exp and log: those take SIMD kernels picked by CPU,
-which round differently (on an AVX-512 host numpy's exp differs from
-math.exp on 4.6% of random arguments).
+than a hundred distinct values.  The normal and gamma CDFs and the gamma
+quantile map a plain-float function over their points (_pointwise),
+through libm (the math module), never through numpy's float64 exp and log:
+those take SIMD kernels picked by CPU, which round differently (on an
+AVX-512 host numpy's exp differs from math.exp on 4.6% of random
+arguments).  A gamma shape or scale must be positive and finite.
 
 KS thresholds are deliberately experiment-level constants rather than
 p-values: the sampled laws are only asymptotically the reference laws, so
@@ -203,20 +204,10 @@ class ProbabilityEstimate:
     """A binomial fraction with its 95% Wilson confidence interval."""
 
     value: float
-    low: float
-    high: float
+    ci95: tuple  # (low, high)
     successes: int
     trials: int
     threshold: float
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "ci95": [self.low, self.high],
-            "successes": self.successes,
-            "trials": self.trials,
-            "threshold": self.threshold,
-        }
 
 
 def wilson_interval(successes: int, trials: int):
@@ -239,11 +230,9 @@ def estimate_explosion(ensemble: Ensemble, K: float) -> ProbabilityEstimate:
     if not K >= 0:  # refuses nan too
         raise ValueError(f"threshold K must be >= 0, got {K!r}")
     hits = int((ensemble.norms > K).sum())
-    low, high = wilson_interval(hits, ensemble.replicates)
     return ProbabilityEstimate(
         value=hits / ensemble.replicates,
-        low=low,
-        high=high,
+        ci95=wilson_interval(hits, ensemble.replicates),
         successes=hits,
         trials=ensemble.replicates,
         threshold=float(K),
@@ -299,11 +288,17 @@ def ks_statistic(sample, cdf: Callable) -> float:
     return _ks_sorted(_sorted_with_cdf(sample, cdf)[1])
 
 
-def normal_cdf(x) -> float:
-    """Standard normal distribution function via the complementary error function."""
+def _pointwise(f: Callable[[float], float], x):
+    """f, a function of one plain float, at each point of x: a float for a
+    scalar x, otherwise an array of x's shape."""
     x = np.asarray(x, dtype=float)
-    out = 0.5 * np.vectorize(math.erfc, otypes=[float])(-x / math.sqrt(2.0))
+    out = np.array([f(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
     return float(out) if out.ndim == 0 else out
+
+
+def normal_cdf(x):
+    """Standard normal distribution function via the complementary error function."""
+    return _pointwise(lambda v: 0.5 * math.erfc(-v / math.sqrt(2.0)), x)
 
 
 def _gamma_series(a: float, x: float) -> float:
@@ -367,22 +362,19 @@ def _gamma_pair(t: float, a: float):
     return min(1.0, max(0.0, 1.0 - q)), min(1.0, max(0.0, q))
 
 
-def _gamma_tails(t, shape: float):
-    """P(shape, t) and Q(shape, t) at each point of the array t, as two arrays of
-    its shape (_gamma_pair point by point)."""
-    shape = float(shape)
-    pairs = np.array([_gamma_pair(v, shape) for v in t.ravel().tolist()]).reshape(*t.shape, 2)
-    return pairs[..., 0], pairs[..., 1]
+def _gamma_params(shape, scale):
+    """shape and scale as floats, refused unless both are positive and finite."""
+    shape, scale = float(shape), float(scale)
+    if not (0.0 < shape < math.inf and 0.0 < scale < math.inf):
+        raise ValueError(f"shape and scale must be positive and finite, got {shape}, {scale}")
+    return shape, scale
 
 
 def gamma_cdf(x, shape: float, scale: float):
     """Gamma distribution function: regularized lower incomplete gamma of
-    x/scale (_gamma_tails)."""
-    if shape <= 0.0 or scale <= 0.0:
-        raise ValueError("shape and scale must be positive")
-    x = np.asarray(x, dtype=float)
-    out = _gamma_tails(np.clip(x, 0.0, None) / scale, shape)[0]
-    return float(out) if out.ndim == 0 else out
+    x/scale (_gamma_pair's P), point by point."""
+    shape, scale = _gamma_params(shape, scale)
+    return _pointwise(lambda v: _gamma_pair(max(v, 0.0) / scale, shape)[0], x)
 
 
 def _gamma_root(p: float, a: float) -> float:
@@ -430,10 +422,8 @@ def gamma_quantile(q, shape: float, scale: float):
     q = np.asarray(q, dtype=float)
     if not np.all((q > 0.0) & (q < 1.0)):
         raise ValueError("probabilities must lie in (0, 1)")
-    if shape <= 0.0 or scale <= 0.0:
-        raise ValueError("shape and scale must be positive")
-    roots = [_gamma_root(p, float(shape)) for p in q.ravel().tolist()]
-    return scale * np.array(roots).reshape(q.shape)
+    shape, scale = _gamma_params(shape, scale)
+    return _pointwise(lambda p: scale * _gamma_root(p, shape), q)
 
 
 @dataclass(frozen=True)

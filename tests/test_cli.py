@@ -322,6 +322,11 @@ def _one_child_each(doc):
     doc["offspring"][0]["components"][0] = {"family": "deterministic", "value": 1}
 
 
+def _deterministic(doc):
+    _one_child_each(doc)
+    doc["migration"][0]["immigration"] = {"family": "deterministic", "value": 2}
+
+
 @pytest.mark.parametrize("suite, doc_name, n, edit, message", [
     # nu >= 2 u.c: unbounded growth is a null event
     ("gamma-limit", "gamma_single_type", 20, _starved_immigration,
@@ -348,8 +353,12 @@ def _one_child_each(doc):
     ("feller", "gamma_single_type", 20, _one_child_each,
      "feller is infeasible for this model: it needs diffusion > 0 "
      "(otherwise the limit is degenerate)\n"),
+    # no randomness at all: classify's ratio divides by the one-step variance
+    ("classify", "gamma_single_type", 20, _deterministic,
+     "classify is infeasible for this model: one-step variance vanishes at this state "
+     "(deterministic model)\n"),
 ], ids=["gamma-limit", "l1-limit", "normal-limit", "gamma-limit-n0", "l1-limit-n0",
-        "feller-n0", "feller-zero-drift", "feller-zero-diffusion"])
+        "feller-n0", "feller-zero-drift", "feller-zero-diffusion", "classify-deterministic"])
 def test_limit_suite_infeasible_regime(tmp_path, capsys, monkeypatch, suite, doc_name, n, edit,
                                        message):
     doc = json.load(open(spec_path(doc_name)))

@@ -175,6 +175,16 @@ _PROBE_GAPS = {
         {"immigration": {"family": "shifted_poisson",
                          "mean": {"kind": "clamp", "inner": _power(3.0, -0.1), "hi": 3.0}}},
         "spec: migration[0] immigration mean 0.0 at the limit of large sizes is below 1"),
+    # emigration past 1 wherever the type has a count to remove
+    "prob-em-past-one": (
+        {"prob_imm": {"kind": "constant", "value": 0.0},
+         "prob_em": {"kind": "constant", "value": 1.5}, "emigration": _EMIGRANT},
+        "spec: migration[0].prob_em = 1.5 at z=[1] is outside [0, 1]"),
+    # emigration with nothing to draw the emigrants from
+    "emigration-without-law": (
+        {"prob_imm": {"kind": "constant", "value": 0.5},
+         "prob_em": {"kind": "constant", "value": 0.3}},
+        "spec: migration[0] has emigration probability 0.3 at z=[1] but no emigration law"),
 }
 
 
@@ -993,6 +1003,8 @@ def _edited(doc, keys, value):
     (("migration", 3), None, "migration[3]: expected a mapping, got NoneType"),
     (("initial",), [1, 2, 0, 3], "initial: expected a mapping, got list"),
     # a constructor's refusal is reported at its block
+    (("initial",), {"kind": "deterministic", "state": [-1, 0, 0, 0]},
+     "initial: initial state must have nonnegative integer entries"),
     (("migration", 1, "prob_imm", "lo"), 0.5, "migration[1].prob_imm: clamp bounds are inverted"),
     (("offspring", 0, "components", 0, "mean"), "abc",
      "offspring[0].components[0].mean: expected a finite number, got 'abc'"),

@@ -30,11 +30,12 @@ from mbpm import (
     run_ensemble,
     sample_step_batch,
     simulate_path,
+    spec_from_dict,
     stream_for,
     wilson_interval,
 )
 from mbpm.model import _trajectories
-from mbpm.montecarlo import (BLOCK, MOMENT_BATCHES, ROWS, _gamma_prefactor, _gamma_tails,
+from mbpm.montecarlo import (BLOCK, MOMENT_BATCHES, ROWS, _gamma_pair, _gamma_prefactor,
                              _run_starts)
 
 import oracles
@@ -134,6 +135,22 @@ def test_ensemble_block_is_advance_on_its_own_stream(two_type_spec, block):
         assert np.array_equal(ens.states[lo:hi, k], Z)
         Z = advance(two_type_spec, Z, rng)
     assert np.array_equal(ens.terminal[lo:hi], Z)
+
+
+def test_ensemble_draws_a_table_initial_law_from_each_block_stream():
+    # each block's step-0 states are the first draws of its own stream
+    probs = [0.2, 0.5, 0.3]
+    doc = load_doc("gamma_single_type")
+    doc["initial"] = {"kind": "table", "states": [[0], [5], [20]], "probs": probs}
+    spec = spec_from_dict(doc)
+    R = BLOCK + 300
+    ens = run_ensemble(spec, 10, R, 7, steps=(0, 10), workers=1)
+    for b in (0, 1):
+        rows = min(BLOCK, R - b * BLOCK)
+        want = np.array([0, 5, 20])[stream_for(7, b).choice(3, p=probs, size=rows)]
+        assert np.array_equal(ens.states[b * BLOCK : b * BLOCK + rows, 0, 0], want), b
+    pooled = run_ensemble(spec, 10, R, 7, steps=(0, 10), workers=2)
+    assert np.array_equal(pooled.states, ens.states)
 
 
 def test_ensemble_within_256_replicates_is_unchanged(gamma_spec):
@@ -251,8 +268,8 @@ def test_estimate_explosion_pure_death(pure_death_spec):
     ens = run_ensemble(pure_death_spec, n=20, R=100, master_seed=3)
     est = estimate_explosion(ens, K=10.0)
     assert est.value == 0.0
-    assert est.low == 0.0
-    assert est.high < 0.05
+    assert est.ci95[0] == 0.0
+    assert est.ci95[1] < 0.05
 
 
 def test_estimate_explosion_monotone_in_threshold(gamma_spec):
@@ -401,7 +418,26 @@ def test_gamma_quantile_refuses_probabilities_outside_the_open_unit_interval():
             gamma_quantile([0.5, q], 4.0, 0.5)
 
 
-_FAN = (0.05, 0.25, 0.5, 0.75, 0.95)
+@pytest.mark.parametrize("shape, scale", [(math.nan, 1.0), (math.inf, 1.0), (4.0, math.nan),
+                                          (4.0, math.inf), (0.0, 1.0), (-1.0, 1.0), (4.0, 0.0),
+                                          (4.0, -0.5)])
+def test_gamma_law_refuses_parameters_that_are_not_positive_and_finite(shape, scale):
+    # nan and inf once gave [0, 0], [1, 1], [nan, nan] or a quantile that
+    # did not converge, each without an error
+    with pytest.raises(ValueError, match="shape and scale must be positive and finite"):
+        gamma_cdf([1.0, 2.0], shape, scale)
+    with pytest.raises(ValueError, match="shape and scale must be positive and finite"):
+        gamma_quantile([0.5], shape, scale)
+
+
+def test_gamma_law_of_a_scalar_is_a_float():
+    # a plain float, as for the CDFs, not a numpy scalar
+    assert type(gamma_quantile(0.5, 4.0, 1.0)) is float
+    assert type(gamma_cdf(2.0, 4.0, 1.0)) is float
+    assert type(normal_cdf(0.5)) is float
+
+
+_FAN =(0.05, 0.25, 0.5, 0.75, 0.95)
 
 
 def test_gamma_quantile_is_point_wise():
@@ -443,9 +479,9 @@ def test_gamma_quantile_converges_and_round_trips():
     for shape, qs in cases:
         for q, x in zip(qs, gamma_quantile(qs, shape, 1.0).tolist()):
             if x == 0.0:  # the root lies below the float range
-                assert _gamma_tails(np.array(5e-324), shape)[0] > q, (shape, q)
+                assert _gamma_pair(5e-324, shape)[0] > q, (shape, q)
                 continue
-            lower, upper = _gamma_tails(np.array(x), shape)
+            lower, upper = _gamma_pair(x, shape)
             gap = upper - (1.0 - q) if q > 0.5 else q - lower
             tol = 1e-12 if q <= 0.5 else 3e-11
             assert abs(gap) <= (tol + math.ulp(x) / x) * _gamma_prefactor(x, shape), (shape, q)
@@ -543,7 +579,7 @@ def test_gamma_tails_against_mpmath_at_large_shapes(shape):
     # in that form the error reached 1.8e-13 at shape 1e3 and 3.4e-10 at 1e6
     mpmath = pytest.importorskip("mpmath")
     t = np.append(shape + np.arange(-2, 3) * math.sqrt(shape), [shape / 3, 5 * shape + 50])
-    lower, upper = _gamma_tails(t, shape)
+    lower, upper = np.array([_gamma_pair(x, shape) for x in t.tolist()]).T
     with mpmath.workdps(50):
         exact = [mpmath.gammainc(shape, x, mpmath.inf, regularized=True) for x in t.tolist()]
         want_lower = np.array([float(1 - q) for q in exact])
