@@ -20,15 +20,15 @@ sup-distance to a reference law (gof_report), reference gamma and normal
 CDFs accurate to 1e-13 (gamma: to shape 1e6), and a one-step moment checker that compares
 empirical means and covariances against the exact formulas.  The checker draws in
 chunks too, of whole batches and about ROWS = 2**16 rows: chunk c from
-stream_for(seed, c).  It keeps only each batch's sums and Gram matrix,
-exact integers, and totals them in Python ints, so its memory does not
-grow with the sample count up to MOMENT_BATCHES * ROWS samples, and its
-report does not depend on the host's BLAS.  ROWS was chosen by
+stream_for(seed, c).  It keeps only each batch's int64 sums and Gram
+matrix, exact up to a bound it checks (numpy's integer matmul calls no
+BLAS), and totals them in Python ints, so its memory does not grow with
+the sample count up to MOMENT_BATCHES * ROWS samples.  ROWS was chosen by
 measurement on the same host: from 2**12 to 2**18 rows the benchmark's
 two moments ops took the same CPU time within noise, while the peak
 memory grows with the chunk (traced: 1.5 MB at 2**15, 3.0 MB at 2**16,
-12.6 MB at 2**18 for 10**6 samples of two_type_mixed; a chunk's samples
-are dropped before the next chunk draws).
+12.6 MB at 2**18 for 10**6 samples of two_type_mixed at (50, 30); a
+chunk's samples are dropped before the next chunk draws).
 
 A reference CDF must be point-wise: its value at a point may not depend
 on the other points of the array it is called on.  The KS statistics
@@ -58,7 +58,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .model import ModelSpec, _trajectories, spec_digest
+from .model import _INT64_MAX, ModelSpec, _trajectories, spec_digest
 from .moments import cond_mean, cond_var
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -489,10 +489,6 @@ class MomentCheckReport:
     passed: bool
 
 
-# float64 integers to Python ints, exactly, as an object array
-_to_ints = np.frompyfunc(int, 1, 1)
-
-
 def _cov_from_sums(n: int, s, q) -> np.ndarray:
     """Sample covariance of n rows from their Python-int sums s (..., p) and
     Gram matrices q (..., p, p): (n q - s s^T) / (n (n - 1)), each entry one
@@ -514,17 +510,17 @@ def moment_check(spec: ModelSpec, z, N: int = 1_000_000, seed: int = 0) -> Momen
     The samples are drawn in chunks of whole batches, about ROWS rows each:
     chunk c from stream_for(seed, c), and the N % MOMENT_BATCHES leftover
     rows, which enter only the full-sample statistics, from the stream after
-    the last chunk.  Each row x is first shifted by c, the exact
-    conditional mean rounded to one int64 per type.  One reduction per chunk
-    gives each batch's sums S and Gram matrix Q = x^T x of its shifted
-    counts as float64, so no (N, p) array is built.  Both are sums of
-    integers, hence exact whatever the BLAS kernel or the order of
-    addition, while every entry stays below 2**53; after the shift that
-    bounds the spread of the counts about their mean, not the counts.  The
-    mean (sum S + N c) / N and the covariance (N sum Q - sum S sum S^T) /
+    the last chunk.  Each row x is first shifted by c, the exact conditional
+    mean rounded to one int64 per type.  One reduction per chunk gives each
+    batch's sums S and Gram matrix Q = x^T x of its shifted counts in int64
+    (numpy's integer matmul calls no BLAS), so no (N, p) array is built.
+    Both are exact, in any order of addition, while rows * max|x|^2 of the
+    batch stays within int64; after the shift that bounds the spread of the
+    counts about their mean, not the counts.  A chunk past that bound is
+    refused, naming its largest deviation and its rows.  The mean
+    (sum S + N c) / N and the covariance (N sum Q - sum S sum S^T) /
     (N (N - 1)), which the shift leaves unchanged, of the full sample and
-    of each batch are then formed from Python-int totals and rounded once,
-    so the report does not depend on the host's BLAS.
+    of each batch are then formed from Python-int totals and rounded once.
     """
     from .model import sample_step_batch
 
@@ -546,14 +542,19 @@ def moment_check(spec: ModelSpec, z, N: int = 1_000_000, seed: int = 0) -> Momen
     for c, (g, rows) in enumerate(parts):
         x = sample_step_batch(spec, z, g * rows, stream_for(seed, c)).reshape(g, rows, p)
         x -= shift
-        sums.append(np.einsum("grp->gp", x, dtype=np.float64))
-        x = x.astype(np.float64)
+        peak = max(int(x.max()), -int(x.min()))
+        if rows * peak * peak > _INT64_MAX:
+            raise ValueError(
+                f"a draw deviates by {peak} from the rounded exact mean: the Gram sums of "
+                f"{rows} rows could reach {rows * peak * peak}, past int64 ({_INT64_MAX})"
+            )
+        sums.append(np.einsum("grp->gp", x))  # int64 x.sum(axis=1) takes 5x as long
         grams.append(np.matmul(x.transpose(0, 2, 1), x))
         del x  # not alive while the next chunk draws
-    S, Q = (_to_ints(np.concatenate(a)) for a in (sums, grams))
+    S, Q = (np.concatenate(a).astype(object) for a in (sums, grams))
 
     total_s, total_q = S.sum(axis=0), Q.sum(axis=0)
-    mean_emp = ((total_s + N * _to_ints(shift)) / N).astype(np.float64)
+    mean_emp = ((total_s + N * shift.astype(object)) / N).astype(np.float64)
     cov_emp = _cov_from_sums(N, total_s, total_q)
     per_batch = _cov_from_sums(size, S[:MOMENT_BATCHES], Q[:MOMENT_BATCHES])
     cov_se = per_batch.std(axis=0, ddof=1) / math.sqrt(MOMENT_BATCHES)

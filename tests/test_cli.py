@@ -677,6 +677,21 @@ def test_other_errors_are_not_reported_as_bad_input(tmp_path):
     assert "ValueError: invalid literal for int() with base 10: 'abc'" in proc.stderr
 
 
+def test_moments_suite_refuses_a_state_past_the_int64_gram_bound(tmp_path):
+    # not bad input either: moment_check's refusal surfaces as itself, before any report
+    doc = json.load(open(spec_path("two_type_mixed")))
+    doc["reference_state"] = [30_000_000_000, 20_000_000_000]
+    spec = tmp_path / "doc.json"
+    spec.write_text(json.dumps(doc))
+    proc = run_fresh(["-m", "mbpm.cli", "--spec", str(spec), "--suite", "moments",
+                      "--out", str(tmp_path / "rep")], timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" in proc.stderr
+    assert "ValueError: a draw deviates by " in proc.stderr
+    assert "of 100 rows could reach " in proc.stderr and "past int64" in proc.stderr
+    assert not (tmp_path / "rep").exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_worker_count_below_one_from_the_environment_is_refused(tmp_path, monkeypatch, value):
     # as --workers 0 is; the variable ran one worker and the report recorded it as given

@@ -755,12 +755,15 @@ def test_moment_check_streams_the_two_pass_statistics(name, z, N, streams):
 
 
 @pytest.mark.parametrize("N", [10_000, 10_037], ids=["whole-batches", "leftover"])
-def test_moment_check_statistics_are_exact(two_type_spec, N):
+@pytest.mark.parametrize("z", [(50, 30), (300_000_000, 200_000_000)], ids=["small", "large"])
+def test_moment_check_statistics_are_exact(two_type_spec, N, z):
     # the report's mean, covariance and batch covariances are the exact
-    # rational statistics of the same draws, each rounded once
+    # rational statistics of the same draws, each rounded once; at the large
+    # state the Gram entries of the shifted counts pass 2**53, where float64
+    # sums lose the last bits
     from fractions import Fraction
 
-    z = np.array([50, 30])
+    z = np.array(z)
     rep = moment_check(two_type_spec, z, N=N, seed=5)
     x = sample_step_batch(two_type_spec, z, 10_000, stream_for(5, 0))  # one chunk
     if N % MOMENT_BATCHES:
@@ -788,7 +791,8 @@ def test_moment_check_statistics_are_exact(two_type_spec, N):
 def test_moment_check_does_not_depend_on_the_blas_kernel(two_type_spec):
     # OpenBLAS picks its kernels by CPU; the Haswell ones round products of
     # floats differently from the AVX-512 ones, which moved the last bit of
-    # a covariance before the statistics were formed from exact sums.  At
+    # a covariance while the Gram matrices were float64 BLAS products.  The
+    # int64 reduction calls no BLAS, so no kernel can move a bit.  At
     # (3e6, 2e6) the Gram entries of the unshifted counts pass 2**53
     states = [[50, 30], [3_000_000, 2_000_000]]
     code = ("import numpy as np; from mbpm import load_spec, moment_check; "
@@ -802,6 +806,14 @@ def test_moment_check_does_not_depend_on_the_blas_kernel(two_type_spec):
     here = [[a.tobytes().hex() for a in (rep.mean_empirical, rep.cov_empirical, rep.cov_se)]
             for rep in reps]
     assert proc.stdout.strip() == str(here)
+
+
+def test_moment_check_refuses_gram_sums_past_int64(two_type_spec):
+    # the largest deviation from the rounded mean, about 1.35e10, squared
+    # over the 100 rows of a batch is about 1.8e22 > 2**63
+    with pytest.raises(ValueError, match=r"deviates by \d+ .* of 100 rows .* past int64"):
+        moment_check(two_type_spec, np.array([30_000_000_000, 20_000_000_000]), N=10_000,
+                     seed=5)
 
 
 def test_moment_check_memory_does_not_grow_with_samples(two_type_spec):
