@@ -21,10 +21,11 @@ _CRITICAL_TOL = 1e-9
 
 
 def odot(z, mats):
-    """Weighted sum ``sum_i z[i] * mats[i]`` of per-type matrices.
+    """Weighted sum ``sum_i z[i] * mats[i]`` of square matrices.
 
-    ``mats`` has shape (p, p, p): ``mats[i]`` is the matrix attached to
-    type ``i``.  Returns a (p, p) matrix, each entry formed by ``dot``.
+    ``mats`` has shape (n, p, p): ``mats[i]`` is the matrix weighted by
+    ``z[i]``, say the one attached to type ``i``.  Returns a (p, p) matrix,
+    each entry formed by ``dot``.
     """
     z = np.asarray(z, dtype=float)
     mats = np.asarray(mats, dtype=float)

@@ -7,7 +7,11 @@ With h(z) = E[M(z)] the mean migration adjustment, one step from z has
 
 where (.) mixes a vector with the per-type offspring covariance matrices
 (algebra.odot) and Var[M(z)] is diagonal because migration components are
-independent across types.  The scalar variance of the size u . Z', with u
+independent across types.  So Var[Z' | z] is one weighted sum of 2p
+matrices, Sigma_k weighted by (z + h)_k and m[:, k] m[:, k]^T by Var M_k,
+and both moments are formed by algebra's one rounding rule, each entry one
+correctly rounded sum (``dot``): the same bits on every host, whatever
+kernel its BLAS picks.  The scalar variance of the size u . Z', with u
 the model's left Perron weights, is sigma2.  Everything here is
 closed-form; Monte Carlo appears only in tests, as the independent check
 of these formulas.
@@ -113,17 +117,20 @@ def migration_atoms(spec: ModelSpec, i: int, z):
 
 
 def cond_mean(spec: ModelSpec, z):
-    """Conditional mean of the next state: m (z + h(z))."""
+    """Conditional mean of the next state: m (z + h(z)), each entry by ``dot``."""
     z = np.asarray(z, dtype=np.int64)
-    return spec.mean_matrix() @ (z + migration_mean(spec, z))
+    return dot(spec.mean_matrix(), z + migration_mean(spec, z))
 
 
 def cond_var(spec: ModelSpec, z):
-    """Conditional covariance of the next state."""
+    """Conditional covariance of the next state: the one weighted sum of
+    2p matrices above, by ``odot``, so it is exactly symmetric."""
     z = np.asarray(z, dtype=np.int64)
+    h, second = np.array(_per_type_raws(spec, 2, z)).T
     m = spec.mean_matrix()
-    branching = odot(z + migration_mean(spec, z), spec.cov_tensor())
-    return branching + m @ migration_var(spec, z) @ m.T
+    outers = m.T[:, :, None] * m.T[:, None, :]  # outers[k] = m[:, k] m[:, k]^T
+    return odot(np.concatenate((z + h, second - h * h)),
+                np.concatenate((spec.cov_tensor(), outers)))
 
 
 def sigma2(spec: ModelSpec, z) -> float:
@@ -135,8 +142,8 @@ def sigma2(spec: ModelSpec, z) -> float:
     """
     u = spec.spectral().u
     z = np.asarray(z, dtype=np.int64)
-    inner = odot(z + migration_mean(spec, z), spec.cov_tensor()) + migration_var(spec, z)
-    return form(u, inner)
+    h, second = np.array(_per_type_raws(spec, 2, z)).T
+    return form(u, odot(z + h, spec.cov_tensor()) + np.diag(second - h * h))
 
 
 # ---------------------------------------------------------------------------

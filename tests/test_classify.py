@@ -468,7 +468,7 @@ def test_classify_suite_evaluates_each_probe_once(tmp_path, monkeypatch, doc_nam
     calls = collections.Counter()
     for module, name in [(mbpm.classify, "sigma2"), (mbpm.classify, "leading_moments"),
                          (mbpm.classify, "migration_mean"), (mbpm.moments, "migration_mean"),
-                         (mbpm.moments, "migration_var")]:
+                         (mbpm.moments, "_per_type_raws")]:
         _count_calls(monkeypatch, module, name, calls)
     code = cli.main(["--spec", spec_path(doc_name), "--suite", "classify",
                      "--out", str(tmp_path / "rep")])
@@ -476,8 +476,9 @@ def test_classify_suite_evaluates_each_probe_once(tmp_path, monkeypatch, doc_nam
     probes = len(mbpm.classify.RAY_POINTS)
     assert calls["leading_moments"] == 1  # one set of exponents for verdict and report
     assert calls["sigma2"] == probes
-    assert calls["migration_var"] == probes
-    assert calls["migration_mean"] <= 2 * probes
+    assert calls["migration_mean"] == probes  # the classifier's h
+    # one pass of the raw migration moments for that h, and one for sigma2's h and Var M
+    assert calls["_per_type_raws"] == 2 * probes
 
 
 @pytest.mark.parametrize("doc_name", _EXPECTED_VERDICT_DOCS + ["small_support"])

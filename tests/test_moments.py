@@ -1,11 +1,13 @@
 """Exact one-step moments against direct-enumeration oracles."""
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import oracles
-from conftest import emigration_atoms, load_doc, spec_path
+from conftest import NUMPY_BASELINE, emigration_atoms, load_doc, run_fresh, spec_path
 from mbpm import (
     Constant,
     DeterministicEmigration,
@@ -24,6 +26,7 @@ from mbpm import (
     migration_var,
     moment_check,
     sigma2,
+    spec_from_dict,
 )
 from mbpm.moments import EXACT_TOL, ratio_limit
 
@@ -156,6 +159,71 @@ def test_sigma2_consistent_with_cond_var(two_type_spec):
 def test_migration_mean_reads_the_models_own_size(sqrt_spec):
     # sqrt_drift's immigration mean reads the model's own size: h(100) = sqrt(100)
     assert migration_mean(sqrt_spec, [100]).tolist() == [10.0]
+
+
+def poisson_documents(count, seed):
+    """``count`` (document, state) pairs: 3-4-type Poisson offspring and
+    shifted-Poisson immigration with non-dyadic means, whose float products
+    a BLAS kernel may round in its own way."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        p = int(rng.integers(3, 5))
+        offspring = [{"kind": "independent",
+                      "components": [{"family": "poisson", "mean": float(mean)}
+                                     for mean in rng.uniform(0.05, 0.9, p)]}
+                     for _ in range(p)]
+        migration = [{"prob_imm": {"kind": "constant", "value": float(rng.uniform(0.1, 0.5))},
+                      "prob_em": {"kind": "constant", "value": float(rng.uniform(0.0, 0.4))},
+                      "immigration": {"family": "shifted_poisson", "mean": {
+                          "kind": "constant", "value": float(rng.uniform(1.0, 3.0))}},
+                      "emigration": {"family": "deterministic", "value": 1}}
+                     for _ in range(p)]
+        doc = {"dim": p, "offspring": offspring, "migration": migration,
+               "initial": {"kind": "deterministic", "state": [1] * p}}
+        out.append((doc, rng.integers(1, 60, p).tolist()))
+    return out
+
+
+HOST_DOCUMENTS = poisson_documents(24, seed=1)
+
+# the bytes of cond_mean, cond_var and sigma2 at each (document, state) read on stdin
+_MOMENT_BYTES = """
+import json, sys
+import numpy as np
+from mbpm import cond_mean, cond_var, sigma2, spec_from_dict
+print(json.dumps([[np.asarray(f(spec_from_dict(doc), z), dtype=float).tobytes().hex()
+                   for f in (cond_mean, cond_var, sigma2)]
+                  for doc, z in json.load(sys.stdin)]))
+"""
+
+
+@pytest.mark.parametrize("env", [
+    pytest.param({"OPENBLAS_CORETYPE": "Haswell"}, id="Haswell"),
+    pytest.param({"OPENBLAS_CORETYPE": "Sandybridge"}, id="Sandybridge"),
+    pytest.param(NUMPY_BASELINE, id="numpy-baseline"),
+])
+def test_exact_moments_do_not_depend_on_the_host(env):
+    # OpenBLAS and numpy's SIMD kernels are picked by CPU, and a BLAS
+    # product of floats may round as its kernel chooses: the moments are
+    # formed by correctly rounded sums, so every kernel gives the same bytes
+    proc = run_fresh(["-c", _MOMENT_BYTES], env=env, input=json.dumps(HOST_DOCUMENTS),
+                     timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    here = [[np.asarray(f(spec_from_dict(doc), z), dtype=float).tobytes().hex()
+             for f in (cond_mean, cond_var, sigma2)] for doc, z in HOST_DOCUMENTS]
+    assert json.loads(proc.stdout) == here
+
+
+def test_exact_moments_are_correctly_rounded():
+    for doc, z in HOST_DOCUMENTS:
+        spec = spec_from_dict(doc)
+        w = np.asarray(z) + migration_mean(spec, z)
+        exact = [float(sum(Fraction(a) * Fraction(b) for a, b in zip(row, w)))
+                 for row in spec.mean_matrix()]
+        assert cond_mean(spec, z).tolist() == exact
+        cov = cond_var(spec, z)
+        assert np.array_equal(cov, cov.T)
 
 
 def test_sigma2_needs_perron_weights(pure_death_spec):

@@ -1,13 +1,17 @@
-"""The package's exports and the submodules a fresh interpreter loads."""
+"""The package's exports, the submodules a fresh interpreter loads, and
+refusals that no other test reaches."""
 import ast
 import json
+import math
 import os
 import textwrap
 
+import numpy as np
 import pytest
 
 import mbpm
 from conftest import run_python, spec_path
+from mbpm import laws, model
 
 EXPORTED = [
     "BernoulliOffspring", "Clamp", "Constant", "DeterministicEmigration",
@@ -175,3 +179,45 @@ def test_every_imported_name_is_read():
             unread += [f"{label}:{a.lineno} {name}" for a, name in bound
                        if name not in read and "# noqa: F401" not in lines[a.lineno - 1]]
     assert unread == []
+
+
+# refusals at the edges of the arguments, which no other test reaches:
+# (call, exception, message)
+REFUSALS = {
+    "odot-matrix-weights": (lambda: mbpm.odot(np.ones((2, 2)), np.ones((2, 2, 2))),
+                            ValueError, "odot expects a vector of weights"),
+    "a_seq-negative-n": (lambda: mbpm.a_seq(1.0, 0.0, n=-1), ValueError,
+                         "n must be nonnegative"),
+    "limit-params-infinite-nu": (
+        lambda: mbpm.LimitParams(alpha=0.0, c=np.array([1.0]), c_dot_u=1.0, beta=1.0,
+                                 nu=math.inf),
+        ValueError, "nu must be positive and finite"),
+    "ensemble-no-replicates": (
+        lambda: mbpm.run_ensemble(mbpm.load_spec(spec_path("gamma_single_type")), n=1, R=0,
+                                  master_seed=0),
+        ValueError, "need at least one replicate"),
+    "wilson-no-trials": (lambda: mbpm.wilson_interval(0, 0), ValueError,
+                         "need at least one trial"),
+    "harmonic-power-4": (lambda: laws._h_sum(4, 10), ValueError,
+                         r"harmonic sums implemented for powers 1\.\.3 only"),
+    "bernoulli-past-one": (lambda: mbpm.BernoulliOffspring(1.5), ValueError,
+                           r"bernoulli probability must lie in \[0, 1\]"),
+    "geometric-ratio-one": (lambda: mbpm.TruncatedGeometricEmigration(1.0), ValueError,
+                            r"geometric ratio must lie strictly inside \(0, 1\)"),
+    "independent-no-components": (lambda: mbpm.IndependentOffspring(()), ValueError,
+                                  "independent offspring law needs at least one component"),
+    "poisson-raw-order-5": (lambda: laws._poisson_raw(5, 1.0), ValueError,
+                            "poisson raw moments implemented for k <= 4, got 5"),
+    "inverse-cube-order-5": (lambda: mbpm.InverseCubeEmigration().raw_moment(5, 10),
+                             ValueError, "inverse-cube moments implemented for k <= 4, got 5"),
+    "write-unregistered-law": (
+        lambda: model._write(model._EMIGRATION, mbpm.PoissonOffspring(mean=1.0)),
+        TypeError, r"no emigration form writes PoissonOffspring\(mean=1\.0\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusals_at_the_edges(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error, match=f"^{message}$"):
+        call()

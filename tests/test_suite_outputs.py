@@ -27,7 +27,11 @@ probability left the document schema, as the report carries the spec
 digest; nothing else in those outputs moved.  Classify on two_type_mixed
 and pure_emigration was recorded again when the growth exponents came
 to report alpha, u.c and the ratio's limit theta where u.h is not
-eventually positive (they were null there).
+eventually positive (they were null there).  Moments on small_support
+and two_type_coupled were recorded again when the exact conditional
+covariance came to be one correctly rounded sum rather than a BLAS
+product: its cov_exact, and the SEs and sigmas read from it, moved in
+their last bits.
 ``test_suite_outputs_do_not_depend_on_the_blas_kernel`` runs every case
 again under two other OpenBLAS kernels and under numpy's baseline SIMD
 kernels.
@@ -61,11 +65,11 @@ DIGESTS = {
     ("moments", "pure_emigration"):
         "e2105dc835c8d577dae126a2833bd40168a3755665eb09a31c5cfd3f5dde934c",
     ("moments", "small_support"):
-        "d13ac14958aa0f0f7bb00350e48b8c2b4d3aa7ba807660aa706e77500048b9a3",
+        "670ee584d60088f97da52c4d33bdbf2d24fffd56302a9f6ba312f411bc6f02db",
     ("moments", "pure_death"):
         "68c11c2459acc06be495e42bc31ca192bd60c182db34db5bc6ff08840ec2009c",
     ("moments", "two_type_coupled"):
-        "7500d5b6d2fda70ea4d5d6e587178a5aa80579b582f82cf2cf08d7750b6a7a5d",
+        "ef61415374c294c7c2e8212e01022e4756f662fac577b5d564952a9369ac8ada",
     ("classify", "gamma_single_type"):
         "dd0319bb93cacee75b201aa5f3c4acaeebc6f42fb208346ecc4b3f9616df3cb4",
     ("classify", "sqrt_drift_single_type"):
